@@ -4,8 +4,9 @@
 // Observation 3 and §4.2 analyze: the fine-grained op pipelines DGL/PyG
 // build for a layer (Listing 1 for GAT) and the dependences between graph
 // operations and neural operations. The data-visible-range analysis and
-// the fusion pass (fusion_pass.hpp) operate on this IR; the optimized
-// engine lowers fusion plans onto the fused kernels in kernels/fused.hpp.
+// the fusion pass (fusion_pass.hpp) operate on this IR. The optimized
+// engine does not run the pass: its fused pipelines are hand-written layer
+// bodies (src/engine/engine_internal.hpp) that these plans describe.
 #pragma once
 
 #include <string_view>

@@ -94,12 +94,13 @@ TuneResult tune_graph_op(const Csr& g, const TuneObjective& measure, TuneConfig 
   bound_cfgs.push_back(ungrouped);
   if (!run_phase(bound_cfgs)) return result;
 
-  // Phase 3: toggle the offline schedule on the winner — on graphs whose
+  // Phase 3: try the winner without the offline schedule — on graphs whose
   // natural order is already clustered (or whose hubs cluster badly), the
   // reorder can lose (paper: protein/ddi in Figure 9). Depends on the
   // phase-2 winner, so it cannot overlap the earlier phases.
+  if (!base.use_las) return result;
   TuneConfig toggled = result.best;
-  toggled.use_las = !toggled.use_las;
+  toggled.use_las = false;
   if (!run_phase({toggled})) return result;
 
   return result;

@@ -54,13 +54,19 @@ struct TuneResult {
   rt::Status error;
 };
 
-/// Cost callback: simulated cycles of the kernel(s) under `config`.
+/// Cost callback: simulated cycles of the kernel(s) under `config`. It
+/// must be pure and thread-safe: tune_graph_op measures the candidates of
+/// one phase in parallel, in no fixed order, so an objective that keeps
+/// state across calls (a call counter, say) races and sees a thread-
+/// dependent sequence. Key any deliberate behaviour on the candidate.
 using TuneObjective = std::function<double(const TuneConfig&)>;
 
 /// One-factor-at-a-time search: lanes first (with grouping at the graph's
 /// average degree rounded to 16 as a neutral setting), then the grouping
 /// bound, keeping the best lanes. `base.use_las` is passed through to
-/// every candidate.
+/// every candidate; when it is set, a last probe tries the winner without
+/// LAS. A base without LAS is never toggled on: the caller has no LAS
+/// order to run it with.
 TuneResult tune_graph_op(const Csr& g, const TuneObjective& measure, TuneConfig base = {},
                          const TunerOptions& options = {});
 

@@ -1,10 +1,10 @@
 #include "engine/engine.hpp"
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
-#include <deque>
+#include <cstdlib>
 #include <map>
-#include <optional>
 #include <type_traits>
 
 #include "core/spfetch/step_index.hpp"
@@ -40,121 +40,323 @@ using detail::Workspace;
 using detail::finish;
 using detail::with_engine_overhead;
 
-/// The tuned configuration resolved by the current attempt, published by
-/// maybe_tune and consumed by effective_lanes/effective_bound/
-/// las_order_for on the same thread. Thread-local (not an engine member)
-/// so concurrent run_batch jobs tuning different graphs never see each
-/// other's knobs; matched by (engine, fingerprint) so a recycled
-/// allocation or another engine instance can never alias it.
-struct ActiveTune {
-  const void* engine = nullptr;
-  graph::GraphFingerprint fp;
-  tensor::Index feat = -1;
-  int lanes = 32;
-  graph::EdgeId bound = 0;
-  bool use_las = true;
-  bool valid = false;
+/// The one knob table, in bit order: each detail::Knob bit, its
+/// metric-schema name and the fallback the degradation ladder takes when it
+/// turns the knob off.
+struct KnobInfo {
+  unsigned bit;
+  std::string_view name;
+  std::string_view action;
 };
-thread_local ActiveTune t_active_tune;
-
-/// The batch job running on this thread (serving resilience, DESIGN.md
-/// §12). Batch jobs execute whole on one pool worker (nested regions run
-/// inline), so a thread-local is job-confined. While active, the
-/// degradation ladder disables knobs *here* instead of the engine's sticky
-/// atomics — one job's failures never change how a concurrent healthy job
-/// runs, which keeps batch results independent of job interleaving — and
-/// degradation events are buffered for a later flush in job-index order.
-struct ActiveJob {
-  const void* engine = nullptr;
-  bool disable_las = false;
-  bool disable_tune = false;
-  bool disable_adapter = false;
-  bool disable_grouping = false;
-  bool disable_sharding = false;
-  /// The job carries a private fault plan, so it must not take warm-cache
-  /// shortcuts: a cache hit skips the work (and its fault seams) entirely,
-  /// and warmth depends on which job got there first — thread timing. An
-  /// isolated job recomputes LAS orders and tuned configurations itself,
-  /// making its fault schedule a function of the job alone (§11/§12).
-  bool cache_isolated = false;
-  std::vector<rt::DegradationEvent>* events = nullptr;
-  bool active = false;
+constexpr KnobInfo kKnobTable[] = {
+    {detail::kLas, rt::kKnobLas, "las->natural_order"},
+    {detail::kAutoTune, rt::kKnobAutoTune, "tuned_bound->heuristic_bound"},
+    {detail::kAdapter, rt::kKnobAdapter, "fused->unfused_pipeline"},
+    {detail::kNeighborGrouping, rt::kKnobNeighborGrouping, "grouped->one_task_per_node"},
+    {detail::kSharding, rt::kKnobSharding, "sharded->unsharded"},
 };
-thread_local ActiveJob t_active_job;
 
-bool job_active_for(const void* engine) {
-  return t_active_job.active && t_active_job.engine == engine;
+const KnobInfo& knob_info(unsigned bit) { return kKnobTable[std::countr_zero(bit)]; }
+
+/// Knob bits for metric-schema names; unknown names are ignored.
+unsigned knob_mask(const std::vector<std::string>& names) {
+  unsigned mask = 0;
+  for (const std::string& name : names) {
+    for (const KnobInfo& k : kKnobTable) {
+      if (name == k.name) mask |= k.bit;
+    }
+  }
+  return mask;
 }
 
-/// RAII install of the per-job ladder, pre-seeded from the breaker's
-/// admission decision (an open breaker routes the job straight to the
-/// last-known-good degraded knob set).
-class JobGuard {
- public:
-  JobGuard(const void* engine, const rt::BreakerDecision& admission,
-           std::vector<rt::DegradationEvent>* events, bool cache_isolated,
-           const std::vector<std::string>& job_disable_knobs = {})
-      : prev_(t_active_job) {
-    ActiveJob job;
-    job.engine = engine;
-    job.events = events;
-    job.active = true;
-    job.cache_isolated = cache_isolated;
-    const auto apply = [&job](const std::string& knob) {
-      if (knob == rt::kKnobLas) job.disable_las = true;
-      if (knob == rt::kKnobAutoTune) job.disable_tune = true;
-      if (knob == rt::kKnobAdapter) job.disable_adapter = true;
-      if (knob == rt::kKnobNeighborGrouping) job.disable_grouping = true;
-      if (knob == rt::kKnobSharding) job.disable_sharding = true;
-    };
-    for (const std::string& knob : admission.disabled_knobs) apply(knob);
-    // Knobs the job itself forces off (e.g. the admission controller's
-    // overload pre-degradation) merge with the breaker's set.
-    for (const std::string& knob : job_disable_knobs) apply(knob);
-    t_active_job = job;
+/// Metric-schema names of the knobs in `mask`, in table order.
+std::vector<std::string> knob_names(unsigned mask) {
+  std::vector<std::string> names;
+  for (const KnobInfo& k : kKnobTable) {
+    if ((mask & k.bit) != 0) names.emplace_back(k.name);
   }
-  ~JobGuard() { t_active_job = prev_; }
-  JobGuard(const JobGuard&) = delete;
-  JobGuard& operator=(const JobGuard&) = delete;
+  return names;
+}
 
-  /// Knobs currently off for this job, as metric-schema names — the rung
-  /// the breaker records when the job still fails here.
-  static std::vector<std::string> disabled_knobs() {
-    std::vector<std::string> knobs;
-    if (t_active_job.disable_las) knobs.emplace_back(rt::kKnobLas);
-    if (t_active_job.disable_tune) knobs.emplace_back(rt::kKnobAutoTune);
-    if (t_active_job.disable_adapter) knobs.emplace_back(rt::kKnobAdapter);
-    if (t_active_job.disable_grouping) knobs.emplace_back(rt::kKnobNeighborGrouping);
-    if (t_active_job.disable_sharding) knobs.emplace_back(rt::kKnobSharding);
-    return knobs;
-  }
+/// The shard count the GCN/GAT pipelines execute with: cfg.shards, or the
+/// GNNBRIDGE_SHARDS environment variable when cfg.shards == 0 (malformed
+/// values warn once and fall back to 1).
+int configured_shards(const EngineConfig& cfg) {
+  if (cfg.shards > 0) return cfg.shards;
+  // Read once per process: a mid-run environment change must not make two
+  // halves of one experiment disagree about the execution mode.
+  static const int env_shards = [] {
+    const char* s = std::getenv("GNNBRIDGE_SHARDS");
+    if (!s || !*s) return 1;
+    char* end = nullptr;
+    const long v = std::strtol(s, &end, 10);
+    if (end == s || *end != '\0' || v < 1 || v > 4096) {
+      std::fprintf(stderr,
+                   "gnnbridge: ignoring invalid GNNBRIDGE_SHARDS='%s' "
+                   "(want an integer in [1, 4096]); running unsharded\n",
+                   s);
+      return 1;
+    }
+    return static_cast<int>(v);
+  }();
+  return env_shards;
+}
 
- private:
-  ActiveJob prev_;
-};
+/// The knobs the configuration turns on.
+unsigned configured_knobs(const EngineConfig& cfg) {
+  return (cfg.use_las ? detail::kLas : 0u) | (cfg.auto_tune ? detail::kAutoTune : 0u) |
+         (cfg.use_adapter ? detail::kAdapter : 0u) |
+         (cfg.use_neighbor_grouping ? detail::kNeighborGrouping : 0u) |
+         (configured_shards(cfg) > 1 ? detail::kSharding : 0u);
+}
 
-/// The run's recovery tally (see detail::RecoveryScope). Thread-local like
-/// ActiveJob: a run executes whole on one thread, so both batch jobs and
-/// direct runs see exactly their own tally.
-thread_local detail::RecoveryTally* t_recovery = nullptr;
+/// The untuned grouping bound: the configured one, else the average degree
+/// rounded up to a multiple of 16.
+EdgeId static_bound(const EngineConfig& cfg, const graph::Csr& csr) {
+  if (!cfg.use_neighbor_grouping) return 0;
+  if (cfg.group_bound > 0) return cfg.group_bound;
+  const double avg = csr.num_nodes > 0
+                         ? static_cast<double>(csr.num_edges()) / static_cast<double>(csr.num_nodes)
+                         : 0.0;
+  return std::max<EdgeId>(16, (static_cast<EdgeId>(avg) + 15) / 16 * 16);
+}
+
+/// The width a GCN/GAT forward's first layer aggregates at — the width the
+/// tuner probes; -1 for a model without layers.
+tensor::Index first_layer_width(const std::vector<models::Index>& dims) {
+  return dims.size() > 1 ? dims[1] : -1;
+}
+
+/// Runs `body(rc)` as a direct (non-batch) run: the graph is hashed once,
+/// and the run's shard-recovery tally flushes straight into the metrics
+/// sink (batch jobs fold theirs in job order instead).
+template <typename Fn>
+auto run_direct(const graph::Csr& csr, Fn&& body) {
+  detail::RunContext rc;
+  rc.fp = graph::fingerprint(csr);
+  auto result = body(rc);
+  if (rc.recovery.any()) prof::MetricsSink::instance().add_recovery(rc.recovery.stats);
+  return result;
+}
+
+/// One unsharded GCN layer over `in`: buffers, transform, aggregation.
+detail::GcnLayer gcn_layer(sim::SimContext& ctx, Workspace& ws, const k::GraphOnDevice& gdev,
+                           const k::FeatureMat& norm, const detail::AttemptPlan& plan,
+                           const k::FeatureMat& in, const Matrix& w, const Matrix& b, bool fused,
+                           bool relu, ExecMode mode) {
+  detail::GcnLayer layer = detail::gcn_layer_buffers(ctx, ws, in.rows, w, b);
+  k::dense_gemm(ctx, {.a = &in, .b = &layer.w, .c = &layer.t, .mode = mode});
+  detail::gcn_aggregate(ctx, {.graph = &gdev,
+                              .grouped = &plan.grouped,
+                              .norm = &norm,
+                              .layer = &layer,
+                              .fused = fused,
+                              .relu = relu,
+                              .lanes = plan.lanes,
+                              .mode = mode});
+  return layer;
+}
+
+/// One unsharded GAT layer (or head) over `in`: buffers, transform, graph
+/// ops. Returns the layer output.
+k::FeatureMat gat_layer(sim::SimContext& ctx, Workspace& ws, const k::GraphOnDevice& gdev,
+                        const detail::AttemptPlan& plan, detail::GatGraphOps ops,
+                        const k::FeatureMat& in, const Matrix& w, const Matrix& att_l,
+                        const Matrix& att_r, float leaky_alpha, bool relu, ExecMode mode) {
+  detail::GatLayer layer = detail::gat_layer_buffers(
+      ctx, ws, in.rows, static_cast<models::Index>(gdev.csr->num_edges()), w, att_l, att_r);
+  k::dense_gemm(ctx, {.a = &in, .b = &layer.w, .c = &layer.t, .mode = mode});
+  detail::gat_graph_ops(ctx, ws, ops,
+                        {.graph = &gdev,
+                         .grouped = &plan.grouped,
+                         .layer = &layer,
+                         .leaky_alpha = leaky_alpha,
+                         .relu = relu,
+                         .lanes = plan.lanes,
+                         .mode = mode});
+  return layer.out;
+}
+
+void relu_in_place(sim::SimContext& ctx, k::FeatureMat& m, k::ExecMode mode) {
+  k::dense_map(ctx, {.in = &m,
+                     .out = &m,
+                     .fn = [](float x) { return x > 0.0f ? x : 0.0f; },
+                     .flops_per_elem = 1.0,
+                     .mode = mode,
+                     .name = "relu"});
+}
 }  // namespace
 
-namespace detail {
-RecoveryTally* active_recovery() { return t_recovery; }
+// ---- Layer bodies -------------------------------------------------------
 
-bool cache_isolated_active(const void* engine) {
-  return job_active_for(engine) && t_active_job.cache_isolated;
+detail::GcnLayer detail::gcn_layer_buffers(sim::SimContext& ctx, Workspace& ws, models::Index rows,
+                                           const Matrix& w, const Matrix& b) {
+  // Braced initializers run in order: this is the allocation order.
+  return {.w = ws.from(ctx, w, "w"),
+          .b = ws.from(ctx, b, "b"),
+          .t = ws.mat(ctx, rows, w.cols(), "transformed"),
+          .out = ws.mat(ctx, rows, w.cols(), "aggregated")};
 }
 
-RecoveryScope::RecoveryScope(RecoveryTally* tally) : prev_(t_recovery) { t_recovery = tally; }
-RecoveryScope::~RecoveryScope() { t_recovery = prev_; }
-}  // namespace detail
+void detail::gcn_aggregate(sim::SimContext& ctx, const GcnAggregateArgs& a) {
+  const core::GroupedTasks& g = *a.grouped;
+  GcnLayer& l = *a.layer;
+  if (a.fused) {
+    k::aggregate_bias_act_fused(ctx, {.graph = a.graph,
+                                      .tasks = g.tasks,
+                                      .feat = &l.t,
+                                      .edge_weight = a.norm,
+                                      .bias = &l.b,
+                                      .out = &l.out,
+                                      .relu = a.relu,
+                                      .epilogue_inline = !g.any_split,
+                                      .lanes = a.lanes,
+                                      .atomic_merge = g.any_split,
+                                      .mode = a.mode});
+    if (g.any_split) {
+      k::bias_act_kernel(ctx, {.bias = &l.b, .mat = &l.out, .relu = a.relu, .mode = a.mode});
+    }
+    return;
+  }
+  k::spmm_node(ctx, {.graph = a.graph,
+                     .tasks = g.tasks,
+                     .src = &l.t,
+                     .edge_weight = a.norm,
+                     .out = &l.out,
+                     .lanes = a.lanes,
+                     .atomic_merge = g.any_split,
+                     .mode = a.mode});
+  k::bias_act_kernel(ctx, {.bias = &l.b, .mat = &l.out, .relu = false, .mode = a.mode,
+                           .name = "bias_add"});
+  if (a.relu) relu_in_place(ctx, l.out, a.mode);
+}
+
+detail::GatLayer detail::gat_layer_buffers(sim::SimContext& ctx, Workspace& ws,
+                                           models::Index rows, models::Index edges,
+                                           const Matrix& w, const Matrix& att_l,
+                                           const Matrix& att_r) {
+  // Braced initializers run in order: this is the allocation order.
+  return {.w = ws.from(ctx, w, "w"),
+          .att_l = ws.from(ctx, att_l, "att_l"),
+          .att_r = ws.from(ctx, att_r, "att_r"),
+          .t = ws.mat(ctx, rows, w.cols(), "transformed"),
+          .att_src = ws.mat(ctx, rows, 1, "att_src"),
+          .att_dst = ws.mat(ctx, rows, 1, "att_dst"),
+          .e = ws.mat(ctx, edges, 1, "e"),
+          .vacc = ws.mat(ctx, rows, 1, "v_acc"),
+          .out = ws.mat(ctx, rows, w.cols(), "aggregated")};
+}
+
+void detail::gat_graph_ops(sim::SimContext& ctx, Workspace& ws, GatGraphOps ops,
+                           const GatGraphOpsArgs& a) {
+  const core::GroupedTasks& g = *a.grouped;
+  GatLayer& l = *a.layer;
+  const float alpha = a.leaky_alpha;
+  k::row_dot(ctx, {.feat = &l.t, .vec = &l.att_l, .out = &l.att_src, .mode = a.mode});
+  k::row_dot(ctx, {.feat = &l.t, .vec = &l.att_r, .out = &l.att_dst, .mode = a.mode});
+  switch (ops) {
+    case GatGraphOps::kLinear:
+      k::gat_edge_fused(ctx, {.graph = a.graph,
+                              .tasks = g.tasks,
+                              .att_src = &l.att_src,
+                              .att_dst = &l.att_dst,
+                              .edge_out = &l.e,
+                              .vacc_out = &l.vacc,
+                              .leaky_alpha = alpha,
+                              .atomic_merge = g.any_split,
+                              .mode = a.mode});
+      k::gat_aggregate_fused(ctx, {.graph = a.graph,
+                                   .tasks = g.tasks,
+                                   .feat = &l.t,
+                                   .edge_weight = &l.e,
+                                   .vacc = &l.vacc,
+                                   .out = &l.out,
+                                   .scale_inline = true,
+                                   .lanes = a.lanes,
+                                   .atomic_merge = g.any_split,
+                                   .mode = a.mode});
+      break;
+    case GatGraphOps::kAdapter:
+      k::gat_edge_fused(ctx, {.graph = a.graph,
+                              .tasks = g.tasks,
+                              .att_src = &l.att_src,
+                              .att_dst = &l.att_dst,
+                              .edge_out = &l.e,
+                              .vacc_out = nullptr,
+                              .leaky_alpha = alpha,
+                              .mode = a.mode});
+      k::segment_sum(ctx, {.graph = a.graph,
+                           .tasks = g.tasks,
+                           .edge_val = &l.e,
+                           .node_out = &l.vacc,
+                           .atomic_merge = g.any_split,
+                           .mode = a.mode});
+      k::softmax_div_fused(ctx, {.graph = a.graph, .tasks = g.tasks, .vacc = &l.vacc,
+                                 .edge = &l.e, .mode = a.mode});
+      k::gat_aggregate_fused(ctx, {.graph = a.graph,
+                                   .tasks = g.tasks,
+                                   .feat = &l.t,
+                                   .edge_weight = &l.e,
+                                   .vacc = nullptr,
+                                   .out = &l.out,
+                                   .lanes = a.lanes,
+                                   .atomic_merge = g.any_split,
+                                   .mode = a.mode});
+      break;
+    case GatGraphOps::kListing1: {
+      k::u_add_v(ctx, {.graph = a.graph,
+                       .tasks = g.tasks,
+                       .src_scalar = &l.att_src,
+                       .dst_scalar = &l.att_dst,
+                       .edge_out = &l.e,
+                       .mode = a.mode});
+      k::edge_map(ctx, {.in = &l.e,
+                        .out = &l.e,
+                        .fn = [alpha](float x) { return tensor::leaky_relu_scalar(x, alpha); },
+                        .flops_per_elem = 1.0,
+                        .mode = a.mode,
+                        .name = "leaky_relu"});
+      k::edge_map(ctx, {.in = &l.e,
+                        .out = &l.e,
+                        .fn = [](float x) { return std::exp(x); },
+                        .flops_per_elem = 4.0,
+                        .mode = a.mode,
+                        .name = "exp"});
+      k::segment_sum(ctx, {.graph = a.graph,
+                           .tasks = g.tasks,
+                           .edge_val = &l.e,
+                           .node_out = &l.vacc,
+                           .atomic_merge = g.any_split,
+                           .mode = a.mode});
+      auto eacc = ws.mat(ctx, l.e.rows, 1, "e_acc");
+      k::broadcast_edge(ctx, {.graph = a.graph, .tasks = g.tasks, .node_val = &l.vacc,
+                              .edge_out = &eacc, .mode = a.mode});
+      k::edge_binary(ctx, {.a = &l.e,
+                           .b = &eacc,
+                           .out = &l.e,
+                           .fn = [](float x, float acc) { return acc != 0.0f ? x / acc : 0.0f; },
+                           .flops_per_elem = 1.0,
+                           .mode = a.mode,
+                           .name = "softmax_div"});
+      k::spmm_node(ctx, {.graph = a.graph,
+                         .tasks = g.tasks,
+                         .src = &l.t,
+                         .edge_weight = &l.e,
+                         .out = &l.out,
+                         .lanes = a.lanes,
+                         .atomic_merge = g.any_split,
+                         .mode = a.mode,
+                         .name = "u_mul_e_sum"});
+      break;
+    }
+  }
+  if (a.relu) relu_in_place(ctx, l.out, a.mode);
+}
 
 // ---- Graceful degradation (DESIGN.md §10) -----------------------------
 
-rt::Status OptimizedEngine::preflight(const Dataset& data,
-                                      const models::Matrix* features) const {
-  const graph::GraphFingerprint fp = graph::fingerprint(data.csr);
+rt::Status OptimizedEngine::preflight(const Dataset& data, const models::Matrix* features,
+                                      const graph::GraphFingerprint& fp) const {
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
     auto it = preflight_cache_.find(fp);
@@ -173,88 +375,66 @@ rt::Status OptimizedEngine::preflight(const Dataset& data,
   return rt::OkStatus();
 }
 
-bool OptimizedEngine::degrade_for(const rt::StageFailure& failure) const {
-  // Batch jobs walk a job-local ladder: the knob is disabled in the
-  // thread-local ActiveJob (never the engine's sticky atomics) and the
-  // event buffered for a job-order flush. A knob the engine has already
-  // degraded globally counts as unavailable here too.
-  const auto disable = [&](std::atomic<bool>& flag, bool configured, std::string_view knob,
-                           std::string_view action) {
-    if (!configured) return false;
-    const bool job_local = job_active_for(this);
-    if (job_local) {
-      bool* job_flag = nullptr;
-      if (knob == rt::kKnobLas) job_flag = &t_active_job.disable_las;
-      if (knob == rt::kKnobAutoTune) job_flag = &t_active_job.disable_tune;
-      if (knob == rt::kKnobAdapter) job_flag = &t_active_job.disable_adapter;
-      if (knob == rt::kKnobNeighborGrouping) job_flag = &t_active_job.disable_grouping;
-      if (knob == rt::kKnobSharding) job_flag = &t_active_job.disable_sharding;
-      if (!job_flag || *job_flag || flag.load(std::memory_order_relaxed)) return false;
-      *job_flag = true;
-      if (t_active_job.events) {
-        t_active_job.events->push_back(
-            rt::make_degradation(failure.seam(), knob, action, failure.status()));
-      }
-    } else if (flag.exchange(true)) {
-      return false;
-    } else {
-      prof::MetricsSink::instance().record_degradation(
-          rt::make_degradation(failure.seam(), knob, action, failure.status()));
-    }
-    std::fprintf(stderr, "gnnbridge: stage '%s' failed (%s); degrading: %s\n",
-                 failure.seam().c_str(), failure.status().to_string().c_str(),
-                 std::string(action).c_str());
-    return true;
-  };
+bool OptimizedEngine::disable_knob(unsigned knob, std::string_view seam, const rt::Status& cause,
+                                   detail::RunContext& rc) const {
+  if ((configured_knobs(cfg_) & knob) == 0) return false;
+  const KnobInfo& info = knob_info(knob);
+  rt::DegradationEvent event = rt::make_degradation(seam, info.name, info.action, cause);
+  if (rc.job) {
+    // A knob the engine has already degraded globally counts as
+    // unavailable here too.
+    if (((rc.disabled | degraded_.load(std::memory_order_relaxed)) & knob) != 0) return false;
+    rc.disabled |= knob;
+    rc.events.push_back(std::move(event));
+  } else if ((degraded_.fetch_or(knob) & knob) != 0) {
+    return false;
+  } else {
+    prof::MetricsSink::instance().record_degradation(std::move(event));
+  }
+  std::fprintf(stderr, "gnnbridge: stage '%s' failed (%s); degrading: %s\n",
+               std::string(seam).c_str(), cause.to_string().c_str(),
+               std::string(info.action).c_str());
+  return true;
+}
+
+bool OptimizedEngine::degrade_for(const rt::StageFailure& failure, detail::RunContext& rc) const {
   const std::string& seam = failure.seam();
-  if (seam == rt::kSeamLasCluster) {
-    return disable(las_failed_, cfg_.use_las, rt::kKnobLas, "las->natural_order");
-  }
-  if (seam == rt::kSeamTunerProbe) {
-    return disable(tune_failed_, cfg_.auto_tune, rt::kKnobAutoTune,
-                   "tuned_bound->heuristic_bound");
-  }
-  if (seam == rt::kSeamFusionPass) {
-    return disable(adapter_failed_, cfg_.use_adapter, rt::kKnobAdapter,
-                   "fused->unfused_pipeline");
-  }
+  const auto disable = [&](unsigned knob) {
+    return disable_knob(knob, seam, failure.status(), rc);
+  };
+  if (seam == rt::kSeamLasCluster) return disable(detail::kLas);
+  if (seam == rt::kSeamTunerProbe) return disable(detail::kAutoTune);
+  if (seam == rt::kSeamFusionPass) return disable(detail::kAdapter);
   if (seam == rt::kSeamSimLaunch) {
     // A failing launch has no single culprit; walk toward the most
     // conservative configuration one knob at a time.
-    return disable(grouping_failed_, cfg_.use_neighbor_grouping, rt::kKnobNeighborGrouping,
-                   "grouped->one_task_per_node") ||
-           disable(adapter_failed_, cfg_.use_adapter, rt::kKnobAdapter,
-                   "fused->unfused_pipeline") ||
-           disable(las_failed_, cfg_.use_las, rt::kKnobLas, "las->natural_order");
+    return disable(detail::kNeighborGrouping) || disable(detail::kAdapter) ||
+           disable(detail::kLas);
   }
   if (seam == rt::kSeamShardCompute || seam == rt::kSeamShardExchange) {
     // The final rung of shard recovery (DESIGN.md §17): the per-shard
     // attempt budget is spent, so the whole run falls back to the
     // unsharded single-device pipeline. The run still succeeds — outputs
     // are bit-identical either way — so the breaker never sees a failure.
-    const bool stepped =
-        disable(sharding_failed_, resolved_shards() > 1, rt::kKnobSharding, "sharded->unsharded");
-    if (stepped) {
-      if (detail::RecoveryTally* tally = detail::active_recovery()) {
-        ++tally->fallback_unsharded;
-        if (tally->journal) {
-          obs::JournalEvent ev;
-          ev.type = "shard_fallback";
-          ev.key = seam;
-          ev.code = std::string(rt::kKnobSharding);
-          ev.detail = "sharded->unsharded";
-          tally->journal->push_back(std::move(ev));
-        }
-      }
+    if (!disable(detail::kSharding)) return false;
+    ++rc.recovery.stats.fallback_unsharded;
+    if (rc.recovery.journal) {
+      obs::JournalEvent ev;
+      ev.type = "shard_fallback";
+      ev.key = seam;
+      ev.code = std::string(rt::kKnobSharding);
+      ev.detail = std::string(knob_info(detail::kSharding).action);
+      rc.recovery.journal->push_back(std::move(ev));
     }
-    return stepped;
+    return true;
   }
   return false;
 }
 
 template <typename Fn>
 auto OptimizedEngine::run_guarded(const Dataset& data, const models::Matrix* features,
-                                  std::string_view what, Fn&& attempt) -> decltype(attempt()) {
+                                  std::string_view what, detail::RunContext& rc, Fn&& attempt)
+    -> decltype(attempt()) {
   using R = decltype(attempt());
   const auto fail = [&](rt::Status s) {
     R r{};
@@ -266,29 +446,7 @@ auto OptimizedEngine::run_guarded(const Dataset& data, const models::Matrix* fea
     }
     return r;
   };
-  if (rt::Status s = preflight(data, features); !s.ok()) return fail(std::move(s));
-  // Direct (non-batch) runs get a run-local recovery tally here and flush
-  // it straight into the metrics sink on exit; batch jobs install theirs
-  // in run_batch and fold it in job order instead (t_recovery already set).
-  detail::RecoveryTally direct_tally;
-  struct DirectRecovery {
-    detail::RecoveryTally* tally = nullptr;
-    std::optional<detail::RecoveryScope> scope;
-    ~DirectRecovery() {
-      if (tally && tally->any()) {
-        prof::RecoveryStats rs;
-        rs.shard_retries = tally->shard_retries;
-        rs.shards_reexecuted = tally->shards_reexecuted;
-        rs.fallback_unsharded = tally->fallback_unsharded;
-        rs.wasted_cycles = tally->wasted_cycles;
-        prof::MetricsSink::instance().add_recovery(rs);
-      }
-    }
-  } direct;
-  if (!detail::active_recovery()) {
-    direct.tally = &direct_tally;
-    direct.scope.emplace(&direct_tally);
-  }
+  if (rt::Status s = preflight(data, features, rc.fp); !s.ok()) return fail(std::move(s));
   // The ladder holds at most five knobs; a few spare rounds absorb fault
   // plans that keep firing while we degrade.
   constexpr int kMaxRounds = 8;
@@ -304,72 +462,72 @@ auto OptimizedEngine::run_guarded(const Dataset& data, const models::Matrix* fea
         // Terminal: the ladder has no answer to a spent budget.
         return fail(failure.status());
       }
-      if (!degrade_for(failure)) return fail(failure.status());
+      if (!degrade_for(failure, rc)) return fail(failure.status());
     }
   }
   return fail(rt::Status(rt::StatusCode::kInternal, "degradation retries exhausted"));
 }
 
 std::vector<std::string> OptimizedEngine::degraded_knobs() const {
-  std::vector<std::string> knobs;
-  if (las_failed_.load()) knobs.emplace_back(rt::kKnobLas);
-  if (tune_failed_.load()) knobs.emplace_back(rt::kKnobAutoTune);
-  if (adapter_failed_.load()) knobs.emplace_back(rt::kKnobAdapter);
-  if (grouping_failed_.load()) knobs.emplace_back(rt::kKnobNeighborGrouping);
-  if (sharding_failed_.load()) knobs.emplace_back(rt::kKnobSharding);
-  return knobs;
+  return knob_names(degraded_.load());
 }
 
-bool OptimizedEngine::sharding_enabled() const {
-  if (job_active_for(this) && t_active_job.disable_sharding) return false;
-  return !sharding_failed_.load(std::memory_order_relaxed);
-}
+// ---- Attempt plans ------------------------------------------------------
 
-// ---- Knob plumbing ----------------------------------------------------
-
-bool OptimizedEngine::adapter_enabled() const {
-  if (job_active_for(this) && t_active_job.disable_adapter) return false;
-  return cfg_.use_adapter && !adapter_failed_.load(std::memory_order_relaxed);
-}
-
-EdgeId OptimizedEngine::effective_bound(const graph::Csr& csr, tensor::Index feat) const {
-  if (grouping_failed_.load(std::memory_order_relaxed)) return 0;
-  if (job_active_for(this) && t_active_job.disable_grouping) return 0;
-  // Tuned knobs are per-(graph, feature width): a tune published for one
-  // width must not configure a run at another (graph::fingerprint is
-  // topology-only, so the fingerprint alone cannot tell them apart).
-  if (cfg_.auto_tune && !(job_active_for(this) && t_active_job.disable_tune) &&
-      t_active_tune.valid && t_active_tune.engine == this &&
-      t_active_tune.fp == graph::fingerprint(csr) &&
-      (feat < 0 || t_active_tune.feat == feat)) {
-    return t_active_tune.bound;
+detail::AttemptPlan OptimizedEngine::resolve_plan(const graph::Csr& csr, detail::RunContext& rc,
+                                                  tensor::Index feat, const sim::DeviceSpec* spec,
+                                                  const char* fusion_gate) const {
+  detail::AttemptPlan plan;
+  const unsigned off = degraded_.load(std::memory_order_relaxed) | rc.disabled;
+  plan.knobs = configured_knobs(cfg_) & ~off;
+  if (fusion_gate) {
+    // Fusion gate: the fused pipeline is only taken when the fusion
+    // machinery works; an injected fusion_pass fault degrades to unfused.
+    if (plan.on(detail::kAdapter)) rt::raise_if_armed(rt::kSeamFusionPass, fusion_gate);
+    if (plan.on(detail::kSharding)) plan.shards = configured_shards(cfg_);
   }
-  if (!cfg_.use_neighbor_grouping) return 0;
-  if (cfg_.group_bound > 0) return cfg_.group_bound;
-  const double avg = csr.num_nodes > 0
-                         ? static_cast<double>(csr.num_edges()) / static_cast<double>(csr.num_nodes)
-                         : 0.0;
-  return std::max<EdgeId>(16, (static_cast<EdgeId>(avg) + 15) / 16 * 16);
+  plan.linear = plan.on(detail::kAdapter) && cfg_.use_linear;
+
+  // Tuned knobs are per (graph, feature width, LAS allowed); cache-isolated
+  // jobs re-tune every attempt. The LAS order is resolved once, before the
+  // tuner probes it, and only when something will read it.
+  const bool tuning = plan.on(detail::kAutoTune) && feat >= 0;
+  const TunedKey key{rc.fp, feat, plan.on(detail::kLas)};
+  std::optional<core::TuneConfig> tuned;
+  if (tuning && !rc.cache_isolated) {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    if (auto it = tuned_cache_.find(key); it != tuned_cache_.end()) tuned = it->second;
+  }
+  const std::vector<NodeId>* las =
+      plan.on(detail::kLas) && (!tuned || tuned->use_las) ? las_order(csr, rc) : nullptr;
+  if (tuning && !tuned) {
+    tuned = tune(csr, key, *spec, las, rc);
+    if (!tuned) plan.knobs &= ~detail::kAutoTune;
+  }
+  plan.las = tuned && !tuned->use_las ? nullptr : las;
+  plan.lanes = tuned ? tuned->lanes : cfg_.lanes;
+  plan.bound = (off & detail::kNeighborGrouping) != 0 ? 0
+               : tuned                                ? tuned->group_bound
+                                                      : static_bound(cfg_, csr);
+  if (plan.shards == 1) {
+    prof::Span span("neighbor_grouping", "engine");
+    plan.grouped = core::neighbor_group_tasks(
+        csr, plan.bound,
+        plan.las ? std::span<const NodeId>(*plan.las) : std::span<const NodeId>());
+    span.arg("tasks", static_cast<double>(plan.grouped.tasks.size()));
+  }
+  return plan;
 }
 
-const std::vector<NodeId>* OptimizedEngine::las_order_for(const graph::Csr& csr,
-                                                          tensor::Index feat) const {
-  if (!cfg_.use_las || las_failed_.load(std::memory_order_relaxed)) return nullptr;
-  if (job_active_for(this) && t_active_job.disable_las) return nullptr;
-  const graph::GraphFingerprint fp = graph::fingerprint(csr);
-  if (cfg_.auto_tune && !(job_active_for(this) && t_active_job.disable_tune) &&
-      t_active_tune.valid && t_active_tune.engine == this &&
-      t_active_tune.fp == fp && (feat < 0 || t_active_tune.feat == feat) &&
-      !t_active_tune.use_las) {
-    return nullptr;
-  }
+const std::vector<NodeId>* OptimizedEngine::las_order(const graph::Csr& csr,
+                                                      const detail::RunContext& rc) const {
   if (cfg_.las_order) return cfg_.las_order;
   // Cache-isolated jobs skip the warm-hit shortcut (but still insert: the
   // computed order is a pure function of the graph, so the entry is
   // value-identical however it got there).
-  if (!(job_active_for(this) && t_active_job.cache_isolated)) {
+  if (!rc.cache_isolated) {
     std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = las_cache_.find(fp);
+    auto it = las_cache_.find(rc.fp);
     if (it != las_cache_.end()) return it->second.get();
   }
   // Compute outside the lock (clustering is the expensive part); two
@@ -380,47 +538,14 @@ const std::vector<NodeId>* OptimizedEngine::las_order_for(const graph::Csr& csr,
   auto order = std::make_shared<const std::vector<NodeId>>(core::locality_aware_schedule(csr).order);
   span.arg("nodes", static_cast<double>(csr.num_nodes));
   std::lock_guard<std::mutex> lock(cache_mu_);
-  auto [it, inserted] = las_cache_.try_emplace(fp, std::move(order));
-  return it->second.get();
+  return las_cache_.try_emplace(rc.fp, std::move(order)).first->second.get();
 }
 
-int OptimizedEngine::effective_lanes(const graph::Csr& csr, tensor::Index feat) const {
-  if (cfg_.auto_tune && !(job_active_for(this) && t_active_job.disable_tune) &&
-      t_active_tune.valid && t_active_tune.engine == this &&
-      t_active_tune.fp == graph::fingerprint(csr) &&
-      (feat < 0 || t_active_tune.feat == feat)) {
-    return t_active_tune.lanes;
-  }
-  return cfg_.lanes;
-}
-
-void OptimizedEngine::maybe_tune(const graph::Csr& csr, tensor::Index feat_len,
-                                 const sim::DeviceSpec& spec) const {
-  if (!cfg_.auto_tune || tune_failed_.load(std::memory_order_relaxed)) return;
-  if (job_active_for(this) && t_active_job.disable_tune) return;
-  const graph::GraphFingerprint fp = graph::fingerprint(csr);
-  const auto publish = [&](const TunedEntry& e) {
-    t_active_tune = {this, fp, feat_len, e.lanes, e.bound, e.use_las, true};
-  };
-  // Cache-isolated jobs re-tune every attempt: both the thread-sticky
-  // published entry and the shared cache are warm-state shortcuts whose
-  // availability depends on what ran before on this worker (see ActiveJob).
-  const bool isolated = job_active_for(this) && t_active_job.cache_isolated;
-  if (!isolated && t_active_tune.valid && t_active_tune.engine == this && t_active_tune.fp == fp &&
-      t_active_tune.feat == feat_len) {
-    return;
-  }
-  const TunedKey key{fp, feat_len};
-  if (!isolated) {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = tuned_cache_.find(key);
-    if (it != tuned_cache_.end()) {
-      publish(it->second);
-      return;
-    }
-  }
+std::optional<core::TuneConfig> OptimizedEngine::tune(
+    const graph::Csr& csr, const TunedKey& key, const sim::DeviceSpec& spec,
+    const std::vector<NodeId>* las, detail::RunContext& rc) const {
   prof::Span span("auto_tune", "engine");
-  span.arg("feat_len", static_cast<double>(feat_len));
+  span.arg("feat_len", static_cast<double>(key.feat));
   // Probe launches run outside the job's cancel scope: tuning is engine-
   // internal cache-amortized work, and which job reaches the cold cache
   // first depends on thread timing — charging it to that job's deadline or
@@ -428,32 +553,23 @@ void OptimizedEngine::maybe_tune(const graph::Csr& csr, tensor::Index feat_len,
   core::TuneResult tuned;
   {
     rt::AdoptScope neutral{rt::ScopeHandle{}};
-    tuned = tune_for(csr, feat_len, spec, cfg_.use_las && !las_failed_.load(std::memory_order_relaxed));
+    tuned = tune_for(csr, key.feat, spec, las);
   }
   if (!tuned.error.ok()) {
     // A poisoned probe measurement must not pick the configuration: fall
-    // back to the heuristic bound and static lanes — job-locally inside a
-    // batch job (the engine stays trusted for other jobs), for good
-    // otherwise.
-    if (job_active_for(this)) {
-      t_active_job.disable_tune = true;
-      if (t_active_job.events) {
-        t_active_job.events->push_back(rt::make_degradation(
-            rt::kSeamTunerProbe, rt::kKnobAutoTune, "tuned_bound->heuristic_bound", tuned.error));
-      }
-    } else {
-      tune_failed_.store(true);
-      prof::MetricsSink::instance().record_degradation(rt::make_degradation(
-          rt::kSeamTunerProbe, rt::kKnobAutoTune, "tuned_bound->heuristic_bound", tuned.error));
-    }
-    std::fprintf(stderr, "gnnbridge: auto-tune aborted (%s); using heuristic configuration\n",
-                 tuned.error.to_string().c_str());
-    return;
+    // back to the heuristic knobs — job-locally inside a batch job (the
+    // engine stays trusted for other jobs), for good otherwise.
+    disable_knob(detail::kAutoTune, rt::kSeamTunerProbe, tuned.error, rc);
+    return std::nullopt;
   }
-  const TunedEntry entry{tuned.best.lanes, tuned.best.group_bound, tuned.best.use_las};
   std::lock_guard<std::mutex> lock(cache_mu_);
-  auto [it, inserted] = tuned_cache_.try_emplace(key, entry);
-  publish(it->second);
+  return tuned_cache_.try_emplace(key, tuned.best).first->second;
+}
+
+core::GroupedTasks OptimizedEngine::build_tasks(const graph::Csr& csr) const {
+  detail::RunContext rc;
+  rc.fp = graph::fingerprint(csr);
+  return resolve_plan(csr, rc).grouped;
 }
 
 std::size_t OptimizedEngine::las_cache_size() const {
@@ -489,10 +605,10 @@ struct JobTally {
   double backoff_cycles = 0.0;
   double attempt_cycles = 0.0;  ///< sim-cycles across every attempt (retries included)
   std::uint64_t cancel_points = 0;
-  std::vector<rt::DegradationEvent> events;   ///< buffered, job-local
-  std::vector<std::string> rung;              ///< knobs off when it ended
-  std::vector<obs::JournalEvent> journal;     ///< buffered attempt/backoff events
-  engine::detail::RecoveryTally recovery;     ///< shard-recovery counters (§17)
+  std::vector<obs::JournalEvent> journal;  ///< buffered attempt/backoff events
+  /// The job's ladder, cache isolation, buffered degradations and
+  /// shard-recovery counters (§17).
+  detail::RunContext run;
 };
 }  // namespace
 
@@ -502,13 +618,16 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
 
   // --- Sequential admission pre-pass: breaker decisions in job order, so
   // which job trips/probes/opens the breaker is independent of how the
-  // wave below is scheduled across threads.
+  // wave below is scheduled across threads. Each job's graph is hashed
+  // here, once; every attempt of the job reuses the fingerprint.
   std::vector<std::string> keys(jobs.size());
   std::vector<rt::BreakerDecision> admissions(jobs.size());
+  std::vector<JobTally> tallies(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const char* model = jobs[i].data ? batch_model_name(jobs[i]) : nullptr;
     if (!model) continue;
     const graph::GraphFingerprint fp = graph::fingerprint(jobs[i].data->csr);
+    tallies[i].run.fp = fp;
     char buf[17];
     std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(fp.checksum));
     keys[i] = std::string(model) + "/" + buf;
@@ -545,7 +664,6 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
   // memoization is fingerprint-keyed and mutex-guarded, so results land in
   // job order and match a sequential loop exactly; a failing, retrying, or
   // expiring job never blocks a healthy one.
-  std::vector<JobTally> tallies(jobs.size());
   const auto run_job = [&](std::size_t i) {
     const BatchJob& job = jobs[i];
     RunResult& out = results[i];
@@ -569,8 +687,6 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
     // jobs see deterministic fault schedules (the process-wide plan is
     // suppressed for the job's duration either way).
     rt::FaultInjector::ScopedJobPlan plan(job.fault_plan);
-    JobGuard guard(this, admissions[i], &tally.events, !job.fault_plan.empty(),
-                   job.disable_knobs);
     if (!plan.status().ok()) {
       out.status = rt::Status(plan.status().code(), plan.status().message())
                        .with_context("batch job fault plan");
@@ -578,14 +694,19 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
       tally.cancel_points = scope.checkpoints();
       return;
     }
-    // Shard-recovery tally for this job (DESIGN.md §17): the sharded
-    // pipelines and the degradation ladder report into it, with journal
-    // events buffered alongside the attempt events so the sequential fold
-    // interleaves them in emission order. The fire listener additionally
-    // records every armed-seam shot as a "fault_injected" event — the
-    // per-job plan is thread-confined, so every fire lands on this worker.
-    tally.recovery.journal = journal_on ? &tally.journal : nullptr;
-    detail::RecoveryScope recovery_scope(&tally.recovery);
+    // The job-local ladder starts from the breaker's admission rung (an
+    // open breaker routes the job straight to the last-known-good degraded
+    // knob set) plus the knobs the job itself forces off.
+    detail::RunContext& rc = tally.run;
+    rc.job = true;
+    rc.disabled = knob_mask(admissions[i].disabled_knobs) | knob_mask(job.disable_knobs);
+    rc.cache_isolated = !job.fault_plan.empty();
+    // Shard-recovery journal events (DESIGN.md §17) are buffered alongside
+    // the attempt events so the sequential fold interleaves them in
+    // emission order. The fire listener additionally records every
+    // armed-seam shot as a "fault_injected" event — the per-job plan is
+    // thread-confined, so every fire lands on this worker.
+    rc.recovery.journal = journal_on ? &tally.journal : nullptr;
     const rt::FaultFireListener on_fire = +[](void* ctx, std::string_view seam, int shot) {
       auto* buffered = static_cast<std::vector<obs::JournalEvent>*>(ctx);
       obs::JournalEvent ev;
@@ -600,17 +721,7 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
     const int max_attempts = std::max(1, job.max_attempts);
     for (int attempt = 1;; ++attempt) {
       ++tally.attempts;
-      if (job.gcn) {
-        out = run_gcn(*job.data, *job.gcn, job.mode, job.spec);
-      } else if (job.gat) {
-        out = run_gat(*job.data, *job.gat, job.mode, job.spec);
-      } else if (job.sage_lstm) {
-        out = run_sage_lstm(*job.data, *job.sage_lstm, job.mode, job.spec);
-      } else if (job.sage_pool) {
-        out = run_sage_pool(*job.data, *job.sage_pool, job.mode, job.spec);
-      } else {
-        out = run_multihead_gat(*job.data, *job.multihead_gat, job.mode, job.spec);
-      }
+      out = run_request(job, rc);
       tally.attempt_cycles += out.stats.total_cycles;
       if (journal_on) {
         obs::JournalEvent ev;
@@ -659,7 +770,6 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
     }
     out.attempts = static_cast<int>(tally.attempts);
     out.timed_out = tally.timed_out;
-    tally.rung = JobGuard::disabled_knobs();
     tally.cancel_points = scope.checkpoints();
   };
   par::parallel_chunks(jobs.size(), /*grain=*/1,
@@ -695,7 +805,7 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
         journal.append(std::move(ev));
       }
     }
-    for (rt::DegradationEvent& ev : tally.events) {
+    for (rt::DegradationEvent& ev : tally.run.events) {
       if (journal_on) {
         obs::JournalEvent jev;
         jev.request_id = req_ids[i];
@@ -714,20 +824,20 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
     if (tally.cancelled) ++rs.cancellations;
     rs.cancel_points += tally.cancel_points;
     rs.backoff_cycles += tally.backoff_cycles;
-    recov.shard_retries += tally.recovery.shard_retries;
-    recov.shards_reexecuted += tally.recovery.shards_reexecuted;
-    recov.fallback_unsharded += tally.recovery.fallback_unsharded;
-    recov.wasted_cycles += tally.recovery.wasted_cycles;
+    const prof::RecoveryStats& jr = tally.run.recovery.stats;
+    recov.shard_retries += jr.shard_retries;
+    recov.shards_reexecuted += jr.shards_reexecuted;
+    recov.fallback_unsharded += jr.fallback_unsharded;
+    recov.wasted_cycles += jr.wasted_cycles;
     // Per-tenant recovery counters (DESIGN.md §17): only materialized when
     // the job actually recovered, so fault-free telemetry is unchanged.
-    if (!jobs[i].tenant.empty() && tally.recovery.any()) {
-      if (tally.recovery.shard_retries > 0) {
-        reg.counter_add("serve.tenant." + jobs[i].tenant + ".shard_retries",
-                        tally.recovery.shard_retries);
+    if (!jobs[i].tenant.empty() && tally.run.recovery.any()) {
+      if (jr.shard_retries > 0) {
+        reg.counter_add("serve.tenant." + jobs[i].tenant + ".shard_retries", jr.shard_retries);
       }
-      if (tally.recovery.fallback_unsharded > 0) {
+      if (jr.fallback_unsharded > 0) {
         reg.counter_add("serve.tenant." + jobs[i].tenant + ".shard_fallbacks",
-                        tally.recovery.fallback_unsharded);
+                        jr.fallback_unsharded);
       }
     }
     const char* outcome_word = !tally.ran       ? "rejected"
@@ -800,7 +910,7 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
     if (admissions[i].state != rt::BreakerState::kClosed) ++rs.breaker_open_admissions;
     if (admissions[i].probe) ++rs.breaker_half_open_probes;
     const rt::CircuitBreaker::OutcomeEffect effect =
-        breaker_.record(keys[i], admissions[i], tally.success, std::move(tally.rung));
+        breaker_.record(keys[i], admissions[i], tally.success, knob_names(tally.run.disabled));
     if (effect.tripped) ++rs.breaker_trips;
     if (effect.recovered) ++rs.breaker_recoveries;
     if (journal_on && (effect.tripped || effect.recovered)) {
@@ -837,92 +947,55 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
   return results;
 }
 
-core::GroupedTasks OptimizedEngine::build_tasks(const graph::Csr& csr, tensor::Index feat) const {
-  const std::vector<NodeId>* order = las_order_for(csr, feat);
-  prof::Span span("neighbor_grouping", "engine");
-  core::GroupedTasks grouped = core::neighbor_group_tasks(
-      csr, effective_bound(csr, feat),
-      order ? std::span<const NodeId>(*order) : std::span<const NodeId>());
-  span.arg("tasks", static_cast<double>(grouped.tasks.size()));
-  return grouped;
+RunResult OptimizedEngine::run_request(const BatchJob& job, detail::RunContext& rc) {
+  const Dataset& data = *job.data;
+  const auto guarded = [&](const models::Matrix* features, std::string_view what, auto&& attempt) {
+    return run_guarded(data, features, what, rc, attempt);
+  };
+  if (job.gcn) {
+    return guarded(job.gcn->features, "run_gcn",
+                   [&] { return gcn_attempt(data, *job.gcn, job.mode, job.spec, rc); });
+  }
+  if (job.gat) {
+    return guarded(job.gat->features, "run_gat",
+                   [&] { return gat_attempt(data, *job.gat, job.mode, job.spec, rc); });
+  }
+  if (job.sage_lstm) {
+    return guarded(job.sage_lstm->features, "run_sage_lstm",
+                   [&] { return sage_lstm_attempt(data, *job.sage_lstm, job.mode, job.spec); });
+  }
+  if (job.sage_pool) {
+    return guarded(job.sage_pool->features, "run_sage_pool",
+                   [&] { return sage_pool_attempt(data, *job.sage_pool, job.mode, job.spec, rc); });
+  }
+  return guarded(job.multihead_gat->features, "run_multihead_gat", [&] {
+    return multihead_gat_attempt(data, *job.multihead_gat, job.mode, job.spec, rc);
+  });
 }
 
 RunResult OptimizedEngine::run_gcn(const Dataset& data, const GcnRun& run, ExecMode mode,
                                    const sim::DeviceSpec& spec) {
-  return run_guarded(data, run.features, "run_gcn",
-                     [&] { return gcn_attempt(data, run, mode, spec); });
+  return run_direct(data.csr, [&](detail::RunContext& rc) {
+    return run_request({.data = &data, .gcn = &run, .mode = mode, .spec = spec}, rc);
+  });
 }
 
 RunResult OptimizedEngine::gcn_attempt(const Dataset& data, const GcnRun& run, ExecMode mode,
-                                       const sim::DeviceSpec& spec) {
-  if (const int nshards = resolved_shards(); nshards > 1 && sharding_enabled()) {
-    return gcn_attempt_sharded(data, run, mode, spec, nshards);
-  }
+                                       const sim::DeviceSpec& spec, detail::RunContext& rc) {
+  const detail::AttemptPlan plan = resolve_plan(data.csr, rc, first_layer_width(run.cfg->dims),
+                                                &spec, "run_gcn fusion gate");
+  if (plan.shards > 1) return gcn_attempt_sharded(data, run, mode, spec, plan, rc);
   prof::Span span("OptimizedEngine::run_gcn", "engine");
-  // Fusion gate: the fused pipeline is only taken when the fusion
-  // machinery works; an injected fusion_pass fault degrades to unfused.
-  if (adapter_enabled()) rt::raise_if_armed(rt::kSeamFusionPass, "run_gcn fusion gate");
-  const tensor::Index feat = run.cfg->dims.size() > 1 ? run.cfg->dims[1] : -1;
-  if (feat >= 0) maybe_tune(data.csr, feat, spec);
   sim::SimContext ctx(with_engine_overhead(spec));
   Workspace ws;
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
-  const core::GroupedTasks grouped = build_tasks(data.csr, feat);
   const auto norm = ws.from_vec(ctx, models::gcn_edge_norm(data.csr), "gcn_norm");
 
   k::FeatureMat h = ws.from(ctx, *run.features, "x");
   for (std::size_t l = 0; l < run.params->weight.size(); ++l) {
-    const bool last = l + 1 == run.params->weight.size();
-    auto w = ws.from(ctx, run.params->weight[l], "w");
-    auto bias = ws.from(ctx, run.params->bias[l], "b");
-    auto t = ws.mat(ctx, h.rows, w.cols, "transformed");
-    k::dense_gemm(ctx, {.a = &h, .b = &w, .c = &t, .mode = mode});
-
-    auto agg = ws.mat(ctx, h.rows, w.cols, "aggregated");
-    if (adapter_enabled()) {
-      // Fused aggregation + bias + activation. With split rows (neighbor
-      // grouping) the epilogue is deferred to a separate kernel — the
-      // fusion pass reports the same boundary (bias_act cannot read
-      // partial atomic sums).
-      const bool inline_ok = !grouped.any_split;
-      k::aggregate_bias_act_fused(ctx, {.graph = &gdev,
-                                        .tasks = grouped.tasks,
-                                        .feat = &t,
-                                        .edge_weight = &norm,
-                                        .bias = &bias,
-                                        .out = &agg,
-                                        .relu = !last,
-                                        .epilogue_inline = inline_ok,
-                                        .lanes = effective_lanes(data.csr, feat),
-                                        .atomic_merge = grouped.any_split,
-                                        .mode = mode});
-      if (!inline_ok) {
-        k::bias_act_kernel(ctx, {.bias = &bias, .mat = &agg, .relu = !last, .mode = mode});
-      }
-    } else {
-      // Unfused: the frameworks' op-per-kernel sequence — aggregation,
-      // bias add, activation each round-trip the [N, F] tensor.
-      k::SpmmArgs spmm{.graph = &gdev,
-                       .tasks = grouped.tasks,
-                       .src = &t,
-                       .edge_weight = &norm,
-                       .out = &agg,
-                       .lanes = effective_lanes(data.csr, feat),
-                       .atomic_merge = grouped.any_split,
-                       .mode = mode};
-      k::spmm_node(ctx, spmm);
-      k::bias_act_kernel(ctx, {.bias = &bias, .mat = &agg, .relu = false, .mode = mode,
-                               .name = "bias_add"});
-      if (!last) {
-        k::dense_map(ctx, {.in = &agg,
-                           .out = &agg,
-                           .fn = [](float x) { return x > 0.0f ? x : 0.0f; },
-                           .flops_per_elem = 1.0,
-                           .mode = mode,
-                           .name = "relu"});
-      }
-    }
-    h = agg;
+    h = gcn_layer(ctx, ws, gdev, norm, plan, h, run.params->weight[l], run.params->bias[l],
+                  plan.on(detail::kAdapter), l + 1 != run.params->weight.size(), mode)
+            .out;
   }
   return finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix());
 }
@@ -932,60 +1005,43 @@ OptimizedEngine::TrainResult OptimizedEngine::train_gcn_step(
     const models::Matrix& x, const models::Matrix& target, float lr, ExecMode mode,
     const sim::DeviceSpec& spec, models::GcnGrads* grads_out) {
   (void)cfg;
-  return run_guarded(data, &x, "train_gcn_step", [&] {
-    return train_gcn_attempt(data, params, x, target, lr, mode, spec, grads_out);
+  return run_direct(data.csr, [&](detail::RunContext& rc) {
+    return run_guarded(data, &x, "train_gcn_step", rc, [&] {
+      return train_gcn_attempt(data, params, x, target, lr, mode, spec, grads_out, rc);
+    });
   });
 }
 
 OptimizedEngine::TrainResult OptimizedEngine::train_gcn_attempt(
     const Dataset& data, models::GcnParams& params, const models::Matrix& x,
     const models::Matrix& target, float lr, ExecMode mode, const sim::DeviceSpec& spec,
-    models::GcnGrads* grads_out) {
+    models::GcnGrads* grads_out, detail::RunContext& rc) {
+  // Training tunes at the first layer's output width, like the forward
+  // entry point; the tuned knobs are cached per width.
+  const detail::AttemptPlan plan =
+      resolve_plan(data.csr, rc, params.weight.empty() ? -1 : params.weight[0].cols(), &spec);
   prof::Span span("OptimizedEngine::train_gcn_step", "engine");
-  // Training tunes for (and consumes tunes at) the first layer's output
-  // width, mirroring the forward entry point — a tune published by an
-  // inference run at a different width must not configure this step.
-  const tensor::Index feat =
-      params.weight.empty() ? -1 : params.weight[0].cols();
-  if (feat >= 0) maybe_tune(data.csr, feat, spec);
   sim::SimContext ctx(with_engine_overhead(spec));
   Workspace ws;
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
-  const core::GroupedTasks grouped = build_tasks(data.csr, feat);
   const auto norm = ws.from_vec(ctx, models::gcn_edge_norm(data.csr), "gcn_norm");
   const bool full = mode == ExecMode::kFull;
   const std::size_t layers = params.weight.size();
 
-  // ---- Forward, caching per-layer activations for backward.
+  // ---- Forward, caching per-layer activations for backward. Training
+  // has no unfused variant: the aggregation is fused whatever the adapter
+  // knob says.
   std::vector<k::FeatureMat> hs;       // hs[l] = h_l (hs[0] = x)
-  std::vector<k::FeatureMat> ts;       // ts[l] = h_l W_l
   std::vector<k::FeatureMat> ws_dev;   // device weights
   std::vector<k::FeatureMat> bs_dev;   // device biases
   hs.push_back(ws.from(ctx, x, "x"));
   for (std::size_t l = 0; l < layers; ++l) {
-    const bool last = l + 1 == layers;
-    ws_dev.push_back(ws.from(ctx, params.weight[l], "w"));
-    bs_dev.push_back(ws.from(ctx, params.bias[l], "b"));
-    auto t = ws.mat(ctx, hs.back().rows, ws_dev.back().cols, "t");
-    k::dense_gemm(ctx, {.a = &hs.back(), .b = &ws_dev.back(), .c = &t, .mode = mode});
-    ts.push_back(t);
-    auto h_next = ws.mat(ctx, hs.back().rows, ws_dev.back().cols, "h");
-    k::aggregate_bias_act_fused(ctx, {.graph = &gdev,
-                                      .tasks = grouped.tasks,
-                                      .feat = &ts.back(),
-                                      .edge_weight = &norm,
-                                      .bias = &bs_dev.back(),
-                                      .out = &h_next,
-                                      .relu = !last,
-                                      .epilogue_inline = !grouped.any_split,
-                                      .lanes = effective_lanes(data.csr, feat),
-                                      .atomic_merge = grouped.any_split,
-                                      .mode = mode});
-    if (grouped.any_split) {
-      k::bias_act_kernel(ctx, {.bias = &bs_dev.back(), .mat = &h_next, .relu = !last,
-                               .mode = mode});
-    }
-    hs.push_back(h_next);
+    const detail::GcnLayer layer = gcn_layer(ctx, ws, gdev, norm, plan, hs.back(),
+                                             params.weight[l], params.bias[l], /*fused=*/true,
+                                             l + 1 != layers, mode);
+    ws_dev.push_back(layer.w);
+    bs_dev.push_back(layer.b);
+    hs.push_back(layer.out);
   }
 
   TrainResult result;
@@ -1019,17 +1075,16 @@ OptimizedEngine::TrainResult OptimizedEngine::train_gcn_attempt(
     k::col_sum(ctx, {.in = &d_h, .out = &d_b, .mode = mode});
     // d_t = A d_pre — the same aggregation kernel, same task schedule.
     auto d_t = ws.mat(ctx, d_h.rows, d_h.cols, "d_t");
-    k::SpmmArgs spmm{.graph = &gdev,
-                     .tasks = grouped.tasks,
-                     .src = &d_h,
-                     .edge_weight = &norm,
-                     .out = &d_t,
-                     .lanes = effective_lanes(data.csr, feat),
-                     .atomic_merge = grouped.any_split,
-                     .mode = mode,
-                     .name = "aggregate_backward",
-                     .phase = "backward"};
-    k::spmm_node(ctx, spmm);
+    k::spmm_node(ctx, {.graph = &gdev,
+                       .tasks = plan.grouped.tasks,
+                       .src = &d_h,
+                       .edge_weight = &norm,
+                       .out = &d_t,
+                       .lanes = plan.lanes,
+                       .atomic_merge = plan.grouped.any_split,
+                       .mode = mode,
+                       .name = "aggregate_backward",
+                       .phase = "backward"});
     // d_W = h^T d_t.
     auto h_t = ws.mat(ctx, hs[li].cols, hs[li].rows, "hT");
     k::dense_transpose(ctx, {.in = &hs[li], .out = &h_t, .mode = mode, .phase = "backward"});
@@ -1084,151 +1139,26 @@ OptimizedEngine::TrainResult OptimizedEngine::train_gcn_attempt(
 
 RunResult OptimizedEngine::run_gat(const Dataset& data, const GatRun& run, ExecMode mode,
                                    const sim::DeviceSpec& spec) {
-  return run_guarded(data, run.features, "run_gat",
-                     [&] { return gat_attempt(data, run, mode, spec); });
+  return run_direct(data.csr, [&](detail::RunContext& rc) {
+    return run_request({.data = &data, .gat = &run, .mode = mode, .spec = spec}, rc);
+  });
 }
 
 RunResult OptimizedEngine::gat_attempt(const Dataset& data, const GatRun& run, ExecMode mode,
-                                       const sim::DeviceSpec& spec) {
-  if (const int nshards = resolved_shards(); nshards > 1 && sharding_enabled()) {
-    return gat_attempt_sharded(data, run, mode, spec, nshards);
-  }
+                                       const sim::DeviceSpec& spec, detail::RunContext& rc) {
+  const detail::AttemptPlan plan = resolve_plan(data.csr, rc, first_layer_width(run.cfg->dims),
+                                                &spec, "run_gat fusion gate");
+  if (plan.shards > 1) return gat_attempt_sharded(data, run, mode, spec, plan, rc);
   prof::Span span("OptimizedEngine::run_gat", "engine");
-  if (adapter_enabled()) rt::raise_if_armed(rt::kSeamFusionPass, "run_gat fusion gate");
-  const tensor::Index feat = run.cfg->dims.size() > 1 ? run.cfg->dims[1] : -1;
-  if (feat >= 0) maybe_tune(data.csr, feat, spec);
   sim::SimContext ctx(with_engine_overhead(spec));
   Workspace ws;
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
-  const core::GroupedTasks grouped = build_tasks(data.csr, feat);
-  const graph::EdgeId num_edges = data.csr.num_edges();
-  const float alpha = run.cfg->leaky_alpha;
 
   k::FeatureMat h = ws.from(ctx, *run.features, "x");
   for (std::size_t l = 0; l < run.params->weight.size(); ++l) {
-    const bool last = l + 1 == run.params->weight.size();
-    auto w = ws.from(ctx, run.params->weight[l], "w");
-    auto al = ws.from(ctx, run.params->att_l[l], "att_l");
-    auto ar = ws.from(ctx, run.params->att_r[l], "att_r");
-    auto t = ws.mat(ctx, h.rows, w.cols, "transformed");
-    k::dense_gemm(ctx, {.a = &h, .b = &w, .c = &t, .mode = mode});
-    auto att_src = ws.mat(ctx, h.rows, 1, "att_src");
-    auto att_dst = ws.mat(ctx, h.rows, 1, "att_dst");
-    k::row_dot(ctx, {.feat = &t, .vec = &al, .out = &att_src, .mode = mode});
-    k::row_dot(ctx, {.feat = &t, .vec = &ar, .out = &att_dst, .mode = mode});
-
-    auto e = ws.mat(ctx, num_edges, 1, "e");
-    auto vacc = ws.mat(ctx, h.rows, 1, "v_acc");
-    auto agg = ws.mat(ctx, h.rows, w.cols, "aggregated");
-
-    if (adapter_enabled() && cfg_.use_linear) {
-      // K1: fused score + normalization sum; K2: aggregation with the
-      // postponed division — the two-kernel pipeline of §4.2.
-      k::gat_edge_fused(ctx, {.graph = &gdev,
-                              .tasks = grouped.tasks,
-                              .att_src = &att_src,
-                              .att_dst = &att_dst,
-                              .edge_out = &e,
-                              .vacc_out = &vacc,
-                              .leaky_alpha = alpha,
-                              .atomic_merge = grouped.any_split,
-                              .mode = mode});
-      k::gat_aggregate_fused(ctx, {.graph = &gdev,
-                                   .tasks = grouped.tasks,
-                                   .feat = &t,
-                                   .edge_weight = &e,
-                                   .vacc = &vacc,
-                                   .out = &agg,
-                                   .scale_inline = true,
-                                   .lanes = effective_lanes(data.csr, feat),
-                                   .atomic_merge = grouped.any_split,
-                                   .mode = mode});
-    } else if (adapter_enabled()) {
-      // Adapter without the linear property: the normalized weights are
-      // materialized before the aggregation primitive consumes them.
-      k::gat_edge_fused(ctx, {.graph = &gdev,
-                              .tasks = grouped.tasks,
-                              .att_src = &att_src,
-                              .att_dst = &att_dst,
-                              .edge_out = &e,
-                              .vacc_out = nullptr,
-                              .leaky_alpha = alpha,
-                              .mode = mode});
-      k::segment_sum(ctx, {.graph = &gdev,
-                           .tasks = grouped.tasks,
-                           .edge_val = &e,
-                           .node_out = &vacc,
-                           .atomic_merge = grouped.any_split,
-                           .mode = mode});
-      k::softmax_div_fused(ctx, {.graph = &gdev, .tasks = grouped.tasks, .vacc = &vacc,
-                                 .edge = &e, .mode = mode});
-      k::gat_aggregate_fused(ctx, {.graph = &gdev,
-                                   .tasks = grouped.tasks,
-                                   .feat = &t,
-                                   .edge_weight = &e,
-                                   .vacc = nullptr,
-                                   .out = &agg,
-                                   .lanes = effective_lanes(data.csr, feat),
-                                   .atomic_merge = grouped.any_split,
-                                   .mode = mode});
-    } else {
-      // Unoptimized computation graph: the seven-kernel pipeline of
-      // Listing 1 (still honoring the task distribution, so NG/LAS can be
-      // ablated independently of fusion — Table 6's columns).
-      k::u_add_v(ctx, {.graph = &gdev,
-                       .tasks = grouped.tasks,
-                       .src_scalar = &att_src,
-                       .dst_scalar = &att_dst,
-                       .edge_out = &e,
-                       .mode = mode});
-      k::edge_map(ctx, {.in = &e,
-                        .out = &e,
-                        .fn = [alpha](float x) { return tensor::leaky_relu_scalar(x, alpha); },
-                        .flops_per_elem = 1.0,
-                        .mode = mode,
-                        .name = "leaky_relu"});
-      k::edge_map(ctx, {.in = &e,
-                        .out = &e,
-                        .fn = [](float x) { return std::exp(x); },
-                        .flops_per_elem = 4.0,
-                        .mode = mode,
-                        .name = "exp"});
-      k::segment_sum(ctx, {.graph = &gdev,
-                           .tasks = grouped.tasks,
-                           .edge_val = &e,
-                           .node_out = &vacc,
-                           .atomic_merge = grouped.any_split,
-                           .mode = mode});
-      auto eacc = ws.mat(ctx, num_edges, 1, "e_acc");
-      k::broadcast_edge(ctx, {.graph = &gdev, .tasks = grouped.tasks, .node_val = &vacc,
-                              .edge_out = &eacc, .mode = mode});
-      k::edge_binary(ctx, {.a = &e,
-                           .b = &eacc,
-                           .out = &e,
-                           .fn = [](float x, float acc) { return acc != 0.0f ? x / acc : 0.0f; },
-                           .flops_per_elem = 1.0,
-                           .mode = mode,
-                           .name = "softmax_div"});
-      k::SpmmArgs spmm{.graph = &gdev,
-                       .tasks = grouped.tasks,
-                       .src = &t,
-                       .edge_weight = &e,
-                       .out = &agg,
-                       .lanes = effective_lanes(data.csr, feat),
-                       .atomic_merge = grouped.any_split,
-                       .mode = mode,
-                       .name = "u_mul_e_sum"};
-      k::spmm_node(ctx, spmm);
-    }
-    if (!last) {
-      k::dense_map(ctx, {.in = &agg,
-                         .out = &agg,
-                         .fn = [](float x) { return x > 0.0f ? x : 0.0f; },
-                         .flops_per_elem = 1.0,
-                         .mode = mode,
-                         .name = "relu"});
-    }
-    h = agg;
+    h = gat_layer(ctx, ws, gdev, plan, detail::gat_graph_ops_for(plan), h,
+                  run.params->weight[l], run.params->att_l[l], run.params->att_r[l],
+                  run.cfg->leaky_alpha, l + 1 != run.params->weight.size(), mode);
   }
   return finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix());
 }
@@ -1236,63 +1166,33 @@ RunResult OptimizedEngine::gat_attempt(const Dataset& data, const GatRun& run, E
 RunResult OptimizedEngine::run_multihead_gat(const Dataset& data,
                                              const baselines::MultiHeadGatRun& run,
                                              ExecMode mode, const sim::DeviceSpec& spec) {
-  return run_guarded(data, run.features, "run_multihead_gat",
-                     [&] { return multihead_gat_attempt(data, run, mode, spec); });
+  return run_direct(data.csr, [&](detail::RunContext& rc) {
+    return run_request({.data = &data, .multihead_gat = &run, .mode = mode, .spec = spec}, rc);
+  });
 }
 
 RunResult OptimizedEngine::multihead_gat_attempt(const Dataset& data,
                                                  const baselines::MultiHeadGatRun& run,
-                                                 ExecMode mode, const sim::DeviceSpec& spec) {
+                                                 ExecMode mode, const sim::DeviceSpec& spec,
+                                                 detail::RunContext& rc) {
+  const detail::AttemptPlan plan = resolve_plan(data.csr, rc, run.cfg->head_dim, &spec);
   prof::Span span("OptimizedEngine::run_multihead_gat", "engine");
-  // Each head runs the fused two-kernel graph pipeline; head outputs write
+  // Each head runs the linear-property graph pipeline; head outputs write
   // directly into their column slice of the concatenated destination on a
   // real GPU (strided epilogue stores) — per-head buffers here carry the
   // identical traffic.
-  const tensor::Index feat = run.cfg->head_dim;
-  maybe_tune(data.csr, feat, spec);
   sim::SimContext ctx(with_engine_overhead(spec));
   Workspace ws;
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
-  const core::GroupedTasks grouped = build_tasks(data.csr, feat);
-  const graph::EdgeId num_edges = data.csr.num_edges();
-  const float alpha = run.cfg->leaky_alpha;
 
   auto x = ws.from(ctx, *run.features, "x");
   Matrix concat(data.csr.num_nodes, run.cfg->out_feat());
   for (int head = 0; head < run.cfg->heads; ++head) {
     const auto h = static_cast<std::size_t>(head);
-    auto w = ws.from(ctx, run.params->weight[h], "w");
-    auto al = ws.from(ctx, run.params->att_l[h], "att_l");
-    auto ar = ws.from(ctx, run.params->att_r[h], "att_r");
-    auto t = ws.mat(ctx, x.rows, w.cols, "transformed");
-    k::dense_gemm(ctx, {.a = &x, .b = &w, .c = &t, .mode = mode});
-    auto att_src = ws.mat(ctx, x.rows, 1, "att_src");
-    auto att_dst = ws.mat(ctx, x.rows, 1, "att_dst");
-    k::row_dot(ctx, {.feat = &t, .vec = &al, .out = &att_src, .mode = mode});
-    k::row_dot(ctx, {.feat = &t, .vec = &ar, .out = &att_dst, .mode = mode});
-
-    auto e = ws.mat(ctx, num_edges, 1, "e");
-    auto vacc = ws.mat(ctx, x.rows, 1, "v_acc");
-    auto agg = ws.mat(ctx, x.rows, w.cols, "aggregated");
-    k::gat_edge_fused(ctx, {.graph = &gdev,
-                            .tasks = grouped.tasks,
-                            .att_src = &att_src,
-                            .att_dst = &att_dst,
-                            .edge_out = &e,
-                            .vacc_out = &vacc,
-                            .leaky_alpha = alpha,
-                            .atomic_merge = grouped.any_split,
-                            .mode = mode});
-    k::gat_aggregate_fused(ctx, {.graph = &gdev,
-                                 .tasks = grouped.tasks,
-                                 .feat = &t,
-                                 .edge_weight = &e,
-                                 .vacc = &vacc,
-                                 .out = &agg,
-                                 .scale_inline = true,
-                                 .lanes = effective_lanes(data.csr, feat),
-                                 .atomic_merge = grouped.any_split,
-                                 .mode = mode});
+    const k::FeatureMat agg =
+        gat_layer(ctx, ws, gdev, plan, detail::GatGraphOps::kLinear, x, run.params->weight[h],
+                  run.params->att_l[h], run.params->att_r[h], run.cfg->leaky_alpha,
+                  /*relu=*/false, mode);
     if (mode == ExecMode::kFull) {
       const models::Index off = static_cast<models::Index>(head) * run.cfg->head_dim;
       for (graph::NodeId v = 0; v < data.csr.num_nodes; ++v) {
@@ -1307,20 +1207,19 @@ RunResult OptimizedEngine::multihead_gat_attempt(const Dataset& data,
 
 RunResult OptimizedEngine::run_sage_pool(const Dataset& data, const baselines::SagePoolRun& run,
                                          ExecMode mode, const sim::DeviceSpec& spec) {
-  return run_guarded(data, run.features, "run_sage_pool",
-                     [&] { return sage_pool_attempt(data, run, mode, spec); });
+  return run_direct(data.csr, [&](detail::RunContext& rc) {
+    return run_request({.data = &data, .sage_pool = &run, .mode = mode, .spec = spec}, rc);
+  });
 }
 
 RunResult OptimizedEngine::sage_pool_attempt(const Dataset& data,
                                              const baselines::SagePoolRun& run, ExecMode mode,
-                                             const sim::DeviceSpec& spec) {
+                                             const sim::DeviceSpec& spec, detail::RunContext& rc) {
+  const detail::AttemptPlan plan = resolve_plan(data.csr, rc, run.cfg->pool_dim, &spec);
   prof::Span span("OptimizedEngine::run_sage_pool", "engine");
-  const tensor::Index feat = run.cfg->pool_dim;
-  maybe_tune(data.csr, feat, spec);
   sim::SimContext ctx(with_engine_overhead(spec));
   Workspace ws;
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
-  const core::GroupedTasks grouped = build_tasks(data.csr, feat);
 
   auto x = ws.from(ctx, *run.features, "x");
   auto w_pool = ws.from(ctx, run.params->w_pool, "w_pool");
@@ -1334,16 +1233,15 @@ RunResult OptimizedEngine::sage_pool_attempt(const Dataset& data,
   // Max is order-insensitive: neighbor grouping's split tasks merge
   // through atomic max exactly as sums do (paper §4.1.2).
   auto pooled = ws.mat(ctx, x.rows, w_pool.cols, "pooled");
-  k::SpmmArgs spmm{.graph = &gdev,
-                   .tasks = grouped.tasks,
-                   .src = &t,
-                   .out = &pooled,
-                   .reduce = k::Reduce::kMax,
-                   .lanes = effective_lanes(data.csr, feat),
-                   .atomic_merge = grouped.any_split,
-                   .mode = mode,
-                   .name = "max_aggregate"};
-  k::spmm_node(ctx, spmm);
+  k::spmm_node(ctx, {.graph = &gdev,
+                     .tasks = plan.grouped.tasks,
+                     .src = &t,
+                     .out = &pooled,
+                     .reduce = k::Reduce::kMax,
+                     .lanes = plan.lanes,
+                     .atomic_merge = plan.grouped.any_split,
+                     .mode = mode,
+                     .name = "max_aggregate"});
 
   auto out = ws.mat(ctx, x.rows, w_out.cols, "out");
   k::dense_gemm(ctx, {.a = &pooled, .b = &w_out, .c = &out, .mode = mode});
@@ -1352,8 +1250,9 @@ RunResult OptimizedEngine::sage_pool_attempt(const Dataset& data,
 
 RunResult OptimizedEngine::run_sage_lstm(const Dataset& data, const SageLstmRun& run,
                                          ExecMode mode, const sim::DeviceSpec& spec) {
-  return run_guarded(data, run.features, "run_sage_lstm",
-                     [&] { return sage_lstm_attempt(data, run, mode, spec); });
+  return run_direct(data.csr, [&](detail::RunContext& rc) {
+    return run_request({.data = &data, .sage_lstm = &run, .mode = mode, .spec = spec}, rc);
+  });
 }
 
 RunResult OptimizedEngine::sage_lstm_attempt(const Dataset& data, const SageLstmRun& run,

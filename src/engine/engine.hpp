@@ -4,8 +4,9 @@
 // graphs and weights the baselines use:
 //   * locality-aware task scheduling — offline cluster-adjacent task order;
 //   * neighbor grouping — bounded tasks with atomic merge;
-//   * data-visible-range adapter + linear property — fused kernel
-//     pipelines selected by the fusion pass in core/fusion;
+//   * data-visible-range adapter + linear property — hand-written fused
+//     kernel pipelines (the layer bodies in engine_internal.hpp); the
+//     engine does not call core::fuse, whose plans describe them;
 //   * sparse fetching + redundancy bypassing — for GraphSAGE-LSTM's
 //     center-neighbor neural operations.
 // Every knob is independently switchable, which is what the ablation
@@ -15,6 +16,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -22,6 +24,7 @@
 #include "baselines/backend.hpp"
 #include "core/balance/neighbor_grouping.hpp"
 #include "core/locality/schedule.hpp"
+#include "core/tuner/tuner.hpp"
 #include "graph/fingerprint.hpp"
 #include "models/gcn_grad.hpp"
 #include "rt/breaker.hpp"
@@ -34,6 +37,11 @@ struct Partition;
 }  // namespace gnnbridge::shard
 
 namespace gnnbridge::engine {
+
+namespace detail {
+struct AttemptPlan;
+struct RunContext;
+}  // namespace detail
 
 using baselines::Backend;
 using baselines::Dataset;
@@ -140,21 +148,10 @@ class OptimizedEngine final : public Backend {
                              models::GcnGrads* grads_out = nullptr);
 
   /// The task list this configuration produces for a graph — the
-  /// composition of neighbor grouping and the LAS order. Exposed for the
-  /// kernel-level benchmarks. `feat` is the feature width the tasks will
-  /// run at: tuned knobs are per-(graph, width), so a published tune for a
-  /// different width must not leak into this task list (-1 = accept any
-  /// width, the pre-tuning behaviour).
-  core::GroupedTasks build_tasks(const graph::Csr& csr, tensor::Index feat = -1) const;
-
-  /// Effective grouping bound for a graph under this configuration at
-  /// feature width `feat` (-1 = accept a tune for any width).
-  EdgeId effective_bound(const graph::Csr& csr, tensor::Index feat = -1) const;
-
-  /// The shard count this engine's GCN/GAT pipelines will execute with:
-  /// cfg.shards, or the GNNBRIDGE_SHARDS environment variable when
-  /// cfg.shards == 0 (malformed values warn once and fall back to 1).
-  int resolved_shards() const;
+  /// composition of neighbor grouping and the LAS order, resolved like an
+  /// attempt's plan but never tuned (tuned knobs are per feature width).
+  /// Exposed for the kernel-level tests.
+  core::GroupedTasks build_tasks(const graph::Csr& csr) const;
 
   /// Knobs the degradation ladder has disabled so far, as metric-schema
   /// knob names (rt::kKnob*). Sticky for the engine's lifetime.
@@ -173,7 +170,7 @@ class OptimizedEngine final : public Backend {
     sim::DeviceSpec spec;
     /// Sim-time budget for the whole job, retries and backoff included;
     /// expiry surfaces as kDeadlineExceeded with RunResult::timed_out set.
-    rt::Deadline deadline;
+    rt::Deadline deadline{};
     /// Run attempts before the job's failure is final (>= 1). Only
     /// retryable failures (rt::classify_for_retry) consume extra attempts.
     int max_attempts = 1;
@@ -184,17 +181,17 @@ class OptimizedEngine final : public Backend {
     /// job alone — jobs see private shot counters, so a batch behaves
     /// identically at any thread count. Empty = no injected faults (the
     /// process-wide plan is suppressed for the job either way).
-    std::string fault_plan;
+    std::string fault_plan{};
     /// Caller-supplied request ID, threaded through spans and the obs::
     /// event journal (DESIGN.md §13). Empty = the engine synthesizes a
     /// deterministic "req-<batch>-<index>" ID. Duplicate caller-supplied
     /// IDs within one batch are disambiguated with "#2"/"#3"... suffixes
     /// in journal/trace output so events stay attributable.
-    std::string request_id;
+    std::string request_id{};
     /// Tenant owning this request (serving multi-tenancy, DESIGN.md §14).
     /// Consumed by serve::AdmissionController for quotas and weighted-fair
     /// dequeue; the engine itself treats it as opaque. Empty = untenanted.
-    std::string tenant;
+    std::string tenant{};
     /// Shedding priority class: 0 = low, 1 = normal, 2 = high. Low classes
     /// are shed first under overload (serve::Priority has the named values);
     /// the engine itself ignores it.
@@ -215,7 +212,7 @@ class OptimizedEngine final : public Backend {
     /// only, merged with the breaker's half-open degradations in the job's
     /// admission set. The admission controller pre-degrades host-expensive
     /// knobs here under sustained overload before shedding escalates.
-    std::vector<std::string> disable_knobs;
+    std::vector<std::string> disable_knobs{};
   };
 
   /// Runs independent (model, dataset) jobs concurrently on the host
@@ -255,23 +252,22 @@ class OptimizedEngine final : public Backend {
   /// regardless of host thread count.
   std::atomic<std::uint64_t> batch_seq_{0};
 
-  /// Cached auto-tune outcome for one (graph fingerprint, feature length).
-  struct TunedEntry {
-    int lanes = 32;
-    EdgeId bound = 0;
-    bool use_las = true;
-  };
+  /// Key of a cached auto-tune outcome: graph fingerprint, feature length
+  /// and whether LAS was allowed — a tune probed without LAS must never
+  /// serve an attempt that has it, or the knobs a job gets would depend on
+  /// which job tuned first.
   struct TunedKey {
     graph::GraphFingerprint fp;
     tensor::Index feat = -1;
+    bool las = true;
     friend bool operator==(const TunedKey& a, const TunedKey& b) {
-      return a.fp == b.fp && a.feat == b.feat;
+      return a.fp == b.fp && a.feat == b.feat && a.las == b.las;
     }
   };
   struct TunedKeyHash {
     std::size_t operator()(const TunedKey& k) const {
-      return graph::GraphFingerprintHash{}(k.fp) * 1099511628211ull ^
-             static_cast<std::size_t>(k.feat);
+      return (graph::GraphFingerprintHash{}(k.fp) * 1099511628211ull ^
+              static_cast<std::size_t>(k.feat)) * 2 + (k.las ? 1 : 0);
     }
   };
 
@@ -301,7 +297,7 @@ class OptimizedEngine final : public Backend {
                              std::shared_ptr<const std::vector<NodeId>>,
                              graph::GraphFingerprintHash>
       las_cache_;
-  mutable std::unordered_map<TunedKey, TunedEntry, TunedKeyHash> tuned_cache_;
+  mutable std::unordered_map<TunedKey, core::TuneConfig, TunedKeyHash> tuned_cache_;
   // Shard plans are deterministic pure functions of (graph, k); entries are
   // held behind shared_ptr and never erased, so concurrent jobs can keep
   // using a plan across rehashes (same lifetime rule as las_cache_).
@@ -314,78 +310,84 @@ class OptimizedEngine final : public Backend {
                              graph::GraphFingerprintHash>
       preflight_cache_;
 
-  // Sticky health flags: set when the corresponding stage failed and the
-  // degradation ladder disabled its knob; never cleared — a stage that
-  // failed once is not trusted again for this engine's lifetime. Atomic so
-  // concurrent batch jobs can degrade without racing.
-  mutable std::atomic<bool> las_failed_{false};
-  mutable std::atomic<bool> tune_failed_{false};
-  mutable std::atomic<bool> adapter_failed_{false};
-  mutable std::atomic<bool> grouping_failed_{false};
-  mutable std::atomic<bool> sharding_failed_{false};
+  /// Knobs (detail::Knob bits) the degradation ladder turned off for the
+  /// whole engine after a direct run's stage failed. Sticky: a stage that
+  /// failed once is not trusted again for this engine's lifetime. Atomic
+  /// so concurrent runs can degrade without racing.
+  mutable std::atomic<unsigned> degraded_{0};
 
-  /// Whether the fused (adapter) pipeline is taken: configuration, the
-  /// sticky engine-wide health flag, and the current batch job's local
-  /// ladder/breaker state all gate it (defined in engine.cpp, where the
-  /// per-job thread-local lives).
-  bool adapter_enabled() const;
-
-  /// Whether the sharded GCN/GAT pipelines are taken: gated by the sticky
-  /// engine-wide health flag and the current batch job's ladder state
-  /// (defined in engine.cpp, where the per-job thread-local lives). The
-  /// final rung of shard recovery (DESIGN.md §17) turns this off.
-  bool sharding_enabled() const;
+  /// Resolves the attempt's plan (engine_internal.hpp): the knob set, the
+  /// fusion gate, then the LAS order, the tuner, and — for an unsharded
+  /// attempt — the grouped task list. The tuner probes on `spec` at width
+  /// `feat` (-1 = no tuning). `fusion_gate` labels the fusion_pass gate of
+  /// GCN/GAT attempts, the only ones that pass it and may run sharded.
+  detail::AttemptPlan resolve_plan(const graph::Csr& csr, detail::RunContext& rc,
+                                   tensor::Index feat = -1,
+                                   const sim::DeviceSpec* spec = nullptr,
+                                   const char* fusion_gate = nullptr) const;
+  /// Memoized LAS order for the run's graph (cfg.las_order when set).
+  const std::vector<NodeId>* las_order(const graph::Csr& csr, const detail::RunContext& rc) const;
+  /// Runs the tuner for `key` with `las` as its LAS order (null = tune
+  /// without LAS) and memoizes the outcome. A poisoned probe measurement
+  /// degrades auto-tuning and yields nullopt: use the heuristic knobs.
+  std::optional<core::TuneConfig> tune(const graph::Csr& csr, const TunedKey& key,
+                                       const sim::DeviceSpec& spec,
+                                       const std::vector<NodeId>* las,
+                                       detail::RunContext& rc) const;
 
   /// Input validation run before every attempt (cached by identity).
-  rt::Status preflight(const Dataset& data, const models::Matrix* features) const;
+  rt::Status preflight(const Dataset& data, const models::Matrix* features,
+                       const graph::GraphFingerprint& fp) const;
+
+  /// One ladder rung: turns `knob` (a detail::Knob bit) off — job-locally
+  /// for a batch job, engine-wide otherwise — and records the event. False
+  /// when the knob is not configured or already off.
+  bool disable_knob(unsigned knob, std::string_view seam, const rt::Status& cause,
+                    detail::RunContext& rc) const;
 
   /// Walks one step down the degradation ladder for the failed seam:
   /// disables the responsible knob, records the event, returns false when
   /// there is nothing left to turn off.
-  bool degrade_for(const rt::StageFailure& failure) const;
+  bool degrade_for(const rt::StageFailure& failure, detail::RunContext& rc) const;
 
   /// Preflight + attempt + catch-degrade-retry loop shared by every entry
   /// point. `attempt` returns RunResult or TrainResult.
   template <typename Fn>
   auto run_guarded(const Dataset& data, const models::Matrix* features, std::string_view what,
-                   Fn&& attempt) -> decltype(attempt());
+                   detail::RunContext& rc, Fn&& attempt) -> decltype(attempt());
+
+  /// Runs one request (exactly one model pointer set) under `rc`: the body
+  /// of every public run_* call and of every run_batch attempt.
+  RunResult run_request(const BatchJob& job, detail::RunContext& rc);
 
   RunResult gcn_attempt(const Dataset& data, const GcnRun& run, ExecMode mode,
-                        const sim::DeviceSpec& spec);
+                        const sim::DeviceSpec& spec, detail::RunContext& rc);
   RunResult gat_attempt(const Dataset& data, const GatRun& run, ExecMode mode,
-                        const sim::DeviceSpec& spec);
+                        const sim::DeviceSpec& spec, detail::RunContext& rc);
   // Partitioned variants (engine_shard.cpp): K simulated devices, per-layer
   // ghost exchange, bit-identical outputs (DESIGN.md §16).
   RunResult gcn_attempt_sharded(const Dataset& data, const GcnRun& run, ExecMode mode,
-                                const sim::DeviceSpec& spec, int shards);
+                                const sim::DeviceSpec& spec, const detail::AttemptPlan& plan,
+                                detail::RunContext& rc);
   RunResult gat_attempt_sharded(const Dataset& data, const GatRun& run, ExecMode mode,
-                                const sim::DeviceSpec& spec, int shards);
+                                const sim::DeviceSpec& spec, const detail::AttemptPlan& plan,
+                                detail::RunContext& rc);
   /// Memoized partition for (graph, k); computed on miss, never evicted.
   /// Raises rt::StageFailure(kSeamShardPartition) when partitioning fails
   /// (e.g. a corrupt CSR) so run_guarded can surface it.
-  std::shared_ptr<const shard::Partition> shard_plan_for(const graph::Csr& csr, int k) const;
+  std::shared_ptr<const shard::Partition> shard_plan_for(const graph::Csr& csr, int k,
+                                                         const detail::RunContext& rc) const;
   RunResult multihead_gat_attempt(const Dataset& data, const baselines::MultiHeadGatRun& run,
-                                  ExecMode mode, const sim::DeviceSpec& spec);
+                                  ExecMode mode, const sim::DeviceSpec& spec,
+                                  detail::RunContext& rc);
   RunResult sage_pool_attempt(const Dataset& data, const baselines::SagePoolRun& run,
-                              ExecMode mode, const sim::DeviceSpec& spec);
+                              ExecMode mode, const sim::DeviceSpec& spec, detail::RunContext& rc);
   RunResult sage_lstm_attempt(const Dataset& data, const SageLstmRun& run, ExecMode mode,
                               const sim::DeviceSpec& spec);
   TrainResult train_gcn_attempt(const Dataset& data, models::GcnParams& params,
                                 const models::Matrix& x, const models::Matrix& target, float lr,
                                 ExecMode mode, const sim::DeviceSpec& spec,
-                                models::GcnGrads* grads_out);
-
-  const std::vector<NodeId>* las_order_for(const graph::Csr& csr, tensor::Index feat = -1) const;
-
-  /// Lanes per feature row after optional auto-tuning (at width `feat`;
-  /// -1 = accept a tune for any width).
-  int effective_lanes(const graph::Csr& csr, tensor::Index feat = -1) const;
-
-  /// When auto_tune is set, runs (or recalls) the tuner for
-  /// (csr, feat_len) and overwrites the schedule knobs used by
-  /// build_tasks/kernels.
-  void maybe_tune(const graph::Csr& csr, tensor::Index feat_len,
-                  const sim::DeviceSpec& spec) const;
+                                models::GcnGrads* grads_out, detail::RunContext& rc);
 };
 
 }  // namespace gnnbridge::engine

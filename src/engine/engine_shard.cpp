@@ -43,9 +43,6 @@
 // Scope: GCN and GAT inference. Training, GraphSAGE and multi-head GAT
 // run unsharded regardless of the shard count.
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -57,17 +54,12 @@
 #include "engine/engine.hpp"
 #include "engine/engine_internal.hpp"
 #include "kernels/dense.hpp"
-#include "kernels/edge_ops.hpp"
-#include "kernels/fused.hpp"
-#include "kernels/sddmm.hpp"
-#include "kernels/spmm.hpp"
 #include "models/common.hpp"
 #include "par/thread_pool.hpp"
 #include "prof/span.hpp"
 #include "rt/fault.hpp"
 #include "rt/retry.hpp"
 #include "shard/partition.hpp"
-#include "tensor/activations.hpp"
 
 namespace gnnbridge::engine {
 
@@ -91,19 +83,6 @@ struct ShardExec {
   k::FeatureMat h;     ///< activations, [num_local, F]
   sim::Cycles last_total = 0.0;
 };
-
-/// Phase makespan: max over shards of the cycles accrued since the last
-/// snapshot (the merged clock advances by the slowest shard; they run
-/// concurrently). Advances the snapshots.
-sim::Cycles take_phase_span(std::vector<ShardExec>& shards) {
-  sim::Cycles span = 0.0;
-  for (ShardExec& se : shards) {
-    const sim::Cycles cur = se.ctx->stats().total_cycles;
-    span = std::max(span, cur - se.last_total);
-    se.last_total = cur;
-  }
-  return span;
-}
 
 /// Runs `body(s)` for every shard concurrently on the host pool. Bodies
 /// adopt a neutral cancel scope: they only touch their own shard's
@@ -129,34 +108,32 @@ constexpr int kShardAttemptBudget = 3;
 
 /// Prices one failed shard attempt: its cycles are already in the shard's
 /// own SimContext (and thus the phase makespan), so they only need to be
-/// tagged as recovery waste in the run's stats and the active tally.
-void note_wasted(sim::RunStats& accum, sim::Cycles wasted) {
+/// tagged as recovery waste in the run's stats and the run's tally.
+void note_wasted(sim::RunStats& accum, detail::RecoveryTally& tally, sim::Cycles wasted) {
   accum.recovery_wasted_cycles += wasted;
-  if (detail::RecoveryTally* tally = detail::active_recovery()) {
-    tally->wasted_cycles += static_cast<double>(wasted);
-  }
+  tally.stats.wasted_cycles += static_cast<double>(wasted);
 }
 
 /// Records one granted retry decision (a shard re-execution or an exchange
-/// redo) in the run's stats and the active tally, buffering a
-/// "shard_retry" journal event for batch jobs. `attempt` is the 1-based
-/// index of the attempt that just failed; `wasted` its priced cycles.
-void note_retry(sim::RunStats& accum, std::string_view seam, std::string what, int attempt,
-                sim::Cycles wasted, bool reexecution) {
+/// redo) in the run's stats and the run's tally, buffering a "shard_retry"
+/// journal event for batch jobs. `attempt` is the 1-based index of the
+/// attempt that just failed; `wasted` its priced cycles.
+void note_retry(sim::RunStats& accum, detail::RecoveryTally& tally, std::string_view seam,
+                std::string what, int attempt, sim::Cycles wasted, bool reexecution) {
   ++accum.shard_retries;
-  if (reexecution) ++accum.shards_reexecuted;
-  if (detail::RecoveryTally* tally = detail::active_recovery()) {
-    ++tally->shard_retries;
-    if (reexecution) ++tally->shards_reexecuted;
-    if (tally->journal) {
-      obs::JournalEvent ev;
-      ev.type = "shard_retry";
-      ev.key = std::string(seam);
-      ev.detail = std::move(what);
-      ev.attempt = static_cast<std::uint64_t>(attempt);
-      ev.cycles = static_cast<double>(wasted);
-      tally->journal->push_back(std::move(ev));
-    }
+  ++tally.stats.shard_retries;
+  if (reexecution) {
+    ++accum.shards_reexecuted;
+    ++tally.stats.shards_reexecuted;
+  }
+  if (tally.journal) {
+    obs::JournalEvent ev;
+    ev.type = "shard_retry";
+    ev.key = std::string(seam);
+    ev.detail = std::move(what);
+    ev.attempt = static_cast<std::uint64_t>(attempt);
+    ev.cycles = static_cast<double>(wasted);
+    tally.journal->push_back(std::move(ev));
   }
 }
 
@@ -171,8 +148,9 @@ void note_retry(sim::RunStats& accum, std::string_view seam, std::string what, i
 /// non-retryable failure or a spent attempt budget raises StageFailure so
 /// the ladder can fall back to unsharded execution.
 template <typename Body>
-void phase_with_recovery(std::vector<ShardExec>& se, std::size_t nshards, std::size_t layer,
-                         const char* phase_name, sim::RunStats& accum, Body&& body) {
+void phase_with_recovery(std::vector<ShardExec>& se, std::size_t layer, const char* phase_name,
+                         sim::RunStats& accum, detail::RecoveryTally& tally, Body&& body) {
+  const std::size_t nshards = se.size();
   std::vector<std::optional<rt::Status>> fail(nshards);
   std::vector<sim::Cycles> start(nshards);
   for (std::size_t s = 0; s < nshards; ++s) {
@@ -183,7 +161,7 @@ void phase_with_recovery(std::vector<ShardExec>& se, std::size_t nshards, std::s
   for (std::size_t s = 0; s < nshards; ++s) {
     for (int attempt = 1; fail[s]; ++attempt) {
       const sim::Cycles wasted = se[s].ctx->stats().total_cycles - start[s];
-      note_wasted(accum, wasted);
+      note_wasted(accum, tally, wasted);
       const std::string what = "layer=" + std::to_string(layer) + " phase=" + phase_name +
                                " shard=" + std::to_string(s);
       if (!rt::retryable(*fail[s]) || attempt >= kShardAttemptBudget) {
@@ -191,7 +169,7 @@ void phase_with_recovery(std::vector<ShardExec>& se, std::size_t nshards, std::s
             std::string(rt::kSeamShardCompute),
             std::move(*fail[s]).with_context(what + ": shard attempt budget spent"));
       }
-      note_retry(accum, rt::kSeamShardCompute, what, attempt, wasted, /*reexecution=*/true);
+      note_retry(accum, tally, rt::kSeamShardCompute, what, attempt, wasted, /*reexecution=*/true);
       start[s] = se[s].ctx->stats().total_cycles;
       fail[s] = rt::fire_fault(rt::kSeamShardCompute);
       rt::AdoptScope neutral{rt::ScopeHandle{}};
@@ -274,9 +252,10 @@ void exchange_ghosts(const shard::Partition& p, std::vector<k::FeatureMat>& mats
 /// an attempt succeeds (the copies themselves are idempotent either way).
 /// Budget exhaustion raises StageFailure(shard_exchange) for the ladder.
 void exchange_with_recovery(const shard::Partition& p, std::vector<k::FeatureMat>& mats,
-                            bool full, const sim::DeviceSpec& spec, std::uint64_t ghost_rows,
-                            std::uint64_t row_bytes, std::size_t layer, sim::RunStats& accum,
+                            bool full, const sim::DeviceSpec& spec, std::uint64_t row_bytes,
+                            std::size_t layer, sim::RunStats& accum, detail::RecoveryTally& tally,
                             sim::Cycles& total) {
+  const auto ghost_rows = static_cast<std::uint64_t>(p.total_ghosts);
   const sim::Cycles xcyc = exchange_cost(spec, ghost_rows, row_bytes);
   for (int attempt = 1;; ++attempt) {
     std::optional<rt::Status> fault = rt::fire_fault(rt::kSeamShardExchange);
@@ -286,58 +265,60 @@ void exchange_with_recovery(const shard::Partition& p, std::vector<k::FeatureMat
     accum.ghost_bytes += ghost_rows * row_bytes;
     rt::charge_sim_cycles(xcyc);
     if (!fault) break;
-    note_wasted(accum, xcyc);
+    note_wasted(accum, tally, xcyc);
     const std::string what = "layer=" + std::to_string(layer) + " exchange";
     if (!rt::retryable(*fault) || attempt >= kShardAttemptBudget) {
       throw rt::StageFailure(std::string(rt::kSeamShardExchange),
                              std::move(*fault).with_context(what + ": exchange retry budget spent"));
     }
-    note_retry(accum, rt::kSeamShardExchange, what, attempt, xcyc, /*reexecution=*/false);
+    note_retry(accum, tally, rt::kSeamShardExchange, what, attempt, xcyc, /*reexecution=*/false);
   }
   if (full) exchange_ghosts(p, mats);
 }
 
-/// Owned-local row of every global node (the owned lists partition the
-/// node set, so one vector serves all shards).
-std::vector<graph::NodeId> owned_local_rows(const shard::Partition& p, graph::NodeId num_nodes) {
-  std::vector<graph::NodeId> owned_local(static_cast<std::size_t>(num_nodes), 0);
+/// Per-shard device/task setup shared by GCN and GAT: context, local CSR,
+/// task list (the plan's grouping bound + LAS order restricted to the
+/// shard, ghost tasks dropped), and the initial activations with input
+/// features replicated to ghost rows (so layer 0 needs no extra exchange
+/// for them).
+std::vector<ShardExec> init_shards(const shard::Partition& p, const detail::AttemptPlan& plan,
+                                   const sim::DeviceSpec& spec, const Matrix& x) {
+  // Owned-local row of every global node (the owned lists partition the
+  // node set, so one vector serves all shards).
+  std::vector<graph::NodeId> owned_local(p.assign.size(), 0);
   for (const shard::Shard& sh : p.shards) {
     for (std::size_t r = 0; r < sh.owned.size(); ++r) {
       owned_local[static_cast<std::size_t>(sh.owned[r])] = static_cast<graph::NodeId>(r);
     }
   }
-  return owned_local;
-}
-
-/// Per-shard device/task setup shared by GCN and GAT: context, local CSR,
-/// task list (grouping bound + LAS order restricted to the shard, ghost
-/// tasks dropped), and the initial activations with input features
-/// replicated to ghost rows (so layer 0 needs no extra exchange for them).
-void init_shard(ShardExec& se, const shard::Shard& sh, const sim::DeviceSpec& spec,
-                const shard::Partition& p, int s, graph::EdgeId bound,
-                const std::vector<graph::NodeId>& owned_local,
-                const std::vector<graph::NodeId>* las, const Matrix& x) {
-  se.sh = &sh;
-  se.ctx = std::make_unique<sim::SimContext>(with_engine_overhead(spec));
-  se.gdev = k::device_graph(*se.ctx, sh.local, "csr");
-  if (las) {
-    const std::vector<graph::NodeId> order = local_order(p, s, owned_local, *las);
-    se.grouped = core::neighbor_group_tasks(sh.local, bound, order);
-  } else {
-    se.grouped = core::neighbor_group_tasks(sh.local, bound);
+  std::vector<ShardExec> shards(p.shards.size());
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    ShardExec& se = shards[s];
+    const shard::Shard& sh = p.shards[s];
+    se.sh = &sh;
+    se.ctx = std::make_unique<sim::SimContext>(with_engine_overhead(spec));
+    se.gdev = k::device_graph(*se.ctx, sh.local, "csr");
+    if (plan.las) {
+      const std::vector<graph::NodeId> order =
+          local_order(p, static_cast<int>(s), owned_local, *plan.las);
+      se.grouped = core::neighbor_group_tasks(sh.local, plan.bound, order);
+    } else {
+      se.grouped = core::neighbor_group_tasks(sh.local, plan.bound);
+    }
+    drop_ghost_tasks(se.grouped, sh.num_owned());
+    se.h = se.ws.mat(*se.ctx, sh.local.num_nodes, x.cols(), "x");
+    for (graph::NodeId r = 0; r < sh.num_owned(); ++r) {
+      const auto src = x.row(sh.owned[static_cast<std::size_t>(r)]);
+      auto dst = se.h.host->row(r);
+      std::copy(src.begin(), src.end(), dst.begin());
+    }
+    for (std::size_t gi = 0; gi < sh.ghosts.size(); ++gi) {
+      const auto src = x.row(sh.ghosts[gi]);
+      auto dst = se.h.host->row(sh.num_owned() + static_cast<graph::NodeId>(gi));
+      std::copy(src.begin(), src.end(), dst.begin());
+    }
   }
-  drop_ghost_tasks(se.grouped, sh.num_owned());
-  se.h = se.ws.mat(*se.ctx, sh.local.num_nodes, x.cols(), "x");
-  for (graph::NodeId r = 0; r < sh.num_owned(); ++r) {
-    const auto src = x.row(sh.owned[static_cast<std::size_t>(r)]);
-    auto dst = se.h.host->row(r);
-    std::copy(src.begin(), src.end(), dst.begin());
-  }
-  for (std::size_t gi = 0; gi < sh.ghosts.size(); ++gi) {
-    const auto src = x.row(sh.ghosts[gi]);
-    auto dst = se.h.host->row(sh.num_owned() + static_cast<graph::NodeId>(gi));
-    std::copy(src.begin(), src.end(), dst.begin());
-  }
+  return shards;
 }
 
 /// Gathers the owned rows of every shard's final activations back into
@@ -376,43 +357,88 @@ RunResult merge_shards(std::vector<ShardExec>& shards, const sim::DeviceSpec& sp
   return r;
 }
 
-}  // namespace
-
-int OptimizedEngine::resolved_shards() const {
-  if (cfg_.shards > 0) return cfg_.shards;
-  // Read once per process: a mid-run environment change must not make two
-  // halves of one experiment disagree about the execution mode.
-  static const int env_shards = [] {
-    const char* s = std::getenv("GNNBRIDGE_SHARDS");
-    if (!s || !*s) return 1;
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    if (end == s || *end != '\0' || v < 1 || v > 4096) {
-      std::fprintf(stderr,
-                   "gnnbridge: ignoring invalid GNNBRIDGE_SHARDS='%s' "
-                   "(want an integer in [1, 4096]); running unsharded\n",
-                   s);
-      return 1;
-    }
-    return static_cast<int>(v);
-  }();
-  return env_shards;
+/// Ends one parallel phase at its barrier. The shards ran concurrently, so
+/// the merged clock and the run's deadline advance by the phase makespan:
+/// the most cycles any shard accrued since the last barrier. Then
+/// cancellation is checked.
+void end_phase(std::vector<ShardExec>& shards, sim::Cycles& total, const std::string& where) {
+  sim::Cycles span = 0.0;
+  for (ShardExec& se : shards) {
+    const sim::Cycles cur = se.ctx->stats().total_cycles;
+    span = std::max(span, cur - se.last_total);
+    se.last_total = cur;
+  }
+  total += span;
+  rt::charge_sim_cycles(span);
+  rt::throw_if_cancelled(where);
 }
 
-std::shared_ptr<const shard::Partition> OptimizedEngine::shard_plan_for(const graph::Csr& csr,
-                                                                        int k) const {
-  const ShardPlanKey key{graph::fingerprint(csr), k};
+/// The layer loop both sharded models share. Per layer, `alloc(s, l)`
+/// returns shard s's buffers, allocated on the parent thread in the
+/// model's own order (SimContext/Workspace are single-threaded; only
+/// kernel launches run inside the parallel phases). Phase A transforms the
+/// owned rows through `.w` into `.t`, the exchange ships `.t`'s ghost
+/// rows, and `aggregate(s, buffers, last)` is phase B, writing `.out` —
+/// the next layer's input.
+template <typename Alloc, typename Aggregate>
+RunResult sharded_layers(std::vector<ShardExec>& se, const shard::Partition& p,
+                         std::size_t layers, ExecMode mode, const sim::DeviceSpec& spec,
+                         detail::RecoveryTally& tally, const std::string& name, Alloc&& alloc,
+                         Aggregate&& aggregate) {
+  const bool full = mode == ExecMode::kFull;
+  sim::RunStats accum;
+  sim::Cycles total = 0.0;
+  for (std::size_t l = 0; l < layers; ++l) {
+    std::vector<decltype(alloc(std::size_t{0}, l))> buf;
+    for (std::size_t s = 0; s < se.size(); ++s) buf.push_back(alloc(s, l));
+
+    // ---- Phase A: transform the owned rows. The gemm's A and C are
+    // owned-row views: each device transforms only the nodes it owns;
+    // ghost rows of the transformed features arrive via the exchange.
+    phase_with_recovery(se, l, "transform", accum, tally, [&](std::size_t s) {
+      k::FeatureMat hview = top_rows(se[s].h, se[s].sh->num_owned());
+      k::FeatureMat tview = top_rows(buf[s].t, se[s].sh->num_owned());
+      k::dense_gemm(*se[s].ctx, {.a = &hview, .b = &buf[s].w, .c = &tview, .mode = mode});
+    });
+    end_phase(se, total, name + " transform");
+
+    // ---- Exchange: ghost rows of the transformed features (views share
+    // the host matrices, so the copy lands in each shard's `.t`).
+    std::vector<k::FeatureMat> tloc;
+    for (const auto& b : buf) tloc.push_back(b.t);
+    const auto row_bytes = static_cast<std::uint64_t>(buf[0].t.cols) * 4;
+    exchange_with_recovery(p, tloc, full, spec, row_bytes, l, accum, tally, total);
+    rt::throw_if_cancelled(name + " exchange");
+
+    // ---- Phase B: the model's layer body over the shard-local graph.
+    const bool last = l + 1 == layers;
+    phase_with_recovery(se, l, "aggregate", accum, tally,
+                        [&](std::size_t s) { aggregate(s, buf[s], last); });
+    end_phase(se, total, name + " aggregate");
+
+    for (std::size_t s = 0; s < se.size(); ++s) se[s].h = buf[s].out;
+  }
+  const auto num_nodes = static_cast<graph::NodeId>(p.assign.size());
+  return merge_shards(se, spec, std::move(accum), total,
+                      full ? gather_output(se, num_nodes) : Matrix());
+}
+
+}  // namespace
+
+std::shared_ptr<const shard::Partition> OptimizedEngine::shard_plan_for(
+    const graph::Csr& csr, int k, const detail::RunContext& rc) const {
+  const ShardPlanKey key{rc.fp, k};
   // Cache-isolated jobs (any job with a fault plan) skip the warm-hit
   // shortcut: an armed shard_partition seam must fire on *this* attempt's
   // partition instead of being absorbed by a neighbor's memoized plan. A
   // fault-injected partition is never cached — the seam raises below,
   // before the insert — so the cache only ever holds clean plans.
-  if (!detail::cache_isolated_active(this)) {
+  if (!rc.cache_isolated) {
     std::lock_guard<std::mutex> lock(cache_mu_);
     auto it = shard_cache_.find(key);
     if (it != shard_cache_.end()) return it->second;
   }
-  // Compute outside the lock (mirrors las_order_for): the partition is a
+  // Compute outside the lock (mirrors las_order): the partition is a
   // pure function of (graph, k), so concurrent misses compute identical
   // plans and the first insert wins.
   prof::Span span("shard_partition", "engine");
@@ -440,329 +466,75 @@ std::size_t OptimizedEngine::shard_plan_cache_size() const {
 
 RunResult OptimizedEngine::gcn_attempt_sharded(const Dataset& data, const GcnRun& run,
                                                ExecMode mode, const sim::DeviceSpec& spec,
-                                               int shards) {
+                                               const detail::AttemptPlan& plan,
+                                               detail::RunContext& rc) {
   prof::Span span("OptimizedEngine::run_gcn_sharded", "engine");
-  span.arg("shards", static_cast<double>(shards));
-  const bool fused = adapter_enabled();
-  if (fused) rt::raise_if_armed(rt::kSeamFusionPass, "run_gcn fusion gate");
-  const tensor::Index feat = run.cfg->dims.size() > 1 ? run.cfg->dims[1] : -1;
-  if (feat >= 0) maybe_tune(data.csr, feat, spec);
-
-  const std::shared_ptr<const shard::Partition> plan = shard_plan_for(data.csr, shards);
-  const shard::Partition& p = *plan;
-  const auto nshards = static_cast<std::size_t>(p.k);
-  const bool full = mode == ExecMode::kFull;
-
-  // Knobs resolved on the parent thread: effective_* and the LAS order
-  // consult thread-local tune/job state that pool workers cannot see.
-  const EdgeId bound = effective_bound(data.csr, feat);
-  const int lanes = effective_lanes(data.csr, feat);
-  const std::vector<NodeId>* las = las_order_for(data.csr, feat);
-
-  const std::vector<NodeId> owned_local = owned_local_rows(p, data.csr.num_nodes);
+  span.arg("shards", static_cast<double>(plan.shards));
+  const std::shared_ptr<const shard::Partition> part = shard_plan_for(data.csr, plan.shards, rc);
+  std::vector<ShardExec> se = init_shards(*part, plan, spec, *run.features);
+  // The GCN edge norm uses *global* degrees; gather it through the local
+  // edge -> global edge map so every local edge carries the exact float the
+  // unsharded run multiplies with.
   const std::vector<float> norm_global = models::gcn_edge_norm(data.csr);
-
-  std::vector<ShardExec> se(nshards);
-  for (std::size_t s = 0; s < nshards; ++s) {
-    const shard::Shard& sh = p.shards[s];
-    init_shard(se[s], sh, spec, p, static_cast<int>(s), bound, owned_local, las, *run.features);
-    // The GCN edge norm uses *global* degrees; gather it through the local
-    // edge -> global edge map so every local edge carries the exact float
-    // the unsharded run multiplies with.
-    std::vector<float> norm_loc(sh.edge_origin.size());
-    for (std::size_t i = 0; i < sh.edge_origin.size(); ++i) {
-      norm_loc[i] = norm_global[static_cast<std::size_t>(sh.edge_origin[i])];
+  for (ShardExec& x : se) {
+    std::vector<float> norm_loc(x.sh->edge_origin.size());
+    for (std::size_t i = 0; i < norm_loc.size(); ++i) {
+      norm_loc[i] = norm_global[static_cast<std::size_t>(x.sh->edge_origin[i])];
     }
-    se[s].norm = se[s].ws.from_vec(*se[s].ctx, norm_loc, "gcn_norm");
+    x.norm = x.ws.from_vec(*x.ctx, norm_loc, "gcn_norm");
   }
 
-  sim::RunStats accum;
-  sim::Cycles total = 0.0;
-  const auto ghost_rows = static_cast<std::uint64_t>(p.total_ghosts);
-
-  for (std::size_t l = 0; l < run.params->weight.size(); ++l) {
-    const bool last = l + 1 == run.params->weight.size();
-    const Matrix& wl = run.params->weight[l];
-    const Matrix& bl = run.params->bias[l];
-    const auto f_out = static_cast<tensor::Index>(wl.cols());
-
-    // Parent-side allocations (SimContext/Workspace are single-threaded;
-    // only kernel launches run inside the parallel phases).
-    std::vector<k::FeatureMat> wdev(nshards), bdev(nshards), tloc(nshards), agg(nshards);
-    for (std::size_t s = 0; s < nshards; ++s) {
-      wdev[s] = se[s].ws.from(*se[s].ctx, wl, "w");
-      bdev[s] = se[s].ws.from(*se[s].ctx, bl, "b");
-      tloc[s] = se[s].ws.mat(*se[s].ctx, se[s].sh->local.num_nodes, f_out, "transformed");
-      agg[s] = se[s].ws.mat(*se[s].ctx, se[s].sh->local.num_nodes, f_out, "aggregated");
-    }
-
-    // ---- Phase A: transform the owned rows. The gemm's A and C are
-    // owned-row views: each device transforms only the nodes it owns;
-    // ghost rows of the transformed features arrive via the exchange.
-    phase_with_recovery(se, nshards, l, "transform", accum, [&](std::size_t s) {
-      k::FeatureMat hview = top_rows(se[s].h, se[s].sh->num_owned());
-      k::FeatureMat tview = top_rows(tloc[s], se[s].sh->num_owned());
-      k::dense_gemm(*se[s].ctx, {.a = &hview, .b = &wdev[s], .c = &tview, .mode = mode});
-    });
-    sim::Cycles phase = take_phase_span(se);
-    total += phase;
-    rt::charge_sim_cycles(phase);
-    rt::throw_if_cancelled("sharded gcn transform");
-
-    // ---- Exchange: ghost rows of the transformed features.
-    const auto row_bytes = static_cast<std::uint64_t>(f_out) * 4;
-    exchange_with_recovery(p, tloc, full, spec, ghost_rows, row_bytes, l, accum, total);
-    rt::throw_if_cancelled("sharded gcn exchange");
-
-    // ---- Phase B: aggregation over the shard-local graph (same kernel
-    // selection as the unsharded attempt).
-    phase_with_recovery(se, nshards, l, "aggregate", accum, [&](std::size_t s) {
-      const core::GroupedTasks& grouped = se[s].grouped;
-      if (fused) {
-        const bool inline_ok = !grouped.any_split;
-        k::aggregate_bias_act_fused(*se[s].ctx, {.graph = &se[s].gdev,
-                                                 .tasks = grouped.tasks,
-                                                 .feat = &tloc[s],
-                                                 .edge_weight = &se[s].norm,
-                                                 .bias = &bdev[s],
-                                                 .out = &agg[s],
-                                                 .relu = !last,
-                                                 .epilogue_inline = inline_ok,
-                                                 .lanes = lanes,
-                                                 .atomic_merge = grouped.any_split,
-                                                 .mode = mode});
-        if (!inline_ok) {
-          k::bias_act_kernel(*se[s].ctx,
-                             {.bias = &bdev[s], .mat = &agg[s], .relu = !last, .mode = mode});
-        }
-      } else {
-        k::SpmmArgs spmm{.graph = &se[s].gdev,
-                         .tasks = grouped.tasks,
-                         .src = &tloc[s],
-                         .edge_weight = &se[s].norm,
-                         .out = &agg[s],
-                         .lanes = lanes,
-                         .atomic_merge = grouped.any_split,
-                         .mode = mode};
-        k::spmm_node(*se[s].ctx, spmm);
-        k::bias_act_kernel(*se[s].ctx, {.bias = &bdev[s], .mat = &agg[s], .relu = false,
-                                        .mode = mode, .name = "bias_add"});
-        if (!last) {
-          k::dense_map(*se[s].ctx, {.in = &agg[s],
-                                    .out = &agg[s],
-                                    .fn = [](float x) { return x > 0.0f ? x : 0.0f; },
-                                    .flops_per_elem = 1.0,
-                                    .mode = mode,
-                                    .name = "relu"});
-        }
-      }
-    });
-    phase = take_phase_span(se);
-    total += phase;
-    rt::charge_sim_cycles(phase);
-    rt::throw_if_cancelled("sharded gcn aggregate");
-
-    for (std::size_t s = 0; s < nshards; ++s) se[s].h = agg[s];
-  }
-
-  return merge_shards(se, spec, std::move(accum), total,
-                      full ? gather_output(se, data.csr.num_nodes) : Matrix());
+  const auto alloc = [&](std::size_t s, std::size_t l) {
+    return detail::gcn_layer_buffers(*se[s].ctx, se[s].ws, se[s].sh->local.num_nodes,
+                                     run.params->weight[l], run.params->bias[l]);
+  };
+  const auto aggregate = [&](std::size_t s, detail::GcnLayer& layer, bool last) {
+    detail::gcn_aggregate(*se[s].ctx, {.graph = &se[s].gdev,
+                                       .grouped = &se[s].grouped,
+                                       .norm = &se[s].norm,
+                                       .layer = &layer,
+                                       .fused = plan.on(detail::kAdapter),
+                                       .relu = !last,
+                                       .lanes = plan.lanes,
+                                       .mode = mode});
+  };
+  return sharded_layers(se, *part, run.params->weight.size(), mode, spec, rc.recovery,
+                        "sharded gcn", alloc, aggregate);
 }
 
 RunResult OptimizedEngine::gat_attempt_sharded(const Dataset& data, const GatRun& run,
                                                ExecMode mode, const sim::DeviceSpec& spec,
-                                               int shards) {
+                                               const detail::AttemptPlan& plan,
+                                               detail::RunContext& rc) {
   prof::Span span("OptimizedEngine::run_gat_sharded", "engine");
-  span.arg("shards", static_cast<double>(shards));
-  const bool fused = adapter_enabled();
-  if (fused) rt::raise_if_armed(rt::kSeamFusionPass, "run_gat fusion gate");
-  const tensor::Index feat = run.cfg->dims.size() > 1 ? run.cfg->dims[1] : -1;
-  if (feat >= 0) maybe_tune(data.csr, feat, spec);
+  span.arg("shards", static_cast<double>(plan.shards));
+  const std::shared_ptr<const shard::Partition> part = shard_plan_for(data.csr, plan.shards, rc);
+  std::vector<ShardExec> se = init_shards(*part, plan, spec, *run.features);
 
-  const std::shared_ptr<const shard::Partition> plan = shard_plan_for(data.csr, shards);
-  const shard::Partition& p = *plan;
-  const auto nshards = static_cast<std::size_t>(p.k);
-  const bool full = mode == ExecMode::kFull;
-  const bool linear = fused && cfg_.use_linear;
-  const float alpha = run.cfg->leaky_alpha;
-
-  const EdgeId bound = effective_bound(data.csr, feat);
-  const int lanes = effective_lanes(data.csr, feat);
-  const std::vector<NodeId>* las = las_order_for(data.csr, feat);
-
-  const std::vector<NodeId> owned_local = owned_local_rows(p, data.csr.num_nodes);
-
-  std::vector<ShardExec> se(nshards);
-  for (std::size_t s = 0; s < nshards; ++s) {
-    init_shard(se[s], p.shards[s], spec, p, static_cast<int>(s), bound, owned_local, las,
-               *run.features);
-  }
-
-  sim::RunStats accum;
-  sim::Cycles total = 0.0;
-  const auto ghost_rows = static_cast<std::uint64_t>(p.total_ghosts);
-
-  for (std::size_t l = 0; l < run.params->weight.size(); ++l) {
-    const bool last = l + 1 == run.params->weight.size();
-    const Matrix& wl = run.params->weight[l];
-    const auto f_out = static_cast<tensor::Index>(wl.cols());
-
-    std::vector<k::FeatureMat> wdev(nshards), aldev(nshards), ardev(nshards), tloc(nshards),
-        asrc(nshards), adst(nshards), e(nshards), vacc(nshards), agg(nshards);
-    for (std::size_t s = 0; s < nshards; ++s) {
-      const tensor::Index n_loc = se[s].sh->local.num_nodes;
-      wdev[s] = se[s].ws.from(*se[s].ctx, wl, "w");
-      aldev[s] = se[s].ws.from(*se[s].ctx, run.params->att_l[l], "att_l");
-      ardev[s] = se[s].ws.from(*se[s].ctx, run.params->att_r[l], "att_r");
-      tloc[s] = se[s].ws.mat(*se[s].ctx, n_loc, f_out, "transformed");
-      asrc[s] = se[s].ws.mat(*se[s].ctx, n_loc, 1, "att_src");
-      adst[s] = se[s].ws.mat(*se[s].ctx, n_loc, 1, "att_dst");
-      e[s] = se[s].ws.mat(*se[s].ctx, static_cast<tensor::Index>(se[s].sh->local.num_edges()), 1,
-                          "e");
-      vacc[s] = se[s].ws.mat(*se[s].ctx, n_loc, 1, "v_acc");
-      agg[s] = se[s].ws.mat(*se[s].ctx, n_loc, f_out, "aggregated");
-    }
-
-    // ---- Phase A: transform the owned rows.
-    phase_with_recovery(se, nshards, l, "transform", accum, [&](std::size_t s) {
-      k::FeatureMat hview = top_rows(se[s].h, se[s].sh->num_owned());
-      k::FeatureMat tview = top_rows(tloc[s], se[s].sh->num_owned());
-      k::dense_gemm(*se[s].ctx, {.a = &hview, .b = &wdev[s], .c = &tview, .mode = mode});
-    });
-    sim::Cycles phase = take_phase_span(se);
-    total += phase;
-    rt::charge_sim_cycles(phase);
-    rt::throw_if_cancelled("sharded gat transform");
-
-    // ---- Exchange: ghost rows of the transformed features. The per-node
-    // attention scalars are then recomputed locally over ghost rows
-    // (row_dot below runs on all local rows): row_dot is row-independent,
-    // so the replicated compute is bit-identical to the owner's — and the
-    // exchange ships one F-float row per ghost instead of F + 2 scalars.
-    const auto row_bytes = static_cast<std::uint64_t>(f_out) * 4;
-    exchange_with_recovery(p, tloc, full, spec, ghost_rows, row_bytes, l, accum, total);
-    rt::throw_if_cancelled("sharded gat exchange");
-
-    // ---- Phase B: attention scores + aggregation on the local graph
-    // (same kernel selection as the unsharded attempt).
-    phase_with_recovery(se, nshards, l, "aggregate", accum, [&](std::size_t s) {
-      const core::GroupedTasks& grouped = se[s].grouped;
-      k::row_dot(*se[s].ctx, {.feat = &tloc[s], .vec = &aldev[s], .out = &asrc[s], .mode = mode});
-      k::row_dot(*se[s].ctx, {.feat = &tloc[s], .vec = &ardev[s], .out = &adst[s], .mode = mode});
-      if (linear) {
-        k::gat_edge_fused(*se[s].ctx, {.graph = &se[s].gdev,
-                                       .tasks = grouped.tasks,
-                                       .att_src = &asrc[s],
-                                       .att_dst = &adst[s],
-                                       .edge_out = &e[s],
-                                       .vacc_out = &vacc[s],
-                                       .leaky_alpha = alpha,
-                                       .atomic_merge = grouped.any_split,
-                                       .mode = mode});
-        k::gat_aggregate_fused(*se[s].ctx, {.graph = &se[s].gdev,
-                                            .tasks = grouped.tasks,
-                                            .feat = &tloc[s],
-                                            .edge_weight = &e[s],
-                                            .vacc = &vacc[s],
-                                            .out = &agg[s],
-                                            .scale_inline = true,
-                                            .lanes = lanes,
-                                            .atomic_merge = grouped.any_split,
-                                            .mode = mode});
-      } else if (fused) {
-        k::gat_edge_fused(*se[s].ctx, {.graph = &se[s].gdev,
-                                       .tasks = grouped.tasks,
-                                       .att_src = &asrc[s],
-                                       .att_dst = &adst[s],
-                                       .edge_out = &e[s],
-                                       .vacc_out = nullptr,
-                                       .leaky_alpha = alpha,
-                                       .mode = mode});
-        k::segment_sum(*se[s].ctx, {.graph = &se[s].gdev,
-                                    .tasks = grouped.tasks,
-                                    .edge_val = &e[s],
-                                    .node_out = &vacc[s],
-                                    .atomic_merge = grouped.any_split,
-                                    .mode = mode});
-        k::softmax_div_fused(*se[s].ctx, {.graph = &se[s].gdev, .tasks = grouped.tasks,
-                                          .vacc = &vacc[s], .edge = &e[s], .mode = mode});
-        k::gat_aggregate_fused(*se[s].ctx, {.graph = &se[s].gdev,
-                                            .tasks = grouped.tasks,
-                                            .feat = &tloc[s],
-                                            .edge_weight = &e[s],
-                                            .vacc = nullptr,
-                                            .out = &agg[s],
-                                            .lanes = lanes,
-                                            .atomic_merge = grouped.any_split,
-                                            .mode = mode});
-      } else {
-        k::u_add_v(*se[s].ctx, {.graph = &se[s].gdev,
-                                .tasks = grouped.tasks,
-                                .src_scalar = &asrc[s],
-                                .dst_scalar = &adst[s],
-                                .edge_out = &e[s],
-                                .mode = mode});
-        k::edge_map(*se[s].ctx,
-                    {.in = &e[s],
-                     .out = &e[s],
-                     .fn = [alpha](float x) { return tensor::leaky_relu_scalar(x, alpha); },
-                     .flops_per_elem = 1.0,
-                     .mode = mode,
-                     .name = "leaky_relu"});
-        k::edge_map(*se[s].ctx, {.in = &e[s],
-                                 .out = &e[s],
-                                 .fn = [](float x) { return std::exp(x); },
-                                 .flops_per_elem = 4.0,
-                                 .mode = mode,
-                                 .name = "exp"});
-        k::segment_sum(*se[s].ctx, {.graph = &se[s].gdev,
-                                    .tasks = grouped.tasks,
-                                    .edge_val = &e[s],
-                                    .node_out = &vacc[s],
-                                    .atomic_merge = grouped.any_split,
-                                    .mode = mode});
-        k::FeatureMat eacc = se[s].ws.mat(
-            *se[s].ctx, static_cast<tensor::Index>(se[s].sh->local.num_edges()), 1, "e_acc");
-        k::broadcast_edge(*se[s].ctx, {.graph = &se[s].gdev, .tasks = grouped.tasks,
-                                       .node_val = &vacc[s], .edge_out = &eacc, .mode = mode});
-        k::edge_binary(*se[s].ctx,
-                       {.a = &e[s],
-                        .b = &eacc,
-                        .out = &e[s],
-                        .fn = [](float x, float acc) { return acc != 0.0f ? x / acc : 0.0f; },
-                        .flops_per_elem = 1.0,
-                        .mode = mode,
-                        .name = "softmax_div"});
-        k::SpmmArgs spmm{.graph = &se[s].gdev,
-                         .tasks = grouped.tasks,
-                         .src = &tloc[s],
-                         .edge_weight = &e[s],
-                         .out = &agg[s],
-                         .lanes = lanes,
-                         .atomic_merge = grouped.any_split,
-                         .mode = mode,
-                         .name = "u_mul_e_sum"};
-        k::spmm_node(*se[s].ctx, spmm);
-      }
-      if (!last) {
-        k::dense_map(*se[s].ctx, {.in = &agg[s],
-                                  .out = &agg[s],
-                                  .fn = [](float x) { return x > 0.0f ? x : 0.0f; },
-                                  .flops_per_elem = 1.0,
-                                  .mode = mode,
-                                  .name = "relu"});
-      }
-    });
-    phase = take_phase_span(se);
-    total += phase;
-    rt::charge_sim_cycles(phase);
-    rt::throw_if_cancelled("sharded gat aggregate");
-
-    for (std::size_t s = 0; s < nshards; ++s) se[s].h = agg[s];
-  }
-
-  return merge_shards(se, spec, std::move(accum), total,
-                      full ? gather_output(se, data.csr.num_nodes) : Matrix());
+  // The per-node attention scalars are recomputed locally over ghost rows
+  // (gat_graph_ops' row_dot runs on all local rows): row_dot is
+  // row-independent, so the replicated compute is bit-identical to the
+  // owner's — and the exchange ships one F-float row per ghost instead of
+  // F + 2 scalars.
+  const auto alloc = [&](std::size_t s, std::size_t l) {
+    const shard::Shard& sh = *se[s].sh;
+    return detail::gat_layer_buffers(*se[s].ctx, se[s].ws, sh.local.num_nodes,
+                                     static_cast<models::Index>(sh.local.num_edges()),
+                                     run.params->weight[l], run.params->att_l[l],
+                                     run.params->att_r[l]);
+  };
+  const auto aggregate = [&](std::size_t s, detail::GatLayer& layer, bool last) {
+    detail::gat_graph_ops(*se[s].ctx, se[s].ws, detail::gat_graph_ops_for(plan),
+                          {.graph = &se[s].gdev,
+                           .grouped = &se[s].grouped,
+                           .layer = &layer,
+                           .leaky_alpha = run.cfg->leaky_alpha,
+                           .relu = !last,
+                           .lanes = plan.lanes,
+                           .mode = mode});
+  };
+  return sharded_layers(se, *part, run.params->weight.size(), mode, spec, rc.recovery,
+                        "sharded gat", alloc, aggregate);
 }
 
 }  // namespace gnnbridge::engine

@@ -58,15 +58,14 @@ double measure_aggregation(const graph::Csr& csr, tensor::Index feat_len,
 }
 
 core::TuneResult tune_for(const graph::Csr& csr, tensor::Index feat_len,
-                          const sim::DeviceSpec& spec, bool allow_las) {
+                          const sim::DeviceSpec& spec, const std::vector<graph::NodeId>* las_order) {
+  // Without an order the search never probes (so never computes) LAS.
   core::TuneConfig base;
-  base.use_las = allow_las;
-  std::vector<graph::NodeId> order;
-  if (allow_las) order = core::locality_aware_schedule(csr).order;
+  base.use_las = las_order != nullptr;
   return core::tune_graph_op(
       csr,
       [&](const core::TuneConfig& cfg) {
-        return measure_aggregation(csr, feat_len, cfg, spec, 0.25, allow_las ? &order : nullptr);
+        return measure_aggregation(csr, feat_len, cfg, spec, 0.25, las_order);
       },
       base);
 }

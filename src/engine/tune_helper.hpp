@@ -22,8 +22,11 @@ double measure_aggregation(const graph::Csr& csr, tensor::Index feat_len,
                            double sample_fraction = 0.25,
                            const std::vector<graph::NodeId>* las_order = nullptr);
 
-/// Runs the full tuner search for (graph, feature length).
+/// Runs the full tuner search for (graph, feature length). `las_order` is
+/// the LAS order probes run with; null tunes without LAS (the search then
+/// never toggles it on).
 core::TuneResult tune_for(const graph::Csr& csr, tensor::Index feat_len,
-                          const sim::DeviceSpec& spec, bool allow_las = true);
+                          const sim::DeviceSpec& spec,
+                          const std::vector<graph::NodeId>* las_order = nullptr);
 
 }  // namespace gnnbridge::engine

@@ -88,14 +88,26 @@ TEST(Tuner, NegativeProbeAbortsWithStructuredError) {
 
 TEST(Tuner, ProbeFailureMidSearchKeepsLastGoodCandidate) {
   const Csr g = testing::random_graph(50, 6.0, 10);
-  int calls = 0;
-  const TuneResult r = tune_graph_op(g, [&](const TuneConfig&) {
-    return ++calls > 3 ? std::nan("") : static_cast<double>(calls);
+  // The fourth lane candidate (32) breaks. The failure is keyed on the
+  // candidate, not on a call count: the lane probes run in parallel.
+  const TuneResult r = tune_graph_op(g, [](const TuneConfig& cfg) {
+    return cfg.lanes == 32 ? std::nan("") : cfg.lanes / 4.0;
   });
   EXPECT_FALSE(r.error.ok());
   // The first (cheapest) probe survives as the best seen before the break.
   EXPECT_DOUBLE_EQ(r.best_cycles, 1.0);
+  EXPECT_EQ(r.best.lanes, 4);
   EXPECT_EQ(static_cast<int>(r.history.size()), 3);
+}
+
+TEST(Tuner, BaseWithoutLasIsNeverToggledOn) {
+  const Csr g = testing::random_graph(40, 5.0, 11);
+  // An objective that loves LAS: a caller without a LAS order must still
+  // never see a LAS candidate.
+  const TuneResult r =
+      tune_graph_op(g, [](const TuneConfig& cfg) { return cfg.use_las ? 1.0 : 100.0; });
+  for (const TuneSample& s : r.history) EXPECT_FALSE(s.config.use_las);
+  EXPECT_FALSE(r.best.use_las);
 }
 
 TEST(TuneHelper, MeasureAggregationPositiveAndConfigSensitive) {
@@ -127,7 +139,7 @@ TEST(TuneHelper, SamplingReducesMeasuredCost) {
 
 TEST(TuneHelper, EndToEndTuneProducesValidConfig) {
   const Csr g = testing::random_graph(300, 24.0, 7);
-  const core::TuneResult r = engine::tune_for(g, 48, sim::v100(), /*allow_las=*/false);
+  const core::TuneResult r = engine::tune_for(g, 48, sim::v100(), /*las_order=*/nullptr);
   EXPECT_GT(r.best_cycles, 0.0);
   EXPECT_GT(r.rounds, 4);
   EXPECT_TRUE(r.best.lanes == 4 || r.best.lanes == 8 || r.best.lanes == 16 ||

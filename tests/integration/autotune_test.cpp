@@ -1,9 +1,13 @@
 // The engine's integrated online tuner (EngineConfig::auto_tune).
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <thread>
+
 #include "engine/engine.hpp"
 #include "graph/datasets.hpp"
 #include "models/reference.hpp"
+#include "rt/fault.hpp"
 #include "tests/testing/util.hpp"
 
 namespace gnnbridge {
@@ -135,10 +139,6 @@ TEST(AutoTune, SameGraphDifferentFeatureWidthIsRetuned) {
     return r;
   };
 
-  // Hidden widths no other test tunes on this graph: the thread-sticky
-  // published entry (t_active_tune) outlives engines, and a recycled heap
-  // address plus an already-tuned (graph, width) pair would short-circuit
-  // before this engine's own cache is populated.
   const auto r24 = run_width(24, 6);
   EXPECT_EQ(e.tuned_cache_size(), 1u);
   run_width(96, 8);
@@ -149,6 +149,75 @@ TEST(AutoTune, SameGraphDifferentFeatureWidthIsRetuned) {
   const auto again = run_width(24, 6);
   EXPECT_EQ(e.tuned_cache_size(), 2u);
   EXPECT_DOUBLE_EQ(r24.ms, again.ms);
+}
+
+// Regression: once a direct run degraded auto_tune, a thread that had tuned
+// the graph earlier kept serving that tune while every other thread got the
+// heuristic. The recorded action (tuned_bound->heuristic_bound) must hold
+// on every thread.
+TEST(AutoTune, DegradedTuneAppliesTheHeuristicOnEveryThread) {
+  const graph::Dataset data = graph::make_dataset(graph::DatasetId::kArxiv, 0.05);
+  models::GcnConfig cfg;
+  cfg.dims = {64, 48};
+  const models::GcnParams params = models::init_gcn(cfg, 3);
+  models::GcnConfig other = cfg;
+  other.dims = {64, 32};
+  const models::GcnParams other_params = models::init_gcn(other, 3);
+  const models::Matrix x = models::init_features(data.csr.num_nodes, 64, 4);
+  const auto cycles = [&](OptimizedEngine& e) {
+    const auto r = e.run_gcn(data, {&cfg, &params, &x}, ExecMode::kSimulateOnly, sim::v100());
+    EXPECT_TRUE(r.status.ok()) << r.status.to_string();
+    return r.stats.total_cycles;
+  };
+
+  // Grouping off: the untuned static schedule, which the tuned knobs beat.
+  EngineConfig untuned_cfg;
+  untuned_cfg.use_neighbor_grouping = false;
+  EngineConfig ecfg = untuned_cfg;
+  ecfg.auto_tune = true;
+  OptimizedEngine e(ecfg);
+  cycles(e);  // tunes (arxiv, 48) on this thread
+  // A probe fault while tuning another width degrades auto_tune for good.
+  ASSERT_TRUE(rt::FaultInjector::instance().set_plan("tuner_probe"));
+  const auto degraded =
+      e.run_gcn(data, {&other, &other_params, &x}, ExecMode::kSimulateOnly, sim::v100());
+  rt::FaultInjector::instance().clear();
+  ASSERT_TRUE(degraded.status.ok()) << degraded.status.to_string();
+  ASSERT_EQ(e.degraded_knobs(), std::vector<std::string>{"auto_tune"});
+
+  const double this_thread = cycles(e);
+  double other_thread = 0.0;
+  std::thread([&] { other_thread = cycles(e); }).join();
+  OptimizedEngine untuned(untuned_cfg);
+  const double heuristic = cycles(untuned);
+  EXPECT_DOUBLE_EQ(this_thread, heuristic) << "the tuning thread kept its stale tune";
+  EXPECT_DOUBLE_EQ(other_thread, heuristic);
+}
+
+// Regression: a tune published by a destroyed engine used to satisfy a new
+// engine built at the same address, which then skipped its own tuning.
+TEST(AutoTune, EngineRebuiltAtTheSameAddressTunesItself) {
+  const graph::Dataset data = graph::make_dataset(graph::DatasetId::kCollab, 0.02);
+  models::GcnConfig cfg;
+  cfg.dims = {32, 16};
+  const models::GcnParams params = models::init_gcn(cfg, 5);
+  const models::Matrix x = models::init_features(data.csr.num_nodes, 32, 6);
+  EngineConfig ecfg;
+  ecfg.auto_tune = true;
+
+  std::optional<OptimizedEngine> e;
+  e.emplace(ecfg);
+  const OptimizedEngine* first = &*e;
+  EXPECT_TRUE(e->run_gcn(data, {&cfg, &params, &x}, ExecMode::kSimulateOnly, sim::v100())
+                  .status.ok());
+  EXPECT_EQ(e->tuned_cache_size(), 1u);
+
+  e.reset();
+  e.emplace(ecfg);
+  ASSERT_EQ(&*e, first) << "the rebuilt engine must reuse the storage";
+  EXPECT_TRUE(e->run_gcn(data, {&cfg, &params, &x}, ExecMode::kSimulateOnly, sim::v100())
+                  .status.ok());
+  EXPECT_EQ(e->tuned_cache_size(), 1u) << "the rebuilt engine skipped its own tuning";
 }
 
 }  // namespace

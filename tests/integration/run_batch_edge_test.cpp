@@ -141,5 +141,24 @@ TEST_F(RunBatchEdge, BreakerRecoversHalfOpenToClosedUnderConcurrentBatch) {
   }
 }
 
+// Regression: the tuner used to run LAS whatever the job's own knob set
+// said, so a job that turned LAS off still hit an armed las_cluster seam
+// inside the tuner. With LAS off, nothing in the job may run it.
+TEST_F(RunBatchEdge, JobLocalLasDisableReachesTheTuner) {
+  for (const bool auto_tune : {false, true}) {
+    EngineConfig cfg;
+    cfg.auto_tune = auto_tune;
+    OptimizedEngine eng(cfg);
+    std::vector<OptimizedEngine::BatchJob> jobs = {clean_job()};
+    jobs[0].fault_plan = "las_cluster=*";
+    jobs[0].disable_knobs = {"las"};
+    const auto results = eng.run_batch(jobs);
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_TRUE(results[0].status.ok())
+        << "auto_tune=" << auto_tune << ": " << results[0].status.to_string();
+    EXPECT_TRUE(prof::MetricsSink::instance().degradations().empty());
+  }
+}
+
 }  // namespace
 }  // namespace gnnbridge

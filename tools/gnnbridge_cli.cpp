@@ -927,10 +927,10 @@ int run_chaos(double scale, int breaker_threshold, const std::string& env_plan,
       {"", 1, 1, true, false, false},
       {"", 4, 1, true, false, false},
       {"las_cluster=1", 1, 1, false, false, false},
-      // Two shots exhaust the job-local ladder (the tuner probe and the
-      // run each reach the LAS pass once); the second batch attempt's
-      // fresh ladder absorbs the spent plan — batch-retry coverage.
-      {"las_cluster=2", 1, 2, false, false, false},
+      // The first shot (the LAS pass the tuner probes with) turns LAS off
+      // for the job, so nothing in it reaches the second shot: one
+      // attempt survives a multi-shot arm.
+      {"las_cluster=2", 1, 1, false, false, false},
       {"tuner_probe=1", 1, 1, false, false, false},
       {"tuner_probe=3", 1, 1, false, false, false},
       {"fusion_pass=1", 1, 1, false, false, false},
