@@ -127,15 +127,35 @@ tensor::Index first_layer_width(const std::vector<models::Index>& dims) {
   return dims.size() > 1 ? dims[1] : -1;
 }
 
+/// Records one run's shard recovery (DESIGN.md §17) in the telemetry
+/// registry, plus the per-tenant counters of a batch job that names a
+/// tenant. A run that did not recover records nothing, so fault-free
+/// telemetry carries no recovery instruments.
+void flush_recovery(const detail::RecoveryTally& r, const std::string& tenant) {
+  if (!r.any()) return;
+  obs::TelemetryRegistry& reg = obs::TelemetryRegistry::instance();
+  reg.counter_add("recovery.shard_retries", r.shard_retries);
+  reg.counter_add("recovery.shards_reexecuted", r.shards_reexecuted);
+  reg.counter_add("recovery.shard_fallbacks", r.fallback_unsharded);
+  if (r.wasted_cycles > 0.0) reg.observe("recovery.wasted_cycles", r.wasted_cycles);
+  if (tenant.empty()) return;
+  if (r.shard_retries > 0) {
+    reg.counter_add("serve.tenant." + tenant + ".shard_retries", r.shard_retries);
+  }
+  if (r.fallback_unsharded > 0) {
+    reg.counter_add("serve.tenant." + tenant + ".shard_fallbacks", r.fallback_unsharded);
+  }
+}
+
 /// Runs `body(rc)` as a direct (non-batch) run: the graph is hashed once,
-/// and the run's shard-recovery tally flushes straight into the metrics
-/// sink (batch jobs fold theirs in job order instead).
+/// and the run's shard recovery flushes when it ends (batch jobs flush
+/// theirs in run_batch's job-order fold instead).
 template <typename Fn>
 auto run_direct(const graph::Csr& csr, Fn&& body) {
   detail::RunContext rc;
   rc.fp = graph::fingerprint(csr);
   auto result = body(rc);
-  if (rc.recovery.any()) prof::MetricsSink::instance().add_recovery(rc.recovery.stats);
+  flush_recovery(rc.recovery, "");
   return result;
 }
 
@@ -417,7 +437,7 @@ bool OptimizedEngine::degrade_for(const rt::StageFailure& failure, detail::RunCo
     // unsharded single-device pipeline. The run still succeeds — outputs
     // are bit-identical either way — so the breaker never sees a failure.
     if (!disable(detail::kSharding)) return false;
-    ++rc.recovery.stats.fallback_unsharded;
+    ++rc.recovery.fallback_unsharded;
     if (rc.recovery.journal) {
       obs::JournalEvent ev;
       ev.type = "shard_fallback";
@@ -778,16 +798,13 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
                        });
 
   // --- Sequential fold in job order: degradation events flush to the sink
-  // in a deterministic sequence, breaker outcomes apply in job order, the
-  // batch's robustness counters accumulate once, and the telemetry story —
-  // journal seq numbers and registry observations — lands in job order, so
-  // every export is byte-identical at any host thread count.
-  prof::RobustnessStats rs;
-  prof::RecoveryStats recov;
+  // in a deterministic sequence, breaker outcomes apply in job order, and
+  // the telemetry story — journal seq numbers and registry instruments —
+  // lands in job order, so every export is byte-identical at any host
+  // thread count.
   prof::MetricsSink& sink = prof::MetricsSink::instance();
   obs::EventJournal& journal = obs::EventJournal::instance();
   obs::TelemetryRegistry& reg = obs::TelemetryRegistry::instance();
-  std::uint64_t jobs_ok = 0;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     JobTally& tally = tallies[i];
     if (journal_on && tally.ran && !keys[i].empty()) {
@@ -817,29 +834,17 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
       }
       sink.record_degradation(std::move(ev));
     }
-    ++rs.jobs;
-    rs.attempts += tally.attempts;
-    rs.retries += tally.retries;
-    if (tally.timed_out) ++rs.deadline_hits;
-    if (tally.cancelled) ++rs.cancellations;
-    rs.cancel_points += tally.cancel_points;
-    rs.backoff_cycles += tally.backoff_cycles;
-    const prof::RecoveryStats& jr = tally.run.recovery.stats;
-    recov.shard_retries += jr.shard_retries;
-    recov.shards_reexecuted += jr.shards_reexecuted;
-    recov.fallback_unsharded += jr.fallback_unsharded;
-    recov.wasted_cycles += jr.wasted_cycles;
-    // Per-tenant recovery counters (DESIGN.md §17): only materialized when
-    // the job actually recovered, so fault-free telemetry is unchanged.
-    if (!jobs[i].tenant.empty() && tally.run.recovery.any()) {
-      if (jr.shard_retries > 0) {
-        reg.counter_add("serve.tenant." + jobs[i].tenant + ".shard_retries", jr.shard_retries);
-      }
-      if (jr.fallback_unsharded > 0) {
-        reg.counter_add("serve.tenant." + jobs[i].tenant + ".shard_fallbacks",
-                        jr.fallback_unsharded);
-      }
-    }
+    const bool failed = !tally.success && !tally.timed_out && !tally.cancelled;
+    reg.counter_add("serve.jobs", 1);
+    reg.counter_add("serve.jobs_ok", tally.success ? 1 : 0);
+    reg.counter_add("serve.jobs_deadline", tally.timed_out ? 1 : 0);
+    reg.counter_add("serve.jobs_cancelled", tally.cancelled ? 1 : 0);
+    reg.counter_add("serve.jobs_failed", failed ? 1 : 0);
+    reg.counter_add("serve.attempts", tally.attempts);
+    reg.counter_add("serve.retries", tally.retries);
+    reg.counter_add("serve.cancel_points", tally.cancel_points);
+    if (tally.backoff_cycles > 0.0) reg.observe("serve.backoff_cycles", tally.backoff_cycles);
+    flush_recovery(tally.run.recovery, jobs[i].tenant);
     const char* outcome_word = !tally.ran       ? "rejected"
                                : tally.success  ? "ok"
                                : tally.timed_out ? "timed_out"
@@ -874,45 +879,19 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
       ev.cycles = e2e_cycles;
       journal.append(std::move(ev));
     }
-    obs::SloTracker& slo = obs::SloTracker::instance();
-    if (slo.enabled()) {
-      const obs::SloOutcome so =
-          slo.record(jobs[i].tenant, jobs[i].arrival_cycles, e2e_cycles, tally.success);
-      if (journal_on && (so.latency_violation || so.failure_violation)) {
-        obs::JournalEvent ev;
-        ev.request_id = req_ids[i];
-        ev.type = "slo_violation";
-        ev.key = jobs[i].tenant;
-        ev.code = so.latency_violation ? "latency" : "failure";
-        ev.detail = so.latency_violation ? "end-to-end over latency objective" : outcome_word;
-        ev.attempt = tally.attempts;
-        ev.cycles = e2e_cycles;
-        journal.append(std::move(ev));
-      }
-      if (journal_on && so.budget_exhausted_now) {
-        obs::JournalEvent ev;
-        ev.request_id = req_ids[i];
-        ev.type = "slo_violation";
-        ev.key = jobs[i].tenant;
-        ev.code = "budget_exhausted";
-        ev.detail = "window " + std::to_string(so.window_index) + " error budget exhausted";
-        ev.cycles = e2e_cycles;
-        journal.append(std::move(ev));
-      }
-    }
+    obs::score_slo(req_ids[i], jobs[i].tenant, jobs[i].arrival_cycles, e2e_cycles, tally.success,
+                   outcome_word, tally.attempts, journal_on);
     if (tally.ran) reg.observe("serve.job_attempts", static_cast<double>(tally.attempts));
-    if (tally.success) {
-      ++jobs_ok;
-      reg.observe("serve.job_cycles", results[i].stats.total_cycles);
-    }
+    if (tally.success) reg.observe("serve.job_cycles", results[i].stats.total_cycles);
     if (!tally.ran || keys[i].empty()) continue;
     results[i].breaker_state = std::string(rt::breaker_state_name(admissions[i].state));
-    if (admissions[i].state != rt::BreakerState::kClosed) ++rs.breaker_open_admissions;
-    if (admissions[i].probe) ++rs.breaker_half_open_probes;
+    reg.counter_add("serve.breaker_open_admissions",
+                    admissions[i].state != rt::BreakerState::kClosed ? 1 : 0);
+    reg.counter_add("serve.breaker_half_open_probes", admissions[i].probe ? 1 : 0);
     const rt::CircuitBreaker::OutcomeEffect effect =
         breaker_.record(keys[i], admissions[i], tally.success, knob_names(tally.run.disabled));
-    if (effect.tripped) ++rs.breaker_trips;
-    if (effect.recovered) ++rs.breaker_recoveries;
+    reg.counter_add("serve.breaker_trips", effect.tripped ? 1 : 0);
+    reg.counter_add("serve.breaker_recoveries", effect.recovered ? 1 : 0);
     if (journal_on && (effect.tripped || effect.recovered)) {
       obs::JournalEvent ev;
       ev.request_id = req_ids[i];
@@ -923,27 +902,7 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
       journal.append(std::move(ev));
     }
   }
-  sink.add_robustness(rs);
-  // Recovery counters fold in even when all-zero (the v9 block is always
-  // present), but the named telemetry counters only appear once a shard
-  // actually recovered — fault-free documents stay byte-identical.
-  sink.add_recovery(recov);
-  if (recov.shard_retries > 0) reg.counter_add("serve.shard_retries", recov.shard_retries);
-  if (recov.shards_reexecuted > 0) {
-    reg.counter_add("serve.shards_reexecuted", recov.shards_reexecuted);
-  }
-  if (recov.fallback_unsharded > 0) {
-    reg.counter_add("serve.shard_fallbacks", recov.fallback_unsharded);
-  }
-  reg.counter_add("serve.jobs", rs.jobs);
-  reg.counter_add("serve.jobs_ok", jobs_ok);
-  reg.counter_add("serve.jobs_deadline", rs.deadline_hits);
-  reg.counter_add("serve.jobs_cancelled", rs.cancellations);
-  reg.counter_add("serve.jobs_failed", rs.jobs - jobs_ok - rs.deadline_hits - rs.cancellations);
-  reg.counter_add("serve.attempts", rs.attempts);
-  reg.counter_add("serve.retries", rs.retries);
   reg.observe("serve.batch_jobs", static_cast<double>(jobs.size()));
-  reg.gauge_set("serve.queue_depth", static_cast<double>(jobs.size()));
   return results;
 }
 

@@ -225,8 +225,8 @@ class OptimizedEngine final : public Backend {
   /// scope with per-job retry and fault isolation; a failing job never
   /// blocks healthy ones. Admission and outcomes flow through a
   /// per-(model, graph-fingerprint) circuit breaker in sequential job
-  /// order, and the batch's robustness counters are folded into
-  /// prof::MetricsSink — all byte-identical at any host thread count.
+  /// order, and the jobs' serving counters are recorded in
+  /// obs::TelemetryRegistry — all byte-identical at any host thread count.
   std::vector<RunResult> run_batch(std::span<const BatchJob> jobs);
 
   /// The run_batch circuit breaker (observability for tests and the soak

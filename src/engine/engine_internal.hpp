@@ -2,6 +2,7 @@
 // engine_shard.cpp). Internal — not part of the public engine API.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <vector>
 
@@ -10,7 +11,6 @@
 #include "graph/fingerprint.hpp"
 #include "kernels/common.hpp"
 #include "obs/journal.hpp"
-#include "prof/metrics_json.hpp"
 #include "rt/degrade.hpp"
 #include "sim/context.hpp"
 
@@ -30,16 +30,21 @@ enum Knob : unsigned {
 
 /// Shard-recovery accounting for one run (DESIGN.md §17). It survives
 /// across ladder rounds within one run: an abandoned sharded attempt's
-/// retries stay counted after the fallback-to-unsharded rung succeeds.
+/// retries stay counted after the fallback-to-unsharded rung succeeds, so
+/// the counts can exceed what the successful attempt's RunStats report.
+/// Flushed into the telemetry registry once per run.
 struct RecoveryTally {
-  prof::RecoveryStats stats;
+  std::uint64_t shard_retries = 0;       ///< per-shard retry decisions taken
+  std::uint64_t shards_reexecuted = 0;   ///< shard phase bodies re-executed
+  std::uint64_t fallback_unsharded = 0;  ///< sharded->unsharded ladder steps
+  double wasted_cycles = 0.0;            ///< sim-cycles of failed attempts/redos
   /// Buffered journal events ("shard_retry"/"shard_fallback"), interleaved
   /// with the owning batch job's attempt events and flushed by run_batch's
   /// sequential fold. Null for direct (non-batch) runs, which surface
-  /// recovery through the metrics sink only.
+  /// recovery through the telemetry registry only.
   std::vector<obs::JournalEvent>* journal = nullptr;
 
-  bool any() const { return stats.shard_retries != 0 || stats.fallback_unsharded != 0; }
+  bool any() const { return shard_retries != 0 || fallback_unsharded != 0; }
 };
 
 /// State of one run_* call or one run_batch job, passed explicitly to

@@ -111,7 +111,7 @@ constexpr int kShardAttemptBudget = 3;
 /// tagged as recovery waste in the run's stats and the run's tally.
 void note_wasted(sim::RunStats& accum, detail::RecoveryTally& tally, sim::Cycles wasted) {
   accum.recovery_wasted_cycles += wasted;
-  tally.stats.wasted_cycles += static_cast<double>(wasted);
+  tally.wasted_cycles += static_cast<double>(wasted);
 }
 
 /// Records one granted retry decision (a shard re-execution or an exchange
@@ -121,10 +121,10 @@ void note_wasted(sim::RunStats& accum, detail::RecoveryTally& tally, sim::Cycles
 void note_retry(sim::RunStats& accum, detail::RecoveryTally& tally, std::string_view seam,
                 std::string what, int attempt, sim::Cycles wasted, bool reexecution) {
   ++accum.shard_retries;
-  ++tally.stats.shard_retries;
+  ++tally.shard_retries;
   if (reexecution) {
     ++accum.shards_reexecuted;
-    ++tally.stats.shards_reexecuted;
+    ++tally.shards_reexecuted;
   }
   if (tally.journal) {
     obs::JournalEvent ev;

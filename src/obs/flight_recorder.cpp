@@ -4,41 +4,9 @@
 #include <cstdlib>
 
 #include "prof/json_writer.hpp"
+#include "rt/atomic_file.hpp"
 
 namespace gnnbridge::obs {
-namespace {
-
-void write_event_fields(prof::JsonWriter& w, const JournalEvent& ev) {
-  w.kv("seq", ev.seq);
-  w.kv("req", std::string_view(ev.request_id));
-  w.kv("type", std::string_view(ev.type));
-  w.kv("key", std::string_view(ev.key));
-  w.kv("code", std::string_view(ev.code));
-  w.kv("detail", std::string_view(ev.detail));
-  w.kv("attempt", ev.attempt);
-  w.kv("cycles", ev.cycles);
-}
-
-void write_postmortem_file(const std::string& path, const std::string& doc) {
-  const auto fail = [&](const char* what) {
-    std::fprintf(stderr, "gnnbridge: cannot write postmortem '%s': %s\n", path.c_str(), what);
-  };
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (!f) return fail("cannot open for writing");
-  const bool wrote = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
-    std::remove(tmp.c_str());
-    return fail(wrote ? "close failed" : "short write");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    fail("rename into place failed");
-  }
-}
-
-}  // namespace
 
 FlightRecorder& FlightRecorder::instance() {
   static FlightRecorder* recorder = new FlightRecorder();  // leaked: outlives atexit
@@ -131,7 +99,10 @@ void FlightRecorder::record(const JournalEvent& event) {
   // Serialized: concurrent triggers would otherwise truncate and
   // interleave the shared `<path>.tmp` staging file.
   std::lock_guard<std::mutex> write_lock(write_mu_);
-  write_postmortem_file(path, doc);
+  if (const rt::Status s = rt::write_file_atomic(path, doc); !s.ok()) {
+    std::fprintf(stderr, "gnnbridge: cannot write postmortem '%s': %s\n", path.c_str(),
+                 s.message().c_str());
+  }
 }
 
 std::deque<JournalEvent> FlightRecorder::ring() const {

@@ -5,6 +5,7 @@
 
 #include "obs/flight_recorder.hpp"
 #include "prof/json_writer.hpp"
+#include "rt/atomic_file.hpp"
 
 namespace gnnbridge::obs {
 
@@ -62,20 +63,24 @@ void EventJournal::clear() {
   next_seq_ = 0;
 }
 
+void write_event_fields(prof::JsonWriter& w, const JournalEvent& ev) {
+  w.kv("seq", ev.seq);
+  w.kv("req", std::string_view(ev.request_id));
+  w.kv("type", std::string_view(ev.type));
+  w.kv("key", std::string_view(ev.key));
+  w.kv("code", std::string_view(ev.code));
+  w.kv("detail", std::string_view(ev.detail));
+  w.kv("attempt", ev.attempt);
+  w.kv("cycles", ev.cycles);
+}
+
 std::string EventJournal::to_jsonl() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
   for (const JournalEvent& ev : events_) {
     prof::JsonWriter w(&out);
     w.begin_object();
-    w.kv("seq", ev.seq);
-    w.kv("req", std::string_view(ev.request_id));
-    w.kv("type", std::string_view(ev.type));
-    w.kv("key", std::string_view(ev.key));
-    w.kv("code", std::string_view(ev.code));
-    w.kv("detail", std::string_view(ev.detail));
-    w.kv("attempt", ev.attempt);
-    w.kv("cycles", ev.cycles);
+    write_event_fields(w, ev);
     w.end_object();
     out += '\n';
   }
@@ -83,29 +88,11 @@ std::string EventJournal::to_jsonl() const {
 }
 
 rt::Status EventJournal::write_file(const std::string& path) const {
-  const auto fail = [&](const char* what) {
-    std::fprintf(stderr, "gnnbridge: cannot write event journal '%s': %s\n", path.c_str(), what);
-    return rt::Status(rt::StatusCode::kUnavailable, what)
-        .with_context("EventJournal::write_file('" + path + "')");
-  };
-  const std::string doc = to_jsonl();
-  // Crash-safe, like MetricsSink::write_file: the whole journal goes to a
-  // sibling temp file first, then an atomic rename — a kill mid-write
-  // never truncates a previously written journal.
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (!f) return fail("cannot open for writing");
-  const bool wrote = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
-    std::remove(tmp.c_str());
-    return fail(wrote ? "close failed" : "short write");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return fail("rename into place failed");
-  }
-  return rt::OkStatus();
+  rt::Status s = rt::write_file_atomic(path, to_jsonl());
+  if (s.ok()) return s;
+  std::fprintf(stderr, "gnnbridge: cannot write event journal '%s': %s\n", path.c_str(),
+               s.message().c_str());
+  return std::move(s).with_context("EventJournal::write_file('" + path + "')");
 }
 
 }  // namespace gnnbridge::obs

@@ -26,6 +26,10 @@
 
 #include "rt/status.hpp"
 
+namespace gnnbridge::prof {
+class JsonWriter;
+}  // namespace gnnbridge::prof
+
 namespace gnnbridge::obs {
 
 /// One lifecycle event. `seq` is assigned by append(); every other field
@@ -56,6 +60,10 @@ struct JournalEvent {
   /// Sim-cycles attributed to the event (attempt cost, backoff charge).
   double cycles = 0.0;
 };
+
+/// Writes the event's fields, `seq` through `cycles`, into the writer's
+/// open object: the one layout journal lines and postmortems share.
+void write_event_fields(prof::JsonWriter& w, const JournalEvent& ev);
 
 /// Singleton collector. Thread-safe; run_batch only appends from its
 /// sequential fold, but tests and future emitters may append anywhere.

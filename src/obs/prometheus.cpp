@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "rt/atomic_file.hpp"
+
 namespace gnnbridge::obs {
 
 namespace {
@@ -112,28 +114,13 @@ std::string render_prometheus_slo(const SloSnapshot& snap) {
 
 rt::Status write_prometheus_file(const std::string& path, const RegistrySnapshot& snap,
                                  const SloSnapshot* slo) {
-  const auto fail = [&](const char* what) {
-    std::fprintf(stderr, "gnnbridge: cannot write prometheus file '%s': %s\n", path.c_str(),
-                 what);
-    return rt::Status(rt::StatusCode::kUnavailable, what)
-        .with_context("write_prometheus_file('" + path + "')");
-  };
   std::string doc = render_prometheus(snap);
   if (slo) doc += render_prometheus_slo(*slo);
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (!f) return fail("cannot open for writing");
-  const bool wrote = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
-    std::remove(tmp.c_str());
-    return fail(wrote ? "close failed" : "short write");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return fail("rename into place failed");
-  }
-  return rt::OkStatus();
+  rt::Status s = rt::write_file_atomic(path, doc);
+  if (s.ok()) return s;
+  std::fprintf(stderr, "gnnbridge: cannot write prometheus file '%s': %s\n", path.c_str(),
+               s.message().c_str());
+  return std::move(s).with_context("write_prometheus_file('" + path + "')");
 }
 
 }  // namespace gnnbridge::obs

@@ -19,12 +19,12 @@ void TelemetryRegistry::counter_add(std::string_view name, std::uint64_t delta) 
   }
 }
 
-void TelemetryRegistry::gauge_set(std::string_view name, double value) {
+void TelemetryRegistry::gauge_max(std::string_view name, double value) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = gauges_.find(name);
   if (it == gauges_.end()) {
     gauges_.emplace(std::string(name), value);
-  } else {
+  } else if (value > it->second) {
     it->second = value;
   }
 }

@@ -1,16 +1,17 @@
-// Process-wide telemetry registry (DESIGN.md §13).
+// Process-wide telemetry registry (DESIGN.md §13): the one counter store.
 //
 // Named counters, gauges and log-bucketed histograms, aggregated across
-// every run_batch call in the process — the fleet-level view the serving
-// daemon (ROADMAP 1) reads, where the metrics sink's `runs` array is the
-// per-run view. Determinism contract: names live in ordered maps (snapshot
-// order is lexicographic, never insertion or hash order), histogram
-// buckets are fixed powers of 2^(1/4), and all engine recording happens in
-// run_batch's sequential job-order fold — so the exported telemetry block,
-// the Prometheus exposition and the stats table are byte-identical at 1, 2
-// or 8 host threads. Bulk observation from parallel code goes through
-// observe_parallel, which shards per chunk and folds shards in chunk index
-// order (the same discipline as the par:: counters).
+// the process: run_batch's job-order fold, serve()'s telemetry pass and
+// the shard-recovery flush of every run record here, where the metrics
+// sink's `runs` array is the per-run view. Determinism contract: names
+// live in ordered maps (snapshot order is lexicographic, never insertion
+// or hash order), histogram buckets are fixed powers of 2^(1/4), and no
+// engine recording happens on a pool worker, only in sequential code — so
+// the exported telemetry block, the Prometheus exposition and the stats
+// table are byte-identical at any host thread count. Bulk observation
+// from parallel code goes through observe_parallel, which shards per
+// chunk and folds shards in chunk index order (the same discipline as the
+// par:: counters).
 #pragma once
 
 #include <cstdint>
@@ -45,7 +46,9 @@ class TelemetryRegistry {
   static TelemetryRegistry& instance();
 
   void counter_add(std::string_view name, std::uint64_t delta);
-  void gauge_set(std::string_view name, double value);
+  /// Raises the named gauge to `value` when that is higher (the first
+  /// write creates it): every gauge is a peak that holds across calls.
+  void gauge_max(std::string_view name, double value);
   void observe(std::string_view name, double value);
   /// Merges a pre-aggregated histogram (an observe_parallel fold result)
   /// into the named histogram.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "obs/journal.hpp"
 #include "prof/json_writer.hpp"
 
 namespace gnnbridge::obs {
@@ -120,6 +121,32 @@ void SloTracker::clear() {
   enabled_ = false;
   cfg_ = SloConfig{};
   tenants_.clear();
+}
+
+void score_slo(const std::string& request_id, const std::string& tenant, double arrival_cycles,
+               double e2e_cycles, bool success, const std::string& failure_detail,
+               std::uint64_t attempts, bool journal) {
+  SloTracker& slo = SloTracker::instance();
+  if (!slo.enabled()) return;
+  const SloOutcome so = slo.record(tenant, arrival_cycles, e2e_cycles, success);
+  if (!journal) return;
+  const auto violation = [&](std::string code, std::string detail, std::uint64_t attempt) {
+    JournalEvent ev;
+    ev.request_id = request_id;
+    ev.type = "slo_violation";
+    ev.key = tenant;
+    ev.code = std::move(code);
+    ev.detail = std::move(detail);
+    ev.attempt = attempt;
+    ev.cycles = e2e_cycles;
+    EventJournal::instance().append(std::move(ev));
+  };
+  if (so.latency_violation) violation("latency", "end-to-end over latency objective", attempts);
+  if (so.failure_violation) violation("failure", failure_detail, attempts);
+  if (so.budget_exhausted_now) {
+    violation("budget_exhausted",
+              "window " + std::to_string(so.window_index) + " error budget exhausted", 0);
+  }
 }
 
 void write_slo_json(prof::JsonWriter& w, const SloSnapshot& snap) {

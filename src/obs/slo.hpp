@@ -133,6 +133,17 @@ class SloTracker {
   std::map<std::string, TenantState> tenants_;
 };
 
+/// Scores one finished (or rejected) request on the process tracker and,
+/// when `journal` is set, journals what the score means: one
+/// "slo_violation" event for a latency or failure violation
+/// (`failure_detail` says how a failed request ended) and one more for the
+/// request that exhausted its window's error budget. Both serving folds
+/// (run_batch for served requests, serve() for rejected ones) call this in
+/// their sequential order. Does nothing while the tracker is disabled.
+void score_slo(const std::string& request_id, const std::string& tenant, double arrival_cycles,
+               double e2e_cycles, bool success, const std::string& failure_detail,
+               std::uint64_t attempts, bool journal);
+
 /// Serializes a snapshot as the metrics schema v7 `slo` block (the value
 /// only; the caller writes the key).
 void write_slo_json(prof::JsonWriter& w, const SloSnapshot& snap);

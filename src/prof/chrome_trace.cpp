@@ -5,6 +5,7 @@
 #include <map>
 
 #include "prof/json_writer.hpp"
+#include "rt/atomic_file.hpp"
 #include "sim/timeline.hpp"
 
 namespace gnnbridge::prof {
@@ -170,28 +171,11 @@ std::string chrome_trace_json(const std::vector<SpanRecord>& spans,
 
 rt::Status write_chrome_trace_file(const std::string& path, const std::vector<SpanRecord>& spans,
                                    const sim::RunStats* sim_stats, const sim::DeviceSpec* spec) {
-  const auto fail = [&](const char* what) {
-    std::fprintf(stderr, "gnnbridge: cannot write trace file '%s': %s\n", path.c_str(), what);
-    return rt::Status(rt::StatusCode::kUnavailable, what)
-        .with_context("write_chrome_trace_file('" + path + "')");
-  };
-  const std::string doc = chrome_trace_json(spans, sim_stats, spec);
-  // Crash-safe, like MetricsSink::write_file: full write to a temp file,
-  // atomic rename into place. A kill mid-write never truncates the target.
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (!f) return fail("cannot open for writing");
-  const bool wrote = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
-    std::remove(tmp.c_str());
-    return fail(wrote ? "close failed" : "short write");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return fail("rename into place failed");
-  }
-  return rt::OkStatus();
+  rt::Status s = rt::write_file_atomic(path, chrome_trace_json(spans, sim_stats, spec));
+  if (s.ok()) return s;
+  std::fprintf(stderr, "gnnbridge: cannot write trace file '%s': %s\n", path.c_str(),
+               s.message().c_str());
+  return std::move(s).with_context("write_chrome_trace_file('" + path + "')");
 }
 
 }  // namespace gnnbridge::prof

@@ -1,6 +1,5 @@
 #include "prof/metrics_json.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
@@ -14,6 +13,7 @@
 #include "par/thread_pool.hpp"
 #include "prof/gap_report.hpp"
 #include "prof/json_writer.hpp"
+#include "rt/atomic_file.hpp"
 #include "rt/fault.hpp"
 #include "sim/timeline.hpp"
 
@@ -193,50 +193,6 @@ void MetricsSink::record_degradation(rt::DegradationEvent event) {
   arm_env_write_locked();
 }
 
-void MetricsSink::add_robustness(const RobustnessStats& stats) {
-  std::lock_guard<std::mutex> lock(mu_);
-  robustness_.jobs += stats.jobs;
-  robustness_.attempts += stats.attempts;
-  robustness_.retries += stats.retries;
-  robustness_.deadline_hits += stats.deadline_hits;
-  robustness_.cancellations += stats.cancellations;
-  robustness_.breaker_trips += stats.breaker_trips;
-  robustness_.breaker_open_admissions += stats.breaker_open_admissions;
-  robustness_.breaker_half_open_probes += stats.breaker_half_open_probes;
-  robustness_.breaker_recoveries += stats.breaker_recoveries;
-  robustness_.cancel_points += stats.cancel_points;
-  robustness_.backoff_cycles += stats.backoff_cycles;
-  arm_env_write_locked();
-}
-
-void MetricsSink::add_overload(const OverloadStats& stats) {
-  std::lock_guard<std::mutex> lock(mu_);
-  overload_.submitted += stats.submitted;
-  overload_.admitted += stats.admitted;
-  overload_.rejected_queue_full += stats.rejected_queue_full;
-  overload_.rejected_quota += stats.rejected_quota;
-  overload_.rejected_deadline += stats.rejected_deadline;
-  overload_.rejected_memory += stats.rejected_memory;
-  overload_.shed_low += stats.shed_low;
-  overload_.shed_normal += stats.shed_normal;
-  overload_.shed_high += stats.shed_high;
-  overload_.overload_transitions += stats.overload_transitions;
-  overload_.peak_queue_depth = std::max(overload_.peak_queue_depth, stats.peak_queue_depth);
-  overload_.peak_backlog_cycles =
-      std::max(overload_.peak_backlog_cycles, stats.peak_backlog_cycles);
-  overload_.queue_wait_cycles += stats.queue_wait_cycles;
-  arm_env_write_locked();
-}
-
-void MetricsSink::add_recovery(const RecoveryStats& stats) {
-  std::lock_guard<std::mutex> lock(mu_);
-  recovery_.shard_retries += stats.shard_retries;
-  recovery_.shards_reexecuted += stats.shards_reexecuted;
-  recovery_.fallback_unsharded += stats.fallback_unsharded;
-  recovery_.wasted_cycles += stats.wasted_cycles;
-  arm_env_write_locked();
-}
-
 void MetricsSink::arm_env_write_locked() {
   if (armed_ || !env_path()) return;
   armed_ = true;
@@ -262,29 +218,11 @@ std::vector<rt::DegradationEvent> MetricsSink::degradations() const {
   return degradations_;
 }
 
-RobustnessStats MetricsSink::robustness() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return robustness_;
-}
-
-OverloadStats MetricsSink::overload() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return overload_;
-}
-
-RecoveryStats MetricsSink::recovery() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return recovery_;
-}
-
 void MetricsSink::clear() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     records_.clear();
     degradations_.clear();
-    robustness_ = RobustnessStats{};
-    overload_ = OverloadStats{};
-    recovery_ = RecoveryStats{};
   }
   // The v5 telemetry block snapshots the process-wide registry; clearing
   // the sink without it would leak one run's telemetry into the next
@@ -335,43 +273,6 @@ std::string MetricsSink::to_json() const {
     w.end_object();
   }
   w.end_array();
-  w.key("robustness");
-  w.begin_object();
-  w.kv("jobs", robustness_.jobs);
-  w.kv("attempts", robustness_.attempts);
-  w.kv("retries", robustness_.retries);
-  w.kv("deadline_hits", robustness_.deadline_hits);
-  w.kv("cancellations", robustness_.cancellations);
-  w.kv("breaker_trips", robustness_.breaker_trips);
-  w.kv("breaker_open_admissions", robustness_.breaker_open_admissions);
-  w.kv("breaker_half_open_probes", robustness_.breaker_half_open_probes);
-  w.kv("breaker_recoveries", robustness_.breaker_recoveries);
-  w.kv("cancel_points", robustness_.cancel_points);
-  w.kv("backoff_cycles", robustness_.backoff_cycles);
-  w.end_object();
-  w.key("overload");
-  w.begin_object();
-  w.kv("submitted", overload_.submitted);
-  w.kv("admitted", overload_.admitted);
-  w.kv("rejected_queue_full", overload_.rejected_queue_full);
-  w.kv("rejected_quota", overload_.rejected_quota);
-  w.kv("rejected_deadline", overload_.rejected_deadline);
-  w.kv("rejected_memory", overload_.rejected_memory);
-  w.kv("shed_low", overload_.shed_low);
-  w.kv("shed_normal", overload_.shed_normal);
-  w.kv("shed_high", overload_.shed_high);
-  w.kv("overload_transitions", overload_.overload_transitions);
-  w.kv("peak_queue_depth", overload_.peak_queue_depth);
-  w.kv("peak_backlog_cycles", overload_.peak_backlog_cycles);
-  w.kv("queue_wait_cycles", overload_.queue_wait_cycles);
-  w.end_object();
-  w.key("recovery");
-  w.begin_object();
-  w.kv("shard_retries", recovery_.shard_retries);
-  w.kv("shards_reexecuted", recovery_.shards_reexecuted);
-  w.kv("fallback_unsharded", recovery_.fallback_unsharded);
-  w.kv("wasted_cycles", recovery_.wasted_cycles);
-  w.end_object();
   w.key("telemetry");
   obs::write_telemetry_json(w, obs::TelemetryRegistry::instance().snapshot());
   w.key("slo");
@@ -397,28 +298,10 @@ rt::Status MetricsSink::write_file(const std::string& path) const {
       last = std::move(*fault);
       continue;
     }
-    const std::string doc = to_json();
-    // Crash-safe: write the whole document to a sibling temp file, then
-    // rename over the target. A process killed mid-write leaves the
-    // previous metrics file intact; the rename is atomic on POSIX.
-    const std::string tmp = path + ".tmp";
-    std::FILE* f = std::fopen(tmp.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "gnnbridge: cannot write metrics file '%s'\n", tmp.c_str());
-      return rt::Status(rt::StatusCode::kUnavailable, "cannot open for writing")
-          .with_context("MetricsSink::write_file('" + path + "')");
-    }
-    const bool wrote = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-    const bool closed = std::fclose(f) == 0;
-    if (!wrote || !closed) {
-      std::remove(tmp.c_str());
-      return rt::Status(rt::StatusCode::kUnavailable, wrote ? "close failed" : "short write")
-          .with_context("MetricsSink::write_file('" + path + "')");
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-      std::remove(tmp.c_str());
-      return rt::Status(rt::StatusCode::kUnavailable, "rename into place failed")
-          .with_context("MetricsSink::write_file('" + path + "')");
+    if (rt::Status s = rt::write_file_atomic(path, to_json()); !s.ok()) {
+      std::fprintf(stderr, "gnnbridge: cannot write metrics file '%s': %s\n", path.c_str(),
+                   s.message().c_str());
+      return std::move(s).with_context("MetricsSink::write_file('" + path + "')");
     }
     return rt::OkStatus();
   }

@@ -10,10 +10,10 @@
 // tools/check_metrics_schema.py; bump kMetricsSchemaVersion on any
 // incompatible change.
 //
-// Schema (gnnbridge-metrics, version 9):
+// Schema (gnnbridge-metrics, version 10):
 //   {
 //     "schema": "gnnbridge-metrics",
-//     "schema_version": 7,
+//     "schema_version": 10,
 //     "experiment": "<banner id>",
 //     "scale": 0.25,
 //     "meta": {"git_sha":"abc1234", "timestamp":"2026-01-01T00:00:00Z",
@@ -54,21 +54,8 @@
 //     "degradations": [{"seam":"las_cluster", "knob":"las",
 //                       "action":"las->natural_order", "detail":"...",
 //                       "injected":true}],
-//     "robustness": {"jobs":..., "attempts":..., "retries":...,
-//                    "deadline_hits":..., "cancellations":...,
-//                    "breaker_trips":..., "breaker_open_admissions":...,
-//                    "breaker_half_open_probes":..., "breaker_recoveries":...,
-//                    "cancel_points":..., "backoff_cycles":...},
-//     "overload": {"submitted":..., "admitted":...,
-//                  "rejected_queue_full":..., "rejected_quota":...,
-//                  "rejected_deadline":..., "rejected_memory":...,
-//                  "shed_low":..., "shed_normal":..., "shed_high":...,
-//                  "overload_transitions":..., "peak_queue_depth":...,
-//                  "peak_backlog_cycles":..., "queue_wait_cycles":...},
-//     "recovery": {"shard_retries":..., "shards_reexecuted":...,
-//                  "fallback_unsharded":..., "wasted_cycles":...},
 //     "telemetry": {"counters":[{"name":"serve.jobs","value":...}],
-//                   "gauges":[{"name":"serve.queue_depth","value":...}],
+//                   "gauges":[{"name":"serve.admission_queue_peak","value":...}],
 //                   "histograms":[{"name":"serve.job_cycles","count":...,
 //                                  "sum":..., "min":..., "max":...,
 //                                  "p50":..., "p90":..., "p99":...,
@@ -127,6 +114,11 @@
 // processes. The event journal gained three additive event types
 // (`fault_injected`, `shard_retry`, `shard_fallback`) and the flight
 // recorder a `shard_fallback` postmortem trigger.
+// v9 -> v10: the `robustness`, `overload` and `recovery` blocks are gone.
+// Each of their facts is one `telemetry` instrument (DESIGN.md §13 has the
+// field -> instrument table), recorded where it happens: run_batch's
+// job-order fold, serve()'s telemetry pass, and the recovery flush of
+// direct runs and batch jobs.
 #pragma once
 
 #include <cstdint>
@@ -141,7 +133,7 @@
 namespace gnnbridge::prof {
 
 inline constexpr const char* kMetricsSchemaName = "gnnbridge-metrics";
-inline constexpr int kMetricsSchemaVersion = 9;
+inline constexpr int kMetricsSchemaVersion = 10;
 
 /// Provenance stamped into every metrics document (`meta` block). The sink
 /// collects defaults lazily at serialization time; tests pin fixed values
@@ -157,57 +149,6 @@ struct MetaInfo {
 /// Collects the default provenance from the environment (git, clock,
 /// hostname, GNNBRIDGE_SCALE).
 MetaInfo collect_meta();
-
-/// Serving-resilience counters (the v4 `robustness` block), accumulated by
-/// OptimizedEngine::run_batch in deterministic job order. All values are
-/// functions of sim-time and job content, never of wall time or the host
-/// thread count.
-struct RobustnessStats {
-  std::uint64_t jobs = 0;            ///< batch jobs submitted
-  std::uint64_t attempts = 0;        ///< run attempts, first tries included
-  std::uint64_t retries = 0;         ///< attempts beyond each job's first
-  std::uint64_t deadline_hits = 0;   ///< jobs that hit kDeadlineExceeded
-  std::uint64_t cancellations = 0;   ///< jobs ended by a CancelToken
-  std::uint64_t breaker_trips = 0;           ///< closed -> open transitions
-  std::uint64_t breaker_open_admissions = 0; ///< jobs admitted while open
-  std::uint64_t breaker_half_open_probes = 0;
-  std::uint64_t breaker_recoveries = 0;      ///< probe successes (-> closed)
-  std::uint64_t cancel_points = 0;   ///< cooperative checkpoints consulted
-  double backoff_cycles = 0.0;       ///< sim-cycles charged as retry backoff
-};
-
-/// Admission-control counters (the v6 `overload` block), accumulated by
-/// serve::AdmissionController in arrival order. Counts and sums merge by
-/// addition; peaks merge by max. Like RobustnessStats, every value is a
-/// function of sim-time and job content only.
-struct OverloadStats {
-  std::uint64_t submitted = 0;            ///< jobs offered to admission
-  std::uint64_t admitted = 0;             ///< jobs that reached the engine
-  std::uint64_t rejected_queue_full = 0;  ///< bounded-queue rejections
-  std::uint64_t rejected_quota = 0;       ///< tenant token-bucket rejections
-  std::uint64_t rejected_deadline = 0;    ///< deadline-infeasible rejections
-  std::uint64_t rejected_memory = 0;      ///< footprint-budget rejections
-  std::uint64_t shed_low = 0;             ///< Priority::kLow jobs shed
-  std::uint64_t shed_normal = 0;          ///< Priority::kNormal jobs shed
-  std::uint64_t shed_high = 0;            ///< always 0 today (kHigh never sheds)
-  std::uint64_t overload_transitions = 0; ///< shed-ladder level increases
-  std::uint64_t peak_queue_depth = 0;     ///< max virtual queue depth (max-merge)
-  double peak_backlog_cycles = 0.0;       ///< max estimated backlog (max-merge)
-  double queue_wait_cycles = 0.0;         ///< summed estimated queue waits
-};
-
-/// Shard-level recovery counters (the v9 `recovery` block), accumulated by
-/// OptimizedEngine runs in deterministic order (DESIGN.md §17). Counters
-/// include attempts abandoned by the degradation ladder, so they can
-/// exceed what the successful runs' RunStats report. All values are
-/// functions of sim-time and the fault plan, never of wall time or the
-/// host thread count.
-struct RecoveryStats {
-  std::uint64_t shard_retries = 0;      ///< per-shard retry decisions taken
-  std::uint64_t shards_reexecuted = 0;  ///< shard phase bodies re-executed
-  std::uint64_t fallback_unsharded = 0; ///< sharded->unsharded ladder steps
-  double wasted_cycles = 0.0;           ///< sim-cycles of failed attempts/redos
-};
 
 /// One recorded run: a labelled RunStats plus the identifying metadata.
 struct RunRecord {
@@ -243,24 +184,9 @@ class MetricsSink {
   /// failure); serialized into the top-level `degradations` array.
   void record_degradation(rt::DegradationEvent event);
 
-  /// Accumulates run_batch resilience counters (field-wise sum) into the
-  /// document's `robustness` block.
-  void add_robustness(const RobustnessStats& stats);
-
-  /// Accumulates admission-control counters into the document's `overload`
-  /// block (sums add, peaks max-merge).
-  void add_overload(const OverloadStats& stats);
-
-  /// Accumulates shard-recovery counters (field-wise sum) into the
-  /// document's `recovery` block.
-  void add_recovery(const RecoveryStats& stats);
-
   std::size_t size() const;
   std::size_t degradation_count() const;
   std::vector<rt::DegradationEvent> degradations() const;
-  RobustnessStats robustness() const;
-  OverloadStats overload() const;
-  RecoveryStats recovery() const;
   void clear();
 
   /// Serializes everything recorded so far.
@@ -288,9 +214,6 @@ class MetricsSink {
   mutable bool meta_set_ = false;
   std::vector<RunRecord> records_;
   std::vector<rt::DegradationEvent> degradations_;
-  RobustnessStats robustness_;
-  OverloadStats overload_;
-  RecoveryStats recovery_;
   bool armed_ = false;
 };
 

@@ -9,6 +9,7 @@
 #include "obs/journal.hpp"
 #include "obs/registry.hpp"
 #include "obs/slo.hpp"
+#include "prof/metrics_json.hpp"
 #include "rt/degrade.hpp"
 
 namespace gnnbridge::serve {
@@ -163,7 +164,7 @@ ServeResult AdmissionController::serve(engine::OptimizedEngine& eng,
 
   // --- Phase A: admission in arrival (input) order against the virtual
   // single-server queue. Pure sim-time bookkeeping; nothing runs yet.
-  prof::OverloadStats& stats = out.stats;
+  OverloadStats& stats = out.stats;
   stats.submitted = jobs.size();
   std::vector<rt::DegradationEvent> overload_degradations;
   std::vector<std::size_t> admitted;  // input indices, arrival order
@@ -363,7 +364,6 @@ ServeResult AdmissionController::serve(engine::OptimizedEngine& eng,
   // with zero end-to-end cycles) is recorded here too; admitted jobs are
   // scored once, by the engine fold, after their e2e cycles are known.
   obs::EventJournal& journal = obs::EventJournal::instance();
-  obs::SloTracker& slo = obs::SloTracker::instance();
   const bool journal_on =
       journal.enabled() || obs::FlightRecorder::instance().armed();
   for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -405,28 +405,8 @@ ServeResult AdmissionController::serve(engine::OptimizedEngine& eng,
       ev.cycles = d.retry_after_cycles;
       journal.append(std::move(ev));
     }
-    if (slo.enabled()) {
-      const obs::SloOutcome so =
-          slo.record(jobs[i].tenant, jobs[i].arrival_cycles, 0.0, false);
-      if (journal_on && so.failure_violation) {
-        obs::JournalEvent ev;
-        ev.request_id = out.request_ids[i];
-        ev.type = "slo_violation";
-        ev.key = jobs[i].tenant;
-        ev.code = "failure";
-        ev.detail = "rejected at admission";
-        journal.append(std::move(ev));
-      }
-      if (journal_on && so.budget_exhausted_now) {
-        obs::JournalEvent ev;
-        ev.request_id = out.request_ids[i];
-        ev.type = "slo_violation";
-        ev.key = jobs[i].tenant;
-        ev.code = "budget_exhausted";
-        ev.detail = "window " + std::to_string(so.window_index) + " error budget exhausted";
-        journal.append(std::move(ev));
-      }
-    }
+    obs::score_slo(out.request_ids[i], jobs[i].tenant, jobs[i].arrival_cycles, 0.0, false,
+                   "rejected at admission", 0, journal_on);
   }
 
   // Overload pre-degradations flush once, after the arrival pass.
@@ -502,8 +482,12 @@ ServeResult AdmissionController::serve(engine::OptimizedEngine& eng,
   reg.counter_add("serve.rejected_quota", stats.rejected_quota);
   reg.counter_add("serve.rejected_deadline", stats.rejected_deadline);
   reg.counter_add("serve.rejected_memory", stats.rejected_memory);
-  reg.counter_add("serve.shed", stats.shed_low + stats.shed_normal + stats.shed_high);
-  reg.gauge_set("serve.admission_queue_peak", static_cast<double>(stats.peak_queue_depth));
+  reg.counter_add("serve.shed_low", stats.shed_low);
+  reg.counter_add("serve.shed_normal", stats.shed_normal);
+  reg.counter_add("serve.shed_high", stats.shed_high);
+  reg.counter_add("serve.overload_transitions", stats.overload_transitions);
+  reg.gauge_max("serve.admission_queue_peak", static_cast<double>(stats.peak_queue_depth));
+  reg.gauge_max("serve.admission_backlog_peak", stats.peak_backlog_cycles);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (out.decisions[i].outcome == Decision::Outcome::kAdmitted) {
       reg.observe("serve.queue_wait_cycles", out.decisions[i].queue_wait_cycles);
@@ -512,7 +496,6 @@ ServeResult AdmissionController::serve(engine::OptimizedEngine& eng,
       }
     }
   }
-  sink.add_overload(stats);
   return out;
 }
 

@@ -28,7 +28,6 @@
 
 #include "baselines/footprint.hpp"
 #include "engine/engine.hpp"
-#include "prof/metrics_json.hpp"
 #include "rt/status.hpp"
 
 namespace gnnbridge::serve {
@@ -118,6 +117,26 @@ struct Decision {
   int shed_level = 0;
 };
 
+/// One serve() call's admission counters, tallied in arrival order. Every
+/// value is a function of sim-time and job content only. serve() records
+/// each of them in obs::TelemetryRegistry (DESIGN.md §13), where counts
+/// add and the two peaks hold their maximum across calls.
+struct OverloadStats {
+  std::uint64_t submitted = 0;            ///< jobs offered to admission
+  std::uint64_t admitted = 0;             ///< jobs that reached the engine
+  std::uint64_t rejected_queue_full = 0;  ///< bounded-queue rejections
+  std::uint64_t rejected_quota = 0;       ///< tenant token-bucket rejections
+  std::uint64_t rejected_deadline = 0;    ///< deadline-infeasible rejections
+  std::uint64_t rejected_memory = 0;      ///< footprint-budget rejections
+  std::uint64_t shed_low = 0;             ///< Priority::kLow jobs shed
+  std::uint64_t shed_normal = 0;          ///< Priority::kNormal jobs shed
+  std::uint64_t shed_high = 0;            ///< always 0 today (kHigh never sheds)
+  std::uint64_t overload_transitions = 0; ///< shed-ladder level increases
+  std::uint64_t peak_queue_depth = 0;     ///< max virtual queue depth
+  double peak_backlog_cycles = 0.0;       ///< max estimated backlog
+  double queue_wait_cycles = 0.0;         ///< summed estimated queue waits
+};
+
 /// Everything one serve() call produced. `results` is 1:1 with the input
 /// jobs: rejected/shed jobs carry the rejection Status and never reached
 /// the engine.
@@ -128,8 +147,9 @@ struct ServeResult {
   /// "req-s<serve>-<i>"), stamped on every job including rejected ones so
   /// journal events always carry a non-empty id.
   std::vector<std::string> request_ids;
-  /// This call's admission counters (also folded into prof::MetricsSink).
-  prof::OverloadStats stats;
+  /// This call's admission counters (also recorded in the telemetry
+  /// registry, which accumulates them across calls).
+  OverloadStats stats;
 };
 
 /// Analytic per-job cost estimate in sim-cycles, a deterministic function

@@ -5,7 +5,7 @@
 // engine's own "e2e" bookkeeping (phase-sum invariant, 1e-6 relative).
 // With the SLO tracker armed and the flight recorder pointed at a file,
 // the triage table, the metrics-v7 `slo` block and the postmortem dump
-// must all stay byte-identical at 1, 2 and 8 host threads.
+// must all stay byte-identical at 1, 2, 3, 4 and 8 host threads.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -204,7 +204,7 @@ TEST_F(CriticalPathBatch, PhaseSumMatchesEndToEndWithinTolerance) {
   EXPECT_TRUE(saw_retry) << "fault plan should force at least one multi-attempt request";
 }
 
-TEST_F(CriticalPathBatch, TriageSloAndPostmortemByteIdenticalAt1_2_8Threads) {
+TEST_F(CriticalPathBatch, TriageSloAndPostmortemByteIdenticalAt1_2_3_4_8Threads) {
   const std::string path = ::testing::TempDir() + "critical_path_postmortem.json";
   par::set_max_threads(1);
   const Exports serial = run_and_export(path);
@@ -220,7 +220,7 @@ TEST_F(CriticalPathBatch, TriageSloAndPostmortemByteIdenticalAt1_2_8Threads) {
   EXPECT_NE(serial.postmortem.find("\"kind\":\"slo_budget_exhausted\""), std::string::npos)
       << serial.postmortem;
 
-  for (int threads : {2, 8}) {
+  for (int threads : {2, 3, 4, 8}) {
     par::set_max_threads(threads);
     const Exports parallel = run_and_export(path);
     EXPECT_EQ(parallel.metrics, serial.metrics) << "metrics at " << threads << " threads";

@@ -12,6 +12,7 @@
 #include "engine/engine.hpp"
 #include "graph/datasets.hpp"
 #include "obs/journal.hpp"
+#include "obs/registry.hpp"
 #include "par/thread_pool.hpp"
 #include "prof/metrics_json.hpp"
 
@@ -116,7 +117,7 @@ TEST_F(RunBatchEdge, BreakerRecoversHalfOpenToClosedUnderConcurrentBatch) {
   for (const auto& r : failed) {
     EXPECT_FALSE(r.status.ok()) << "the fault plan must fail every attempt";
   }
-  EXPECT_GE(prof::MetricsSink::instance().robustness().breaker_trips, 1u);
+  EXPECT_GE(obs::TelemetryRegistry::instance().counter_value("serve.breaker_trips"), 1u);
 
   // A concurrent clean batch on the same key: the first open admissions
   // run degraded, every probe_interval-th runs as a half-open probe at
@@ -130,7 +131,7 @@ TEST_F(RunBatchEdge, BreakerRecoversHalfOpenToClosedUnderConcurrentBatch) {
   }
   EXPECT_TRUE(states.count("open")) << "pre-probe admissions run degraded under an open breaker";
   EXPECT_TRUE(states.count("half_open")) << "a probe admission must appear";
-  EXPECT_GE(prof::MetricsSink::instance().robustness().breaker_recoveries, 1u)
+  EXPECT_GE(obs::TelemetryRegistry::instance().counter_value("serve.breaker_recoveries"), 1u)
       << "the successful probe must close the breaker";
 
   // Fully recovered: the next batch admits closed everywhere.

@@ -15,6 +15,7 @@
 #include "graph/datasets.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/journal.hpp"
+#include "obs/registry.hpp"
 #include "par/thread_pool.hpp"
 #include "prof/metrics_json.hpp"
 #include "rt/degrade.hpp"
@@ -162,7 +163,7 @@ TEST_F(ShardRecovery, GatShardExchangeRecoversBitIdentical) {
 
 // ---- Ladder exhaustion: a persistent shard fault spends the per-shard
 // budget and falls back to the unsharded pipeline — the job still
-// succeeds, bit-identical, and the sink's recovery block says why.
+// succeeds, bit-identical, and the recovery counters say why.
 
 TEST_F(ShardRecovery, PersistentShardComputeFallsBackUnshardedBitIdentical) {
   const Inputs& in = inputs();
@@ -177,12 +178,12 @@ TEST_F(ShardRecovery, PersistentShardComputeFallsBackUnshardedBitIdentical) {
   EXPECT_TRUE(r.output == gcn_reference());
   // The successful attempt ran unsharded; its RunStats carry no shard
   // fields. The abandoned sharded attempt's recovery story lives in the
-  // sink's batch-folded recovery block instead.
+  // registry's recovery counters instead, flushed by the batch fold.
   EXPECT_EQ(r.stats.shards, 1);
-  const prof::RecoveryStats recov = sink.recovery();
-  EXPECT_GE(recov.shard_retries, 1u);
-  EXPECT_EQ(recov.fallback_unsharded, 1u);
-  EXPECT_GT(recov.wasted_cycles, 0.0);
+  const obs::TelemetryRegistry& reg = obs::TelemetryRegistry::instance();
+  EXPECT_GE(reg.counter_value("recovery.shard_retries"), 1u);
+  EXPECT_EQ(reg.counter_value("recovery.shard_fallbacks"), 1u);
+  EXPECT_GT(reg.histogram_snapshot("recovery.wasted_cycles").sum, 0.0);
   // The rung is a recorded degradation, flagged injected.
   bool found = false;
   for (const auto& ev : sink.degradations()) {
@@ -193,6 +194,26 @@ TEST_F(ShardRecovery, PersistentShardComputeFallsBackUnshardedBitIdentical) {
     }
   }
   EXPECT_TRUE(found) << "no sharding degradation event recorded";
+}
+
+// ---- A direct run (no run_batch) flushes its recovery at the end of the
+// run, into the same counters a batch job's fold uses.
+
+TEST_F(ShardRecovery, DirectRunFlushesRetriesAndFallbackIntoRecoveryCounters) {
+  const Inputs& in = inputs();
+  const models::Matrix& reference = gcn_reference();  // computed before the plan is armed
+  ASSERT_TRUE(rt::FaultInjector::instance().set_plan("shard_compute=*").ok());
+  OptimizedEngine e(sharded_cfg(4));
+  const auto r = e.run_gcn(in.collab, gcn_run(), ExecMode::kFull, sim::v100());
+  rt::FaultInjector::instance().clear();
+  ASSERT_TRUE(r.status.ok()) << r.status.to_string();
+  EXPECT_TRUE(r.output == reference);
+  EXPECT_EQ(r.stats.shards, 1) << "the run must finish on the unsharded rung";
+  const obs::TelemetryRegistry& reg = obs::TelemetryRegistry::instance();
+  EXPECT_GE(reg.counter_value("recovery.shard_retries"), 1u);
+  EXPECT_EQ(reg.counter_value("recovery.shard_fallbacks"), 1u);
+  EXPECT_GT(reg.histogram_snapshot("recovery.wasted_cycles").sum, 0.0);
+  EXPECT_EQ(reg.counter_value("serve.jobs"), 0u) << "a direct run is not a serving job";
 }
 
 // ---- Breaker interplay: shard-level recovery is invisible to the
@@ -312,7 +333,7 @@ TEST_F(ShardRecovery, FallbackJournalsAndTriggersTheFlightRecorder) {
 
 // ---- Thread-count determinism of a recovering batch: the recovery
 // counters, degradations and journal fold in job order, so the whole
-// metrics document is byte-identical at 1, 2 and 8 host threads.
+// metrics document is byte-identical at 1, 2, 3, 4 and 8 host threads.
 
 std::string run_recovering_batch_and_serialize() {
   const Inputs& in = inputs();
@@ -351,13 +372,13 @@ std::string run_recovering_batch_and_serialize() {
   return doc;
 }
 
-TEST_F(ShardRecovery, RecoveringBatchMetricsByteIdenticalAt1_2_8Threads) {
+TEST_F(ShardRecovery, RecoveringBatchMetricsByteIdenticalAt1_2_3_4_8Threads) {
   par::set_max_threads(1);
   const std::string serial = run_recovering_batch_and_serialize();
   ASSERT_FALSE(serial.empty());
-  EXPECT_NE(serial.find("\"recovery\""), std::string::npos);
-  EXPECT_NE(serial.find("fallback_unsharded"), std::string::npos);
-  for (int threads : {2, 8}) {
+  EXPECT_NE(serial.find("\"recovery.shard_retries\""), std::string::npos);
+  EXPECT_NE(serial.find("\"recovery.shard_fallbacks\""), std::string::npos);
+  for (int threads : {2, 3, 4, 8}) {
     par::set_max_threads(threads);
     const std::string parallel = run_recovering_batch_and_serialize();
     EXPECT_EQ(parallel, serial) << "at " << threads << " threads";

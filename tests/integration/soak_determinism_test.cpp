@@ -1,7 +1,8 @@
 // Resilient run_batch determinism (DESIGN.md §11 + §12): with per-job
 // fault plans, bounded deadlines, retries and the circuit breaker all
-// active, the metrics-v4 document — kernel counters, degradations AND the
-// robustness block — must stay byte-identical at 1, 2 and 8 host threads.
+// active, the metrics document — kernel counters, degradations AND the
+// serving telemetry — must stay byte-identical at 1, 2, 3, 4 and 8 host
+// threads.
 // Also pins the per-job resilience surface of RunResult (attempts,
 // timed_out, breaker_state) for deadline expiry and external cancellation.
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 
 #include "engine/engine.hpp"
 #include "graph/datasets.hpp"
+#include "obs/registry.hpp"
 #include "par/thread_pool.hpp"
 #include "prof/metrics_json.hpp"
 #include "rt/deadline.hpp"
@@ -114,21 +116,21 @@ std::string run_soak_and_serialize() {
                  .stats = results[i].stats,
                  .spec = sim::v100()});
   }
-  const prof::RobustnessStats rob = sink.robustness();
-  EXPECT_EQ(rob.jobs, jobs.size());
-  EXPECT_GE(rob.attempts, rob.jobs);
-  EXPECT_EQ(rob.deadline_hits, 0u);
-  EXPECT_EQ(rob.cancellations, 0u);
+  const obs::TelemetryRegistry& reg = obs::TelemetryRegistry::instance();
+  EXPECT_EQ(reg.counter_value("serve.jobs"), jobs.size());
+  EXPECT_GE(reg.counter_value("serve.attempts"), jobs.size());
+  EXPECT_EQ(reg.counter_value("serve.jobs_deadline"), 0u);
+  EXPECT_EQ(reg.counter_value("serve.jobs_cancelled"), 0u);
   std::string doc = sink.to_json();
   sink.clear();
   return doc;
 }
 
-TEST_F(SoakDeterminism, FaultedSoakMetricsByteIdenticalAt1_2_8Threads) {
+TEST_F(SoakDeterminism, FaultedSoakMetricsByteIdenticalAt1_2_3_4_8Threads) {
   par::set_max_threads(1);
   const std::string serial = run_soak_and_serialize();
   ASSERT_FALSE(serial.empty());
-  for (int threads : {2, 8}) {
+  for (int threads : {2, 3, 4, 8}) {
     par::set_max_threads(threads);
     const std::string parallel = run_soak_and_serialize();
     EXPECT_EQ(parallel, serial) << "at " << threads << " threads";
@@ -164,8 +166,7 @@ TEST_F(SoakDeterminism, DeadlineExpiryMarksTheJobWithoutBlockingHealthyOnes) {
   EXPECT_TRUE(results[1].status.ok()) << results[1].status.to_string();
   EXPECT_FALSE(results[1].timed_out);
 
-  const prof::RobustnessStats rob = prof::MetricsSink::instance().robustness();
-  EXPECT_GE(rob.deadline_hits, 1u);
+  EXPECT_GE(obs::TelemetryRegistry::instance().counter_value("serve.jobs_deadline"), 1u);
   prof::MetricsSink::instance().clear();
 }
 
@@ -190,8 +191,7 @@ TEST_F(SoakDeterminism, CancelledTokenEndsTheJobAsCancelled) {
   EXPECT_FALSE(results[0].timed_out);
   EXPECT_EQ(results[0].attempts, 1);  // kCancelled is fatal: no retries
 
-  const prof::RobustnessStats rob = prof::MetricsSink::instance().robustness();
-  EXPECT_GE(rob.cancellations, 1u);
+  EXPECT_GE(obs::TelemetryRegistry::instance().counter_value("serve.jobs_cancelled"), 1u);
   prof::MetricsSink::instance().clear();
 }
 

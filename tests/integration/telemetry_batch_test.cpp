@@ -1,8 +1,8 @@
 // Serving telemetry end to end (DESIGN.md §13): run_batch fills the
 // telemetry registry and the event journal in its sequential job-order
-// fold, so the metrics-v5 document (telemetry block included), the JSONL
+// fold, so the metrics document (telemetry block included), the JSONL
 // event journal and the Prometheus exposition must all stay byte-identical
-// at 1, 2 and 8 host threads. Also pins request-id propagation: caller
+// at 1, 2, 3, 4 and 8 host threads. Also pins request-id propagation: caller
 // IDs and synthesized "req-<batch>-<index>" IDs reach the journal and the
 // tracer's span records.
 #include <gtest/gtest.h>
@@ -130,7 +130,7 @@ Exports run_and_export() {
   return out;
 }
 
-TEST_F(TelemetryBatch, ExportsByteIdenticalAt1_2_8Threads) {
+TEST_F(TelemetryBatch, ExportsByteIdenticalAt1_2_3_4_8Threads) {
   par::set_max_threads(1);
   const Exports serial = run_and_export();
   ASSERT_FALSE(serial.metrics.empty());
@@ -139,7 +139,7 @@ TEST_F(TelemetryBatch, ExportsByteIdenticalAt1_2_8Threads) {
   EXPECT_NE(serial.metrics.find("\"telemetry\""), std::string::npos);
   EXPECT_NE(serial.prometheus.find("gnnbridge_serve_job_cycles_count 6"), std::string::npos)
       << serial.prometheus;
-  for (int threads : {2, 8}) {
+  for (int threads : {2, 3, 4, 8}) {
     par::set_max_threads(threads);
     const Exports parallel = run_and_export();
     EXPECT_EQ(parallel.metrics, serial.metrics) << "metrics at " << threads << " threads";

@@ -1,6 +1,6 @@
 // TelemetryRegistry + Prometheus exposition (DESIGN.md §13): lexicographic
 // snapshot order, thread-safe recording, the observe_parallel ordered-fold
-// determinism contract (byte-identical exposition at 1/2/8 host threads),
+// determinism contract (byte-identical exposition at 1/2/3/4/8 host threads),
 // and the text-format shape Prometheus scrapers expect.
 #include "obs/registry.hpp"
 
@@ -30,8 +30,8 @@ TEST_F(RegistryTest, SnapshotOrderIsLexicographicNotInsertion) {
   reg.counter_add("serve.zeta", 1);
   reg.counter_add("serve.alpha", 2);
   reg.counter_add("serve.mid", 3);
-  reg.gauge_set("queue.b", 2.0);
-  reg.gauge_set("queue.a", 1.0);
+  reg.gauge_max("queue.b", 2.0);
+  reg.gauge_max("queue.a", 1.0);
   reg.observe("lat.y", 4.0);
   reg.observe("lat.x", 8.0);
 
@@ -53,11 +53,32 @@ TEST_F(RegistryTest, CountersAccumulateAndGaugesOverwrite) {
   reg.counter_add("c", 4);
   EXPECT_EQ(reg.counter_value("c"), 7u);
   EXPECT_EQ(reg.counter_value("absent"), 0u);
-  reg.gauge_set("g", 1.5);
-  reg.gauge_set("g", 2.5);
+  // A higher reading overwrites the gauge; GaugeMaxHoldsThePeak... below
+  // shows a lower one leaving the peak in place.
+  reg.gauge_max("g", 1.5);
+  reg.gauge_max("g", 2.5);
   EXPECT_EQ(reg.gauge_value("g"), 2.5);
   EXPECT_EQ(reg.counter_count(), 1u);
   EXPECT_EQ(reg.gauge_count(), 1u);
+}
+
+// Two serve() calls' worth of admission telemetry: counts and cycle sums
+// add across calls, while a peak gauge holds the larger peak, not the
+// last call's.
+TEST_F(RegistryTest, GaugeMaxHoldsThePeakWhileCountersAndHistogramSumsAdd) {
+  TelemetryRegistry& reg = TelemetryRegistry::instance();
+  reg.counter_add("serve.admission.submitted", 8);
+  reg.gauge_max("serve.admission_queue_peak", 5.0);
+  reg.gauge_max("serve.admission_backlog_peak", 4096.0);
+  reg.observe("serve.queue_wait_cycles", 1024.0);
+  reg.counter_add("serve.admission.submitted", 4);
+  reg.gauge_max("serve.admission_queue_peak", 3.0);
+  reg.gauge_max("serve.admission_backlog_peak", 8192.0);
+  reg.observe("serve.queue_wait_cycles", 512.0);
+  EXPECT_EQ(reg.counter_value("serve.admission.submitted"), 12u);
+  EXPECT_EQ(reg.gauge_value("serve.admission_queue_peak"), 5.0);  // max, not last
+  EXPECT_EQ(reg.gauge_value("serve.admission_backlog_peak"), 8192.0);
+  EXPECT_EQ(reg.histogram_snapshot("serve.queue_wait_cycles").sum, 1536.0);
 }
 
 TEST_F(RegistryTest, ConcurrentCounterAddsLoseNothing) {
@@ -72,12 +93,12 @@ TEST_F(RegistryTest, ConcurrentCounterAddsLoseNothing) {
   EXPECT_EQ(reg.counter_value("parallel.adds"), 10000u);
 }
 
-TEST_F(RegistryTest, ObserveParallelIsByteIdenticalAt1_2_8Threads) {
+TEST_F(RegistryTest, ObserveParallelIsByteIdenticalAt1_2_3_4_8Threads) {
   const auto value = [](std::size_t i) {
     return static_cast<double>(1 + (i * 131) % 100000);
   };
   std::string expected;
-  for (int threads : {1, 2, 8}) {
+  for (int threads : {1, 2, 3, 4, 8}) {
     par::set_max_threads(threads);
     TelemetryRegistry::instance().clear();
     observe_parallel("par.latency", 5000, value, /*grain=*/128);
@@ -99,7 +120,7 @@ TEST_F(RegistryTest, PrometheusNamesAreSanitizedAndPrefixed) {
 TEST_F(RegistryTest, PrometheusExpositionHasTypedCumulativeSeries) {
   TelemetryRegistry& reg = TelemetryRegistry::instance();
   reg.counter_add("serve.jobs", 5);
-  reg.gauge_set("serve.queue_depth", 3.0);
+  reg.gauge_max("serve.admission_queue_peak", 3.0);
   // 1.9 lands in the [2^0.75, 2) bucket and 1000 in [2^9.75, 1024) — both
   // bucket uppers are exact powers of two, so the le labels are clean.
   reg.observe("serve.job_cycles", 1.9);
@@ -111,8 +132,8 @@ TEST_F(RegistryTest, PrometheusExpositionHasTypedCumulativeSeries) {
                       "gnnbridge_serve_jobs 5\n"),
             std::string::npos)
       << text;
-  EXPECT_NE(text.find("# TYPE gnnbridge_serve_queue_depth gauge\n"
-                      "gnnbridge_serve_queue_depth 3\n"),
+  EXPECT_NE(text.find("# TYPE gnnbridge_serve_admission_queue_peak gauge\n"
+                      "gnnbridge_serve_admission_queue_peak 3\n"),
             std::string::npos)
       << text;
   EXPECT_NE(text.find("# TYPE gnnbridge_serve_job_cycles histogram\n"), std::string::npos);
@@ -131,7 +152,7 @@ TEST_F(RegistryTest, PrometheusExpositionHasTypedCumulativeSeries) {
 TEST_F(RegistryTest, ClearEmptiesEveryInstrumentKind) {
   TelemetryRegistry& reg = TelemetryRegistry::instance();
   reg.counter_add("c", 1);
-  reg.gauge_set("g", 1.0);
+  reg.gauge_max("g", 1.0);
   reg.observe("h", 1.0);
   reg.clear();
   EXPECT_EQ(reg.counter_count(), 0u);

@@ -80,7 +80,7 @@ MetaInfo golden_meta() {
 //   sync      = atomic + adapter cycles = 256 + 128             = 384
 //   redundancy= (1024 + 512 + 256) / 16 flops-per-cycle         = 112
 constexpr const char* kGolden =
-    "{\"schema\":\"gnnbridge-metrics\",\"schema_version\":9,"
+    "{\"schema\":\"gnnbridge-metrics\",\"schema_version\":10,"
     "\"experiment\":\"golden\",\"scale\":0.25,"
     "\"meta\":{\"git_sha\":\"deadbee\",\"timestamp\":\"2026-01-01T00:00:00Z\","
     "\"hostname\":\"goldenhost\",\"scale_env\":\"0.25\",\"threads\":8},"
@@ -122,17 +122,6 @@ constexpr const char* kGolden =
     "\"inter_shard_traffic\":{\"cycles\":0,\"ghost_bytes\":0,"
     "\"exchange_syncs\":0,\"shards\":1}}],"
     "\"degradations\":[],"
-    "\"robustness\":{\"jobs\":0,\"attempts\":0,\"retries\":0,"
-    "\"deadline_hits\":0,\"cancellations\":0,\"breaker_trips\":0,"
-    "\"breaker_open_admissions\":0,\"breaker_half_open_probes\":0,"
-    "\"breaker_recoveries\":0,\"cancel_points\":0,\"backoff_cycles\":0},"
-    "\"overload\":{\"submitted\":0,\"admitted\":0,\"rejected_queue_full\":0,"
-    "\"rejected_quota\":0,\"rejected_deadline\":0,\"rejected_memory\":0,"
-    "\"shed_low\":0,\"shed_normal\":0,\"shed_high\":0,"
-    "\"overload_transitions\":0,\"peak_queue_depth\":0,"
-    "\"peak_backlog_cycles\":0,\"queue_wait_cycles\":0},"
-    "\"recovery\":{\"shard_retries\":0,\"shards_reexecuted\":0,"
-    "\"fallback_unsharded\":0,\"wasted_cycles\":0},"
     "\"telemetry\":{\"counters\":[],\"gauges\":[],\"histograms\":[]},"
     "\"slo\":{\"enabled\":false,\"latency_objective_cycles\":0,"
     "\"success_objective\":0.99,\"window_cycles\":0,\"tenants\":[]}}\n";
@@ -195,51 +184,18 @@ TEST(MetricsJsonTest, EmptySinkStillEmitsSchemaEnvelope) {
   const std::string doc = sink.to_json();
   EXPECT_TRUE(testing::json_valid(doc));
   EXPECT_NE(doc.find("\"schema\":\"gnnbridge-metrics\""), std::string::npos);
-  EXPECT_NE(doc.find("\"schema_version\":9"), std::string::npos);
+  EXPECT_NE(doc.find("\"schema_version\":10"), std::string::npos);
   EXPECT_NE(doc.find("\"meta\":{"), std::string::npos);
   EXPECT_NE(doc.find("\"runs\":[]"), std::string::npos);
   EXPECT_NE(doc.find("\"gap_report\":[]"), std::string::npos);
   EXPECT_NE(doc.find("\"degradations\":[]"), std::string::npos);
-  EXPECT_NE(doc.find("\"robustness\":{\"jobs\":0,"), std::string::npos);
-  EXPECT_NE(doc.find("\"overload\":{\"submitted\":0,"), std::string::npos);
+  // v10 retired the serving blocks: their counters live in `telemetry`.
+  EXPECT_EQ(doc.find("\"robustness\""), std::string::npos);
+  EXPECT_EQ(doc.find("\"overload\""), std::string::npos);
+  EXPECT_EQ(doc.find("\"recovery\""), std::string::npos);
   EXPECT_NE(doc.find("\"telemetry\":{\"counters\":[],\"gauges\":[],\"histograms\":[]}"),
             std::string::npos);
   EXPECT_NE(doc.find("\"slo\":{\"enabled\":false,"), std::string::npos);
-}
-
-TEST(MetricsJsonTest, OverloadStatsAccumulateWithMaxMergedPeaks) {
-  MetricsSink& sink = MetricsSink::instance();
-  sink.clear();
-  sink.configure("overload", 1.0);
-  OverloadStats a;
-  a.submitted = 8;
-  a.admitted = 6;
-  a.shed_low = 2;
-  a.peak_queue_depth = 5;
-  a.peak_backlog_cycles = 4096.0;
-  a.queue_wait_cycles = 1024.0;
-  OverloadStats b;
-  b.submitted = 4;
-  b.admitted = 4;
-  b.overload_transitions = 1;
-  b.peak_queue_depth = 3;
-  b.peak_backlog_cycles = 8192.0;
-  b.queue_wait_cycles = 512.0;
-  sink.add_overload(a);
-  sink.add_overload(b);
-  const OverloadStats got = sink.overload();
-  EXPECT_EQ(got.submitted, 12u);
-  EXPECT_EQ(got.admitted, 10u);
-  EXPECT_EQ(got.shed_low, 2u);
-  EXPECT_EQ(got.overload_transitions, 1u);
-  EXPECT_EQ(got.peak_queue_depth, 5u);   // max, not sum
-  EXPECT_EQ(got.peak_backlog_cycles, 8192.0);
-  EXPECT_EQ(got.queue_wait_cycles, 1536.0);
-  const std::string doc = sink.to_json();
-  EXPECT_TRUE(testing::json_valid(doc));
-  EXPECT_NE(doc.find("\"overload\":{\"submitted\":12,\"admitted\":10,"), std::string::npos);
-  sink.clear();
-  EXPECT_EQ(sink.overload().submitted, 0u);
 }
 
 TEST(MetricsJsonTest, TelemetryBlockCarriesRegistryInstruments) {
@@ -248,12 +204,12 @@ TEST(MetricsJsonTest, TelemetryBlockCarriesRegistryInstruments) {
   sink.configure("telemetry", 1.0);
   obs::TelemetryRegistry& reg = obs::TelemetryRegistry::instance();
   reg.counter_add("serve.jobs", 3);
-  reg.gauge_set("serve.queue_depth", 4.0);
+  reg.gauge_max("serve.admission_queue_peak", 4.0);
   reg.observe("serve.job_cycles", 1024.0);
   const std::string doc = sink.to_json();
   EXPECT_TRUE(testing::json_valid(doc));
   EXPECT_NE(doc.find("\"counters\":[{\"name\":\"serve.jobs\",\"value\":3}]"), std::string::npos);
-  EXPECT_NE(doc.find("\"gauges\":[{\"name\":\"serve.queue_depth\",\"value\":4}]"),
+  EXPECT_NE(doc.find("\"gauges\":[{\"name\":\"serve.admission_queue_peak\",\"value\":4}]"),
             std::string::npos);
   // Quantiles clamp to the exact tracked max, so a single observation
   // reports itself at every percentile.

@@ -4,7 +4,7 @@
 // the ladder, weighted-fair dispatch, cost-cache warming — plus the new
 // kResourceExhausted/retry-after rejection contract, the journal event
 // shapes ("shed" / "quota" / "admission_reject") and byte-identical
-// exports at 1/2/8 host threads.
+// exports at 1/2/3/4/8 host threads.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -503,10 +503,10 @@ TEST_F(AdmissionTest, ResourceExhaustedClassifiesAsRetryable) {
 }
 
 // The §14 determinism contract: one overloaded two-tenant stream, served
-// on fresh engine+controller at 1, 2 and 8 host threads — decisions,
-// metrics document (overload block included) and journal must match byte
-// for byte.
-TEST_F(AdmissionTest, OverloadServeByteIdenticalAt1_2_8Threads) {
+// on fresh engine+controller at 1, 2, 3, 4 and 8 host threads — decisions,
+// metrics document (admission telemetry included) and journal must match
+// byte for byte.
+TEST_F(AdmissionTest, OverloadServeByteIdenticalAt1_2_3_4_8Threads) {
   struct Exports {
     std::string metrics;
     std::string journal;
@@ -549,11 +549,12 @@ TEST_F(AdmissionTest, OverloadServeByteIdenticalAt1_2_8Threads) {
   };
   par::set_max_threads(1);
   const Exports serial = run();
-  EXPECT_NE(serial.metrics.find("\"overload\":{\"submitted\":12,"), std::string::npos)
+  EXPECT_NE(serial.metrics.find("{\"name\":\"serve.admission.submitted\",\"value\":12}"),
+            std::string::npos)
       << serial.metrics;
   EXPECT_NE(serial.journal.find("\"type\":\"shed\""), std::string::npos)
       << "the stream must actually overload:\n" << serial.journal;
-  for (int threads : {2, 8}) {
+  for (int threads : {2, 3, 4, 8}) {
     par::set_max_threads(threads);
     const Exports parallel = run();
     EXPECT_EQ(parallel.metrics, serial.metrics) << "metrics at " << threads << " threads";
@@ -582,7 +583,7 @@ TEST_F(AdmissionTest, TelemetryCountersAndQueueWaitHistogram) {
   for (const auto& [name, value] : snap.counters) {
     if (name == "serve.admission.submitted") submitted = value;
     if (name == "serve.admitted") admitted = value;
-    if (name == "serve.shed") shed = value;
+    if (name == "serve.shed_low") shed = value;
   }
   for (const auto& [name, value] : snap.gauges) {
     if (name == "serve.admission_queue_peak") queue_peak = value;
@@ -595,6 +596,25 @@ TEST_F(AdmissionTest, TelemetryCountersAndQueueWaitHistogram) {
   EXPECT_EQ(qw.count, 2u) << "one observation per admitted job";
   EXPECT_DOUBLE_EQ(qw.max, est / cfg.service_rate)
       << "the second job waits exactly one virtual service time";
+}
+
+// Two serve() calls on one controller: eight jobs at one instant, then
+// one long after the virtual queue drained. The document's queue-peak
+// gauge keeps the first call's peak of 8, not the last call's 1.
+TEST_F(AdmissionTest, QueuePeakGaugeKeepsTheMaxAcrossServeCalls) {
+  OptimizedEngine eng;
+  AdmissionController ctl(permissive_config());
+  const std::vector<BatchJob> burst(8, make_job("t", Priority::kNormal, 0.0));
+  EXPECT_EQ(ctl.serve(eng, burst).stats.peak_queue_depth, 8u);
+  const BatchJob late = make_job("t", Priority::kNormal, 1e15);
+  EXPECT_EQ(ctl.serve(eng, {&late, 1}).stats.peak_queue_depth, 1u);
+  const std::string doc = prof::MetricsSink::instance().to_json();
+  EXPECT_NE(doc.find("{\"name\":\"serve.admission_queue_peak\",\"value\":8}"),
+            std::string::npos)
+      << doc;
+  EXPECT_NE(doc.find("{\"name\":\"serve.admission.submitted\",\"value\":9}"),
+            std::string::npos)
+      << doc;
 }
 
 }  // namespace

@@ -40,7 +40,7 @@ import math
 import sys
 
 SCHEMA_NAME = "gnnbridge-metrics"
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 POSTMORTEM_SCHEMA_NAME = "gnnbridge-postmortem"
 POSTMORTEM_SCHEMA_VERSION = 1
 
@@ -101,47 +101,33 @@ DEGRADATION_KEYS = {
     "detail": str,
     "injected": bool,
 }
-# Serving-resilience counters (v4): deadlines, retry/backoff, breaker.
-ROBUSTNESS_KEYS = {
-    "jobs": int,
-    "attempts": int,
-    "retries": int,
-    "deadline_hits": int,
-    "cancellations": int,
-    "breaker_trips": int,
-    "breaker_open_admissions": int,
-    "breaker_half_open_probes": int,
-    "breaker_recoveries": int,
-    "cancel_points": int,
-    "backoff_cycles": (int, float),
-}
-# Admission-control counters (v6): submissions/admissions, rejects by
-# cause, sheds by priority class, shed-ladder transitions, queue peaks
-# (serve::AdmissionController, DESIGN.md §14).
-OVERLOAD_KEYS = {
-    "submitted": int,
-    "admitted": int,
-    "rejected_queue_full": int,
-    "rejected_quota": int,
-    "rejected_deadline": int,
-    "rejected_memory": int,
-    "shed_low": int,
-    "shed_normal": int,
-    "shed_high": int,
-    "overload_transitions": int,
-    "peak_queue_depth": int,
-    "peak_backlog_cycles": (int, float),
-    "queue_wait_cycles": (int, float),
-}
-# Shard-recovery counters (v9): granted shard retries, in-place shard
-# re-executions, fallbacks to the unsharded pipeline, and the sim-cycles
-# burnt in failed shard attempts (DESIGN.md §17).
-RECOVERY_KEYS = {
-    "shard_retries": int,
-    "shards_reexecuted": int,
-    "fallback_unsharded": int,
-    "wasted_cycles": (int, float),
-}
+# Top-level keys of a v10 document, in order. v10 retired the v4
+# `robustness`, v6 `overload` and v9 `recovery` blocks: their facts are
+# telemetry instruments now (DESIGN.md §13).
+TOP_LEVEL_KEYS = [
+    "schema",
+    "schema_version",
+    "experiment",
+    "scale",
+    "meta",
+    "runs",
+    "gap_report",
+    "degradations",
+    "telemetry",
+    "slo",
+]
+# Counters the admission accounting invariant adds up: every submitted job
+# is admitted, rejected for one cause, or shed by priority class.
+ADMISSION_OUTCOME_COUNTERS = [
+    "serve.admitted",
+    "serve.rejected_queue_full",
+    "serve.rejected_quota",
+    "serve.rejected_deadline",
+    "serve.rejected_memory",
+    "serve.shed_low",
+    "serve.shed_normal",
+    "serve.shed_high",
+]
 # Telemetry registry export (v5): counters, gauges, log-bucketed
 # histograms with headline quantiles (src/obs/registry.hpp).
 TELEMETRY_KEYS = {
@@ -330,6 +316,34 @@ def check_keys(obj, spec, where):
             raise Invalid(f"{where}.{key}: non-finite number {obj[key]}")
 
 
+def check_counter_invariants(counters):
+    """The accounting invariants of the serving and recovery counters.
+
+    An absent counter reads 0: instruments appear once first recorded.
+    """
+    values = {}
+    for c in counters:
+        if c["name"] in values:
+            raise Invalid(f"telemetry.counters: duplicate name {c['name']!r}")
+        values[c["name"]] = c["value"]
+
+    def value(name):
+        return values.get(name, 0)
+
+    if value("serve.attempts") < value("serve.retries"):
+        raise Invalid("telemetry: serve.attempts < serve.retries")
+    outcomes = sum(value(name) for name in ADMISSION_OUTCOME_COUNTERS)
+    if outcomes != value("serve.admission.submitted"):
+        raise Invalid(
+            f"telemetry: admitted + rejected + shed ({outcomes}) != "
+            f"serve.admission.submitted ({value('serve.admission.submitted')})"
+        )
+    if value("recovery.shards_reexecuted") > value("recovery.shard_retries"):
+        raise Invalid(
+            "telemetry: recovery.shards_reexecuted > recovery.shard_retries"
+        )
+
+
 def check_metrics(doc):
     if not isinstance(doc, dict):
         raise Invalid("top level: expected object")
@@ -345,6 +359,10 @@ def check_metrics(doc):
     if version != SCHEMA_VERSION:
         raise Invalid(
             f"schema_version: expected {SCHEMA_VERSION}, got {version!r}"
+        )
+    if list(doc) != TOP_LEVEL_KEYS:
+        raise Invalid(
+            f"top level: expected keys {TOP_LEVEL_KEYS}, got {list(doc)}"
         )
     if not isinstance(doc.get("experiment"), str):
         raise Invalid("experiment: expected string")
@@ -390,38 +408,6 @@ def check_metrics(doc):
         raise Invalid("degradations: expected array (schema v2)")
     for i, d in enumerate(degradations):
         check_keys(d, DEGRADATION_KEYS, f"degradations[{i}]")
-    robustness = doc.get("robustness")
-    check_keys(robustness, ROBUSTNESS_KEYS, "robustness")
-    if robustness["attempts"] < robustness["retries"]:
-        raise Invalid("robustness: attempts < retries")
-    if robustness["backoff_cycles"] < 0:
-        raise Invalid("robustness: negative backoff_cycles")
-    overload = doc.get("overload")
-    check_keys(overload, OVERLOAD_KEYS, "overload")
-    if overload["admitted"] > overload["submitted"]:
-        raise Invalid("overload: admitted > submitted")
-    rejected = (
-        overload["rejected_queue_full"]
-        + overload["rejected_quota"]
-        + overload["rejected_deadline"]
-        + overload["rejected_memory"]
-        + overload["shed_low"]
-        + overload["shed_normal"]
-        + overload["shed_high"]
-    )
-    if overload["admitted"] + rejected != overload["submitted"]:
-        raise Invalid(
-            f"overload: admitted ({overload['admitted']}) + rejected "
-            f"({rejected}) != submitted ({overload['submitted']})"
-        )
-    if overload["queue_wait_cycles"] < 0:
-        raise Invalid("overload: negative queue_wait_cycles")
-    recovery = doc.get("recovery")
-    check_keys(recovery, RECOVERY_KEYS, "recovery")
-    if recovery["shards_reexecuted"] > recovery["shard_retries"]:
-        raise Invalid("recovery: shards_reexecuted > shard_retries")
-    if recovery["wasted_cycles"] < 0:
-        raise Invalid("recovery: negative wasted_cycles")
     telemetry = doc.get("telemetry")
     check_keys(telemetry, TELEMETRY_KEYS, "telemetry")
     for i, c in enumerate(telemetry["counters"]):
@@ -431,6 +417,8 @@ def check_metrics(doc):
     for i, h in enumerate(telemetry["histograms"]):
         where = f"telemetry.histograms[{i}]"
         check_keys(h, TELEMETRY_HISTOGRAM_KEYS, where)
+        if h["name"].endswith("_cycles") and (h["sum"] < 0 or h["min"] < 0):
+            raise Invalid(f"{where}: negative cycles in {h['name']!r}")
         total = 0
         for j, b in enumerate(h["buckets"]):
             check_keys(b, TELEMETRY_BUCKET_KEYS, f"{where}.buckets[{j}]")
@@ -448,6 +436,7 @@ def check_metrics(doc):
             raise Invalid(
                 f"{where}: empty histogram must report all-zero statistics"
             )
+    check_counter_invariants(telemetry["counters"])
     slo = doc.get("slo")
     check_keys(slo, SLO_KEYS, "slo")
     if not 0.0 <= slo["success_objective"] <= 1.0:

@@ -25,6 +25,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "baselines/dgl.hpp"
 #include "baselines/pyg.hpp"
 #include "baselines/roc.hpp"
@@ -119,7 +121,7 @@ void usage() {
       "                                where each seam fires and what absorbs it)\n"
       "  stats METRICS.json            print the telemetry block (counters, gauges,\n"
       "                                latency histograms with p50/p90/p99) of a\n"
-      "                                schema v7 metrics file; --prom re-renders it\n"
+      "                                schema v%d metrics file; --prom re-renders it\n"
       "                                as Prometheus text exposition, --journal\n"
       "                                summarizes an event journal written by soak\n"
       "                                or $GNNBRIDGE_EVENT_JOURNAL\n"
@@ -160,7 +162,8 @@ void usage() {
       "exit status: 0 success, 1 runtime failure (run, output write, metrics read, or\n"
       "             triage invariant violation), 2 usage error, 3 dataset load failure,\n"
       "             4 overload contract violation (soak --overload),\n"
-      "             5 chaos contract violation (soak --chaos)\n");
+      "             5 chaos contract violation (soak --chaos)\n",
+      prof::kMetricsSchemaVersion);
 }
 
 int cmd_analyze(const std::string& path) {
@@ -289,7 +292,7 @@ bool parse_common_flag(const std::string& arg, Next&& next, CommonArgs& out) {
   return false;
 }
 
-/// Rebuilds an obs::RegistrySnapshot from a parsed schema v6 `telemetry`
+/// Rebuilds an obs::RegistrySnapshot from a parsed metrics `telemetry`
 /// block, so the stats table and the Prometheus re-render share the live
 /// registry's code paths.
 obs::RegistrySnapshot snapshot_from_json(const prof::JsonValue& telemetry) {
@@ -326,8 +329,8 @@ obs::RegistrySnapshot snapshot_from_json(const prof::JsonValue& telemetry) {
 }
 
 /// `gnnbridge_cli stats`: human-readable view of the telemetry block of a
-/// schema v6 metrics file, with optional Prometheus re-render and event
-/// journal summary.
+/// metrics file (schema v5 or later), with optional Prometheus re-render
+/// and event journal summary.
 int cmd_stats(int argc, char** argv) {
   std::string metrics_path, prom_out, journal_path;
   for (int i = 2; i < argc; ++i) {
@@ -370,9 +373,10 @@ int cmd_stats(int argc, char** argv) {
   const prof::JsonValue* telemetry = doc->find("telemetry");
   if (!telemetry || !telemetry->is_object()) {
     std::fprintf(stderr,
-                 "gnnbridge_cli: '%s' has no telemetry block (needs metrics schema v5+ (v7 current), "
-                 "found v%lld)\n",
-                 metrics_path.c_str(), static_cast<long long>(doc->int_or("schema_version", 0)));
+                 "gnnbridge_cli: '%s' has no telemetry block (needs metrics schema v5+ (v%d "
+                 "current), found v%lld)\n",
+                 metrics_path.c_str(), prof::kMetricsSchemaVersion,
+                 static_cast<long long>(doc->int_or("schema_version", 0)));
     return 1;
   }
   const obs::RegistrySnapshot snap = snapshot_from_json(*telemetry);
@@ -826,7 +830,7 @@ int run_overload(int jobs, int wave, double scale, double offered_x, double dead
                          std::to_string(cfg.max_queue_depth));
   }
 
-  const prof::OverloadStats& os = sr.stats;
+  const serve::OverloadStats& os = sr.stats;
   std::printf("overload: submitted=%llu admitted=%llu shed_low=%llu shed_normal=%llu "
               "quota=%llu queue_full=%llu deadline=%llu memory=%llu transitions=%llu "
               "peak_depth=%llu peak_backlog=%.12g queue_wait=%.12g\n",
@@ -1084,7 +1088,10 @@ int run_chaos(double scale, int breaker_threshold, const std::string& env_plan,
   if (rt::Status ps = injector.set_plan("metrics_write=1"); !ps.ok()) {
     violations.push_back("metrics_write=1: plan rejected: " + ps.to_string());
   } else {
-    const std::string probe = "gnnbridge_chaos_probe_metrics.json";
+    // The pid keeps concurrent sweeps in one directory off each other's
+    // probe file and its ".tmp" sibling.
+    const std::string probe =
+        "gnnbridge_chaos_probe_metrics." + std::to_string(::getpid()) + ".json";
     const rt::Status ws = sink.write_file(probe);
     injector.clear();
     std::remove(probe.c_str());
@@ -1122,14 +1129,17 @@ int run_chaos(double scale, int breaker_threshold, const std::string& env_plan,
                 static_cast<unsigned long long>(report.invariant_checked));
   }
 
-  const prof::RecoveryStats recov = sink.recovery();
+  const obs::TelemetryRegistry& reg = obs::TelemetryRegistry::instance();
+  const std::uint64_t shard_retries = reg.counter_value("recovery.shard_retries");
+  const std::uint64_t shard_fallbacks = reg.counter_value("recovery.shard_fallbacks");
   std::printf("recovery: shard_retries=%llu shards_reexecuted=%llu fallback_unsharded=%llu "
               "wasted_cycles=%.12g\n",
-              static_cast<unsigned long long>(recov.shard_retries),
-              static_cast<unsigned long long>(recov.shards_reexecuted),
-              static_cast<unsigned long long>(recov.fallback_unsharded), recov.wasted_cycles);
-  if (recov.shard_retries == 0 || recov.fallback_unsharded == 0) {
-    violations.push_back("sink recovery counters did not register the injected shard faults");
+              static_cast<unsigned long long>(shard_retries),
+              static_cast<unsigned long long>(reg.counter_value("recovery.shards_reexecuted")),
+              static_cast<unsigned long long>(shard_fallbacks),
+              reg.histogram_snapshot("recovery.wasted_cycles").sum);
+  if (shard_retries == 0 || shard_fallbacks == 0) {
+    violations.push_back("recovery counters did not register the injected shard faults");
   }
 
   if (int rc = flush_soak_artifacts(common, journal_out, prom_out); rc != 0) return rc;
@@ -1386,27 +1396,24 @@ int cmd_soak(int argc, char** argv) {
     std::printf("wave %zu: %zu/%zu ok\n", w, wave_ok, n);
   }
 
-  const prof::RobustnessStats rs = sink.robustness();
+  const obs::TelemetryRegistry& reg = obs::TelemetryRegistry::instance();
+  const auto count = [&](const char* name) {
+    return static_cast<unsigned long long>(reg.counter_value(name));
+  };
   std::printf("robustness: jobs=%llu attempts=%llu retries=%llu deadline_hits=%llu "
               "cancellations=%llu breaker_trips=%llu open_admissions=%llu "
               "half_open_probes=%llu recoveries=%llu cancel_points=%llu "
               "backoff_cycles=%.12g\n",
-              static_cast<unsigned long long>(rs.jobs),
-              static_cast<unsigned long long>(rs.attempts),
-              static_cast<unsigned long long>(rs.retries),
-              static_cast<unsigned long long>(rs.deadline_hits),
-              static_cast<unsigned long long>(rs.cancellations),
-              static_cast<unsigned long long>(rs.breaker_trips),
-              static_cast<unsigned long long>(rs.breaker_open_admissions),
-              static_cast<unsigned long long>(rs.breaker_half_open_probes),
-              static_cast<unsigned long long>(rs.breaker_recoveries),
-              static_cast<unsigned long long>(rs.cancel_points), rs.backoff_cycles);
+              count("serve.jobs"), count("serve.attempts"), count("serve.retries"),
+              count("serve.jobs_deadline"), count("serve.jobs_cancelled"),
+              count("serve.breaker_trips"), count("serve.breaker_open_admissions"),
+              count("serve.breaker_half_open_probes"), count("serve.breaker_recoveries"),
+              count("serve.cancel_points"), reg.histogram_snapshot("serve.backoff_cycles").sum);
 
   // Sim-cycle latency percentiles of the successful jobs, from the
   // telemetry registry the engine's fold filled (tools/soak_runner.py
   // parses this line).
-  const obs::HistogramSnapshot lat =
-      obs::TelemetryRegistry::instance().histogram_snapshot("serve.job_cycles");
+  const obs::HistogramSnapshot lat = reg.histogram_snapshot("serve.job_cycles");
   std::printf("latency: n=%llu p50=%.12g p90=%.12g p99=%.12g max=%.12g sim-cycles\n",
               static_cast<unsigned long long>(lat.count), lat.p50, lat.p90, lat.p99, lat.max);
   print_slo_summary();

@@ -10,13 +10,17 @@ lower figure, hang, or non-zero exit fails the run.
 With --check-determinism, each plan is additionally run at 1, 2 and 8
 host threads with --pin-meta and the three metrics files AND the three
 event-journal files are compared byte for byte (the DESIGN.md SS11-SS13
-contract: robustness counters, telemetry and journal seq numbers are
-sim-time functions, never wall-time or thread-count functions). Each
+contract: telemetry counters and journal seq numbers are sim-time
+functions, never wall-time or thread-count functions). Each
 determinism run also arms the flight recorder and runs `gnnbridge_cli
 triage` on its artifacts: the triage stdout (which asserts the DESIGN.md
 SS15 critical-path invariant) and any postmortem dump are byte-compared
 across thread counts too. With --slo-ms the per-tenant SLO tracker is
 armed for every run, exercising the metrics v7 `slo` block.
+
+Each phase starts its reference run and its 1/2/8-thread re-runs at the
+same time: every run writes its own artifacts, so the four processes run
+concurrently and the phase takes about as long as its slowest run.
 
 Each run's sim-cycle latency percentiles (the `latency:` line the soak
 subcommand prints from the telemetry registry) are surfaced in the
@@ -50,7 +54,7 @@ recovery seams too (pass shard_compute/shard_exchange plans).
 
 Exits 0 when every cell of the matrix survives (and, if requested, is
 deterministic), 1 otherwise. Wired as the `soak_smoke`,
-`soak_overload_smoke` and `chaos_soak_smoke` ctest entries.
+`soak_overload_smoke` and `shard_retry_determinism` ctest entries.
 """
 
 import argparse
@@ -59,12 +63,16 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 # Plans the resilient engine must absorb without losing a job: no faults,
 # a bounded tuner-probe burst (auto_tune degrades per job), a LAS failure
 # (falls back to natural order), a fusion failure (adapter off), and a
 # two-shot launch failure (two ladder rungs absorb both shots).
 DEFAULT_PLANS = ["", "tuner_probe=3", "las_cluster", "fusion_pass", "sim_launch=2"]
+
+# Host thread counts of the determinism re-runs.
+THREADS = (1, 2, 8)
 
 SURVIVAL_RE = re.compile(
     r"survival: ([0-9.]+)% \((\d+)/(\d+) ok, (\d+) timed out, (\d+) cancelled, (\d+) failed\)"
@@ -79,9 +87,8 @@ STEADY_RE = re.compile(
 )
 
 
-def run_soak(args, plan, threads=None, metrics=None, journal=None,
-             postmortem=None):
-    """One soak run; returns (exit_code, survival_pct, summary_line, latency)."""
+def soak_cmd(args):
+    """The fault-matrix `soak` command (the plan comes from the environment)."""
     cmd = [
         args.cli, "soak",
         "--jobs", str(args.jobs),
@@ -94,36 +101,11 @@ def run_soak(args, plan, threads=None, metrics=None, journal=None,
         cmd += ["--shards", str(args.shards)]
     if args.slo_ms > 0:
         cmd += ["--slo-ms", str(args.slo_ms)]
-    if threads is not None:
-        cmd += ["--threads", str(threads)]
-    if metrics is not None:
-        cmd += ["--metrics", metrics, "--pin-meta"]
-    if journal is not None:
-        cmd += ["--journal", journal]
-    if postmortem is not None:
-        cmd += ["--flight-recorder", postmortem]
-    env = dict(os.environ)
-    env["GNNBRIDGE_FAULT_PLAN"] = plan
-    try:
-        proc = subprocess.run(cmd, env=env, capture_output=True, text=True,
-                              timeout=args.timeout)
-    except subprocess.TimeoutExpired:
-        return None, 0.0, "TIMEOUT (job stream hung)", None
-    match = SURVIVAL_RE.search(proc.stdout)
-    if not match:
-        return proc.returncode, 0.0, "no survival summary in output", None
-    lat = LATENCY_RE.search(proc.stdout)
-    latency = None
-    if lat:
-        latency = {"n": int(lat.group(1)), "p50": float(lat.group(2)),
-                   "p90": float(lat.group(3)), "p99": float(lat.group(4)),
-                   "max": float(lat.group(5))}
-    return proc.returncode, float(match.group(1)), match.group(0), latency
+    return cmd
 
 
-def run_overload(args, threads=None, metrics=None, journal=None,
-                 postmortem=None):
-    """One `soak --overload` run; returns (exit_code, stdout)."""
+def overload_cmd(args):
+    """The `soak --overload` command."""
     cmd = [
         args.cli, "soak", "--overload",
         "--jobs", str(args.jobs),
@@ -133,46 +115,143 @@ def run_overload(args, threads=None, metrics=None, journal=None,
     ]
     if args.slo_ms > 0:
         cmd += ["--slo-ms", str(args.slo_ms)]
+    return cmd
+
+
+def chaos_cmd(args):
+    """The `soak --chaos` command."""
+    return [args.cli, "soak", "--chaos", "--scale", str(args.scale)]
+
+
+def run_cli(args, cmd, plan, threads=None, stem=None):
+    """Runs one soak command; returns (exit_code, stdout+stderr).
+
+    `plan` is the GNNBRIDGE_FAULT_PLAN to run under; None unsets it (the
+    overload and chaos modes arm their own plans, and an inherited one
+    would only add a warning line). With `stem`, the run pins meta and
+    writes <stem>.json (metrics), <stem>.jsonl (journal) and, when an
+    anomaly fires, <stem>.postmortem.json.
+    """
+    cmd = list(cmd)
     if threads is not None:
         cmd += ["--threads", str(threads)]
-    if metrics is not None:
-        cmd += ["--metrics", metrics, "--pin-meta"]
-    if journal is not None:
-        cmd += ["--journal", journal]
-    if postmortem is not None:
-        cmd += ["--flight-recorder", postmortem]
+    if stem is not None:
+        cmd += ["--metrics", stem + ".json", "--pin-meta",
+                "--journal", stem + ".jsonl",
+                "--flight-recorder", stem + ".postmortem.json"]
     env = dict(os.environ)
-    env.pop("GNNBRIDGE_FAULT_PLAN", None)
+    if plan is None:
+        env.pop("GNNBRIDGE_FAULT_PLAN", None)
+    else:
+        env["GNNBRIDGE_FAULT_PLAN"] = plan
     try:
         proc = subprocess.run(cmd, env=env, capture_output=True, text=True,
                               timeout=args.timeout)
     except subprocess.TimeoutExpired:
-        return None, "TIMEOUT (overload stream hung)"
+        return None, "TIMEOUT (soak run hung)"
     return proc.returncode, proc.stdout + proc.stderr
 
 
-def run_chaos(args, threads=None, metrics=None, journal=None,
-              postmortem=None):
-    """One `soak --chaos` run; returns (exit_code, stdout+stderr)."""
-    cmd = [args.cli, "soak", "--chaos", "--scale", str(args.scale)]
-    if threads is not None:
-        cmd += ["--threads", str(threads)]
-    if metrics is not None:
-        cmd += ["--metrics", metrics, "--pin-meta"]
-    if journal is not None:
-        cmd += ["--journal", journal]
-    if postmortem is not None:
-        cmd += ["--flight-recorder", postmortem]
-    # The chaos schedule arms its own per-cell plans; an inherited
-    # environment plan would only produce a warning line in stdout.
-    env = dict(os.environ)
-    env.pop("GNNBRIDGE_FAULT_PLAN", None)
+def run_checked(args, cmd, plan, check, threads=None, stem=None):
+    """Runs one soak command and applies the phase's output check; returns
+    (output, errors). A hung run's one error is its timeout text."""
+    code, out = run_cli(args, cmd, plan, threads, stem)
+    return out, [out] if code is None else check(code, out)
+
+
+def run_triage(args, metrics, journal, out_path):
+    """Runs `gnnbridge_cli triage` and captures stdout; returns an error or None."""
+    cmd = [args.cli, "triage", metrics, "--journal", journal]
     try:
-        proc = subprocess.run(cmd, env=env, capture_output=True, text=True,
+        proc = subprocess.run(cmd, capture_output=True, text=True,
                               timeout=args.timeout)
     except subprocess.TimeoutExpired:
-        return None, "TIMEOUT (chaos sweep hung)"
-    return proc.returncode, proc.stdout + proc.stderr
+        return "TIMEOUT (triage hung)"
+    with open(out_path, "w") as f:
+        # The "triage: ... from '<paths>'" header names the per-thread input
+        # files; drop it so the capture is comparable across thread counts.
+        f.write("".join(line for line in proc.stdout.splitlines(keepends=True)
+                        if not line.startswith("triage: ")))
+    if proc.returncode != 0:
+        return proc.stdout + proc.stderr
+    if "critical-path invariant: OK" not in proc.stdout:
+        return "triage did not report the critical-path invariant as OK"
+    return None
+
+
+def rerun(args, cmd, plan, check, triage, threads, stem):
+    """One determinism re-run, checked, plus its triage; returns its errors."""
+    _, errors = run_checked(args, cmd, plan, check, threads, stem)
+    if not errors and triage:
+        err = run_triage(args, stem + ".json", stem + ".jsonl", stem + ".triage.txt")
+        if err:
+            errors.append(f"triage: {err}")
+    return errors
+
+
+def run_phase(args, name, cmd, plan, check, triage):
+    """Runs one phase: the reference run and, with --check-determinism, the
+    re-runs at every THREADS count, all concurrently (each run writes its
+    own artifacts under --work-dir).
+
+    Returns ((output, errors) of the reference, {threads: errors} of the
+    re-runs, the re-runs' artifact stems).
+    """
+    counts = THREADS if args.check_determinism else ()
+    stems = [os.path.join(args.work_dir, f"{name}_t{t}") for t in counts]
+    with ThreadPoolExecutor(max_workers=1 + len(counts)) as pool:
+        reference = pool.submit(run_checked, args, cmd, plan, check)
+        reruns = {t: pool.submit(rerun, args, cmd, plan, check, triage, t, stem)
+                  for t, stem in zip(counts, stems)}
+        return (reference.result(), {t: f.result() for t, f in reruns.items()},
+                stems)
+
+
+def compare_reruns(label, rerun_errors, stems, triage):
+    """Reports failed re-runs, then byte-compares the re-runs' artifacts;
+    returns True when every re-run passed and every artifact kind matches.
+
+    Optional artifacts (the flight recorder only dumps on an anomaly) must
+    exist for all thread counts or for none — a mixed set is itself a
+    determinism failure.
+    """
+    ok = True
+    for t, errors in rerun_errors.items():
+        if errors:
+            print(f"  {label:<16} FAIL at {t} thread(s): {'; '.join(errors)}")
+            ok = False
+    if not ok:
+        return False
+    kinds = [("metrics", ".json"), ("journal", ".jsonl"),
+             ("postmortem", ".postmortem.json")]
+    if triage:
+        kinds.append(("triage", ".triage.txt"))
+    counts = "/".join(str(t) for t in THREADS)
+    for what, ext in kinds:
+        paths = [stem + ext for stem in stems]
+        present = [p for p in paths if os.path.exists(p)]
+        if not present:
+            continue
+        if len(present) != len(paths):
+            print(f"  {label:<16} FAIL: {what} dumped at some thread counts "
+                  f"but not others")
+            ok = False
+        elif all(filecmp.cmp(paths[0], p, shallow=False) for p in paths[1:]):
+            print(f"  {label:<16} {what} byte-identical at {counts} threads")
+        else:
+            print(f"  {label:<16} FAIL: {what} differ across thread counts")
+            ok = False
+    return ok
+
+
+def check_soak_output(code, out):
+    """Asserts one fault-matrix run's survival; returns a list of errors."""
+    match = SURVIVAL_RE.search(out)
+    if not match:
+        return [f"exit code {code}: no survival summary in output"]
+    if code != 0 or float(match.group(1)) != 100.0:
+        return [f"exit code {code}: {match.group(0)}"]
+    return []
 
 
 def check_chaos_output(code, out):
@@ -183,90 +262,6 @@ def check_chaos_output(code, out):
     if "chaos contract: held" not in out:
         errors.append("CLI did not report the chaos contract as held")
     return errors
-
-
-def chaos_phase(args):
-    """The --chaos mode: one full-seam sweep plus optional determinism."""
-    print(f"chaos phase: full-seam recovery sweep at scale {args.scale}")
-    code, out = run_chaos(args)
-    errors = check_chaos_output(code, out)
-    for err in errors:
-        print(f"  chaos FAIL: {err}")
-    if errors:
-        sys.stdout.write(out)
-        return False
-    for line in out.splitlines():
-        if line.startswith(("recovery:", "chaos contract:")):
-            print(f"  {line}")
-    if not args.check_determinism:
-        return True
-    metrics_paths, journal_paths, postmortem_paths = [], [], []
-    for t in (1, 2, 8):
-        stem = os.path.join(args.work_dir, f"chaos_t{t}")
-        code, out = run_chaos(args, threads=t, metrics=stem + ".json",
-                              journal=stem + ".jsonl",
-                              postmortem=stem + ".postmortem.json")
-        errors = check_chaos_output(code, out)
-        if errors:
-            print(f"  chaos FAIL at {t} thread(s): {'; '.join(errors)}")
-            return False
-        metrics_paths.append(stem + ".json")
-        journal_paths.append(stem + ".jsonl")
-        postmortem_paths.append(stem + ".postmortem.json")
-    # The persistent shard arms (shard_compute=*, shard_exchange=*) fall
-    # back to unsharded, so the flight recorder must have dumped a
-    # shard_fallback postmortem at every thread count.
-    if not all(os.path.exists(p) for p in postmortem_paths):
-        print("  chaos FAIL: the shard_fallback trigger left no postmortem")
-        return False
-    return compare_artifacts("chaos", [("metrics", metrics_paths),
-                                       ("journal", journal_paths),
-                                       ("postmortem", postmortem_paths)])
-
-
-def run_triage(args, metrics, journal, out_path):
-    """Runs `gnnbridge_cli triage` and captures stdout; returns (code, err)."""
-    cmd = [args.cli, "triage", metrics, "--journal", journal]
-    try:
-        proc = subprocess.run(cmd, capture_output=True, text=True,
-                              timeout=args.timeout)
-    except subprocess.TimeoutExpired:
-        return None, "TIMEOUT (triage hung)"
-    with open(out_path, "w") as f:
-        # The "triage: ... from '<paths>'" header names the per-thread input
-        # files; drop it so the capture is comparable across thread counts.
-        f.write("".join(line for line in proc.stdout.splitlines(keepends=True)
-                        if not line.startswith("triage: ")))
-    if proc.returncode != 0:
-        return proc.returncode, proc.stdout + proc.stderr
-    if "critical-path invariant: OK" not in proc.stdout:
-        return 1, "triage did not report the critical-path invariant as OK"
-    return 0, None
-
-
-def compare_artifacts(name, kinds):
-    """Byte-compares grouped artifact paths; returns True when all match.
-
-    `kinds` is a list of (what, paths); optional artifacts (the flight
-    recorder only dumps on an anomaly) must exist for all thread counts
-    or for none — a mixed set is itself a determinism failure.
-    """
-    ok = True
-    for what, paths in kinds:
-        present = [p for p in paths if os.path.exists(p)]
-        if not present:
-            continue
-        if len(present) != len(paths):
-            print(f"  {name:<16} FAIL: {what} dumped at some thread counts "
-                  f"but not others")
-            ok = False
-            continue
-        if all(filecmp.cmp(paths[0], p, shallow=False) for p in paths[1:]):
-            print(f"  {name:<16} {what} byte-identical at 1/2/8 threads")
-        else:
-            print(f"  {name:<16} FAIL: {what} differ across thread counts")
-            ok = False
-    return ok
 
 
 def check_overload_output(args, code, out):
@@ -291,12 +286,42 @@ def check_overload_output(args, code, out):
     return errors
 
 
+def chaos_phase(args):
+    """The --chaos mode: one full-seam sweep plus optional determinism."""
+    print(f"chaos phase: full-seam recovery sweep at scale {args.scale}")
+    (out, errors), rerun_errors, stems = run_phase(
+        args, "chaos", chaos_cmd(args), None, check_chaos_output, triage=False)
+    for err in errors:
+        print(f"  chaos FAIL: {err}")
+    if errors:
+        sys.stdout.write(out)
+        return False
+    for line in out.splitlines():
+        if line.startswith(("recovery:", "chaos contract:")):
+            print(f"  {line}")
+    if not args.check_determinism:
+        return True
+    if not compare_reruns("chaos", rerun_errors, stems, triage=False):
+        return False
+    # The persistent shard arms (shard_compute=*, shard_exchange=*) fall
+    # back to unsharded, so the flight recorder must have dumped a
+    # shard_fallback postmortem at every thread count.
+    if not all(os.path.exists(stem + ".postmortem.json") for stem in stems):
+        print("  chaos FAIL: the shard_fallback trigger left no postmortem")
+        return False
+    return True
+
+
 def overload_phase(args):
     """The --overload mode: one contract run plus optional determinism."""
     print(f"overload phase: {args.jobs} jobs at ~{args.offered_x}x capacity, "
           f"shed-rate bounds [{args.shed_min}, {args.shed_max}]%")
-    code, out = run_overload(args)
-    errors = check_overload_output(args, code, out)
+
+    def check(code, out):
+        return check_overload_output(args, code, out)
+
+    (out, errors), rerun_errors, stems = run_phase(
+        args, "overload", overload_cmd(args), None, check, triage=True)
     for err in errors:
         print(f"  overload FAIL: {err}")
     if errors:
@@ -308,29 +333,36 @@ def overload_phase(args):
           f"{steady.group(2)}/{steady.group(1)} admitted, 0 lost")
     if not args.check_determinism:
         return True
-    metrics_paths, journal_paths, postmortem_paths, triage_paths = [], [], [], []
-    for t in (1, 2, 8):
-        stem = os.path.join(args.work_dir, f"overload_t{t}")
-        code, out = run_overload(args, threads=t, metrics=stem + ".json",
-                                 journal=stem + ".jsonl",
-                                 postmortem=stem + ".postmortem.json")
-        errors = check_overload_output(args, code, out)
+    return compare_reruns("overload", rerun_errors, stems, triage=True)
+
+
+def matrix_phase(args, plans):
+    """The default mode: every fault plan survives, optionally deterministically."""
+    print(f"soak matrix: {len(plans)} plan(s) x {args.jobs} jobs "
+          f"(deadline {args.deadline_ms} sim-ms, max attempts {args.max_attempts})")
+    ok = True
+    for index, plan in enumerate(plans):
+        name = plan or "(no faults)"
+        (out, errors), rerun_errors, stems = run_phase(
+            args, f"plan{index}", soak_cmd(args), plan, check_soak_output,
+            triage=True)
+        survival = SURVIVAL_RE.search(out)
+        line = survival.group(0) if survival else "; ".join(errors)
+        print(f"  {name:<16} {'FAIL' if errors else 'OK  '} {line}")
         if errors:
-            print(f"  overload FAIL at {t} thread(s): {'; '.join(errors)}")
-            return False
-        code, err = run_triage(args, stem + ".json", stem + ".jsonl",
-                               stem + ".triage.txt")
-        if code != 0:
-            print(f"  overload FAIL: triage at {t} thread(s): {err}")
-            return False
-        metrics_paths.append(stem + ".json")
-        journal_paths.append(stem + ".jsonl")
-        postmortem_paths.append(stem + ".postmortem.json")
-        triage_paths.append(stem + ".triage.txt")
-    return compare_artifacts("overload", [("metrics", metrics_paths),
-                                          ("journal", journal_paths),
-                                          ("postmortem", postmortem_paths),
-                                          ("triage", triage_paths)])
+            ok = False
+            continue
+        lat = LATENCY_RE.search(out)
+        if lat:
+            print(f"  {'':<16}      latency p50={float(lat.group(2)):.6g} "
+                  f"p99={float(lat.group(4)):.6g} sim-cycles "
+                  f"(n={lat.group(1)}, max={float(lat.group(5)):.6g})")
+        if args.check_determinism:
+            if not compare_reruns(name, rerun_errors, stems, triage=True):
+                ok = False
+            elif stems:
+                print(f"  {name:<16} journal -> {stems[0]}.jsonl")
+    return ok
 
 
 def main():
@@ -395,63 +427,13 @@ def main():
     if args.overload:
         ok = overload_phase(args)
         print("overload phase: OK" if ok else "overload phase: FAIL")
-        return 0 if ok else 1
-
-    if args.chaos:
+    elif args.chaos:
         ok = chaos_phase(args)
         print("chaos phase: OK" if ok else "chaos phase: FAIL")
-        return 0 if ok else 1
-
-    failed = False
-    print(f"soak matrix: {len(plans)} plan(s) x {args.jobs} jobs "
-          f"(deadline {args.deadline_ms} sim-ms, max attempts {args.max_attempts})")
-    for plan in plans:
-        name = plan or "(no faults)"
-        code, pct, line, latency = run_soak(args, plan)
-        ok = code == 0 and pct == 100.0
-        print(f"  {name:<16} {'OK  ' if ok else 'FAIL'} {line}")
-        if ok and latency:
-            print(f"  {'':<16}      latency p50={latency['p50']:.6g} "
-                  f"p99={latency['p99']:.6g} sim-cycles "
-                  f"(n={latency['n']}, max={latency['max']:.6g})")
-        if not ok:
-            failed = True
-            continue
-        if args.check_determinism:
-            metrics_paths, journal_paths = [], []
-            postmortem_paths, triage_paths = [], []
-            for t in (1, 2, 8):
-                stem = os.path.join(args.work_dir, f"plan{plans.index(plan)}_t{t}")
-                code, pct, line, _ = run_soak(args, plan, threads=t,
-                                              metrics=stem + ".json",
-                                              journal=stem + ".jsonl",
-                                              postmortem=stem + ".postmortem.json")
-                if code != 0 or pct != 100.0:
-                    print(f"  {name:<16} FAIL at {t} thread(s): {line}")
-                    failed = True
-                    break
-                code, err = run_triage(args, stem + ".json", stem + ".jsonl",
-                                       stem + ".triage.txt")
-                if code != 0:
-                    print(f"  {name:<16} FAIL: triage at {t} thread(s): {err}")
-                    failed = True
-                    break
-                metrics_paths.append(stem + ".json")
-                journal_paths.append(stem + ".jsonl")
-                postmortem_paths.append(stem + ".postmortem.json")
-                triage_paths.append(stem + ".triage.txt")
-            else:
-                if not compare_artifacts(name, [("metrics", metrics_paths),
-                                                ("journal", journal_paths),
-                                                ("postmortem", postmortem_paths),
-                                                ("triage", triage_paths)]):
-                    failed = True
-                if journal_paths:
-                    print(f"  {name:<16} journal -> {journal_paths[0]}")
-
-    print("soak matrix: FAIL" if failed else "soak matrix: all plans survived")
-    return 1 if failed else 0
-
+    else:
+        ok = matrix_phase(args, plans)
+        print("soak matrix: all plans survived" if ok else "soak matrix: FAIL")
+    return 0 if ok else 1
 
 if __name__ == "__main__":
     sys.exit(main())
