@@ -96,6 +96,8 @@ class Backend {
   virtual std::string_view name() const = 0;
 
   /// Whether the framework implements the model at all ("x" in Figure 7).
+  /// Covers the extension models too: a backend that does not support
+  /// GraphSAGE-Pool or multi-head GAT inherits their empty stubs below.
   virtual bool supports(ModelKind kind) const = 0;
 
   virtual RunResult run_gcn(const Dataset& data, const GcnRun& run, ExecMode mode,
@@ -105,9 +107,7 @@ class Backend {
   virtual RunResult run_sage_lstm(const Dataset& data, const SageLstmRun& run, ExecMode mode,
                                   const sim::DeviceSpec& spec) = 0;
 
-  /// GraphSAGE-Pool (max aggregator) — an extension model; backends that
-  /// do not implement it inherit this unsupported stub.
-  virtual bool supports_pool() const { return false; }
+  /// GraphSAGE-Pool (max aggregator) — an extension model.
   virtual RunResult run_sage_pool(const Dataset& /*data*/, const SagePoolRun& /*run*/,
                                   ExecMode /*mode*/, const sim::DeviceSpec& /*spec*/) {
     return {};
@@ -115,7 +115,6 @@ class Backend {
 
   /// Multi-head GAT — an extension model (one layer, K heads,
   /// concatenated outputs).
-  virtual bool supports_multihead() const { return false; }
   virtual RunResult run_multihead_gat(const Dataset& /*data*/, const MultiHeadGatRun& /*run*/,
                                       ExecMode /*mode*/, const sim::DeviceSpec& /*spec*/) {
     return {};

@@ -1,17 +1,14 @@
 #include "baselines/dgl.hpp"
 
-#include <cmath>
-#include <deque>
+#include <span>
 
 #include "baselines/footprint.hpp"
+#include "baselines/pipeline.hpp"
 #include "kernels/dense.hpp"
-#include "kernels/edge_ops.hpp"
 #include "kernels/expand.hpp"
 #include "kernels/fused.hpp"
 #include "kernels/lstm.hpp"
-#include "kernels/sddmm.hpp"
 #include "kernels/spmm.hpp"
-#include "tensor/activations.hpp"
 #include "prof/span.hpp"
 
 namespace gnnbridge::baselines {
@@ -20,42 +17,41 @@ namespace k = gnnbridge::kernels;
 
 namespace {
 
+using pipeline::Workspace;
+
 /// Per-op host-side scheduling cost of the DGL/PyTorch stack (graph index
 /// handle lookups, dispatcher layers, autograd bookkeeping) — Observation 3.
 constexpr sim::Cycles kFrameworkOverheadCycles = 30000.0;
 
-sim::DeviceSpec with_framework_overhead(sim::DeviceSpec spec) {
-  spec.framework_overhead_cycles = kFrameworkOverheadCycles;
-  return spec;
-}
-
-/// Owns the host matrices backing device FeatureMats for one run.
-/// std::deque: stable addresses under growth.
-struct Workspace {
-  std::deque<Matrix> pool;
-
-  k::FeatureMat mat(sim::SimContext& ctx, models::Index rows, models::Index cols,
-                    const char* label) {
-    pool.emplace_back(rows, cols);
-    return k::device_mat(ctx, pool.back(), label);
-  }
-  k::FeatureMat from(sim::SimContext& ctx, const Matrix& m, const char* label) {
-    pool.push_back(m);
-    return k::device_mat(ctx, pool.back(), label);
-  }
-  k::FeatureMat from_vec(sim::SimContext& ctx, const std::vector<float>& v, const char* label) {
-    pool.emplace_back(static_cast<models::Index>(v.size()), 1,
-                      std::vector<float>(v.begin(), v.end()));
-    return k::device_mat(ctx, pool.back(), label);
-  }
-};
-
-RunResult finish(sim::SimContext& ctx, const sim::DeviceSpec& spec, Matrix output) {
-  RunResult r;
-  r.stats = ctx.stats();
-  r.ms = spec.millis(r.stats.total_cycles);
-  r.output = std::move(output);
-  return r;
+/// One Listing-1 GAT layer (or head) over `in`, at DGL's natural task order
+/// and fixed 32-lane mapping; returns its output. DGL allocates the [E, 1]
+/// broadcast buffer before the layer output, the engine after it: device
+/// addresses follow the allocation order, so this order is DGL's own.
+k::FeatureMat listing1_layer(sim::SimContext& ctx, Workspace& ws, const k::GraphOnDevice& gdev,
+                             std::span<const k::Task> tasks, const k::FeatureMat& in,
+                             const Matrix& w, const Matrix& att_l, const Matrix& att_r,
+                             float leaky_alpha, bool relu, ExecMode mode) {
+  const auto edges = static_cast<models::Index>(gdev.csr->num_edges());
+  pipeline::GatLayer l;
+  l.w = ws.from(ctx, w, "w");
+  l.att_l = ws.from(ctx, att_l, "att_l");
+  l.att_r = ws.from(ctx, att_r, "att_r");
+  l.t = ws.mat(ctx, in.rows, w.cols(), "transformed");
+  l.att_src = ws.mat(ctx, in.rows, 1, "att_src");
+  l.att_dst = ws.mat(ctx, in.rows, 1, "att_dst");
+  l.e = ws.mat(ctx, edges, 1, "e");
+  l.vacc = ws.mat(ctx, in.rows, 1, "v_acc");
+  l.e_acc = ws.mat(ctx, edges, 1, "e_acc");
+  l.out = ws.mat(ctx, in.rows, w.cols(), "aggregated");
+  k::dense_gemm(ctx, {.a = &in, .b = &l.w, .c = &l.t, .mode = mode});
+  pipeline::gat_graph_ops(ctx, pipeline::GatGraphOps::kListing1,
+                          {.graph = &gdev,
+                           .tasks = tasks,
+                           .layer = &l,
+                           .leaky_alpha = leaky_alpha,
+                           .relu = relu,
+                           .mode = mode});
+  return l.out;
 }
 
 }  // namespace
@@ -66,7 +62,7 @@ RunResult DglBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode m
   const std::uint64_t paper_bytes = dgl_footprint(graph::paper_stats(data.id), *run.cfg);
   if (paper_bytes > kDeviceBytes) return {.oom = true, .paper_bytes = paper_bytes};
 
-  sim::SimContext ctx(with_framework_overhead(spec));
+  sim::SimContext ctx(pipeline::with_overhead(spec, kFrameworkOverheadCycles));
   Workspace ws;
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const auto tasks = k::natural_tasks(data.csr);
@@ -95,7 +91,7 @@ RunResult DglBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode m
     k::bias_act_kernel(ctx, {.bias = &bias, .mat = &agg, .relu = !last, .mode = mode});
     h = agg;
   }
-  RunResult r = finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix());
+  RunResult r = pipeline::finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix());
   r.paper_bytes = paper_bytes;
   return r;
 }
@@ -106,79 +102,18 @@ RunResult DglBackend::run_gat(const Dataset& data, const GatRun& run, ExecMode m
   const std::uint64_t paper_bytes = dgl_footprint_gat(graph::paper_stats(data.id), *run.cfg);
   if (paper_bytes > kDeviceBytes) return {.oom = true, .paper_bytes = paper_bytes};
 
-  sim::SimContext ctx(with_framework_overhead(spec));
+  sim::SimContext ctx(pipeline::with_overhead(spec, kFrameworkOverheadCycles));
   Workspace ws;
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const auto tasks = k::natural_tasks(data.csr);
-  const graph::EdgeId num_edges = data.csr.num_edges();
-  const float alpha = run.cfg->leaky_alpha;
 
   k::FeatureMat h = ws.from(ctx, *run.features, "x");
   for (std::size_t l = 0; l < run.params->weight.size(); ++l) {
-    const bool last = l + 1 == run.params->weight.size();
-    auto w = ws.from(ctx, run.params->weight[l], "w");
-    auto al = ws.from(ctx, run.params->att_l[l], "att_l");
-    auto ar = ws.from(ctx, run.params->att_r[l], "att_r");
-    auto t = ws.mat(ctx, h.rows, w.cols, "transformed");
-    k::dense_gemm(ctx, {.a = &h, .b = &w, .c = &t, .mode = mode});
-    auto att_src = ws.mat(ctx, h.rows, 1, "att_src");
-    auto att_dst = ws.mat(ctx, h.rows, 1, "att_dst");
-    k::row_dot(ctx, {.feat = &t, .vec = &al, .out = &att_src, .mode = mode});
-    k::row_dot(ctx, {.feat = &t, .vec = &ar, .out = &att_dst, .mode = mode});
-
-    // Listing 1: seven separate graph-op kernels.
-    auto e = ws.mat(ctx, num_edges, 1, "e");
-    k::u_add_v(ctx, {.graph = &gdev,
-                     .tasks = tasks,
-                     .src_scalar = &att_src,
-                     .dst_scalar = &att_dst,
-                     .edge_out = &e,
-                     .mode = mode});
-    k::edge_map(ctx, {.in = &e,
-                      .out = &e,
-                      .fn = [alpha](float x) { return tensor::leaky_relu_scalar(x, alpha); },
-                      .flops_per_elem = 1.0,
-                      .mode = mode,
-                      .name = "leaky_relu"});
-    k::edge_map(ctx, {.in = &e,
-                      .out = &e,
-                      .fn = [](float x) { return std::exp(x); },
-                      .flops_per_elem = 4.0,
-                      .mode = mode,
-                      .name = "exp"});
-    auto vacc = ws.mat(ctx, h.rows, 1, "v_acc");
-    k::segment_sum(ctx, {.graph = &gdev, .tasks = tasks, .edge_val = &e, .node_out = &vacc,
-                         .mode = mode});
-    auto eacc = ws.mat(ctx, num_edges, 1, "e_acc");
-    k::broadcast_edge(ctx, {.graph = &gdev, .tasks = tasks, .node_val = &vacc,
-                            .edge_out = &eacc, .mode = mode});
-    k::edge_binary(ctx, {.a = &e,
-                         .b = &eacc,
-                         .out = &e,
-                         .fn = [](float x, float acc) { return acc != 0.0f ? x / acc : 0.0f; },
-                         .flops_per_elem = 1.0,
-                         .mode = mode,
-                         .name = "softmax_div"});
-    auto agg = ws.mat(ctx, h.rows, w.cols, "aggregated");
-    k::SpmmArgs spmm{.graph = &gdev,
-                     .tasks = tasks,
-                     .src = &t,
-                     .edge_weight = &e,
-                     .out = &agg,
-                     .mode = mode,
-                     .name = "u_mul_e_sum"};
-    k::spmm_node(ctx, spmm);
-    if (!last) {
-      k::dense_map(ctx, {.in = &agg,
-                         .out = &agg,
-                         .fn = [](float x) { return x > 0.0f ? x : 0.0f; },
-                         .flops_per_elem = 1.0,
-                         .mode = mode,
-                         .name = "relu"});
-    }
-    h = agg;
+    h = listing1_layer(ctx, ws, gdev, tasks, h, run.params->weight[l], run.params->att_l[l],
+                       run.params->att_r[l], run.cfg->leaky_alpha,
+                       l + 1 != run.params->weight.size(), mode);
   }
-  RunResult r = finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix());
+  RunResult r = pipeline::finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix());
   r.paper_bytes = paper_bytes;
   return r;
 }
@@ -187,7 +122,7 @@ RunResult DglBackend::run_sage_lstm(const Dataset& data, const SageLstmRun& run,
                                     const sim::DeviceSpec& spec) {
   prof::Span span("DglBackend::run_sage_lstm", "baseline");
   // SAGE-LSTM footprints are tiny (one [N, F] expansion buffer at a time).
-  sim::SimContext ctx(with_framework_overhead(spec));
+  sim::SimContext ctx(pipeline::with_overhead(spec, kFrameworkOverheadCycles));
   Workspace ws;
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const models::Index n = data.csr.num_nodes;
@@ -227,7 +162,7 @@ RunResult DglBackend::run_sage_lstm(const Dataset& data, const SageLstmRun& run,
   auto out = ws.mat(ctx, n, hidden, "out");
   k::dense_gemm(ctx, {.a = &hstate, .b = &outw, .c = &out, .mode = mode, .phase = "projection"});
 
-  return finish(ctx, spec, mode == ExecMode::kFull ? *out.host : Matrix());
+  return pipeline::finish(ctx, spec, mode == ExecMode::kFull ? *out.host : Matrix());
 }
 
 RunResult DglBackend::run_multihead_gat(const Dataset& data, const MultiHeadGatRun& run,
@@ -235,103 +170,29 @@ RunResult DglBackend::run_multihead_gat(const Dataset& data, const MultiHeadGatR
   prof::Span span("DglBackend::run_multihead_gat", "baseline");
   // DGL executes each head as an independent Listing-1 pipeline: K times
   // the op count — the op-explosion face of Observation 3.
-  sim::SimContext ctx(with_framework_overhead(spec));
+  sim::SimContext ctx(pipeline::with_overhead(spec, kFrameworkOverheadCycles));
   Workspace ws;
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const auto tasks = k::natural_tasks(data.csr);
-  const graph::EdgeId num_edges = data.csr.num_edges();
-  const float alpha = run.cfg->leaky_alpha;
-
-  auto x = ws.from(ctx, *run.features, "x");
-  Matrix concat(data.csr.num_nodes, run.cfg->out_feat());
-  for (int head = 0; head < run.cfg->heads; ++head) {
-    const auto h = static_cast<std::size_t>(head);
-    auto w = ws.from(ctx, run.params->weight[h], "w");
-    auto al = ws.from(ctx, run.params->att_l[h], "att_l");
-    auto ar = ws.from(ctx, run.params->att_r[h], "att_r");
-    auto t = ws.mat(ctx, x.rows, w.cols, "transformed");
-    k::dense_gemm(ctx, {.a = &x, .b = &w, .c = &t, .mode = mode});
-    auto att_src = ws.mat(ctx, x.rows, 1, "att_src");
-    auto att_dst = ws.mat(ctx, x.rows, 1, "att_dst");
-    k::row_dot(ctx, {.feat = &t, .vec = &al, .out = &att_src, .mode = mode});
-    k::row_dot(ctx, {.feat = &t, .vec = &ar, .out = &att_dst, .mode = mode});
-
-    auto e = ws.mat(ctx, num_edges, 1, "e");
-    k::u_add_v(ctx, {.graph = &gdev, .tasks = tasks, .src_scalar = &att_src,
-                     .dst_scalar = &att_dst, .edge_out = &e, .mode = mode});
-    k::edge_map(ctx, {.in = &e,
-                      .out = &e,
-                      .fn = [alpha](float v) { return tensor::leaky_relu_scalar(v, alpha); },
-                      .flops_per_elem = 1.0,
-                      .mode = mode,
-                      .name = "leaky_relu"});
-    k::edge_map(ctx, {.in = &e,
-                      .out = &e,
-                      .fn = [](float v) { return std::exp(v); },
-                      .flops_per_elem = 4.0,
-                      .mode = mode,
-                      .name = "exp"});
-    auto vacc = ws.mat(ctx, x.rows, 1, "v_acc");
-    k::segment_sum(ctx, {.graph = &gdev, .tasks = tasks, .edge_val = &e, .node_out = &vacc,
-                         .mode = mode});
-    auto eacc = ws.mat(ctx, num_edges, 1, "e_acc");
-    k::broadcast_edge(ctx, {.graph = &gdev, .tasks = tasks, .node_val = &vacc, .edge_out = &eacc,
-                            .mode = mode});
-    k::edge_binary(ctx, {.a = &e,
-                         .b = &eacc,
-                         .out = &e,
-                         .fn = [](float v, float acc) { return acc != 0.0f ? v / acc : 0.0f; },
-                         .flops_per_elem = 1.0,
-                         .mode = mode,
-                         .name = "softmax_div"});
-    auto agg = ws.mat(ctx, x.rows, w.cols, "aggregated");
-    k::SpmmArgs spmm{.graph = &gdev, .tasks = tasks, .src = &t, .edge_weight = &e, .out = &agg,
-                     .mode = mode, .name = "u_mul_e_sum"};
-    k::spmm_node(ctx, spmm);
-    if (mode == ExecMode::kFull) {
-      const models::Index off = static_cast<models::Index>(head) * run.cfg->head_dim;
-      for (graph::NodeId v = 0; v < data.csr.num_nodes; ++v) {
-        auto src = agg.host->row(v);
-        auto dst = concat.row(v);
-        for (models::Index f = 0; f < run.cfg->head_dim; ++f) dst[off + f] = src[f];
-      }
-    }
-  }
-  return finish(ctx, spec, mode == ExecMode::kFull ? std::move(concat) : Matrix());
+  const auto head = [&](const k::FeatureMat& x, std::size_t h) {
+    return listing1_layer(ctx, ws, gdev, tasks, x, run.params->weight[h], run.params->att_l[h],
+                          run.params->att_r[h], run.cfg->leaky_alpha, /*relu=*/false, mode);
+  };
+  return pipeline::finish(ctx, spec, pipeline::multihead_gat(ctx, ws, run, mode, head));
 }
 
 RunResult DglBackend::run_sage_pool(const Dataset& data, const SagePoolRun& run, ExecMode mode,
                                     const sim::DeviceSpec& spec) {
   prof::Span span("DglBackend::run_sage_pool", "baseline");
-  sim::SimContext ctx(with_framework_overhead(spec));
+  sim::SimContext ctx(pipeline::with_overhead(spec, kFrameworkOverheadCycles));
   Workspace ws;
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
-  const auto tasks = k::natural_tasks(data.csr);
-
-  auto x = ws.from(ctx, *run.features, "x");
-  auto w_pool = ws.from(ctx, run.params->w_pool, "w_pool");
-  auto b_pool = ws.from(ctx, run.params->b_pool, "b_pool");
-  auto w_out = ws.from(ctx, run.params->w_out, "w_out");
-
-  auto t = ws.mat(ctx, x.rows, w_pool.cols, "transformed");
-  k::dense_gemm(ctx, {.a = &x, .b = &w_pool, .c = &t, .mode = mode});
-  k::bias_act_kernel(ctx, {.bias = &b_pool, .mat = &t, .relu = true, .mode = mode});
-
   // Max aggregation: DGL's own node-parallel kernel (no vendor path for
   // non-sum reducers).
-  auto pooled = ws.mat(ctx, x.rows, w_pool.cols, "pooled");
-  k::SpmmArgs spmm{.graph = &gdev,
-                   .tasks = tasks,
-                   .src = &t,
-                   .out = &pooled,
-                   .reduce = k::Reduce::kMax,
-                   .mode = mode,
-                   .name = "max_aggregate"};
-  k::spmm_node(ctx, spmm);
-
-  auto out = ws.mat(ctx, x.rows, w_out.cols, "out");
-  k::dense_gemm(ctx, {.a = &pooled, .b = &w_out, .c = &out, .mode = mode});
-  return finish(ctx, spec, mode == ExecMode::kFull ? *out.host : Matrix());
+  const k::FeatureMat out =
+      pipeline::sage_pool(ctx, ws, gdev, k::natural_tasks(data.csr), /*any_split=*/false,
+                          /*lanes=*/32, run, mode);
+  return pipeline::finish(ctx, spec, mode == ExecMode::kFull ? *out.host : Matrix());
 }
 
 }  // namespace gnnbridge::baselines

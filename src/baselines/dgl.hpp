@@ -25,12 +25,8 @@ class DglBackend final : public Backend {
                     const sim::DeviceSpec& spec) override;
   RunResult run_sage_lstm(const Dataset& data, const SageLstmRun& run, ExecMode mode,
                           const sim::DeviceSpec& spec) override;
-
-  bool supports_pool() const override { return true; }
   RunResult run_sage_pool(const Dataset& data, const SagePoolRun& run, ExecMode mode,
                           const sim::DeviceSpec& spec) override;
-
-  bool supports_multihead() const override { return true; }
   RunResult run_multihead_gat(const Dataset& data, const MultiHeadGatRun& run, ExecMode mode,
                               const sim::DeviceSpec& spec) override;
 };

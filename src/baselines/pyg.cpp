@@ -1,9 +1,9 @@
 #include "baselines/pyg.hpp"
 
 #include <cmath>
-#include <deque>
 
 #include "baselines/footprint.hpp"
+#include "baselines/pipeline.hpp"
 #include "kernels/dense.hpp"
 #include "kernels/edge_ops.hpp"
 #include "kernels/expand.hpp"
@@ -18,29 +18,6 @@ namespace k = gnnbridge::kernels;
 namespace {
 /// PyG/PyTorch per-op scheduling cost (Observation 3).
 constexpr sim::Cycles kFrameworkOverheadCycles = 30000.0;
-
-sim::DeviceSpec with_framework_overhead(sim::DeviceSpec spec) {
-  spec.framework_overhead_cycles = kFrameworkOverheadCycles;
-  return spec;
-}
-
-struct Workspace {
-  std::deque<Matrix> pool;
-  k::FeatureMat mat(sim::SimContext& ctx, models::Index rows, models::Index cols,
-                    const char* label) {
-    pool.emplace_back(rows, cols);
-    return k::device_mat(ctx, pool.back(), label);
-  }
-  k::FeatureMat from(sim::SimContext& ctx, const Matrix& m, const char* label) {
-    pool.push_back(m);
-    return k::device_mat(ctx, pool.back(), label);
-  }
-  k::FeatureMat from_vec(sim::SimContext& ctx, const std::vector<float>& v, const char* label) {
-    pool.emplace_back(static_cast<models::Index>(v.size()), 1,
-                      std::vector<float>(v.begin(), v.end()));
-    return k::device_mat(ctx, pool.back(), label);
-  }
-};
 }  // namespace
 
 RunResult PygBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode mode,
@@ -49,8 +26,8 @@ RunResult PygBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode m
   const std::uint64_t paper_bytes = pyg_footprint_gcn(graph::paper_stats(data.id), *run.cfg);
   if (paper_bytes > kDeviceBytes) return {.oom = true, .paper_bytes = paper_bytes};
 
-  sim::SimContext ctx(with_framework_overhead(spec));
-  Workspace ws;
+  sim::SimContext ctx(pipeline::with_overhead(spec, kFrameworkOverheadCycles));
+  pipeline::Workspace ws;
   const auto edev = k::device_edges(ctx, data.coo, "coo");
   // Canonical COO is (dst, src)-sorted — the same edge order as the CSR, so
   // the CSR-derived normalization aligns slot for slot.
@@ -77,11 +54,8 @@ RunResult PygBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode m
     k::bias_act_kernel(ctx, {.bias = &bias, .mat = &agg, .relu = !last, .mode = mode});
     h = agg;
   }
-  RunResult r;
-  r.stats = ctx.stats();
-  r.ms = spec.millis(r.stats.total_cycles);
+  RunResult r = pipeline::finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix());
   r.paper_bytes = paper_bytes;
-  if (mode == ExecMode::kFull) r.output = *h.host;
   return r;
 }
 
@@ -91,8 +65,8 @@ RunResult PygBackend::run_gat(const Dataset& data, const GatRun& run, ExecMode m
   const std::uint64_t paper_bytes = pyg_footprint_gat(graph::paper_stats(data.id), *run.cfg);
   if (paper_bytes > kDeviceBytes) return {.oom = true, .paper_bytes = paper_bytes};
 
-  sim::SimContext ctx(with_framework_overhead(spec));
-  Workspace ws;
+  sim::SimContext ctx(pipeline::with_overhead(spec, kFrameworkOverheadCycles));
+  pipeline::Workspace ws;
   const auto edev = k::device_edges(ctx, data.coo, "coo");
   const graph::EdgeId num_edges = data.coo.num_edges();
   const float alpha = run.cfg->leaky_alpha;
@@ -167,11 +141,8 @@ RunResult PygBackend::run_gat(const Dataset& data, const GatRun& run, ExecMode m
     }
     h = agg;
   }
-  RunResult r;
-  r.stats = ctx.stats();
-  r.ms = spec.millis(r.stats.total_cycles);
+  RunResult r = pipeline::finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix());
   r.paper_bytes = paper_bytes;
-  if (mode == ExecMode::kFull) r.output = *h.host;
   return r;
 }
 

@@ -17,7 +17,9 @@ namespace gnnbridge::baselines {
 class PygBackend final : public Backend {
  public:
   std::string_view name() const override { return "PyG"; }
-  bool supports(ModelKind kind) const override { return kind != ModelKind::kSageLstm; }
+  bool supports(ModelKind kind) const override {
+    return kind == ModelKind::kGcn || kind == ModelKind::kGat;
+  }
 
   RunResult run_gcn(const Dataset& data, const GcnRun& run, ExecMode mode,
                     const sim::DeviceSpec& spec) override;

@@ -1,8 +1,7 @@
 #include "baselines/roc.hpp"
 
-#include <deque>
-
 #include "baselines/footprint.hpp"
+#include "baselines/pipeline.hpp"
 #include "kernels/dense.hpp"
 #include "kernels/fused.hpp"
 #include "kernels/spmm.hpp"
@@ -16,29 +15,6 @@ namespace {
 /// ROC's C++ runtime is leaner than the Python stacks, but its partition
 /// manager still intermediates every op.
 constexpr sim::Cycles kFrameworkOverheadCycles = 20000.0;
-
-sim::DeviceSpec with_framework_overhead(sim::DeviceSpec spec) {
-  spec.framework_overhead_cycles = kFrameworkOverheadCycles;
-  return spec;
-}
-
-struct Workspace {
-  std::deque<Matrix> pool;
-  k::FeatureMat mat(sim::SimContext& ctx, models::Index rows, models::Index cols,
-                    const char* label) {
-    pool.emplace_back(rows, cols);
-    return k::device_mat(ctx, pool.back(), label);
-  }
-  k::FeatureMat from(sim::SimContext& ctx, const Matrix& m, const char* label) {
-    pool.push_back(m);
-    return k::device_mat(ctx, pool.back(), label);
-  }
-  k::FeatureMat from_vec(sim::SimContext& ctx, const std::vector<float>& v, const char* label) {
-    pool.emplace_back(static_cast<models::Index>(v.size()), 1,
-                      std::vector<float>(v.begin(), v.end()));
-    return k::device_mat(ctx, pool.back(), label);
-  }
-};
 }  // namespace
 
 RunResult RocBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode mode,
@@ -47,8 +23,8 @@ RunResult RocBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode m
   const std::uint64_t paper_bytes = roc_footprint_gcn(graph::paper_stats(data.id), *run.cfg);
   if (paper_bytes > kDeviceBytes) return {.oom = true, .paper_bytes = paper_bytes};
 
-  sim::SimContext ctx(with_framework_overhead(spec));
-  Workspace ws;
+  sim::SimContext ctx(pipeline::with_overhead(spec, kFrameworkOverheadCycles));
+  pipeline::Workspace ws;
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const auto tasks = k::natural_tasks(data.csr);
   const auto norm = ws.from_vec(ctx, models::gcn_edge_norm(data.csr), "gcn_norm");
@@ -97,11 +73,8 @@ RunResult RocBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode m
                        .phase = "partition"});
     h = agg;
   }
-  RunResult r;
-  r.stats = ctx.stats();
-  r.ms = spec.millis(r.stats.total_cycles);
+  RunResult r = pipeline::finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix());
   r.paper_bytes = paper_bytes;
-  if (mode == ExecMode::kFull) r.output = *h.host;
   return r;
 }
 

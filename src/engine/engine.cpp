@@ -1,7 +1,6 @@
 #include "engine/engine.hpp"
 
 #include <bit>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -13,11 +12,8 @@
 #include "par/thread_pool.hpp"
 #include "models/gcn_grad.hpp"
 #include "kernels/dense.hpp"
-#include "kernels/edge_ops.hpp"
 #include "kernels/expand.hpp"
-#include "kernels/fused.hpp"
 #include "kernels/lstm.hpp"
-#include "kernels/sddmm.hpp"
 #include "kernels/spmm.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/journal.hpp"
@@ -28,17 +24,15 @@
 #include "prof/span.hpp"
 #include "rt/fault.hpp"
 #include "rt/validate.hpp"
-#include "tensor/activations.hpp"
 
 namespace gnnbridge::engine {
 
 namespace k = gnnbridge::kernels;
+namespace pipeline = baselines::pipeline;
 using baselines::Matrix;
 
 namespace {
-using detail::Workspace;
-using detail::finish;
-using detail::with_engine_overhead;
+using pipeline::Workspace;
 
 /// The one knob table, in bit order: each detail::Knob bit, its
 /// metric-schema name and the fallback the degradation ladder takes when it
@@ -160,218 +154,46 @@ auto run_direct(const graph::Csr& csr, Fn&& body) {
 }
 
 /// One unsharded GCN layer over `in`: buffers, transform, aggregation.
-detail::GcnLayer gcn_layer(sim::SimContext& ctx, Workspace& ws, const k::GraphOnDevice& gdev,
-                           const k::FeatureMat& norm, const detail::AttemptPlan& plan,
-                           const k::FeatureMat& in, const Matrix& w, const Matrix& b, bool fused,
-                           bool relu, ExecMode mode) {
-  detail::GcnLayer layer = detail::gcn_layer_buffers(ctx, ws, in.rows, w, b);
+pipeline::GcnLayer gcn_layer(sim::SimContext& ctx, Workspace& ws, const k::GraphOnDevice& gdev,
+                             const k::FeatureMat& norm, const detail::AttemptPlan& plan,
+                             const k::FeatureMat& in, const Matrix& w, const Matrix& b,
+                             bool fused, bool relu, ExecMode mode) {
+  pipeline::GcnLayer layer = pipeline::gcn_layer_buffers(ctx, ws, in.rows, w, b);
   k::dense_gemm(ctx, {.a = &in, .b = &layer.w, .c = &layer.t, .mode = mode});
-  detail::gcn_aggregate(ctx, {.graph = &gdev,
-                              .grouped = &plan.grouped,
-                              .norm = &norm,
-                              .layer = &layer,
-                              .fused = fused,
-                              .relu = relu,
-                              .lanes = plan.lanes,
-                              .mode = mode});
+  pipeline::gcn_aggregate(ctx, {.graph = &gdev,
+                                .tasks = plan.grouped.tasks,
+                                .any_split = plan.grouped.any_split,
+                                .norm = &norm,
+                                .layer = &layer,
+                                .fused = fused,
+                                .relu = relu,
+                                .lanes = plan.lanes,
+                                .mode = mode});
   return layer;
 }
 
-/// One unsharded GAT layer (or head) over `in`: buffers, transform, graph
-/// ops. Returns the layer output.
+/// One unsharded GAT layer (or head) over `in` in the plan's variant:
+/// buffers, transform, graph ops. Returns the layer output.
 k::FeatureMat gat_layer(sim::SimContext& ctx, Workspace& ws, const k::GraphOnDevice& gdev,
-                        const detail::AttemptPlan& plan, detail::GatGraphOps ops,
-                        const k::FeatureMat& in, const Matrix& w, const Matrix& att_l,
-                        const Matrix& att_r, float leaky_alpha, bool relu, ExecMode mode) {
-  detail::GatLayer layer = detail::gat_layer_buffers(
-      ctx, ws, in.rows, static_cast<models::Index>(gdev.csr->num_edges()), w, att_l, att_r);
+                        const detail::AttemptPlan& plan, const k::FeatureMat& in,
+                        const Matrix& w, const Matrix& att_l, const Matrix& att_r,
+                        float leaky_alpha, bool relu, ExecMode mode) {
+  const pipeline::GatGraphOps ops = detail::gat_graph_ops_for(plan);
+  pipeline::GatLayer layer = pipeline::gat_layer_buffers(
+      ctx, ws, in.rows, static_cast<models::Index>(gdev.csr->num_edges()), w, att_l, att_r, ops);
   k::dense_gemm(ctx, {.a = &in, .b = &layer.w, .c = &layer.t, .mode = mode});
-  detail::gat_graph_ops(ctx, ws, ops,
-                        {.graph = &gdev,
-                         .grouped = &plan.grouped,
-                         .layer = &layer,
-                         .leaky_alpha = leaky_alpha,
-                         .relu = relu,
-                         .lanes = plan.lanes,
-                         .mode = mode});
+  pipeline::gat_graph_ops(ctx, ops,
+                          {.graph = &gdev,
+                           .tasks = plan.grouped.tasks,
+                           .any_split = plan.grouped.any_split,
+                           .layer = &layer,
+                           .leaky_alpha = leaky_alpha,
+                           .relu = relu,
+                           .lanes = plan.lanes,
+                           .mode = mode});
   return layer.out;
 }
-
-void relu_in_place(sim::SimContext& ctx, k::FeatureMat& m, k::ExecMode mode) {
-  k::dense_map(ctx, {.in = &m,
-                     .out = &m,
-                     .fn = [](float x) { return x > 0.0f ? x : 0.0f; },
-                     .flops_per_elem = 1.0,
-                     .mode = mode,
-                     .name = "relu"});
-}
 }  // namespace
-
-// ---- Layer bodies -------------------------------------------------------
-
-detail::GcnLayer detail::gcn_layer_buffers(sim::SimContext& ctx, Workspace& ws, models::Index rows,
-                                           const Matrix& w, const Matrix& b) {
-  // Braced initializers run in order: this is the allocation order.
-  return {.w = ws.from(ctx, w, "w"),
-          .b = ws.from(ctx, b, "b"),
-          .t = ws.mat(ctx, rows, w.cols(), "transformed"),
-          .out = ws.mat(ctx, rows, w.cols(), "aggregated")};
-}
-
-void detail::gcn_aggregate(sim::SimContext& ctx, const GcnAggregateArgs& a) {
-  const core::GroupedTasks& g = *a.grouped;
-  GcnLayer& l = *a.layer;
-  if (a.fused) {
-    k::aggregate_bias_act_fused(ctx, {.graph = a.graph,
-                                      .tasks = g.tasks,
-                                      .feat = &l.t,
-                                      .edge_weight = a.norm,
-                                      .bias = &l.b,
-                                      .out = &l.out,
-                                      .relu = a.relu,
-                                      .epilogue_inline = !g.any_split,
-                                      .lanes = a.lanes,
-                                      .atomic_merge = g.any_split,
-                                      .mode = a.mode});
-    if (g.any_split) {
-      k::bias_act_kernel(ctx, {.bias = &l.b, .mat = &l.out, .relu = a.relu, .mode = a.mode});
-    }
-    return;
-  }
-  k::spmm_node(ctx, {.graph = a.graph,
-                     .tasks = g.tasks,
-                     .src = &l.t,
-                     .edge_weight = a.norm,
-                     .out = &l.out,
-                     .lanes = a.lanes,
-                     .atomic_merge = g.any_split,
-                     .mode = a.mode});
-  k::bias_act_kernel(ctx, {.bias = &l.b, .mat = &l.out, .relu = false, .mode = a.mode,
-                           .name = "bias_add"});
-  if (a.relu) relu_in_place(ctx, l.out, a.mode);
-}
-
-detail::GatLayer detail::gat_layer_buffers(sim::SimContext& ctx, Workspace& ws,
-                                           models::Index rows, models::Index edges,
-                                           const Matrix& w, const Matrix& att_l,
-                                           const Matrix& att_r) {
-  // Braced initializers run in order: this is the allocation order.
-  return {.w = ws.from(ctx, w, "w"),
-          .att_l = ws.from(ctx, att_l, "att_l"),
-          .att_r = ws.from(ctx, att_r, "att_r"),
-          .t = ws.mat(ctx, rows, w.cols(), "transformed"),
-          .att_src = ws.mat(ctx, rows, 1, "att_src"),
-          .att_dst = ws.mat(ctx, rows, 1, "att_dst"),
-          .e = ws.mat(ctx, edges, 1, "e"),
-          .vacc = ws.mat(ctx, rows, 1, "v_acc"),
-          .out = ws.mat(ctx, rows, w.cols(), "aggregated")};
-}
-
-void detail::gat_graph_ops(sim::SimContext& ctx, Workspace& ws, GatGraphOps ops,
-                           const GatGraphOpsArgs& a) {
-  const core::GroupedTasks& g = *a.grouped;
-  GatLayer& l = *a.layer;
-  const float alpha = a.leaky_alpha;
-  k::row_dot(ctx, {.feat = &l.t, .vec = &l.att_l, .out = &l.att_src, .mode = a.mode});
-  k::row_dot(ctx, {.feat = &l.t, .vec = &l.att_r, .out = &l.att_dst, .mode = a.mode});
-  switch (ops) {
-    case GatGraphOps::kLinear:
-      k::gat_edge_fused(ctx, {.graph = a.graph,
-                              .tasks = g.tasks,
-                              .att_src = &l.att_src,
-                              .att_dst = &l.att_dst,
-                              .edge_out = &l.e,
-                              .vacc_out = &l.vacc,
-                              .leaky_alpha = alpha,
-                              .atomic_merge = g.any_split,
-                              .mode = a.mode});
-      k::gat_aggregate_fused(ctx, {.graph = a.graph,
-                                   .tasks = g.tasks,
-                                   .feat = &l.t,
-                                   .edge_weight = &l.e,
-                                   .vacc = &l.vacc,
-                                   .out = &l.out,
-                                   .scale_inline = true,
-                                   .lanes = a.lanes,
-                                   .atomic_merge = g.any_split,
-                                   .mode = a.mode});
-      break;
-    case GatGraphOps::kAdapter:
-      k::gat_edge_fused(ctx, {.graph = a.graph,
-                              .tasks = g.tasks,
-                              .att_src = &l.att_src,
-                              .att_dst = &l.att_dst,
-                              .edge_out = &l.e,
-                              .vacc_out = nullptr,
-                              .leaky_alpha = alpha,
-                              .mode = a.mode});
-      k::segment_sum(ctx, {.graph = a.graph,
-                           .tasks = g.tasks,
-                           .edge_val = &l.e,
-                           .node_out = &l.vacc,
-                           .atomic_merge = g.any_split,
-                           .mode = a.mode});
-      k::softmax_div_fused(ctx, {.graph = a.graph, .tasks = g.tasks, .vacc = &l.vacc,
-                                 .edge = &l.e, .mode = a.mode});
-      k::gat_aggregate_fused(ctx, {.graph = a.graph,
-                                   .tasks = g.tasks,
-                                   .feat = &l.t,
-                                   .edge_weight = &l.e,
-                                   .vacc = nullptr,
-                                   .out = &l.out,
-                                   .lanes = a.lanes,
-                                   .atomic_merge = g.any_split,
-                                   .mode = a.mode});
-      break;
-    case GatGraphOps::kListing1: {
-      k::u_add_v(ctx, {.graph = a.graph,
-                       .tasks = g.tasks,
-                       .src_scalar = &l.att_src,
-                       .dst_scalar = &l.att_dst,
-                       .edge_out = &l.e,
-                       .mode = a.mode});
-      k::edge_map(ctx, {.in = &l.e,
-                        .out = &l.e,
-                        .fn = [alpha](float x) { return tensor::leaky_relu_scalar(x, alpha); },
-                        .flops_per_elem = 1.0,
-                        .mode = a.mode,
-                        .name = "leaky_relu"});
-      k::edge_map(ctx, {.in = &l.e,
-                        .out = &l.e,
-                        .fn = [](float x) { return std::exp(x); },
-                        .flops_per_elem = 4.0,
-                        .mode = a.mode,
-                        .name = "exp"});
-      k::segment_sum(ctx, {.graph = a.graph,
-                           .tasks = g.tasks,
-                           .edge_val = &l.e,
-                           .node_out = &l.vacc,
-                           .atomic_merge = g.any_split,
-                           .mode = a.mode});
-      auto eacc = ws.mat(ctx, l.e.rows, 1, "e_acc");
-      k::broadcast_edge(ctx, {.graph = a.graph, .tasks = g.tasks, .node_val = &l.vacc,
-                              .edge_out = &eacc, .mode = a.mode});
-      k::edge_binary(ctx, {.a = &l.e,
-                           .b = &eacc,
-                           .out = &l.e,
-                           .fn = [](float x, float acc) { return acc != 0.0f ? x / acc : 0.0f; },
-                           .flops_per_elem = 1.0,
-                           .mode = a.mode,
-                           .name = "softmax_div"});
-      k::spmm_node(ctx, {.graph = a.graph,
-                         .tasks = g.tasks,
-                         .src = &l.t,
-                         .edge_weight = &l.e,
-                         .out = &l.out,
-                         .lanes = a.lanes,
-                         .atomic_merge = g.any_split,
-                         .mode = a.mode,
-                         .name = "u_mul_e_sum"});
-      break;
-    }
-  }
-  if (a.relu) relu_in_place(ctx, l.out, a.mode);
-}
 
 // ---- Graceful degradation (DESIGN.md §10) -----------------------------
 
@@ -945,7 +767,7 @@ RunResult OptimizedEngine::gcn_attempt(const Dataset& data, const GcnRun& run, E
                                                 &spec, "run_gcn fusion gate");
   if (plan.shards > 1) return gcn_attempt_sharded(data, run, mode, spec, plan, rc);
   prof::Span span("OptimizedEngine::run_gcn", "engine");
-  sim::SimContext ctx(with_engine_overhead(spec));
+  sim::SimContext ctx(pipeline::with_overhead(spec, detail::kEngineOverheadCycles));
   Workspace ws;
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const auto norm = ws.from_vec(ctx, models::gcn_edge_norm(data.csr), "gcn_norm");
@@ -956,7 +778,7 @@ RunResult OptimizedEngine::gcn_attempt(const Dataset& data, const GcnRun& run, E
                   plan.on(detail::kAdapter), l + 1 != run.params->weight.size(), mode)
             .out;
   }
-  return finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix());
+  return pipeline::finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix());
 }
 
 OptimizedEngine::TrainResult OptimizedEngine::train_gcn_step(
@@ -980,7 +802,7 @@ OptimizedEngine::TrainResult OptimizedEngine::train_gcn_attempt(
   const detail::AttemptPlan plan =
       resolve_plan(data.csr, rc, params.weight.empty() ? -1 : params.weight[0].cols(), &spec);
   prof::Span span("OptimizedEngine::train_gcn_step", "engine");
-  sim::SimContext ctx(with_engine_overhead(spec));
+  sim::SimContext ctx(pipeline::with_overhead(spec, detail::kEngineOverheadCycles));
   Workspace ws;
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const auto norm = ws.from_vec(ctx, models::gcn_edge_norm(data.csr), "gcn_norm");
@@ -995,9 +817,9 @@ OptimizedEngine::TrainResult OptimizedEngine::train_gcn_attempt(
   std::vector<k::FeatureMat> bs_dev;   // device biases
   hs.push_back(ws.from(ctx, x, "x"));
   for (std::size_t l = 0; l < layers; ++l) {
-    const detail::GcnLayer layer = gcn_layer(ctx, ws, gdev, norm, plan, hs.back(),
-                                             params.weight[l], params.bias[l], /*fused=*/true,
-                                             l + 1 != layers, mode);
+    const pipeline::GcnLayer layer = gcn_layer(ctx, ws, gdev, norm, plan, hs.back(),
+                                               params.weight[l], params.bias[l], /*fused=*/true,
+                                               l + 1 != layers, mode);
     ws_dev.push_back(layer.w);
     bs_dev.push_back(layer.b);
     hs.push_back(layer.out);
@@ -1089,10 +911,8 @@ OptimizedEngine::TrainResult OptimizedEngine::train_gcn_attempt(
       params.bias[l] = *bs_dev[l].host;
     }
     if (grads_out) *grads_out = std::move(grads);
-    result.run.output = *hs.back().host;
   }
-  result.run.stats = ctx.stats();
-  result.run.ms = spec.millis(result.run.stats.total_cycles);
+  result.run = pipeline::finish(ctx, spec, full ? *hs.back().host : Matrix());
   return result;
 }
 
@@ -1109,17 +929,17 @@ RunResult OptimizedEngine::gat_attempt(const Dataset& data, const GatRun& run, E
                                                 &spec, "run_gat fusion gate");
   if (plan.shards > 1) return gat_attempt_sharded(data, run, mode, spec, plan, rc);
   prof::Span span("OptimizedEngine::run_gat", "engine");
-  sim::SimContext ctx(with_engine_overhead(spec));
+  sim::SimContext ctx(pipeline::with_overhead(spec, detail::kEngineOverheadCycles));
   Workspace ws;
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
 
   k::FeatureMat h = ws.from(ctx, *run.features, "x");
   for (std::size_t l = 0; l < run.params->weight.size(); ++l) {
-    h = gat_layer(ctx, ws, gdev, plan, detail::gat_graph_ops_for(plan), h,
-                  run.params->weight[l], run.params->att_l[l], run.params->att_r[l],
-                  run.cfg->leaky_alpha, l + 1 != run.params->weight.size(), mode);
+    h = gat_layer(ctx, ws, gdev, plan, h, run.params->weight[l], run.params->att_l[l],
+                  run.params->att_r[l], run.cfg->leaky_alpha, l + 1 != run.params->weight.size(),
+                  mode);
   }
-  return finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix());
+  return pipeline::finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix());
 }
 
 RunResult OptimizedEngine::run_multihead_gat(const Dataset& data,
@@ -1136,32 +956,14 @@ RunResult OptimizedEngine::multihead_gat_attempt(const Dataset& data,
                                                  detail::RunContext& rc) {
   const detail::AttemptPlan plan = resolve_plan(data.csr, rc, run.cfg->head_dim, &spec);
   prof::Span span("OptimizedEngine::run_multihead_gat", "engine");
-  // Each head runs the linear-property graph pipeline; head outputs write
-  // directly into their column slice of the concatenated destination on a
-  // real GPU (strided epilogue stores) — per-head buffers here carry the
-  // identical traffic.
-  sim::SimContext ctx(with_engine_overhead(spec));
+  sim::SimContext ctx(pipeline::with_overhead(spec, detail::kEngineOverheadCycles));
   Workspace ws;
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
-
-  auto x = ws.from(ctx, *run.features, "x");
-  Matrix concat(data.csr.num_nodes, run.cfg->out_feat());
-  for (int head = 0; head < run.cfg->heads; ++head) {
-    const auto h = static_cast<std::size_t>(head);
-    const k::FeatureMat agg =
-        gat_layer(ctx, ws, gdev, plan, detail::GatGraphOps::kLinear, x, run.params->weight[h],
-                  run.params->att_l[h], run.params->att_r[h], run.cfg->leaky_alpha,
-                  /*relu=*/false, mode);
-    if (mode == ExecMode::kFull) {
-      const models::Index off = static_cast<models::Index>(head) * run.cfg->head_dim;
-      for (graph::NodeId v = 0; v < data.csr.num_nodes; ++v) {
-        auto src = agg.host->row(v);
-        auto dst = concat.row(v);
-        for (models::Index f = 0; f < run.cfg->head_dim; ++f) dst[off + f] = src[f];
-      }
-    }
-  }
-  return finish(ctx, spec, mode == ExecMode::kFull ? std::move(concat) : Matrix());
+  const auto head = [&](const k::FeatureMat& x, std::size_t h) {
+    return gat_layer(ctx, ws, gdev, plan, x, run.params->weight[h], run.params->att_l[h],
+                     run.params->att_r[h], run.cfg->leaky_alpha, /*relu=*/false, mode);
+  };
+  return pipeline::finish(ctx, spec, pipeline::multihead_gat(ctx, ws, run, mode, head));
 }
 
 RunResult OptimizedEngine::run_sage_pool(const Dataset& data, const baselines::SagePoolRun& run,
@@ -1176,35 +978,12 @@ RunResult OptimizedEngine::sage_pool_attempt(const Dataset& data,
                                              const sim::DeviceSpec& spec, detail::RunContext& rc) {
   const detail::AttemptPlan plan = resolve_plan(data.csr, rc, run.cfg->pool_dim, &spec);
   prof::Span span("OptimizedEngine::run_sage_pool", "engine");
-  sim::SimContext ctx(with_engine_overhead(spec));
+  sim::SimContext ctx(pipeline::with_overhead(spec, detail::kEngineOverheadCycles));
   Workspace ws;
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
-
-  auto x = ws.from(ctx, *run.features, "x");
-  auto w_pool = ws.from(ctx, run.params->w_pool, "w_pool");
-  auto b_pool = ws.from(ctx, run.params->b_pool, "b_pool");
-  auto w_out = ws.from(ctx, run.params->w_out, "w_out");
-
-  auto t = ws.mat(ctx, x.rows, w_pool.cols, "transformed");
-  k::dense_gemm(ctx, {.a = &x, .b = &w_pool, .c = &t, .mode = mode});
-  k::bias_act_kernel(ctx, {.bias = &b_pool, .mat = &t, .relu = true, .mode = mode});
-
-  // Max is order-insensitive: neighbor grouping's split tasks merge
-  // through atomic max exactly as sums do (paper §4.1.2).
-  auto pooled = ws.mat(ctx, x.rows, w_pool.cols, "pooled");
-  k::spmm_node(ctx, {.graph = &gdev,
-                     .tasks = plan.grouped.tasks,
-                     .src = &t,
-                     .out = &pooled,
-                     .reduce = k::Reduce::kMax,
-                     .lanes = plan.lanes,
-                     .atomic_merge = plan.grouped.any_split,
-                     .mode = mode,
-                     .name = "max_aggregate"});
-
-  auto out = ws.mat(ctx, x.rows, w_out.cols, "out");
-  k::dense_gemm(ctx, {.a = &pooled, .b = &w_out, .c = &out, .mode = mode});
-  return finish(ctx, spec, mode == ExecMode::kFull ? *out.host : Matrix());
+  const k::FeatureMat out = pipeline::sage_pool(ctx, ws, gdev, plan.grouped.tasks,
+                                                plan.grouped.any_split, plan.lanes, run, mode);
+  return pipeline::finish(ctx, spec, mode == ExecMode::kFull ? *out.host : Matrix());
 }
 
 RunResult OptimizedEngine::run_sage_lstm(const Dataset& data, const SageLstmRun& run,
@@ -1217,7 +996,7 @@ RunResult OptimizedEngine::run_sage_lstm(const Dataset& data, const SageLstmRun&
 RunResult OptimizedEngine::sage_lstm_attempt(const Dataset& data, const SageLstmRun& run,
                                              ExecMode mode, const sim::DeviceSpec& spec) {
   prof::Span span("OptimizedEngine::run_sage_lstm", "engine");
-  sim::SimContext ctx(with_engine_overhead(spec));
+  sim::SimContext ctx(pipeline::with_overhead(spec, detail::kEngineOverheadCycles));
   Workspace ws;
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const models::Index n = data.csr.num_nodes;
@@ -1297,7 +1076,7 @@ RunResult OptimizedEngine::sage_lstm_attempt(const Dataset& data, const SageLstm
   auto out = ws.mat(ctx, n, hidden, "out");
   k::dense_gemm(ctx, {.a = &hstate, .b = &outw, .c = &out, .mode = mode, .phase = "projection"});
 
-  return finish(ctx, spec, mode == ExecMode::kFull ? *out.host : Matrix());
+  return pipeline::finish(ctx, spec, mode == ExecMode::kFull ? *out.host : Matrix());
 }
 
 }  // namespace gnnbridge::engine

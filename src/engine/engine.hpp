@@ -5,8 +5,10 @@
 //   * locality-aware task scheduling — offline cluster-adjacent task order;
 //   * neighbor grouping — bounded tasks with atomic merge;
 //   * data-visible-range adapter + linear property — hand-written fused
-//     kernel pipelines (the layer bodies in engine_internal.hpp); the
-//     engine does not call core::fuse, whose plans describe them;
+//     kernel pipelines: the layer bodies of baselines/pipeline.hpp, which
+//     the DGL-style backend runs in their Listing-1 variant. The engine
+//     does not call core::fuse, whose plans differ from what it launches
+//     (3 kernels per whole-row GAT layer where the engine launches 5);
 //   * sparse fetching + redundancy bypassing — for GraphSAGE-LSTM's
 //     center-neighbor neural operations.
 // Every knob is independently switchable, which is what the ablation
@@ -118,12 +120,8 @@ class OptimizedEngine final : public Backend {
                     const sim::DeviceSpec& spec) override;
   RunResult run_sage_lstm(const Dataset& data, const SageLstmRun& run, ExecMode mode,
                           const sim::DeviceSpec& spec) override;
-
-  bool supports_pool() const override { return true; }
   RunResult run_sage_pool(const Dataset& data, const baselines::SagePoolRun& run, ExecMode mode,
                           const sim::DeviceSpec& spec) override;
-
-  bool supports_multihead() const override { return true; }
   RunResult run_multihead_gat(const Dataset& data, const baselines::MultiHeadGatRun& run,
                               ExecMode mode, const sim::DeviceSpec& spec) override;
 

@@ -1,22 +1,20 @@
-// Helpers shared by the engine's translation units (engine.cpp and
-// engine_shard.cpp). Internal — not part of the public engine API.
+// Engine state shared by the engine's translation units (engine.cpp and
+// engine_shard.cpp): the knob bits, one run's context and one attempt's
+// plan. Internal — not part of the public engine API. The layer bodies the
+// attempts run live in baselines/pipeline.hpp, shared with the baselines.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
-#include "baselines/backend.hpp"
+#include "baselines/pipeline.hpp"
 #include "core/balance/neighbor_grouping.hpp"
 #include "graph/fingerprint.hpp"
-#include "kernels/common.hpp"
 #include "obs/journal.hpp"
 #include "rt/degrade.hpp"
-#include "sim/context.hpp"
+#include "sim/device.hpp"
 
 namespace gnnbridge::engine::detail {
-
-namespace k = gnnbridge::kernels;
 
 /// The optimization knobs the degradation ladder can turn off, one bit
 /// each in a knob mask.
@@ -91,99 +89,9 @@ struct AttemptPlan {
   core::GroupedTasks grouped;
 };
 
-/// Owns the host matrices backing a pipeline's device mats. A deque keeps
-/// element addresses stable across growth, so FeatureMat::host pointers
-/// taken earlier stay valid.
-struct Workspace {
-  std::deque<baselines::Matrix> pool;
-  k::FeatureMat mat(sim::SimContext& ctx, models::Index rows, models::Index cols,
-                    const char* label) {
-    pool.emplace_back(rows, cols);
-    return k::device_mat(ctx, pool.back(), label);
-  }
-  k::FeatureMat from(sim::SimContext& ctx, const baselines::Matrix& m, const char* label) {
-    pool.push_back(m);
-    return k::device_mat(ctx, pool.back(), label);
-  }
-  k::FeatureMat from_vec(sim::SimContext& ctx, const std::vector<float>& v, const char* label) {
-    pool.emplace_back(static_cast<models::Index>(v.size()), 1,
-                      std::vector<float>(v.begin(), v.end()));
-    return k::device_mat(ctx, pool.back(), label);
-  }
-};
-
-// ---- Layer bodies ------------------------------------------------------
-// One GCN and one GAT layer, written once and shared by the unsharded
-// attempts, the sharded phase-B bodies, multi-head GAT and the training
-// forward. Every path allocates a layer's buffers through *_layer_buffers,
-// in one fixed order: device addresses, and with them the modeled
-// counters, depend on that order.
-
-/// One GCN layer's device buffers.
-struct GcnLayer {
-  k::FeatureMat w, b, t, out;  ///< weight, bias, transformed features, output
-};
-GcnLayer gcn_layer_buffers(sim::SimContext& ctx, Workspace& ws, models::Index rows,
-                           const baselines::Matrix& w, const baselines::Matrix& b);
-
-/// out = act(A_norm · t + b) over `grouped`'s tasks. Fused: one
-/// aggregation kernel with the bias/ReLU epilogue inline — or, when
-/// neighbor grouping split rows, deferred to a separate kernel (the
-/// epilogue cannot read partial atomic sums). Unfused: the frameworks'
-/// op-per-kernel sequence, where aggregation, bias add and activation each
-/// round-trip the [N, F] tensor.
-struct GcnAggregateArgs {
-  const k::GraphOnDevice* graph = nullptr;
-  const core::GroupedTasks* grouped = nullptr;
-  const k::FeatureMat* norm = nullptr;  ///< symmetric edge norm, [E, 1]
-  GcnLayer* layer = nullptr;
-  bool fused = true;
-  bool relu = true;
-  int lanes = 32;
-  k::ExecMode mode = k::ExecMode::kFull;
-};
-void gcn_aggregate(sim::SimContext& ctx, const GcnAggregateArgs& args);
-
-/// One GAT layer's (or head's) device buffers.
-struct GatLayer {
-  k::FeatureMat w, att_l, att_r;  ///< weight and attention vectors
-  k::FeatureMat t;                ///< transformed features, [N, F]
-  k::FeatureMat att_src, att_dst;  ///< per-node attention scalars, [N, 1]
-  k::FeatureMat e, vacc;           ///< edge scores [E, 1], softmax sums [N, 1]
-  k::FeatureMat out;               ///< [N, F]
-};
-GatLayer gat_layer_buffers(sim::SimContext& ctx, Workspace& ws, models::Index rows,
-                           models::Index edges, const baselines::Matrix& w,
-                           const baselines::Matrix& att_l, const baselines::Matrix& att_r);
-
-/// The GAT graph operations of one layer.
-enum class GatGraphOps {
-  kLinear,    ///< two kernels: fused score + normalization sum, then the
-              ///< aggregation with the postponed softmax division (§4.2)
-  kAdapter,   ///< adapter without the linear property: normalized weights
-              ///< are materialized before the aggregation consumes them
-  kListing1,  ///< the unoptimized seven-kernel pipeline of Listing 1
-};
-
-/// The attention scalars, the edge softmax and the weighted aggregation
-/// into `out` over `grouped`'s tasks, then ReLU when `relu` is set. Every
-/// variant honors the task distribution, so NG/LAS ablate independently
-/// of fusion (Table 6).
-struct GatGraphOpsArgs {
-  const k::GraphOnDevice* graph = nullptr;
-  const core::GroupedTasks* grouped = nullptr;
-  GatLayer* layer = nullptr;
-  float leaky_alpha = 0.2f;
-  bool relu = true;
-  int lanes = 32;
-  k::ExecMode mode = k::ExecMode::kFull;
-};
-/// Listing 1 allocates its [E, 1] broadcast buffer from `ws` mid-pipeline.
-void gat_graph_ops(sim::SimContext& ctx, Workspace& ws, GatGraphOps ops,
-                   const GatGraphOpsArgs& args);
-
 /// The GAT variant an attempt's adapter/linear flags select.
-inline GatGraphOps gat_graph_ops_for(const AttemptPlan& plan) {
+inline baselines::pipeline::GatGraphOps gat_graph_ops_for(const AttemptPlan& plan) {
+  using baselines::pipeline::GatGraphOps;
   return plan.linear                ? GatGraphOps::kLinear
          : plan.on(Knob::kAdapter) ? GatGraphOps::kAdapter
                                    : GatGraphOps::kListing1;
@@ -193,19 +101,5 @@ inline GatGraphOps gat_graph_ops_for(const AttemptPlan& plan) {
 /// wrapped in PyTorch; per-kernel host overhead is a fraction of the
 /// baselines' per-op dispatch.
 constexpr sim::Cycles kEngineOverheadCycles = 4000.0;
-
-inline sim::DeviceSpec with_engine_overhead(sim::DeviceSpec spec) {
-  spec.framework_overhead_cycles = kEngineOverheadCycles;
-  return spec;
-}
-
-inline baselines::RunResult finish(sim::SimContext& ctx, const sim::DeviceSpec& spec,
-                                   baselines::Matrix output) {
-  baselines::RunResult r;
-  r.stats = ctx.stats();
-  r.ms = spec.millis(r.stats.total_cycles);
-  r.output = std::move(output);
-  return r;
-}
 
 }  // namespace gnnbridge::engine::detail

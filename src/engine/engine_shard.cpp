@@ -64,9 +64,8 @@
 namespace gnnbridge::engine {
 
 namespace k = gnnbridge::kernels;
+namespace pipeline = baselines::pipeline;
 using baselines::Matrix;
-using detail::Workspace;
-using detail::with_engine_overhead;
 
 namespace {
 
@@ -76,7 +75,7 @@ namespace {
 struct ShardExec {
   const shard::Shard* sh = nullptr;
   std::unique_ptr<sim::SimContext> ctx;
-  Workspace ws;
+  pipeline::Workspace ws;
   k::GraphOnDevice gdev;
   core::GroupedTasks grouped;
   k::FeatureMat norm;  ///< GCN only: local gather of the global edge norm
@@ -296,7 +295,8 @@ std::vector<ShardExec> init_shards(const shard::Partition& p, const detail::Atte
     ShardExec& se = shards[s];
     const shard::Shard& sh = p.shards[s];
     se.sh = &sh;
-    se.ctx = std::make_unique<sim::SimContext>(with_engine_overhead(spec));
+    se.ctx = std::make_unique<sim::SimContext>(
+        pipeline::with_overhead(spec, detail::kEngineOverheadCycles));
     se.gdev = k::device_graph(*se.ctx, sh.local, "csr");
     if (plan.las) {
       const std::vector<graph::NodeId> order =
@@ -485,18 +485,19 @@ RunResult OptimizedEngine::gcn_attempt_sharded(const Dataset& data, const GcnRun
   }
 
   const auto alloc = [&](std::size_t s, std::size_t l) {
-    return detail::gcn_layer_buffers(*se[s].ctx, se[s].ws, se[s].sh->local.num_nodes,
-                                     run.params->weight[l], run.params->bias[l]);
+    return pipeline::gcn_layer_buffers(*se[s].ctx, se[s].ws, se[s].sh->local.num_nodes,
+                                       run.params->weight[l], run.params->bias[l]);
   };
-  const auto aggregate = [&](std::size_t s, detail::GcnLayer& layer, bool last) {
-    detail::gcn_aggregate(*se[s].ctx, {.graph = &se[s].gdev,
-                                       .grouped = &se[s].grouped,
-                                       .norm = &se[s].norm,
-                                       .layer = &layer,
-                                       .fused = plan.on(detail::kAdapter),
-                                       .relu = !last,
-                                       .lanes = plan.lanes,
-                                       .mode = mode});
+  const auto aggregate = [&](std::size_t s, pipeline::GcnLayer& layer, bool last) {
+    pipeline::gcn_aggregate(*se[s].ctx, {.graph = &se[s].gdev,
+                                         .tasks = se[s].grouped.tasks,
+                                         .any_split = se[s].grouped.any_split,
+                                         .norm = &se[s].norm,
+                                         .layer = &layer,
+                                         .fused = plan.on(detail::kAdapter),
+                                         .relu = !last,
+                                         .lanes = plan.lanes,
+                                         .mode = mode});
   };
   return sharded_layers(se, *part, run.params->weight.size(), mode, spec, rc.recovery,
                         "sharded gcn", alloc, aggregate);
@@ -516,22 +517,24 @@ RunResult OptimizedEngine::gat_attempt_sharded(const Dataset& data, const GatRun
   // row-independent, so the replicated compute is bit-identical to the
   // owner's — and the exchange ships one F-float row per ghost instead of
   // F + 2 scalars.
+  const pipeline::GatGraphOps ops = detail::gat_graph_ops_for(plan);
   const auto alloc = [&](std::size_t s, std::size_t l) {
     const shard::Shard& sh = *se[s].sh;
-    return detail::gat_layer_buffers(*se[s].ctx, se[s].ws, sh.local.num_nodes,
-                                     static_cast<models::Index>(sh.local.num_edges()),
-                                     run.params->weight[l], run.params->att_l[l],
-                                     run.params->att_r[l]);
+    return pipeline::gat_layer_buffers(*se[s].ctx, se[s].ws, sh.local.num_nodes,
+                                       static_cast<models::Index>(sh.local.num_edges()),
+                                       run.params->weight[l], run.params->att_l[l],
+                                       run.params->att_r[l], ops);
   };
-  const auto aggregate = [&](std::size_t s, detail::GatLayer& layer, bool last) {
-    detail::gat_graph_ops(*se[s].ctx, se[s].ws, detail::gat_graph_ops_for(plan),
-                          {.graph = &se[s].gdev,
-                           .grouped = &se[s].grouped,
-                           .layer = &layer,
-                           .leaky_alpha = run.cfg->leaky_alpha,
-                           .relu = !last,
-                           .lanes = plan.lanes,
-                           .mode = mode});
+  const auto aggregate = [&](std::size_t s, pipeline::GatLayer& layer, bool last) {
+    pipeline::gat_graph_ops(*se[s].ctx, ops,
+                            {.graph = &se[s].gdev,
+                             .tasks = se[s].grouped.tasks,
+                             .any_split = se[s].grouped.any_split,
+                             .layer = &layer,
+                             .leaky_alpha = run.cfg->leaky_alpha,
+                             .relu = !last,
+                             .lanes = plan.lanes,
+                             .mode = mode});
   };
   return sharded_layers(se, *part, run.params->weight.size(), mode, spec, rc.recovery,
                         "sharded gat", alloc, aggregate);

@@ -10,6 +10,8 @@ std::string_view model_name(ModelKind kind) {
     case ModelKind::kGcn: return "GCN";
     case ModelKind::kGat: return "GAT";
     case ModelKind::kSageLstm: return "GraphSAGE-LSTM";
+    case ModelKind::kSagePool: return "GraphSAGE-Pool";
+    case ModelKind::kMultiHeadGat: return "multi-head GAT";
   }
   assert(false);
   return "?";

@@ -25,8 +25,9 @@ using graph::NodeId;
 using tensor::Index;
 using tensor::Matrix;
 
-/// The models the paper evaluates end to end.
-enum class ModelKind { kGcn, kGat, kSageLstm };
+/// The models the paper evaluates end to end, then the two extension
+/// models (GraphSAGE-Pool, multi-head GAT).
+enum class ModelKind { kGcn, kGat, kSageLstm, kSagePool, kMultiHeadGat };
 
 std::string_view model_name(ModelKind kind);
 

@@ -26,6 +26,7 @@ using engine::OptimizedEngine;
 using engine::SageOptLevel;
 using kernels::ExecMode;
 using models::Matrix;
+using models::ModelKind;
 
 /// A small but non-trivial dataset for numerics (power-law-ish, ~600
 /// nodes): big enough to exercise splits and clusters, small enough for
@@ -204,7 +205,7 @@ TEST(BackendEquivalence, SagePoolDglMatchesReference) {
   const Matrix expect = models::sage_pool_forward_ref(in.data.csr, x, cfg, params);
 
   DglBackend dgl;
-  ASSERT_TRUE(dgl.supports_pool());
+  ASSERT_TRUE(dgl.supports(ModelKind::kSagePool));
   const auto r = dgl.run_sage_pool(in.data, {&cfg, &params, &x}, ExecMode::kFull, sim::v100());
   EXPECT_TRUE(tensor::allclose(r.output, expect, 1e-3f, 1e-4f));
 }
@@ -229,8 +230,8 @@ TEST(BackendEquivalence, SagePoolEngineMatchesReferenceUnderSplits) {
 TEST(BackendEquivalence, SagePoolUnsupportedBackendsSaySo) {
   PygBackend pyg;
   RocBackend roc;
-  EXPECT_FALSE(pyg.supports_pool());
-  EXPECT_FALSE(roc.supports_pool());
+  EXPECT_FALSE(pyg.supports(ModelKind::kSagePool));
+  EXPECT_FALSE(roc.supports(ModelKind::kSagePool));
 }
 
 TEST(BackendEquivalence, OomBackendsReportOomNotGarbage) {

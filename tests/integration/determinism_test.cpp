@@ -1,15 +1,17 @@
 // Cross-thread-count determinism: the contract of DESIGN.md §11.
 //
 // The full optimized engine (LAS + neighbor grouping + adapter + tuner)
-// must produce byte-identical metrics-v3 documents — every counter, every
-// kernel, every gap attribution — at 1, 2, 3, 4 and 8 host threads. Only
-// meta.threads (pinned here so the documents compare equal) and wall-clock
-// time may differ. run_batch must likewise match sequential execution.
+// and the DGL-style backend, which share the layer library, must produce
+// byte-identical metrics documents — every counter, every kernel, every
+// gap attribution — at 1, 2, 3, 4 and 8 host threads. Only meta.threads
+// (pinned here so the documents compare equal) and wall-clock time may
+// differ. run_batch must likewise match sequential execution.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "baselines/dgl.hpp"
 #include "engine/engine.hpp"
 #include "graph/datasets.hpp"
 #include "par/thread_pool.hpp"
@@ -35,18 +37,27 @@ struct Inputs {
   models::GcnConfig gcn_cfg;
   models::GatConfig gat_cfg;
   models::SageLstmConfig sage_cfg;
+  models::MultiHeadGatConfig mh_cfg;
+  models::SagePoolConfig pool_cfg;
   models::GcnParams gcn_params;
   models::GatParams gat_params;
   models::SageLstmParams sage_params;
+  models::MultiHeadGatParams mh_params;
+  models::SagePoolParams pool_params;
   models::Matrix x_collab, x_arxiv, x_sage;
 
   Inputs() {
     gcn_cfg.dims = {32, 16};
     gat_cfg.dims = {32, 16};
     sage_cfg.steps = 4;
+    mh_cfg.in_feat = 32;
+    mh_cfg.heads = 3;
+    pool_cfg.in_feat = 32;
     gcn_params = models::init_gcn(gcn_cfg, 1);
     gat_params = models::init_gat(gat_cfg, 2);
     sage_params = models::init_sage_lstm(sage_cfg, 3);
+    mh_params = models::init_multihead_gat(mh_cfg, 6);
+    pool_params = models::init_sage_pool(pool_cfg, 7);
     x_collab = models::init_features(collab.csr.num_nodes, 32, 4);
     x_arxiv = models::init_features(arxiv.csr.num_nodes, 32, 4);
     x_sage = models::init_features(arxiv.csr.num_nodes, sage_cfg.in_feat, 5);
@@ -58,15 +69,17 @@ const Inputs& inputs() {
   return *in;
 }
 
-// Runs GCN + GAT + GraphSAGE-LSTM through a fresh full-stack engine and
-// serializes every counter into one metrics document. meta is pinned (not
-// collected) so documents from different thread counts are comparable
-// byte for byte.
+// Runs GCN + GAT + GraphSAGE-LSTM + multi-head GAT + GraphSAGE-Pool
+// through a fresh full-stack engine, and GAT + multi-head GAT +
+// GraphSAGE-Pool through the DGL-style backend, and serializes every
+// counter into one metrics document. meta is pinned (not collected) so
+// documents from different thread counts are comparable byte for byte.
 std::string run_all_and_serialize() {
   const Inputs& in = inputs();
   EngineConfig cfg;
   cfg.auto_tune = true;  // tuner probes are a parallel call site too
   OptimizedEngine e(cfg);
+  baselines::DglBackend dgl;
 
   prof::MetricsSink& sink = prof::MetricsSink::instance();
   sink.clear();
@@ -78,11 +91,11 @@ std::string run_all_and_serialize() {
                                .threads = 0});
 
   const auto record = [&](const char* model, const graph::Dataset& data,
-                          const baselines::RunResult& r) {
+                          const baselines::RunResult& r, const char* backend = "ours") {
     EXPECT_TRUE(r.status.ok()) << model << ": " << r.status.to_string();
-    sink.record({.label = std::string(model) + "/ours/" + data.name,
+    sink.record({.label = std::string(model) + "/" + backend + "/" + data.name,
                  .model = model,
-                 .backend = "ours",
+                 .backend = backend,
                  .dataset = data.name,
                  .ms = r.ms,
                  .oom = r.oom,
@@ -98,6 +111,19 @@ std::string run_all_and_serialize() {
   record("sage_lstm", in.arxiv,
          e.run_sage_lstm(in.arxiv, {&in.sage_cfg, &in.sage_params, &in.x_sage},
                          ExecMode::kSimulateOnly, sim::v100()));
+  const baselines::MultiHeadGatRun mh{&in.mh_cfg, &in.mh_params, &in.x_collab};
+  const baselines::SagePoolRun pool{&in.pool_cfg, &in.pool_params, &in.x_collab};
+  record("mhgat", in.collab,
+         e.run_multihead_gat(in.collab, mh, ExecMode::kSimulateOnly, sim::v100()));
+  record("pool", in.collab, e.run_sage_pool(in.collab, pool, ExecMode::kSimulateOnly, sim::v100()));
+  record("gat", in.collab,
+         dgl.run_gat(in.collab, {&in.gat_cfg, &in.gat_params, &in.x_collab},
+                     ExecMode::kSimulateOnly, sim::v100()),
+         "dgl");
+  record("mhgat", in.collab,
+         dgl.run_multihead_gat(in.collab, mh, ExecMode::kSimulateOnly, sim::v100()), "dgl");
+  record("pool", in.collab,
+         dgl.run_sage_pool(in.collab, pool, ExecMode::kSimulateOnly, sim::v100()), "dgl");
   std::string doc = sink.to_json();
   sink.clear();
   return doc;

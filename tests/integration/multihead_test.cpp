@@ -1,6 +1,8 @@
 // Multi-head GAT: semantics and the op-count pressure of Observation 3.
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "baselines/dgl.hpp"
 #include "engine/engine.hpp"
 #include "models/layers.hpp"
@@ -11,6 +13,7 @@
 namespace gnnbridge {
 namespace {
 
+using baselines::RunResult;
 using engine::OptimizedEngine;
 using kernels::ExecMode;
 using models::Matrix;
@@ -51,7 +54,7 @@ TEST_F(MhFixture, SingleHeadMatchesGatLayer) {
 TEST_F(MhFixture, DglBackendMatchesReference) {
   const Matrix expect = models::multihead_gat_forward_ref(data.csr, x, cfg, params);
   baselines::DglBackend dgl;
-  ASSERT_TRUE(dgl.supports_multihead());
+  ASSERT_TRUE(dgl.supports(models::ModelKind::kMultiHeadGat));
   const auto r =
       dgl.run_multihead_gat(data, {&cfg, &params, &x}, ExecMode::kFull, sim::v100());
   EXPECT_TRUE(tensor::allclose(r.output, expect, 1e-3f, 1e-4f));
@@ -75,6 +78,40 @@ TEST_F(MhFixture, OpCountScalesWithHeadsOnDglButFusionContainsIt) {
   EXPECT_EQ(rd.stats.num_launches(), cfg.heads * 10);
   EXPECT_EQ(ro.stats.num_launches(), cfg.heads * 5);
   EXPECT_LT(ro.ms, rd.ms);
+}
+
+// The heads run the GAT variant the attempt's plan selects, as run_gat
+// does: Listing 1 without the adapter (10 kernels per head), the adapter
+// without the linear property (7), and Listing 1 again once a launch fault
+// has walked the ladder past neighbor grouping to the adapter knob.
+TEST_F(MhFixture, EngineRunsTheGatVariantItsPlanSelects) {
+  const baselines::MultiHeadGatRun run{&cfg, &params, &x};
+  engine::EngineConfig unfused;
+  unfused.use_adapter = unfused.use_linear = false;
+  engine::EngineConfig no_linear;
+  no_linear.use_linear = false;
+  const auto ru =
+      OptimizedEngine(unfused).run_multihead_gat(data, run, ExecMode::kSimulateOnly, sim::v100());
+  const auto rn =
+      OptimizedEngine(no_linear).run_multihead_gat(data, run, ExecMode::kSimulateOnly, sim::v100());
+  EXPECT_EQ(ru.stats.num_launches(), cfg.heads * 10);
+  EXPECT_EQ(rn.stats.num_launches(), cfg.heads * 7);
+
+  OptimizedEngine::BatchJob job;
+  job.data = &data;
+  job.multihead_gat = &run;
+  job.mode = ExecMode::kFull;
+  job.spec = sim::v100();
+  job.fault_plan = "sim_launch=2";
+  OptimizedEngine e;
+  const RunResult r = e.run_batch(std::span(&job, 1))[0];
+  ASSERT_TRUE(r.status.ok()) << r.status.to_string();
+  EXPECT_EQ(r.stats.num_launches(), cfg.heads * 10);
+  for (const sim::KernelStats& k : r.stats.kernels) {
+    EXPECT_NE(k.name, "gat_edge_fused") << "the degraded retry must run unfused";
+  }
+  const Matrix expect = models::multihead_gat_forward_ref(data.csr, x, cfg, params);
+  EXPECT_TRUE(tensor::allclose(r.output, expect, 1e-3f, 1e-4f));
 }
 
 TEST_F(MhFixture, MoreHeadsMoreKernels) {

@@ -1576,7 +1576,7 @@ int main(int argc, char** argv) {
     cfg.heads = heads;
     const auto params = models::init_multihead_gat(cfg, 5);
     const auto x = models::init_features(data.csr.num_nodes, cfg.in_feat, 5);
-    if (!backend->supports_multihead()) {
+    if (!backend->supports(models::ModelKind::kMultiHeadGat)) {
       std::printf("%s does not implement multi-head GAT\n", backend_name.c_str());
       return 0;
     }
@@ -1585,7 +1585,7 @@ int main(int argc, char** argv) {
     const models::SagePoolConfig cfg;
     const auto params = models::init_sage_pool(cfg, 4);
     const auto x = models::init_features(data.csr.num_nodes, cfg.in_feat, 4);
-    if (!backend->supports_pool()) {
+    if (!backend->supports(models::ModelKind::kSagePool)) {
       std::printf("%s does not implement GraphSAGE-Pool\n", backend_name.c_str());
       return 0;
     }
