@@ -15,11 +15,9 @@
 #include "kernels/expand.hpp"
 #include "kernels/lstm.hpp"
 #include "kernels/spmm.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/journal.hpp"
 #include "obs/registry.hpp"
 #include "obs/request.hpp"
-#include "obs/slo.hpp"
 #include "prof/metrics_json.hpp"
 #include "prof/span.hpp"
 #include "rt/fault.hpp"
@@ -122,23 +120,15 @@ tensor::Index first_layer_width(const std::vector<models::Index>& dims) {
 }
 
 /// Records one run's shard recovery (DESIGN.md §17) in the telemetry
-/// registry, plus the per-tenant counters of a batch job that names a
-/// tenant. A run that did not recover records nothing, so fault-free
+/// registry. A run that did not recover records nothing, so fault-free
 /// telemetry carries no recovery instruments.
-void flush_recovery(const detail::RecoveryTally& r, const std::string& tenant) {
+void flush_recovery(const detail::RecoveryTally& r) {
   if (!r.any()) return;
   obs::TelemetryRegistry& reg = obs::TelemetryRegistry::instance();
   reg.counter_add("recovery.shard_retries", r.shard_retries);
   reg.counter_add("recovery.shards_reexecuted", r.shards_reexecuted);
   reg.counter_add("recovery.shard_fallbacks", r.fallback_unsharded);
   if (r.wasted_cycles > 0.0) reg.observe("recovery.wasted_cycles", r.wasted_cycles);
-  if (tenant.empty()) return;
-  if (r.shard_retries > 0) {
-    reg.counter_add("serve.tenant." + tenant + ".shard_retries", r.shard_retries);
-  }
-  if (r.fallback_unsharded > 0) {
-    reg.counter_add("serve.tenant." + tenant + ".shard_fallbacks", r.fallback_unsharded);
-  }
 }
 
 /// Runs `body(rc)` as a direct (non-batch) run: the graph is hashed once,
@@ -149,7 +139,7 @@ auto run_direct(const graph::Csr& csr, Fn&& body) {
   detail::RunContext rc;
   rc.fp = graph::fingerprint(csr);
   auto result = body(rc);
-  flush_recovery(rc.recovery, "");
+  flush_recovery(rc.recovery);
   return result;
 }
 
@@ -445,7 +435,6 @@ struct JobTally {
   bool timed_out = false;
   bool cancelled = false;
   double backoff_cycles = 0.0;
-  double attempt_cycles = 0.0;  ///< sim-cycles across every attempt (retries included)
   std::uint64_t cancel_points = 0;
   std::vector<obs::JournalEvent> journal;  ///< buffered attempt/backoff events
   /// The job's ladder, cache isolation, buffered degradations and
@@ -493,11 +482,8 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
     if (uses > 1) req_ids[i] += "#" + std::to_string(uses);
   }
   // Journal gating is sampled once per batch: events are buffered per job
-  // in the wave and appended (seq assignment) in the sequential fold. An
-  // armed flight recorder keeps event creation on even when the journal
-  // itself is disabled (the ring is fed through EventJournal::append).
-  const bool journal_on = obs::EventJournal::instance().enabled() ||
-                          obs::FlightRecorder::instance().armed();
+  // in the wave and appended (seq assignment) in the sequential fold.
+  const bool journal_on = obs::EventJournal::instance().enabled();
 
   // --- Parallel wave. Jobs are independent (model, dataset) configs; each
   // runs its whole pipeline inline on one pool worker (nested parallel
@@ -564,7 +550,6 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
     for (int attempt = 1;; ++attempt) {
       ++tally.attempts;
       out = run_request(job, rc);
-      tally.attempt_cycles += out.stats.total_cycles;
       if (journal_on) {
         obs::JournalEvent ev;
         ev.type = "attempt";
@@ -666,43 +651,22 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
     reg.counter_add("serve.retries", tally.retries);
     reg.counter_add("serve.cancel_points", tally.cancel_points);
     if (tally.backoff_cycles > 0.0) reg.observe("serve.backoff_cycles", tally.backoff_cycles);
-    flush_recovery(tally.run.recovery, jobs[i].tenant);
-    const char* outcome_word = !tally.ran       ? "rejected"
-                               : tally.success  ? "ok"
-                               : tally.timed_out ? "timed_out"
-                               : tally.cancelled ? "cancelled"
-                                                 : "failed";
+    flush_recovery(tally.run.recovery);
     if (journal_on) {
       obs::JournalEvent ev;
       ev.request_id = req_ids[i];
       ev.type = "outcome";
       ev.key = keys[i];
       ev.code = rt::status_code_name(results[i].status.code());
-      ev.detail = outcome_word;
+      ev.detail = !tally.ran       ? "rejected"
+                  : tally.success  ? "ok"
+                  : tally.timed_out ? "timed_out"
+                  : tally.cancelled ? "cancelled"
+                                    : "failed";
       ev.attempt = tally.attempts;
       ev.cycles = results[i].stats.total_cycles;
       journal.append(std::move(ev));
     }
-    // End-to-end critical path (DESIGN.md §15): admission-queue and quota
-    // waits stamped by serve(), every attempt's compute (retries included),
-    // and the backoff charged between attempts. The triage analyzer
-    // re-derives the same total from the individual events and checks they
-    // agree — keep this the sum of the emitted parts.
-    const double e2e_cycles = jobs[i].admission_wait_cycles + jobs[i].quota_wait_cycles +
-                              tally.attempt_cycles + tally.backoff_cycles;
-    if (journal_on) {
-      obs::JournalEvent ev;
-      ev.request_id = req_ids[i];
-      ev.type = "e2e";
-      ev.key = keys[i];
-      ev.code = rt::status_code_name(results[i].status.code());
-      ev.detail = outcome_word;
-      ev.attempt = tally.attempts;
-      ev.cycles = e2e_cycles;
-      journal.append(std::move(ev));
-    }
-    obs::score_slo(req_ids[i], jobs[i].tenant, jobs[i].arrival_cycles, e2e_cycles, tally.success,
-                   outcome_word, tally.attempts, journal_on);
     if (tally.ran) reg.observe("serve.job_attempts", static_cast<double>(tally.attempts));
     if (tally.success) reg.observe("serve.job_cycles", results[i].stats.total_cycles);
     if (!tally.ran || keys[i].empty()) continue;

@@ -186,30 +186,9 @@ class OptimizedEngine final : public Backend {
     /// IDs within one batch are disambiguated with "#2"/"#3"... suffixes
     /// in journal/trace output so events stay attributable.
     std::string request_id{};
-    /// Tenant owning this request (serving multi-tenancy, DESIGN.md §14).
-    /// Consumed by serve::AdmissionController for quotas and weighted-fair
-    /// dequeue; the engine itself treats it as opaque. Empty = untenanted.
-    std::string tenant{};
-    /// Shedding priority class: 0 = low, 1 = normal, 2 = high. Low classes
-    /// are shed first under overload (serve::Priority has the named values);
-    /// the engine itself ignores it.
-    int priority = 1;
-    /// Sim-time arrival stamp (cycles since stream start), supplied by the
-    /// open-loop load generator. Admission control refills token buckets
-    /// and ages the virtual queue from arrival deltas; the engine itself
-    /// ignores it.
-    double arrival_cycles = 0.0;
-    /// Sim-cycles the job waited in the admission virtual queue and on
-    /// token-bucket refill before dispatch (stamped by serve(); 0 when the
-    /// batch bypassed admission control). The engine folds them into the
-    /// job's end-to-end critical path (journal "e2e" event, SLO latency);
-    /// it never re-schedules on them.
-    double admission_wait_cycles = 0.0;
-    double quota_wait_cycles = 0.0;
     /// Optimization knobs (rt::kKnob* names) force-disabled for this job
     /// only, merged with the breaker's half-open degradations in the job's
-    /// admission set. The admission controller pre-degrades host-expensive
-    /// knobs here under sustained overload before shedding escalates.
+    /// admission set.
     std::vector<std::string> disable_knobs{};
   };
 

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "obs/flight_recorder.hpp"
 #include "prof/json_writer.hpp"
 #include "rt/atomic_file.hpp"
 
@@ -31,20 +30,11 @@ EventJournal::EventJournal() {
 }
 
 std::uint64_t EventJournal::append(JournalEvent event) {
-  std::uint64_t seq = 0;
-  if (enabled()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    event.seq = next_seq_++;
-    seq = event.seq;
-    events_.push_back(event);
-  }
-  // Every event — stored or not — feeds the always-on flight-recorder
-  // ring (outside the journal lock: the recorder may write a postmortem).
-  // When only the recorder is armed and the journal itself is disabled,
-  // nothing accumulates here: the recorder's bounded ring is the sole
-  // consumer, preserving its O(1)-memory contract.
-  FlightRecorder::instance().record(event);
-  return seq;
+  if (!enabled()) return 0;
+  std::lock_guard<std::mutex> lock(mu_);
+  event.seq = next_seq_++;
+  events_.push_back(std::move(event));
+  return events_.back().seq;
 }
 
 std::size_t EventJournal::size() const {
@@ -63,24 +53,20 @@ void EventJournal::clear() {
   next_seq_ = 0;
 }
 
-void write_event_fields(prof::JsonWriter& w, const JournalEvent& ev) {
-  w.kv("seq", ev.seq);
-  w.kv("req", std::string_view(ev.request_id));
-  w.kv("type", std::string_view(ev.type));
-  w.kv("key", std::string_view(ev.key));
-  w.kv("code", std::string_view(ev.code));
-  w.kv("detail", std::string_view(ev.detail));
-  w.kv("attempt", ev.attempt);
-  w.kv("cycles", ev.cycles);
-}
-
 std::string EventJournal::to_jsonl() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
   for (const JournalEvent& ev : events_) {
     prof::JsonWriter w(&out);
     w.begin_object();
-    write_event_fields(w, ev);
+    w.kv("seq", ev.seq);
+    w.kv("req", std::string_view(ev.request_id));
+    w.kv("type", std::string_view(ev.type));
+    w.kv("key", std::string_view(ev.key));
+    w.kv("code", std::string_view(ev.code));
+    w.kv("detail", std::string_view(ev.detail));
+    w.kv("attempt", ev.attempt);
+    w.kv("cycles", ev.cycles);
     w.end_object();
     out += '\n';
   }

@@ -26,20 +26,11 @@
 
 #include "rt/status.hpp"
 
-namespace gnnbridge::prof {
-class JsonWriter;
-}  // namespace gnnbridge::prof
-
 namespace gnnbridge::obs {
 
 /// One lifecycle event. `seq` is assigned by append(); every other field
 /// is filled by the emitter. Types: "admission", "attempt", "backoff",
-/// "degradation", "outcome", "breaker", plus the admission-control events
-/// "admission_reject", "quota" and "shed" (serve::AdmissionController,
-/// DESIGN.md §14 — `key` carries the tenant, `cycles` the retry-after
-/// hint), the critical-path/SLO events "queue_wait", "quota_wait",
-/// "e2e" and "slo_violation" (DESIGN.md §15 — `key` carries the tenant,
-/// `cycles` the waited / end-to-end cycles), and the shard-recovery events
+/// "degradation", "outcome", "breaker", plus the shard-recovery events
 /// "fault_injected" (`key` the seam, `attempt` the 1-based shot index),
 /// "shard_retry" (`key` the seam, `detail` the layer/phase/shard, `cycles`
 /// the wasted failed-attempt cycles) and "shard_fallback" (`key` the seam,
@@ -61,10 +52,6 @@ struct JournalEvent {
   double cycles = 0.0;
 };
 
-/// Writes the event's fields, `seq` through `cycles`, into the writer's
-/// open object: the one layout journal lines and postmortems share.
-void write_event_fields(prof::JsonWriter& w, const JournalEvent& ev);
-
 /// Singleton collector. Thread-safe; run_batch only appends from its
 /// sequential fold, but tests and future emitters may append anywhere.
 class EventJournal {
@@ -77,8 +64,7 @@ class EventJournal {
 
   /// Appends one event, assigning the next sequence number, and returns
   /// the assigned seq. When the journal is disabled nothing is stored
-  /// (returns 0); either way the event is forwarded to the FlightRecorder
-  /// ring, so recorder-armed emission never grows journal memory.
+  /// (returns 0).
   std::uint64_t append(JournalEvent event);
 
   std::size_t size() const;

@@ -88,35 +88,8 @@ std::string render_prometheus(const RegistrySnapshot& snap) {
   return out;
 }
 
-std::string render_prometheus_slo(const SloSnapshot& snap) {
-  if (!snap.enabled || snap.tenants.empty()) return {};
-  std::string out;
-  const auto series = [&](const char* name, const char* type, auto value_of) {
-    out += std::string("# TYPE gnnbridge_slo_") + name + " " + type + "\n";
-    for (const TenantSlo& row : snap.tenants) {
-      out += std::string("gnnbridge_slo_") + name + "{tenant=\"" +
-             prometheus_escape_label_value(row.tenant) + "\"} ";
-      append_number(out, value_of(row));
-      out += '\n';
-    }
-  };
-  series("requests", "counter", [](const TenantSlo& r) { return r.requests; });
-  series("good", "counter", [](const TenantSlo& r) { return r.good; });
-  series("latency_violations", "counter",
-         [](const TenantSlo& r) { return r.latency_violations; });
-  series("failure_violations", "counter",
-         [](const TenantSlo& r) { return r.failure_violations; });
-  series("burn_rate", "gauge", [](const TenantSlo& r) { return r.burn_rate; });
-  series("budget_exhausted", "gauge",
-         [](const TenantSlo& r) { return static_cast<std::uint64_t>(r.budget_exhausted); });
-  return out;
-}
-
-rt::Status write_prometheus_file(const std::string& path, const RegistrySnapshot& snap,
-                                 const SloSnapshot* slo) {
-  std::string doc = render_prometheus(snap);
-  if (slo) doc += render_prometheus_slo(*slo);
-  rt::Status s = rt::write_file_atomic(path, doc);
+rt::Status write_prometheus_file(const std::string& path, const RegistrySnapshot& snap) {
+  rt::Status s = rt::write_file_atomic(path, render_prometheus(snap));
   if (s.ok()) return s;
   std::fprintf(stderr, "gnnbridge: cannot write prometheus file '%s': %s\n", path.c_str(),
                s.message().c_str());

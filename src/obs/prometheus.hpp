@@ -15,7 +15,6 @@
 #include <string_view>
 
 #include "obs/registry.hpp"
-#include "obs/slo.hpp"
 #include "rt/status.hpp"
 
 namespace gnnbridge::obs {
@@ -25,23 +24,14 @@ namespace gnnbridge::obs {
 std::string prometheus_name(std::string_view name);
 
 /// Escapes a label *value* per the text format 0.0.4: backslash, double
-/// quote and newline become \\, \" and \n (tenant/model names are caller-
+/// quote and newline become \\, \" and \n (label values are caller-
 /// controlled strings and may contain any of them).
 std::string prometheus_escape_label_value(std::string_view value);
 
 /// The whole snapshot in Prometheus text exposition format.
 std::string render_prometheus(const RegistrySnapshot& snap);
 
-/// Per-tenant SLO series (`{tenant="..."}`-labelled counters and gauges):
-/// gnnbridge_slo_requests / _good / _latency_violations /
-/// _failure_violations, plus burn-rate and budget-exhausted gauges for the
-/// current window. Empty string when the tracker is disabled or has seen
-/// no tenants, so appending it is always safe.
-std::string render_prometheus_slo(const SloSnapshot& snap);
-
 /// Crash-safe write of render_prometheus (sibling .tmp + atomic rename).
-/// When `slo` is non-null, render_prometheus_slo(*slo) is appended.
-rt::Status write_prometheus_file(const std::string& path, const RegistrySnapshot& snap,
-                                 const SloSnapshot* slo = nullptr);
+rt::Status write_prometheus_file(const std::string& path, const RegistrySnapshot& snap);
 
 }  // namespace gnnbridge::obs

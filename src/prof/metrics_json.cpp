@@ -9,7 +9,6 @@
 #endif
 
 #include "obs/registry.hpp"
-#include "obs/slo.hpp"
 #include "par/thread_pool.hpp"
 #include "prof/gap_report.hpp"
 #include "prof/json_writer.hpp"
@@ -228,8 +227,6 @@ void MetricsSink::clear() {
   // the sink without it would leak one run's telemetry into the next
   // document (the in-process determinism tests byte-compare exactly that).
   obs::TelemetryRegistry::instance().clear();
-  // Same story for the v7 slo block's tracker.
-  obs::SloTracker::instance().clear();
 }
 
 std::string MetricsSink::to_json() const {
@@ -275,8 +272,6 @@ std::string MetricsSink::to_json() const {
   w.end_array();
   w.key("telemetry");
   obs::write_telemetry_json(w, obs::TelemetryRegistry::instance().snapshot());
-  w.key("slo");
-  obs::write_slo_json(w, obs::SloTracker::instance().snapshot());
   w.end_object();
   out += '\n';
   if (w.nonfinite_count() > 0) {

@@ -10,10 +10,10 @@
 // tools/check_metrics_schema.py; bump kMetricsSchemaVersion on any
 // incompatible change.
 //
-// Schema (gnnbridge-metrics, version 10):
+// Schema (gnnbridge-metrics, version 11):
 //   {
 //     "schema": "gnnbridge-metrics",
-//     "schema_version": 10,
+//     "schema_version": 11,
 //     "experiment": "<banner id>",
 //     "scale": 0.25,
 //     "meta": {"git_sha":"abc1234", "timestamp":"2026-01-01T00:00:00Z",
@@ -55,18 +55,11 @@
 //                       "action":"las->natural_order", "detail":"...",
 //                       "injected":true}],
 //     "telemetry": {"counters":[{"name":"serve.jobs","value":...}],
-//                   "gauges":[{"name":"serve.admission_queue_peak","value":...}],
+//                   "gauges":[{"name":...,"value":...}],
 //                   "histograms":[{"name":"serve.job_cycles","count":...,
 //                                  "sum":..., "min":..., "max":...,
 //                                  "p50":..., "p90":..., "p99":...,
-//                                  "buckets":[{"le":..., "count":...}]}]},
-//     "slo": {"enabled":false, "latency_objective_cycles":0,
-//             "success_objective":0.99, "window_cycles":0,
-//             "tenants":[{"tenant":..., "requests":..., "good":...,
-//                         "latency_violations":..., "failure_violations":...,
-//                         "violations":..., "windows":..., "window_index":...,
-//                         "window_requests":..., "window_violations":...,
-//                         "burn_rate":..., "budget_exhausted":...}]}
+//                                  "buckets":[{"le":..., "count":...}]}]}
 //   }
 // v1 -> v2: added the top-level `degradations` array — one entry per
 // optimization knob the engine (or the sink itself) disabled after a stage
@@ -87,19 +80,11 @@
 // the block is byte-identical at any host thread count. Always present;
 // empty arrays when nothing was recorded. `clear()` also clears the
 // registry, keeping in-process determinism byte-compares valid.
-// v5 -> v6: added the top-level `overload` block — admission-control
-// counters accumulated by serve::AdmissionController in arrival order
-// (submissions, admissions, rejects by cause, sheds by priority class,
-// shed-ladder transitions, peak virtual queue depth/backlog, and total
-// estimated queue wait; DESIGN.md §14). Counts and sums add across serve
-// calls; peaks max-merge. Always present; all-zero when no admission
-// controller ran.
-// v6 -> v7: added the top-level `slo` block — the obs::SloTracker snapshot
-// (per-tenant request/violation totals, deterministic tumbling sim-time
-// windows keyed by arrival cycles, current-window error-budget burn rate
-// and exhaustion flag; DESIGN.md §15). Always present; disabled with an
-// empty tenant list until the tracker is configured (soak --slo-ms).
-// `clear()` also clears the tracker.
+// v5 -> v6: added the top-level `overload` block — the counters of the
+// admission controller (submissions, admissions, rejects by cause, sheds
+// by priority class, peak queue depth and backlog).
+// v6 -> v7: added the top-level `slo` block — the per-tenant SLO tracker's
+// snapshot (request/violation totals, windowed error-budget burn rate).
 // v7 -> v8: additive — `totals` gained the partitioned-execution counters
 // `ghost_bytes`, `exchange_syncs`, `exchange_cycles` and `shards`
 // (DESIGN.md §16; all zero / shards=1 for unsharded runs), and each
@@ -117,8 +102,12 @@
 // v9 -> v10: the `robustness`, `overload` and `recovery` blocks are gone.
 // Each of their facts is one `telemetry` instrument (DESIGN.md §13 has the
 // field -> instrument table), recorded where it happens: run_batch's
-// job-order fold, serve()'s telemetry pass, and the recovery flush of
-// direct runs and batch jobs.
+// job-order fold, the admission controller's telemetry pass, and the
+// recovery flush of direct runs and batch jobs.
+// v10 -> v11: the admission controller, the SLO tracker and the flight
+// recorder are gone. So is the `slo` block, and the event journal lost its
+// serving-only types (`admission_reject`, `quota`, `shed`, `queue_wait`,
+// `quota_wait`, `e2e`, `slo_violation`).
 #pragma once
 
 #include <cstdint>
@@ -133,7 +122,7 @@
 namespace gnnbridge::prof {
 
 inline constexpr const char* kMetricsSchemaName = "gnnbridge-metrics";
-inline constexpr int kMetricsSchemaVersion = 10;
+inline constexpr int kMetricsSchemaVersion = 11;
 
 /// Provenance stamped into every metrics document (`meta` block). The sink
 /// collects defaults lazily at serialization time; tests pin fixed values

@@ -33,7 +33,7 @@ enum class StatusCode {
   kFaultInjected,       ///< a deliberately injected fault (GNNBRIDGE_FAULT_PLAN)
   kDeadlineExceeded,    ///< the job's sim-time deadline expired (rt/deadline.hpp)
   kCancelled,           ///< the job's CancelToken was cancelled
-  kResourceExhausted,   ///< admission control rejected the job (overload; src/serve)
+  kResourceExhausted,   ///< a capacity limit rejected the request (retryable)
 };
 
 /// Stable upper-snake name for a code ("DATA_LOSS", ...).

@@ -1,8 +1,8 @@
-// run_batch edge cases and breaker recovery (DESIGN.md §12/§14
-// satellites): an empty job list is a successful no-op, duplicate
-// caller-supplied request ids are disambiguated with "#n" suffixes in
-// every emitted artifact, and the circuit breaker walks
-// open -> half-open probe -> closed under a concurrent clean batch.
+// run_batch edge cases and breaker recovery (DESIGN.md §12): an empty job
+// list is a successful no-op, duplicate caller-supplied request ids are
+// disambiguated with "#n" suffixes in every emitted artifact, and the
+// circuit breaker walks open -> half-open probe -> closed under a
+// concurrent clean batch.
 #include <gtest/gtest.h>
 
 #include <set>

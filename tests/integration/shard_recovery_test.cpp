@@ -4,16 +4,17 @@
 // run, persistent faults must walk the final ladder rung
 // (sharded->unsharded) without the job ever failing, and none of it may
 // count against the circuit breaker. The journal carries the recovery
-// story (fault_injected / shard_retry / shard_fallback) and a fallback
-// trips the flight recorder.
+// story (fault_injected / shard_retry / shard_fallback). The chaos sweep
+// (engine/chaos.hpp) runs every seam's cells in process, byte-identical at
+// any host thread count.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "engine/chaos.hpp"
 #include "engine/engine.hpp"
 #include "graph/datasets.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/journal.hpp"
 #include "obs/registry.hpp"
 #include "par/thread_pool.hpp"
@@ -35,7 +36,6 @@ class ShardRecovery : public ::testing::Test {
     rt::FaultInjector::instance().clear();
     prof::MetricsSink::instance().clear();
     obs::EventJournal::instance().clear();
-    obs::FlightRecorder::instance().clear();
   }
   void TearDown() override {
     par::set_max_threads(0);
@@ -277,7 +277,7 @@ TEST_F(ShardRecovery, FaultedPartitionIsNeverCached) {
   }
 }
 
-// ---- Journal + flight recorder: the recovery story is observable.
+// ---- Journal: the recovery story is observable.
 
 TEST_F(ShardRecovery, JournalCarriesFaultInjectedAndShardRetryEvents) {
   const Inputs& in = inputs();
@@ -307,11 +307,10 @@ TEST_F(ShardRecovery, JournalCarriesFaultInjectedAndShardRetryEvents) {
   EXPECT_EQ(retries, results[0].stats.shard_retries);
 }
 
-TEST_F(ShardRecovery, FallbackJournalsAndTriggersTheFlightRecorder) {
+TEST_F(ShardRecovery, FallbackJournalsAShardFallbackEvent) {
   const Inputs& in = inputs();
   auto& journal = obs::EventJournal::instance();
   journal.set_enabled(true);
-  auto& recorder = obs::FlightRecorder::instance();
   OptimizedEngine e(sharded_cfg(4));
   const auto job = gcn_job(in, gcn_run(), "shard_exchange=*");
   const auto results = e.run_batch({&job, 1});
@@ -327,8 +326,6 @@ TEST_F(ShardRecovery, FallbackJournalsAndTriggersTheFlightRecorder) {
     }
   }
   EXPECT_TRUE(fell_back) << "no shard_fallback journal event";
-  // Unarmed, the recorder still classifies: the fallback is an anomaly.
-  EXPECT_EQ(recorder.last_trigger(), "shard_fallback");
 }
 
 // ---- Thread-count determinism of a recovering batch: the recovery
@@ -382,6 +379,95 @@ TEST_F(ShardRecovery, RecoveringBatchMetricsByteIdenticalAt1_2_3_4_8Threads) {
     par::set_max_threads(threads);
     const std::string parallel = run_recovering_batch_and_serialize();
     EXPECT_EQ(parallel, serial) << "at " << threads << " threads";
+  }
+}
+
+// ---- The chaos sweep in process: the graphs `soak --chaos` sweeps
+// (collab and citation at scale 0.04) with 32-wide inputs. Every cell and
+// both out-of-engine probes must hold the recovery contract, and the
+// metrics document and the journal the sweep leaves must be byte-identical
+// at 1, 2, 3, 4 and 8 host threads.
+
+struct ChaosInputs {
+  struct Set {
+    graph::Dataset data;
+    models::GcnParams gcn_params;
+    models::GatParams gat_params;
+    models::Matrix gcn_x;
+    models::Matrix gat_x;
+    engine::GcnRun gcn;
+    engine::GatRun gat;
+  };
+  static constexpr double kScale = 0.04;
+  models::GcnConfig gcn_cfg;
+  models::GatConfig gat_cfg;
+  Set sets[2];
+  engine::ChaosJobSet job_sets[2];
+
+  ChaosInputs() {
+    gcn_cfg.dims = {32, 16, 8};
+    gat_cfg.dims = {32, 16};
+    const graph::DatasetId ids[] = {graph::DatasetId::kCollab, graph::DatasetId::kCitation};
+    for (int d = 0; d < 2; ++d) {
+      Set& s = sets[d];
+      s.data = graph::make_dataset(ids[d], kScale);
+      const int n = s.data.csr.num_nodes;
+      s.gcn_params = models::init_gcn(gcn_cfg, 1);
+      s.gcn_x = models::init_features(n, 32, 1);
+      s.gat_params = models::init_gat(gat_cfg, 2);
+      s.gat_x = models::init_features(n, 32, 2);
+      s.gcn = {&gcn_cfg, &s.gcn_params, &s.gcn_x};
+      s.gat = {&gat_cfg, &s.gat_params, &s.gat_x};
+      job_sets[d] = {&s.data, &s.gcn, &s.gat};
+    }
+  }
+};
+
+struct ChaosArtifacts {
+  std::string metrics;
+  std::string journal;
+};
+
+ChaosArtifacts run_chaos_and_export() {
+  static const ChaosInputs* in = new ChaosInputs();
+  auto& sink = prof::MetricsSink::instance();
+  auto& journal = obs::EventJournal::instance();
+  sink.clear();
+  journal.clear();
+  sink.configure("chaos-sweep", ChaosInputs::kScale);
+  sink.set_meta(prof::MetaInfo{.git_sha = "fixed",
+                               .timestamp = "2026-01-01T00:00:00Z",
+                               .hostname = "fixed",
+                               .scale_env = "",
+                               .threads = 0});
+  const auto report = engine::run_chaos_sweep(in->job_sets, ChaosInputs::kScale,
+                                              /*breaker_threshold=*/3, sim::v100());
+  const int threads = par::max_threads();
+  EXPECT_TRUE(report.ok()) << report.status().to_string();
+  if (!report.ok()) return {};
+  EXPECT_EQ(report->cells.size(), 16u);
+  EXPECT_EQ(report->jobs_run, 16u * 4u);
+  EXPECT_EQ(report->probes.size(), 2u) << "dataset_load and metrics_write probes";
+  for (const std::string& v : report->violations) {
+    ADD_FAILURE() << "chaos contract at " << threads << " threads: " << v;
+  }
+  ChaosArtifacts out{sink.to_json(), journal.to_jsonl()};
+  sink.clear();
+  journal.clear();
+  return out;
+}
+
+TEST_F(ShardRecovery, ChaosSweepByteIdenticalAt1_2_3_4_8Threads) {
+  par::set_max_threads(1);
+  const ChaosArtifacts serial = run_chaos_and_export();
+  ASSERT_FALSE(serial.metrics.empty());
+  ASSERT_FALSE(serial.journal.empty());
+  EXPECT_NE(serial.journal.find("\"type\":\"shard_fallback\""), std::string::npos);
+  for (int threads : {2, 3, 4, 8}) {
+    par::set_max_threads(threads);
+    const ChaosArtifacts parallel = run_chaos_and_export();
+    EXPECT_EQ(parallel.metrics, serial.metrics) << "metrics at " << threads << " threads";
+    EXPECT_EQ(parallel.journal, serial.journal) << "journal at " << threads << " threads";
   }
 }
 

@@ -65,13 +65,13 @@ const Inputs& inputs() {
   return *in;
 }
 
-// A stream with retries in play (a two-shot launch fault plus a clean
-// retry budget) so attempt, backoff and degradation events all hit the
-// journal.
+// A stream with retries in play so attempt, backoff and degradation events
+// all hit the journal: a four-shot launch fault outlasts the ladder's
+// rungs, fails the first attempt and is absorbed by the retry.
 std::vector<OptimizedEngine::BatchJob> make_stream(const baselines::GcnRun& gcn,
                                                    const baselines::GatRun& gat) {
   const Inputs& in = inputs();
-  const char* plans[] = {"", "sim_launch=2", "tuner_probe=3", ""};
+  const char* plans[] = {"", "sim_launch=4", "tuner_probe=3", ""};
   std::vector<OptimizedEngine::BatchJob> jobs(6);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     OptimizedEngine::BatchJob& job = jobs[i];
@@ -139,6 +139,18 @@ TEST_F(TelemetryBatch, ExportsByteIdenticalAt1_2_3_4_8Threads) {
   EXPECT_NE(serial.metrics.find("\"telemetry\""), std::string::npos);
   EXPECT_NE(serial.prometheus.find("gnnbridge_serve_job_cycles_count 6"), std::string::npos)
       << serial.prometheus;
+  // The stream really retries: a failed attempt, a backoff, another attempt.
+  const auto events = [&](const char* type) {
+    const std::string needle = std::string("\"type\":\"") + type + "\"";
+    std::size_t n = 0;
+    for (std::size_t at = serial.journal.find(needle); at != std::string::npos;
+         at = serial.journal.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_GE(events("backoff"), 1u) << serial.journal;
+  EXPECT_GT(events("attempt"), 6u) << "more attempts than jobs:\n" << serial.journal;
   for (int threads : {2, 3, 4, 8}) {
     par::set_max_threads(threads);
     const Exports parallel = run_and_export();

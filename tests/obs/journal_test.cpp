@@ -63,8 +63,8 @@ JournalEvent sample_event(const std::string& req, const std::string& type) {
 
 class JournalTest : public ::testing::Test {
  protected:
-  // append() only stores while the journal is enabled (disabled appends
-  // just feed the flight recorder), so the storage tests arm it here.
+  // append() only stores while the journal is enabled, so the storage
+  // tests arm it here.
   void SetUp() override {
     EventJournal::instance().clear();
     EventJournal::instance().set_enabled(true);

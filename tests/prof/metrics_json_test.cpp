@@ -1,4 +1,4 @@
-// Golden test locking the gnnbridge-metrics JSON schema (version 6).
+// Golden test locking the current gnnbridge-metrics JSON schema.
 //
 // The serialized document for a fixed RunRecord must match byte-for-byte:
 // downstream consumers (tools/check_metrics_schema.py, notebook readers,
@@ -80,7 +80,7 @@ MetaInfo golden_meta() {
 //   sync      = atomic + adapter cycles = 256 + 128             = 384
 //   redundancy= (1024 + 512 + 256) / 16 flops-per-cycle         = 112
 constexpr const char* kGolden =
-    "{\"schema\":\"gnnbridge-metrics\",\"schema_version\":10,"
+    "{\"schema\":\"gnnbridge-metrics\",\"schema_version\":11,"
     "\"experiment\":\"golden\",\"scale\":0.25,"
     "\"meta\":{\"git_sha\":\"deadbee\",\"timestamp\":\"2026-01-01T00:00:00Z\","
     "\"hostname\":\"goldenhost\",\"scale_env\":\"0.25\",\"threads\":8},"
@@ -122,11 +122,9 @@ constexpr const char* kGolden =
     "\"inter_shard_traffic\":{\"cycles\":0,\"ghost_bytes\":0,"
     "\"exchange_syncs\":0,\"shards\":1}}],"
     "\"degradations\":[],"
-    "\"telemetry\":{\"counters\":[],\"gauges\":[],\"histograms\":[]},"
-    "\"slo\":{\"enabled\":false,\"latency_objective_cycles\":0,"
-    "\"success_objective\":0.99,\"window_cycles\":0,\"tenants\":[]}}\n";
+    "\"telemetry\":{\"counters\":[],\"gauges\":[],\"histograms\":[]}}\n";
 
-TEST(MetricsJsonTest, GoldenDocumentMatchesSchemaVersion9) {
+TEST(MetricsJsonTest, GoldenDocumentLocksTheCurrentSchema) {
   MetricsSink& sink = MetricsSink::instance();
   sink.clear();
   sink.configure("golden", 0.25);
@@ -184,18 +182,19 @@ TEST(MetricsJsonTest, EmptySinkStillEmitsSchemaEnvelope) {
   const std::string doc = sink.to_json();
   EXPECT_TRUE(testing::json_valid(doc));
   EXPECT_NE(doc.find("\"schema\":\"gnnbridge-metrics\""), std::string::npos);
-  EXPECT_NE(doc.find("\"schema_version\":10"), std::string::npos);
+  EXPECT_NE(doc.find("\"schema_version\":11"), std::string::npos);
   EXPECT_NE(doc.find("\"meta\":{"), std::string::npos);
   EXPECT_NE(doc.find("\"runs\":[]"), std::string::npos);
   EXPECT_NE(doc.find("\"gap_report\":[]"), std::string::npos);
   EXPECT_NE(doc.find("\"degradations\":[]"), std::string::npos);
   // v10 retired the serving blocks: their counters live in `telemetry`.
+  // v11 retired the `slo` block with the SLO tracker.
   EXPECT_EQ(doc.find("\"robustness\""), std::string::npos);
   EXPECT_EQ(doc.find("\"overload\""), std::string::npos);
   EXPECT_EQ(doc.find("\"recovery\""), std::string::npos);
+  EXPECT_EQ(doc.find("\"slo\""), std::string::npos);
   EXPECT_NE(doc.find("\"telemetry\":{\"counters\":[],\"gauges\":[],\"histograms\":[]}"),
             std::string::npos);
-  EXPECT_NE(doc.find("\"slo\":{\"enabled\":false,"), std::string::npos);
 }
 
 TEST(MetricsJsonTest, TelemetryBlockCarriesRegistryInstruments) {
@@ -237,8 +236,8 @@ TEST(MetricsJsonTest, OomRunSerializesWithEmptyKernels) {
   EXPECT_NE(doc.find("\"oom\":true"), std::string::npos);
   EXPECT_NE(doc.find("\"kernels\":[]"), std::string::npos);
   // Degenerate rates serialize as zeros, never NaN/inf. A bare "nan"
-  // substring is legal inside key names (the v7 slo block's "tenants"),
-  // so match the value positions a broken serializer would produce.
+  // substring would be legal inside a key or label, so match the value
+  // positions a broken serializer would produce.
   EXPECT_NE(doc.find("\"l2_hit_rate\":0"), std::string::npos);
   EXPECT_EQ(doc.find(":nan"), std::string::npos);
   EXPECT_EQ(doc.find(",nan"), std::string::npos);

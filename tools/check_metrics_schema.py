@@ -18,13 +18,6 @@ src/obs/journal.cpp): one object per line with the full event key set,
 
     tools/check_metrics_schema.py --journal out/journal.jsonl
 
-With --postmortem, checks a flight-recorder postmortem dump instead (the
-anomaly-triggered ring dump from src/obs/flight_recorder.cpp): envelope,
-known trigger kind, bounded strictly-increasing ring with the trigger
-event as its newest entry:
-
-    tools/check_metrics_schema.py --postmortem out/postmortem.json
-
 A metrics document whose schema_version is NEWER than this validator
 understands fails with an explicit "update the validator" error rather
 than a generic mismatch.
@@ -40,9 +33,7 @@ import math
 import sys
 
 SCHEMA_NAME = "gnnbridge-metrics"
-SCHEMA_VERSION = 10
-POSTMORTEM_SCHEMA_NAME = "gnnbridge-postmortem"
-POSTMORTEM_SCHEMA_VERSION = 1
+SCHEMA_VERSION = 11
 
 RUN_KEYS = {
     "label": str,
@@ -101,9 +92,10 @@ DEGRADATION_KEYS = {
     "detail": str,
     "injected": bool,
 }
-# Top-level keys of a v10 document, in order. v10 retired the v4
+# Top-level keys of a v11 document, in order. v10 retired the v4
 # `robustness`, v6 `overload` and v9 `recovery` blocks: their facts are
-# telemetry instruments now (DESIGN.md §13).
+# telemetry instruments now (DESIGN.md §13). v11 retired the v7 `slo`
+# block with the SLO tracker.
 TOP_LEVEL_KEYS = [
     "schema",
     "schema_version",
@@ -114,19 +106,6 @@ TOP_LEVEL_KEYS = [
     "gap_report",
     "degradations",
     "telemetry",
-    "slo",
-]
-# Counters the admission accounting invariant adds up: every submitted job
-# is admitted, rejected for one cause, or shed by priority class.
-ADMISSION_OUTCOME_COUNTERS = [
-    "serve.admitted",
-    "serve.rejected_queue_full",
-    "serve.rejected_quota",
-    "serve.rejected_deadline",
-    "serve.rejected_memory",
-    "serve.shed_low",
-    "serve.shed_normal",
-    "serve.shed_high",
 ]
 # Telemetry registry export (v5): counters, gauges, log-bucketed
 # histograms with headline quantiles (src/obs/registry.hpp).
@@ -176,48 +155,9 @@ JOURNAL_EVENT_TYPES = {
     "degradation",
     "outcome",
     "breaker",
-    # Admission-control events (v6, serve::AdmissionController).
-    "admission_reject",
-    "quota",
-    "shed",
-    # Critical-path / SLO events (v7, DESIGN.md §15).
-    "queue_wait",
-    "quota_wait",
-    "e2e",
-    "slo_violation",
     # Shard-recovery events (v9, DESIGN.md §17).
     "fault_injected",
     "shard_retry",
-    "shard_fallback",
-}
-# Per-tenant SLO block (v7, obs::SloTracker, DESIGN.md §15).
-SLO_KEYS = {
-    "enabled": bool,
-    "latency_objective_cycles": (int, float),
-    "success_objective": (int, float),
-    "window_cycles": (int, float),
-    "tenants": list,
-}
-SLO_TENANT_KEYS = {
-    "tenant": str,
-    "requests": int,
-    "good": int,
-    "latency_violations": int,
-    "failure_violations": int,
-    "violations": int,
-    "windows": int,
-    "window_index": int,
-    "window_requests": int,
-    "window_violations": int,
-    "burn_rate": (int, float),
-    "budget_exhausted": bool,
-}
-# Flight-recorder postmortem dump (obs::FlightRecorder, DESIGN.md §15).
-POSTMORTEM_TRIGGER_KINDS = {
-    "deadline_miss",
-    "breaker_open",
-    "shed_burst",
-    "slo_budget_exhausted",
     "shard_fallback",
 }
 KERNEL_KEYS = {
@@ -317,7 +257,7 @@ def check_keys(obj, spec, where):
 
 
 def check_counter_invariants(counters):
-    """The accounting invariants of the serving and recovery counters.
+    """The accounting invariants of the run_batch and recovery counters.
 
     An absent counter reads 0: instruments appear once first recorded.
     """
@@ -332,12 +272,6 @@ def check_counter_invariants(counters):
 
     if value("serve.attempts") < value("serve.retries"):
         raise Invalid("telemetry: serve.attempts < serve.retries")
-    outcomes = sum(value(name) for name in ADMISSION_OUTCOME_COUNTERS)
-    if outcomes != value("serve.admission.submitted"):
-        raise Invalid(
-            f"telemetry: admitted + rejected + shed ({outcomes}) != "
-            f"serve.admission.submitted ({value('serve.admission.submitted')})"
-        )
     if value("recovery.shards_reexecuted") > value("recovery.shard_retries"):
         raise Invalid(
             "telemetry: recovery.shards_reexecuted > recovery.shard_retries"
@@ -437,31 +371,6 @@ def check_metrics(doc):
                 f"{where}: empty histogram must report all-zero statistics"
             )
     check_counter_invariants(telemetry["counters"])
-    slo = doc.get("slo")
-    check_keys(slo, SLO_KEYS, "slo")
-    if not 0.0 <= slo["success_objective"] <= 1.0:
-        raise Invalid("slo: success_objective out of [0,1]")
-    for i, t in enumerate(slo["tenants"]):
-        where = f"slo.tenants[{i}]"
-        check_keys(t, SLO_TENANT_KEYS, where)
-        violations = t["latency_violations"] + t["failure_violations"]
-        if violations != t["violations"]:
-            raise Invalid(
-                f"{where}: violations ({t['violations']}) != latency "
-                f"({t['latency_violations']}) + failure "
-                f"({t['failure_violations']})"
-            )
-        if t["good"] + violations != t["requests"]:
-            raise Invalid(
-                f"{where}: good ({t['good']}) + violations ({violations}) "
-                f"!= requests ({t['requests']})"
-            )
-        if t["burn_rate"] < 0:
-            raise Invalid(f"{where}: negative burn_rate")
-        if t["window_requests"] > t["requests"]:
-            raise Invalid(f"{where}: window_requests > requests")
-    if slo["tenants"] and not slo["enabled"]:
-        raise Invalid("slo: tenants present but tracker reports disabled")
     return len(runs), len(degradations)
 
 
@@ -487,63 +396,6 @@ def check_journal(text):
             raise Invalid(f"{where}: empty request id")
         requests.add(ev["req"])
     return next_seq, len(requests)
-
-
-def check_postmortem(doc):
-    """Validates a flight-recorder postmortem dump; returns (trigger, events)."""
-    if not isinstance(doc, dict):
-        raise Invalid("top level: expected object")
-    if doc.get("schema") != POSTMORTEM_SCHEMA_NAME:
-        raise Invalid(
-            f"schema: expected '{POSTMORTEM_SCHEMA_NAME}', "
-            f"got {doc.get('schema')!r}"
-        )
-    version = doc.get("schema_version")
-    if isinstance(version, int) and version > POSTMORTEM_SCHEMA_VERSION:
-        raise Invalid(
-            f"schema_version: document is v{version}, newer than the "
-            f"v{POSTMORTEM_SCHEMA_VERSION} this validator understands"
-        )
-    if version != POSTMORTEM_SCHEMA_VERSION:
-        raise Invalid(
-            f"schema_version: expected {POSTMORTEM_SCHEMA_VERSION}, "
-            f"got {version!r}"
-        )
-    trigger = doc.get("trigger")
-    # The trigger carries its kind plus the full journal field set of the
-    # event that fired it (including "attempt").
-    check_keys(trigger, {"kind": str, **JOURNAL_EVENT_KEYS}, "trigger")
-    if trigger["kind"] not in POSTMORTEM_TRIGGER_KINDS:
-        raise Invalid(f"trigger.kind: unknown kind {trigger['kind']!r}")
-    if not isinstance(doc.get("dump_count"), int) or doc["dump_count"] < 1:
-        raise Invalid("dump_count: expected positive integer")
-    if not isinstance(doc.get("ring_capacity"), int) or doc["ring_capacity"] < 1:
-        raise Invalid("ring_capacity: expected positive integer")
-    events = doc.get("events")
-    if not isinstance(events, list):
-        raise Invalid("events: expected array")
-    if not events:
-        raise Invalid("events: ring dumped empty (the trigger itself is recorded)")
-    if len(events) > doc["ring_capacity"]:
-        raise Invalid(
-            f"events: {len(events)} entries exceed ring_capacity "
-            f"{doc['ring_capacity']}"
-        )
-    last_seq = None
-    for i, ev in enumerate(events):
-        where = f"events[{i}]"
-        check_keys(ev, JOURNAL_EVENT_KEYS, where)
-        if ev["type"] not in JOURNAL_EVENT_TYPES:
-            raise Invalid(f"{where}: unknown event type {ev['type']!r}")
-        if last_seq is not None and ev["seq"] <= last_seq:
-            raise Invalid(f"{where}: seq {ev['seq']} not increasing")
-        last_seq = ev["seq"]
-    if events[-1]["seq"] != trigger["seq"]:
-        raise Invalid(
-            f"events: last seq {events[-1]['seq']} is not the trigger "
-            f"event (seq {trigger['seq']})"
-        )
-    return trigger["kind"], len(events)
 
 
 def check_trace(doc):
@@ -596,12 +448,6 @@ def main():
         help="validate JSONL event-journal files instead of metrics files",
     )
     ap.add_argument(
-        "--postmortem",
-        action="store_true",
-        help="validate flight-recorder postmortem dumps instead of "
-        "metrics files",
-    )
-    ap.add_argument(
         "--expect-degradations",
         type=int,
         default=None,
@@ -611,8 +457,8 @@ def main():
     )
     args = ap.parse_args()
 
-    if sum((args.trace, args.journal, args.postmortem)) > 1:
-        ap.error("--trace, --journal and --postmortem are mutually exclusive")
+    if args.trace and args.journal:
+        ap.error("--trace and --journal are mutually exclusive")
 
     failed = False
     for path in args.files:
@@ -627,12 +473,6 @@ def main():
             if args.trace:
                 n = check_trace(doc)
                 print(f"{path}: OK ({n} duration events, B/E balanced)")
-            elif args.postmortem:
-                kind, n = check_postmortem(doc)
-                print(
-                    f"{path}: OK (trigger {kind}, {n} ring events, "
-                    f"postmortem v{POSTMORTEM_SCHEMA_VERSION})"
-                )
             else:
                 n, n_degraded = check_metrics(doc)
                 if (
