@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <type_traits>
 
@@ -21,6 +20,7 @@
 #include "prof/metrics_json.hpp"
 #include "prof/span.hpp"
 #include "rt/fault.hpp"
+#include "rt/retry.hpp"
 #include "rt/validate.hpp"
 
 namespace gnnbridge::engine {
@@ -70,36 +70,12 @@ std::vector<std::string> knob_names(unsigned mask) {
   return names;
 }
 
-/// The shard count the GCN/GAT pipelines execute with: cfg.shards, or the
-/// GNNBRIDGE_SHARDS environment variable when cfg.shards == 0 (malformed
-/// values warn once and fall back to 1).
-int configured_shards(const EngineConfig& cfg) {
-  if (cfg.shards > 0) return cfg.shards;
-  // Read once per process: a mid-run environment change must not make two
-  // halves of one experiment disagree about the execution mode.
-  static const int env_shards = [] {
-    const char* s = std::getenv("GNNBRIDGE_SHARDS");
-    if (!s || !*s) return 1;
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    if (end == s || *end != '\0' || v < 1 || v > 4096) {
-      std::fprintf(stderr,
-                   "gnnbridge: ignoring invalid GNNBRIDGE_SHARDS='%s' "
-                   "(want an integer in [1, 4096]); running unsharded\n",
-                   s);
-      return 1;
-    }
-    return static_cast<int>(v);
-  }();
-  return env_shards;
-}
-
 /// The knobs the configuration turns on.
 unsigned configured_knobs(const EngineConfig& cfg) {
   return (cfg.use_las ? detail::kLas : 0u) | (cfg.auto_tune ? detail::kAutoTune : 0u) |
          (cfg.use_adapter ? detail::kAdapter : 0u) |
          (cfg.use_neighbor_grouping ? detail::kNeighborGrouping : 0u) |
-         (configured_shards(cfg) > 1 ? detail::kSharding : 0u);
+         (cfg.shards > 1 ? detail::kSharding : 0u);
 }
 
 /// The untuned grouping bound: the configured one, else the average degree
@@ -316,7 +292,7 @@ detail::AttemptPlan OptimizedEngine::resolve_plan(const graph::Csr& csr, detail:
     // Fusion gate: the fused pipeline is only taken when the fusion
     // machinery works; an injected fusion_pass fault degrades to unfused.
     if (plan.on(detail::kAdapter)) rt::raise_if_armed(rt::kSeamFusionPass, fusion_gate);
-    if (plan.on(detail::kSharding)) plan.shards = configured_shards(cfg_);
+    if (plan.on(detail::kSharding)) plan.shards = cfg_.shards;
   }
   plan.linear = plan.on(detail::kAdapter) && cfg_.use_linear;
 
@@ -576,7 +552,7 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
       if (!rt::retryable(out.status) || attempt >= max_attempts) break;
       // Deterministic backoff before the retry, charged in sim-time
       // against the job's own deadline (never a wall-clock sleep).
-      const double backoff = rt::backoff_cycles(cfg_.retry, attempt);
+      const double backoff = rt::backoff_cycles(attempt);
       tally.backoff_cycles += backoff;
       if (journal_on) {
         obs::JournalEvent ev;

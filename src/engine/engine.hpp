@@ -32,7 +32,6 @@
 #include "rt/breaker.hpp"
 #include "rt/deadline.hpp"
 #include "rt/degrade.hpp"
-#include "rt/retry.hpp"
 
 namespace gnnbridge::shard {
 struct Partition;
@@ -86,16 +85,12 @@ struct EngineConfig {
   bool auto_tune = false;
   /// Partitioned execution (DESIGN.md §16): number of edge-cut shards the
   /// GCN/GAT pipelines split the graph across, each simulated on its own
-  /// device with per-layer ghost-feature exchanges. 0 = inherit the
-  /// GNNBRIDGE_SHARDS environment variable (default 1); 1 = the ordinary
+  /// device with per-layer ghost-feature exchanges. 1 = the ordinary
   /// single-device path; values are clamped to the node count. Sharded
   /// outputs are bit-identical to the unsharded engine; the exchange cost
   /// surfaces as the inter-shard-traffic gap. Models other than GCN/GAT
   /// run unsharded regardless.
-  int shards = 0;
-  /// Retry backoff for run_batch jobs that fail with a retryable Status
-  /// (DESIGN.md §12). Backoff is sim-time, charged against the deadline.
-  rt::RetryPolicy retry;
+  int shards = 1;
   /// Per-(model, graph) circuit breaker for run_batch (DESIGN.md §12).
   rt::BreakerConfig breaker;
 };

@@ -48,19 +48,4 @@ Coo coo_from_csr(const Csr& csr) {
 
 bool valid(const Csr& g) { return rt::validate_csr(g).ok(); }
 
-Csr permute_rows(const Csr& g, std::span<const NodeId> perm) {
-  assert(static_cast<NodeId>(perm.size()) == g.num_nodes);
-  Csr out;
-  out.num_nodes = g.num_nodes;
-  out.row_ptr.reserve(g.row_ptr.size());
-  out.row_ptr.push_back(0);
-  out.col_idx.reserve(g.col_idx.size());
-  for (NodeId r = 0; r < g.num_nodes; ++r) {
-    const auto nbrs = g.neighbors(perm[static_cast<std::size_t>(r)]);
-    out.col_idx.insert(out.col_idx.end(), nbrs.begin(), nbrs.end());
-    out.row_ptr.push_back(static_cast<EdgeId>(out.col_idx.size()));
-  }
-  return out;
-}
-
 }  // namespace gnnbridge::graph

@@ -51,11 +51,4 @@ Coo coo_from_csr(const Csr& csr);
 /// row_ptr[0] == 0 and row_ptr[N] == E.
 bool valid(const Csr& g);
 
-/// Returns a CSR whose row r holds the neighbor list of `perm[r]` in the
-/// input. `perm` must be a permutation of [0, num_nodes). This is the
-/// primitive behind locality-aware task scheduling: it reorders *tasks*
-/// (rows), not node ids — column indices are left untouched so feature
-/// matrices need no shuffling.
-Csr permute_rows(const Csr& g, std::span<const NodeId> perm);
-
 }  // namespace gnnbridge::graph

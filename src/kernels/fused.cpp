@@ -183,37 +183,6 @@ sim::KernelStats gat_aggregate_fused(sim::SimContext& ctx, const GatAggregateFus
   return ctx.launch(std::move(k));
 }
 
-sim::KernelStats row_scale_kernel(sim::SimContext& ctx, const RowScaleArgs& args) {
-  assert(args.vacc && args.mat);
-  const Index rows = args.mat->rows;
-  const bool full = args.mode == ExecMode::kFull && args.vacc->host && args.mat->host;
-
-  sim::Kernel k;
-  k.name = args.name;
-  k.phase = args.phase;
-  constexpr Index kRowsPerBlock = 64;
-  for (Index r0 = 0; r0 < rows; r0 += kRowsPerBlock) {
-    const Index r1 = std::min(r0 + kRowsPerBlock, rows);
-    sim::BlockWork blk;
-    blk.read(args.vacc->buf, args.vacc->row_offset(r0), static_cast<std::uint32_t>((r1 - r0) * 4));
-    const std::uint32_t bytes = static_cast<std::uint32_t>((r1 - r0) * args.mat->row_bytes());
-    blk.read(args.mat->buf, args.mat->row_offset(r0), bytes);
-    blk.write(args.mat->buf, args.mat->row_offset(r0), bytes);
-    if (full) {
-      for (Index r = r0; r < r1; ++r) {
-        const float acc = (*args.vacc->host)(r, 0);
-        const float inv = acc != 0.0f ? 1.0f / acc : 0.0f;
-        for (float& x : args.mat->host->row(r)) x *= inv;
-      }
-    }
-    const double work = static_cast<double>((r1 - r0) * args.mat->cols);
-    blk.compute(work, work);
-    blk.extra_cycles = kTaskSetupCycles;
-    k.blocks.push_back(std::move(blk));
-  }
-  return ctx.launch(std::move(k));
-}
-
 sim::KernelStats aggregate_bias_act_fused(sim::SimContext& ctx,
                                           const AggregateBiasActFusedArgs& args) {
   assert(args.graph && args.feat && args.out);

@@ -77,17 +77,6 @@ struct GatAggregateFusedArgs {
 };
 sim::KernelStats gat_aggregate_fused(sim::SimContext& ctx, const GatAggregateFusedArgs& args);
 
-/// Scales row v of `mat` by 1/vacc[v] (the deferred epilogue when neighbor
-/// grouping split the aggregation).
-struct RowScaleArgs {
-  const FeatureMat* vacc = nullptr;  ///< [N, 1]
-  FeatureMat* mat = nullptr;         ///< [N, F]
-  ExecMode mode = ExecMode::kFull;
-  const char* name = "row_scale";
-  const char* phase = "graph_op";
-};
-sim::KernelStats row_scale_kernel(sim::SimContext& ctx, const RowScaleArgs& args);
-
 /// GCN-style fused epilogue: out[v] = act(sum_u w_uv * feat[u] + bias).
 struct AggregateBiasActFusedArgs {
   const GraphOnDevice* graph = nullptr;

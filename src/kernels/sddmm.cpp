@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "tensor/ops.hpp"
-
 namespace gnnbridge::kernels {
 
 namespace {
@@ -40,48 +38,6 @@ sim::KernelStats u_add_v(sim::SimContext& ctx, const UAddVArgs& args) {
     }
     const double work = static_cast<double>(t.size());
     blk.compute(work, work);
-    blk.extra_cycles = kTaskSetupCycles;
-    k.blocks.push_back(std::move(blk));
-  }
-  return ctx.launch(std::move(k));
-}
-
-sim::KernelStats u_dot_v(sim::SimContext& ctx, const UDotVArgs& args) {
-  assert(args.graph && args.src_feat && args.dst_feat && args.edge_out);
-  const Csr& csr = *args.graph->csr;
-  const Index feat = args.src_feat->cols;
-  assert(args.dst_feat->cols == feat);
-  const bool full = args.mode == ExecMode::kFull && args.src_feat->host &&
-                    args.dst_feat->host && args.edge_out->host;
-  const std::uint64_t row_bytes = args.src_feat->row_bytes();
-  const double pad = pad_factor(feat, args.lanes);
-
-  sim::Kernel k;
-  k.name = args.name;
-  k.phase = args.phase;
-  k.blocks.reserve(args.tasks.size());
-  for (const Task& t : args.tasks) {
-    sim::BlockWork blk;
-    blk.read(args.graph->row_ptr, static_cast<std::uint64_t>(t.v) * 8, 16);
-    blk.read(args.dst_feat->buf, args.dst_feat->row_offset(t.v),
-             static_cast<std::uint32_t>(row_bytes));
-    if (t.size() > 0) {
-      blk.read(args.graph->col_idx, static_cast<std::uint64_t>(t.begin) * 4,
-               static_cast<std::uint32_t>(t.size() * 4));
-      blk.write(args.edge_out->buf, static_cast<std::uint64_t>(t.begin) * 4,
-                static_cast<std::uint32_t>(t.size() * 4));
-    }
-    for (EdgeId e = t.begin; e < t.end; ++e) {
-      const NodeId u = csr.col_idx[static_cast<std::size_t>(e)];
-      blk.read(args.src_feat->buf, args.src_feat->row_offset(u),
-               static_cast<std::uint32_t>(row_bytes));
-      if (full) {
-        (*args.edge_out->host)(e, 0) =
-            tensor::dot(args.src_feat->host->row(u), args.dst_feat->host->row(t.v));
-      }
-    }
-    const double useful = 2.0 * static_cast<double>(feat) * static_cast<double>(t.size());
-    blk.compute(useful, useful * pad);
     blk.extra_cycles = kTaskSetupCycles;
     k.blocks.push_back(std::move(blk));
   }

@@ -1,10 +1,9 @@
 // SDDMM-style edge-weight kernels.
 //
 // These compute the per-edge quantities of Table 2 of the paper from
-// per-node operands: GAT's att_src[u] + att_dst[v], GaAN's
-// <W_l h_u, W_r h_v> dot products, etc. All run in the center-neighbor
-// pattern over the task list, so they compose with neighbor grouping and
-// locality-aware scheduling.
+// per-node operands, e.g. GAT's att_src[u] + att_dst[v]. They run in the
+// center-neighbor pattern over the task list, so they compose with
+// neighbor grouping and locality-aware scheduling.
 #pragma once
 
 #include "kernels/common.hpp"
@@ -24,19 +23,5 @@ struct UAddVArgs {
   const char* phase = "graph_op";
 };
 sim::KernelStats u_add_v(sim::SimContext& ctx, const UAddVArgs& args);
-
-/// e[i] = dot(src_feat[u_i], dst_feat[v_i]) — the GaAN / cosine edge op.
-struct UDotVArgs {
-  const GraphOnDevice* graph = nullptr;
-  std::span<const Task> tasks;
-  const FeatureMat* src_feat = nullptr;  ///< [N, F]
-  const FeatureMat* dst_feat = nullptr;  ///< [N, F]
-  FeatureMat* edge_out = nullptr;        ///< [E, 1]
-  int lanes = 32;
-  ExecMode mode = ExecMode::kFull;
-  const char* name = "u_dot_v";
-  const char* phase = "graph_op";
-};
-sim::KernelStats u_dot_v(sim::SimContext& ctx, const UDotVArgs& args);
 
 }  // namespace gnnbridge::kernels

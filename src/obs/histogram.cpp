@@ -58,20 +58,6 @@ void LogHistogram::observe(double v) {
   ++counts_[static_cast<std::size_t>(bucket_of(v))];
 }
 
-void LogHistogram::merge(const LogHistogram& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  for (int b = 0; b < kBuckets; ++b) counts_[static_cast<std::size_t>(b)] += other.counts_[static_cast<std::size_t>(b)];
-}
-
 double LogHistogram::quantile(double q) const {
   if (count_ == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);

@@ -3,13 +3,12 @@
 // The aggregation primitive of the telemetry registry (DESIGN.md §13):
 // sim-cycle latencies, attempt counts and queue depths land in
 // quarter-octave log2 buckets whose boundaries are fixed powers of 2^(1/4),
-// so two histograms built from the same observations — in any grouping —
+// so two histograms built from the same observations — in any order —
 // hold identical bucket counts. Bucket selection uses frexp plus three
 // exact mantissa thresholds, never libm log2, so the mapping is the same
 // on every platform. Quantiles are bucket upper bounds (clamped to the
 // tracked min/max), which makes p50/p90/p99 a pure function of the bucket
-// counts — byte-identical at 1, 2 or 8 host threads when observations are
-// merged through the par:: ordered-fold discipline (see registry.hpp).
+// counts.
 #pragma once
 
 #include <array>
@@ -60,10 +59,6 @@ class LogHistogram {
   static double bucket_upper(int b);
 
   void observe(double v);
-
-  /// Field-wise merge. Callers must fold shards in a deterministic order
-  /// (chunk index order) — `sum` is a double accumulation.
-  void merge(const LogHistogram& other);
 
   std::uint64_t count() const { return count_; }
   double sum() const { return sum_; }

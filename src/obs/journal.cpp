@@ -1,7 +1,6 @@
 #include "obs/journal.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "prof/json_writer.hpp"
 #include "rt/atomic_file.hpp"
@@ -11,22 +10,6 @@ namespace gnnbridge::obs {
 EventJournal& EventJournal::instance() {
   static EventJournal* journal = new EventJournal();  // leaked: outlives atexit
   return *journal;
-}
-
-const char* EventJournal::env_path() {
-  const char* env = std::getenv("GNNBRIDGE_EVENT_JOURNAL");
-  return (env && *env) ? env : nullptr;
-}
-
-EventJournal::EventJournal() {
-  if (env_path()) {
-    enabled_.store(true, std::memory_order_relaxed);
-    std::atexit([] {
-      if (const char* path = env_path()) {
-        EventJournal::instance().write_file(path);
-      }
-    });
-  }
 }
 
 std::uint64_t EventJournal::append(JournalEvent event) {

@@ -14,8 +14,7 @@
 // the same discipline as MetricsSink::write_file.
 //
 // Recording is off by default (enabled() gates the engine's buffering);
-// GNNBRIDGE_EVENT_JOURNAL=<path> or the soak CLI's --journal flag enables
-// it and arms an at-exit write.
+// the soak CLI's --journal flag enables it and writes the file.
 #pragma once
 
 #include <atomic>
@@ -58,7 +57,7 @@ class EventJournal {
  public:
   static EventJournal& instance();
 
-  /// True when events should be recorded (env var seen or set_enabled).
+  /// True when events should be recorded (set_enabled).
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
 
@@ -77,11 +76,8 @@ class EventJournal {
   /// Crash-safe write: whole journal to `path` via sibling .tmp + rename.
   rt::Status write_file(const std::string& path) const;
 
-  /// The path GNNBRIDGE_EVENT_JOURNAL points at, or nullptr.
-  static const char* env_path();
-
  private:
-  EventJournal();
+  EventJournal() = default;
   mutable std::mutex mu_;
   std::atomic<bool> enabled_{false};
   std::uint64_t next_seq_ = 0;

@@ -33,32 +33,11 @@ std::string prometheus_name(std::string_view name) {
   return out;
 }
 
-std::string prometheus_escape_label_value(std::string_view value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 std::string render_prometheus(const RegistrySnapshot& snap) {
   std::string out;
   for (const auto& [name, value] : snap.counters) {
     const std::string prom = prometheus_name(name);
     out += "# TYPE " + prom + " counter\n";
-    out += prom + " ";
-    append_number(out, value);
-    out += '\n';
-  }
-  for (const auto& [name, value] : snap.gauges) {
-    const std::string prom = prometheus_name(name);
-    out += "# TYPE " + prom + " gauge\n";
     out += prom + " ";
     append_number(out, value);
     out += '\n';

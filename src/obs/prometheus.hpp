@@ -1,7 +1,7 @@
 // Prometheus text exposition writer (DESIGN.md §13).
 //
 // Renders a RegistrySnapshot in the Prometheus text format (version
-// 0.0.4): counters and gauges as single samples, histograms as cumulative
+// 0.0.4): counters as single samples, histograms as cumulative
 // `_bucket{le="..."}` series plus `_sum`/`_count`, each preceded by a
 // `# TYPE` line. Instrument names are prefixed `gnnbridge_` with dots
 // mapped to underscores ("serve.job_cycles" -> "gnnbridge_serve_job_cycles").
@@ -22,11 +22,6 @@ namespace gnnbridge::obs {
 /// "serve.job_cycles" -> "gnnbridge_serve_job_cycles": prefix, and every
 /// character outside [A-Za-z0-9_] becomes '_'.
 std::string prometheus_name(std::string_view name);
-
-/// Escapes a label *value* per the text format 0.0.4: backslash, double
-/// quote and newline become \\, \" and \n (label values are caller-
-/// controlled strings and may contain any of them).
-std::string prometheus_escape_label_value(std::string_view value);
 
 /// The whole snapshot in Prometheus text exposition format.
 std::string render_prometheus(const RegistrySnapshot& snap);

@@ -19,16 +19,6 @@ void TelemetryRegistry::counter_add(std::string_view name, std::uint64_t delta) 
   }
 }
 
-void TelemetryRegistry::gauge_max(std::string_view name, double value) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    gauges_.emplace(std::string(name), value);
-  } else if (value > it->second) {
-    it->second = value;
-  }
-}
-
 void TelemetryRegistry::observe(std::string_view name, double value) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
@@ -36,23 +26,10 @@ void TelemetryRegistry::observe(std::string_view name, double value) {
   it->second.observe(value);
 }
 
-void TelemetryRegistry::merge_histogram(std::string_view name, const LogHistogram& shard) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) it = histograms_.emplace(std::string(name), LogHistogram{}).first;
-  it->second.merge(shard);
-}
-
 std::uint64_t TelemetryRegistry::counter_value(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second;
-}
-
-double TelemetryRegistry::gauge_value(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = gauges_.find(name);
-  return it == gauges_.end() ? 0.0 : it->second;
 }
 
 HistogramSnapshot TelemetryRegistry::histogram_snapshot(std::string_view name) const {
@@ -66,8 +43,6 @@ RegistrySnapshot TelemetryRegistry::snapshot() const {
   RegistrySnapshot snap;
   snap.counters.reserve(counters_.size());
   for (const auto& [name, value] : counters_) snap.counters.emplace_back(name, value);
-  snap.gauges.reserve(gauges_.size());
-  for (const auto& [name, value] : gauges_) snap.gauges.emplace_back(name, value);
   snap.histograms.reserve(histograms_.size());
   for (const auto& [name, hist] : histograms_) snap.histograms.emplace_back(name, hist.snapshot());
   return snap;
@@ -76,18 +51,12 @@ RegistrySnapshot TelemetryRegistry::snapshot() const {
 void TelemetryRegistry::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   counters_.clear();
-  gauges_.clear();
   histograms_.clear();
 }
 
 std::size_t TelemetryRegistry::counter_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return counters_.size();
-}
-
-std::size_t TelemetryRegistry::gauge_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return gauges_.size();
 }
 
 std::size_t TelemetryRegistry::histogram_count() const {
@@ -100,15 +69,6 @@ void write_telemetry_json(prof::JsonWriter& w, const RegistrySnapshot& snap) {
   w.key("counters");
   w.begin_array();
   for (const auto& [name, value] : snap.counters) {
-    w.begin_object();
-    w.kv("name", std::string_view(name));
-    w.kv("value", value);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("gauges");
-  w.begin_array();
-  for (const auto& [name, value] : snap.gauges) {
     w.begin_object();
     w.kv("name", std::string_view(name));
     w.kv("value", value);

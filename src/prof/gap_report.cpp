@@ -218,8 +218,6 @@ sim::DeviceSpec load_device(const JsonValue& dev) {
   spec.clock_ghz = dev.num_or("clock_ghz", spec.clock_ghz);
   spec.l2_bytes = dev.int_or("l2_bytes", spec.l2_bytes);
   spec.line_bytes = static_cast<int>(dev.int_or("line_bytes", spec.line_bytes));
-  // Cost-model parameters are serialized from v3 on; earlier documents
-  // fall back to the default device.
   spec.flops_per_cycle_per_block =
       dev.num_or("flops_per_cycle_per_block", spec.flops_per_cycle_per_block);
   spec.l2_hit_cycles_per_line = dev.num_or("l2_hit_cycles_per_line", spec.l2_hit_cycles_per_line);
@@ -255,25 +253,35 @@ sim::KernelStats load_kernel(const JsonValue& k) {
 
 }  // namespace
 
+rt::Status check_metrics_document(const JsonValue& doc) {
+  const auto fail = [](const std::string& what) {
+    return rt::Status(rt::StatusCode::kDataLoss, what);
+  };
+  if (!doc.is_object()) return fail("document is not an object");
+  if (doc.str_or("schema", "") != kMetricsSchemaName) {
+    return fail("not a " + std::string(kMetricsSchemaName) + " document");
+  }
+  const std::int64_t version = doc.int_or("schema_version", 0);
+  if (version != kMetricsSchemaVersion) {
+    return fail("unsupported schema_version " + std::to_string(version) + "; this build reads " +
+                std::to_string(kMetricsSchemaVersion));
+  }
+  return rt::OkStatus();
+}
+
 rt::Result<LoadedMetrics> load_metrics_file(const std::string& path) {
   auto parsed = parse_json_file(path);
   if (!parsed.ok()) {
     return rt::Status(parsed.status()).with_context("load_metrics_file('" + path + "')");
   }
   const JsonValue& doc = *parsed;
-  const auto fail = [&path](const std::string& what) {
-    return rt::Status(rt::StatusCode::kDataLoss, what)
-        .with_context("load_metrics_file('" + path + "')");
+  const std::string where = "load_metrics_file('" + path + "')";
+  if (rt::Status s = check_metrics_document(doc); !s.ok()) return std::move(s).with_context(where);
+  const auto fail = [&where](const std::string& what) {
+    return rt::Status(rt::StatusCode::kDataLoss, what).with_context(where);
   };
-  if (!doc.is_object()) return fail("document is not an object");
-  if (doc.str_or("schema", "") != kMetricsSchemaName) {
-    return fail("not a " + std::string(kMetricsSchemaName) + " document");
-  }
   LoadedMetrics m;
-  m.schema_version = static_cast<int>(doc.int_or("schema_version", 0));
-  if (m.schema_version < 2 || m.schema_version > kMetricsSchemaVersion) {
-    return fail("unsupported schema_version " + std::to_string(m.schema_version));
-  }
+  m.schema_version = kMetricsSchemaVersion;
   m.experiment = doc.str_or("experiment", "");
   m.scale = doc.num_or("scale", 0.0);
 
@@ -294,10 +302,7 @@ rt::Result<LoadedMetrics> load_metrics_file(const std::string& path) {
     }
     if (const JsonValue* totals = run.find("totals")) {
       rec.stats.total_cycles = totals->num_or("cycles", 0.0);
-      // v2 documents predate the counter; every launch is one sync.
-      rec.stats.global_syncs =
-          totals->uint_or("global_syncs", static_cast<std::uint64_t>(rec.stats.kernels.size()));
-      // Partitioned-execution counters (v8; zero / 1 shard before that).
+      rec.stats.global_syncs = totals->uint_or("global_syncs", 0);
       rec.stats.ghost_bytes = totals->uint_or("ghost_bytes", 0);
       rec.stats.exchange_syncs = totals->uint_or("exchange_syncs", 0);
       rec.stats.exchange_cycles = totals->num_or("exchange_cycles", 0.0);

@@ -6,7 +6,7 @@
 // it consumes the simulator's RunStats (whose counters are incremented at
 // the exact modeled-cost sites, see DESIGN.md §9) and prices each gap in
 // cycles, so two runs can be diffed gap by gap. Consumed by the metrics
-// sink (schema v3 `gap_report` section) and the `gnnbridge_cli analyze` /
+// sink (the `gap_report` section) and the `gnnbridge_cli analyze` /
 // `compare` subcommands.
 //
 // Gap definitions (cycles, per run):
@@ -42,6 +42,7 @@
 
 namespace gnnbridge::prof {
 
+class JsonValue;
 class JsonWriter;
 
 /// Per-gap cycle attribution for one run.
@@ -126,7 +127,7 @@ struct GapComparison {
 
 GapComparison compare_gaps(const GapBreakdown& baseline, const GapBreakdown& optimized);
 
-/// Serializes one breakdown as the schema-v3 `gap_report` entry.
+/// Serializes one breakdown as a `gap_report` entry.
 void write_gap_breakdown(JsonWriter& w, const GapBreakdown& g);
 
 /// Human-readable single-run table (for `gnnbridge_cli analyze`).
@@ -136,8 +137,7 @@ std::string render_gap_table(const GapBreakdown& g);
 std::string render_compare_table(const GapComparison& c);
 
 /// A metrics document read back from disk: enough of each run to re-run
-/// gap attribution. Accepts schema v2 and v3 (v2 lacks the new counters;
-/// they default to zero).
+/// gap attribution. Accepts kMetricsSchemaVersion only.
 struct LoadedMetrics {
   int schema_version = 0;
   std::string experiment;
@@ -146,5 +146,10 @@ struct LoadedMetrics {
 };
 
 rt::Result<LoadedMetrics> load_metrics_file(const std::string& path);
+
+/// The version rule of every metrics reader (`analyze`, `compare`,
+/// `stats`): `doc` must be a gnnbridge-metrics object of
+/// kMetricsSchemaVersion. kDataLoss naming the problem otherwise.
+rt::Status check_metrics_document(const JsonValue& doc);
 
 }  // namespace gnnbridge::prof

@@ -45,19 +45,24 @@ class JsonValue {
     return nullptr;
   }
 
-  /// Typed member getters with defaults — absent or mistyped members fall
-  /// back, so a v3 reader accepts v2 documents.
+  /// Typed member getters with defaults: absent or mistyped members fall
+  /// back, and so do numbers outside the integer getters' target range
+  /// (converting those to an integer type is undefined behaviour).
   double num_or(std::string_view key, double dflt) const {
     const JsonValue* v = find(key);
     return v && v->is_number() ? v->number_value : dflt;
   }
   std::int64_t int_or(std::string_view key, std::int64_t dflt) const {
+    constexpr double kTwoPow63 = 9223372036854775808.0;
     const JsonValue* v = find(key);
-    return v && v->is_number() ? static_cast<std::int64_t>(v->number_value) : dflt;
+    return v && v->is_number() && v->number_value >= -kTwoPow63 && v->number_value < kTwoPow63
+               ? static_cast<std::int64_t>(v->number_value)
+               : dflt;
   }
   std::uint64_t uint_or(std::string_view key, std::uint64_t dflt) const {
+    constexpr double kTwoPow64 = 18446744073709551616.0;
     const JsonValue* v = find(key);
-    return v && v->is_number() && v->number_value >= 0.0
+    return v && v->is_number() && v->number_value >= 0.0 && v->number_value < kTwoPow64
                ? static_cast<std::uint64_t>(v->number_value)
                : dflt;
   }

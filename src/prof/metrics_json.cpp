@@ -27,7 +27,7 @@ void write_device(JsonWriter& w, const sim::DeviceSpec& spec) {
   w.kv("clock_ghz", spec.clock_ghz);
   w.kv("l2_bytes", static_cast<std::int64_t>(spec.l2_bytes));
   w.kv("line_bytes", spec.line_bytes);
-  // Cost-model parameters (v3): a reader can re-derive gap attributions
+  // Cost-model parameters: a reader can re-derive gap attributions
   // without assuming the default device.
   w.kv("flops_per_cycle_per_block", spec.flops_per_cycle_per_block);
   w.kv("l2_hit_cycles_per_line", spec.l2_hit_cycles_per_line);
@@ -223,7 +223,7 @@ void MetricsSink::clear() {
     records_.clear();
     degradations_.clear();
   }
-  // The v5 telemetry block snapshots the process-wide registry; clearing
+  // The telemetry block snapshots the process-wide registry; clearing
   // the sink without it would leak one run's telemetry into the next
   // document (the in-process determinism tests byte-compare exactly that).
   obs::TelemetryRegistry::instance().clear();

@@ -10,16 +10,16 @@
 // tools/check_metrics_schema.py; bump kMetricsSchemaVersion on any
 // incompatible change.
 //
-// Schema (gnnbridge-metrics, version 11):
+// Schema (gnnbridge-metrics, version 12):
 //   {
 //     "schema": "gnnbridge-metrics",
-//     "schema_version": 11,
+//     "schema_version": 12,
 //     "experiment": "<banner id>",
 //     "scale": 0.25,
 //     "meta": {"git_sha":"abc1234", "timestamp":"2026-01-01T00:00:00Z",
 //              "hostname":"...", "scale_env":"0.25", "threads":8},
-//     (meta.threads — the host thread-pool width — is additive within
-//      version 3: all simulated counters are byte-identical at any value)
+//     (meta.threads is the host thread-pool width: all simulated counters
+//      are byte-identical at any value)
 //     "runs": [{
 //       "label": "...", "model": "...", "backend": "...", "dataset": "...",
 //       "ms": 1.5, "oom": false,
@@ -55,59 +55,22 @@
 //                       "action":"las->natural_order", "detail":"...",
 //                       "injected":true}],
 //     "telemetry": {"counters":[{"name":"serve.jobs","value":...}],
-//                   "gauges":[{"name":...,"value":...}],
 //                   "histograms":[{"name":"serve.job_cycles","count":...,
 //                                  "sum":..., "min":..., "max":...,
 //                                  "p50":..., "p90":..., "p99":...,
 //                                  "buckets":[{"le":..., "count":...}]}]}
 //   }
-// v1 -> v2: added the top-level `degradations` array — one entry per
-// optimization knob the engine (or the sink itself) disabled after a stage
-// failure (DESIGN.md §10).
-// v2 -> v3: added the `meta` provenance block; the device cost-model
-// parameters; per-kernel and total atomic/adapter traffic, redundant-flop
-// causes, global-sync count and imbalance ratio; and the top-level
-// `gap_report` array (one gap attribution per run, DESIGN.md §9).
-// v3 -> v4: added the top-level `robustness` block — serving-resilience
-// counters accumulated by OptimizedEngine::run_batch (attempts, retries,
-// deadline hits, cancellations, circuit-breaker activity, cooperative
-// cancellation checkpoints, and sim-cycles spent in retry backoff;
-// DESIGN.md §12). Always present; all-zero when run_batch never ran.
-// v4 -> v5: added the top-level `telemetry` block — a snapshot of the
-// process-wide obs::TelemetryRegistry (named counters, gauges and
-// log-bucketed histograms with p50/p90/p99/max, DESIGN.md §13). Names sort
-// lexicographically and histogram buckets are fixed powers of 2^(1/4), so
-// the block is byte-identical at any host thread count. Always present;
-// empty arrays when nothing was recorded. `clear()` also clears the
-// registry, keeping in-process determinism byte-compares valid.
-// v5 -> v6: added the top-level `overload` block — the counters of the
-// admission controller (submissions, admissions, rejects by cause, sheds
-// by priority class, peak queue depth and backlog).
-// v6 -> v7: added the top-level `slo` block — the per-tenant SLO tracker's
-// snapshot (request/violation totals, windowed error-budget burn rate).
-// v7 -> v8: additive — `totals` gained the partitioned-execution counters
-// `ghost_bytes`, `exchange_syncs`, `exchange_cycles` and `shards`
-// (DESIGN.md §16; all zero / shards=1 for unsharded runs), and each
-// `gap_report` entry gained the sixth gap `inter_shard_traffic`
-// ({cycles, ghost_bytes, exchange_syncs, shards}) pricing the per-layer
-// ghost-feature exchanges between edge-cut shards.
-// v8 -> v9: additive — new top-level `recovery` block (shard-level failure
-// recovery, DESIGN.md §17): per-shard retry decisions, shard phase bodies
-// re-executed after a shard_compute fault, sharded->unsharded ladder
-// fallbacks, and the sim-cycles wasted on failed attempts (already priced
-// into the runs' total_cycles). Always present; all-zero for fault-free
-// processes. The event journal gained three additive event types
-// (`fault_injected`, `shard_retry`, `shard_fallback`) and the flight
-// recorder a `shard_fallback` postmortem trigger.
-// v9 -> v10: the `robustness`, `overload` and `recovery` blocks are gone.
-// Each of their facts is one `telemetry` instrument (DESIGN.md §13 has the
-// field -> instrument table), recorded where it happens: run_batch's
-// job-order fold, the admission controller's telemetry pass, and the
-// recovery flush of direct runs and batch jobs.
-// v10 -> v11: the admission controller, the SLO tracker and the flight
-// recorder are gone. So is the `slo` block, and the event journal lost its
-// serving-only types (`admission_reject`, `quota`, `shed`, `queue_wait`,
-// `quota_wait`, `e2e`, `slo_violation`).
+// `degradations` has one entry per optimization knob the engine (or the
+// sink itself) disabled after a stage failure (DESIGN.md §10); `gap_report`
+// one gap attribution per run (DESIGN.md §9). The partitioned-execution
+// counters in `totals` are zero (shards=1) for unsharded runs (DESIGN.md
+// §16). `telemetry` is a snapshot of the process-wide
+// obs::TelemetryRegistry (DESIGN.md §13): names sort lexicographically and
+// histogram buckets are fixed powers of 2^(1/4), so the block is
+// byte-identical at any host thread count. It is always present, with
+// empty arrays when nothing was recorded; `clear()` also clears the
+// registry, keeping in-process determinism byte-compares valid. CHANGES.md
+// records what each schema version changed.
 #pragma once
 
 #include <cstdint>
@@ -122,7 +85,7 @@
 namespace gnnbridge::prof {
 
 inline constexpr const char* kMetricsSchemaName = "gnnbridge-metrics";
-inline constexpr int kMetricsSchemaVersion = 11;
+inline constexpr int kMetricsSchemaVersion = 12;
 
 /// Provenance stamped into every metrics document (`meta` block). The sink
 /// collects defaults lazily at serialization time; tests pin fixed values

@@ -4,7 +4,7 @@
 // the engine walks down the ablation ladder the paper's own evaluation
 // defines (every knob independently switchable, Figures 8-11): it disables
 // the failed knob, retries, and records one of these events through the
-// metrics sink (`degradations[]` in gnnbridge-metrics v2).
+// metrics sink (`degradations[]` in the gnnbridge-metrics document).
 #pragma once
 
 #include <string>

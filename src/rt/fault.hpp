@@ -27,7 +27,7 @@
 namespace gnnbridge::rt {
 
 // The named seams. Each is checked exactly where the real work happens.
-inline constexpr std::string_view kSeamDatasetLoad = "dataset_load";    ///< graph/io loaders + make_dataset
+inline constexpr std::string_view kSeamDatasetLoad = "dataset_load";    ///< graph::try_make_dataset
 inline constexpr std::string_view kSeamLasCluster = "las_cluster";      ///< core::locality_aware_schedule
 inline constexpr std::string_view kSeamTunerProbe = "tuner_probe";      ///< engine::measure_aggregation
 inline constexpr std::string_view kSeamFusionPass = "fusion_pass";      ///< adapter/fusion availability
@@ -53,7 +53,7 @@ struct SeamInfo {
 };
 
 inline constexpr std::array<SeamInfo, 9> kSeamTable = {{
-    {kSeamDatasetLoad, "graph/io loaders and make_dataset; no ladder, surfaces as a load error"},
+    {kSeamDatasetLoad, "graph::try_make_dataset; no ladder, surfaces as a load error"},
     {kSeamLasCluster, "locality-aware scheduling pass; ladder falls back to natural row order"},
     {kSeamTunerProbe, "auto-tuner aggregation probe; ladder disables auto-tuning for the run"},
     {kSeamFusionPass, "adapter/fusion availability check; ladder disables the fused adapter"},

@@ -4,13 +4,11 @@
 // Every StatusCode is *explicitly* classified as retryable or fatal by an
 // exhaustive switch — adding a code without deciding its class is a
 // compile error (-Wswitch under -Werror), and a table test asserts the
-// decisions. Backoff is exponential with seeded multiplicative jitter and
+// decisions. Backoff is exponential with fixed-seed multiplicative jitter and
 // is measured in *simulated* cycles: run_batch charges it against the
 // job's deadline through the virtual clock instead of sleeping, so
 // retried runs stay byte-identical at any host thread count.
 #pragma once
-
-#include <cstdint>
 
 #include "rt/status.hpp"
 
@@ -58,20 +56,16 @@ inline bool retryable(const Status& status) {
   return classify_for_retry(status.code()) == RetryClass::kRetryable;
 }
 
-/// Backoff parameters. All delays are simulated cycles (virtual clock).
-struct RetryPolicy {
-  /// First backoff, before attempt 2 (~36 µs of V100 sim-time).
-  double base_backoff_cycles = 50'000.0;
-  double backoff_multiplier = 2.0;
-  double max_backoff_cycles = 10'000'000.0;
-  /// Jitter seed: backoff is a pure function of (policy, attempt).
-  std::uint64_t seed = 0x6e6e62726964ull;  // "nnbrid"
-};
+/// Backoff constants. All delays are simulated cycles (virtual clock).
+/// The first backoff, before attempt 2, is ~36 µs of V100 sim-time.
+inline constexpr double kBaseBackoffCycles = 50'000.0;
+inline constexpr double kBackoffMultiplier = 2.0;
+inline constexpr double kMaxBackoffCycles = 10'000'000.0;
 
 /// Deterministic backoff charged before retry number `attempt` (1-based:
 /// attempt 1 is the backoff after the first failure). Exponential in
 /// `attempt` with multiplicative jitter in [0.5, 1.0), capped at
-/// max_backoff_cycles.
-double backoff_cycles(const RetryPolicy& policy, int attempt);
+/// kMaxBackoffCycles; a pure function of `attempt`.
+double backoff_cycles(int attempt);
 
 }  // namespace gnnbridge::rt

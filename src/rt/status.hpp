@@ -57,8 +57,8 @@ class Status {
   /// Frames pushed while propagating, innermost first.
   const std::vector<std::string>& context() const { return context_; }
 
-  /// Pushes a propagation frame ("load_csr('g.csr')"). Chainable on both
-  /// lvalues and temporaries; no-op on ok statuses.
+  /// Pushes a propagation frame ("try_make_dataset('collab', scale=0.050000)").
+  /// Chainable on both lvalues and temporaries; no-op on ok statuses.
   Status& with_context(std::string frame) & {
     if (!ok()) context_.push_back(std::move(frame));
     return *this;
@@ -68,7 +68,8 @@ class Status {
     return std::move(*this);
   }
 
-  /// "DATA_LOSS: truncated payload (in read_vec <- load_csr('g.csr'))".
+  /// "FAULT_INJECTED: injected fault at seam 'dataset_load'
+  /// (in try_make_dataset('collab', scale=0.050000))".
   std::string to_string() const;
 
   friend bool operator==(const Status& a, const Status& b) {

@@ -1,8 +1,9 @@
 // Invariant validators (robustness subsystem, DESIGN.md §10).
 //
-// Structural checks run as engine preflight and by the binary loaders:
-// a corrupt graph or a NaN-poisoned feature matrix is rejected with a
-// precise structured error instead of propagating garbage into kernels.
+// Structural checks run as engine preflight, on generated datasets and in
+// the shard partitioner: a corrupt graph or a NaN-poisoned feature matrix
+// is rejected with a precise structured error instead of propagating
+// garbage into kernels.
 #pragma once
 
 #include <span>
@@ -27,10 +28,10 @@ Status validate_matrix(const tensor::Matrix& m, std::string_view what = "matrix"
 // ---- Checked CSR accessors --------------------------------------------
 //
 // `Csr::degree`/`Csr::neighbors` guard their bounds with `assert` only,
-// which compiles out in release builds — a corrupt loader output or an
+// which compiles out in release builds — a corrupt input graph or an
 // off-by-one shard boundary reads out of range silently. These are the
 // Status-returning twins for construction-time seams (the shard
-// partitioner, loaders): they verify the row is addressable before
+// partitioner): they verify the row is addressable before
 // touching col_idx and report the first violation instead of reading out
 // of range. Hot paths (kernels, schedulers) keep the unchecked accessors.
 

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
-
 #include "tests/testing/util.hpp"
 
 namespace gnnbridge::graph {
@@ -65,29 +63,6 @@ TEST(CsrValid, CatchesBadColumn) {
   Csr g = csr_from_coo(small_coo());
   g.col_idx[0] = 99;
   EXPECT_FALSE(valid(g));
-}
-
-TEST(PermuteRows, ReordersNeighborLists) {
-  const Csr g = csr_from_coo(small_coo());
-  std::vector<NodeId> perm = {4, 3, 2, 1, 0};
-  const Csr p = permute_rows(g, perm);
-  ASSERT_TRUE(valid(p));
-  EXPECT_EQ(p.num_edges(), g.num_edges());
-  for (NodeId r = 0; r < g.num_nodes; ++r) {
-    const auto expect = g.neighbors(perm[static_cast<std::size_t>(r)]);
-    const auto got = p.neighbors(r);
-    ASSERT_EQ(got.size(), expect.size());
-    for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], expect[i]);
-  }
-}
-
-TEST(PermuteRows, IdentityIsNoop) {
-  const Csr g = testing::random_graph(50, 4.0, 99);
-  std::vector<NodeId> perm(50);
-  std::iota(perm.begin(), perm.end(), 0);
-  const Csr p = permute_rows(g, perm);
-  EXPECT_EQ(p.row_ptr, g.row_ptr);
-  EXPECT_EQ(p.col_idx, g.col_idx);
 }
 
 TEST(Degrees, SumToEdgeCount) {

@@ -150,18 +150,6 @@ TEST(FusedPipeline, FewerLaunchesThanListing1) {
   EXPECT_EQ(h.ctx.stats().num_launches(), 2);  // vs 7 in Listing 1
 }
 
-TEST(RowScaleKernel, DividesRowsByAcc) {
-  sim::SimContext ctx(sim::v100());
-  Matrix vacc_host(3, 1, {2.0f, 4.0f, 0.0f});
-  Matrix mat_host(3, 2, {2, 4, 8, 12, 5, 5});
-  auto vacc = device_mat(ctx, vacc_host, "vacc");
-  auto mat = device_mat(ctx, mat_host, "mat");
-  row_scale_kernel(ctx, {.vacc = &vacc, .mat = &mat});
-  EXPECT_FLOAT_EQ(mat_host(0, 0), 1.0f);
-  EXPECT_FLOAT_EQ(mat_host(1, 1), 3.0f);
-  EXPECT_FLOAT_EQ(mat_host(2, 0), 0.0f);  // zero acc -> zeroed row
-}
-
 TEST(AggregateBiasActFused, MatchesSeparateKernels) {
   const graph::Csr csr = random_graph(40, 5.0, 13);
   sim::SimContext ctx(sim::v100());

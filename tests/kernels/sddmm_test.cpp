@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "models/layers.hpp"
-#include "tensor/ops.hpp"
 #include "tests/testing/util.hpp"
 
 namespace gnnbridge::kernels {
@@ -55,41 +53,6 @@ TEST(UAddV, SplitTasksCoverAllEdges) {
   for (graph::EdgeId idx = 0; idx < csr.num_edges(); ++idx) {
     EXPECT_NE(e_host(idx, 0), -99.0f) << idx;
   }
-}
-
-TEST(UDotV, MatchesCosineEdgeOp) {
-  const graph::Csr csr = random_graph(30, 4.0, 7);
-  sim::SimContext ctx(sim::v100());
-  auto gdev = device_graph(ctx, csr, "g");
-  Matrix left_host = random_matrix(30, 8, 8);
-  Matrix right_host = random_matrix(30, 8, 9);
-  Matrix e_host(csr.num_edges(), 1);
-  auto left = device_mat(ctx, left_host, "l");
-  auto right = device_mat(ctx, right_host, "r");
-  auto e = device_mat(ctx, e_host, "e");
-  const auto tasks = natural_tasks(csr);
-  u_dot_v(ctx, {.graph = &gdev, .tasks = tasks, .src_feat = &left, .dst_feat = &right,
-                .edge_out = &e});
-  const std::vector<float> expect = models::edge_cos(csr, left_host, right_host);
-  for (graph::EdgeId i = 0; i < csr.num_edges(); ++i) {
-    EXPECT_NEAR(e_host(i, 0), expect[static_cast<std::size_t>(i)], 1e-4f);
-  }
-}
-
-TEST(UDotV, FlopsCountTwoPerElement) {
-  const graph::Csr csr = testing::star_graph(5);  // 4 edges
-  sim::SimContext ctx(sim::v100());
-  auto gdev = device_graph(ctx, csr, "g");
-  Matrix l_host = random_matrix(5, 16, 10);
-  Matrix r_host = random_matrix(5, 16, 11);
-  Matrix e_host(4, 1);
-  auto l = device_mat(ctx, l_host, "l");
-  auto r = device_mat(ctx, r_host, "r");
-  auto e = device_mat(ctx, e_host, "e");
-  const auto tasks = natural_tasks(csr);
-  const sim::KernelStats& ks = u_dot_v(
-      ctx, {.graph = &gdev, .tasks = tasks, .src_feat = &l, .dst_feat = &r, .edge_out = &e});
-  EXPECT_DOUBLE_EQ(ks.flops, 2.0 * 16 * 4);
 }
 
 }  // namespace

@@ -71,7 +71,7 @@ class JournalTest : public ::testing::Test {
   }
   void TearDown() override {
     EventJournal::instance().clear();
-    EventJournal::instance().set_enabled(EventJournal::env_path() != nullptr);
+    EventJournal::instance().set_enabled(false);
   }
 };
 

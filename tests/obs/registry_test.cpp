@@ -1,14 +1,11 @@
 // TelemetryRegistry + Prometheus exposition (DESIGN.md §13): lexicographic
-// snapshot order, thread-safe recording, the observe_parallel ordered-fold
-// determinism contract (byte-identical exposition at 1/2/3/4/8 host threads),
-// and the text-format shape Prometheus scrapers expect.
+// snapshot order, thread-safe recording and the text-format shape
+// Prometheus scrapers expect.
 #include "obs/registry.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
-#include <vector>
 
 #include "obs/prometheus.hpp"
 #include "par/thread_pool.hpp"
@@ -30,8 +27,6 @@ TEST_F(RegistryTest, SnapshotOrderIsLexicographicNotInsertion) {
   reg.counter_add("serve.zeta", 1);
   reg.counter_add("serve.alpha", 2);
   reg.counter_add("serve.mid", 3);
-  reg.gauge_max("queue.b", 2.0);
-  reg.gauge_max("queue.a", 1.0);
   reg.observe("lat.y", 4.0);
   reg.observe("lat.x", 8.0);
 
@@ -40,45 +35,31 @@ TEST_F(RegistryTest, SnapshotOrderIsLexicographicNotInsertion) {
   EXPECT_EQ(snap.counters[0].first, "serve.alpha");
   EXPECT_EQ(snap.counters[1].first, "serve.mid");
   EXPECT_EQ(snap.counters[2].first, "serve.zeta");
-  ASSERT_EQ(snap.gauges.size(), 2u);
-  EXPECT_EQ(snap.gauges[0].first, "queue.a");
   ASSERT_EQ(snap.histograms.size(), 2u);
   EXPECT_EQ(snap.histograms[0].first, "lat.x");
   EXPECT_EQ(snap.histograms[1].first, "lat.y");
 }
 
-TEST_F(RegistryTest, CountersAccumulateAndGaugesOverwrite) {
+TEST_F(RegistryTest, CountersAccumulate) {
   TelemetryRegistry& reg = TelemetryRegistry::instance();
   reg.counter_add("c", 3);
   reg.counter_add("c", 4);
   EXPECT_EQ(reg.counter_value("c"), 7u);
   EXPECT_EQ(reg.counter_value("absent"), 0u);
-  // A higher reading overwrites the gauge; GaugeMaxHoldsThePeak... below
-  // shows a lower one leaving the peak in place.
-  reg.gauge_max("g", 1.5);
-  reg.gauge_max("g", 2.5);
-  EXPECT_EQ(reg.gauge_value("g"), 2.5);
   EXPECT_EQ(reg.counter_count(), 1u);
-  EXPECT_EQ(reg.gauge_count(), 1u);
 }
 
-// Two serve() calls' worth of admission telemetry: counts and cycle sums
-// add across calls, while a peak gauge holds the larger peak, not the
-// last call's.
-TEST_F(RegistryTest, GaugeMaxHoldsThePeakWhileCountersAndHistogramSumsAdd) {
+TEST_F(RegistryTest, CountersAndHistogramSumsAccumulate) {
   TelemetryRegistry& reg = TelemetryRegistry::instance();
-  reg.counter_add("serve.admission.submitted", 8);
-  reg.gauge_max("serve.admission_queue_peak", 5.0);
-  reg.gauge_max("serve.admission_backlog_peak", 4096.0);
-  reg.observe("serve.queue_wait_cycles", 1024.0);
-  reg.counter_add("serve.admission.submitted", 4);
-  reg.gauge_max("serve.admission_queue_peak", 3.0);
-  reg.gauge_max("serve.admission_backlog_peak", 8192.0);
-  reg.observe("serve.queue_wait_cycles", 512.0);
-  EXPECT_EQ(reg.counter_value("serve.admission.submitted"), 12u);
-  EXPECT_EQ(reg.gauge_value("serve.admission_queue_peak"), 5.0);  // max, not last
-  EXPECT_EQ(reg.gauge_value("serve.admission_backlog_peak"), 8192.0);
-  EXPECT_EQ(reg.histogram_snapshot("serve.queue_wait_cycles").sum, 1536.0);
+  reg.counter_add("c", 8);
+  reg.observe("h", 1024.0);
+  reg.counter_add("c", 4);
+  reg.observe("h", 512.0);
+  EXPECT_EQ(reg.counter_value("c"), 12u);
+  EXPECT_EQ(reg.histogram_snapshot("h").count, 2u);
+  EXPECT_EQ(reg.histogram_snapshot("h").sum, 1536.0);
+  EXPECT_EQ(reg.counter_count(), 1u);
+  EXPECT_EQ(reg.histogram_count(), 1u);
 }
 
 TEST_F(RegistryTest, ConcurrentCounterAddsLoseNothing) {
@@ -93,25 +74,6 @@ TEST_F(RegistryTest, ConcurrentCounterAddsLoseNothing) {
   EXPECT_EQ(reg.counter_value("parallel.adds"), 10000u);
 }
 
-TEST_F(RegistryTest, ObserveParallelIsByteIdenticalAt1_2_3_4_8Threads) {
-  const auto value = [](std::size_t i) {
-    return static_cast<double>(1 + (i * 131) % 100000);
-  };
-  std::string expected;
-  for (int threads : {1, 2, 3, 4, 8}) {
-    par::set_max_threads(threads);
-    TelemetryRegistry::instance().clear();
-    observe_parallel("par.latency", 5000, value, /*grain=*/128);
-    const std::string rendered = render_prometheus(TelemetryRegistry::instance().snapshot());
-    ASSERT_FALSE(rendered.empty());
-    if (expected.empty()) {
-      expected = rendered;
-    } else {
-      EXPECT_EQ(rendered, expected) << "at " << threads << " threads";
-    }
-  }
-}
-
 TEST_F(RegistryTest, PrometheusNamesAreSanitizedAndPrefixed) {
   EXPECT_EQ(prometheus_name("serve.job_cycles"), "gnnbridge_serve_job_cycles");
   EXPECT_EQ(prometheus_name("a-b c/d"), "gnnbridge_a_b_c_d");
@@ -120,7 +82,6 @@ TEST_F(RegistryTest, PrometheusNamesAreSanitizedAndPrefixed) {
 TEST_F(RegistryTest, PrometheusExpositionHasTypedCumulativeSeries) {
   TelemetryRegistry& reg = TelemetryRegistry::instance();
   reg.counter_add("serve.jobs", 5);
-  reg.gauge_max("serve.admission_queue_peak", 3.0);
   // 1.9 lands in the [2^0.75, 2) bucket and 1000 in [2^9.75, 1024) — both
   // bucket uppers are exact powers of two, so the le labels are clean.
   reg.observe("serve.job_cycles", 1.9);
@@ -130,10 +91,6 @@ TEST_F(RegistryTest, PrometheusExpositionHasTypedCumulativeSeries) {
   const std::string text = render_prometheus(reg.snapshot());
   EXPECT_NE(text.find("# TYPE gnnbridge_serve_jobs counter\n"
                       "gnnbridge_serve_jobs 5\n"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("# TYPE gnnbridge_serve_admission_queue_peak gauge\n"
-                      "gnnbridge_serve_admission_queue_peak 3\n"),
             std::string::npos)
       << text;
   EXPECT_NE(text.find("# TYPE gnnbridge_serve_job_cycles histogram\n"), std::string::npos);
@@ -152,11 +109,9 @@ TEST_F(RegistryTest, PrometheusExpositionHasTypedCumulativeSeries) {
 TEST_F(RegistryTest, ClearEmptiesEveryInstrumentKind) {
   TelemetryRegistry& reg = TelemetryRegistry::instance();
   reg.counter_add("c", 1);
-  reg.gauge_max("g", 1.0);
   reg.observe("h", 1.0);
   reg.clear();
   EXPECT_EQ(reg.counter_count(), 0u);
-  EXPECT_EQ(reg.gauge_count(), 0u);
   EXPECT_EQ(reg.histogram_count(), 0u);
   EXPECT_TRUE(render_prometheus(reg.snapshot()).empty());
 }

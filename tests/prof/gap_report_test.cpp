@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "prof/json_reader.hpp"
 #include "prof/metrics_json.hpp"
@@ -178,48 +179,23 @@ TEST(GapReportTest, SerializedDocumentRoundTripsThroughLoader) {
   std::remove(path.c_str());
 }
 
-TEST(GapReportTest, LoaderAcceptsSchemaV2Documents) {
-  // A v2 document: no meta, no gap counters. The loader zero-defaults the
-  // new fields and counts one global sync per kernel.
-  const std::string doc =
-      "{\"schema\":\"gnnbridge-metrics\",\"schema_version\":2,"
-      "\"experiment\":\"legacy\",\"scale\":1,\"runs\":["
-      "{\"label\":\"gcn/dgl/collab\",\"model\":\"gcn\",\"backend\":\"dgl\","
-      "\"dataset\":\"collab\",\"ms\":2,\"oom\":false,"
-      "\"device\":{\"num_sms\":2,\"max_blocks_per_sm\":4,\"clock_ghz\":2,"
-      "\"l2_bytes\":1048576,\"line_bytes\":64},"
-      "\"totals\":{\"cycles\":1000,\"launches\":2},"
-      "\"kernels\":[{\"name\":\"a\",\"cycles\":600,\"makespan\":500,"
-      "\"balanced\":400,\"l2_misses\":8},"
-      "{\"name\":\"b\",\"cycles\":400,\"makespan\":300,\"balanced\":300}]}],"
-      "\"degradations\":[]}\n";
-  const std::string path = ::testing::TempDir() + "/gap_v2_metrics.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  std::fwrite(doc.data(), 1, doc.size(), f);
-  std::fclose(f);
-
-  auto loaded = load_metrics_file(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
-  EXPECT_EQ(loaded->schema_version, 2);
-  ASSERT_EQ(loaded->runs.size(), 1u);
-  const GapBreakdown g = attribute_gaps(loaded->runs[0]);
-  EXPECT_DOUBLE_EQ(g.sync_cycles, 0.0);      // v2 has no atomic/adapter counters
-  EXPECT_EQ(g.global_syncs, 2u);             // one per kernel
-  EXPECT_DOUBLE_EQ(g.imbalance_cycles, 100.0);
-  EXPECT_DOUBLE_EQ(g.launch_cycles, 200.0);
-  EXPECT_DOUBLE_EQ(g.locality_cycles, 8.0 * (63.0 - 22.0) / 8.0);
-  std::remove(path.c_str());
-}
-
 TEST(GapReportTest, LoaderRejectsWrongSchemaAndMissingFile) {
   const std::string path = ::testing::TempDir() + "/gap_bad_metrics.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  const std::string doc = "{\"schema\":\"something-else\",\"schema_version\":3}";
-  std::fwrite(doc.data(), 1, doc.size(), f);
-  std::fclose(f);
-  EXPECT_EQ(load_metrics_file(path).status().code(), rt::StatusCode::kDataLoss);
+  // A foreign schema, and a document of a version nothing writes any more.
+  const std::pair<std::string, std::string> cases[] = {
+      {"{\"schema\":\"something-else\",\"schema_version\":3}", "not a gnnbridge-metrics"},
+      {"{\"schema\":\"gnnbridge-metrics\",\"schema_version\":11,\"runs\":[]}",
+       "unsupported schema_version 11"}};
+  for (const auto& [doc, why] : cases) {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(doc.data(), 1, doc.size(), f);
+    std::fclose(f);
+    const auto loaded = load_metrics_file(path);
+    EXPECT_EQ(loaded.status().code(), rt::StatusCode::kDataLoss) << doc;
+    EXPECT_NE(loaded.status().message().find(why), std::string::npos)
+        << loaded.status().to_string();
+  }
   std::remove(path.c_str());
   EXPECT_EQ(load_metrics_file("/no/such/dir/metrics.json").status().code(),
             rt::StatusCode::kNotFound);
@@ -257,6 +233,17 @@ TEST(JsonReaderTest, NegativeNumberNeverBecomesHugeUnsigned) {
   auto r = parse_json(R"({"n":-5})");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->uint_or("n", 9), 9u);  // falls back rather than wrapping
+}
+
+TEST(JsonReaderTest, OutOfRangeNumbersFallBack) {
+  // 1e999 parses as +inf; 18446744073709551616 is 2^64, one past the
+  // largest uint64. None of them fits the integer getters' target type.
+  for (const char* n : {"1e30", "-1e30", "1e999", "18446744073709551616"}) {
+    auto r = parse_json(std::string("{\"n\":") + n + "}");
+    ASSERT_TRUE(r.ok()) << n;
+    EXPECT_EQ(r->int_or("n", 7), 7) << n;
+    EXPECT_EQ(r->uint_or("n", 9), 9u) << n;
+  }
 }
 
 TEST(JsonReaderTest, MalformedDocumentsReportDataLoss) {

@@ -80,7 +80,7 @@ MetaInfo golden_meta() {
 //   sync      = atomic + adapter cycles = 256 + 128             = 384
 //   redundancy= (1024 + 512 + 256) / 16 flops-per-cycle         = 112
 constexpr const char* kGolden =
-    "{\"schema\":\"gnnbridge-metrics\",\"schema_version\":11,"
+    "{\"schema\":\"gnnbridge-metrics\",\"schema_version\":12,"
     "\"experiment\":\"golden\",\"scale\":0.25,"
     "\"meta\":{\"git_sha\":\"deadbee\",\"timestamp\":\"2026-01-01T00:00:00Z\","
     "\"hostname\":\"goldenhost\",\"scale_env\":\"0.25\",\"threads\":8},"
@@ -122,7 +122,7 @@ constexpr const char* kGolden =
     "\"inter_shard_traffic\":{\"cycles\":0,\"ghost_bytes\":0,"
     "\"exchange_syncs\":0,\"shards\":1}}],"
     "\"degradations\":[],"
-    "\"telemetry\":{\"counters\":[],\"gauges\":[],\"histograms\":[]}}\n";
+    "\"telemetry\":{\"counters\":[],\"histograms\":[]}}\n";
 
 TEST(MetricsJsonTest, GoldenDocumentLocksTheCurrentSchema) {
   MetricsSink& sink = MetricsSink::instance();
@@ -182,19 +182,19 @@ TEST(MetricsJsonTest, EmptySinkStillEmitsSchemaEnvelope) {
   const std::string doc = sink.to_json();
   EXPECT_TRUE(testing::json_valid(doc));
   EXPECT_NE(doc.find("\"schema\":\"gnnbridge-metrics\""), std::string::npos);
-  EXPECT_NE(doc.find("\"schema_version\":11"), std::string::npos);
+  EXPECT_NE(doc.find("\"schema_version\":12"), std::string::npos);
   EXPECT_NE(doc.find("\"meta\":{"), std::string::npos);
   EXPECT_NE(doc.find("\"runs\":[]"), std::string::npos);
   EXPECT_NE(doc.find("\"gap_report\":[]"), std::string::npos);
   EXPECT_NE(doc.find("\"degradations\":[]"), std::string::npos);
-  // v10 retired the serving blocks: their counters live in `telemetry`.
-  // v11 retired the `slo` block with the SLO tracker.
+  // Retired blocks stay retired: the serving counters live in `telemetry`,
+  // which has no gauges.
   EXPECT_EQ(doc.find("\"robustness\""), std::string::npos);
   EXPECT_EQ(doc.find("\"overload\""), std::string::npos);
   EXPECT_EQ(doc.find("\"recovery\""), std::string::npos);
   EXPECT_EQ(doc.find("\"slo\""), std::string::npos);
-  EXPECT_NE(doc.find("\"telemetry\":{\"counters\":[],\"gauges\":[],\"histograms\":[]}"),
-            std::string::npos);
+  EXPECT_EQ(doc.find("\"gauges\""), std::string::npos);
+  EXPECT_NE(doc.find("\"telemetry\":{\"counters\":[],\"histograms\":[]}"), std::string::npos);
 }
 
 TEST(MetricsJsonTest, TelemetryBlockCarriesRegistryInstruments) {
@@ -203,13 +203,10 @@ TEST(MetricsJsonTest, TelemetryBlockCarriesRegistryInstruments) {
   sink.configure("telemetry", 1.0);
   obs::TelemetryRegistry& reg = obs::TelemetryRegistry::instance();
   reg.counter_add("serve.jobs", 3);
-  reg.gauge_max("serve.admission_queue_peak", 4.0);
   reg.observe("serve.job_cycles", 1024.0);
   const std::string doc = sink.to_json();
   EXPECT_TRUE(testing::json_valid(doc));
   EXPECT_NE(doc.find("\"counters\":[{\"name\":\"serve.jobs\",\"value\":3}]"), std::string::npos);
-  EXPECT_NE(doc.find("\"gauges\":[{\"name\":\"serve.admission_queue_peak\",\"value\":4}]"),
-            std::string::npos);
   // Quantiles clamp to the exact tracked max, so a single observation
   // reports itself at every percentile.
   EXPECT_NE(doc.find("\"histograms\":[{\"name\":\"serve.job_cycles\",\"count\":1,"

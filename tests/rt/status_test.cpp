@@ -41,14 +41,14 @@ TEST(StatusTest, CodeNamesAreStable) {
 }
 
 TEST(StatusTest, ContextChainRendersInnermostFirst) {
-  const Status s = Status(StatusCode::kDataLoss, "truncated payload")
-                       .with_context("read_vec")
-                       .with_context("load_csr('g.csr')");
+  const Status s = Status(StatusCode::kDataLoss, "bad number")
+                       .with_context("parse_number")
+                       .with_context("parse_json_file('m.json')");
   ASSERT_EQ(s.context().size(), 2u);
-  EXPECT_EQ(s.context()[0], "read_vec");
-  EXPECT_EQ(s.context()[1], "load_csr('g.csr')");
+  EXPECT_EQ(s.context()[0], "parse_number");
+  EXPECT_EQ(s.context()[1], "parse_json_file('m.json')");
   EXPECT_EQ(s.to_string(),
-            "DATA_LOSS: truncated payload (in read_vec <- load_csr('g.csr'))");
+            "DATA_LOSS: bad number (in parse_number <- parse_json_file('m.json'))");
 }
 
 TEST(StatusTest, ContextOnLvalueChains) {

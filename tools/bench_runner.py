@@ -2,7 +2,7 @@
 """Run the gnnbridge bench suite and aggregate a perf trajectory file.
 
 Each bench binary is executed with GNNBRIDGE_METRICS_JSON pointing at a
-scratch file; the emitted gnnbridge-metrics v3 documents (including their
+scratch file; the emitted gnnbridge-metrics documents (including their
 `gap_report` sections) are flattened into one BENCH_<label>.json trajectory
 file with provenance (git SHA, timestamp, hostname, scale, device spec):
 
@@ -72,7 +72,7 @@ TOTAL_METRICS = [
     "copy_flops",
     "tile_flops",
     "imbalance",
-    # v8 partitioned-execution counters.
+    # Partitioned-execution counters.
     "ghost_bytes",
     "exchange_syncs",
     "exchange_cycles",
@@ -88,15 +88,13 @@ GAP_SECTIONS = [
 ]
 
 
-def run_bench(binary, scale, metrics_path, threads=None, shards=None):
+def run_bench(binary, scale, metrics_path, threads=None):
     """Runs one bench binary and returns its parsed metrics document."""
     env = dict(os.environ)
     env["GNNBRIDGE_SCALE"] = repr(scale)
     env["GNNBRIDGE_METRICS_JSON"] = metrics_path
     if threads is not None:
         env["GNNBRIDGE_THREADS"] = str(threads)
-    if shards is not None:
-        env["GNNBRIDGE_SHARDS"] = str(shards)
     env.pop("GNNBRIDGE_TRACE_JSON", None)
     env.pop("GNNBRIDGE_FAULT_PLAN", None)
     proc = subprocess.run(
@@ -156,14 +154,6 @@ def main():
         "inherit the environment, which means hardware concurrency). "
         "Metrics are byte-identical at any value; only wall time changes.",
     )
-    ap.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="edge-cut shards per run (sets GNNBRIDGE_SHARDS; default: "
-        "inherit the environment, which means unsharded). Outputs stay "
-        "bit-identical; the exchange counters become nonzero.",
-    )
     ap.add_argument("--label", default=None, help="trajectory label (default: suite)")
     ap.add_argument(
         "--out", default=None, help="output path (default: BENCH_<label>.json)"
@@ -173,8 +163,6 @@ def main():
     # would silently fall back to its default — fail loudly here instead.
     if args.threads is not None and not 1 <= args.threads <= 4096:
         ap.error(f"--threads must be in [1, 4096], got {args.threads}")
-    if args.shards is not None and not 1 <= args.shards <= 4096:
-        ap.error(f"--shards must be in [1, 4096], got {args.shards}")
     if not 0.0 < args.scale <= 1.0:
         ap.error(f"--scale must be in (0, 1], got {args.scale}")
 
@@ -197,7 +185,7 @@ def main():
         for name, path in binaries:
             metrics_path = os.path.join(tmp, f"{name}.json")
             try:
-                doc = run_bench(path, args.scale, metrics_path, args.threads, args.shards)
+                doc = run_bench(path, args.scale, metrics_path, args.threads)
             except (RuntimeError, OSError, json.JSONDecodeError) as e:
                 print(f"bench_runner: {name}: {e}", file=sys.stderr)
                 return 1

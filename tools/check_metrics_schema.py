@@ -33,7 +33,7 @@ import math
 import sys
 
 SCHEMA_NAME = "gnnbridge-metrics"
-SCHEMA_VERSION = 11
+SCHEMA_VERSION = 12
 
 RUN_KEYS = {
     "label": str,
@@ -52,7 +52,7 @@ DEVICE_KEYS = {
     "clock_ghz": (int, float),
     "l2_bytes": int,
     "line_bytes": int,
-    # Cost-model parameters (v3): enough to re-derive gap attributions.
+    # Cost-model parameters: enough to re-derive gap attributions.
     "flops_per_cycle_per_block": (int, float),
     "l2_hit_cycles_per_line": (int, float),
     "dram_cycles_per_line": (int, float),
@@ -68,7 +68,7 @@ TOTALS_KEYS = {
     "l2_hit_rate": (int, float),
     "dram_bytes": int,
     "gflops": (int, float),
-    # v3 gap counters.
+    # Gap counters.
     "issued_flops": (int, float),
     "global_syncs": int,
     "atomic_cycles": (int, float),
@@ -79,7 +79,7 @@ TOTALS_KEYS = {
     "copy_flops": (int, float),
     "tile_flops": (int, float),
     "imbalance": (int, float),
-    # v8 partitioned-execution counters (DESIGN.md §16).
+    # Partitioned-execution counters (DESIGN.md §16).
     "ghost_bytes": int,
     "exchange_syncs": int,
     "exchange_cycles": (int, float),
@@ -92,10 +92,7 @@ DEGRADATION_KEYS = {
     "detail": str,
     "injected": bool,
 }
-# Top-level keys of a v11 document, in order. v10 retired the v4
-# `robustness`, v6 `overload` and v9 `recovery` blocks: their facts are
-# telemetry instruments now (DESIGN.md §13). v11 retired the v7 `slo`
-# block with the SLO tracker.
+# Top-level keys of a document, in order.
 TOP_LEVEL_KEYS = [
     "schema",
     "schema_version",
@@ -107,20 +104,15 @@ TOP_LEVEL_KEYS = [
     "degradations",
     "telemetry",
 ]
-# Telemetry registry export (v5): counters, gauges, log-bucketed
-# histograms with headline quantiles (src/obs/registry.hpp).
+# Telemetry registry export: counters and log-bucketed histograms with
+# headline quantiles (src/obs/registry.hpp).
 TELEMETRY_KEYS = {
     "counters": list,
-    "gauges": list,
     "histograms": list,
 }
 TELEMETRY_COUNTER_KEYS = {
     "name": str,
     "value": int,
-}
-TELEMETRY_GAUGE_KEYS = {
-    "name": str,
-    "value": (int, float),
 }
 TELEMETRY_HISTOGRAM_KEYS = {
     "name": str,
@@ -155,7 +147,7 @@ JOURNAL_EVENT_TYPES = {
     "degradation",
     "outcome",
     "breaker",
-    # Shard-recovery events (v9, DESIGN.md §17).
+    # Shard-recovery events (DESIGN.md §17).
     "fault_injected",
     "shard_retry",
     "shard_fallback",
@@ -174,7 +166,7 @@ KERNEL_KEYS = {
     "flops": (int, float),
     "issued_flops": (int, float),
     "mean_active_blocks": (int, float),
-    # v3 gap counters.
+    # Gap counters.
     "atomic_cycles": (int, float),
     "atomic_bytes": int,
     "adapter_cycles": (int, float),
@@ -228,7 +220,7 @@ GAP_SECTION_KEYS = {
         "copy_flops": (int, float),
         "tile_flops": (int, float),
     },
-    # v8: per-layer ghost-feature exchange of partitioned execution.
+    # Per-layer ghost-feature exchange of partitioned execution.
     "inter_shard_traffic": {
         "cycles": (int, float),
         "ghost_bytes": int,
@@ -324,7 +316,7 @@ def check_metrics(doc):
                 raise Invalid(f"{kwhere}.l2_hit_rate out of [0,1]")
     gap_report = doc.get("gap_report")
     if not isinstance(gap_report, list):
-        raise Invalid("gap_report: expected array (schema v3)")
+        raise Invalid("gap_report: expected array")
     if len(gap_report) != len(runs):
         raise Invalid(
             f"gap_report: expected one entry per run "
@@ -339,15 +331,13 @@ def check_metrics(doc):
             raise Invalid(f"{where}.locality.l2_hit_rate out of [0,1]")
     degradations = doc.get("degradations")
     if not isinstance(degradations, list):
-        raise Invalid("degradations: expected array (schema v2)")
+        raise Invalid("degradations: expected array")
     for i, d in enumerate(degradations):
         check_keys(d, DEGRADATION_KEYS, f"degradations[{i}]")
     telemetry = doc.get("telemetry")
     check_keys(telemetry, TELEMETRY_KEYS, "telemetry")
     for i, c in enumerate(telemetry["counters"]):
         check_keys(c, TELEMETRY_COUNTER_KEYS, f"telemetry.counters[{i}]")
-    for i, g in enumerate(telemetry["gauges"]):
-        check_keys(g, TELEMETRY_GAUGE_KEYS, f"telemetry.gauges[{i}]")
     for i, h in enumerate(telemetry["histograms"]):
         where = f"telemetry.histograms[{i}]"
         check_keys(h, TELEMETRY_HISTOGRAM_KEYS, where)

@@ -92,12 +92,12 @@ void usage() {
       "                                any contract violation\n"
       "  faults                        print the fault-seam table (plan-syntax name plus\n"
       "                                where each seam fires and what absorbs it)\n"
-      "  stats METRICS.json            print the telemetry block (counters, gauges,\n"
+      "  stats METRICS.json            print the telemetry block (counters and\n"
       "                                latency histograms with p50/p90/p99) of a\n"
-      "                                schema v%d metrics file; --prom re-renders it\n"
-      "                                as Prometheus text exposition, --journal\n"
-      "                                summarizes an event journal written by soak\n"
-      "                                or $GNNBRIDGE_EVENT_JOURNAL\n"
+      "                                schema v%d metrics file (other versions are\n"
+      "                                rejected); --prom re-renders it as Prometheus\n"
+      "                                text exposition, --journal summarizes an event\n"
+      "                                journal written by soak --journal\n"
       "  --metrics PATH                metrics file. Precedence: this flag wins over\n"
       "                                $GNNBRIDGE_METRICS_JSON, which wins over the\n"
       "                                default gnnbridge_metrics.json (profile mode)\n"
@@ -114,9 +114,9 @@ void usage() {
       "                                $GNNBRIDGE_THREADS, else hardware concurrency);\n"
       "                                results are byte-identical at any value\n"
       "  --shards K                    partition the graph into K edge-cut shards with\n"
-      "                                per-layer ghost exchange (ours only; default:\n"
-      "                                $GNNBRIDGE_SHARDS, else 1 = unsharded); outputs\n"
-      "                                stay bit-identical to the unsharded engine\n"
+      "                                per-layer ghost exchange (ours only; default 1 =\n"
+      "                                unsharded); outputs stay bit-identical to the\n"
+      "                                unsharded engine\n"
       "  --full                        run real numerics (default: trace-only)\n"
       "  --heads K                     attention heads for mhgat (default 4)\n"
       "  --kernels                     print the per-kernel breakdown\n"
@@ -227,7 +227,7 @@ int parse_int_flag(const char* flag, const char* text, long min, long max) {
 struct CommonArgs {
   std::string metrics;
   std::string trace;
-  int shards = 0;  // 0 = unset: EngineConfig falls back to $GNNBRIDGE_SHARDS
+  int shards = 1;
 };
 
 /// One handler for the flags every subcommand accepts: --metrics /
@@ -265,11 +265,6 @@ obs::RegistrySnapshot snapshot_from_json(const prof::JsonValue& telemetry) {
       snap.counters.emplace_back(c.str_or("name", ""), c.uint_or("value", 0));
     }
   }
-  if (const prof::JsonValue* gs = telemetry.find("gauges"); gs && gs->is_array()) {
-    for (const auto& g : gs->items) {
-      snap.gauges.emplace_back(g.str_or("name", ""), g.num_or("value", 0.0));
-    }
-  }
   if (const prof::JsonValue* hs = telemetry.find("histograms"); hs && hs->is_array()) {
     for (const auto& h : hs->items) {
       obs::HistogramSnapshot s;
@@ -292,8 +287,8 @@ obs::RegistrySnapshot snapshot_from_json(const prof::JsonValue& telemetry) {
 }
 
 /// `gnnbridge_cli stats`: human-readable view of the telemetry block of a
-/// metrics file (schema v5 or later), with optional Prometheus re-render
-/// and event journal summary.
+/// metrics file of the current schema version, with optional Prometheus
+/// re-render and event journal summary.
 int cmd_stats(int argc, char** argv) {
   std::string metrics_path, prom_out, journal_path;
   for (int i = 2; i < argc; ++i) {
@@ -333,29 +328,24 @@ int cmd_stats(int argc, char** argv) {
     std::fprintf(stderr, "gnnbridge_cli: %s\n", doc.status().to_string().c_str());
     return 1;
   }
+  if (rt::Status s = prof::check_metrics_document(*doc); !s.ok()) {
+    std::fprintf(stderr, "gnnbridge_cli: %s\n",
+                 std::move(s).with_context("stats('" + metrics_path + "')").to_string().c_str());
+    return 1;
+  }
   const prof::JsonValue* telemetry = doc->find("telemetry");
   if (!telemetry || !telemetry->is_object()) {
-    std::fprintf(stderr,
-                 "gnnbridge_cli: '%s' has no telemetry block (needs metrics schema v5+ (v%d "
-                 "current), found v%lld)\n",
-                 metrics_path.c_str(), prof::kMetricsSchemaVersion,
-                 static_cast<long long>(doc->int_or("schema_version", 0)));
+    std::fprintf(stderr, "gnnbridge_cli: '%s' has no telemetry block\n", metrics_path.c_str());
     return 1;
   }
   const obs::RegistrySnapshot snap = snapshot_from_json(*telemetry);
-  std::printf("telemetry of '%s' (schema v%lld): %zu counter(s), %zu gauge(s), %zu histogram(s)\n",
-              metrics_path.c_str(), static_cast<long long>(doc->int_or("schema_version", 0)),
-              snap.counters.size(), snap.gauges.size(), snap.histograms.size());
+  std::printf("telemetry of '%s' (schema v%d): %zu counter(s), %zu histogram(s)\n",
+              metrics_path.c_str(), prof::kMetricsSchemaVersion, snap.counters.size(),
+              snap.histograms.size());
   if (!snap.counters.empty()) {
     std::printf("%-28s %16s\n", "counter", "value");
     for (const auto& [name, value] : snap.counters) {
       std::printf("%-28s %16llu\n", name.c_str(), static_cast<unsigned long long>(value));
-    }
-  }
-  if (!snap.gauges.empty()) {
-    std::printf("%-28s %16s\n", "gauge", "value");
-    for (const auto& [name, value] : snap.gauges) {
-      std::printf("%-28s %16.6g\n", name.c_str(), value);
     }
   }
   if (!snap.histograms.empty()) {
@@ -772,8 +762,7 @@ int cmd_soak(int argc, char** argv) {
               count("serve.cancel_points"), reg.histogram_snapshot("serve.backoff_cycles").sum);
 
   // Sim-cycle latency percentiles of the successful jobs, from the
-  // telemetry registry the engine's fold filled (tools/soak_runner.py
-  // parses this line).
+  // telemetry registry the engine's fold filled.
   const obs::HistogramSnapshot lat = reg.histogram_snapshot("serve.job_cycles");
   std::printf("latency: n=%llu p50=%.12g p90=%.12g p99=%.12g max=%.12g sim-cycles\n",
               static_cast<unsigned long long>(lat.count), lat.p50, lat.p90, lat.p99, lat.max);
