@@ -79,7 +79,7 @@ int main() {
   const auto gat_params = models::init_gat(gat_cfg, 2);
   const auto sage_params = models::init_sage_lstm(sage_cfg, 3);
 
-  // Feature matrices per dataset, created lazily at the right width.
+  // Feature matrices for every dataset, built up front at each model's width.
   std::map<graph::DatasetId, models::Matrix> x512, x32;
   for (graph::DatasetId id : graph::kAllDatasets) {
     const graph::Dataset& d = cache.get(id);

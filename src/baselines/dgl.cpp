@@ -63,7 +63,7 @@ RunResult DglBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode m
   if (paper_bytes > kDeviceBytes) return {.oom = true, .paper_bytes = paper_bytes};
 
   sim::SimContext ctx(pipeline::with_overhead(spec, kFrameworkOverheadCycles));
-  Workspace ws;
+  Workspace ws(mode);
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const auto tasks = k::natural_tasks(data.csr);
   const auto norm = ws.from_vec(ctx, models::gcn_edge_norm(data.csr), "gcn_norm");
@@ -103,7 +103,7 @@ RunResult DglBackend::run_gat(const Dataset& data, const GatRun& run, ExecMode m
   if (paper_bytes > kDeviceBytes) return {.oom = true, .paper_bytes = paper_bytes};
 
   sim::SimContext ctx(pipeline::with_overhead(spec, kFrameworkOverheadCycles));
-  Workspace ws;
+  Workspace ws(mode);
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const auto tasks = k::natural_tasks(data.csr);
 
@@ -123,7 +123,7 @@ RunResult DglBackend::run_sage_lstm(const Dataset& data, const SageLstmRun& run,
   prof::Span span("DglBackend::run_sage_lstm", "baseline");
   // SAGE-LSTM footprints are tiny (one [N, F] expansion buffer at a time).
   sim::SimContext ctx(pipeline::with_overhead(spec, kFrameworkOverheadCycles));
-  Workspace ws;
+  Workspace ws(mode);
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const models::Index n = data.csr.num_nodes;
   const models::Index hidden = run.cfg->hidden;
@@ -171,7 +171,7 @@ RunResult DglBackend::run_multihead_gat(const Dataset& data, const MultiHeadGatR
   // DGL executes each head as an independent Listing-1 pipeline: K times
   // the op count — the op-explosion face of Observation 3.
   sim::SimContext ctx(pipeline::with_overhead(spec, kFrameworkOverheadCycles));
-  Workspace ws;
+  Workspace ws(mode);
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const auto tasks = k::natural_tasks(data.csr);
   const auto head = [&](const k::FeatureMat& x, std::size_t h) {
@@ -185,7 +185,7 @@ RunResult DglBackend::run_sage_pool(const Dataset& data, const SagePoolRun& run,
                                     const sim::DeviceSpec& spec) {
   prof::Span span("DglBackend::run_sage_pool", "baseline");
   sim::SimContext ctx(pipeline::with_overhead(spec, kFrameworkOverheadCycles));
-  Workspace ws;
+  Workspace ws(mode);
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   // Max aggregation: DGL's own node-parallel kernel (no vendor path for
   // non-sum reducers).

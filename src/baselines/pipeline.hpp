@@ -30,25 +30,37 @@ namespace gnnbridge::baselines::pipeline {
 
 namespace k = gnnbridge::kernels;
 
-/// Owns the host matrices backing a run's device mats. A deque keeps
-/// element addresses stable across growth, so FeatureMat::host pointers
-/// taken earlier stay valid.
-struct Workspace {
-  std::deque<Matrix> pool;
+/// Allocates a run's device mats in the run's mode. In kFull each mat is
+/// backed by a host matrix the workspace owns; a deque keeps element
+/// addresses stable across growth, so FeatureMat::host pointers taken
+/// earlier stay valid. In kSimulateOnly host matrices do not exist: a mat
+/// is its shape and device address only (no storage, no copy), which is
+/// all a trace depends on.
+class Workspace {
+ public:
+  explicit Workspace(k::ExecMode mode) : full_(mode == k::ExecMode::kFull) {}
+
   k::FeatureMat mat(sim::SimContext& ctx, models::Index rows, models::Index cols,
                     const char* label) {
-    pool.emplace_back(rows, cols);
-    return k::device_mat(ctx, pool.back(), label);
+    if (!full_) return k::device_mat_shape(ctx, rows, cols, label);
+    pool_.emplace_back(rows, cols);
+    return k::device_mat(ctx, pool_.back(), label);
   }
   k::FeatureMat from(sim::SimContext& ctx, const Matrix& m, const char* label) {
-    pool.push_back(m);
-    return k::device_mat(ctx, pool.back(), label);
+    if (!full_) return k::device_mat_shape(ctx, m.rows(), m.cols(), label);
+    pool_.push_back(m);
+    return k::device_mat(ctx, pool_.back(), label);
   }
   k::FeatureMat from_vec(sim::SimContext& ctx, const std::vector<float>& v, const char* label) {
-    pool.emplace_back(static_cast<models::Index>(v.size()), 1,
-                      std::vector<float>(v.begin(), v.end()));
-    return k::device_mat(ctx, pool.back(), label);
+    const auto rows = static_cast<models::Index>(v.size());
+    if (!full_) return k::device_mat_shape(ctx, rows, 1, label);
+    pool_.emplace_back(rows, 1, std::vector<float>(v.begin(), v.end()));
+    return k::device_mat(ctx, pool_.back(), label);
   }
+
+ private:
+  bool full_;
+  std::deque<Matrix> pool_;
 };
 
 /// `spec` with a backend's per-launch host overhead (Observation 3): each

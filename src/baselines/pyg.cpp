@@ -27,7 +27,7 @@ RunResult PygBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode m
   if (paper_bytes > kDeviceBytes) return {.oom = true, .paper_bytes = paper_bytes};
 
   sim::SimContext ctx(pipeline::with_overhead(spec, kFrameworkOverheadCycles));
-  pipeline::Workspace ws;
+  pipeline::Workspace ws(mode);
   const auto edev = k::device_edges(ctx, data.coo, "coo");
   // Canonical COO is (dst, src)-sorted — the same edge order as the CSR, so
   // the CSR-derived normalization aligns slot for slot.
@@ -66,7 +66,7 @@ RunResult PygBackend::run_gat(const Dataset& data, const GatRun& run, ExecMode m
   if (paper_bytes > kDeviceBytes) return {.oom = true, .paper_bytes = paper_bytes};
 
   sim::SimContext ctx(pipeline::with_overhead(spec, kFrameworkOverheadCycles));
-  pipeline::Workspace ws;
+  pipeline::Workspace ws(mode);
   const auto edev = k::device_edges(ctx, data.coo, "coo");
   const graph::EdgeId num_edges = data.coo.num_edges();
   const float alpha = run.cfg->leaky_alpha;

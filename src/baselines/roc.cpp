@@ -24,7 +24,7 @@ RunResult RocBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode m
   if (paper_bytes > kDeviceBytes) return {.oom = true, .paper_bytes = paper_bytes};
 
   sim::SimContext ctx(pipeline::with_overhead(spec, kFrameworkOverheadCycles));
-  pipeline::Workspace ws;
+  pipeline::Workspace ws(mode);
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const auto tasks = k::natural_tasks(data.csr);
   const auto norm = ws.from_vec(ctx, models::gcn_edge_norm(data.csr), "gcn_norm");

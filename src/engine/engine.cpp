@@ -708,7 +708,7 @@ RunResult OptimizedEngine::gcn_attempt(const Dataset& data, const GcnRun& run, E
   if (plan.shards > 1) return gcn_attempt_sharded(data, run, mode, spec, plan, rc);
   prof::Span span("OptimizedEngine::run_gcn", "engine");
   sim::SimContext ctx(pipeline::with_overhead(spec, detail::kEngineOverheadCycles));
-  Workspace ws;
+  Workspace ws(mode);
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const auto norm = ws.from_vec(ctx, models::gcn_edge_norm(data.csr), "gcn_norm");
 
@@ -743,7 +743,7 @@ OptimizedEngine::TrainResult OptimizedEngine::train_gcn_attempt(
       resolve_plan(data.csr, rc, params.weight.empty() ? -1 : params.weight[0].cols(), &spec);
   prof::Span span("OptimizedEngine::train_gcn_step", "engine");
   sim::SimContext ctx(pipeline::with_overhead(spec, detail::kEngineOverheadCycles));
-  Workspace ws;
+  Workspace ws(mode);
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const auto norm = ws.from_vec(ctx, models::gcn_edge_norm(data.csr), "gcn_norm");
   const bool full = mode == ExecMode::kFull;
@@ -870,7 +870,7 @@ RunResult OptimizedEngine::gat_attempt(const Dataset& data, const GatRun& run, E
   if (plan.shards > 1) return gat_attempt_sharded(data, run, mode, spec, plan, rc);
   prof::Span span("OptimizedEngine::run_gat", "engine");
   sim::SimContext ctx(pipeline::with_overhead(spec, detail::kEngineOverheadCycles));
-  Workspace ws;
+  Workspace ws(mode);
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
 
   k::FeatureMat h = ws.from(ctx, *run.features, "x");
@@ -897,7 +897,7 @@ RunResult OptimizedEngine::multihead_gat_attempt(const Dataset& data,
   const detail::AttemptPlan plan = resolve_plan(data.csr, rc, run.cfg->head_dim, &spec);
   prof::Span span("OptimizedEngine::run_multihead_gat", "engine");
   sim::SimContext ctx(pipeline::with_overhead(spec, detail::kEngineOverheadCycles));
-  Workspace ws;
+  Workspace ws(mode);
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const auto head = [&](const k::FeatureMat& x, std::size_t h) {
     return gat_layer(ctx, ws, gdev, plan, x, run.params->weight[h], run.params->att_l[h],
@@ -919,7 +919,7 @@ RunResult OptimizedEngine::sage_pool_attempt(const Dataset& data,
   const detail::AttemptPlan plan = resolve_plan(data.csr, rc, run.cfg->pool_dim, &spec);
   prof::Span span("OptimizedEngine::run_sage_pool", "engine");
   sim::SimContext ctx(pipeline::with_overhead(spec, detail::kEngineOverheadCycles));
-  Workspace ws;
+  Workspace ws(mode);
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const k::FeatureMat out = pipeline::sage_pool(ctx, ws, gdev, plan.grouped.tasks,
                                                 plan.grouped.any_split, plan.lanes, run, mode);
@@ -937,7 +937,7 @@ RunResult OptimizedEngine::sage_lstm_attempt(const Dataset& data, const SageLstm
                                              ExecMode mode, const sim::DeviceSpec& spec) {
   prof::Span span("OptimizedEngine::run_sage_lstm", "engine");
   sim::SimContext ctx(pipeline::with_overhead(spec, detail::kEngineOverheadCycles));
-  Workspace ws;
+  Workspace ws(mode);
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const models::Index n = data.csr.num_nodes;
   const models::Index hidden = run.cfg->hidden;

@@ -73,9 +73,15 @@ namespace {
 /// device each; the L2 stays warm layer to layer, like the unsharded
 /// engine's single context).
 struct ShardExec {
+  ShardExec(const shard::Shard& shard, const sim::DeviceSpec& spec, ExecMode mode)
+      : sh(&shard),
+        ctx(std::make_unique<sim::SimContext>(
+            pipeline::with_overhead(spec, detail::kEngineOverheadCycles))),
+        ws(mode) {}
+
   const shard::Shard* sh = nullptr;
   std::unique_ptr<sim::SimContext> ctx;
-  pipeline::Workspace ws;
+  pipeline::Workspace ws;  ///< in the run's mode: host rows exist in kFull only
   k::GraphOnDevice gdev;
   core::GroupedTasks grouped;
   k::FeatureMat norm;  ///< GCN only: local gather of the global edge norm
@@ -277,11 +283,12 @@ void exchange_with_recovery(const shard::Partition& p, std::vector<k::FeatureMat
 
 /// Per-shard device/task setup shared by GCN and GAT: context, local CSR,
 /// task list (the plan's grouping bound + LAS order restricted to the
-/// shard, ghost tasks dropped), and the initial activations with input
-/// features replicated to ghost rows (so layer 0 needs no extra exchange
-/// for them).
+/// shard, ghost tasks dropped), and the initial activations. In kFull the
+/// input features are copied to the owned rows and replicated to the ghost
+/// rows (so layer 0 needs no extra exchange for them); trace-only runs
+/// have no host rows to fill.
 std::vector<ShardExec> init_shards(const shard::Partition& p, const detail::AttemptPlan& plan,
-                                   const sim::DeviceSpec& spec, const Matrix& x) {
+                                   const sim::DeviceSpec& spec, const Matrix& x, ExecMode mode) {
   // Owned-local row of every global node (the owned lists partition the
   // node set, so one vector serves all shards).
   std::vector<graph::NodeId> owned_local(p.assign.size(), 0);
@@ -290,13 +297,11 @@ std::vector<ShardExec> init_shards(const shard::Partition& p, const detail::Atte
       owned_local[static_cast<std::size_t>(sh.owned[r])] = static_cast<graph::NodeId>(r);
     }
   }
-  std::vector<ShardExec> shards(p.shards.size());
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    ShardExec& se = shards[s];
+  std::vector<ShardExec> shards;
+  shards.reserve(p.shards.size());
+  for (std::size_t s = 0; s < p.shards.size(); ++s) {
     const shard::Shard& sh = p.shards[s];
-    se.sh = &sh;
-    se.ctx = std::make_unique<sim::SimContext>(
-        pipeline::with_overhead(spec, detail::kEngineOverheadCycles));
+    ShardExec& se = shards.emplace_back(sh, spec, mode);
     se.gdev = k::device_graph(*se.ctx, sh.local, "csr");
     if (plan.las) {
       const std::vector<graph::NodeId> order =
@@ -307,6 +312,7 @@ std::vector<ShardExec> init_shards(const shard::Partition& p, const detail::Atte
     }
     drop_ghost_tasks(se.grouped, sh.num_owned());
     se.h = se.ws.mat(*se.ctx, sh.local.num_nodes, x.cols(), "x");
+    if (mode != ExecMode::kFull) continue;
     for (graph::NodeId r = 0; r < sh.num_owned(); ++r) {
       const auto src = x.row(sh.owned[static_cast<std::size_t>(r)]);
       auto dst = se.h.host->row(r);
@@ -471,7 +477,7 @@ RunResult OptimizedEngine::gcn_attempt_sharded(const Dataset& data, const GcnRun
   prof::Span span("OptimizedEngine::run_gcn_sharded", "engine");
   span.arg("shards", static_cast<double>(plan.shards));
   const std::shared_ptr<const shard::Partition> part = shard_plan_for(data.csr, plan.shards, rc);
-  std::vector<ShardExec> se = init_shards(*part, plan, spec, *run.features);
+  std::vector<ShardExec> se = init_shards(*part, plan, spec, *run.features, mode);
   // The GCN edge norm uses *global* degrees; gather it through the local
   // edge -> global edge map so every local edge carries the exact float the
   // unsharded run multiplies with.
@@ -510,7 +516,7 @@ RunResult OptimizedEngine::gat_attempt_sharded(const Dataset& data, const GatRun
   prof::Span span("OptimizedEngine::run_gat_sharded", "engine");
   span.arg("shards", static_cast<double>(plan.shards));
   const std::shared_ptr<const shard::Partition> part = shard_plan_for(data.csr, plan.shards, rc);
-  std::vector<ShardExec> se = init_shards(*part, plan, spec, *run.features);
+  std::vector<ShardExec> se = init_shards(*part, plan, spec, *run.features, mode);
 
   // The per-node attention scalars are recomputed locally over ghost rows
   // (gat_graph_ops' row_dot runs on all local rows): row_dot is

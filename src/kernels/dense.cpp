@@ -27,20 +27,20 @@ sim::BlockWork gemm_tile_trace(const sim::Buffer& b_buf, std::uint64_t b_row_byt
     const std::uint32_t a_bytes = static_cast<std::uint32_t>((k1 - k0) * 4);
     for (Index i = i0; i < i1; ++i) {
       const auto [buf, off] = a_row_addr(i);
-      blk.accesses.push_back({buf->addr(off + static_cast<std::uint64_t>(k0) * 4), a_bytes, false});
+      blk.accesses.push_back({buf->addr(off + static_cast<std::uint64_t>(k0) * 4), a_bytes});
     }
     const std::uint32_t b_bytes = static_cast<std::uint32_t>((j1 - j0) * 4);
     for (Index kk = k0; kk < k1; ++kk) {
       blk.accesses.push_back({b_buf.addr(static_cast<std::uint64_t>(kk) * b_row_bytes +
                                          static_cast<std::uint64_t>(j0) * 4),
-                              b_bytes, false});
+                              b_bytes});
     }
   }
   const std::uint32_t c_bytes = static_cast<std::uint32_t>((j1 - j0) * 4);
   for (Index i = i0; i < i1; ++i) {
     blk.accesses.push_back({c_buf.addr(static_cast<std::uint64_t>(i) * c_row_bytes +
                                        static_cast<std::uint64_t>(j0) * 4),
-                            c_bytes, true});
+                            c_bytes});
   }
   const double useful = 2.0 * static_cast<double>(i1 - i0) * static_cast<double>(j1 - j0) *
                         static_cast<double>(kdim);
@@ -130,7 +130,7 @@ sim::KernelStats sparse_fetch_gemm(sim::SimContext& ctx, const SparseFetchGemmAr
           });
       // The index array itself is read once per tile row-range.
       blk.accesses.push_back({args.index_buf.addr(static_cast<std::uint64_t>(i0) * 4),
-                              static_cast<std::uint32_t>((i1 - i0) * 4), false});
+                              static_cast<std::uint32_t>((i1 - i0) * 4)});
       k.blocks.push_back(std::move(blk));
     }
   }
@@ -221,7 +221,7 @@ sim::KernelStats indexed_binary(sim::SimContext& ctx, const IndexedBinaryArgs& a
     const Index r1 = std::min(r0 + rows_per_block, m);
     sim::BlockWork blk;
     blk.accesses.push_back({args.index_buf.addr(static_cast<std::uint64_t>(r0) * 4),
-                            static_cast<std::uint32_t>((r1 - r0) * 4), false});
+                            static_cast<std::uint32_t>((r1 - r0) * 4)});
     for (Index r = r0; r < r1; ++r) {
       const NodeId u = args.row_index[static_cast<std::size_t>(r)];
       blk.read(args.a->buf, args.a->row_offset(u), static_cast<std::uint32_t>(args.a->row_bytes()));

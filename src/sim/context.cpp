@@ -11,6 +11,95 @@
 
 namespace gnnbridge::sim {
 
+namespace {
+
+/// One turn of the co-residency interleave: `count` consecutive accesses
+/// of block `block`, starting at `first`.
+struct Turn {
+  const Access* first = nullptr;
+  std::uint32_t block = 0;
+  std::uint32_t count = 0;
+};
+
+/// Pass 1: the interleave of the access streams of co-resident blocks.
+/// Slot s holds the block currently occupying it; when a block's stream is
+/// exhausted the next block in launch order takes the slot. Each turn a
+/// block advances kChunk accesses — roughly one scheduling quantum of
+/// memory instructions — whatever they hit, so the turn order does not
+/// depend on the cache.
+std::vector<Turn> interleave(const std::vector<BlockWork>& blocks, std::size_t wave) {
+  constexpr std::size_t kChunk = 8;
+  const std::size_t n = blocks.size();
+  std::size_t total_turns = 0;
+  for (const BlockWork& b : blocks) total_turns += (b.accesses.size() + kChunk - 1) / kChunk;
+  std::vector<Turn> turns;
+  turns.reserve(total_turns);
+  std::vector<std::size_t> cursor(n, 0);
+
+  std::vector<std::size_t> slots;
+  slots.reserve(std::min(n, wave));
+  std::size_t next_block = 0;
+  while (next_block < n && slots.size() < wave) slots.push_back(next_block++);
+  while (!slots.empty()) {
+    for (std::size_t s = 0; s < slots.size();) {
+      const std::size_t b = slots[s];
+      const std::vector<Access>& accesses = blocks[b].accesses;
+      const std::size_t take = std::min(kChunk, accesses.size() - cursor[b]);
+      if (take > 0) {
+        turns.push_back({accesses.data() + cursor[b], static_cast<std::uint32_t>(b),
+                         static_cast<std::uint32_t>(take)});
+        cursor[b] += take;
+      }
+      if (cursor[b] >= accesses.size()) {
+        if (next_block < n) {
+          slots[s] = next_block++;
+          ++s;
+        } else {
+          slots.erase(slots.begin() + static_cast<std::ptrdiff_t>(s));
+        }
+      } else {
+        ++s;
+      }
+    }
+  }
+  return turns;
+}
+
+/// One set range's share of a replay: per-block hits and misses, and the
+/// range's LRU clock after its last probe.
+struct RangeReplay {
+  std::vector<std::uint64_t> hits, misses;
+  std::uint64_t tick = 0;
+};
+
+/// Pass 2 for the sets [lo, hi): every turn in order, probing only the
+/// lines whose set the range owns, with a clock that starts at `tick`.
+/// Touches no set outside the range, so ranges run concurrently.
+RangeReplay replay_sets(SetAssocCache& l2, const std::vector<Turn>& turns, std::size_t blocks,
+                        std::uint64_t tick, std::uint64_t lo, std::uint64_t hi) {
+  RangeReplay r;
+  r.hits.assign(blocks, 0);
+  r.misses.assign(blocks, 0);
+  const std::uint64_t width = hi - lo;
+  for (const Turn& t : turns) {
+    std::uint64_t h = 0, m = 0;
+    for (const Access* a = t.first; a != t.first + t.count; ++a) {
+      if (a->bytes == 0) continue;
+      const std::uint64_t last = l2.line_of(a->addr + a->bytes - 1);
+      for (std::uint64_t line = l2.line_of(a->addr); line <= last; ++line) {
+        if (l2.set_of(line) - lo >= width) continue;  // another range's set
+        ++(l2.probe(line, ++tick) ? h : m);
+      }
+    }
+    r.hits[t.block] += h;
+    r.misses[t.block] += m;
+  }
+  r.tick = tick;
+  return r;
+}
+
+}  // namespace
+
 SimContext::SimContext(DeviceSpec spec)
     : spec_(spec), l2_(spec.l2_bytes, spec.l2_ways, spec.line_bytes) {}
 
@@ -30,47 +119,41 @@ const KernelStats& SimContext::launch(Kernel kernel) {
   ks.phase = std::move(kernel.phase);
   ks.num_blocks = static_cast<int>(kernel.blocks.size());
 
-  const int wave = spec_.total_block_slots();
   const std::size_t n = kernel.blocks.size();
 
-  // --- Cache replay: interleave the access streams of co-resident blocks.
-  // Slot s holds the index of the block currently occupying it; when a
-  // block's stream is exhausted the next block in launch order takes the
-  // slot. Each turn a block advances kChunk accesses — roughly one
-  // scheduling quantum of memory instructions.
-  constexpr std::size_t kChunk = 8;
+  // --- Cache replay (DESIGN.md §5). Pass 1 records the co-residency
+  // interleave; pass 2 replays it through the L2 with one contiguous set
+  // range per host thread. A set's LRU state depends only on the order of
+  // the accesses to that set, so the counts equal a sequential replay's at
+  // any range count. Every range starts from the cache's clock, and the
+  // clock then takes the largest range clock, so this launch's stamps
+  // compare as newer than all earlier ones in every later launch, whichever
+  // range owns a set then. Inside a parallel region (shard bodies, tuner
+  // probes, batch jobs) more ranges would run inline, each rescanning the
+  // whole interleave, so there is one.
   std::vector<std::uint64_t> hits(n, 0), misses(n, 0);
-  std::vector<std::size_t> cursor(n, 0);
-
-  std::vector<std::size_t> slots;
-  slots.reserve(static_cast<std::size_t>(wave));
-  std::size_t next_block = 0;
-  while (next_block < n && slots.size() < static_cast<std::size_t>(wave)) {
-    slots.push_back(next_block++);
-  }
-  while (!slots.empty()) {
-    for (std::size_t s = 0; s < slots.size();) {
-      const std::size_t b = slots[s];
-      const auto& accesses = kernel.blocks[b].accesses;
-      std::size_t done = 0;
-      while (cursor[b] < accesses.size() && done < kChunk) {
-        const Access& a = accesses[cursor[b]++];
-        const CacheProbe p = l2_.access(a.addr, a.bytes);
-        hits[b] += p.hits;
-        misses[b] += p.misses;
-        ++done;
+  {
+    prof::Span replay_span("replay", "sim.stage");
+    const std::vector<Turn> turns =
+        interleave(kernel.blocks, static_cast<std::size_t>(spec_.total_block_slots()));
+    const auto sets = static_cast<std::size_t>(l2_.num_sets());
+    const std::size_t ranges = par::in_parallel_region()
+                                   ? 1
+                                   : std::min(static_cast<std::size_t>(par::max_threads()), sets);
+    const std::uint64_t start = l2_.tick();
+    std::vector<RangeReplay> replays(ranges);
+    par::parallel_chunks(ranges, /*grain=*/1, [&](std::size_t r, std::size_t, std::size_t) {
+      replays[r] = replay_sets(l2_, turns, n, start, r * sets / ranges, (r + 1) * sets / ranges);
+    });
+    std::uint64_t tick = start;
+    for (const RangeReplay& rr : replays) {
+      for (std::size_t b = 0; b < n; ++b) {
+        hits[b] += rr.hits[b];
+        misses[b] += rr.misses[b];
       }
-      if (cursor[b] >= accesses.size()) {
-        if (next_block < n) {
-          slots[s] = next_block++;
-          ++s;
-        } else {
-          slots.erase(slots.begin() + static_cast<std::ptrdiff_t>(s));
-        }
-      } else {
-        ++s;
-      }
+      tick = std::max(tick, rr.tick);
     }
+    l2_.set_tick(tick);
   }
 
   // --- Cost model: per-block duration = max(compute, memory) + extras.
@@ -133,7 +216,9 @@ const KernelStats& SimContext::launch(Kernel kernel) {
   }
   ks.dram_bytes = ks.l2_misses * static_cast<std::uint64_t>(spec_.line_bytes);
 
+  prof::Span schedule_span("schedule", "sim.stage");
   ScheduleResult sched = schedule_blocks(durations, spec_.total_block_slots());
+  schedule_span.end();
   // Device-level bandwidth bound: however the blocks are scheduled, the
   // kernel cannot finish before its total traffic drains at full device
   // bandwidth. (The per-block per-line costs equal this bound divided by

@@ -3,9 +3,10 @@
 // One `SimContext` models one GPU running a sequence of kernels. Launching
 // a kernel replays its blocks' access streams through the shared L2 in
 // co-residency order (wave-interleaved, matching which blocks actually run
-// together), derives per-block durations from the hit/miss mix and the
-// compute cost, schedules the blocks, and accumulates counters. The L2
-// stays warm across kernels, as on real hardware.
+// together; the replay splits the L2's sets over the host threads),
+// derives per-block durations from the hit/miss mix and the compute cost,
+// schedules the blocks, and accumulates counters. The L2 stays warm across
+// kernels, as on real hardware.
 #pragma once
 
 #include "sim/cache.hpp"

@@ -15,11 +15,11 @@
 namespace gnnbridge::sim {
 
 /// One global-memory touch: `bytes` bytes starting at virtual address
-/// `addr`. The replay expands it to cache lines.
+/// `addr`. The replay expands it to cache lines; loads and stores cost the
+/// same (the L2 allocates on write).
 struct Access {
   std::uint64_t addr = 0;
   std::uint32_t bytes = 0;
-  bool write = false;
 };
 
 /// The work of one thread block.
@@ -54,12 +54,12 @@ struct BlockWork {
   /// and boundary tiles of a fixed-tile GEMM.
   double tile_flops = 0.0;
 
-  /// Convenience emitters.
+  /// Convenience emitters for a load and a store.
   void read(const Buffer& buf, std::uint64_t offset, std::uint32_t bytes_) {
-    accesses.push_back({buf.addr(offset), bytes_, false});
+    accesses.push_back({buf.addr(offset), bytes_});
   }
   void write(const Buffer& buf, std::uint64_t offset, std::uint32_t bytes_) {
-    accesses.push_back({buf.addr(offset), bytes_, true});
+    accesses.push_back({buf.addr(offset), bytes_});
   }
   /// Adds `f` useful flops issued at lane efficiency `f/issued`; the slack
   /// is lane-padding waste.

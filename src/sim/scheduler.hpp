@@ -26,8 +26,9 @@ struct ScheduleResult {
   Timeline timeline;
 };
 
-/// Schedules blocks with the given `durations` (in launch order) onto
-/// `slots` block slots. Deterministic; ties broken by slot index.
+/// Schedules blocks with the given nonnegative `durations` (in launch
+/// order) onto `slots` block slots. Deterministic: a block starts at the
+/// earliest time any slot frees up.
 ScheduleResult schedule_blocks(std::span<const Cycles> durations, int slots);
 
 }  // namespace gnnbridge::sim

@@ -60,7 +60,10 @@ TEST(Cache, ZeroByteAccessIsNoop) {
   SetAssocCache c(4096, 4, 64);
   const CacheProbe p = c.access(0, 0);
   EXPECT_EQ(p.lines, 0u);
+  // Unaligned too: addr + bytes - 1 would fall back inside the line.
+  EXPECT_EQ(c.access(32, 0).lines, 0u);
   EXPECT_EQ(c.total_misses(), 0u);
+  EXPECT_EQ(c.tick(), 0u);
 }
 
 TEST(Cache, ClearInvalidatesEverything) {

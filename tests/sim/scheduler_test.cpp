@@ -2,10 +2,51 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <queue>
+#include <utility>
 #include <vector>
+
+#include "tensor/rng.hpp"
 
 namespace gnnbridge::sim {
 namespace {
+
+/// The sort-based schedule the merged sweep replaced: a min-heap of (free
+/// time, slot) over every slot, then all 2n start/end events sorted by
+/// time, ends before starts at equal times.
+ScheduleResult sorted_sweep_oracle(const std::vector<Cycles>& durations, int slots) {
+  ScheduleResult result;
+  if (durations.empty() || slots <= 0) return result;
+  using Slot = std::pair<Cycles, int>;
+  std::priority_queue<Slot, std::vector<Slot>, std::greater<>> free_at;
+  for (int s = 0; s < slots; ++s) free_at.push({0.0, s});
+  std::vector<std::pair<Cycles, int>> events;
+  Cycles total = 0.0;
+  for (const Cycles d : durations) {
+    const auto [t, s] = free_at.top();
+    free_at.pop();
+    events.push_back({t, +1});
+    events.push_back({t + d, -1});
+    result.makespan = std::max(result.makespan, t + d);
+    total += d;
+    free_at.push({t + d, s});
+  }
+  result.balanced =
+      total / static_cast<double>(std::min<std::size_t>(static_cast<std::size_t>(slots),
+                                                        durations.size()));
+  std::sort(events.begin(), events.end());
+  int active = 0;
+  Cycles prev = 0.0;
+  for (const auto& [t, delta] : events) {
+    if (t > prev) {
+      result.timeline.add_interval(prev, t, active);
+      prev = t;
+    }
+    active += delta;
+  }
+  return result;
+}
 
 TEST(Scheduler, EmptyKernel) {
   const ScheduleResult r = schedule_blocks({}, 8);
@@ -86,6 +127,31 @@ TEST(Scheduler, DeterministicAcrossCalls) {
   const ScheduleResult b = schedule_blocks(d, 11);
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
   EXPECT_DOUBLE_EQ(a.timeline.mean_active(), b.timeline.mean_active());
+}
+
+TEST(Scheduler, MergedSweepMatchesSortedSweepOracle) {
+  // Random duration lists with ties (durations drawn from few values),
+  // zero durations, and fewer blocks than slots.
+  tensor::Rng rng(2024);
+  for (int trial = 0; trial < 20000; ++trial) {
+    const int slots = 1 + static_cast<int>(rng.below(12));
+    const std::size_t n = rng.below(40);
+    const std::uint64_t distinct = 1 + rng.below(trial % 2 == 0 ? 4 : 1000);
+    std::vector<Cycles> d(n);
+    for (Cycles& x : d) x = static_cast<Cycles>(rng.below(distinct)) * 0.5;
+    const ScheduleResult got = schedule_blocks(d, slots);
+    const ScheduleResult want = sorted_sweep_oracle(d, slots);
+    ASSERT_EQ(got.makespan, want.makespan) << "trial " << trial;
+    ASSERT_EQ(got.balanced, want.balanced) << "trial " << trial;
+    const auto& gi = got.timeline.intervals();
+    const auto& wi = want.timeline.intervals();
+    ASSERT_EQ(gi.size(), wi.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < gi.size(); ++i) {
+      ASSERT_EQ(gi[i].t0, wi[i].t0) << "trial " << trial << " interval " << i;
+      ASSERT_EQ(gi[i].t1, wi[i].t1) << "trial " << trial << " interval " << i;
+      ASSERT_EQ(gi[i].active, wi[i].active) << "trial " << trial << " interval " << i;
+    }
+  }
 }
 
 TEST(Scheduler, GreedyDispatchOrder) {

@@ -13,6 +13,10 @@ one produced at the default scale as bench/baseline.json and every future
 run can be diffed against it metric by metric. The simulator is
 deterministic, so the numbers are exactly reproducible on one toolchain.
 
+The top-level `host` object records each bench process's wall seconds and
+peak RSS (`wall_s`, `peak_rss_mb`, from wait4). Those depend on the host
+and its load, so the regression check prints them and never gates on them.
+
 Exits 0 when every bench ran and validated, 1 otherwise.
 """
 
@@ -22,6 +26,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 BENCH_SCHEMA_NAME = "gnnbridge-bench"
 BENCH_SCHEMA_VERSION = 1
@@ -89,7 +94,8 @@ GAP_SECTIONS = [
 
 
 def run_bench(binary, scale, metrics_path, threads=None):
-    """Runs one bench binary and returns its parsed metrics document."""
+    """Runs one bench binary; returns its parsed metrics document and its
+    host cost ({"wall_s", "peak_rss_mb"})."""
     env = dict(os.environ)
     env["GNNBRIDGE_SCALE"] = repr(scale)
     env["GNNBRIDGE_METRICS_JSON"] = metrics_path
@@ -97,15 +103,26 @@ def run_bench(binary, scale, metrics_path, threads=None):
         env["GNNBRIDGE_THREADS"] = str(threads)
     env.pop("GNNBRIDGE_TRACE_JSON", None)
     env.pop("GNNBRIDGE_FAULT_PLAN", None)
-    proc = subprocess.run(
+    start = time.monotonic()
+    proc = subprocess.Popen(
         [binary], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE
     )
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    # wait4 reaps the child and returns its own resource usage, so the peak
+    # RSS is this bench's alone (ru_maxrss is in KiB on Linux).
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    host = {
+        "wall_s": round(time.monotonic() - start, 3),
+        "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 1),
+    }
     if proc.returncode != 0:
         raise RuntimeError(
-            f"{binary} exited {proc.returncode}: {proc.stderr.decode(errors='replace')[-500:]}"
+            f"{binary} exited {proc.returncode}: {stderr.decode(errors='replace')[-500:]}"
         )
     with open(metrics_path, encoding="utf-8") as f:
-        return json.load(f)
+        return json.load(f), host
 
 
 def entries_from_doc(bench_name, doc):
@@ -179,13 +196,14 @@ def main():
         binaries.append((name, path))
 
     entries = []
+    host = {}
     meta = None
     device = None
     with tempfile.TemporaryDirectory(prefix="gnnbridge_bench_") as tmp:
         for name, path in binaries:
             metrics_path = os.path.join(tmp, f"{name}.json")
             try:
-                doc = run_bench(path, args.scale, metrics_path, args.threads)
+                doc, host[name] = run_bench(path, args.scale, metrics_path, args.threads)
             except (RuntimeError, OSError, json.JSONDecodeError) as e:
                 print(f"bench_runner: {name}: {e}", file=sys.stderr)
                 return 1
@@ -198,7 +216,10 @@ def main():
                 device = doc["runs"][0]["device"]
             new = entries_from_doc(name, doc)
             entries.extend(new)
-            print(f"bench_runner: {name}: {len(new)} runs")
+            print(
+                f"bench_runner: {name}: {len(new)} runs, "
+                f"{host[name]['wall_s']:.2f} s, {host[name]['peak_rss_mb']:.0f} MB peak RSS"
+            )
 
     trajectory = {
         "schema": BENCH_SCHEMA_NAME,
@@ -209,6 +230,7 @@ def main():
         "threads": (meta or {}).get("threads"),
         "meta": meta,
         "device": device,
+        "host": host,
         "entries": entries,
     }
     with open(out_path, "w", encoding="utf-8") as f:

@@ -15,6 +15,10 @@ for floating-point reassociation across toolchains. Any drift beyond that
 is a perf regression (or an improvement that must be locked in by
 regenerating the baseline with bench_runner.py and committing it).
 
+When both files carry bench_runner.py's `host` block, each bench's wall
+seconds and peak RSS are printed side by side. They measure the host, not
+the model, so they never decide pass or fail.
+
 Exits 0 when every metric is within tolerance, 1 otherwise.
 """
 
@@ -112,6 +116,23 @@ def compare(baseline, fresh, rel_tol, abs_tol):
     return failures
 
 
+def host_lines(baseline, fresh):
+    """Per-bench host cost of both files, for benches both recorded."""
+    base_host = baseline.get("host") or {}
+    fresh_host = fresh.get("host") or {}
+    lines = []
+    for bench, b in base_host.items():
+        f = fresh_host.get(bench)
+        if f is None:
+            continue
+        ratio = f" ({f['wall_s'] / b['wall_s']:.2f}x)" if b["wall_s"] > 0 else ""
+        lines.append(
+            f"  {bench}: wall_s {b['wall_s']:.2f} -> {f['wall_s']:.2f}{ratio}, "
+            f"peak_rss_mb {b['peak_rss_mb']:.0f} -> {f['peak_rss_mb']:.0f}"
+        )
+    return lines
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--baseline", default="bench/baseline.json")
@@ -172,6 +193,10 @@ def main():
             os.unlink(tmp.name)
 
     failures = compare(baseline, fresh, args.rel_tol, args.abs_tol)
+    host = host_lines(baseline, fresh)
+    if host:
+        print("check_perf_regression: host cost per bench, baseline -> fresh (not gated):")
+        print("\n".join(host))
     n_entries = len(baseline["entries"])
     if failures:
         print(
