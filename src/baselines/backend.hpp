@@ -50,14 +50,9 @@ struct RunResult {
   /// exhausted its degradation options (structured error model, DESIGN.md
   /// §10). `stats`/`ms`/`output` are meaningless when this is set.
   rt::Status status;
-  /// Run attempts consumed (serving resilience, DESIGN.md §12). 1 for the
-  /// direct run_* entry points; OptimizedEngine::run_batch counts retries.
+  /// Run attempts consumed (batch runs, DESIGN.md §12). 1 for the direct
+  /// run_* entry points; OptimizedEngine::run_batch counts retries.
   int attempts = 1;
-  /// The job's sim-time deadline expired (status is kDeadlineExceeded).
-  bool timed_out = false;
-  /// Circuit-breaker state the job was admitted under ("closed", "open",
-  /// "half_open"); empty outside run_batch.
-  std::string breaker_state;
 };
 
 /// Shared per-run inputs: weights are created once by the harness so that

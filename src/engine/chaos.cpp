@@ -54,7 +54,7 @@ bool bytes_equal(const models::Matrix& a, const models::Matrix& b) {
 std::span<const ChaosCell> chaos_cells() { return kCells; }
 
 rt::Result<ChaosReport> run_chaos_sweep(std::span<const ChaosJobSet> sets, double scale,
-                                        int breaker_threshold, const sim::DeviceSpec& spec) {
+                                        const sim::DeviceSpec& spec) {
   obs::EventJournal& journal = obs::EventJournal::instance();
   journal.set_enabled(true);
 
@@ -86,7 +86,6 @@ rt::Result<ChaosReport> run_chaos_sweep(std::span<const ChaosJobSet> sets, doubl
   const auto engine_cfg = [&](int shards) {
     EngineConfig cfg;
     cfg.auto_tune = true;
-    cfg.breaker.failure_threshold = breaker_threshold;
     cfg.shards = shards;
     return cfg;
   };
@@ -116,8 +115,8 @@ rt::Result<ChaosReport> run_chaos_sweep(std::span<const ChaosJobSet> sets, doubl
     ChaosCellVerdict& verdict = report.cells.emplace_back();
     verdict.name = cell.plan[0] != '\0' ? std::string(cell.plan)
                                         : (cell.shards > 1 ? "control(K=4)" : "control");
-    // Fresh engine per cell: no ladder, breaker or cache state crosses
-    // cell boundaries, so each cell is its own failure-domain experiment.
+    // Fresh engine per cell: no ladder or cache state crosses cell
+    // boundaries, so each cell is its own failure-domain experiment.
     OptimizedEngine eng(engine_cfg(cell.shards));
     const auto jobs = make_jobs(cell.plan, cell.max_attempts, "c" + std::to_string(c));
     const std::size_t journal_before = journal.size();

@@ -74,6 +74,6 @@ struct ChaosReport {
 /// any host thread count. `scale` sizes the dataset_load probe's graph.
 /// Errors only when the fault-free reference run fails.
 rt::Result<ChaosReport> run_chaos_sweep(std::span<const ChaosJobSet> sets, double scale,
-                                        int breaker_threshold, const sim::DeviceSpec& spec);
+                                        const sim::DeviceSpec& spec);
 
 }  // namespace gnnbridge::engine

@@ -50,17 +50,6 @@ constexpr KnobInfo kKnobTable[] = {
 
 const KnobInfo& knob_info(unsigned bit) { return kKnobTable[std::countr_zero(bit)]; }
 
-/// Knob bits for metric-schema names; unknown names are ignored.
-unsigned knob_mask(const std::vector<std::string>& names) {
-  unsigned mask = 0;
-  for (const std::string& name : names) {
-    for (const KnobInfo& k : kKnobTable) {
-      if (name == k.name) mask |= k.bit;
-    }
-  }
-  return mask;
-}
-
 /// Metric-schema names of the knobs in `mask`, in table order.
 std::vector<std::string> knob_names(unsigned mask) {
   std::vector<std::string> names;
@@ -223,7 +212,7 @@ bool OptimizedEngine::degrade_for(const rt::StageFailure& failure, detail::RunCo
     // The final rung of shard recovery (DESIGN.md §17): the per-shard
     // attempt budget is spent, so the whole run falls back to the
     // unsharded single-device pipeline. The run still succeeds — outputs
-    // are bit-identical either way — so the breaker never sees a failure.
+    // are bit-identical either way — so the job never counts as failed.
     if (!disable(detail::kSharding)) return false;
     ++rc.recovery.fallback_unsharded;
     if (rc.recovery.journal) {
@@ -259,17 +248,9 @@ auto OptimizedEngine::run_guarded(const Dataset& data, const models::Matrix* fea
   // plans that keep firing while we degrade.
   constexpr int kMaxRounds = 8;
   for (int round = 0; round < kMaxRounds; ++round) {
-    // Deadline/cancel checkpoint between ladder rounds: an expired budget
-    // ends the job here instead of starting another degraded attempt.
-    if (rt::Status s = rt::cancel_checkpoint(); !s.ok()) return fail(std::move(s));
     try {
       return attempt();
     } catch (const rt::StageFailure& failure) {
-      const rt::StatusCode code = failure.status().code();
-      if (code == rt::StatusCode::kDeadlineExceeded || code == rt::StatusCode::kCancelled) {
-        // Terminal: the ladder has no answer to a spent budget.
-        return fail(failure.status());
-      }
       if (!degrade_for(failure, rc)) return fail(failure.status());
     }
   }
@@ -354,15 +335,7 @@ std::optional<core::TuneConfig> OptimizedEngine::tune(
     const std::vector<NodeId>* las, detail::RunContext& rc) const {
   prof::Span span("auto_tune", "engine");
   span.arg("feat_len", static_cast<double>(key.feat));
-  // Probe launches run outside the job's cancel scope: tuning is engine-
-  // internal cache-amortized work, and which job reaches the cold cache
-  // first depends on thread timing — charging it to that job's deadline or
-  // checkpoint count would break the §11 byte-identical-metrics contract.
-  core::TuneResult tuned;
-  {
-    rt::AdoptScope neutral{rt::ScopeHandle{}};
-    tuned = tune_for(csr, key.feat, spec, las);
-  }
+  const core::TuneResult tuned = tune_for(csr, key.feat, spec, las);
   if (!tuned.error.ok()) {
     // A poisoned probe measurement must not pick the configuration: fall
     // back to the heuristic knobs — job-locally inside a batch job (the
@@ -391,7 +364,7 @@ std::size_t OptimizedEngine::tuned_cache_size() const {
 }
 
 namespace {
-/// Model tag for the breaker key; nullptr when the job names no model.
+/// Model tag for the journal key; nullptr when the job names no model.
 const char* batch_model_name(const OptimizedEngine::BatchJob& job) {
   if (job.gcn) return "gcn";
   if (job.gat) return "gat";
@@ -408,11 +381,7 @@ struct JobTally {
   std::uint64_t retries = 0;
   bool ran = false;        ///< the job was valid enough to attempt
   bool success = false;
-  bool timed_out = false;
-  bool cancelled = false;
-  double backoff_cycles = 0.0;
-  std::uint64_t cancel_points = 0;
-  std::vector<obs::JournalEvent> journal;  ///< buffered attempt/backoff events
+  std::vector<obs::JournalEvent> journal;  ///< buffered attempt and recovery events
   /// The job's ladder, cache isolation, buffered degradations and
   /// shard-recovery counters (§17).
   detail::RunContext run;
@@ -423,12 +392,10 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
   std::vector<RunResult> results(jobs.size());
   if (jobs.empty()) return results;
 
-  // --- Sequential admission pre-pass: breaker decisions in job order, so
-  // which job trips/probes/opens the breaker is independent of how the
-  // wave below is scheduled across threads. Each job's graph is hashed
-  // here, once; every attempt of the job reuses the fingerprint.
+  // --- Sequential pre-pass: each job's graph is hashed here, once; every
+  // attempt of the job reuses the fingerprint, and its journal events are
+  // keyed by (model, fingerprint).
   std::vector<std::string> keys(jobs.size());
-  std::vector<rt::BreakerDecision> admissions(jobs.size());
   std::vector<JobTally> tallies(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const char* model = jobs[i].data ? batch_model_name(jobs[i]) : nullptr;
@@ -438,7 +405,6 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
     char buf[17];
     std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(fp.checksum));
     keys[i] = std::string(model) + "/" + buf;
-    admissions[i] = breaker_.admit(keys[i]);
   }
 
   // Request IDs (DESIGN.md §13): caller-supplied or synthesized from this
@@ -463,11 +429,11 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
 
   // --- Parallel wave. Jobs are independent (model, dataset) configs; each
   // runs its whole pipeline inline on one pool worker (nested parallel
-  // regions detect the worker and stay serial) under its own deadline
-  // scope, fault plan, and job-local degradation ladder. Shared
-  // memoization is fingerprint-keyed and mutex-guarded, so results land in
-  // job order and match a sequential loop exactly; a failing, retrying, or
-  // expiring job never blocks a healthy one.
+  // regions detect the worker and stay serial) under its own fault plan
+  // and job-local degradation ladder. Shared memoization is
+  // fingerprint-keyed and mutex-guarded, so results land in job order and
+  // match a sequential loop exactly; a failing or retrying job never
+  // blocks a healthy one.
   const auto run_job = [&](std::size_t i) {
     const BatchJob& job = jobs[i];
     RunResult& out = results[i];
@@ -486,7 +452,6 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
       return;
     }
     tally.ran = true;
-    rt::CancelScope scope(job.deadline, job.cancel);
     // Per-job fault plan: thread-confined shot counters, so concurrent
     // jobs see deterministic fault schedules (the process-wide plan is
     // suppressed for the job's duration either way).
@@ -495,15 +460,10 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
       out.status = rt::Status(plan.status().code(), plan.status().message())
                        .with_context("batch job fault plan");
       out.attempts = 0;
-      tally.cancel_points = scope.checkpoints();
       return;
     }
-    // The job-local ladder starts from the breaker's admission rung (an
-    // open breaker routes the job straight to the last-known-good degraded
-    // knob set) plus the knobs the job itself forces off.
     detail::RunContext& rc = tally.run;
     rc.job = true;
-    rc.disabled = knob_mask(admissions[i].disabled_knobs) | knob_mask(job.disable_knobs);
     rc.cache_isolated = !job.fault_plan.empty();
     // Shard-recovery journal events (DESIGN.md §17) are buffered alongside
     // the attempt events so the sequential fold interleaves them in
@@ -540,40 +500,10 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
         tally.success = true;
         break;
       }
-      const rt::StatusCode code = out.status.code();
-      if (code == rt::StatusCode::kDeadlineExceeded) {
-        tally.timed_out = true;
-        break;
-      }
-      if (code == rt::StatusCode::kCancelled) {
-        tally.cancelled = true;
-        break;
-      }
       if (!rt::retryable(out.status) || attempt >= max_attempts) break;
-      // Deterministic backoff before the retry, charged in sim-time
-      // against the job's own deadline (never a wall-clock sleep).
-      const double backoff = rt::backoff_cycles(attempt);
-      tally.backoff_cycles += backoff;
-      if (journal_on) {
-        obs::JournalEvent ev;
-        ev.type = "backoff";
-        ev.key = keys[i];
-        ev.attempt = tally.attempts;
-        ev.cycles = backoff;
-        tally.journal.push_back(std::move(ev));
-      }
-      rt::charge_sim_cycles(backoff);
-      if (rt::Status s = rt::cancel_checkpoint(); !s.ok()) {
-        const bool deadline = s.code() == rt::StatusCode::kDeadlineExceeded;
-        out.status = std::move(s).with_context("run_batch retry backoff");
-        (deadline ? tally.timed_out : tally.cancelled) = true;
-        break;
-      }
       ++tally.retries;
     }
     out.attempts = static_cast<int>(tally.attempts);
-    out.timed_out = tally.timed_out;
-    tally.cancel_points = scope.checkpoints();
   };
   par::parallel_chunks(jobs.size(), /*grain=*/1,
                        [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
@@ -581,24 +511,14 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
                        });
 
   // --- Sequential fold in job order: degradation events flush to the sink
-  // in a deterministic sequence, breaker outcomes apply in job order, and
-  // the telemetry story — journal seq numbers and registry instruments —
-  // lands in job order, so every export is byte-identical at any host
-  // thread count.
+  // in a deterministic sequence, and the telemetry story — journal seq
+  // numbers and registry instruments — lands in job order, so every export
+  // is byte-identical at any host thread count.
   prof::MetricsSink& sink = prof::MetricsSink::instance();
   obs::EventJournal& journal = obs::EventJournal::instance();
   obs::TelemetryRegistry& reg = obs::TelemetryRegistry::instance();
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     JobTally& tally = tallies[i];
-    if (journal_on && tally.ran && !keys[i].empty()) {
-      obs::JournalEvent ev;
-      ev.request_id = req_ids[i];
-      ev.type = "admission";
-      ev.key = keys[i];
-      ev.code = rt::breaker_state_name(admissions[i].state);
-      if (admissions[i].probe) ev.detail = "half_open_probe";
-      journal.append(std::move(ev));
-    }
     if (journal_on) {
       for (obs::JournalEvent& ev : tally.journal) {
         ev.request_id = req_ids[i];
@@ -617,16 +537,11 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
       }
       sink.record_degradation(std::move(ev));
     }
-    const bool failed = !tally.success && !tally.timed_out && !tally.cancelled;
     reg.counter_add("serve.jobs", 1);
     reg.counter_add("serve.jobs_ok", tally.success ? 1 : 0);
-    reg.counter_add("serve.jobs_deadline", tally.timed_out ? 1 : 0);
-    reg.counter_add("serve.jobs_cancelled", tally.cancelled ? 1 : 0);
-    reg.counter_add("serve.jobs_failed", failed ? 1 : 0);
+    reg.counter_add("serve.jobs_failed", tally.success ? 0 : 1);
     reg.counter_add("serve.attempts", tally.attempts);
     reg.counter_add("serve.retries", tally.retries);
-    reg.counter_add("serve.cancel_points", tally.cancel_points);
-    if (tally.backoff_cycles > 0.0) reg.observe("serve.backoff_cycles", tally.backoff_cycles);
     flush_recovery(tally.run.recovery);
     if (journal_on) {
       obs::JournalEvent ev;
@@ -634,35 +549,13 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
       ev.type = "outcome";
       ev.key = keys[i];
       ev.code = rt::status_code_name(results[i].status.code());
-      ev.detail = !tally.ran       ? "rejected"
-                  : tally.success  ? "ok"
-                  : tally.timed_out ? "timed_out"
-                  : tally.cancelled ? "cancelled"
-                                    : "failed";
+      ev.detail = !tally.ran ? "rejected" : tally.success ? "ok" : "failed";
       ev.attempt = tally.attempts;
       ev.cycles = results[i].stats.total_cycles;
       journal.append(std::move(ev));
     }
     if (tally.ran) reg.observe("serve.job_attempts", static_cast<double>(tally.attempts));
     if (tally.success) reg.observe("serve.job_cycles", results[i].stats.total_cycles);
-    if (!tally.ran || keys[i].empty()) continue;
-    results[i].breaker_state = std::string(rt::breaker_state_name(admissions[i].state));
-    reg.counter_add("serve.breaker_open_admissions",
-                    admissions[i].state != rt::BreakerState::kClosed ? 1 : 0);
-    reg.counter_add("serve.breaker_half_open_probes", admissions[i].probe ? 1 : 0);
-    const rt::CircuitBreaker::OutcomeEffect effect =
-        breaker_.record(keys[i], admissions[i], tally.success, knob_names(tally.run.disabled));
-    reg.counter_add("serve.breaker_trips", effect.tripped ? 1 : 0);
-    reg.counter_add("serve.breaker_recoveries", effect.recovered ? 1 : 0);
-    if (journal_on && (effect.tripped || effect.recovered)) {
-      obs::JournalEvent ev;
-      ev.request_id = req_ids[i];
-      ev.type = "breaker";
-      ev.key = keys[i];
-      ev.code = effect.tripped ? "open" : "closed";
-      ev.detail = effect.tripped ? "tripped" : "recovered";
-      journal.append(std::move(ev));
-    }
   }
   reg.observe("serve.batch_jobs", static_cast<double>(jobs.size()));
   return results;

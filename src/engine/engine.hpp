@@ -29,8 +29,6 @@
 #include "core/tuner/tuner.hpp"
 #include "graph/fingerprint.hpp"
 #include "models/gcn_grad.hpp"
-#include "rt/breaker.hpp"
-#include "rt/deadline.hpp"
 #include "rt/degrade.hpp"
 
 namespace gnnbridge::shard {
@@ -91,8 +89,6 @@ struct EngineConfig {
   /// surfaces as the inter-shard-traffic gap. Models other than GCN/GAT
   /// run unsharded regardless.
   int shards = 1;
-  /// Per-(model, graph) circuit breaker for run_batch (DESIGN.md §12).
-  rt::BreakerConfig breaker;
 };
 
 /// The optimized engine, with graceful degradation (DESIGN.md §10): every
@@ -161,15 +157,9 @@ class OptimizedEngine final : public Backend {
     const baselines::MultiHeadGatRun* multihead_gat = nullptr;
     ExecMode mode = ExecMode::kSimulateOnly;
     sim::DeviceSpec spec;
-    /// Sim-time budget for the whole job, retries and backoff included;
-    /// expiry surfaces as kDeadlineExceeded with RunResult::timed_out set.
-    rt::Deadline deadline{};
     /// Run attempts before the job's failure is final (>= 1). Only
     /// retryable failures (rt::classify_for_retry) consume extra attempts.
     int max_attempts = 1;
-    /// Optional external cancellation; checked at the same cooperative
-    /// checkpoints as the deadline.
-    const rt::CancelToken* cancel = nullptr;
     /// Per-job fault plan (rt::FaultInjector plan syntax). Applies to this
     /// job alone — jobs see private shot counters, so a batch behaves
     /// identically at any thread count. Empty = no injected faults (the
@@ -181,10 +171,6 @@ class OptimizedEngine final : public Backend {
     /// IDs within one batch are disambiguated with "#2"/"#3"... suffixes
     /// in journal/trace output so events stay attributable.
     std::string request_id{};
-    /// Optimization knobs (rt::kKnob* names) force-disabled for this job
-    /// only, merged with the breaker's half-open degradations in the job's
-    /// admission set.
-    std::vector<std::string> disable_knobs{};
   };
 
   /// Runs independent (model, dataset) jobs concurrently on the host
@@ -193,17 +179,11 @@ class OptimizedEngine final : public Backend {
   /// Results are returned in job order and are identical to running each
   /// job sequentially.
   ///
-  /// Resilience (DESIGN.md §12): each job runs under its deadline/cancel
-  /// scope with per-job retry and fault isolation; a failing job never
-  /// blocks healthy ones. Admission and outcomes flow through a
-  /// per-(model, graph-fingerprint) circuit breaker in sequential job
-  /// order, and the jobs' serving counters are recorded in
-  /// obs::TelemetryRegistry — all byte-identical at any host thread count.
+  /// Resilience (DESIGN.md §12): each job runs with its own fault plan,
+  /// job-local degradation ladder and retry budget; a failing job never
+  /// blocks healthy ones. The jobs' journal events and serving counters
+  /// are recorded in job order — byte-identical at any host thread count.
   std::vector<RunResult> run_batch(std::span<const BatchJob> jobs);
-
-  /// The run_batch circuit breaker (observability for tests and the soak
-  /// driver).
-  const rt::CircuitBreaker& breaker() const { return breaker_; }
 
   /// Cache observability (tests): number of memoized LAS orders / tuned
   /// configurations. A mutated-then-rerun graph must grow these — the
@@ -214,10 +194,6 @@ class OptimizedEngine final : public Backend {
 
  private:
   EngineConfig cfg_;
-  /// Per-(model, graph-fingerprint) breaker shared by every run_batch call
-  /// on this engine (cross-batch memory of failing pairs). Declared after
-  /// cfg_ so it can take its configuration from it.
-  mutable rt::CircuitBreaker breaker_{cfg_.breaker};
 
   /// Monotonic run_batch counter, seed for synthesized request IDs. The
   /// counter is engine-local, so IDs are deterministic per call sequence

@@ -49,7 +49,7 @@ struct RecoveryTally {
 /// every attempt of it.
 struct RunContext {
   /// The graph's fingerprint, hashed once per run and shared by preflight,
-  /// the memo caches and the breaker key.
+  /// the memo caches and a batch job's journal key.
   graph::GraphFingerprint fp;
   /// Batch jobs walk a job-local ladder: knobs go off in `disabled` (never
   /// in the engine-wide mask, so one job's failures never change how a

@@ -23,10 +23,7 @@
 // Accounting contract: the merged RunStats advance the clock by the
 // *slowest shard* per phase (shards run concurrently) plus the exchange
 // cost; per-shard kernel records are appended in shard order, so the
-// metrics surface is byte-identical at any host thread count. Shard bodies
-// run under a neutral cancel scope — the parent charges the phase makespan
-// and checks cancellation at the (deterministic) barriers, keeping
-// deadline behaviour independent of how pool workers interleave.
+// metrics surface is byte-identical at any host thread count.
 //
 // Recovery contract (DESIGN.md §17): each shard is a failure domain. The
 // shard_compute seam fires inside one shard's per-layer phase body and the
@@ -90,16 +87,13 @@ struct ShardExec {
 };
 
 /// Runs `body(s)` for every shard concurrently on the host pool. Bodies
-/// adopt a neutral cancel scope: they only touch their own shard's
-/// SimContext, and the *parent* charges the phase makespan at the barrier
-/// (pool workers neither own the caller's deadline scope nor may charge
-/// it). Exceptions (e.g. injected sim_launch faults) surface as the
-/// lowest shard index's failure, matching a sequential loop.
+/// only touch their own shard's SimContext. Exceptions (e.g. injected
+/// sim_launch faults) surface as the lowest shard index's failure,
+/// matching a sequential loop.
 template <typename Body>
 void parallel_shards(std::size_t shard_count, Body&& body) {
   par::parallel_chunks(shard_count, /*grain=*/1,
                        [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
-                         rt::AdoptScope neutral{rt::ScopeHandle{}};
                          for (std::size_t s = begin; s < end; ++s) body(s);
                        });
 }
@@ -146,10 +140,9 @@ void note_retry(sim::RunStats& accum, detail::RecoveryTally& tally, std::string_
 /// are pre-drawn on the parent in shard order — deterministic at any host
 /// thread count — and every body runs regardless (a doomed shard's work is
 /// wasted-but-priced, like a real mid-kernel fault). Failed shards are
-/// then re-executed sequentially on the parent, in shard order, under a
-/// neutral cancel scope (the caller charges the phase makespan at the
-/// barrier); bodies fully overwrite their outputs from inputs the phase
-/// never mutates, so a redo is bit-identical to a clean run. A
+/// then re-executed sequentially on the parent, in shard order; bodies
+/// fully overwrite their outputs from inputs the phase never mutates, so
+/// a redo is bit-identical to a clean run. A
 /// non-retryable failure or a spent attempt budget raises StageFailure so
 /// the ladder can fall back to unsharded execution.
 template <typename Body>
@@ -177,7 +170,6 @@ void phase_with_recovery(std::vector<ShardExec>& se, std::size_t layer, const ch
       note_retry(accum, tally, rt::kSeamShardCompute, what, attempt, wasted, /*reexecution=*/true);
       start[s] = se[s].ctx->stats().total_cycles;
       fail[s] = rt::fire_fault(rt::kSeamShardCompute);
-      rt::AdoptScope neutral{rt::ScopeHandle{}};
       body(s);
     }
   }
@@ -268,7 +260,6 @@ void exchange_with_recovery(const shard::Partition& p, std::vector<k::FeatureMat
     accum.exchange_cycles += xcyc;
     accum.exchange_syncs += 1;
     accum.ghost_bytes += ghost_rows * row_bytes;
-    rt::charge_sim_cycles(xcyc);
     if (!fault) break;
     note_wasted(accum, tally, xcyc);
     const std::string what = "layer=" + std::to_string(layer) + " exchange";
@@ -364,10 +355,9 @@ RunResult merge_shards(std::vector<ShardExec>& shards, const sim::DeviceSpec& sp
 }
 
 /// Ends one parallel phase at its barrier. The shards ran concurrently, so
-/// the merged clock and the run's deadline advance by the phase makespan:
-/// the most cycles any shard accrued since the last barrier. Then
-/// cancellation is checked.
-void end_phase(std::vector<ShardExec>& shards, sim::Cycles& total, const std::string& where) {
+/// the merged clock advances by the phase makespan: the most cycles any
+/// shard accrued since the last barrier.
+void end_phase(std::vector<ShardExec>& shards, sim::Cycles& total) {
   sim::Cycles span = 0.0;
   for (ShardExec& se : shards) {
     const sim::Cycles cur = se.ctx->stats().total_cycles;
@@ -375,8 +365,6 @@ void end_phase(std::vector<ShardExec>& shards, sim::Cycles& total, const std::st
     se.last_total = cur;
   }
   total += span;
-  rt::charge_sim_cycles(span);
-  rt::throw_if_cancelled(where);
 }
 
 /// The layer loop both sharded models share. Per layer, `alloc(s, l)`
@@ -389,8 +377,7 @@ void end_phase(std::vector<ShardExec>& shards, sim::Cycles& total, const std::st
 template <typename Alloc, typename Aggregate>
 RunResult sharded_layers(std::vector<ShardExec>& se, const shard::Partition& p,
                          std::size_t layers, ExecMode mode, const sim::DeviceSpec& spec,
-                         detail::RecoveryTally& tally, const std::string& name, Alloc&& alloc,
-                         Aggregate&& aggregate) {
+                         detail::RecoveryTally& tally, Alloc&& alloc, Aggregate&& aggregate) {
   const bool full = mode == ExecMode::kFull;
   sim::RunStats accum;
   sim::Cycles total = 0.0;
@@ -406,7 +393,7 @@ RunResult sharded_layers(std::vector<ShardExec>& se, const shard::Partition& p,
       k::FeatureMat tview = top_rows(buf[s].t, se[s].sh->num_owned());
       k::dense_gemm(*se[s].ctx, {.a = &hview, .b = &buf[s].w, .c = &tview, .mode = mode});
     });
-    end_phase(se, total, name + " transform");
+    end_phase(se, total);
 
     // ---- Exchange: ghost rows of the transformed features (views share
     // the host matrices, so the copy lands in each shard's `.t`).
@@ -414,13 +401,12 @@ RunResult sharded_layers(std::vector<ShardExec>& se, const shard::Partition& p,
     for (const auto& b : buf) tloc.push_back(b.t);
     const auto row_bytes = static_cast<std::uint64_t>(buf[0].t.cols) * 4;
     exchange_with_recovery(p, tloc, full, spec, row_bytes, l, accum, tally, total);
-    rt::throw_if_cancelled(name + " exchange");
 
     // ---- Phase B: the model's layer body over the shard-local graph.
     const bool last = l + 1 == layers;
     phase_with_recovery(se, l, "aggregate", accum, tally,
                         [&](std::size_t s) { aggregate(s, buf[s], last); });
-    end_phase(se, total, name + " aggregate");
+    end_phase(se, total);
 
     for (std::size_t s = 0; s < se.size(); ++s) se[s].h = buf[s].out;
   }
@@ -505,8 +491,8 @@ RunResult OptimizedEngine::gcn_attempt_sharded(const Dataset& data, const GcnRun
                                          .lanes = plan.lanes,
                                          .mode = mode});
   };
-  return sharded_layers(se, *part, run.params->weight.size(), mode, spec, rc.recovery,
-                        "sharded gcn", alloc, aggregate);
+  return sharded_layers(se, *part, run.params->weight.size(), mode, spec, rc.recovery, alloc,
+                        aggregate);
 }
 
 RunResult OptimizedEngine::gat_attempt_sharded(const Dataset& data, const GatRun& run,
@@ -542,8 +528,8 @@ RunResult OptimizedEngine::gat_attempt_sharded(const Dataset& data, const GatRun
                              .lanes = plan.lanes,
                              .mode = mode});
   };
-  return sharded_layers(se, *part, run.params->weight.size(), mode, spec, rc.recovery,
-                        "sharded gat", alloc, aggregate);
+  return sharded_layers(se, *part, run.params->weight.size(), mode, spec, rc.recovery, alloc,
+                        aggregate);
 }
 
 }  // namespace gnnbridge::engine

@@ -1,10 +1,10 @@
 // Request-scoped event journal (DESIGN.md §13).
 //
-// A process-wide, append-only log of serving lifecycle events: one JSONL
-// line per admission, attempt, backoff, degradation, outcome and breaker
-// transition, each tagged with the originating job's request id — filter
-// on the id and a single job's full story (admission -> attempts ->
-// backoff -> deadline/breaker outcome) reads back in order.
+// A process-wide, append-only log of batch-job lifecycle events: one JSONL
+// line per attempt, degradation, injected fault, shard recovery step and
+// outcome, each tagged with the originating job's request id — filter on
+// the id and a single job's full story (attempts -> degradations ->
+// outcome) reads back in order.
 //
 // Determinism: OptimizedEngine::run_batch buffers a job's events job-
 // locally during the parallel wave and appends them in the sequential
@@ -28,26 +28,25 @@
 namespace gnnbridge::obs {
 
 /// One lifecycle event. `seq` is assigned by append(); every other field
-/// is filled by the emitter. Types: "admission", "attempt", "backoff",
-/// "degradation", "outcome", "breaker", plus the shard-recovery events
-/// "fault_injected" (`key` the seam, `attempt` the 1-based shot index),
-/// "shard_retry" (`key` the seam, `detail` the layer/phase/shard, `cycles`
-/// the wasted failed-attempt cycles) and "shard_fallback" (`key` the seam,
-/// `code` the disabled knob; DESIGN.md §17).
+/// is filled by the emitter. Types: "attempt", "degradation", "outcome",
+/// plus the shard-recovery events "fault_injected" (`key` the seam,
+/// `attempt` the 1-based shot index), "shard_retry" (`key` the seam,
+/// `detail` the layer/phase/shard, `cycles` the wasted failed-attempt
+/// cycles) and "shard_fallback" (`key` the seam, `code` the disabled knob;
+/// DESIGN.md §17).
 struct JournalEvent {
   std::uint64_t seq = 0;
   std::string request_id;
   std::string type;
-  /// Event subject: the breaker key for admission/breaker events, the
-  /// fault seam for degradations, empty otherwise.
+  /// Event subject: the job's "<model>/<graph fingerprint>" for
+  /// attempt/outcome events, the fault seam for the others.
   std::string key;
-  /// Status or state code: rt::status_code_name for attempts/outcomes,
-  /// rt::breaker_state_name for admission/breaker events, the disabled
-  /// knob for degradations.
+  /// Status code (rt::status_code_name) for attempts, outcomes and fault
+  /// shots; the disabled knob for degradations and shard fallbacks.
   std::string code;
   std::string detail;
   std::uint64_t attempt = 0;
-  /// Sim-cycles attributed to the event (attempt cost, backoff charge).
+  /// Sim-cycles attributed to the event (attempt cost, wasted recovery work).
   double cycles = 0.0;
 };
 

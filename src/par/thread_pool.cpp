@@ -7,10 +7,7 @@
 #include <cstdlib>
 #include <exception>
 #include <mutex>
-#include <string>
 #include <thread>
-
-#include "rt/deadline.hpp"
 
 namespace gnnbridge::par {
 
@@ -70,20 +67,16 @@ struct TaskRange {
 struct ThreadPool::Impl {
   std::mutex mu;
   std::condition_variable work_cv;   // workers wait for a new region
-  std::condition_variable done_cv;   // submitter waits for the region to drain
-  std::vector<std::thread> workers;
+  std::condition_variable done_cv;   // submitters wait for a region to drain
+  std::vector<std::thread> workers;  // grow-only; joined by ~ThreadPool
   bool stop = false;
 
   // Current region. Guarded by mu; workers read it after waking on
   // work_cv and before touching the (then-immutable) ranges/body.
   std::size_t job_gen = 0;
-  std::size_t num_tasks = 0;
   const std::function<void(std::size_t)>* body = nullptr;
   std::vector<TaskRange> ranges;  // one per participant (workers + caller)
   int workers_in_region = 0;
-  // The submitter's cancellation scope, adopted by workers for the region
-  // so chunk bodies see the same deadline the submitting job runs under.
-  rt::ScopeHandle scope;
 
   std::mutex err_mu;
   std::exception_ptr first_error;
@@ -128,14 +121,6 @@ struct ThreadPool::Impl {
   }
 
   void run_one(std::size_t task) {
-    // Cancelled scope: skip the chunk and record the cancellation as this
-    // task's failure. A fast non-counting query — only the deterministic
-    // checkpoints inside the body count toward the metrics surface.
-    if (rt::scope_cancelled()) {
-      record_error(task, std::make_exception_ptr(rt::StageFailure(
-                             std::string(rt::kDeadlineStage), rt::scope_status())));
-      return;
-    }
     try {
       (*body)(task);
     } catch (...) {
@@ -145,23 +130,20 @@ struct ThreadPool::Impl {
 
   // Participant 0 is the submitting thread; worker `slot` (fixed at spawn)
   // is participant slot+1. `seen_gen` starts at the generation current at
-  // spawn time so a freshly (re)spawned worker never joins a region that
-  // finished before it existed.
+  // spawn time so a freshly spawned worker never joins a region that
+  // finished before it existed. A region with fewer participants than
+  // workers leaves the extra workers asleep: they note the generation and
+  // wait for the next one, uncounted in workers_in_region.
   void worker_main(std::size_t participant, std::size_t seen_gen) {
     for (;;) {
-      rt::ScopeHandle region_scope;
       {
         std::unique_lock<std::mutex> lock(mu);
         work_cv.wait(lock, [&] { return stop || job_gen != seen_gen; });
         if (stop) return;
         seen_gen = job_gen;
-        region_scope = scope;
+        if (participant >= ranges.size()) continue;
       }
-      {
-        // Run under the submitter's deadline/cancel scope for the region.
-        rt::AdoptScope adopt(region_scope);
-        participate(participant);
-      }
+      participate(participant);
       {
         std::lock_guard<std::mutex> lock(mu);
         if (--workers_in_region == 0) done_cv.notify_all();
@@ -169,24 +151,11 @@ struct ThreadPool::Impl {
     }
   }
 
-  void stop_workers_locked(std::unique_lock<std::mutex>& lock) {
-    stop = true;
-    work_cv.notify_all();
-    std::vector<std::thread> joining = std::move(workers);
-    workers.clear();
-    lock.unlock();
-    for (std::thread& t : joining) t.join();
-    lock.lock();
-    stop = false;
-  }
-
-  void ensure_workers_locked(std::unique_lock<std::mutex>& lock, int want) {
-    if (static_cast<int>(workers.size()) == want) return;
-    if (!workers.empty()) stop_workers_locked(lock);
-    workers.reserve(static_cast<std::size_t>(want));
+  // Grows the worker set to `want`; never shrinks it (the destructor joins).
+  void grow_workers_locked(int want) {
     const std::size_t spawn_gen = job_gen;
-    for (int i = 0; i < want; ++i) {
-      const std::size_t participant = static_cast<std::size_t>(i) + 1;
+    for (std::size_t slot = workers.size(); slot < static_cast<std::size_t>(want); ++slot) {
+      const std::size_t participant = slot + 1;
       workers.emplace_back([this, participant, spawn_gen] { worker_main(participant, spawn_gen); });
     }
   }
@@ -200,9 +169,12 @@ ThreadPool& ThreadPool::instance() {
 ThreadPool::ThreadPool() : impl_(new Impl()) {}
 
 ThreadPool::~ThreadPool() {
-  std::unique_lock<std::mutex> lock(impl_->mu);
-  impl_->stop_workers_locked(lock);
-  lock.unlock();
+  {
+    std::lock_guard<std::mutex> lock(impl_->mu);
+    impl_->stop = true;
+  }
+  impl_->work_cv.notify_all();
+  for (std::thread& t : impl_->workers) t.join();
   delete impl_;
 }
 
@@ -217,25 +189,21 @@ void ThreadPool::run_tasks(std::size_t num_tasks, const std::function<void(std::
       ~Reset() { t_in_region = prev; }
     } reset{t_in_region};
     t_in_region = true;
-    for (std::size_t i = 0; i < num_tasks; ++i) {
-      if (rt::scope_cancelled()) {
-        throw rt::StageFailure(std::string(rt::kDeadlineStage), rt::scope_status());
-      }
-      fn(i);
-    }
+    for (std::size_t i = 0; i < num_tasks; ++i) fn(i);
     return;
   }
 
   Impl& im = *impl_;
   std::unique_lock<std::mutex> lock(im.mu);
-  // One region at a time: a second concurrent submitter waits for the
-  // previous region to drain (batch jobs submit from pool workers and run
-  // inline, so this only serializes truly independent top-level callers).
-  im.done_cv.wait(lock, [&] { return im.workers_in_region == 0; });
+  // One region at a time: a second concurrent submitter waits until the
+  // previous submitter has left its region and collected its result
+  // (batch jobs submit from pool workers and run inline, so this only
+  // serializes truly independent top-level callers).
+  im.done_cv.wait(lock, [&] { return im.body == nullptr; });
 
+  im.grow_workers_locked(threads - 1);
   const int want_workers =
       static_cast<int>(std::min<std::size_t>(static_cast<std::size_t>(threads - 1), num_tasks - 1));
-  im.ensure_workers_locked(lock, want_workers);
 
   const std::size_t participants = static_cast<std::size_t>(want_workers) + 1;
   im.ranges = std::vector<TaskRange>(participants);
@@ -246,9 +214,7 @@ void ThreadPool::run_tasks(std::size_t num_tasks, const std::function<void(std::
     im.ranges[p].next.store(num_tasks * p / participants, std::memory_order_relaxed);
     im.ranges[p].end = num_tasks * (p + 1) / participants;
   }
-  im.num_tasks = num_tasks;
   im.body = &fn;
-  im.scope = rt::current_scope();
   im.first_error = nullptr;
   im.workers_in_region = want_workers;
   ++im.job_gen;
@@ -263,6 +229,7 @@ void ThreadPool::run_tasks(std::size_t num_tasks, const std::function<void(std::
   std::exception_ptr err = im.first_error;
   im.first_error = nullptr;
   lock.unlock();
+  im.done_cv.notify_all();  // admit a waiting submitter
   if (err) std::rethrow_exception(err);
 }
 

@@ -38,8 +38,9 @@ void set_max_threads(int n);
 bool in_parallel_region();
 
 /// The process-wide pool. Lazily spawns max_threads()-1 workers on first
-/// use and resizes when the configured parallelism changes between
-/// regions.
+/// use and grows when the configured parallelism rises; it never shrinks,
+/// so workers outlive every region. A region narrower than the pool runs
+/// on its first participants while the other workers sleep through it.
 class ThreadPool {
  public:
   static ThreadPool& instance();

@@ -1,13 +1,11 @@
-// Retry policy: retryability classification + deterministic backoff
-// (serving resilience, DESIGN.md §12).
+// Retryability classification (batch runs and shard recovery, DESIGN.md
+// §12 and §17).
 //
 // Every StatusCode is *explicitly* classified as retryable or fatal by an
 // exhaustive switch — adding a code without deciding its class is a
 // compile error (-Wswitch under -Werror), and a table test asserts the
-// decisions. Backoff is exponential with fixed-seed multiplicative jitter and
-// is measured in *simulated* cycles: run_batch charges it against the
-// job's deadline through the virtual clock instead of sleeping, so
-// retried runs stay byte-identical at any host thread count.
+// decisions. run_batch spends a job's extra attempts only on retryable
+// failures, and shard recovery re-executes a shard only for one.
 #pragma once
 
 #include "rt/status.hpp"
@@ -41,12 +39,6 @@ constexpr RetryClass classify_for_retry(StatusCode code) {
       return RetryClass::kFatal;  // a bug does not heal on retry
     case StatusCode::kFaultInjected:
       return RetryClass::kRetryable;  // fault plans model transient faults
-    case StatusCode::kDeadlineExceeded:
-      return RetryClass::kFatal;  // the budget is spent
-    case StatusCode::kCancelled:
-      return RetryClass::kFatal;  // the caller asked us to stop
-    case StatusCode::kResourceExhausted:
-      return RetryClass::kRetryable;  // back off for the retry-after hint, then resubmit
   }
   return RetryClass::kFatal;  // unreachable; the switch above is exhaustive
 }
@@ -55,17 +47,5 @@ constexpr RetryClass classify_for_retry(StatusCode code) {
 inline bool retryable(const Status& status) {
   return classify_for_retry(status.code()) == RetryClass::kRetryable;
 }
-
-/// Backoff constants. All delays are simulated cycles (virtual clock).
-/// The first backoff, before attempt 2, is ~36 µs of V100 sim-time.
-inline constexpr double kBaseBackoffCycles = 50'000.0;
-inline constexpr double kBackoffMultiplier = 2.0;
-inline constexpr double kMaxBackoffCycles = 10'000'000.0;
-
-/// Deterministic backoff charged before retry number `attempt` (1-based:
-/// attempt 1 is the backoff after the first failure). Exponential in
-/// `attempt` with multiplicative jitter in [0.5, 1.0), capped at
-/// kMaxBackoffCycles; a pure function of `attempt`.
-double backoff_cycles(int attempt);
 
 }  // namespace gnnbridge::rt

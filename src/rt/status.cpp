@@ -13,9 +13,6 @@ std::string_view status_code_name(StatusCode code) {
     case StatusCode::kUnavailable: return "UNAVAILABLE";
     case StatusCode::kInternal: return "INTERNAL";
     case StatusCode::kFaultInjected: return "FAULT_INJECTED";
-    case StatusCode::kDeadlineExceeded: return "DEADLINE_EXCEEDED";
-    case StatusCode::kCancelled: return "CANCELLED";
-    case StatusCode::kResourceExhausted: return "RESOURCE_EXHAUSTED";
   }
   return "UNKNOWN";
 }

@@ -31,9 +31,6 @@ enum class StatusCode {
   kUnavailable,         ///< a dependency (I/O, measurement) failed transiently
   kInternal,            ///< a bug on our side
   kFaultInjected,       ///< a deliberately injected fault (GNNBRIDGE_FAULT_PLAN)
-  kDeadlineExceeded,    ///< the job's sim-time deadline expired (rt/deadline.hpp)
-  kCancelled,           ///< the job's CancelToken was cancelled
-  kResourceExhausted,   ///< a capacity limit rejected the request (retryable)
 };
 
 /// Stable upper-snake name for a code ("DATA_LOSS", ...).

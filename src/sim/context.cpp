@@ -5,7 +5,6 @@
 
 #include "par/thread_pool.hpp"
 #include "prof/span.hpp"
-#include "rt/deadline.hpp"
 #include "rt/fault.hpp"
 #include "sim/scheduler.hpp"
 
@@ -104,11 +103,6 @@ SimContext::SimContext(DeviceSpec spec)
     : spec_(spec), l2_(spec.l2_bytes, spec.l2_ways, spec.line_bytes) {}
 
 const KernelStats& SimContext::launch(Kernel kernel) {
-  // Block-scheduling boundary: an expired deadline or cancelled token is
-  // noticed here, before any new kernel work starts. Counting checkpoint —
-  // the job completes the kernel that crosses its budget and cancels at
-  // the next launch, so expiry is a function of sim-time alone.
-  rt::throw_if_cancelled("SimContext::launch('" + kernel.name + "')");
   // Fault seam: this is the chokepoint every simulated kernel passes
   // through, several stack frames below APIs that return void or stats
   // references — hence the exception vehicle (see rt::StageFailure).
@@ -239,7 +233,6 @@ const KernelStats& SimContext::launch(Kernel kernel) {
   span.arg("flops", ks.flops);
 
   stats_.total_cycles += ks.cycles;
-  rt::charge_sim_cycles(ks.cycles);  // advance the job's deadline clock
   // Every kernel boundary is a device-wide synchronization point: the host
   // serializes on the previous launch before issuing the next.
   stats_.global_syncs += 1;

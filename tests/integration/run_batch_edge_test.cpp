@@ -1,20 +1,18 @@
-// run_batch edge cases and breaker recovery (DESIGN.md §12): an empty job
-// list is a successful no-op, duplicate caller-supplied request ids are
-// disambiguated with "#n" suffixes in every emitted artifact, and the
-// circuit breaker walks open -> half-open probe -> closed under a
-// concurrent clean batch.
+// run_batch edge cases (DESIGN.md §12): an empty job list is a successful
+// no-op, duplicate caller-supplied request ids are disambiguated with "#n"
+// suffixes in every emitted artifact, and a job-local LAS degradation
+// reaches the tuner.
 #include <gtest/gtest.h>
 
-#include <set>
 #include <string>
 #include <vector>
 
 #include "engine/engine.hpp"
 #include "graph/datasets.hpp"
 #include "obs/journal.hpp"
-#include "obs/registry.hpp"
 #include "par/thread_pool.hpp"
 #include "prof/metrics_json.hpp"
+#include "rt/degrade.hpp"
 
 namespace gnnbridge {
 namespace {
@@ -100,64 +98,26 @@ TEST_F(RunBatchEdge, DuplicateCallerRequestIdsAreDisambiguated) {
       << "third occurrence must be suffixed:\n" << jsonl;
 }
 
-TEST_F(RunBatchEdge, BreakerRecoversHalfOpenToClosedUnderConcurrentBatch) {
-  par::set_max_threads(8);
-  EngineConfig cfg;
-  cfg.breaker.failure_threshold = 3;  // the default, pinned for the test
-  OptimizedEngine eng(cfg);
-
-  // Three consecutive failures on one key (every launch shot faulted, no
-  // retry budget) trip the breaker open.
-  std::vector<OptimizedEngine::BatchJob> failing(3, clean_job());
-  for (auto& job : failing) {
-    job.fault_plan = "sim_launch=*";
-    job.max_attempts = 1;
-  }
-  const auto failed = eng.run_batch(failing);
-  for (const auto& r : failed) {
-    EXPECT_FALSE(r.status.ok()) << "the fault plan must fail every attempt";
-  }
-  EXPECT_GE(obs::TelemetryRegistry::instance().counter_value("serve.breaker_trips"), 1u);
-
-  // A concurrent clean batch on the same key: the first open admissions
-  // run degraded, every probe_interval-th runs as a half-open probe at
-  // full optimization, and the probe's success closes the breaker.
-  std::vector<OptimizedEngine::BatchJob> clean(8, clean_job());
-  const auto probed = eng.run_batch(clean);
-  std::set<std::string> states;
-  for (const auto& r : probed) {
-    EXPECT_TRUE(r.status.ok()) << r.status.to_string();
-    states.insert(r.breaker_state);
-  }
-  EXPECT_TRUE(states.count("open")) << "pre-probe admissions run degraded under an open breaker";
-  EXPECT_TRUE(states.count("half_open")) << "a probe admission must appear";
-  EXPECT_GE(obs::TelemetryRegistry::instance().counter_value("serve.breaker_recoveries"), 1u)
-      << "the successful probe must close the breaker";
-
-  // Fully recovered: the next batch admits closed everywhere.
-  const auto recovered = eng.run_batch(clean);
-  for (const auto& r : recovered) {
-    EXPECT_TRUE(r.status.ok());
-    EXPECT_EQ(r.breaker_state, "closed");
-  }
-}
-
 // Regression: the tuner used to run LAS whatever the job's own knob set
-// said, so a job that turned LAS off still hit an armed las_cluster seam
-// inside the tuner. With LAS off, nothing in the job may run it.
+// said, so a job whose ladder had turned LAS off still hit an armed
+// las_cluster seam inside the tuner. A persistent LAS fault takes the LAS
+// rung once; after it nothing in the job may run LAS again, or the fault
+// fires again with no rung left and the job fails.
 TEST_F(RunBatchEdge, JobLocalLasDisableReachesTheTuner) {
   for (const bool auto_tune : {false, true}) {
+    prof::MetricsSink::instance().clear();
     EngineConfig cfg;
     cfg.auto_tune = auto_tune;
     OptimizedEngine eng(cfg);
     std::vector<OptimizedEngine::BatchJob> jobs = {clean_job()};
     jobs[0].fault_plan = "las_cluster=*";
-    jobs[0].disable_knobs = {"las"};
     const auto results = eng.run_batch(jobs);
     ASSERT_EQ(results.size(), 1u);
     EXPECT_TRUE(results[0].status.ok())
         << "auto_tune=" << auto_tune << ": " << results[0].status.to_string();
-    EXPECT_TRUE(prof::MetricsSink::instance().degradations().empty());
+    const auto degradations = prof::MetricsSink::instance().degradations();
+    ASSERT_EQ(degradations.size(), 1u) << "auto_tune=" << auto_tune;
+    EXPECT_EQ(degradations[0].knob, rt::kKnobLas) << "auto_tune=" << auto_tune;
   }
 }
 

@@ -3,7 +3,7 @@
 // exchange), the recovered output must be bit-identical to a fault-free
 // run, persistent faults must walk the final ladder rung
 // (sharded->unsharded) without the job ever failing, and none of it may
-// count against the circuit breaker. The journal carries the recovery
+// count as a failed job. The journal carries the recovery
 // story (fault_injected / shard_retry / shard_fallback). The chaos sweep
 // (engine/chaos.hpp) runs every seam's cells in process, byte-identical at
 // any host thread count.
@@ -216,37 +216,34 @@ TEST_F(ShardRecovery, DirectRunFlushesRetriesAndFallbackIntoRecoveryCounters) {
   EXPECT_EQ(reg.counter_value("serve.jobs"), 0u) << "a direct run is not a serving job";
 }
 
-// ---- Breaker interplay: shard-level recovery is invisible to the
-// circuit breaker. With failure_threshold=1 any recorded failure would
-// trip it — so trips==0 proves recovery never counts as one.
+// ---- Job accounting: shard-level recovery is invisible to the batch's
+// outcome counters. A recovered job, in place or on the fallback rung, is
+// a successful job.
 
-TEST_F(ShardRecovery, RecoverySuccessDoesNotCountAsBreakerFailure) {
+TEST_F(ShardRecovery, RecoverySuccessDoesNotCountAsAFailedJob) {
   const Inputs& in = inputs();
-  EngineConfig cfg = sharded_cfg(4);
-  cfg.breaker.failure_threshold = 1;
-  OptimizedEngine e(cfg);
+  OptimizedEngine e(sharded_cfg(4));
   const auto job = gcn_job(in, gcn_run(), "shard_compute=1");
   const auto results = e.run_batch({&job, 1});
   ASSERT_EQ(results.size(), 1u);
   ASSERT_TRUE(results[0].status.ok()) << results[0].status.to_string();
   EXPECT_GE(results[0].stats.shard_retries, 1u);
-  EXPECT_EQ(results[0].breaker_state, "closed");
-  EXPECT_EQ(e.breaker().counters().trips, 0u);
+  const obs::TelemetryRegistry& reg = obs::TelemetryRegistry::instance();
+  EXPECT_EQ(reg.counter_value("serve.jobs_ok"), 1u);
+  EXPECT_EQ(reg.counter_value("serve.jobs_failed"), 0u);
 }
 
-TEST_F(ShardRecovery, FallbackUnshardedKeepsTheBreakerClosed) {
+TEST_F(ShardRecovery, FallbackUnshardedCountsAsASuccessfulJob) {
   const Inputs& in = inputs();
-  EngineConfig cfg = sharded_cfg(4);
-  cfg.breaker.failure_threshold = 1;
-  OptimizedEngine e(cfg);
+  OptimizedEngine e(sharded_cfg(4));
   const auto job = gcn_job(in, gcn_run(), "shard_compute=*");
   const auto results = e.run_batch({&job, 1});
   ASSERT_EQ(results.size(), 1u);
   ASSERT_TRUE(results[0].status.ok()) << results[0].status.to_string();
-  // The job succeeded on the fallback rung, so the breaker records a
-  // success: closed state, zero trips, even at threshold 1.
-  EXPECT_EQ(results[0].breaker_state, "closed");
-  EXPECT_EQ(e.breaker().counters().trips, 0u);
+  EXPECT_EQ(results[0].stats.shards, 1) << "the job must finish on the unsharded rung";
+  const obs::TelemetryRegistry& reg = obs::TelemetryRegistry::instance();
+  EXPECT_EQ(reg.counter_value("serve.jobs_ok"), 1u);
+  EXPECT_EQ(reg.counter_value("serve.jobs_failed"), 0u);
 }
 
 // ---- Plan-cache hygiene: a partition computed under an armed
@@ -440,8 +437,7 @@ ChaosArtifacts run_chaos_and_export() {
                                .hostname = "fixed",
                                .scale_env = "",
                                .threads = 0});
-  const auto report = engine::run_chaos_sweep(in->job_sets, ChaosInputs::kScale,
-                                              /*breaker_threshold=*/3, sim::v100());
+  const auto report = engine::run_chaos_sweep(in->job_sets, ChaosInputs::kScale, sim::v100());
   const int threads = par::max_threads();
   EXPECT_TRUE(report.ok()) << report.status().to_string();
   if (!report.ok()) return {};

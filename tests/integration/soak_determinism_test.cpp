@@ -1,10 +1,8 @@
 // Resilient run_batch determinism (DESIGN.md §11 + §12): with per-job
-// fault plans, bounded deadlines, retries and the circuit breaker all
-// active, the metrics document — kernel counters, degradations AND the
-// serving telemetry — and the event journal must stay byte-identical at
-// 1, 2, 3, 4 and 8 host threads.
-// Also pins the per-job resilience surface of RunResult (attempts,
-// timed_out, breaker_state) for deadline expiry and external cancellation.
+// fault plans, job-local ladders and retries all active, the metrics
+// document — kernel counters, degradations AND the serving telemetry — and
+// the event journal must stay byte-identical at 1, 2, 3, 4 and 8 host
+// threads.
 #include <gtest/gtest.h>
 
 #include <iterator>
@@ -17,8 +15,6 @@
 #include "obs/registry.hpp"
 #include "par/thread_pool.hpp"
 #include "prof/metrics_json.hpp"
-#include "rt/deadline.hpp"
-#include "rt/status.hpp"
 
 namespace gnnbridge {
 namespace {
@@ -91,7 +87,7 @@ struct KindRuns {
 // a tuner-probe burst (degrades auto_tune), a LAS fault (falls back to
 // natural order), a fusion fault (adapter off) and a two-shot launch fault
 // (absorbed by two ladder rungs) — with clean jobs sharing the warm
-// caches, all under a generous bounded deadline with retry budget. Kinds
+// caches, all with a retry budget. Kinds
 // cycle fastest; the dataset alternates job by job, shifted per plan, so
 // every (kind, dataset) pair recurs.
 std::vector<OptimizedEngine::BatchJob> make_stream(const KindRuns& collab,
@@ -111,7 +107,6 @@ std::vector<OptimizedEngine::BatchJob> make_stream(const KindRuns& collab,
       case 3: job.multihead_gat = &runs.mh; break;
     }
     job.spec = sim::v100();
-    job.deadline = rt::Deadline::cycles(1e9);
     job.max_attempts = 2;
     job.fault_plan = plans[i / 4];
   }
@@ -151,8 +146,6 @@ SoakArtifacts run_soak_and_serialize() {
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_TRUE(results[i].status.ok())
         << "job " << i << ": " << results[i].status.to_string();
-    EXPECT_FALSE(results[i].timed_out) << "job " << i;
-    EXPECT_EQ(results[i].breaker_state, "closed") << "job " << i;
     sink.record({.label = "job" + std::to_string(i),
                  .model = kKinds[i % 4],
                  .backend = "ours",
@@ -165,8 +158,7 @@ SoakArtifacts run_soak_and_serialize() {
   const obs::TelemetryRegistry& reg = obs::TelemetryRegistry::instance();
   EXPECT_EQ(reg.counter_value("serve.jobs"), jobs.size());
   EXPECT_GE(reg.counter_value("serve.attempts"), jobs.size());
-  EXPECT_EQ(reg.counter_value("serve.jobs_deadline"), 0u);
-  EXPECT_EQ(reg.counter_value("serve.jobs_cancelled"), 0u);
+  EXPECT_EQ(reg.counter_value("serve.jobs_failed"), 0u);
   SoakArtifacts out{sink.to_json(), journal.to_jsonl()};
   EXPECT_GE(journal.size(), jobs.size());
   journal.set_enabled(false);
@@ -186,64 +178,6 @@ TEST_F(SoakDeterminism, FaultedSoakMetricsByteIdenticalAt1_2_3_4_8Threads) {
     EXPECT_EQ(parallel.metrics, serial.metrics) << "metrics at " << threads << " threads";
     EXPECT_EQ(parallel.journal, serial.journal) << "journal at " << threads << " threads";
   }
-}
-
-TEST_F(SoakDeterminism, DeadlineExpiryMarksTheJobWithoutBlockingHealthyOnes) {
-  const Inputs& in = inputs();
-  par::set_max_threads(4);
-  EngineConfig cfg;
-  OptimizedEngine eng(cfg);
-  baselines::GcnRun gcn{&in.gcn_cfg, &in.gcn_params, &in.x_collab};
-  baselines::GatRun gat{&in.gat_cfg, &in.gat_params, &in.x_collab};
-
-  std::vector<OptimizedEngine::BatchJob> jobs(2);
-  jobs[0].data = &in.collab;
-  jobs[0].gcn = &gcn;
-  jobs[0].spec = sim::v100();
-  jobs[0].deadline = rt::Deadline::cycles(10.0);  // expires on the first launch
-  jobs[0].max_attempts = 3;
-  jobs[1].data = &in.collab;
-  jobs[1].gat = &gat;
-  jobs[1].spec = sim::v100();
-
-  const auto results = eng.run_batch(jobs);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].status.code(), rt::StatusCode::kDeadlineExceeded);
-  EXPECT_TRUE(results[0].timed_out);
-  // Deadline expiry is fatal (rt/retry.hpp): the retry budget must not be
-  // spent re-running a job whose sim-time budget is gone.
-  EXPECT_EQ(results[0].attempts, 1);
-  EXPECT_EQ(results[0].breaker_state, "closed");
-  EXPECT_TRUE(results[1].status.ok()) << results[1].status.to_string();
-  EXPECT_FALSE(results[1].timed_out);
-
-  EXPECT_GE(obs::TelemetryRegistry::instance().counter_value("serve.jobs_deadline"), 1u);
-  prof::MetricsSink::instance().clear();
-}
-
-TEST_F(SoakDeterminism, CancelledTokenEndsTheJobAsCancelled) {
-  const Inputs& in = inputs();
-  par::set_max_threads(2);
-  OptimizedEngine eng;
-  baselines::GcnRun gcn{&in.gcn_cfg, &in.gcn_params, &in.x_collab};
-
-  rt::CancelToken token;
-  token.cancel(rt::Status(rt::StatusCode::kCancelled, "caller gave up"));
-  std::vector<OptimizedEngine::BatchJob> jobs(1);
-  jobs[0].data = &in.collab;
-  jobs[0].gcn = &gcn;
-  jobs[0].spec = sim::v100();
-  jobs[0].cancel = &token;
-  jobs[0].max_attempts = 3;
-
-  const auto results = eng.run_batch(jobs);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].status.code(), rt::StatusCode::kCancelled);
-  EXPECT_FALSE(results[0].timed_out);
-  EXPECT_EQ(results[0].attempts, 1);  // kCancelled is fatal: no retries
-
-  EXPECT_GE(obs::TelemetryRegistry::instance().counter_value("serve.jobs_cancelled"), 1u);
-  prof::MetricsSink::instance().clear();
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 // tracer's span records.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -16,9 +18,9 @@
 #include "obs/prometheus.hpp"
 #include "obs/registry.hpp"
 #include "par/thread_pool.hpp"
+#include "prof/json_reader.hpp"
 #include "prof/metrics_json.hpp"
 #include "prof/tracer.hpp"
-#include "rt/deadline.hpp"
 
 namespace gnnbridge {
 namespace {
@@ -65,9 +67,9 @@ const Inputs& inputs() {
   return *in;
 }
 
-// A stream with retries in play so attempt, backoff and degradation events
-// all hit the journal: a four-shot launch fault outlasts the ladder's
-// rungs, fails the first attempt and is absorbed by the retry.
+// A stream with retries in play so attempt and degradation events both hit
+// the journal: a four-shot launch fault outlasts the ladder's rungs, fails
+// the first attempt and is absorbed by the retry.
 std::vector<OptimizedEngine::BatchJob> make_stream(const baselines::GcnRun& gcn,
                                                    const baselines::GatRun& gat) {
   const Inputs& in = inputs();
@@ -82,7 +84,6 @@ std::vector<OptimizedEngine::BatchJob> make_stream(const baselines::GcnRun& gcn,
       job.gat = &gat;
     }
     job.spec = sim::v100();
-    job.deadline = rt::Deadline::cycles(1e9);
     job.max_attempts = 2;
     job.fault_plan = plans[i % 4];
   }
@@ -139,18 +140,23 @@ TEST_F(TelemetryBatch, ExportsByteIdenticalAt1_2_3_4_8Threads) {
   EXPECT_NE(serial.metrics.find("\"telemetry\""), std::string::npos);
   EXPECT_NE(serial.prometheus.find("gnnbridge_serve_job_cycles_count 6"), std::string::npos)
       << serial.prometheus;
-  // The stream really retries: a failed attempt, a backoff, another attempt.
-  const auto events = [&](const char* type) {
-    const std::string needle = std::string("\"type\":\"") + type + "\"";
-    std::size_t n = 0;
-    for (std::size_t at = serial.journal.find(needle); at != std::string::npos;
-         at = serial.journal.find(needle, at + 1)) {
-      ++n;
-    }
-    return n;
-  };
-  EXPECT_GE(events("backoff"), 1u) << serial.journal;
-  EXPECT_GT(events("attempt"), 6u) << "more attempts than jobs:\n" << serial.journal;
+  // The stream really retries: some jobs' first attempts fail, and each
+  // such job runs a second attempt.
+  std::size_t attempts = 0, failed_first = 0, second = 0;
+  std::istringstream lines(serial.journal);
+  for (std::string line; std::getline(lines, line);) {
+    const auto ev = prof::parse_json(line);
+    ASSERT_TRUE(ev.ok()) << ev.status().to_string() << "\n" << line;
+    if (ev->str_or("type", "") != "attempt") continue;
+    ++attempts;
+    const std::uint64_t attempt = ev->uint_or("attempt", 0);
+    if (attempt == 1 && ev->str_or("code", "") != "OK") ++failed_first;
+    if (attempt == 2) ++second;
+  }
+  EXPECT_GT(attempts, 6u) << "more attempts than jobs:\n" << serial.journal;
+  EXPECT_GE(failed_first, 1u) << serial.journal;
+  EXPECT_EQ(second, failed_first) << "every failed first attempt is retried:\n"
+                                  << serial.journal;
   for (int threads : {2, 3, 4, 8}) {
     par::set_max_threads(threads);
     const Exports parallel = run_and_export();

@@ -77,8 +77,8 @@ class JournalTest : public ::testing::Test {
 
 TEST_F(JournalTest, AppendAssignsContiguousSeqAndClearResets) {
   EventJournal& journal = EventJournal::instance();
-  EXPECT_EQ(journal.append(sample_event("req-a", "admission")), 0u);
-  EXPECT_EQ(journal.append(sample_event("req-a", "attempt")), 1u);
+  EXPECT_EQ(journal.append(sample_event("req-a", "attempt")), 0u);
+  EXPECT_EQ(journal.append(sample_event("req-a", "degradation")), 1u);
   EXPECT_EQ(journal.append(sample_event("req-b", "outcome")), 2u);
   EXPECT_EQ(journal.size(), 3u);
   const auto events = journal.snapshot();
@@ -96,7 +96,7 @@ TEST_F(JournalTest, AppendAssignsContiguousSeqAndClearResets) {
 
 TEST_F(JournalTest, JsonlLinesParseAndRoundTripEveryField) {
   EventJournal& journal = EventJournal::instance();
-  JournalEvent ev = sample_event("req-42", "backoff");
+  JournalEvent ev = sample_event("req-42", "attempt");
   ev.detail = "quoted \"detail\"";
   ev.attempt = 2;
   ev.cycles = 4096.0;
@@ -118,7 +118,7 @@ TEST_F(JournalTest, JsonlLinesParseAndRoundTripEveryField) {
   auto first = prof::parse_json(jsonl.substr(0, jsonl.find('\n')));
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first->str_or("req", ""), "req-42");
-  EXPECT_EQ(first->str_or("type", ""), "backoff");
+  EXPECT_EQ(first->str_or("type", ""), "attempt");
   EXPECT_EQ(first->str_or("key", ""), "gcn/0000000000000000");
   EXPECT_EQ(first->str_or("code", ""), "OK");
   EXPECT_EQ(first->str_or("detail", ""), "quoted \"detail\"");
@@ -128,7 +128,7 @@ TEST_F(JournalTest, JsonlLinesParseAndRoundTripEveryField) {
 
 TEST_F(JournalTest, WriteFileSurvivesAKillMidWrite) {
   EventJournal& journal = EventJournal::instance();
-  journal.append(sample_event("req-a", "admission"));
+  journal.append(sample_event("req-a", "attempt"));
   journal.append(sample_event("req-a", "outcome"));
   const std::string path = ::testing::TempDir() + "journal_crash.jsonl";
   ASSERT_TRUE(journal.write_file(path).ok());

@@ -1,6 +1,7 @@
 // Unit tests for the host threading model (src/par/thread_pool.hpp):
 // the pool runs every task exactly once, exceptions surface like a
-// sequential loop, nested regions run inline, and — the load-bearing
+// sequential loop, nested regions run inline, workers outlive narrower
+// regions, concurrent submitters take turns, and — the load-bearing
 // contract — chunked reductions are byte-identical at any thread count.
 #include "par/thread_pool.hpp"
 
@@ -9,9 +10,11 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <latch>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace gnnbridge::par {
@@ -124,6 +127,60 @@ TEST_F(ThreadPoolTest, NestedRegionsRunInlineWithoutDeadlock) {
   });
   EXPECT_FALSE(in_parallel_region());
   EXPECT_EQ(total.load(), 512);
+}
+
+// Set by a task on whichever thread ran it; a fresh thread starts unset.
+thread_local bool t_visited = false;
+
+// A region of `threads` tasks that all wait for one another, so every
+// participant runs exactly its own task. Returns how many tasks ran on a
+// pool thread (not the caller) that had never run a task before.
+std::size_t latched_region_fresh_threads(int threads) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::latch all_started(threads);
+  std::atomic<std::size_t> fresh{0};
+  ThreadPool::instance().run_tasks(static_cast<std::size_t>(threads), [&](std::size_t) {
+    if (std::this_thread::get_id() != caller && !t_visited) fresh.fetch_add(1);
+    t_visited = true;
+    all_started.arrive_and_wait();
+  });
+  return fresh.load();
+}
+
+TEST_F(ThreadPoolTest, WorkersOutliveANarrowerRegion) {
+  for (int threads : {3, 4, 8}) {
+    set_max_threads(threads);
+    latched_region_fresh_threads(threads);  // every worker has run a task now
+    std::atomic<int> count{0};
+    ThreadPool::instance().run_tasks(2, [&](std::size_t) { count.fetch_add(1); });
+    EXPECT_EQ(count.load(), 2);
+    EXPECT_EQ(latched_region_fresh_threads(threads), 0u)
+        << "the 2-task region replaced workers at " << threads << " threads";
+  }
+}
+
+TEST_F(ThreadPoolTest, ConcurrentSubmittersEachRunTheirOwnRegion) {
+  // Two top-level threads share the pool; the second must wait until the
+  // first has left its region, or one region runs the other's body.
+  set_max_threads(4);
+  std::atomic<int> bad_regions{0};
+  const auto submit = [&] {
+    for (int rep = 0; rep < 2000; ++rep) {
+      const std::size_t n = 2 + static_cast<std::size_t>(rep % 7);
+      std::vector<std::atomic<int>> hits(n);
+      ThreadPool::instance().run_tasks(n, [&](std::size_t i) { hits[i].fetch_add(1); });
+      for (const std::atomic<int>& h : hits) {
+        if (h.load() != 1) {
+          bad_regions.fetch_add(1);
+          break;
+        }
+      }
+    }
+  };
+  std::thread other(submit);
+  submit();
+  other.join();
+  EXPECT_EQ(bad_regions.load(), 0);
 }
 
 TEST_F(ThreadPoolTest, AlignedChunkBoundsNeverSplitJoinedRuns) {

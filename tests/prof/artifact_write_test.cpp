@@ -1,4 +1,4 @@
-// Crash-safe artifact writes (serving resilience, DESIGN.md §12):
+// Crash-safe artifact writes (DESIGN.md §12):
 // MetricsSink::write_file and write_chrome_trace_file stage the whole
 // document in a sibling ".tmp" file and rename it into place, so a process
 // killed mid-write never truncates a previously written artifact. The

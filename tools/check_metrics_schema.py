@@ -141,12 +141,9 @@ JOURNAL_EVENT_KEYS = {
     "cycles": (int, float),
 }
 JOURNAL_EVENT_TYPES = {
-    "admission",
     "attempt",
-    "backoff",
     "degradation",
     "outcome",
-    "breaker",
     # Shard-recovery events (DESIGN.md §17).
     "fault_injected",
     "shard_retry",

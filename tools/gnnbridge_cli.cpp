@@ -9,8 +9,8 @@
 //   gnnbridge_cli analyze metrics.json
 //   gnnbridge_cli compare baseline_metrics.json optimized_metrics.json
 //   gnnbridge_cli stats metrics.json --prom metrics.prom --journal journal.jsonl
-//   GNNBRIDGE_FAULT_PLAN=tuner_probe=3 gnnbridge_cli soak --jobs 10 --deadline-ms 50
-//   gnnbridge_cli soak --chaos --scale 0.04
+//   GNNBRIDGE_FAULT_PLAN=tuner_probe=3 gnnbridge_cli soak --jobs 10 --max-attempts 2
+//   gnnbridge_cli soak --chaos --scale 0.02
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
@@ -39,7 +39,6 @@
 #include "prof/json_reader.hpp"
 #include "prof/metrics_json.hpp"
 #include "prof/span.hpp"
-#include "rt/deadline.hpp"
 #include "rt/fault.hpp"
 #include "rt/status.hpp"
 #include "tensor/ops.hpp"
@@ -67,13 +66,10 @@ void usage() {
       "  soak                          replay a deterministic job stream through the\n"
       "                                optimized engine's run_batch under the fault plan\n"
       "                                in $GNNBRIDGE_FAULT_PLAN (applied per job), with\n"
-      "                                deadlines, retries and the circuit breaker; print\n"
-      "                                a survival summary. Soak options:\n"
+      "                                retries; print a survival summary. Soak options:\n"
       "                                  --jobs N (default 10), --wave W (default 4),\n"
       "                                  --scale S (default 0.05),\n"
-      "                                  --deadline-ms D (sim-ms per job; 0 = unbounded),\n"
       "                                  --max-attempts M (default 2),\n"
-      "                                  --breaker-threshold K (default 3),\n"
       "                                  --threads N, --metrics PATH, --trace PATH,\n"
       "                                  --journal PATH (JSONL event journal),\n"
       "                                  --prom PATH (Prometheus text exposition),\n"
@@ -487,7 +483,7 @@ int flush_soak_artifacts(CommonArgs& common, const std::string& journal_out,
 /// one line per cell and per out-of-engine probe. The schedule is fixed
 /// and the engine deterministic, so stdout and every artifact are
 /// byte-identical at any --threads value. Exits 5 on any violation.
-int run_chaos(double scale, int breaker_threshold, const std::string& env_plan,
+int run_chaos(double scale, const std::string& env_plan,
               CommonArgs& common, const std::string& journal_out, const std::string& prom_out,
               bool pin_meta, const std::deque<SoakDataset>& sets, const sim::DeviceSpec& spec) {
   if (!env_plan.empty()) {
@@ -513,7 +509,7 @@ int run_chaos(double scale, int breaker_threshold, const std::string& env_plan,
               cells.size(), job_sets.size() * 2, scale);
 
   const rt::Result<engine::ChaosReport> report =
-      engine::run_chaos_sweep(job_sets, scale, breaker_threshold, spec);
+      engine::run_chaos_sweep(job_sets, scale, spec);
   if (!report.ok()) {
     std::fprintf(stderr, "soak --chaos: %s\n", report.status().message().c_str());
     return 1;
@@ -557,12 +553,11 @@ int run_chaos(double scale, int breaker_threshold, const std::string& env_plan,
 // `gnnbridge_cli soak`: replay a deterministic (model, dataset) job stream
 // through OptimizedEngine::run_batch in waves, under the fault plan from
 // GNNBRIDGE_FAULT_PLAN (applied per job, so every job sees its own shot
-// counters), with per-job deadlines, retries and the circuit breaker. The
-// headline demo of DESIGN.md §12: with faults armed and deadlines set,
-// every job must still reach a final state.
+// counters), with per-job retries. The headline demo of DESIGN.md §12:
+// with faults armed, every job must still succeed.
 int cmd_soak(int argc, char** argv) {
-  int jobs = 10, wave = 4, max_attempts = 2, breaker_threshold = 3;
-  double scale = 0.05, deadline_ms = 0.0;
+  int jobs = 10, wave = 4, max_attempts = 2;
+  double scale = 0.05;
   CommonArgs common;
   std::string journal_out, prom_out;
   bool pin_meta = false, chaos = false;
@@ -582,12 +577,8 @@ int cmd_soak(int argc, char** argv) {
       wave = parse_int_flag("--wave", next(), 1, 4096);
     } else if (arg == "--scale") {
       scale = parse_double_flag("--scale", next());
-    } else if (arg == "--deadline-ms") {
-      deadline_ms = parse_double_flag("--deadline-ms", next());
     } else if (arg == "--max-attempts") {
       max_attempts = parse_int_flag("--max-attempts", next(), 1, 64);
-    } else if (arg == "--breaker-threshold") {
-      breaker_threshold = parse_int_flag("--breaker-threshold", next(), 1, 1000);
     } else if (arg == "--journal") {
       journal_out = next();
     } else if (arg == "--prom") {
@@ -609,10 +600,6 @@ int cmd_soak(int argc, char** argv) {
   if (!common.trace.empty()) prof::Tracer::instance().set_enabled(true);
   if (scale <= 0.0 || scale > 1.0) {
     std::fprintf(stderr, "--scale must be in (0, 1]\n");
-    return 2;
-  }
-  if (deadline_ms < 0.0) {
-    std::fprintf(stderr, "--deadline-ms must be >= 0\n");
     return 2;
   }
 
@@ -659,18 +646,16 @@ int cmd_soak(int argc, char** argv) {
   }
 
   if (chaos) {
-    return run_chaos(scale, breaker_threshold, plan, common, journal_out, prom_out, pin_meta,
-                     sets, spec);
+    return run_chaos(scale, plan, common, journal_out, prom_out, pin_meta, sets, spec);
   }
 
   engine::EngineConfig ecfg;
   ecfg.auto_tune = true;
-  ecfg.breaker.failure_threshold = breaker_threshold;
   ecfg.shards = common.shards;
   engine::OptimizedEngine eng(ecfg);
 
-  // The stream cycles models fast and datasets slowly, so consecutive jobs
-  // hit different breaker keys but every (model, dataset) cell recurs.
+  // The stream cycles models fast and datasets slowly, so every (model,
+  // dataset) cell recurs.
   const char* kKinds[] = {"gcn", "gat", "pool", "mhgat"};
   std::vector<engine::OptimizedEngine::BatchJob> stream(static_cast<std::size_t>(jobs));
   std::vector<std::string> labels(stream.size());
@@ -686,9 +671,6 @@ int cmd_soak(int argc, char** argv) {
     }
     job.mode = kernels::ExecMode::kSimulateOnly;
     job.spec = spec;
-    if (deadline_ms > 0.0) {
-      job.deadline = rt::Deadline::cycles(deadline_ms * spec.clock_ghz * 1e6);
-    }
     job.max_attempts = max_attempts;
     job.fault_plan = plan;
     // Stable ID matching the sink-label suffix ("<kind>/<dataset>/job<i>"),
@@ -708,10 +690,10 @@ int cmd_soak(int argc, char** argv) {
   }
 
   std::printf("soak: %d job(s) in waves of %d over %zu dataset(s) @ scale %.3g, "
-              "deadline %.3g sim-ms, max attempts %d, plan '%s'\n",
-              jobs, wave, sets.size(), scale, deadline_ms, max_attempts, plan.c_str());
+              "max attempts %d, plan '%s'\n",
+              jobs, wave, sets.size(), scale, max_attempts, plan.c_str());
 
-  std::size_t ok = 0, timed_out = 0, cancelled = 0, failed = 0;
+  std::size_t ok = 0;
   for (std::size_t start = 0, w = 0; start < stream.size(); start += static_cast<std::size_t>(wave), ++w) {
     const std::size_t n = std::min(static_cast<std::size_t>(wave), stream.size() - start);
     const auto results = eng.run_batch(std::span(stream).subspan(start, n));
@@ -730,18 +712,9 @@ int cmd_soak(int argc, char** argv) {
                      .oom = r.oom,
                      .stats = r.stats,
                      .spec = spec});
-      } else if (r.timed_out) {
-        ++timed_out;
-      } else if (r.status.code() == rt::StatusCode::kCancelled) {
-        ++cancelled;
       } else {
-        ++failed;
-      }
-      if (!r.status.ok()) {
-        std::fprintf(stderr, "soak: job %zu (%s, %d attempt(s), breaker %s): %s\n", idx,
-                     labels[idx].c_str(), r.attempts,
-                     r.breaker_state.empty() ? "closed" : r.breaker_state.c_str(),
-                     r.status.to_string().c_str());
+        std::fprintf(stderr, "soak: job %zu (%s, %d attempt(s)): %s\n", idx,
+                     labels[idx].c_str(), r.attempts, r.status.to_string().c_str());
       }
     }
     std::printf("wave %zu: %zu/%zu ok\n", w, wave_ok, n);
@@ -751,15 +724,8 @@ int cmd_soak(int argc, char** argv) {
   const auto count = [&](const char* name) {
     return static_cast<unsigned long long>(reg.counter_value(name));
   };
-  std::printf("robustness: jobs=%llu attempts=%llu retries=%llu deadline_hits=%llu "
-              "cancellations=%llu breaker_trips=%llu open_admissions=%llu "
-              "half_open_probes=%llu recoveries=%llu cancel_points=%llu "
-              "backoff_cycles=%.12g\n",
-              count("serve.jobs"), count("serve.attempts"), count("serve.retries"),
-              count("serve.jobs_deadline"), count("serve.jobs_cancelled"),
-              count("serve.breaker_trips"), count("serve.breaker_open_admissions"),
-              count("serve.breaker_half_open_probes"), count("serve.breaker_recoveries"),
-              count("serve.cancel_points"), reg.histogram_snapshot("serve.backoff_cycles").sum);
+  std::printf("robustness: jobs=%llu attempts=%llu retries=%llu\n", count("serve.jobs"),
+              count("serve.attempts"), count("serve.retries"));
 
   // Sim-cycle latency percentiles of the successful jobs, from the
   // telemetry registry the engine's fold filled.
@@ -770,9 +736,8 @@ int cmd_soak(int argc, char** argv) {
   if (int rc = flush_soak_artifacts(common, journal_out, prom_out); rc != 0) return rc;
 
   const std::size_t total = stream.size();
-  std::printf("survival: %.1f%% (%zu/%zu ok, %zu timed out, %zu cancelled, %zu failed)\n",
-              100.0 * static_cast<double>(ok) / static_cast<double>(total), ok, total, timed_out,
-              cancelled, failed);
+  std::printf("survival: %.1f%% (%zu/%zu ok, %zu failed)\n",
+              100.0 * static_cast<double>(ok) / static_cast<double>(total), ok, total, total - ok);
   return ok == total ? 0 : 1;
 }
 
