@@ -270,8 +270,8 @@ detail::AttemptPlan OptimizedEngine::resolve_plan(const graph::Csr& csr, detail:
   const unsigned off = degraded_.load(std::memory_order_relaxed) | rc.disabled;
   plan.knobs = configured_knobs(cfg_) & ~off;
   if (fusion_gate) {
-    // Fusion gate: the fused pipeline is only taken when the fusion
-    // machinery works; an injected fusion_pass fault degrades to unfused.
+    // Adapter gate: an injected fusion_pass fault degrades the attempt to
+    // the unfused pipeline.
     if (plan.on(detail::kAdapter)) rt::raise_if_armed(rt::kSeamFusionPass, fusion_gate);
     if (plan.on(detail::kSharding)) plan.shards = cfg_.shards;
   }

@@ -4,11 +4,9 @@
 // graphs and weights the baselines use:
 //   * locality-aware task scheduling — offline cluster-adjacent task order;
 //   * neighbor grouping — bounded tasks with atomic merge;
-//   * data-visible-range adapter + linear property — hand-written fused
-//     kernel pipelines: the layer bodies of baselines/pipeline.hpp, which
-//     the DGL-style backend runs in their Listing-1 variant. The engine
-//     does not call core::fuse, whose plans differ from what it launches
-//     (3 kernels per whole-row GAT layer where the engine launches 5);
+//   * data-visible-range adapter + linear property — the fused variants
+//     of the layer bodies in baselines/pipeline.hpp (the DGL-style backend
+//     runs their Listing-1 variant), over the kernels of kernels/fused.hpp;
 //   * sparse fetching + redundancy bypassing — for GraphSAGE-LSTM's
 //     center-neighbor neural operations.
 // Every knob is independently switchable, which is what the ablation

@@ -1,8 +1,8 @@
 // Fused kernels — the lowered output of the data-visible-range adapter.
 //
-// The fusion pass in core/fusion decides which of the baseline's
-// fine-grained operations can share a kernel once adapters reconcile their
-// data visible ranges (paper §4.2). These are the kernels it lowers to:
+// Once adapters reconcile their data visible ranges (paper §4.2), several
+// of the baseline's fine-grained operations share one kernel. The fused
+// layer bodies of baselines/pipeline.hpp launch these kernels:
 //
 //  * `gat_edge_fused`       — u_add_v + leaky_relu + exp in one pass over
 //                             each task's edge range; optionally also

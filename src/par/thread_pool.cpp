@@ -180,16 +180,29 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::run_tasks(std::size_t num_tasks, const std::function<void(std::size_t)>& fn) {
   if (num_tasks == 0) return;
+  if (num_tasks == 1) {
+    fn(0);  // no region: the task keeps the caller's in_parallel_region()
+    return;
+  }
   const int threads = max_threads();
-  if (num_tasks == 1 || threads <= 1 || t_in_region) {
+  if (threads <= 1 || t_in_region) {
     // Inline (and for nested regions: the caller already owns a
     // participant slot; waiting on the pool would deadlock it on itself).
+    // Like the pool, run every task and surface the lowest index's error.
     struct Reset {
       bool prev;
       ~Reset() { t_in_region = prev; }
     } reset{t_in_region};
     t_in_region = true;
-    for (std::size_t i = 0; i < num_tasks; ++i) fn(i);
+    std::exception_ptr first_error;
+    for (std::size_t i = 0; i < num_tasks; ++i) {
+      try {
+        fn(i);
+      } catch (...) {
+        if (!first_error) first_error = std::current_exception();
+      }
+    }
+    if (first_error) std::rethrow_exception(first_error);
     return;
   }
 

@@ -48,10 +48,12 @@ class ThreadPool {
   /// Runs fn(0) .. fn(num_tasks-1), each exactly once, on the pool plus
   /// the calling thread. Tasks are contiguously partitioned over the
   /// participants; exhausted participants steal from the ranges that still
-  /// have work. Blocks until every task finished. If any task throws, the
-  /// exception from the lowest task index is rethrown on the calling
-  /// thread after the region drains (matching what a sequential loop would
-  /// have surfaced first).
+  /// have work. Blocks until every task finished. At 1 thread or inside a
+  /// region the tasks run inline, in index order; a one-task region calls
+  /// its task directly and leaves in_parallel_region() as it was. Every
+  /// task runs even when another throws, so fault-seam shots are spent
+  /// alike at any thread count; the exception from the lowest task index
+  /// is rethrown on the calling thread after the region drains.
   void run_tasks(std::size_t num_tasks, const std::function<void(std::size_t)>& fn);
 
   ~ThreadPool();
@@ -78,19 +80,11 @@ inline std::size_t num_chunks(std::size_t n, std::size_t grain = kDefaultGrain) 
 /// [0, n) cut at multiples of `grain`. Chunk boundaries depend only on
 /// (n, grain); bodies run concurrently, so they must only touch state
 /// owned by their chunk (or merge through shards — see sharded_chunks).
-/// Runs inline when nested, when only one chunk exists, or at 1 thread.
+/// One run_tasks region with a task per chunk: every chunk runs, even
+/// after one throws.
 template <typename Body>
 void parallel_chunks(std::size_t n, std::size_t grain, Body&& body) {
-  if (n == 0) return;
-  const std::size_t chunks = num_chunks(n, grain);
-  if (chunks <= 1 || max_threads() <= 1 || in_parallel_region()) {
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t begin = c * grain;
-      body(c, begin, std::min(n, begin + grain));
-    }
-    return;
-  }
-  ThreadPool::instance().run_tasks(chunks, [&](std::size_t c) {
+  ThreadPool::instance().run_tasks(num_chunks(n, grain), [&](std::size_t c) {
     const std::size_t begin = c * grain;
     body(c, begin, std::min(n, begin + grain));
   });
@@ -101,16 +95,11 @@ void parallel_chunks(std::size_t n, std::size_t grain, Body&& body) {
 /// end) for each [bounds[c], bounds[c+1]). Used when chunk edges must be
 /// aligned to a structural property of the input (e.g. kernels keep all
 /// split tasks of one node in a single chunk so per-row accumulation order
-/// matches the sequential kernel exactly).
+/// matches the sequential kernel exactly). Runs like parallel_chunks.
 template <typename Body>
 void parallel_ranges(std::span<const std::size_t> bounds, Body&& body) {
   if (bounds.size() < 2) return;
-  const std::size_t chunks = bounds.size() - 1;
-  if (chunks == 1 || max_threads() <= 1 || in_parallel_region()) {
-    for (std::size_t c = 0; c < chunks; ++c) body(c, bounds[c], bounds[c + 1]);
-    return;
-  }
-  ThreadPool::instance().run_tasks(chunks,
+  ThreadPool::instance().run_tasks(bounds.size() - 1,
                                    [&](std::size_t c) { body(c, bounds[c], bounds[c + 1]); });
 }
 

@@ -30,7 +30,7 @@ namespace gnnbridge::rt {
 inline constexpr std::string_view kSeamDatasetLoad = "dataset_load";    ///< graph::try_make_dataset
 inline constexpr std::string_view kSeamLasCluster = "las_cluster";      ///< core::locality_aware_schedule
 inline constexpr std::string_view kSeamTunerProbe = "tuner_probe";      ///< engine::measure_aggregation
-inline constexpr std::string_view kSeamFusionPass = "fusion_pass";      ///< adapter/fusion availability
+inline constexpr std::string_view kSeamFusionPass = "fusion_pass";      ///< adapter gate of attempt plans
 inline constexpr std::string_view kSeamSimLaunch = "sim_launch";        ///< sim::SimContext::launch
 inline constexpr std::string_view kSeamMetricsWrite = "metrics_write";  ///< prof::MetricsSink::write_file
 inline constexpr std::string_view kSeamShardPartition = "shard_partition";  ///< shard::partition_graph via engine
@@ -56,7 +56,7 @@ inline constexpr std::array<SeamInfo, 9> kSeamTable = {{
     {kSeamDatasetLoad, "graph::try_make_dataset; no ladder, surfaces as a load error"},
     {kSeamLasCluster, "locality-aware scheduling pass; ladder falls back to natural row order"},
     {kSeamTunerProbe, "auto-tuner aggregation probe; ladder disables auto-tuning for the run"},
-    {kSeamFusionPass, "adapter/fusion availability check; ladder disables the fused adapter"},
+    {kSeamFusionPass, "the adapter gate of GCN/GAT attempt plans; ladder disables the fused adapter"},
     {kSeamSimLaunch, "sim::SimContext::launch; ladder walks grouping -> adapter -> LAS"},
     {kSeamMetricsWrite, "prof::MetricsSink::write_file; absorbed by the 3-attempt write retry"},
     {kSeamShardPartition, "shard::partition_graph via the engine plan cache; retry re-partitions"},

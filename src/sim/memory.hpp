@@ -24,10 +24,6 @@ struct Buffer {
     assert(offset < bytes);
     return base + offset;
   }
-  /// Address of element `i` of an array of `elem_bytes`-sized elements.
-  std::uint64_t elem_addr(std::uint64_t i, std::uint32_t elem_bytes) const {
-    return addr(i * elem_bytes);
-  }
 };
 
 /// Bump allocator for simulated device memory. Buffers are aligned to 256 B

@@ -11,14 +11,17 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "engine/engine.hpp"
 #include "graph/datasets.hpp"
 #include "models/reference.hpp"
+#include "par/thread_pool.hpp"
 #include "prof/metrics_json.hpp"
 #include "rt/fault.hpp"
 #include "tests/testing/util.hpp"
@@ -115,6 +118,62 @@ TEST(FaultMatrix, PersistentSimLaunchFaultExhaustsTheLadderCleanly) {
   EXPECT_FALSE(r.status.ok());
   EXPECT_GE(sink.degradation_count(), 2u);
   sink.clear();
+}
+
+// A process-wide plan whose seam fires inside a parallel region (a
+// shard body, the auto-tuner's probes) spends its shots alike at any
+// thread count: every task of a region runs even after one throws, inline
+// or on the pool. So a direct run degrades the same knobs, launches the
+// same kernels and leaves the same plan behind at 1 thread as at 8.
+TEST(FaultMatrix, ShotsFiredInParallelRegionsMatchTheOneThreadRun) {
+  EngineConfig sharded;
+  sharded.shards = 4;
+  EngineConfig tuned;
+  tuned.auto_tune = true;
+  const struct {
+    const char* plan;
+    EngineConfig ecfg;
+  } cases[] = {{"sim_launch=2", sharded}, {"sim_launch=2", tuned}, {"tuner_probe=3", tuned}};
+
+  struct Outcome {
+    std::vector<std::string> knobs;
+    models::Matrix output;
+    int launches = 0;
+    sim::Cycles cycles = 0.0;
+    std::string plan_left;
+  };
+  const int thread_counts[] = {1, 2, 3, 4, 8};
+  const GcnFixture f;
+  for (const auto& c : cases) {
+    std::vector<Outcome> runs;
+    for (int threads : thread_counts) {
+      par::set_max_threads(threads);
+      ASSERT_TRUE(rt::FaultInjector::instance().set_plan(c.plan));
+      OptimizedEngine e(c.ecfg);
+      const auto r = e.run_gcn(f.data, {&f.cfg, &f.params, &f.x}, ExecMode::kFull, sim::v100());
+      runs.push_back({e.degraded_knobs(), r.output, r.stats.num_launches(), r.stats.total_cycles,
+                      rt::FaultInjector::instance().plan_string()});
+      rt::FaultInjector::instance().clear();
+      ASSERT_TRUE(r.status.ok()) << c.plan << " at " << threads << " threads";
+    }
+    par::set_max_threads(0);
+    const Outcome& one = runs.front();
+    EXPECT_FALSE(one.knobs.empty()) << c.plan << ": the plan degraded nothing";
+    for (std::size_t i = 1; i < runs.size(); ++i) {
+      const Outcome& o = runs[i];
+      const std::string at =
+          std::string(c.plan) + " at " + std::to_string(thread_counts[i]) + " threads";
+      EXPECT_EQ(o.knobs, one.knobs) << at;
+      ASSERT_EQ(o.output.size(), one.output.size()) << at;
+      EXPECT_EQ(std::memcmp(o.output.data(), one.output.data(),
+                            static_cast<std::size_t>(one.output.size()) * sizeof(float)),
+                0)
+          << at;
+      EXPECT_EQ(o.launches, one.launches) << at;
+      EXPECT_EQ(o.cycles, one.cycles) << at;
+      EXPECT_EQ(o.plan_left, one.plan_left) << at;
+    }
+  }
 }
 
 TEST(FaultMatrix, DatasetLoadFaultIsAStructuredError) {

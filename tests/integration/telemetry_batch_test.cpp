@@ -68,12 +68,13 @@ const Inputs& inputs() {
 }
 
 // A stream with retries in play so attempt and degradation events both hit
-// the journal: a four-shot launch fault outlasts the ladder's rungs, fails
-// the first attempt and is absorbed by the retry.
+// the journal: a sixteen-shot launch fault outlasts the ladder's three
+// rungs (each round's five auto-tuner probes all run and spend five shots),
+// fails the first attempt and is absorbed by the retry.
 std::vector<OptimizedEngine::BatchJob> make_stream(const baselines::GcnRun& gcn,
                                                    const baselines::GatRun& gat) {
   const Inputs& in = inputs();
-  const char* plans[] = {"", "sim_launch=4", "tuner_probe=3", ""};
+  const char* plans[] = {"", "sim_launch=16", "tuner_probe=3", ""};
   std::vector<OptimizedEngine::BatchJob> jobs(6);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     OptimizedEngine::BatchJob& job = jobs[i];

@@ -1,6 +1,7 @@
 // Unit tests for the host threading model (src/par/thread_pool.hpp):
-// the pool runs every task exactly once, exceptions surface like a
-// sequential loop, nested regions run inline, workers outlive narrower
+// the pool runs every task exactly once, every task of a region runs
+// even when one throws and the lowest index's exception surfaces (inline
+// or on the pool), nested regions run inline, workers outlive narrower
 // regions, concurrent submitters take turns, and — the load-bearing
 // contract — chunked reductions are byte-identical at any thread count.
 #include "par/thread_pool.hpp"
@@ -102,6 +103,54 @@ TEST_F(ThreadPoolTest, ExceptionFromLowestTaskIndexIsRethrown) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "task 17");
   }
+}
+
+// Runs 100 tasks, of which 17 and 63 throw, through each region helper
+// and reports "<helper>: <tasks run> ran, <exception rethrown>".
+std::vector<std::string> run_throwing_regions() {
+  std::vector<std::size_t> bounds(101);
+  std::iota(bounds.begin(), bounds.end(), std::size_t{0});
+  const std::string helpers[] = {"run_tasks", "parallel_chunks", "parallel_ranges"};
+  std::vector<std::string> seen;
+  for (std::size_t h = 0; h < std::size(helpers); ++h) {
+    std::atomic<int> ran{0};
+    const auto task = [&](std::size_t i) {
+      ran.fetch_add(1, std::memory_order_relaxed);
+      if (i == 17 || i == 63) throw std::runtime_error("task " + std::to_string(i));
+    };
+    const auto chunk = [&](std::size_t c, std::size_t, std::size_t) { task(c); };
+    std::string rethrown = "nothing";
+    try {
+      if (h == 0) {
+        ThreadPool::instance().run_tasks(100, task);
+      } else if (h == 1) {
+        parallel_chunks(100, 1, chunk);
+      } else {
+        parallel_ranges(bounds, chunk);
+      }
+    } catch (const std::runtime_error& e) {
+      rethrown = e.what();
+    }
+    seen.push_back(helpers[h] + ": " + std::to_string(ran.load()) + " ran, " + rethrown);
+  }
+  return seen;
+}
+
+// Inline regions (1 thread, or nested in a region) fail like pool regions:
+// every task runs, so a fault seam inside a region spends the same shots
+// at any thread count, and the lowest task index's exception surfaces.
+TEST_F(ThreadPoolTest, InlineRegionsRunEveryTaskAndRethrowTheLowestIndex) {
+  const std::vector<std::string> want = {"run_tasks: 100 ran, task 17",
+                                         "parallel_chunks: 100 ran, task 17",
+                                         "parallel_ranges: 100 ran, task 17"};
+  set_max_threads(1);
+  EXPECT_EQ(run_throwing_regions(), want) << "at 1 thread";
+  set_max_threads(4);
+  EXPECT_EQ(run_throwing_regions(), want) << "on the pool";
+  std::vector<std::string> nested[2];
+  ThreadPool::instance().run_tasks(2, [&](std::size_t t) { nested[t] = run_throwing_regions(); });
+  EXPECT_EQ(nested[0], want) << "inside a parallel region";
+  EXPECT_EQ(nested[1], want) << "inside a parallel region";
 }
 
 TEST_F(ThreadPoolTest, PoolStaysUsableAfterAThrowingRegion) {

@@ -32,8 +32,7 @@ BENCH_SCHEMA_NAME = "gnnbridge-bench"
 BENCH_SCHEMA_VERSION = 1
 
 # Bench binaries per suite. `smoke` is the ctest-sized subset (seconds at
-# scale 0.05); `full` is every table/figure binary. bench_micro_kernels is
-# excluded: it runs on the google-benchmark harness and records no metrics.
+# scale 0.05); `full` is every table/figure binary.
 SUITES = {
     "smoke": [
         "bench_fig3_l2_miss",

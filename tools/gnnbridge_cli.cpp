@@ -67,7 +67,7 @@ void usage() {
       "                                optimized engine's run_batch under the fault plan\n"
       "                                in $GNNBRIDGE_FAULT_PLAN (applied per job), with\n"
       "                                retries; print a survival summary. Soak options:\n"
-      "                                  --jobs N (default 10), --wave W (default 4),\n"
+      "                                  --jobs N (default 10; run in waves of 4),\n"
       "                                  --scale S (default 0.05),\n"
       "                                  --max-attempts M (default 2),\n"
       "                                  --threads N, --metrics PATH, --trace PATH,\n"
@@ -100,8 +100,6 @@ void usage() {
       "  --trace PATH                  trace file. Precedence: this flag wins over\n"
       "                                $GNNBRIDGE_TRACE_JSON, which wins over the\n"
       "                                default gnnbridge_trace.json (profile mode)\n"
-      "  --trace-out PATH              alias for --trace\n"
-      "  --metrics-out PATH            alias for --metrics\n"
       "  --model gcn|gat|sage|pool|mhgat  model to run (default gcn)\n"
       "  --backend dgl|pyg|roc|ours    framework backend (default ours)\n"
       "  --dataset NAME                arxiv|collab|citation|ddi|protein|ppa|reddit|products\n"
@@ -226,17 +224,17 @@ struct CommonArgs {
   int shards = 1;
 };
 
-/// One handler for the flags every subcommand accepts: --metrics /
-/// --metrics-out, --trace / --trace-out, --shards, and --threads (which
-/// applies immediately). Returns true when `arg` was consumed; `next` must
-/// yield the flag's value (exiting with a usage error when absent).
+/// One handler for the flags every subcommand accepts: --metrics, --trace,
+/// --shards, and --threads (which applies immediately). Returns true when
+/// `arg` was consumed; `next` must yield the flag's value (exiting with a
+/// usage error when absent).
 template <typename Next>
 bool parse_common_flag(const std::string& arg, Next&& next, CommonArgs& out) {
-  if (arg == "--metrics" || arg == "--metrics-out") {
+  if (arg == "--metrics") {
     out.metrics = next();
     return true;
   }
-  if (arg == "--trace" || arg == "--trace-out") {
+  if (arg == "--trace") {
     out.trace = next();
     return true;
   }
@@ -556,7 +554,8 @@ int run_chaos(double scale, const std::string& env_plan,
 // counters), with per-job retries. The headline demo of DESIGN.md §12:
 // with faults armed, every job must still succeed.
 int cmd_soak(int argc, char** argv) {
-  int jobs = 10, wave = 4, max_attempts = 2;
+  constexpr std::size_t kWave = 4;  // jobs per run_batch call
+  int jobs = 10, max_attempts = 2;
   double scale = 0.05;
   CommonArgs common;
   std::string journal_out, prom_out;
@@ -573,8 +572,6 @@ int cmd_soak(int argc, char** argv) {
     if (parse_common_flag(arg, next, common)) {
     } else if (arg == "--jobs") {
       jobs = parse_int_flag("--jobs", next(), 1, 100000);
-    } else if (arg == "--wave") {
-      wave = parse_int_flag("--wave", next(), 1, 4096);
     } else if (arg == "--scale") {
       scale = parse_double_flag("--scale", next());
     } else if (arg == "--max-attempts") {
@@ -689,13 +686,13 @@ int cmd_soak(int argc, char** argv) {
                                  .threads = 0});
   }
 
-  std::printf("soak: %d job(s) in waves of %d over %zu dataset(s) @ scale %.3g, "
+  std::printf("soak: %d job(s) in waves of %zu over %zu dataset(s) @ scale %.3g, "
               "max attempts %d, plan '%s'\n",
-              jobs, wave, sets.size(), scale, max_attempts, plan.c_str());
+              jobs, kWave, sets.size(), scale, max_attempts, plan.c_str());
 
   std::size_t ok = 0;
-  for (std::size_t start = 0, w = 0; start < stream.size(); start += static_cast<std::size_t>(wave), ++w) {
-    const std::size_t n = std::min(static_cast<std::size_t>(wave), stream.size() - start);
+  for (std::size_t start = 0, w = 0; start < stream.size(); start += kWave, ++w) {
+    const std::size_t n = std::min(kWave, stream.size() - start);
     const auto results = eng.run_batch(std::span(stream).subspan(start, n));
     std::size_t wave_ok = 0;
     for (std::size_t j = 0; j < results.size(); ++j) {
