@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 
 #include "par/thread_pool.hpp"
+#include "rt/fault.hpp"
 
 namespace gnnbridge::core {
 
@@ -21,15 +23,39 @@ TuneResult tune_graph_op(const Csr& g, const TuneObjective& measure, TuneConfig 
 
   // Candidates within a phase are independent, so their measurements run
   // in parallel (each probe builds its own simulation context). The
-  // results are then folded strictly in candidate order — round counting,
-  // the first-strictly-lower-wins tie-break and the stop-at-first-bad-
-  // probe semantics are all identical to the sequential search.
+  // tuner_probe seam is drawn first, here, in candidate order, so which
+  // probe a shot hits never depends on the thread count, even beside a
+  // second seam (a probe's sim_launch); the lowest-index failure, drawn or
+  // thrown, is rethrown after the region. The results are folded strictly
+  // in candidate order — round counting, the first-strictly-lower-wins
+  // tie-break and the stop-at-first-bad-probe semantics are all identical
+  // to the sequential search.
   auto measure_all = [&](const std::vector<TuneConfig>& cfgs) {
+    std::vector<std::exception_ptr> failed(cfgs.size());
+    for (std::exception_ptr& f : failed) {
+      try {
+        // Named after the probe the shot stands in for: the engine's and
+        // the benches' objective is engine::measure_aggregation.
+        rt::raise_if_armed(rt::kSeamTunerProbe, "measure_aggregation");
+      } catch (const rt::StageFailure&) {
+        f = std::current_exception();
+      }
+    }
     std::vector<double> cycles(cfgs.size(), 0.0);
     par::parallel_chunks(cfgs.size(), /*grain=*/1,
                          [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
-                           for (std::size_t i = begin; i < end; ++i) cycles[i] = measure(cfgs[i]);
+                           for (std::size_t i = begin; i < end; ++i) {
+                             if (failed[i]) continue;
+                             try {
+                               cycles[i] = measure(cfgs[i]);
+                             } catch (...) {
+                               failed[i] = std::current_exception();
+                             }
+                           }
                          });
+    for (const std::exception_ptr& f : failed) {
+      if (f) std::rethrow_exception(f);
+    }
     return cycles;
   };
 

@@ -59,6 +59,10 @@ struct TuneResult {
 /// one phase in parallel, in no fixed order, so an objective that keeps
 /// state across calls (a call counter, say) races and sees a thread-
 /// dependent sequence. Key any deliberate behaviour on the candidate.
+/// Before a phase's probes run, tune_graph_op draws the `tuner_probe`
+/// fault seam once per candidate on the calling thread; a candidate whose
+/// shot fires is not measured, and the phase throws the lowest-index
+/// failure (that StageFailure, or what an objective threw).
 using TuneObjective = std::function<double(const TuneConfig&)>;
 
 /// One-factor-at-a-time search: lanes first (with grouping at the graph's

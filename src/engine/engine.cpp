@@ -428,8 +428,8 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
   const bool journal_on = obs::EventJournal::instance().enabled();
 
   // --- Parallel wave. Jobs are independent (model, dataset) configs; each
-  // runs its whole pipeline inline on one pool worker (nested parallel
-  // regions detect the worker and stay serial) under its own fault plan
+  // runs its whole pipeline inline on one thread (its nested parallel
+  // regions stay serial) under its own fault plan
   // and job-local degradation ladder. Shared memoization is
   // fingerprint-keyed and mutex-guarded, so results land in job order and
   // match a sequential loop exactly; a failing or retrying job never
@@ -441,6 +441,10 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
     // Thread-local request ID: every prof::Span opened below (and any
     // nested instrumentation) stamps this ID into its record.
     obs::RequestScope req_scope(req_ids[i]);
+    // The job's shard bodies, tuner probes and replays run inline on this
+    // thread, which alone sees its fault plan and fire listener — also in
+    // a batch of one job, whose one-task region runs it outside any region.
+    const par::InlineScope inline_scope;
     if (!job.data) {
       out.status = rt::Status(rt::StatusCode::kInvalidArgument, "batch job has no dataset");
       out.attempts = 0;

@@ -3,7 +3,6 @@
 #include "core/locality/schedule.hpp"
 #include "kernels/spmm.hpp"
 #include "prof/span.hpp"
-#include "rt/fault.hpp"
 
 namespace gnnbridge::engine {
 
@@ -12,11 +11,6 @@ namespace k = gnnbridge::kernels;
 double measure_aggregation(const graph::Csr& csr, tensor::Index feat_len,
                            const core::TuneConfig& config, const sim::DeviceSpec& spec,
                            double sample_fraction, const std::vector<graph::NodeId>* las_order) {
-  // Fault seam: a failed measurement surfaces as a stage failure the
-  // engine's degradation ladder answers by falling back to the heuristic
-  // configuration. (A *silently* broken probe — NaN cycles — is caught
-  // separately by the tuner's probe validation.)
-  rt::raise_if_armed(rt::kSeamTunerProbe, "measure_aggregation");
   prof::Span span("tune_probe", "engine");
   span.arg("lanes", config.lanes);
   span.arg("group_bound", static_cast<double>(config.group_bound));

@@ -17,10 +17,15 @@
 // the soak CLI's --journal flag enables it and writes the file.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <mutex>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "rt/status.hpp"
@@ -49,6 +54,39 @@ struct JournalEvent {
   /// Sim-cycles attributed to the event (attempt cost, wasted recovery work).
   double cycles = 0.0;
 };
+
+/// Every event type a journal line may carry (see JournalEvent).
+inline constexpr std::array<std::string_view, 6> kJournalEventTypes = {
+    "attempt", "degradation", "outcome", "fault_injected", "shard_retry", "shard_fallback"};
+
+/// The field list of one journal line, for prof::FieldWriter/FieldReader
+/// (prof/fields.hpp).
+inline constexpr auto journal_event_fields = [](auto& v, auto& ev) {
+  v.field("seq", ev.seq);
+  v.field("req", ev.request_id);
+  v.field("type", ev.type);
+  v.field("key", ev.key);
+  v.field("code", ev.code);
+  v.field("detail", ev.detail);
+  v.field("attempt", ev.attempt);
+  v.field("cycles", ev.cycles);
+  v.check(!ev.request_id.empty(), "empty request id");
+  v.check(std::find(kJournalEventTypes.begin(), kJournalEventTypes.end(), ev.type) !=
+              kJournalEventTypes.end(),
+          "unknown event type");
+};
+
+/// What a valid journal holds.
+struct JournalSummary {
+  std::size_t events = 0;
+  std::set<std::string> requests;
+  std::map<std::string, std::size_t> events_by_type;
+};
+
+/// Checks JSONL journal text as `to_jsonl` writes it: every line one event
+/// read through journal_event_fields, and `seq` counting up from 0 without
+/// a gap. kDataLoss naming the first bad line otherwise.
+rt::Result<JournalSummary> check_journal(std::string_view text);
 
 /// Singleton collector. Thread-safe; run_batch only appends from its
 /// sequential fold, but tests and future emitters may append anywhere.

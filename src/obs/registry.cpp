@@ -1,6 +1,6 @@
 #include "obs/registry.hpp"
 
-#include "prof/json_writer.hpp"
+#include <set>
 
 namespace gnnbridge::obs {
 
@@ -64,42 +64,19 @@ std::size_t TelemetryRegistry::histogram_count() const {
   return histograms_.size();
 }
 
-void write_telemetry_json(prof::JsonWriter& w, const RegistrySnapshot& snap) {
-  w.begin_object();
-  w.key("counters");
-  w.begin_array();
-  for (const auto& [name, value] : snap.counters) {
-    w.begin_object();
-    w.kv("name", std::string_view(name));
-    w.kv("value", value);
-    w.end_object();
+std::uint64_t counter_value(const RegistrySnapshot& snap, std::string_view name) {
+  for (const auto& [n, value] : snap.counters) {
+    if (n == name) return value;
   }
-  w.end_array();
-  w.key("histograms");
-  w.begin_array();
-  for (const auto& [name, h] : snap.histograms) {
-    w.begin_object();
-    w.kv("name", std::string_view(name));
-    w.kv("count", h.count);
-    w.kv("sum", h.sum);
-    w.kv("min", h.min);
-    w.kv("max", h.max);
-    w.kv("p50", h.p50);
-    w.kv("p90", h.p90);
-    w.kv("p99", h.p99);
-    w.key("buckets");
-    w.begin_array();
-    for (const auto& [le, count] : h.buckets) {
-      w.begin_object();
-      w.kv("le", le);
-      w.kv("count", count);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
+  return 0;
+}
+
+bool unique_counter_names(const RegistrySnapshot& snap) {
+  std::set<std::string_view> names;
+  for (const auto& c : snap.counters) {
+    if (!names.insert(c.first).second) return false;
   }
-  w.end_array();
-  w.end_object();
+  return true;
 }
 
 }  // namespace gnnbridge::obs

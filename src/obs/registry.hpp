@@ -21,10 +21,6 @@
 
 #include "obs/histogram.hpp"
 
-namespace gnnbridge::prof {
-class JsonWriter;
-}  // namespace gnnbridge::prof
-
 namespace gnnbridge::obs {
 
 /// Point-in-time copy of the whole registry, names sorted lexicographically.
@@ -60,8 +56,58 @@ class TelemetryRegistry {
   std::map<std::string, LogHistogram, std::less<>> histograms_;
 };
 
-/// Serializes a snapshot as the metrics document's `telemetry` object onto
-/// an open JsonWriter (the writer must be positioned after a key).
-void write_telemetry_json(prof::JsonWriter& w, const RegistrySnapshot& snap);
+/// A counter's value in `snap`; 0 when absent (instruments appear once
+/// first recorded).
+std::uint64_t counter_value(const RegistrySnapshot& snap, std::string_view name);
+
+/// True when no counter name appears twice in `snap`.
+bool unique_counter_names(const RegistrySnapshot& snap);
+
+// Field lists of the metrics document's `telemetry` object, for
+// prof::FieldWriter/FieldReader (prof/fields.hpp). The checks are the
+// invariants every exported histogram and the run_batch and shard-recovery
+// accounting hold.
+
+inline constexpr auto counter_fields = [](auto& v, auto& c) {
+  v.field("name", c.first);
+  v.field("value", c.second);
+};
+
+inline constexpr auto bucket_fields = [](auto& v, auto& b) {
+  v.field("le", b.first);
+  v.field("count", b.second);
+};
+
+inline constexpr auto histogram_fields = [](auto& v, auto& entry) {
+  auto& [name, h] = entry;
+  v.field("name", name);
+  v.field("count", h.count);
+  v.field("sum", h.sum);
+  v.field("min", h.min);
+  v.field("max", h.max);
+  v.field("p50", h.p50);
+  v.field("p90", h.p90);
+  v.field("p99", h.p99);
+  v.array("buckets", h.buckets, bucket_fields);
+  std::uint64_t in_buckets = 0;
+  for (const auto& b : h.buckets) in_buckets += b.second;
+  v.check(in_buckets == h.count, "bucket counts do not sum to count");
+  v.check(h.count == 0 || (h.min <= h.p50 && h.p50 <= h.max), "p50 outside [min, max]");
+  v.check(h.count > 0 || (h.sum == 0.0 && h.min == 0.0 && h.max == 0.0 && h.p50 == 0.0 &&
+                          h.p90 == 0.0 && h.p99 == 0.0),
+          "empty histogram must report all-zero statistics");
+  v.check(!name.ends_with("_cycles") || (h.sum >= 0.0 && h.min >= 0.0), "negative cycles");
+};
+
+inline constexpr auto telemetry_fields = [](auto& v, auto& snap) {
+  v.array("counters", snap.counters, counter_fields);
+  v.array("histograms", snap.histograms, histogram_fields);
+  v.check(unique_counter_names(snap), "duplicate counter name");
+  v.check(counter_value(snap, "serve.attempts") >= counter_value(snap, "serve.retries"),
+          "serve.attempts < serve.retries");
+  v.check(counter_value(snap, "recovery.shards_reexecuted") <=
+              counter_value(snap, "recovery.shard_retries"),
+          "recovery.shards_reexecuted > recovery.shard_retries");
+};
 
 }  // namespace gnnbridge::obs

@@ -54,6 +54,10 @@ void set_max_threads(int n) {
 
 bool in_parallel_region() { return t_in_region; }
 
+InlineScope::InlineScope() : prev_(t_in_region) { t_in_region = true; }
+
+InlineScope::~InlineScope() { t_in_region = prev_; }
+
 // One participant's contiguous slice of the task index space. `next` is
 // bumped by the owner and by thieves alike; a fetch_add that lands past
 // `end` simply means the range was already drained.
@@ -189,11 +193,7 @@ void ThreadPool::run_tasks(std::size_t num_tasks, const std::function<void(std::
     // Inline (and for nested regions: the caller already owns a
     // participant slot; waiting on the pool would deadlock it on itself).
     // Like the pool, run every task and surface the lowest index's error.
-    struct Reset {
-      bool prev;
-      ~Reset() { t_in_region = prev; }
-    } reset{t_in_region};
-    t_in_region = true;
+    const InlineScope inline_scope;
     std::exception_ptr first_error;
     for (std::size_t i = 0; i < num_tasks; ++i) {
       try {

@@ -37,6 +37,22 @@ void set_max_threads(int n);
 /// parallel regions detect this and run inline.
 bool in_parallel_region();
 
+/// Marks the calling thread as inside a parallel region for the scope's
+/// lifetime, so every region it opens runs inline on it. run_batch puts
+/// each job in one: the job's nested regions then run on the thread that
+/// holds its thread-confined fault plan, in a batch of one job as in a
+/// batch of many.
+class InlineScope {
+ public:
+  InlineScope();
+  ~InlineScope();
+  InlineScope(const InlineScope&) = delete;
+  InlineScope& operator=(const InlineScope&) = delete;
+
+ private:
+  bool prev_;
+};
+
 /// The process-wide pool. Lazily spawns max_threads()-1 workers on first
 /// use and grows when the configured parallelism rises; it never shrinks,
 /// so workers outlive every region. A region narrower than the pool runs

@@ -17,6 +17,12 @@ constexpr int kSimPid = 2;
 /// Cap on occupancy counter samples emitted per kernel, so a trace of a
 /// large run stays loadable.
 constexpr std::size_t kMaxCounterSamples = 256;
+/// Keys every event must carry, with their JSON kinds.
+constexpr std::pair<const char*, JsonValue::Kind> kRequiredKeys[] = {
+    {"name", JsonValue::Kind::kString},
+    {"ph", JsonValue::Kind::kString},
+    {"pid", JsonValue::Kind::kNumber},
+    {"tid", JsonValue::Kind::kNumber}};
 
 void event_common(JsonWriter& w, std::string_view name, std::string_view cat, char ph,
                   double ts_us, int pid, int tid) {
@@ -167,6 +173,58 @@ std::string chrome_trace_json(const std::vector<SpanRecord>& spans,
                  w.nonfinite_count());
   }
   return out;
+}
+
+rt::Result<std::size_t> check_chrome_trace(const JsonValue& doc) {
+  const auto fail = [](std::string what) {
+    return rt::Status(rt::StatusCode::kDataLoss, std::move(what));
+  };
+  const JsonValue* events = doc.find("traceEvents");
+  if (!events || !events->is_array()) {
+    return fail("top level: expected object with 'traceEvents' array");
+  }
+  std::map<std::pair<double, double>, std::vector<std::string>> open;  // (pid, tid) -> B names
+  std::size_t durations = 0;
+  for (std::size_t i = 0; i < events->items.size(); ++i) {
+    const JsonValue& ev = events->items[i];
+    const std::string where = "traceEvents[" + std::to_string(i) + "]";
+    if (!ev.is_object()) return fail(where + ": expected object");
+    for (const auto& [key, kind] : kRequiredKeys) {
+      const JsonValue* v = ev.find(key);
+      if (!v) return fail(where + ": missing key '" + key + "'");
+      if (v->kind != kind) return fail(where + ": mistyped '" + key + "'");
+    }
+    const std::string name = ev.str_or("name", "");
+    const std::string ph = ev.str_or("ph", "");
+    if (ph != "B" && ph != "E" && ph != "C" && ph != "M") {
+      return fail(where + ": unexpected phase '" + ph + "'");
+    }
+    const JsonValue* ts = ev.find("ts");
+    if (ph != "M" && !(ts && ts->is_number())) return fail(where + ": missing or invalid 'ts'");
+    const auto number = [&ev](const char* key) {
+      const JsonValue* v = ev.find(key);
+      return v ? v->number_value : 0.0;
+    };
+    std::vector<std::string>& stack = open[{number("pid"), number("tid")}];
+    if (ph == "B") {
+      stack.push_back(name);
+      ++durations;
+    } else if (ph == "E") {
+      if (stack.empty()) return fail(where + ": 'E' for '" + name + "' with no open 'B'");
+      if (stack.back() != name) {
+        return fail(where + ": 'E' for '" + name + "' closes open span '" + stack.back() + "'");
+      }
+      stack.pop_back();
+    }
+  }
+  for (const auto& [track, stack] : open) {
+    if (!stack.empty()) {
+      char pid_tid[64];
+      std::snprintf(pid_tid, sizeof(pid_tid), "(%.17g, %.17g)", track.first, track.second);
+      return fail(std::string("track ") + pid_tid + ": unclosed 'B' for '" + stack.back() + "'");
+    }
+  }
+  return durations;
 }
 
 rt::Status write_chrome_trace_file(const std::string& path, const std::vector<SpanRecord>& spans,

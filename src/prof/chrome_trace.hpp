@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "prof/json_reader.hpp"
 #include "prof/tracer.hpp"
 #include "rt/status.hpp"
 #include "sim/counters.hpp"
@@ -28,6 +29,13 @@ namespace gnnbridge::prof {
 std::string chrome_trace_json(const std::vector<SpanRecord>& spans,
                               const sim::RunStats* sim_stats = nullptr,
                               const sim::DeviceSpec* spec = nullptr);
+
+/// Checks a parsed trace the way Perfetto needs it: an object with a
+/// `traceEvents` array whose events each carry `name`, `ph`, `pid` and
+/// `tid`, a phase of B, E, C or M, a numeric `ts` unless M, and on every
+/// (pid, tid) track B/E pairs that nest like a stack. Returns the number
+/// of B events; kDataLoss naming the first bad event otherwise.
+rt::Result<std::size_t> check_chrome_trace(const JsonValue& doc);
 
 /// Writes `chrome_trace_json` to `path` crash-safely (temp file + rename;
 /// an interrupted write leaves any previous trace intact). Every I/O step

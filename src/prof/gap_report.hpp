@@ -6,8 +6,8 @@
 // it consumes the simulator's RunStats (whose counters are incremented at
 // the exact modeled-cost sites, see DESIGN.md §9) and prices each gap in
 // cycles, so two runs can be diffed gap by gap. Consumed by the metrics
-// sink (the `gap_report` section) and the `gnnbridge_cli analyze` /
-// `compare` subcommands.
+// sink (the `gap_report` section, whose field list is in metrics_json.cpp)
+// and the `gnnbridge_cli analyze` / `compare` subcommands.
 //
 // Gap definitions (cycles, per run):
 //   locality        misses x (dram - l2_hit cost)/slot share — the drain
@@ -35,15 +35,12 @@
 #include <string>
 #include <vector>
 
-#include "prof/metrics_json.hpp"
-#include "rt/status.hpp"
 #include "sim/counters.hpp"
 #include "sim/device.hpp"
 
 namespace gnnbridge::prof {
 
-class JsonValue;
-class JsonWriter;
+struct RunRecord;
 
 /// Per-gap cycle attribution for one run.
 struct GapBreakdown {
@@ -127,29 +124,10 @@ struct GapComparison {
 
 GapComparison compare_gaps(const GapBreakdown& baseline, const GapBreakdown& optimized);
 
-/// Serializes one breakdown as a `gap_report` entry.
-void write_gap_breakdown(JsonWriter& w, const GapBreakdown& g);
-
 /// Human-readable single-run table (for `gnnbridge_cli analyze`).
 std::string render_gap_table(const GapBreakdown& g);
 
 /// Human-readable baseline-vs-optimized table (for `gnnbridge_cli compare`).
 std::string render_compare_table(const GapComparison& c);
-
-/// A metrics document read back from disk: enough of each run to re-run
-/// gap attribution. Accepts kMetricsSchemaVersion only.
-struct LoadedMetrics {
-  int schema_version = 0;
-  std::string experiment;
-  double scale = 0.0;
-  std::vector<RunRecord> runs;
-};
-
-rt::Result<LoadedMetrics> load_metrics_file(const std::string& path);
-
-/// The version rule of every metrics reader (`analyze`, `compare`,
-/// `stats`): `doc` must be a gnnbridge-metrics object of
-/// kMetricsSchemaVersion. kDataLoss naming the problem otherwise.
-rt::Status check_metrics_document(const JsonValue& doc);
 
 }  // namespace gnnbridge::prof

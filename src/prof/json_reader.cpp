@@ -115,6 +115,10 @@ class Parser {
     while (pos_ < text_.size()) {
       const char c = text_[pos_++];
       if (c == '"') return rt::OkStatus();
+      if (static_cast<unsigned char>(c) < 0x20) {
+        --pos_;
+        return error("raw control character in string");
+      }
       if (c != '\\') {
         out += c;
         continue;
@@ -188,26 +192,32 @@ class Parser {
     return error("bad literal");
   }
 
+  bool digits() {
+    const std::size_t from = pos_;
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') ++pos_;
+    return pos_ > from;
+  }
+
+  // -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
   rt::Status parse_number(JsonValue& out) {
     const std::size_t start = pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if ((c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E') {
-        ++pos_;
-      } else {
-        break;
-      }
+    consume('-');
+    if (pos_ >= text_.size() || text_[pos_] < '0' || text_[pos_] > '9') {
+      return error(pos_ == start ? "expected value" : "bad number");
     }
-    if (pos_ == start) return error("expected value");
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double d = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
-      pos_ = start;
-      return error("bad number");
+    if (!consume('0')) digits();
+    out.integer = true;
+    if (consume('.')) {
+      out.integer = false;
+      if (!digits()) return error("bad number");
+    }
+    if (consume('e') || consume('E')) {
+      out.integer = false;
+      if (!consume('+')) consume('-');
+      if (!digits()) return error("bad number");
     }
     out.kind = JsonValue::Kind::kNumber;
-    out.number_value = d;
+    out.number_value = std::strtod(std::string(text_.substr(start, pos_ - start)).c_str(), nullptr);
     return rt::OkStatus();
   }
 

@@ -1,13 +1,13 @@
 // Minimal JSON DOM parser.
 //
-// The analyze/compare CLI paths read metrics documents back; the existing
-// JsonChecker (tests/testing/json.hpp) only validates syntax, so this is
-// the dependency-free counterpart of JsonWriter: it parses the subset of
-// JSON our exporters emit (plus standard escapes and nesting) into an
-// ordered DOM. Errors come back as rt::Status with the byte offset.
+// The dependency-free counterpart of JsonWriter: parses RFC 8259 JSON into
+// an ordered DOM for every reader of our artifacts (the metrics, trace and
+// journal checks, analyze/compare/stats, perfbench's reference file).
+// Anything RFC 8259 rejects is rejected here too: leading zeros or '+',
+// bare '.5' or '1.', raw control characters in strings. Errors come back as
+// rt::Status with the byte offset.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -27,6 +27,8 @@ class JsonValue {
   Kind kind = Kind::kNull;
   bool bool_value = false;
   double number_value = 0.0;
+  /// kNumber only: the token had no fraction and no exponent.
+  bool integer = false;
   std::string string_value;
   std::vector<JsonValue> items;                              // kArray
   std::vector<std::pair<std::string, JsonValue>> members;    // kObject
@@ -45,34 +47,10 @@ class JsonValue {
     return nullptr;
   }
 
-  /// Typed member getters with defaults: absent or mistyped members fall
-  /// back, and so do numbers outside the integer getters' target range
-  /// (converting those to an integer type is undefined behaviour).
-  double num_or(std::string_view key, double dflt) const {
-    const JsonValue* v = find(key);
-    return v && v->is_number() ? v->number_value : dflt;
-  }
-  std::int64_t int_or(std::string_view key, std::int64_t dflt) const {
-    constexpr double kTwoPow63 = 9223372036854775808.0;
-    const JsonValue* v = find(key);
-    return v && v->is_number() && v->number_value >= -kTwoPow63 && v->number_value < kTwoPow63
-               ? static_cast<std::int64_t>(v->number_value)
-               : dflt;
-  }
-  std::uint64_t uint_or(std::string_view key, std::uint64_t dflt) const {
-    constexpr double kTwoPow64 = 18446744073709551616.0;
-    const JsonValue* v = find(key);
-    return v && v->is_number() && v->number_value >= 0.0 && v->number_value < kTwoPow64
-               ? static_cast<std::uint64_t>(v->number_value)
-               : dflt;
-  }
+  /// The string member `key`; `dflt` when absent or not a string.
   std::string str_or(std::string_view key, std::string dflt) const {
     const JsonValue* v = find(key);
     return v && v->is_string() ? v->string_value : dflt;
-  }
-  bool bool_or(std::string_view key, bool dflt) const {
-    const JsonValue* v = find(key);
-    return v && v->kind == Kind::kBool ? v->bool_value : dflt;
   }
 };
 

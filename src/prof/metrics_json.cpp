@@ -8,111 +8,178 @@
 #include <unistd.h>
 #endif
 
-#include "obs/registry.hpp"
 #include "par/thread_pool.hpp"
-#include "prof/gap_report.hpp"
-#include "prof/json_writer.hpp"
+#include "prof/fields.hpp"
 #include "rt/atomic_file.hpp"
 #include "rt/fault.hpp"
-#include "sim/timeline.hpp"
 
 namespace gnnbridge::prof {
 
 namespace {
 
-void write_device(JsonWriter& w, const sim::DeviceSpec& spec) {
-  w.begin_object();
-  w.kv("num_sms", spec.num_sms);
-  w.kv("max_blocks_per_sm", spec.max_blocks_per_sm);
-  w.kv("clock_ghz", spec.clock_ghz);
-  w.kv("l2_bytes", static_cast<std::int64_t>(spec.l2_bytes));
-  w.kv("line_bytes", spec.line_bytes);
-  // Cost-model parameters: a reader can re-derive gap attributions
-  // without assuming the default device.
-  w.kv("flops_per_cycle_per_block", spec.flops_per_cycle_per_block);
-  w.kv("l2_hit_cycles_per_line", spec.l2_hit_cycles_per_line);
-  w.kv("dram_cycles_per_line", spec.dram_cycles_per_line);
-  w.kv("kernel_launch_cycles", spec.kernel_launch_cycles);
-  w.kv("framework_overhead_cycles", spec.framework_overhead_cycles);
-  w.end_object();
-}
+// The field lists (prof/fields.hpp): each visits one record's keys in
+// document order, for the writer and for load_metrics_file alike.
 
-void write_kernel(JsonWriter& w, const sim::KernelStats& k) {
-  w.begin_object();
-  w.kv("name", std::string_view(k.name));
-  w.kv("phase", std::string_view(k.phase));
-  w.kv("blocks", k.num_blocks);
-  w.kv("cycles", k.cycles);
-  w.kv("makespan", k.makespan);
-  w.kv("balanced", k.balanced);
-  w.kv("l2_hits", k.l2_hits);
-  w.kv("l2_misses", k.l2_misses);
-  w.kv("l2_hit_rate", k.l2_hit_rate());
-  w.kv("dram_bytes", k.dram_bytes);
-  w.kv("flops", k.flops);
-  w.kv("issued_flops", k.issued_flops);
-  w.kv("mean_active_blocks", k.timeline.mean_active());
-  w.kv("atomic_cycles", k.atomic_cycles);
-  w.kv("atomic_bytes", k.atomic_bytes);
-  w.kv("adapter_cycles", k.adapter_cycles);
-  w.kv("adapter_bytes", k.adapter_bytes);
-  w.kv("pad_flops", k.pad_flops);
-  w.kv("copy_flops", k.copy_flops);
-  w.kv("tile_flops", k.tile_flops);
-  w.kv("imbalance", k.imbalance());
-  w.end_object();
-}
+constexpr auto meta_fields = [](auto& v, auto& m) {
+  v.field("git_sha", m.git_sha);
+  v.field("timestamp", m.timestamp);
+  v.field("hostname", m.hostname);
+  v.field("scale_env", m.scale_env);
+  v.field("threads", m.threads);
+};
 
-void write_run(JsonWriter& w, const RunRecord& r) {
-  w.begin_object();
-  w.kv("label", std::string_view(r.label));
-  w.kv("model", std::string_view(r.model));
-  w.kv("backend", std::string_view(r.backend));
-  w.kv("dataset", std::string_view(r.dataset));
-  w.kv("ms", r.ms);
-  w.kv("oom", r.oom);
-  w.key("device");
-  write_device(w, r.spec);
-  w.key("totals");
-  w.begin_object();
-  w.kv("cycles", r.stats.total_cycles);
-  w.kv("launches", r.stats.num_launches());
-  w.kv("flops", r.stats.total_flops());
-  w.kv("l2_hits", r.stats.total_hits());
-  w.kv("l2_misses", r.stats.total_misses());
-  w.kv("l2_hit_rate", r.stats.l2_hit_rate());
-  std::uint64_t dram = 0;
-  double issued = 0.0, pad = 0.0, copy = 0.0, tile = 0.0;
-  for (const auto& k : r.stats.kernels) {
-    dram += k.dram_bytes;
-    issued += k.issued_flops;
-    pad += k.pad_flops;
-    copy += k.copy_flops;
-    tile += k.tile_flops;
-  }
-  w.kv("dram_bytes", dram);
-  w.kv("gflops", r.stats.gflops(r.spec));
-  w.kv("issued_flops", issued);
-  w.kv("global_syncs", r.stats.global_syncs);
-  w.kv("atomic_cycles", r.stats.total_atomic_cycles());
-  w.kv("atomic_bytes", r.stats.total_atomic_bytes());
-  w.kv("adapter_cycles", r.stats.total_adapter_cycles());
-  w.kv("adapter_bytes", r.stats.total_adapter_bytes());
-  w.kv("pad_flops", pad);
-  w.kv("copy_flops", copy);
-  w.kv("tile_flops", tile);
-  w.kv("imbalance", r.stats.imbalance());
-  w.kv("ghost_bytes", r.stats.ghost_bytes);
-  w.kv("exchange_syncs", r.stats.exchange_syncs);
-  w.kv("exchange_cycles", r.stats.exchange_cycles);
-  w.kv("shards", static_cast<std::int64_t>(r.stats.shards));
-  w.end_object();
-  w.key("kernels");
-  w.begin_array();
-  for (const auto& k : r.stats.kernels) write_kernel(w, k);
-  w.end_array();
-  w.end_object();
-}
+// The cost-model parameters are included: a reader can re-derive gap
+// attributions without assuming the default device.
+constexpr auto device_fields = [](auto& v, auto& d) {
+  v.field("num_sms", d.num_sms);
+  v.field("max_blocks_per_sm", d.max_blocks_per_sm);
+  v.field("clock_ghz", d.clock_ghz);
+  v.field("l2_bytes", d.l2_bytes);
+  v.field("line_bytes", d.line_bytes);
+  v.field("flops_per_cycle_per_block", d.flops_per_cycle_per_block);
+  v.field("l2_hit_cycles_per_line", d.l2_hit_cycles_per_line);
+  v.field("dram_cycles_per_line", d.dram_cycles_per_line);
+  v.field("kernel_launch_cycles", d.kernel_launch_cycles);
+  v.field("framework_overhead_cycles", d.framework_overhead_cycles);
+};
+
+// Visits a RunRecord: the gflops rate needs the run's device clock.
+constexpr auto totals_fields = [](auto& v, auto& r) {
+  auto& s = r.stats;
+  using K = sim::KernelStats;
+  v.field("cycles", s.total_cycles);
+  v.derived("launches", s.num_launches());
+  v.derived("flops", s.total_flops());
+  v.derived("l2_hits", s.total_hits());
+  v.derived("l2_misses", s.total_misses());
+  v.derived("l2_hit_rate", s.l2_hit_rate(), kRate);
+  v.derived("dram_bytes", s.sum(&K::dram_bytes));
+  v.derived("gflops", s.gflops(r.spec));
+  v.derived("issued_flops", s.sum(&K::issued_flops));
+  v.field("global_syncs", s.global_syncs);
+  v.derived("atomic_cycles", s.total_atomic_cycles());
+  v.derived("atomic_bytes", s.total_atomic_bytes());
+  v.derived("adapter_cycles", s.total_adapter_cycles());
+  v.derived("adapter_bytes", s.total_adapter_bytes());
+  v.derived("pad_flops", s.sum(&K::pad_flops));
+  v.derived("copy_flops", s.sum(&K::copy_flops));
+  v.derived("tile_flops", s.sum(&K::tile_flops));
+  v.derived("imbalance", s.imbalance());
+  v.field("ghost_bytes", s.ghost_bytes);
+  v.field("exchange_syncs", s.exchange_syncs);
+  v.field("exchange_cycles", s.exchange_cycles);
+  v.field("shards", s.shards);
+  v.check(s.shards >= 1, "shards must be >= 1");
+  v.check(s.shards != 1 || s.ghost_bytes == 0, "unsharded run with ghost traffic");
+};
+
+constexpr auto kernel_fields = [](auto& v, auto& k) {
+  v.field("name", k.name);
+  v.field("phase", k.phase);
+  v.field("blocks", k.num_blocks);
+  v.field("cycles", k.cycles);
+  v.field("makespan", k.makespan);
+  v.field("balanced", k.balanced);
+  v.field("l2_hits", k.l2_hits);
+  v.field("l2_misses", k.l2_misses);
+  v.derived("l2_hit_rate", k.l2_hit_rate(), kRate);
+  v.field("dram_bytes", k.dram_bytes);
+  v.field("flops", k.flops);
+  v.field("issued_flops", k.issued_flops);
+  v.derived("mean_active_blocks", k.timeline.mean_active());
+  v.field("atomic_cycles", k.atomic_cycles);
+  v.field("atomic_bytes", k.atomic_bytes);
+  v.field("adapter_cycles", k.adapter_cycles);
+  v.field("adapter_bytes", k.adapter_bytes);
+  v.field("pad_flops", k.pad_flops);
+  v.field("copy_flops", k.copy_flops);
+  v.field("tile_flops", k.tile_flops);
+  v.derived("imbalance", k.imbalance());
+};
+
+constexpr auto run_fields = [](auto& v, auto& r) {
+  v.field("label", r.label);
+  v.field("model", r.model);
+  v.field("backend", r.backend);
+  v.field("dataset", r.dataset);
+  v.field("ms", r.ms);
+  v.field("oom", r.oom);
+  v.object("device", r.spec, device_fields);
+  v.object("totals", r, totals_fields);
+  v.array("kernels", r.stats.kernels, kernel_fields);
+};
+
+// A `gap_report` entry and its six sections (DESIGN.md §9).
+constexpr auto gap_fields = [](auto& v, auto& g) {
+  v.field("label", g.label);
+  v.field("model", g.model);
+  v.field("backend", g.backend);
+  v.field("dataset", g.dataset);
+  v.field("total_cycles", g.total_cycles);
+  v.derived("attributed_cycles", g.attributed_cycles());
+  v.object("locality", g, [](auto& s, auto& x) {
+    s.field("cycles", x.locality_cycles);
+    s.field("dram_bytes", x.dram_bytes);
+    s.field("l2_hit_rate", x.l2_hit_rate, kRate);
+  });
+  v.object("imbalance", g, [](auto& s, auto& x) {
+    s.field("cycles", x.imbalance_cycles);
+    s.field("ratio", x.imbalance_ratio);
+  });
+  v.object("launch_overhead", g, [](auto& s, auto& x) {
+    s.field("cycles", x.launch_cycles);
+    s.field("launches", x.launches);
+  });
+  v.object("synchronization", g, [](auto& s, auto& x) {
+    s.field("cycles", x.sync_cycles);
+    s.field("global_syncs", x.global_syncs);
+    s.field("atomic_cycles", x.atomic_cycles);
+    s.field("atomic_bytes", x.atomic_bytes);
+    s.field("adapter_cycles", x.adapter_cycles);
+    s.field("adapter_bytes", x.adapter_bytes);
+  });
+  v.object("redundancy", g, [](auto& s, auto& x) {
+    s.field("cycles", x.redundancy_cycles);
+    s.field("redundant_flops", x.redundant_flops);
+    s.field("pad_flops", x.pad_flops);
+    s.field("copy_flops", x.copy_flops);
+    s.field("tile_flops", x.tile_flops);
+  });
+  v.object("inter_shard_traffic", g, [](auto& s, auto& x) {
+    s.field("cycles", x.inter_shard_cycles);
+    s.field("ghost_bytes", x.ghost_bytes);
+    s.field("exchange_syncs", x.exchange_syncs);
+    s.field("shards", x.shards);
+  });
+};
+
+constexpr auto degradation_fields = [](auto& v, auto& d) {
+  v.field("seam", d.seam);
+  v.field("knob", d.knob);
+  v.field("action", d.action);
+  v.field("detail", d.detail);
+  v.field("injected", d.injected);
+};
+
+constexpr auto document_fields = [](auto& v, auto& d) {
+  v.field("schema", d.schema);
+  v.check(d.schema == kMetricsSchemaName, "not a gnnbridge-metrics document");
+  v.field("schema_version", d.schema_version);
+  v.check(d.schema_version == kMetricsSchemaVersion, [&] {
+    return "unsupported schema_version " + std::to_string(d.schema_version) +
+           "; this build reads " + std::to_string(kMetricsSchemaVersion) +
+           (d.schema_version > kMetricsSchemaVersion ? " (the document is newer: update gnnbridge)"
+                                                     : "");
+  });
+  v.field("experiment", d.experiment);
+  v.field("scale", d.scale);
+  v.object("meta", d.meta, meta_fields);
+  v.array("runs", d.runs, run_fields);
+  v.array("gap_report", d.gap_report, gap_fields);
+  v.check(d.gap_report.size() == d.runs.size(), "gap_report: expected one entry per run");
+  v.array("degradations", d.degradations, degradation_fields);
+  v.object("telemetry", d.telemetry, obs::telemetry_fields);
+};
 
 /// First line of `cmd`'s stdout, trimmed; "" on failure.
 std::string capture_line(const char* cmd) {
@@ -169,26 +236,26 @@ const char* MetricsSink::env_path() {
 
 void MetricsSink::configure(std::string experiment, double scale) {
   std::lock_guard<std::mutex> lock(mu_);
-  experiment_ = std::move(experiment);
-  scale_ = scale;
+  doc_.experiment = std::move(experiment);
+  doc_.scale = scale;
   arm_env_write_locked();
 }
 
 void MetricsSink::set_meta(MetaInfo meta) {
   std::lock_guard<std::mutex> lock(mu_);
-  meta_ = std::move(meta);
+  doc_.meta = std::move(meta);
   meta_set_ = true;
 }
 
 void MetricsSink::record(RunRecord rec) {
   std::lock_guard<std::mutex> lock(mu_);
-  records_.push_back(std::move(rec));
+  doc_.runs.push_back(std::move(rec));
   arm_env_write_locked();
 }
 
 void MetricsSink::record_degradation(rt::DegradationEvent event) {
   std::lock_guard<std::mutex> lock(mu_);
-  degradations_.push_back(std::move(event));
+  doc_.degradations.push_back(std::move(event));
   arm_env_write_locked();
 }
 
@@ -204,24 +271,24 @@ void MetricsSink::arm_env_write_locked() {
 
 std::size_t MetricsSink::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return records_.size();
+  return doc_.runs.size();
 }
 
 std::size_t MetricsSink::degradation_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return degradations_.size();
+  return doc_.degradations.size();
 }
 
 std::vector<rt::DegradationEvent> MetricsSink::degradations() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return degradations_;
+  return doc_.degradations;
 }
 
 void MetricsSink::clear() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    records_.clear();
-    degradations_.clear();
+    doc_.runs.clear();
+    doc_.degradations.clear();
   }
   // The telemetry block snapshots the process-wide registry; clearing
   // the sink without it would leak one run's telemetry into the next
@@ -231,48 +298,16 @@ void MetricsSink::clear() {
 
 std::string MetricsSink::to_json() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string out;
-  JsonWriter w(&out);
-  w.begin_object();
-  w.kv("schema", kMetricsSchemaName);
-  w.kv("schema_version", kMetricsSchemaVersion);
-  w.kv("experiment", std::string_view(experiment_));
-  w.kv("scale", scale_);
   if (!meta_set_) {
-    meta_ = collect_meta();
+    doc_.meta = collect_meta();
     meta_set_ = true;
   }
-  w.key("meta");
-  w.begin_object();
-  w.kv("git_sha", std::string_view(meta_.git_sha));
-  w.kv("timestamp", std::string_view(meta_.timestamp));
-  w.kv("hostname", std::string_view(meta_.hostname));
-  w.kv("scale_env", std::string_view(meta_.scale_env));
-  w.kv("threads", meta_.threads);
-  w.end_object();
-  w.key("runs");
-  w.begin_array();
-  for (const auto& r : records_) write_run(w, r);
-  w.end_array();
-  w.key("gap_report");
-  w.begin_array();
-  for (const auto& r : records_) write_gap_breakdown(w, attribute_gaps(r));
-  w.end_array();
-  w.key("degradations");
-  w.begin_array();
-  for (const auto& d : degradations_) {
-    w.begin_object();
-    w.kv("seam", std::string_view(d.seam));
-    w.kv("knob", std::string_view(d.knob));
-    w.kv("action", std::string_view(d.action));
-    w.kv("detail", std::string_view(d.detail));
-    w.kv("injected", d.injected);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("telemetry");
-  obs::write_telemetry_json(w, obs::TelemetryRegistry::instance().snapshot());
-  w.end_object();
+  doc_.gap_report.clear();
+  for (const RunRecord& r : doc_.runs) doc_.gap_report.push_back(attribute_gaps(r));
+  doc_.telemetry = obs::TelemetryRegistry::instance().snapshot();
+  std::string out;
+  JsonWriter w(&out);
+  FieldWriter(w).write(doc_, document_fields);
   out += '\n';
   if (w.nonfinite_count() > 0) {
     std::fprintf(stderr,
@@ -303,6 +338,17 @@ rt::Status MetricsSink::write_file(const std::string& path) const {
   std::fprintf(stderr, "gnnbridge: metrics write to '%s' failed %d times, giving up\n",
                path.c_str(), kMaxAttempts);
   return std::move(last).with_context("MetricsSink::write_file('" + path + "')");
+}
+
+rt::Result<MetricsDocument> load_metrics_file(const std::string& path) {
+  const std::string where = "load_metrics_file('" + path + "')";
+  auto parsed = parse_json_file(path);
+  if (!parsed.ok()) return rt::Status(parsed.status()).with_context(where);
+  MetricsDocument doc;
+  if (rt::Status s = read_record(*parsed, "", doc, document_fields); !s.ok()) {
+    return std::move(s).with_context(where);
+  }
+  return doc;
 }
 
 }  // namespace gnnbridge::prof

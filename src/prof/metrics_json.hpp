@@ -5,72 +5,30 @@
 // the machine-readable twin of the tables every bench binary prints. Every
 // bench binary and `gnnbridge_cli profile` feed this sink; when the
 // GNNBRIDGE_METRICS_JSON environment variable names a path, the collected
-// records are written there at process exit. The schema is locked by a
-// golden test (tests/prof/metrics_json_test.cpp) and validated by
-// tools/check_metrics_schema.py; bump kMetricsSchemaVersion on any
-// incompatible change.
+// records are written there at process exit. `load_metrics_file` reads a
+// document back for `gnnbridge_cli analyze`, `compare`, `stats` and
+// `check`. Bump kMetricsSchemaVersion on any incompatible change;
+// CHANGES.md records what each version changed.
 //
-// Schema (gnnbridge-metrics, version 12):
-//   {
-//     "schema": "gnnbridge-metrics",
-//     "schema_version": 12,
-//     "experiment": "<banner id>",
-//     "scale": 0.25,
-//     "meta": {"git_sha":"abc1234", "timestamp":"2026-01-01T00:00:00Z",
-//              "hostname":"...", "scale_env":"0.25", "threads":8},
-//     (meta.threads is the host thread-pool width: all simulated counters
-//      are byte-identical at any value)
-//     "runs": [{
-//       "label": "...", "model": "...", "backend": "...", "dataset": "...",
-//       "ms": 1.5, "oom": false,
-//       "device": {"num_sms":80, "max_blocks_per_sm":8, "clock_ghz":1.38,
-//                  "l2_bytes":6291456, "line_bytes":64,
-//                  "flops_per_cycle_per_block":16,
-//                  "l2_hit_cycles_per_line":22, "dram_cycles_per_line":63,
-//                  "kernel_launch_cycles":5000,
-//                  "framework_overhead_cycles":0},
-//       "totals": {"cycles":..., "launches":..., "flops":..., "l2_hits":...,
-//                  "l2_misses":..., "l2_hit_rate":..., "dram_bytes":...,
-//                  "gflops":..., "issued_flops":..., "global_syncs":...,
-//                  "atomic_cycles":..., "atomic_bytes":...,
-//                  "adapter_cycles":..., "adapter_bytes":...,
-//                  "pad_flops":..., "copy_flops":..., "tile_flops":...,
-//                  "imbalance":..., "ghost_bytes":..., "exchange_syncs":...,
-//                  "exchange_cycles":..., "shards":...},
-//       "kernels": [{"name":..., "phase":..., "blocks":..., "cycles":...,
-//                    "makespan":..., "balanced":..., "l2_hits":...,
-//                    "l2_misses":..., "l2_hit_rate":..., "dram_bytes":...,
-//                    "flops":..., "issued_flops":...,
-//                    "mean_active_blocks":..., "atomic_cycles":...,
-//                    "atomic_bytes":..., "adapter_cycles":...,
-//                    "adapter_bytes":..., "pad_flops":..., "copy_flops":...,
-//                    "tile_flops":..., "imbalance":...}]
-//     }],
-//     "gap_report": [{"label":..., "model":..., "backend":..., "dataset":...,
-//                     "total_cycles":..., "attributed_cycles":...,
-//                     "locality":{...}, "imbalance":{...},
-//                     "launch_overhead":{...}, "synchronization":{...},
-//                     "redundancy":{...}, "inter_shard_traffic":{...}}],
-//     "degradations": [{"seam":"las_cluster", "knob":"las",
-//                       "action":"las->natural_order", "detail":"...",
-//                       "injected":true}],
-//     "telemetry": {"counters":[{"name":"serve.jobs","value":...}],
-//                   "histograms":[{"name":"serve.job_cycles","count":...,
-//                                  "sum":..., "min":..., "max":...,
-//                                  "p50":..., "p90":..., "p99":...,
-//                                  "buckets":[{"le":..., "count":...}]}]}
-//   }
+// The schema (gnnbridge-metrics, version 12) is the field lists: one per
+// record, each visiting its keys in document order, drive both the writer
+// and the strict reader (prof/fields.hpp). The document, meta, run,
+// device, totals, kernel, gap_report entry and degradation lists are in
+// metrics_json.cpp; the telemetry counter, histogram and bucket lists in
+// obs/registry.hpp. The golden tests (tests/prof/metrics_json_test.cpp,
+// tests/prof/gap_report_test.cpp) lock the written bytes independently.
+//
 // `degradations` has one entry per optimization knob the engine (or the
 // sink itself) disabled after a stage failure (DESIGN.md §10); `gap_report`
 // one gap attribution per run (DESIGN.md §9). The partitioned-execution
 // counters in `totals` are zero (shards=1) for unsharded runs (DESIGN.md
-// §16). `telemetry` is a snapshot of the process-wide
-// obs::TelemetryRegistry (DESIGN.md §13): names sort lexicographically and
-// histogram buckets are fixed powers of 2^(1/4), so the block is
-// byte-identical at any host thread count. It is always present, with
-// empty arrays when nothing was recorded; `clear()` also clears the
-// registry, keeping in-process determinism byte-compares valid. CHANGES.md
-// records what each schema version changed.
+// §16). `meta.threads` is the host thread-pool width: all simulated
+// counters are byte-identical at any value. `telemetry` is a snapshot of
+// the process-wide obs::TelemetryRegistry (DESIGN.md §13): names sort
+// lexicographically and histogram buckets are fixed powers of 2^(1/4), so
+// the block is byte-identical at any host thread count. It is always
+// present, with empty arrays when nothing was recorded; `clear()` also
+// clears the registry, keeping in-process determinism byte-compares valid.
 #pragma once
 
 #include <cstdint>
@@ -78,7 +36,10 @@
 #include <string>
 #include <vector>
 
+#include "obs/registry.hpp"
+#include "prof/gap_report.hpp"
 #include "rt/degrade.hpp"
+#include "rt/status.hpp"
 #include "sim/counters.hpp"
 #include "sim/device.hpp"
 
@@ -113,6 +74,27 @@ struct RunRecord {
   sim::RunStats stats;
   sim::DeviceSpec spec;
 };
+
+/// One whole gnnbridge-metrics document: what MetricsSink writes and
+/// load_metrics_file reads back.
+struct MetricsDocument {
+  std::string schema = kMetricsSchemaName;
+  int schema_version = kMetricsSchemaVersion;
+  std::string experiment = "unnamed";
+  double scale = 0.0;
+  MetaInfo meta;
+  std::vector<RunRecord> runs;
+  std::vector<GapBreakdown> gap_report;  ///< one attribution per run
+  std::vector<rt::DegradationEvent> degradations;
+  obs::RegistrySnapshot telemetry;
+};
+
+/// Reads a metrics document strictly: every record must hold exactly its
+/// field list's keys, in order and of the listed types, with every value
+/// invariant met; only kMetricsSchemaVersion is accepted. kDataLoss naming
+/// the first bad field (e.g. `runs[0].kernels[2].l2_misses: missing key`)
+/// otherwise, kNotFound when the file cannot be opened.
+rt::Result<MetricsDocument> load_metrics_file(const std::string& path);
 
 /// Process-wide collector. Thread-safe. Records are kept regardless of the
 /// environment; the at-exit file write only happens when
@@ -160,12 +142,10 @@ class MetricsSink {
   void arm_env_write_locked();
 
   mutable std::mutex mu_;
-  std::string experiment_ = "unnamed";
-  double scale_ = 0.0;
-  mutable MetaInfo meta_;
+  /// Everything recorded; `to_json` fills in the meta defaults once and
+  /// refreshes `gap_report` and `telemetry` on every serialization.
+  mutable MetricsDocument doc_;
   mutable bool meta_set_ = false;
-  std::vector<RunRecord> records_;
-  std::vector<rt::DegradationEvent> degradations_;
   bool armed_ = false;
 };
 

@@ -29,7 +29,7 @@ namespace gnnbridge::rt {
 // The named seams. Each is checked exactly where the real work happens.
 inline constexpr std::string_view kSeamDatasetLoad = "dataset_load";    ///< graph::try_make_dataset
 inline constexpr std::string_view kSeamLasCluster = "las_cluster";      ///< core::locality_aware_schedule
-inline constexpr std::string_view kSeamTunerProbe = "tuner_probe";      ///< engine::measure_aggregation
+inline constexpr std::string_view kSeamTunerProbe = "tuner_probe";      ///< core::tune_graph_op, per probe
 inline constexpr std::string_view kSeamFusionPass = "fusion_pass";      ///< adapter gate of attempt plans
 inline constexpr std::string_view kSeamSimLaunch = "sim_launch";        ///< sim::SimContext::launch
 inline constexpr std::string_view kSeamMetricsWrite = "metrics_write";  ///< prof::MetricsSink::write_file
@@ -55,7 +55,7 @@ struct SeamInfo {
 inline constexpr std::array<SeamInfo, 9> kSeamTable = {{
     {kSeamDatasetLoad, "graph::try_make_dataset; no ladder, surfaces as a load error"},
     {kSeamLasCluster, "locality-aware scheduling pass; ladder falls back to natural row order"},
-    {kSeamTunerProbe, "auto-tuner aggregation probe; ladder disables auto-tuning for the run"},
+    {kSeamTunerProbe, "each tuner probe, drawn in core::tune_graph_op; ladder disables auto-tuning"},
     {kSeamFusionPass, "the adapter gate of GCN/GAT attempt plans; ladder disables the fused adapter"},
     {kSeamSimLaunch, "sim::SimContext::launch; ladder walks grouping -> adapter -> LAS"},
     {kSeamMetricsWrite, "prof::MetricsSink::write_file; absorbed by the 3-attempt write retry"},

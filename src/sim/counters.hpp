@@ -96,60 +96,33 @@ struct RunStats {
   std::uint64_t shard_retries = 0;
   /// Distinct shard phase bodies re-executed after a shard_compute fault.
   std::uint64_t shards_reexecuted = 0;
-  /// 1 when the run fell back from sharded to unsharded execution.
-  std::uint64_t fallback_unsharded = 0;
   /// Cycles spent on failed shard attempts and redone exchanges; already
   /// included in total_cycles (wasted work is priced into the sim clock).
   Cycles recovery_wasted_cycles = 0.0;
 
   int num_launches() const { return static_cast<int>(kernels.size()); }
 
-  double total_flops() const {
-    double f = 0.0;
-    for (const auto& k : kernels) f += k.flops;
-    return f;
+  /// Sum of one per-kernel counter over the run, in kernel order.
+  template <typename T>
+  T sum(T KernelStats::*counter) const {
+    T total{};
+    for (const auto& k : kernels) total += k.*counter;
+    return total;
   }
 
-  std::uint64_t total_hits() const {
-    std::uint64_t h = 0;
-    for (const auto& k : kernels) h += k.l2_hits;
-    return h;
-  }
-
-  std::uint64_t total_misses() const {
-    std::uint64_t m = 0;
-    for (const auto& k : kernels) m += k.l2_misses;
-    return m;
-  }
+  double total_flops() const { return sum(&KernelStats::flops); }
+  std::uint64_t total_hits() const { return sum(&KernelStats::l2_hits); }
+  std::uint64_t total_misses() const { return sum(&KernelStats::l2_misses); }
 
   double l2_hit_rate() const {
     const std::uint64_t total = total_hits() + total_misses();
     return total == 0 ? 0.0 : static_cast<double>(total_hits()) / static_cast<double>(total);
   }
 
-  double total_atomic_cycles() const {
-    double c = 0.0;
-    for (const auto& k : kernels) c += k.atomic_cycles;
-    return c;
-  }
-
-  std::uint64_t total_atomic_bytes() const {
-    std::uint64_t b = 0;
-    for (const auto& k : kernels) b += k.atomic_bytes;
-    return b;
-  }
-
-  double total_adapter_cycles() const {
-    double c = 0.0;
-    for (const auto& k : kernels) c += k.adapter_cycles;
-    return c;
-  }
-
-  std::uint64_t total_adapter_bytes() const {
-    std::uint64_t b = 0;
-    for (const auto& k : kernels) b += k.adapter_bytes;
-    return b;
-  }
+  double total_atomic_cycles() const { return sum(&KernelStats::atomic_cycles); }
+  std::uint64_t total_atomic_bytes() const { return sum(&KernelStats::atomic_bytes); }
+  double total_adapter_cycles() const { return sum(&KernelStats::adapter_cycles); }
+  std::uint64_t total_adapter_bytes() const { return sum(&KernelStats::adapter_bytes); }
 
   /// Run-level imbalance ratio: total makespan over total balanced bound.
   double imbalance() const {

@@ -120,6 +120,44 @@ TEST(FaultMatrix, PersistentSimLaunchFaultExhaustsTheLadderCleanly) {
   sink.clear();
 }
 
+/// What a faulted run left behind.
+struct Outcome {
+  std::vector<std::string> knobs;  ///< degraded
+  models::Matrix output;
+  int launches = 0;
+  sim::Cycles cycles = 0.0;
+  std::string plan_left;
+};
+
+/// Runs `run()` at 1, 2, 3, 4 and 8 host threads and expects the same
+/// non-empty degraded knobs, output bytes, launches, cycles and leftover
+/// plan at each.
+template <typename Run>
+void expect_same_at_every_thread_count(const std::string& what, Run&& run) {
+  const int thread_counts[] = {1, 2, 3, 4, 8};
+  std::vector<Outcome> runs;
+  for (int threads : thread_counts) {
+    par::set_max_threads(threads);
+    runs.push_back(run());
+  }
+  par::set_max_threads(0);
+  const Outcome& one = runs.front();
+  EXPECT_FALSE(one.knobs.empty()) << what << ": the plan degraded nothing";
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    const Outcome& o = runs[i];
+    const std::string at = what + " at " + std::to_string(thread_counts[i]) + " threads";
+    EXPECT_EQ(o.knobs, one.knobs) << at;
+    ASSERT_EQ(o.output.size(), one.output.size()) << at;
+    EXPECT_EQ(std::memcmp(o.output.data(), one.output.data(),
+                          static_cast<std::size_t>(one.output.size()) * sizeof(float)),
+              0)
+        << at;
+    EXPECT_EQ(o.launches, one.launches) << at;
+    EXPECT_EQ(o.cycles, one.cycles) << at;
+    EXPECT_EQ(o.plan_left, one.plan_left) << at;
+  }
+}
+
 // A process-wide plan whose seam fires inside a parallel region (a
 // shard body, the auto-tuner's probes) spends its shots alike at any
 // thread count: every task of a region runs even after one throws, inline
@@ -134,46 +172,73 @@ TEST(FaultMatrix, ShotsFiredInParallelRegionsMatchTheOneThreadRun) {
     const char* plan;
     EngineConfig ecfg;
   } cases[] = {{"sim_launch=2", sharded}, {"sim_launch=2", tuned}, {"tuner_probe=3", tuned}};
-
-  struct Outcome {
-    std::vector<std::string> knobs;
-    models::Matrix output;
-    int launches = 0;
-    sim::Cycles cycles = 0.0;
-    std::string plan_left;
-  };
-  const int thread_counts[] = {1, 2, 3, 4, 8};
   const GcnFixture f;
   for (const auto& c : cases) {
-    std::vector<Outcome> runs;
-    for (int threads : thread_counts) {
-      par::set_max_threads(threads);
-      ASSERT_TRUE(rt::FaultInjector::instance().set_plan(c.plan));
+    expect_same_at_every_thread_count(c.plan, [&] {
+      EXPECT_TRUE(rt::FaultInjector::instance().set_plan(c.plan));
       OptimizedEngine e(c.ecfg);
       const auto r = e.run_gcn(f.data, {&f.cfg, &f.params, &f.x}, ExecMode::kFull, sim::v100());
-      runs.push_back({e.degraded_knobs(), r.output, r.stats.num_launches(), r.stats.total_cycles,
-                      rt::FaultInjector::instance().plan_string()});
+      EXPECT_TRUE(r.status.ok()) << c.plan;
+      Outcome o{e.degraded_knobs(), r.output, r.stats.num_launches(), r.stats.total_cycles,
+                rt::FaultInjector::instance().plan_string()};
       rt::FaultInjector::instance().clear();
-      ASSERT_TRUE(r.status.ok()) << c.plan << " at " << threads << " threads";
-    }
-    par::set_max_threads(0);
-    const Outcome& one = runs.front();
-    EXPECT_FALSE(one.knobs.empty()) << c.plan << ": the plan degraded nothing";
-    for (std::size_t i = 1; i < runs.size(); ++i) {
-      const Outcome& o = runs[i];
-      const std::string at =
-          std::string(c.plan) + " at " + std::to_string(thread_counts[i]) + " threads";
-      EXPECT_EQ(o.knobs, one.knobs) << at;
-      ASSERT_EQ(o.output.size(), one.output.size()) << at;
-      EXPECT_EQ(std::memcmp(o.output.data(), one.output.data(),
-                            static_cast<std::size_t>(one.output.size()) * sizeof(float)),
-                0)
-          << at;
-      EXPECT_EQ(o.launches, one.launches) << at;
-      EXPECT_EQ(o.cycles, one.cycles) << at;
-      EXPECT_EQ(o.plan_left, one.plan_left) << at;
-    }
+      return o;
+    });
   }
+}
+
+// A batch of one job runs its nested regions (tuner probes, replays) on
+// the job's thread, the only one that sees its fault plan, as every job
+// of a larger batch does. So its shots land alike at any thread count; a
+// probe on a pool worker would miss the plan, leaving more shots for the
+// forward pass at 2 or more threads.
+TEST(FaultMatrix, OneJobBatchSpendsItsPlanAlikeAt1_2_3_4_8Threads) {
+  const GcnFixture f;
+  const baselines::GcnRun run{&f.cfg, &f.params, &f.x};
+  OptimizedEngine::BatchJob job;
+  job.data = &f.data;
+  job.gcn = &run;
+  job.mode = ExecMode::kFull;
+  job.spec = sim::v100();
+  job.max_attempts = 1;
+  job.fault_plan = "sim_launch=4";
+  EngineConfig tuned;
+  tuned.auto_tune = true;
+  expect_same_at_every_thread_count(job.fault_plan, [&] {
+    prof::MetricsSink::instance().clear();
+    OptimizedEngine e(tuned);
+    const auto r = e.run_batch({&job, 1}).front();
+    EXPECT_TRUE(r.status.ok()) << r.status.to_string();
+    Outcome o{{}, r.output, r.stats.num_launches(), r.stats.total_cycles, ""};
+    for (const auto& ev : prof::MetricsSink::instance().degradations()) o.knobs.push_back(ev.knob);
+    return o;
+  });
+}
+
+// tuner_probe and sim_launch both fire inside the tuner's parallel probes.
+// The tuner_probe shot is drawn for the first candidate before any probe
+// runs, so the lowest-index failure is always that one and the run always
+// degrades auto-tuning, never neighbor grouping, whichever probe takes the
+// sim_launch shot.
+TEST(FaultMatrix, TwoSeamsInOneRegionDegradeAutoTuneAtEveryThreadCount) {
+  const GcnFixture f;
+  EngineConfig tuned;
+  tuned.auto_tune = true;
+  std::vector<int> thread_counts(50, 8);
+  thread_counts.insert(thread_counts.end(), {1, 2, 3, 4});
+  for (int threads : thread_counts) {
+    par::set_max_threads(threads);
+    ASSERT_TRUE(rt::FaultInjector::instance().set_plan("tuner_probe=1,sim_launch=1"));
+    OptimizedEngine e(tuned);
+    const auto r =
+        e.run_gcn(f.data, {&f.cfg, &f.params, &f.x}, ExecMode::kSimulateOnly, sim::v100());
+    rt::FaultInjector::instance().clear();
+    ASSERT_TRUE(r.status.ok()) << r.status.to_string();
+    EXPECT_EQ(e.degraded_knobs(), std::vector<std::string>{"auto_tune"})
+        << "at " << threads << " threads";
+  }
+  par::set_max_threads(0);
+  prof::MetricsSink::instance().clear();
 }
 
 TEST(FaultMatrix, DatasetLoadFaultIsAStructuredError) {

@@ -18,7 +18,7 @@
 #include "obs/prometheus.hpp"
 #include "obs/registry.hpp"
 #include "par/thread_pool.hpp"
-#include "prof/json_reader.hpp"
+#include "prof/fields.hpp"
 #include "prof/metrics_json.hpp"
 #include "prof/tracer.hpp"
 
@@ -146,13 +146,14 @@ TEST_F(TelemetryBatch, ExportsByteIdenticalAt1_2_3_4_8Threads) {
   std::size_t attempts = 0, failed_first = 0, second = 0;
   std::istringstream lines(serial.journal);
   for (std::string line; std::getline(lines, line);) {
-    const auto ev = prof::parse_json(line);
-    ASSERT_TRUE(ev.ok()) << ev.status().to_string() << "\n" << line;
-    if (ev->str_or("type", "") != "attempt") continue;
+    const auto parsed = prof::parse_json(line);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().to_string() << "\n" << line;
+    obs::JournalEvent ev;
+    ASSERT_TRUE(prof::read_record(*parsed, "", ev, obs::journal_event_fields).ok()) << line;
+    if (ev.type != "attempt") continue;
     ++attempts;
-    const std::uint64_t attempt = ev->uint_or("attempt", 0);
-    if (attempt == 1 && ev->str_or("code", "") != "OK") ++failed_first;
-    if (attempt == 2) ++second;
+    if (ev.attempt == 1 && ev.code != "OK") ++failed_first;
+    if (ev.attempt == 2) ++second;
   }
   EXPECT_GT(attempts, 6u) << "more attempts than jobs:\n" << serial.journal;
   EXPECT_GE(failed_first, 1u) << serial.journal;

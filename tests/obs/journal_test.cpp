@@ -11,11 +11,10 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "obs/request.hpp"
-#include "prof/json_reader.hpp"
+#include "prof/fields.hpp"
 #include "rt/status.hpp"
 
 namespace gnnbridge::obs {
@@ -104,26 +103,22 @@ TEST_F(JournalTest, JsonlLinesParseAndRoundTripEveryField) {
   journal.append(sample_event("req-43", "degradation"));
 
   const std::string jsonl = journal.to_jsonl();
-  std::istringstream lines(jsonl);
-  std::string line;
-  std::size_t n = 0;
-  while (std::getline(lines, line)) {
-    auto parsed = prof::parse_json(line);
-    ASSERT_TRUE(parsed.ok()) << parsed.status().to_string() << "\n" << line;
-    EXPECT_EQ(parsed->uint_or("seq", 999), n);
-    ++n;
-  }
-  EXPECT_EQ(n, 2u);
+  const auto summary = check_journal(jsonl);  // every line parses, seq 0, 1
+  ASSERT_TRUE(summary.ok()) << summary.status().to_string() << "\n" << jsonl;
+  EXPECT_EQ(summary->events, 2u);
 
   auto first = prof::parse_json(jsonl.substr(0, jsonl.find('\n')));
   ASSERT_TRUE(first.ok());
-  EXPECT_EQ(first->str_or("req", ""), "req-42");
-  EXPECT_EQ(first->str_or("type", ""), "attempt");
-  EXPECT_EQ(first->str_or("key", ""), "gcn/0000000000000000");
-  EXPECT_EQ(first->str_or("code", ""), "OK");
-  EXPECT_EQ(first->str_or("detail", ""), "quoted \"detail\"");
-  EXPECT_EQ(first->uint_or("attempt", 0), 2u);
-  EXPECT_EQ(first->num_or("cycles", 0.0), 4096.0);
+  JournalEvent back;
+  ASSERT_TRUE(prof::read_record(*first, "", back, journal_event_fields).ok());
+  EXPECT_EQ(back.seq, 0u);
+  EXPECT_EQ(back.request_id, "req-42");
+  EXPECT_EQ(back.type, "attempt");
+  EXPECT_EQ(back.key, "gcn/0000000000000000");
+  EXPECT_EQ(back.code, "OK");
+  EXPECT_EQ(back.detail, "quoted \"detail\"");
+  EXPECT_EQ(back.attempt, 2u);
+  EXPECT_EQ(back.cycles, 4096.0);
 }
 
 TEST_F(JournalTest, WriteFileSurvivesAKillMidWrite) {

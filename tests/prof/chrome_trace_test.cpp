@@ -1,6 +1,6 @@
 // Chrome-trace exporter smoke tests: the document must be well-formed
 // JSON, and every B must be closed by a matching E in file order (Perfetto
-// rejects unbalanced duration events).
+// rejects unbalanced duration events) — what check_chrome_trace verifies.
 #include "prof/chrome_trace.hpp"
 
 #include <gtest/gtest.h>
@@ -8,9 +8,9 @@
 #include <string>
 #include <vector>
 
+#include "prof/json_reader.hpp"
 #include "sim/counters.hpp"
 #include "sim/device.hpp"
-#include "tests/testing/json.hpp"
 
 namespace gnnbridge::prof {
 namespace {
@@ -20,38 +20,22 @@ struct Event {
   char ph;
 };
 
-// Extracts (name, ph) per event in file order. The exporter always writes
-// "name" before "ph" inside an event object, so the closest preceding
-// "name" key belongs to the same event.
-std::vector<Event> extract_events(const std::string& doc) {
+// Parses the document, runs the exporter's own check on it (well-formed
+// envelope, required keys, every E closing the innermost open B of its
+// track, nothing left open) and returns (name, ph) per event in file order.
+std::vector<Event> checked_events(const std::string& doc) {
+  const auto parsed = parse_json(doc);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().to_string();
+  if (!parsed.ok()) return {};
+  const auto durations = check_chrome_trace(*parsed);
+  EXPECT_TRUE(durations.ok()) << durations.status().to_string();
+  const JsonValue* trace_events = parsed->find("traceEvents");
+  if (!trace_events) return {};
   std::vector<Event> events;
-  std::size_t pos = 0;
-  while ((pos = doc.find("\"ph\":\"", pos)) != std::string::npos) {
-    const char ph = doc[pos + 6];
-    const std::size_t name_key = doc.rfind("\"name\":\"", pos);
-    EXPECT_NE(name_key, std::string::npos);
-    const std::size_t name_start = name_key + 8;
-    const std::size_t name_end = doc.find('"', name_start);
-    events.push_back({doc.substr(name_start, name_end - name_start), ph});
-    pos += 6;
+  for (const JsonValue& ev : trace_events->items) {
+    events.push_back({ev.str_or("name", ""), ev.str_or("ph", "?")[0]});
   }
   return events;
-}
-
-// Stack-checks B/E balance: every E must close the most recent open B of
-// the same name, and nothing may stay open.
-void expect_balanced(const std::vector<Event>& events) {
-  std::vector<std::string> open;
-  for (const Event& e : events) {
-    if (e.ph == 'B') {
-      open.push_back(e.name);
-    } else if (e.ph == 'E') {
-      ASSERT_FALSE(open.empty()) << "E for '" << e.name << "' with no open B";
-      EXPECT_EQ(open.back(), e.name) << "E closes a non-innermost span";
-      open.pop_back();
-    }
-  }
-  EXPECT_TRUE(open.empty()) << "unclosed B events remain";
 }
 
 SpanRecord span(std::string name, int tid, int depth, std::uint64_t start,
@@ -68,8 +52,7 @@ SpanRecord span(std::string name, int tid, int depth, std::uint64_t start,
 
 TEST(ChromeTraceTest, EmptyTraceIsValidJson) {
   const std::string doc = chrome_trace_json({});
-  testing::JsonChecker check(doc);
-  EXPECT_TRUE(check.valid()) << check.error() << " at byte " << check.error_pos();
+  EXPECT_EQ(checked_events(doc).size(), 1u);  // the process_name metadata event
   EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(doc.find("gnnbridge host"), std::string::npos);
 }
@@ -81,12 +64,7 @@ TEST(ChromeTraceTest, NestedSpansEmitMatchedEventsInFileOrder) {
   spans.push_back(span("outer", 0, 0, 0, 100));
   spans.push_back(span("second", 0, 0, 150, 10));
 
-  const std::string doc = chrome_trace_json(spans);
-  testing::JsonChecker check(doc);
-  ASSERT_TRUE(check.valid()) << check.error() << " at byte " << check.error_pos();
-
-  const auto events = extract_events(doc);
-  expect_balanced(events);
+  const auto events = checked_events(chrome_trace_json(spans));
   std::vector<std::string> sequence;
   for (const Event& e : events) {
     if (e.ph == 'B' || e.ph == 'E') sequence.push_back(std::string(1, e.ph) + ":" + e.name);
@@ -100,9 +78,7 @@ TEST(ChromeTraceTest, ZeroDurationSiblingsAtSameInstantStayBalanced) {
   std::vector<SpanRecord> spans;
   spans.push_back(span("a", 0, 0, 5, 0));
   spans.push_back(span("b", 0, 0, 5, 0));
-  const std::string doc = chrome_trace_json(spans);
-  ASSERT_TRUE(testing::json_valid(doc));
-  expect_balanced(extract_events(doc));
+  checked_events(chrome_trace_json(spans));
 }
 
 TEST(ChromeTraceTest, MultipleThreadsEachBalance) {
@@ -110,9 +86,7 @@ TEST(ChromeTraceTest, MultipleThreadsEachBalance) {
   spans.push_back(span("t0_inner", 0, 1, 2, 4));
   spans.push_back(span("t1_span", 1, 0, 0, 50));
   spans.push_back(span("t0_outer", 0, 0, 0, 10));
-  const std::string doc = chrome_trace_json(spans);
-  ASSERT_TRUE(testing::json_valid(doc));
-  expect_balanced(extract_events(doc));
+  checked_events(chrome_trace_json(spans));
 }
 
 TEST(ChromeTraceTest, SimTrackEmitsKernelsAndOccupancyCounters) {
@@ -133,14 +107,11 @@ TEST(ChromeTraceTest, SimTrackEmitsKernelsAndOccupancyCounters) {
   const sim::DeviceSpec spec = sim::v100();
 
   const std::string doc = chrome_trace_json({}, &stats, &spec);
-  testing::JsonChecker check(doc);
-  ASSERT_TRUE(check.valid()) << check.error() << " at byte " << check.error_pos();
   EXPECT_NE(doc.find("simulated GPU"), std::string::npos);
   EXPECT_NE(doc.find("\"spmm_node\""), std::string::npos);
   EXPECT_NE(doc.find("\"active_blocks\""), std::string::npos);
 
-  const auto events = extract_events(doc);
-  expect_balanced(events);
+  const auto events = checked_events(doc);
   int counters = 0;
   for (const Event& e : events) {
     if (e.ph == 'C') {

@@ -10,58 +10,18 @@
 #include <string>
 #include <utility>
 
+#include "obs/registry.hpp"
+#include "prof/fields.hpp"
 #include "prof/json_reader.hpp"
 #include "prof/metrics_json.hpp"
 #include "sim/counters.hpp"
 #include "sim/device.hpp"
+#include "tests/testing/golden.hpp"
 
 namespace gnnbridge::prof {
 namespace {
 
-// Mirrors the golden record in metrics_json_test.cpp: every quantity is a
-// power of two (or exactly representable), so attribution is exact.
-RunRecord golden_record() {
-  sim::KernelStats k;
-  k.name = "spmm_node";
-  k.phase = "aggregation";
-  k.num_blocks = 3;
-  k.l2_hits = 6;
-  k.l2_misses = 2;
-  k.dram_bytes = 128;
-  k.flops = 2147483648.0;         // 2^31
-  k.issued_flops = 2147485440.0;  // flops + pad + copy + tile
-  k.cycles = 2.0e9;
-  k.makespan = 1.6e9;
-  k.balanced = 8.0e8;
-  k.atomic_cycles = 256.0;
-  k.atomic_bytes = 64;
-  k.adapter_cycles = 128.0;
-  k.adapter_bytes = 32;
-  k.pad_flops = 1024.0;
-  k.copy_flops = 512.0;
-  k.tile_flops = 256.0;
-
-  sim::RunStats stats;
-  stats.kernels.push_back(k);
-  stats.total_cycles = 2.0e9;
-  stats.global_syncs = 1;
-
-  sim::DeviceSpec spec;
-  spec.num_sms = 2;
-  spec.max_blocks_per_sm = 4;  // 8 slots
-  spec.clock_ghz = 2.0;
-  spec.l2_bytes = 1 << 20;
-  spec.line_bytes = 64;
-
-  return RunRecord{.label = "gcn/ours/collab",
-                   .model = "gcn",
-                   .backend = "ours",
-                   .dataset = "collab",
-                   .ms = 1.5,
-                   .oom = false,
-                   .stats = stats,
-                   .spec = spec};
-}
+using testing::golden_record;
 
 TEST(GapReportTest, GoldenAttributionNumbers) {
   const RunRecord rec = golden_record();
@@ -152,6 +112,10 @@ TEST(GapReportTest, SerializedDocumentRoundTripsThroughLoader) {
                          .hostname = "goldenhost",
                          .scale_env = "0.25"});
   sink.record(golden_record());
+  sink.record_degradation(rt::make_degradation(
+      "las_cluster", "las", "las->natural_order",
+      rt::Status(rt::StatusCode::kFaultInjected, "injected fault at seam 'las_cluster'")));
+  obs::TelemetryRegistry::instance().counter_add("serve.jobs", 2);
   const std::string path = ::testing::TempDir() + "/gap_roundtrip_metrics.json";
   ASSERT_TRUE(sink.write_file(path).ok());
   sink.clear();
@@ -176,6 +140,17 @@ TEST(GapReportTest, SerializedDocumentRoundTripsThroughLoader) {
   EXPECT_EQ(reloaded.atomic_bytes, direct.atomic_bytes);
   EXPECT_EQ(reloaded.adapter_bytes, direct.adapter_bytes);
   EXPECT_EQ(reloaded.global_syncs, direct.global_syncs);
+
+  // The rest of the document reads back through the same field lists.
+  ASSERT_EQ(loaded->gap_report.size(), 1u);
+  EXPECT_DOUBLE_EQ(loaded->gap_report[0].locality_cycles, direct.locality_cycles);
+  EXPECT_DOUBLE_EQ(loaded->gap_report[0].attributed_cycles(), direct.attributed_cycles());
+  EXPECT_EQ(loaded->gap_report[0].shards, 1);
+  ASSERT_EQ(loaded->degradations.size(), 1u);
+  EXPECT_EQ(loaded->degradations[0].knob, "las");
+  EXPECT_TRUE(loaded->degradations[0].injected);
+  ASSERT_EQ(loaded->telemetry.counters.size(), 1u);
+  EXPECT_EQ(loaded->telemetry.counters[0].second, 2u);
   std::remove(path.c_str());
 }
 
@@ -206,7 +181,8 @@ TEST(JsonReaderTest, ParsesScalarsArraysAndNestedObjects) {
       R"({"a":1.5,"b":"x\"y\\z","c":[1,2,3],"d":{"e":true,"f":null},"neg":-8})");
   ASSERT_TRUE(r.ok()) << r.status().to_string();
   const JsonValue& v = *r;
-  EXPECT_DOUBLE_EQ(v.num_or("a", 0.0), 1.5);
+  ASSERT_EQ(v.members.size(), 5u);
+  EXPECT_DOUBLE_EQ(v.members[0].second.number_value, 1.5);
   EXPECT_EQ(v.str_or("b", ""), "x\"y\\z");
   const JsonValue* c = v.find("c");
   ASSERT_NE(c, nullptr);
@@ -215,35 +191,49 @@ TEST(JsonReaderTest, ParsesScalarsArraysAndNestedObjects) {
   EXPECT_DOUBLE_EQ(c->items[2].number_value, 3.0);
   const JsonValue* d = v.find("d");
   ASSERT_NE(d, nullptr);
-  EXPECT_TRUE(d->bool_or("e", false));
-  EXPECT_EQ(d->find("f")->kind, JsonValue::Kind::kNull);
-  EXPECT_EQ(v.int_or("neg", 0), -8);
+  ASSERT_EQ(d->members.size(), 2u);
+  EXPECT_TRUE(d->members[0].second.bool_value);
+  EXPECT_EQ(d->members[1].second.kind, JsonValue::Kind::kNull);
+  EXPECT_DOUBLE_EQ(v.members[4].second.number_value, -8.0);
 }
 
 TEST(JsonReaderTest, TypedGettersFallBackOnMissingOrMistyped) {
   auto r = parse_json(R"({"s":"text","n":4})");
   ASSERT_TRUE(r.ok());
-  EXPECT_DOUBLE_EQ(r->num_or("s", 7.5), 7.5);    // mistyped
-  EXPECT_DOUBLE_EQ(r->num_or("missing", 2.5), 2.5);
-  EXPECT_EQ(r->str_or("n", "dflt"), "dflt");
-  EXPECT_EQ(r->uint_or("n", 0), 4u);
+  EXPECT_EQ(r->str_or("s", "dflt"), "text");
+  EXPECT_EQ(r->str_or("n", "dflt"), "dflt");  // mistyped
+  EXPECT_EQ(r->str_or("missing", "dflt"), "dflt");
+  EXPECT_EQ(r->find("missing"), nullptr);
+}
+
+/// Reads member "n" of `{"n":<number>}` into `out` through a one-field list.
+template <typename T>
+rt::Status read_n(const std::string& number, T& out) {
+  auto r = parse_json("{\"n\":" + number + "}");
+  if (!r.ok()) return r.status();
+  return read_record(*r, "", out, [](auto& v, auto& x) { v.field("n", x); });
 }
 
 TEST(JsonReaderTest, NegativeNumberNeverBecomesHugeUnsigned) {
-  auto r = parse_json(R"({"n":-5})");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->uint_or("n", 9), 9u);  // falls back rather than wrapping
+  std::uint64_t n = 9;
+  EXPECT_EQ(read_n("-5", n).message(), "n: integer out of range");
+  EXPECT_EQ(n, 9u);
 }
 
-TEST(JsonReaderTest, OutOfRangeNumbersFallBack) {
+TEST(JsonReaderTest, OutOfRangeNumbersAreRejected) {
   // 1e999 parses as +inf; 18446744073709551616 is 2^64, one past the
-  // largest uint64. None of them fits the integer getters' target type.
+  // largest uint64. None of them fits an integer field, and the reader
+  // rejects rather than converts (which would be undefined behaviour).
   for (const char* n : {"1e30", "-1e30", "1e999", "18446744073709551616"}) {
-    auto r = parse_json(std::string("{\"n\":") + n + "}");
-    ASSERT_TRUE(r.ok()) << n;
-    EXPECT_EQ(r->int_or("n", 7), 7) << n;
-    EXPECT_EQ(r->uint_or("n", 9), 9u) << n;
+    std::int64_t i = 7;
+    std::uint64_t u = 9;
+    EXPECT_EQ(read_n(n, i).code(), rt::StatusCode::kDataLoss) << n;
+    EXPECT_EQ(read_n(n, u).code(), rt::StatusCode::kDataLoss) << n;
+    EXPECT_EQ(i, 7) << n;
+    EXPECT_EQ(u, 9u) << n;
   }
+  double d = 0.0;
+  EXPECT_EQ(read_n("1e999", d).message(), "n: non-finite number");
 }
 
 TEST(JsonReaderTest, MalformedDocumentsReportDataLoss) {
@@ -260,6 +250,40 @@ TEST(JsonReaderTest, DepthLimitStopsRunawayNesting) {
   auto r = parse_json(deep);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), rt::StatusCode::kDataLoss);
+}
+
+// RFC 8259 numbers: an optional minus, no leading zeros or '+', and
+// digits on both sides of a '.' and after an 'e'.
+TEST(JsonReaderTest, RejectsNumbersRfc8259Rejects) {
+  for (const char* bad :
+       {"+1", "01", "-01", "00", ".5", "-.5", "1.", "1.e3", "-", "1e", "1e+", "--1", "0x10"}) {
+    const auto r = parse_json(bad);
+    EXPECT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), rt::StatusCode::kDataLoss) << bad;
+  }
+}
+
+TEST(JsonReaderTest, RejectsRawControlCharactersInStrings) {
+  for (const char* bad : {"\"a\nb\"", "\"a\tb\"", "\"a\x01b\"", "{\"k\x1f\":1}"}) {
+    const auto r = parse_json(bad);
+    EXPECT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), rt::StatusCode::kDataLoss) << bad;
+  }
+  const auto escaped = parse_json(R"("a\nb\t\u0001")");
+  ASSERT_TRUE(escaped.ok()) << escaped.status().to_string();
+  EXPECT_EQ(escaped->string_value, "a\nb\t\x01");
+}
+
+TEST(JsonReaderTest, NumbersRecordWhetherTheTokenWasAnInteger) {
+  const auto r = parse_json("[5, -0, 5.0, 5e0, 1E2, 0.5, -12]");
+  ASSERT_TRUE(r.ok()) << r.status().to_string();
+  const bool integer[] = {true, true, false, false, false, false, true};
+  const double value[] = {5.0, 0.0, 5.0, 5.0, 100.0, 0.5, -12.0};
+  ASSERT_EQ(r->items.size(), 7u);
+  for (std::size_t i = 0; i < r->items.size(); ++i) {
+    EXPECT_EQ(r->items[i].integer, integer[i]) << i;
+    EXPECT_EQ(r->items[i].number_value, value[i]) << i;
+  }
 }
 
 TEST(JsonReaderTest, UnicodeEscapesDecodeToUtf8) {

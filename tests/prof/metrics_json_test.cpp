@@ -1,9 +1,11 @@
 // Golden test locking the current gnnbridge-metrics JSON schema.
 //
 // The serialized document for a fixed RunRecord must match byte-for-byte:
-// downstream consumers (tools/check_metrics_schema.py, notebook readers,
-// prof::load_metrics_file) parse this schema, so any change here is a
-// compatibility break and must come with a kMetricsSchemaVersion bump.
+// downstream consumers (prof::load_metrics_file and so `gnnbridge_cli
+// check`/analyze/compare/stats, notebook readers) parse this schema, so any
+// change here is a compatibility break and must come with a
+// kMetricsSchemaVersion bump. The golden is spelled out here, apart from
+// the field lists that write it, so it locks the format independently.
 #include "prof/metrics_json.hpp"
 
 #include <gtest/gtest.h>
@@ -11,59 +13,15 @@
 #include <string>
 
 #include "obs/registry.hpp"
+#include "prof/json_reader.hpp"
 #include "sim/counters.hpp"
 #include "sim/device.hpp"
-#include "tests/testing/json.hpp"
+#include "tests/testing/golden.hpp"
 
 namespace gnnbridge::prof {
 namespace {
 
-// Every quantity is a power of two (or exactly representable) so the
-// %.12g rendering is deterministic across platforms.
-RunRecord golden_record() {
-  sim::KernelStats k;
-  k.name = "spmm_node";
-  k.phase = "aggregation";
-  k.num_blocks = 3;
-  k.l2_hits = 6;
-  k.l2_misses = 2;
-  k.dram_bytes = 128;
-  k.flops = 2147483648.0;  // 2^31
-  k.issued_flops = 2147485440.0;  // flops + pad + copy + tile
-  k.cycles = 2.0e9;
-  k.makespan = 1.6e9;
-  k.balanced = 8.0e8;  // makespan/balanced == 2 exactly
-  k.atomic_cycles = 256.0;
-  k.atomic_bytes = 64;
-  k.adapter_cycles = 128.0;
-  k.adapter_bytes = 32;
-  k.pad_flops = 1024.0;
-  k.copy_flops = 512.0;
-  k.tile_flops = 256.0;
-  k.timeline.add_interval(0.0, 100.0, 2);
-  k.timeline.add_interval(100.0, 200.0, 4);  // time-weighted mean: 3
-
-  sim::RunStats stats;
-  stats.kernels.push_back(k);
-  stats.total_cycles = 2.0e9;
-  stats.global_syncs = 1;
-
-  sim::DeviceSpec spec;
-  spec.num_sms = 2;
-  spec.max_blocks_per_sm = 4;
-  spec.clock_ghz = 2.0;  // seconds(2e9 cycles) == 1.0 exactly
-  spec.l2_bytes = 1 << 20;
-  spec.line_bytes = 64;
-
-  return RunRecord{.label = "gcn/ours/collab",
-                   .model = "gcn",
-                   .backend = "ours",
-                   .dataset = "collab",
-                   .ms = 1.5,
-                   .oom = false,
-                   .stats = stats,
-                   .spec = spec};
-}
+using testing::golden_record;
 
 MetaInfo golden_meta() {
   return MetaInfo{.git_sha = "deadbee",
@@ -147,7 +105,7 @@ TEST(MetricsJsonTest, DegradationEventsSerializeIntoTheirArray) {
   sink.record_degradation(ev);
   EXPECT_EQ(sink.degradation_count(), 1u);
   const std::string doc = sink.to_json();
-  EXPECT_TRUE(testing::json_valid(doc));
+  EXPECT_TRUE(parse_json(doc).ok());
   EXPECT_NE(doc.find("\"degradations\":[{\"seam\":\"las_cluster\",\"knob\":\"las\","
                      "\"action\":\"las->natural_order\",\"detail\":\"FAULT_INJECTED: "
                      "injected fault at seam 'las_cluster'\",\"injected\":true}]"),
@@ -170,8 +128,8 @@ TEST(MetricsJsonTest, GoldenDocumentIsValidJson) {
   sink.set_meta(golden_meta());
   sink.record(golden_record());
   const std::string doc = sink.to_json();
-  testing::JsonChecker check(doc);
-  EXPECT_TRUE(check.valid()) << check.error() << " at byte " << check.error_pos();
+  const auto parsed = parse_json(doc);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().to_string();
   sink.clear();
 }
 
@@ -180,7 +138,7 @@ TEST(MetricsJsonTest, EmptySinkStillEmitsSchemaEnvelope) {
   sink.clear();
   sink.configure("empty", 1.0);
   const std::string doc = sink.to_json();
-  EXPECT_TRUE(testing::json_valid(doc));
+  EXPECT_TRUE(parse_json(doc).ok());
   EXPECT_NE(doc.find("\"schema\":\"gnnbridge-metrics\""), std::string::npos);
   EXPECT_NE(doc.find("\"schema_version\":12"), std::string::npos);
   EXPECT_NE(doc.find("\"meta\":{"), std::string::npos);
@@ -205,7 +163,7 @@ TEST(MetricsJsonTest, TelemetryBlockCarriesRegistryInstruments) {
   reg.counter_add("serve.jobs", 3);
   reg.observe("serve.job_cycles", 1024.0);
   const std::string doc = sink.to_json();
-  EXPECT_TRUE(testing::json_valid(doc));
+  EXPECT_TRUE(parse_json(doc).ok());
   EXPECT_NE(doc.find("\"counters\":[{\"name\":\"serve.jobs\",\"value\":3}]"), std::string::npos);
   // Quantiles clamp to the exact tracked max, so a single observation
   // reports itself at every percentile.
@@ -229,7 +187,7 @@ TEST(MetricsJsonTest, OomRunSerializesWithEmptyKernels) {
   r.oom = true;
   sink.record(r);
   const std::string doc = sink.to_json();
-  EXPECT_TRUE(testing::json_valid(doc));
+  EXPECT_TRUE(parse_json(doc).ok());
   EXPECT_NE(doc.find("\"oom\":true"), std::string::npos);
   EXPECT_NE(doc.find("\"kernels\":[]"), std::string::npos);
   // Degenerate rates serialize as zeros, never NaN/inf. A bare "nan"
@@ -253,8 +211,8 @@ TEST(MetricsJsonTest, EscapesSpecialCharactersInLabels) {
   r.label = "a\"b\\c";
   sink.record(r);
   const std::string doc = sink.to_json();
-  testing::JsonChecker check(doc);
-  EXPECT_TRUE(check.valid()) << check.error() << " at byte " << check.error_pos();
+  const auto parsed = parse_json(doc);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().to_string();
   EXPECT_NE(doc.find("a\\\"b\\\\c"), std::string::npos);
   sink.clear();
 }

@@ -9,6 +9,7 @@
 //   gnnbridge_cli analyze metrics.json
 //   gnnbridge_cli compare baseline_metrics.json optimized_metrics.json
 //   gnnbridge_cli stats metrics.json --prom metrics.prom --journal journal.jsonl
+//   gnnbridge_cli check metrics.json && gnnbridge_cli check --trace trace.json
 //   GNNBRIDGE_FAULT_PLAN=tuner_probe=3 gnnbridge_cli soak --jobs 10 --max-attempts 2
 //   gnnbridge_cli soak --chaos --scale 0.02
 #include <algorithm>
@@ -18,9 +19,8 @@
 #include <cstring>
 #include <deque>
 #include <fstream>
-#include <map>
 #include <memory>
-#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -55,6 +55,7 @@ void usage() {
       "       gnnbridge_cli soak [soak options]\n"
       "       gnnbridge_cli faults\n"
       "       gnnbridge_cli stats METRICS.json [--prom PATH] [--journal JOURNAL.jsonl]\n"
+      "       gnnbridge_cli check [--trace | --journal] [--expect-degradations N] FILE...\n"
       "  profile                       record a host/sim trace and metrics while running;\n"
       "                                writes Chrome-trace JSON (load in ui.perfetto.dev)\n"
       "                                and gnnbridge-metrics JSON\n"
@@ -94,6 +95,10 @@ void usage() {
       "                                rejected); --prom re-renders it as Prometheus\n"
       "                                text exposition, --journal summarizes an event\n"
       "                                journal written by soak --journal\n"
+      "  check FILE...                 validate schema v%d metrics files (--trace: Chrome\n"
+      "                                traces, --journal: event journals); with\n"
+      "                                --expect-degradations N, exactly N degradations.\n"
+      "                                Prints PATH: OK (...) or PATH: FAIL: ... per file\n"
       "  --metrics PATH                metrics file. Precedence: this flag wins over\n"
       "                                $GNNBRIDGE_METRICS_JSON, which wins over the\n"
       "                                default gnnbridge_metrics.json (profile mode)\n"
@@ -117,10 +122,11 @@ void usage() {
       "  --tune                        run the online tuner before executing (ours only)\n"
       "  --no-las / --no-ng / --no-fusion / --no-linear\n"
       "                                disable individual optimizations (ours only)\n"
-      "exit status: 0 success, 1 runtime failure (run, output write or metrics read),\n"
+      "exit status: 0 success, 1 runtime failure (run, output write, metrics read\n"
+      "             or a failed check),\n"
       "             2 usage error, 3 dataset load failure,\n"
       "             5 chaos contract violation (soak --chaos)\n",
-      prof::kMetricsSchemaVersion);
+      prof::kMetricsSchemaVersion, prof::kMetricsSchemaVersion);
 }
 
 int cmd_analyze(const std::string& path) {
@@ -249,35 +255,13 @@ bool parse_common_flag(const std::string& arg, Next&& next, CommonArgs& out) {
   return false;
 }
 
-/// Rebuilds an obs::RegistrySnapshot from a parsed metrics `telemetry`
-/// block, so the stats table and the Prometheus re-render share the live
-/// registry's code paths.
-obs::RegistrySnapshot snapshot_from_json(const prof::JsonValue& telemetry) {
-  obs::RegistrySnapshot snap;
-  if (const prof::JsonValue* cs = telemetry.find("counters"); cs && cs->is_array()) {
-    for (const auto& c : cs->items) {
-      snap.counters.emplace_back(c.str_or("name", ""), c.uint_or("value", 0));
-    }
-  }
-  if (const prof::JsonValue* hs = telemetry.find("histograms"); hs && hs->is_array()) {
-    for (const auto& h : hs->items) {
-      obs::HistogramSnapshot s;
-      s.count = h.uint_or("count", 0);
-      s.sum = h.num_or("sum", 0.0);
-      s.min = h.num_or("min", 0.0);
-      s.max = h.num_or("max", 0.0);
-      s.p50 = h.num_or("p50", 0.0);
-      s.p90 = h.num_or("p90", 0.0);
-      s.p99 = h.num_or("p99", 0.0);
-      if (const prof::JsonValue* bs = h.find("buckets"); bs && bs->is_array()) {
-        for (const auto& b : bs->items) {
-          s.buckets.emplace_back(b.num_or("le", 0.0), b.uint_or("count", 0));
-        }
-      }
-      snap.histograms.emplace_back(h.str_or("name", ""), std::move(s));
-    }
-  }
-  return snap;
+/// Reads and checks a JSONL event journal (obs::check_journal).
+rt::Result<obs::JournalSummary> check_journal_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return rt::Status(rt::StatusCode::kNotFound, "cannot open '" + path + "'");
+  std::ostringstream text;
+  text << in.rdbuf();
+  return obs::check_journal(text.str());
 }
 
 /// `gnnbridge_cli stats`: human-readable view of the telemetry block of a
@@ -317,22 +301,12 @@ int cmd_stats(int argc, char** argv) {
     return 2;
   }
 
-  auto doc = prof::parse_json_file(metrics_path);
+  const auto doc = prof::load_metrics_file(metrics_path);
   if (!doc.ok()) {
     std::fprintf(stderr, "gnnbridge_cli: %s\n", doc.status().to_string().c_str());
     return 1;
   }
-  if (rt::Status s = prof::check_metrics_document(*doc); !s.ok()) {
-    std::fprintf(stderr, "gnnbridge_cli: %s\n",
-                 std::move(s).with_context("stats('" + metrics_path + "')").to_string().c_str());
-    return 1;
-  }
-  const prof::JsonValue* telemetry = doc->find("telemetry");
-  if (!telemetry || !telemetry->is_object()) {
-    std::fprintf(stderr, "gnnbridge_cli: '%s' has no telemetry block\n", metrics_path.c_str());
-    return 1;
-  }
-  const obs::RegistrySnapshot snap = snapshot_from_json(*telemetry);
+  const obs::RegistrySnapshot& snap = doc->telemetry;
   std::printf("telemetry of '%s' (schema v%d): %zu counter(s), %zu histogram(s)\n",
               metrics_path.c_str(), prof::kMetricsSchemaVersion, snap.counters.size(),
               snap.histograms.size());
@@ -360,34 +334,90 @@ int cmd_stats(int argc, char** argv) {
   }
 
   if (!journal_path.empty()) {
-    std::ifstream in(journal_path);
-    if (!in) {
-      std::fprintf(stderr, "gnnbridge_cli: cannot read journal '%s'\n", journal_path.c_str());
+    const auto journal = check_journal_file(journal_path);
+    if (!journal.ok()) {
+      std::fprintf(stderr, "gnnbridge_cli: journal '%s': %s\n", journal_path.c_str(),
+                   journal.status().message().c_str());
       return 1;
     }
-    std::size_t events = 0;
-    std::set<std::string> requests;
-    std::map<std::string, std::size_t> by_type;
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      auto ev = prof::parse_json(line);
-      if (!ev.ok()) {
-        std::fprintf(stderr, "gnnbridge_cli: journal '%s' line %zu: %s\n", journal_path.c_str(),
-                     events + 1, ev.status().to_string().c_str());
-        return 1;
-      }
-      ++events;
-      requests.insert(ev->str_or("req", ""));
-      ++by_type[ev->str_or("type", "?")];
-    }
     std::printf("journal '%s': %zu event(s) across %zu request(s)\n", journal_path.c_str(),
-                events, requests.size());
-    for (const auto& [type, n] : by_type) {
+                journal->events, journal->requests.size());
+    for (const auto& [type, n] : journal->events_by_type) {
       std::printf("  %-12s %zu\n", type.c_str(), n);
     }
   }
   return 0;
+}
+
+/// `gnnbridge_cli check`: validates metrics documents through the strict
+/// reader (load_metrics_file), or Chrome traces (--trace) or event journals
+/// (--journal) through their checks. One `PATH: OK (...)` line on stdout
+/// per valid file, one `PATH: FAIL: ...` line on stderr per invalid one;
+/// exit 1 when any file failed, 2 on a usage error.
+int cmd_check(int argc, char** argv) {
+  bool trace = false, journal = false;
+  int expect_degradations = -1;
+  std::vector<std::string> files;
+  for (int i = 2; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--trace") {
+      trace = true;
+    } else if (arg == "--journal") {
+      journal = true;
+    } else if (arg == "--expect-degradations" && i + 1 < argc) {
+      expect_degradations = parse_int_flag("--expect-degradations", argv[++i], 0, 1 << 30);
+    } else if (!arg.empty() && arg[0] == '-') {
+      std::fprintf(stderr, "unknown or incomplete check option '%s'\n", arg.c_str());
+      usage();
+      return 2;
+    } else {
+      files.push_back(arg);
+    }
+  }
+  if (files.empty() || (trace && journal)) {
+    std::fprintf(stderr, "check: %s\n", files.empty() ? "no FILE given"
+                                                       : "--trace and --journal exclude each other");
+    return 2;
+  }
+  // The OK line's summary for a valid file, or why it is invalid.
+  const auto check_one = [&](const std::string& path) -> rt::Result<std::string> {
+    char summary[128];
+    if (journal) {
+      const auto j = check_journal_file(path);
+      if (!j.ok()) return j.status();
+      std::snprintf(summary, sizeof(summary), "%zu events, %zu requests, seq contiguous",
+                    j->events, j->requests.size());
+    } else if (trace) {
+      const auto doc = prof::parse_json_file(path);
+      if (!doc.ok()) return doc.status();
+      const auto n = prof::check_chrome_trace(*doc);
+      if (!n.ok()) return n.status();
+      std::snprintf(summary, sizeof(summary), "%zu duration events, B/E balanced", *n);
+    } else {
+      const auto doc = prof::load_metrics_file(path);
+      if (!doc.ok()) return doc.status();
+      const std::size_t runs = doc->runs.size(), degraded = doc->degradations.size();
+      if (expect_degradations >= 0 && degraded != static_cast<std::size_t>(expect_degradations)) {
+        return rt::Status(rt::StatusCode::kDataLoss,
+                          "degradations: expected " + std::to_string(expect_degradations) +
+                              " events, got " + std::to_string(degraded));
+      }
+      std::snprintf(summary, sizeof(summary), "%zu runs, %zu degradations, schema v%d", runs,
+                    degraded, prof::kMetricsSchemaVersion);
+    }
+    return std::string(summary);
+  };
+  bool failed = false;
+  for (const std::string& path : files) {
+    const auto result = check_one(path);
+    if (result.ok()) {
+      std::printf("%s: OK (%s)\n", path.c_str(), result->c_str());
+    } else {
+      std::fprintf(stderr, "%s: FAIL: %s\n", path.c_str(), result.status().message().c_str());
+      failed = true;
+    }
+  }
+  return failed ? 1 : 0;
 }
 
 /// `gnnbridge_cli faults`: print the seam table from rt/fault.hpp — the
@@ -770,6 +800,8 @@ int main(int argc, char** argv) {
     return cmd_faults();
   } else if (argc > 1 && std::strcmp(argv[1], "stats") == 0) {
     return cmd_stats(argc, argv);
+  } else if (argc > 1 && std::strcmp(argv[1], "check") == 0) {
+    return cmd_check(argc, argv);
   }
   for (int i = first_arg; i < argc; ++i) {
     const std::string arg = argv[i];
