@@ -55,6 +55,14 @@ struct RunResult {
   int attempts = 1;
 };
 
+/// The result of a run that would not fit in device memory at paper scale.
+inline RunResult oom_result(std::uint64_t paper_bytes) {
+  RunResult r;
+  r.oom = true;
+  r.paper_bytes = paper_bytes;
+  return r;
+}
+
 /// Shared per-run inputs: weights are created once by the harness so that
 /// every backend runs the same parameters.
 struct GcnRun {

@@ -60,7 +60,7 @@ RunResult DglBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode m
                               const sim::DeviceSpec& spec) {
   prof::Span span("DglBackend::run_gcn", "baseline");
   const std::uint64_t paper_bytes = dgl_footprint(graph::paper_stats(data.id), *run.cfg);
-  if (paper_bytes > kDeviceBytes) return {.oom = true, .paper_bytes = paper_bytes};
+  if (paper_bytes > kDeviceBytes) return oom_result(paper_bytes);
 
   sim::SimContext ctx(pipeline::with_overhead(spec, kFrameworkOverheadCycles));
   Workspace ws(mode);
@@ -100,7 +100,7 @@ RunResult DglBackend::run_gat(const Dataset& data, const GatRun& run, ExecMode m
                               const sim::DeviceSpec& spec) {
   prof::Span span("DglBackend::run_gat", "baseline");
   const std::uint64_t paper_bytes = dgl_footprint_gat(graph::paper_stats(data.id), *run.cfg);
-  if (paper_bytes > kDeviceBytes) return {.oom = true, .paper_bytes = paper_bytes};
+  if (paper_bytes > kDeviceBytes) return oom_result(paper_bytes);
 
   sim::SimContext ctx(pipeline::with_overhead(spec, kFrameworkOverheadCycles));
   Workspace ws(mode);

@@ -24,7 +24,7 @@ RunResult PygBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode m
                               const sim::DeviceSpec& spec) {
   prof::Span span("PygBackend::run_gcn", "baseline");
   const std::uint64_t paper_bytes = pyg_footprint_gcn(graph::paper_stats(data.id), *run.cfg);
-  if (paper_bytes > kDeviceBytes) return {.oom = true, .paper_bytes = paper_bytes};
+  if (paper_bytes > kDeviceBytes) return oom_result(paper_bytes);
 
   sim::SimContext ctx(pipeline::with_overhead(spec, kFrameworkOverheadCycles));
   pipeline::Workspace ws(mode);
@@ -63,7 +63,7 @@ RunResult PygBackend::run_gat(const Dataset& data, const GatRun& run, ExecMode m
                               const sim::DeviceSpec& spec) {
   prof::Span span("PygBackend::run_gat", "baseline");
   const std::uint64_t paper_bytes = pyg_footprint_gat(graph::paper_stats(data.id), *run.cfg);
-  if (paper_bytes > kDeviceBytes) return {.oom = true, .paper_bytes = paper_bytes};
+  if (paper_bytes > kDeviceBytes) return oom_result(paper_bytes);
 
   sim::SimContext ctx(pipeline::with_overhead(spec, kFrameworkOverheadCycles));
   pipeline::Workspace ws(mode);

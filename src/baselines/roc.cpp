@@ -21,7 +21,7 @@ RunResult RocBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode m
                               const sim::DeviceSpec& spec) {
   prof::Span span("RocBackend::run_gcn", "baseline");
   const std::uint64_t paper_bytes = roc_footprint_gcn(graph::paper_stats(data.id), *run.cfg);
-  if (paper_bytes > kDeviceBytes) return {.oom = true, .paper_bytes = paper_bytes};
+  if (paper_bytes > kDeviceBytes) return oom_result(paper_bytes);
 
   sim::SimContext ctx(pipeline::with_overhead(spec, kFrameworkOverheadCycles));
   pipeline::Workspace ws(mode);

@@ -44,8 +44,8 @@ sim::BlockWork gemm_tile_trace(const sim::Buffer& b_buf, std::uint64_t b_row_byt
   }
   const double useful = 2.0 * static_cast<double>(i1 - i0) * static_cast<double>(j1 - j0) *
                         static_cast<double>(kdim);
-  // Tiles execute with full 64x64 thread footprints; boundary tiles waste
-  // the difference.
+  // Tiles execute with full kTile x kTile thread footprints; boundary tiles
+  // waste the difference.
   const double issued = 2.0 * static_cast<double>(kTile) * static_cast<double>(kTile) *
                         static_cast<double>(kdim);
   blk.compute_tiled(useful, issued);

@@ -256,6 +256,24 @@ sim::KernelStats bias_act_kernel(sim::SimContext& ctx, const BiasActArgs& args) 
   const Index rows = args.mat->rows, cols = args.mat->cols;
   const bool full = args.mode == ExecMode::kFull && args.mat->host;
 
+  // Host epilogue. Every element is independent, so row chunks run on the
+  // pool before the sequential trace is built.
+  if (full) {
+    const Matrix* bias = args.bias && args.bias->host ? args.bias->host : nullptr;
+    Matrix& mat = *args.mat->host;
+    const auto epilogue = [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
+      for (auto r = static_cast<Index>(begin); r < static_cast<Index>(end); ++r) {
+        auto row = mat.row(r);
+        for (Index c = 0; c < cols; ++c) {
+          float x = row[c] + (bias ? (*bias)(c, 0) : 0.0f);
+          if (args.relu) x = x > 0.0f ? x : 0.0f;
+          row[c] = x;
+        }
+      }
+    };
+    par::parallel_chunks(static_cast<std::size_t>(rows), par::kDefaultGrain, epilogue);
+  }
+
   sim::Kernel k;
   k.name = args.name;
   k.phase = args.phase;
@@ -267,16 +285,6 @@ sim::KernelStats bias_act_kernel(sim::SimContext& ctx, const BiasActArgs& args) 
     const std::uint32_t bytes = static_cast<std::uint32_t>((r1 - r0) * args.mat->row_bytes());
     blk.read(args.mat->buf, args.mat->row_offset(r0), bytes);
     blk.write(args.mat->buf, args.mat->row_offset(r0), bytes);
-    if (full) {
-      for (Index r = r0; r < r1; ++r) {
-        auto row = args.mat->host->row(r);
-        for (Index c = 0; c < cols; ++c) {
-          float x = row[c] + (args.bias && args.bias->host ? (*args.bias->host)(c, 0) : 0.0f);
-          if (args.relu) x = x > 0.0f ? x : 0.0f;
-          row[c] = x;
-        }
-      }
-    }
     const double work = 2.0 * static_cast<double>((r1 - r0) * cols);
     blk.compute(work, work);
     blk.extra_cycles = kTaskSetupCycles;

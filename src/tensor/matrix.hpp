@@ -2,8 +2,9 @@
 //
 // The paper's system sits on top of cuBLAS/cuDNN-style dense building blocks;
 // this module is our from-scratch replacement. Matrices are always row-major
-// float32 (the datatype used throughout GNN training) with 64-byte-aligned
-// storage so the simulator's cache-line address math is exact.
+// float32 (the datatype used throughout GNN training), stored in a plain
+// std::vector<float>. Host storage plays no part in the simulator's
+// cache-line math: simulated addresses come from sim::AddressSpace.
 #pragma once
 
 #include <cassert>
@@ -18,7 +19,7 @@ namespace gnnbridge::tensor {
 /// for large synthetic graphs never overflow.
 using Index = std::int64_t;
 
-/// A dense row-major float matrix with aligned storage.
+/// A dense row-major float matrix.
 ///
 /// Rows are contiguous; `row(i)` returns a span over row i. The matrix owns
 /// its storage. Copy is deep; move is cheap.

@@ -5,17 +5,23 @@
 // byte-identical metrics documents — every counter, every kernel, every
 // gap attribution — at 1, 2, 3, 4 and 8 host threads. Only meta.threads
 // (pinned here so the documents compare equal) and wall-clock time may
-// differ. run_batch must likewise match sequential execution.
+// differ. The host math of kFull runs (outputs, losses, gradients and
+// updated parameters) must be byte-identical at those counts too. run_batch
+// must likewise match sequential execution.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/dgl.hpp"
 #include "engine/engine.hpp"
 #include "graph/datasets.hpp"
+#include "models/gcn_grad.hpp"
 #include "par/thread_pool.hpp"
 #include "prof/metrics_json.hpp"
+#include "tests/testing/util.hpp"
 
 namespace gnnbridge {
 namespace {
@@ -45,6 +51,10 @@ struct Inputs {
   models::MultiHeadGatParams mh_params;
   models::SagePoolParams pool_params;
   models::Matrix x_collab, x_arxiv, x_sage;
+  // Two layers whose widths (20, 6) leave GEMM column tails.
+  models::GcnConfig train_cfg;
+  models::GcnParams train_params;
+  models::Matrix train_target;
 
   Inputs() {
     gcn_cfg.dims = {32, 16};
@@ -61,6 +71,9 @@ struct Inputs {
     x_collab = models::init_features(collab.csr.num_nodes, 32, 4);
     x_arxiv = models::init_features(arxiv.csr.num_nodes, 32, 4);
     x_sage = models::init_features(arxiv.csr.num_nodes, sage_cfg.in_feat, 5);
+    train_cfg.dims = {32, 20, 6};
+    train_params = models::init_gcn(train_cfg, 8);
+    train_target = models::init_features(collab.csr.num_nodes, 6, 9);
   }
 };
 
@@ -141,6 +154,74 @@ TEST_F(ThreadCountDeterminism, MetricsDocumentByteIdenticalAt1_2_3_4_8Threads) {
     // EXPECT_EQ on the whole document: a counter that drifts with the
     // thread count shows up as a precise byte diff.
     EXPECT_EQ(parallel, serial) << "at " << threads << " threads";
+  }
+}
+
+/// Every matrix and loss a kFull GCN and GAT forward and two GCN training
+/// steps compute on the host, in a fixed order.
+struct FullOutputs {
+  std::vector<std::pair<std::string, models::Matrix>> mats;
+  std::vector<float> losses;
+};
+
+FullOutputs run_full() {
+  const Inputs& in = inputs();
+  OptimizedEngine e;
+  FullOutputs out;
+  const auto keep = [&](const std::string& what, const models::Matrix& m) {
+    EXPECT_GT(m.size(), 0) << what;
+    out.mats.emplace_back(what, m);
+  };
+  const baselines::RunResult gcn = e.run_gcn(
+      in.collab, {&in.gcn_cfg, &in.gcn_params, &in.x_collab}, ExecMode::kFull, sim::v100());
+  EXPECT_TRUE(gcn.status.ok()) << gcn.status.to_string();
+  keep("gcn output", gcn.output);
+  const baselines::RunResult gat = e.run_gat(
+      in.collab, {&in.gat_cfg, &in.gat_params, &in.x_collab}, ExecMode::kFull, sim::v100());
+  EXPECT_TRUE(gat.status.ok()) << gat.status.to_string();
+  keep("gat output", gat.output);
+
+  models::GcnParams params = in.train_params;
+  for (int step = 0; step < 2; ++step) {
+    const std::string at = "step " + std::to_string(step) + " ";
+    models::GcnGrads grads;
+    const auto r = e.train_gcn_step(in.collab, in.train_cfg, params, in.x_collab,
+                                    in.train_target, 0.5f, ExecMode::kFull, sim::v100(), &grads);
+    EXPECT_TRUE(r.run.status.ok()) << at << r.run.status.to_string();
+    out.losses.push_back(r.loss);
+    keep(at + "output", r.run.output);
+    for (std::size_t l = 0; l < params.weight.size(); ++l) {
+      const std::string layer = std::to_string(l);
+      keep(at + "d_weight " + layer, grads.weight[l]);
+      keep(at + "d_bias " + layer, grads.bias[l]);
+      keep(at + "weight " + layer, params.weight[l]);
+      keep(at + "bias " + layer, params.bias[l]);
+    }
+    keep(at + "d_input", grads.input);
+  }
+  return out;
+}
+
+// The metrics document above is computed in kSimulateOnly; this holds the
+// host math of kFull to the same contract. Compared with memcmp, which
+// tells -0.0 from +0.0 where Matrix::operator== does not.
+TEST_F(ThreadCountDeterminism, FullOutputsByteIdenticalAt1_2_3_4_8Threads) {
+  par::set_max_threads(1);
+  const FullOutputs serial = run_full();
+  ASSERT_EQ(serial.mats.size(), 2u + 2u * (1 + 4 * 2 + 1));
+  ASSERT_EQ(serial.losses.size(), 2u);
+  for (int threads : {2, 3, 4, 8}) {
+    par::set_max_threads(threads);
+    const FullOutputs parallel = run_full();
+    ASSERT_EQ(parallel.mats.size(), serial.mats.size());
+    for (std::size_t i = 0; i < serial.mats.size(); ++i) {
+      EXPECT_TRUE(testing::same_bytes(parallel.mats[i].second, serial.mats[i].second))
+          << serial.mats[i].first << " at " << threads << " threads";
+    }
+    EXPECT_EQ(std::memcmp(parallel.losses.data(), serial.losses.data(),
+                          serial.losses.size() * sizeof(float)),
+              0)
+        << "losses at " << threads << " threads";
   }
 }
 

@@ -1,6 +1,7 @@
 // Shared test fixtures and builders.
 #pragma once
 
+#include <cstring>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -54,6 +55,14 @@ inline Matrix random_matrix(Index rows, Index cols, std::uint64_t seed, float lo
   Matrix m(rows, cols);
   tensor::fill_uniform(m, rng, lo, hi);
   return m;
+}
+
+/// True when `a` and `b` have the same shape and the same bytes. Unlike
+/// Matrix::operator==, it tells -0.0f from +0.0f.
+inline bool same_bytes(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(), static_cast<std::size_t>(a.size()) * sizeof(float)) == 0);
 }
 
 }  // namespace gnnbridge::testing
