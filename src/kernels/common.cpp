@@ -1,5 +1,6 @@
 #include "kernels/common.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace gnnbridge::kernels {
@@ -39,6 +40,11 @@ std::vector<Task> natural_tasks(const Csr& csr) {
     tasks.push_back({v, csr.row_ptr[v], csr.row_ptr[static_cast<std::size_t>(v) + 1]});
   }
   return tasks;
+}
+
+std::size_t block_grain(std::size_t blocks) {
+  constexpr std::size_t kMaxChunks = 64, kMinGrain = 8;
+  return std::max(kMinGrain, (blocks + kMaxChunks - 1) / kMaxChunks);
 }
 
 double pad_factor(Index feat_len, int lanes) {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "graph/csr.hpp"
+#include "par/thread_pool.hpp"
 #include "sim/context.hpp"
 #include "tensor/matrix.hpp"
 
@@ -80,6 +81,45 @@ struct Task {
 /// One whole-row task per node, in natural node order (the DGL baseline's
 /// task distribution).
 std::vector<Task> natural_tasks(const Csr& csr);
+
+/// Blocks of `per_block` items (rows, edges, nodes) covering `n` items.
+inline std::size_t blocks_of(std::int64_t n, std::int64_t per_block) {
+  return static_cast<std::size_t>((n + per_block - 1) / per_block);
+}
+
+/// Blocks per pool chunk when a kernel's `blocks` blocks are built: at
+/// most 64 chunks and at least 8 blocks each. Depends on the block count
+/// only, so the chunks are the same at any thread count.
+std::size_t block_grain(std::size_t blocks);
+
+/// Builds the `count` blocks of `k` as pool tasks: emit(i, k.blocks[i])
+/// for every block, each chunk's blocks in order on one thread. `emit`
+/// reserves the block's accesses before it emits them. No chunk boundary
+/// falls before a block i for which joined(i) holds: a kernel whose host
+/// math adds into an output row that another block also writes joins
+/// those blocks, so the row is summed in block order at any thread count.
+/// Each block's trace is built alone, so every trace is byte-identical.
+template <typename Joined, typename Emit>
+void emit_blocks(sim::Kernel& k, std::size_t count, Joined&& joined, Emit&& emit) {
+  k.blocks.resize(count);
+  const std::vector<std::size_t> bounds =
+      par::aligned_chunk_bounds(count, block_grain(count), joined);
+  par::parallel_ranges(bounds, [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) emit(i, k.blocks[i]);
+  });
+}
+
+/// emit_blocks for blocks whose host math writes rows no other block does.
+template <typename Emit>
+void emit_blocks(sim::Kernel& k, std::size_t count, Emit&& emit) {
+  emit_blocks(k, count, [](std::size_t) { return false; }, emit);
+}
+
+/// emit_blocks' `joined` for one block per task: the adjacent tasks of
+/// one center node (a split row) accumulate into the same output row.
+inline auto same_node(std::span<const Task> tasks) {
+  return [tasks](std::size_t i) { return tasks[i].v == tasks[i - 1].v; };
+}
 
 /// Lane-padding factor for mapping a `feat_len`-wide row onto `lanes`
 /// SIMD lanes: issued work / useful work = ceil(F/lanes)*lanes / F.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "par/thread_pool.hpp"
 #include "tensor/ops.hpp"
 
 namespace gnnbridge::kernels {
@@ -15,13 +16,19 @@ namespace {
 constexpr Index kTile = 32;
 constexpr double kBlockSetupCycles = 40.0;
 
-/// Emits the trace of one [tile_m x tile_n] output tile of a GEMM whose
-/// A-rows resolve through `a_row_addr`. Returns the block.
+/// Accesses of one GEMM tile with `rows` A-rows over depth `kdim`: per
+/// k-tile the A-row slices and the B rows, then the C rows.
+std::size_t gemm_tile_accesses(Index rows, Index kdim) {
+  const Index k_tiles = (kdim + kTile - 1) / kTile;
+  return static_cast<std::size_t>(k_tiles * rows + kdim + rows);
+}
+
+/// Emits into `blk` the trace of one [tile_m x tile_n] output tile of a
+/// GEMM whose A-rows resolve through `a_row_addr`.
 template <typename RowAddrFn>
-sim::BlockWork gemm_tile_trace(const sim::Buffer& b_buf, std::uint64_t b_row_bytes,
-                               sim::Buffer c_buf, std::uint64_t c_row_bytes, Index i0, Index i1,
-                               Index j0, Index j1, Index kdim, RowAddrFn a_row_addr) {
-  sim::BlockWork blk;
+void gemm_tile_trace(sim::BlockWork& blk, const sim::Buffer& b_buf, std::uint64_t b_row_bytes,
+                     sim::Buffer c_buf, std::uint64_t c_row_bytes, Index i0, Index i1, Index j0,
+                     Index j1, Index kdim, RowAddrFn a_row_addr) {
   for (Index k0 = 0; k0 < kdim; k0 += kTile) {
     const Index k1 = std::min(k0 + kTile, kdim);
     const std::uint32_t a_bytes = static_cast<std::uint32_t>((k1 - k0) * 4);
@@ -50,8 +57,24 @@ sim::BlockWork gemm_tile_trace(const sim::Buffer& b_buf, std::uint64_t b_row_byt
                         static_cast<double>(kdim);
   blk.compute_tiled(useful, issued);
   blk.extra_cycles = kBlockSetupCycles;
-  return blk;
 }
+
+/// Rows [i0, i1) and columns [j0, j1) of an output tile.
+struct Tile {
+  Index i0, i1, j0, j1;
+};
+/// The tile of block `b` of an [m x n] output whose kTile x kTile tiles
+/// launch row tile by row tile (GEMM and transpose).
+Tile tile_of(std::size_t b, Index m, Index n) {
+  const Index col_tiles = (n + kTile - 1) / kTile;
+  const Index i0 = static_cast<Index>(b) / col_tiles * kTile;
+  const Index j0 = static_cast<Index>(b) % col_tiles * kTile;
+  return {i0, std::min(i0 + kTile, m), j0, std::min(j0 + kTile, n)};
+}
+
+/// Tiles of an [m x n] output.
+std::size_t num_tiles(Index m, Index n) { return blocks_of(m, kTile) * blocks_of(n, kTile); }
+
 }  // namespace
 
 sim::KernelStats dense_gemm(sim::SimContext& ctx, const GemmArgs& args) {
@@ -75,17 +98,14 @@ sim::KernelStats dense_gemm(sim::SimContext& ctx, const GemmArgs& args) {
   k.phase = args.phase;
   const sim::Buffer a_buf = args.a->buf;
   const std::uint64_t a_row_bytes = args.a->row_bytes();
-  for (Index i0 = 0; i0 < m; i0 += kTile) {
-    const Index i1 = std::min(i0 + kTile, m);
-    for (Index j0 = 0; j0 < n; j0 += kTile) {
-      const Index j1 = std::min(j0 + kTile, n);
-      k.blocks.push_back(gemm_tile_trace(
-          args.b->buf, args.b->row_bytes(), args.c->buf, args.c->row_bytes(), i0, i1, j0, j1,
-          kdim, [&](Index i) {
-            return std::pair{&a_buf, static_cast<std::uint64_t>(i) * a_row_bytes};
-          }));
-    }
-  }
+  emit_blocks(k, num_tiles(m, n), [&](std::size_t b, sim::BlockWork& blk) {
+    const auto [i0, i1, j0, j1] = tile_of(b, m, n);
+    blk.accesses.reserve(gemm_tile_accesses(i1 - i0, kdim));
+    gemm_tile_trace(blk, args.b->buf, args.b->row_bytes(), args.c->buf, args.c->row_bytes(), i0,
+                    i1, j0, j1, kdim, [&](Index i) {
+                      return std::pair{&a_buf, static_cast<std::uint64_t>(i) * a_row_bytes};
+                    });
+  });
   return ctx.launch(std::move(k));
 }
 
@@ -118,22 +138,18 @@ sim::KernelStats sparse_fetch_gemm(sim::SimContext& ctx, const SparseFetchGemmAr
   k.phase = args.phase;
   const sim::Buffer feat_buf = args.feat->buf;
   const std::uint64_t feat_row_bytes = args.feat->row_bytes();
-  for (Index i0 = 0; i0 < m; i0 += kTile) {
-    const Index i1 = std::min(i0 + kTile, m);
-    for (Index j0 = 0; j0 < n; j0 += kTile) {
-      const Index j1 = std::min(j0 + kTile, n);
-      sim::BlockWork blk = gemm_tile_trace(
-          args.b->buf, args.b->row_bytes(), args.c->buf, args.c->row_bytes(), i0, i1, j0, j1,
-          kdim, [&](Index i) {
-            const NodeId u = args.row_index[static_cast<std::size_t>(i)];
-            return std::pair{&feat_buf, static_cast<std::uint64_t>(u) * feat_row_bytes};
-          });
-      // The index array itself is read once per tile row-range.
-      blk.accesses.push_back({args.index_buf.addr(static_cast<std::uint64_t>(i0) * 4),
-                              static_cast<std::uint32_t>((i1 - i0) * 4)});
-      k.blocks.push_back(std::move(blk));
-    }
-  }
+  emit_blocks(k, num_tiles(m, n), [&](std::size_t b, sim::BlockWork& blk) {
+    const auto [i0, i1, j0, j1] = tile_of(b, m, n);
+    blk.accesses.reserve(gemm_tile_accesses(i1 - i0, kdim) + 1);
+    gemm_tile_trace(blk, args.b->buf, args.b->row_bytes(), args.c->buf, args.c->row_bytes(), i0,
+                    i1, j0, j1, kdim, [&](Index i) {
+                      const NodeId u = args.row_index[static_cast<std::size_t>(i)];
+                      return std::pair{&feat_buf, static_cast<std::uint64_t>(u) * feat_row_bytes};
+                    });
+    // The index array itself is read once per tile row-range.
+    blk.accesses.push_back({args.index_buf.addr(static_cast<std::uint64_t>(i0) * 4),
+                            static_cast<std::uint32_t>((i1 - i0) * 4)});
+  });
   return ctx.launch(std::move(k));
 }
 
@@ -147,9 +163,10 @@ sim::KernelStats dense_map(sim::SimContext& ctx, const DenseMapArgs& args) {
   k.name = args.name;
   k.phase = args.phase;
   const Index rows_per_block = std::max<Index>(1, kTile * kTile / std::max<Index>(cols, 1));
-  for (Index r0 = 0; r0 < rows; r0 += rows_per_block) {
+  emit_blocks(k, blocks_of(rows, rows_per_block), [&](std::size_t b, sim::BlockWork& blk) {
+    const Index r0 = static_cast<Index>(b) * rows_per_block;
     const Index r1 = std::min(r0 + rows_per_block, rows);
-    sim::BlockWork blk;
+    blk.accesses.reserve(2);
     blk.read(args.in->buf, args.in->row_offset(r0),
              static_cast<std::uint32_t>((r1 - r0) * args.in->row_bytes()));
     blk.write(args.out->buf, args.out->row_offset(r0),
@@ -164,8 +181,7 @@ sim::KernelStats dense_map(sim::SimContext& ctx, const DenseMapArgs& args) {
     const double work = args.flops_per_elem * static_cast<double>((r1 - r0) * cols);
     blk.compute(work, work);
     blk.extra_cycles = kBlockSetupCycles;
-    k.blocks.push_back(std::move(blk));
-  }
+  });
   return ctx.launch(std::move(k));
 }
 
@@ -181,9 +197,10 @@ sim::KernelStats dense_binary(sim::SimContext& ctx, const DenseBinaryArgs& args)
   k.name = args.name;
   k.phase = args.phase;
   const Index rows_per_block = std::max<Index>(1, kTile * kTile / std::max<Index>(cols, 1));
-  for (Index r0 = 0; r0 < rows; r0 += rows_per_block) {
+  emit_blocks(k, blocks_of(rows, rows_per_block), [&](std::size_t blk_index, sim::BlockWork& blk) {
+    const Index r0 = static_cast<Index>(blk_index) * rows_per_block;
     const Index r1 = std::min(r0 + rows_per_block, rows);
-    sim::BlockWork blk;
+    blk.accesses.reserve(3);
     const std::uint32_t bytes = static_cast<std::uint32_t>((r1 - r0) * args.a->row_bytes());
     blk.read(args.a->buf, args.a->row_offset(r0), bytes);
     blk.read(args.b->buf, args.b->row_offset(r0), bytes);
@@ -199,8 +216,7 @@ sim::KernelStats dense_binary(sim::SimContext& ctx, const DenseBinaryArgs& args)
     const double work = args.flops_per_elem * static_cast<double>((r1 - r0) * cols);
     blk.compute(work, work);
     blk.extra_cycles = kBlockSetupCycles;
-    k.blocks.push_back(std::move(blk));
-  }
+  });
   return ctx.launch(std::move(k));
 }
 
@@ -217,9 +233,10 @@ sim::KernelStats indexed_binary(sim::SimContext& ctx, const IndexedBinaryArgs& a
   k.name = args.name;
   k.phase = args.phase;
   const Index rows_per_block = std::max<Index>(1, kTile * kTile / std::max<Index>(cols, 1));
-  for (Index r0 = 0; r0 < m; r0 += rows_per_block) {
+  emit_blocks(k, blocks_of(m, rows_per_block), [&](std::size_t blk_index, sim::BlockWork& blk) {
+    const Index r0 = static_cast<Index>(blk_index) * rows_per_block;
     const Index r1 = std::min(r0 + rows_per_block, m);
-    sim::BlockWork blk;
+    blk.accesses.reserve(static_cast<std::size_t>(r1 - r0) + 3);
     blk.accesses.push_back({args.index_buf.addr(static_cast<std::uint64_t>(r0) * 4),
                             static_cast<std::uint32_t>((r1 - r0) * 4)});
     for (Index r = r0; r < r1; ++r) {
@@ -240,8 +257,7 @@ sim::KernelStats indexed_binary(sim::SimContext& ctx, const IndexedBinaryArgs& a
     const double work = args.flops_per_elem * static_cast<double>((r1 - r0) * cols);
     blk.compute(work, work);
     blk.extra_cycles = kBlockSetupCycles;
-    k.blocks.push_back(std::move(blk));
-  }
+  });
   return ctx.launch(std::move(k));
 }
 
@@ -255,31 +271,27 @@ sim::KernelStats dense_transpose(sim::SimContext& ctx, const TransposeArgs& args
   sim::Kernel k;
   k.name = args.name;
   k.phase = args.phase;
-  for (Index i0 = 0; i0 < m; i0 += kTile) {
-    const Index i1 = std::min(i0 + kTile, m);
-    for (Index j0 = 0; j0 < n; j0 += kTile) {
-      const Index j1 = std::min(j0 + kTile, n);
-      sim::BlockWork blk;
-      const std::uint32_t in_bytes = static_cast<std::uint32_t>((j1 - j0) * 4);
-      for (Index i = i0; i < i1; ++i) {
-        blk.read(args.in->buf,
-                 static_cast<std::uint64_t>(i) * args.in->row_bytes() +
-                     static_cast<std::uint64_t>(j0) * 4,
-                 in_bytes);
-      }
-      const std::uint32_t out_bytes = static_cast<std::uint32_t>((i1 - i0) * 4);
-      for (Index j = j0; j < j1; ++j) {
-        blk.write(args.out->buf,
-                  static_cast<std::uint64_t>(j) * args.out->row_bytes() +
-                      static_cast<std::uint64_t>(i0) * 4,
-                  out_bytes);
-      }
-      const double moved = static_cast<double>((i1 - i0) * (j1 - j0));
-      blk.compute_copy(moved);
-      blk.extra_cycles = kBlockSetupCycles;
-      k.blocks.push_back(std::move(blk));
+  emit_blocks(k, num_tiles(m, n), [&](std::size_t b, sim::BlockWork& blk) {
+    const auto [i0, i1, j0, j1] = tile_of(b, m, n);
+    blk.accesses.reserve(static_cast<std::size_t>((i1 - i0) + (j1 - j0)));
+    const std::uint32_t in_bytes = static_cast<std::uint32_t>((j1 - j0) * 4);
+    for (Index i = i0; i < i1; ++i) {
+      blk.read(args.in->buf,
+               static_cast<std::uint64_t>(i) * args.in->row_bytes() +
+                   static_cast<std::uint64_t>(j0) * 4,
+               in_bytes);
     }
-  }
+    const std::uint32_t out_bytes = static_cast<std::uint32_t>((i1 - i0) * 4);
+    for (Index j = j0; j < j1; ++j) {
+      blk.write(args.out->buf,
+                static_cast<std::uint64_t>(j) * args.out->row_bytes() +
+                    static_cast<std::uint64_t>(i0) * 4,
+                out_bytes);
+    }
+    const double moved = static_cast<double>((i1 - i0) * (j1 - j0));
+    blk.compute_copy(moved);
+    blk.extra_cycles = kBlockSetupCycles;
+  });
   return ctx.launch(std::move(k));
 }
 
@@ -289,11 +301,22 @@ sim::KernelStats col_sum(sim::SimContext& ctx, const ColSumArgs& args) {
   assert(args.out->rows == n && args.out->cols == 1);
   const bool full = args.mode == ExecMode::kFull && args.in->host && args.out->host;
   if (full) {
-    args.out->host->fill(0.0f);
-    for (Index r = 0; r < m; ++r) {
-      auto row = args.in->host->row(r);
-      for (Index c = 0; c < n; ++c) (*args.out->host)(c, 0) += row[c];
-    }
+    // Column chunks on the pool: every column is still summed from +0.0f
+    // in ascending row order, so the bytes do not depend on the split.
+    constexpr std::size_t kColsPerTask = 8;
+    const Matrix& in = *args.in->host;
+    Matrix& out = *args.out->host;
+    par::parallel_chunks(static_cast<std::size_t>(n), kColsPerTask,
+                         [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
+                           const auto c0 = static_cast<Index>(begin);
+                           const auto c1 = static_cast<Index>(end);
+                           float sum[kColsPerTask] = {};
+                           for (Index r = 0; r < m; ++r) {
+                             auto row = in.row(r);
+                             for (Index c = c0; c < c1; ++c) sum[c - c0] += row[c];
+                           }
+                           for (Index c = c0; c < c1; ++c) out(c, 0) = sum[c - c0];
+                         });
   }
 
   sim::Kernel k;
@@ -302,9 +325,10 @@ sim::KernelStats col_sum(sim::SimContext& ctx, const ColSumArgs& args) {
   constexpr Index kRowsPerBlock = 256;
   const std::uint32_t line = static_cast<std::uint32_t>(ctx.spec().line_bytes);
   const double out_lines = static_cast<double>((n * 4 + line - 1) / line);
-  for (Index r0 = 0; r0 < m; r0 += kRowsPerBlock) {
+  emit_blocks(k, blocks_of(m, kRowsPerBlock), [&](std::size_t b, sim::BlockWork& blk) {
+    const Index r0 = static_cast<Index>(b) * kRowsPerBlock;
     const Index r1 = std::min(r0 + kRowsPerBlock, m);
-    sim::BlockWork blk;
+    blk.accesses.reserve(2);
     blk.read(args.in->buf, args.in->row_offset(r0),
              static_cast<std::uint32_t>((r1 - r0) * args.in->row_bytes()));
     blk.write(args.out->buf, 0, static_cast<std::uint32_t>(n * 4));
@@ -313,8 +337,7 @@ sim::KernelStats col_sum(sim::SimContext& ctx, const ColSumArgs& args) {
     blk.extra_cycles = kBlockSetupCycles;
     // Blocks merge partial column sums into the shared output atomically.
     blk.atomic_merge(2.5 * out_lines, static_cast<std::uint64_t>(n) * 4);
-    k.blocks.push_back(std::move(blk));
-  }
+  });
   return ctx.launch(std::move(k));
 }
 
@@ -329,9 +352,10 @@ sim::KernelStats row_dot(sim::SimContext& ctx, const RowDotArgs& args) {
   k.name = args.name;
   k.phase = args.phase;
   constexpr Index kRowsPerBlock = 128;
-  for (Index r0 = 0; r0 < rows; r0 += kRowsPerBlock) {
+  emit_blocks(k, blocks_of(rows, kRowsPerBlock), [&](std::size_t b, sim::BlockWork& blk) {
+    const Index r0 = static_cast<Index>(b) * kRowsPerBlock;
     const Index r1 = std::min(r0 + kRowsPerBlock, rows);
-    sim::BlockWork blk;
+    blk.accesses.reserve(3);
     blk.read(args.vec->buf, 0, static_cast<std::uint32_t>(cols * 4));
     blk.read(args.feat->buf, args.feat->row_offset(r0),
              static_cast<std::uint32_t>((r1 - r0) * args.feat->row_bytes()));
@@ -347,8 +371,7 @@ sim::KernelStats row_dot(sim::SimContext& ctx, const RowDotArgs& args) {
     const double work = 2.0 * static_cast<double>((r1 - r0) * cols);
     blk.compute(work, work);
     blk.extra_cycles = kBlockSetupCycles;
-    k.blocks.push_back(std::move(blk));
-  }
+  });
   return ctx.launch(std::move(k));
 }
 

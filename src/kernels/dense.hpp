@@ -47,7 +47,7 @@ sim::KernelStats sparse_fetch_gemm(sim::SimContext& ctx, const SparseFetchGemmAr
 struct DenseMapArgs {
   const FeatureMat* in = nullptr;
   FeatureMat* out = nullptr;  ///< may alias in
-  std::function<float(float)> fn;
+  std::function<float(float)> fn;  ///< runs on pool threads: keep it pure
   double flops_per_elem = 1.0;
   ExecMode mode = ExecMode::kFull;
   const char* name = "dense_map";
@@ -59,8 +59,8 @@ sim::KernelStats dense_map(sim::SimContext& ctx, const DenseMapArgs& args);
 struct DenseBinaryArgs {
   const FeatureMat* a = nullptr;
   const FeatureMat* b = nullptr;
-  FeatureMat* out = nullptr;
-  std::function<float(float, float)> fn;
+  FeatureMat* out = nullptr;  ///< may alias a or b
+  std::function<float(float, float)> fn;  ///< runs on pool threads: keep it pure
   double flops_per_elem = 1.0;
   ExecMode mode = ExecMode::kFull;
   const char* name = "dense_binary";
@@ -79,8 +79,8 @@ struct IndexedBinaryArgs {
   std::span<const NodeId> row_index;  ///< M logical row ids into `a`
   sim::Buffer index_buf;              ///< device copy of row_index
   const FeatureMat* b = nullptr;      ///< [M, F]
-  FeatureMat* out = nullptr;          ///< [M, F]
-  std::function<float(float, float)> fn;
+  FeatureMat* out = nullptr;          ///< [M, F]; may alias b, not a
+  std::function<float(float, float)> fn;  ///< runs on pool threads: keep it pure
   double flops_per_elem = 1.0;
   ExecMode mode = ExecMode::kFull;
   const char* name = "indexed_binary";

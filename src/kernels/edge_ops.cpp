@@ -19,9 +19,10 @@ sim::KernelStats edge_map(sim::SimContext& ctx, const EdgeMapArgs& args) {
   sim::Kernel k;
   k.name = args.name;
   k.phase = args.phase;
-  for (EdgeId chunk = 0; chunk < n; chunk += kElemChunk) {
+  emit_blocks(k, blocks_of(n, kElemChunk), [&](std::size_t b, sim::BlockWork& blk) {
+    const EdgeId chunk = static_cast<EdgeId>(b) * kElemChunk;
     const EdgeId end = std::min(chunk + kElemChunk, n);
-    sim::BlockWork blk;
+    blk.accesses.reserve(2);
     blk.read(args.in->buf, static_cast<std::uint64_t>(chunk) * 4,
              static_cast<std::uint32_t>((end - chunk) * 4));
     blk.write(args.out->buf, static_cast<std::uint64_t>(chunk) * 4,
@@ -34,8 +35,7 @@ sim::KernelStats edge_map(sim::SimContext& ctx, const EdgeMapArgs& args) {
     const double work = args.flops_per_elem * static_cast<double>(end - chunk);
     blk.compute(work, work);
     blk.extra_cycles = kTaskSetupCycles;
-    k.blocks.push_back(std::move(blk));
-  }
+  });
   return ctx.launch(std::move(k));
 }
 
@@ -49,9 +49,10 @@ sim::KernelStats edge_binary(sim::SimContext& ctx, const EdgeBinaryArgs& args) {
   sim::Kernel k;
   k.name = args.name;
   k.phase = args.phase;
-  for (EdgeId chunk = 0; chunk < n; chunk += kElemChunk) {
+  emit_blocks(k, blocks_of(n, kElemChunk), [&](std::size_t b, sim::BlockWork& blk) {
+    const EdgeId chunk = static_cast<EdgeId>(b) * kElemChunk;
     const EdgeId end = std::min(chunk + kElemChunk, n);
-    sim::BlockWork blk;
+    blk.accesses.reserve(3);
     blk.read(args.a->buf, static_cast<std::uint64_t>(chunk) * 4,
              static_cast<std::uint32_t>((end - chunk) * 4));
     blk.read(args.b->buf, static_cast<std::uint64_t>(chunk) * 4,
@@ -66,8 +67,7 @@ sim::KernelStats edge_binary(sim::SimContext& ctx, const EdgeBinaryArgs& args) {
     const double work = args.flops_per_elem * static_cast<double>(end - chunk);
     blk.compute(work, work);
     blk.extra_cycles = kTaskSetupCycles;
-    k.blocks.push_back(std::move(blk));
-  }
+  });
   return ctx.launch(std::move(k));
 }
 
@@ -79,9 +79,9 @@ sim::KernelStats segment_sum(sim::SimContext& ctx, const SegmentSumArgs& args) {
   sim::Kernel k;
   k.name = args.name;
   k.phase = args.phase;
-  k.blocks.reserve(args.tasks.size());
-  for (const Task& t : args.tasks) {
-    sim::BlockWork blk;
+  emit_blocks(k, args.tasks.size(), same_node(args.tasks), [&](std::size_t i, sim::BlockWork& blk) {
+    const Task& t = args.tasks[i];
+    blk.accesses.reserve(t.size() > 0 ? 3 : 2);
     blk.read(args.graph->row_ptr, static_cast<std::uint64_t>(t.v) * 8, 16);
     if (t.size() > 0) {
       blk.read(args.edge_val->buf, static_cast<std::uint64_t>(t.begin) * 4,
@@ -97,8 +97,7 @@ sim::KernelStats segment_sum(sim::SimContext& ctx, const SegmentSumArgs& args) {
     blk.compute(work, work);
     blk.extra_cycles = kTaskSetupCycles;
     if (args.atomic_merge) blk.atomic_merge(kAtomicCyclesPerElem, 4);
-    k.blocks.push_back(std::move(blk));
-  }
+  });
   return ctx.launch(std::move(k));
 }
 
@@ -109,9 +108,9 @@ sim::KernelStats broadcast_edge(sim::SimContext& ctx, const BroadcastArgs& args)
   sim::Kernel k;
   k.name = args.name;
   k.phase = args.phase;
-  k.blocks.reserve(args.tasks.size());
-  for (const Task& t : args.tasks) {
-    sim::BlockWork blk;
+  emit_blocks(k, args.tasks.size(), [&](std::size_t i, sim::BlockWork& blk) {
+    const Task& t = args.tasks[i];
+    blk.accesses.reserve(t.size() > 0 ? 3 : 2);
     blk.read(args.graph->row_ptr, static_cast<std::uint64_t>(t.v) * 8, 16);
     blk.read(args.node_val->buf, args.node_val->row_offset(t.v), 4);
     if (t.size() > 0) {
@@ -125,8 +124,7 @@ sim::KernelStats broadcast_edge(sim::SimContext& ctx, const BroadcastArgs& args)
     const double work = static_cast<double>(t.size());
     blk.compute_copy(work);
     blk.extra_cycles = kTaskSetupCycles;
-    k.blocks.push_back(std::move(blk));
-  }
+  });
   return ctx.launch(std::move(k));
 }
 

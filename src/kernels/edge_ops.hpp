@@ -18,7 +18,7 @@ namespace gnnbridge::kernels {
 struct EdgeMapArgs {
   const FeatureMat* in = nullptr;   ///< [E, 1]
   FeatureMat* out = nullptr;        ///< [E, 1] (may alias in)
-  std::function<float(float)> fn;   ///< host semantics
+  std::function<float(float)> fn;   ///< host semantics; runs on pool threads
   double flops_per_elem = 1.0;
   ExecMode mode = ExecMode::kFull;
   const char* name = "edge_map";
@@ -31,7 +31,7 @@ struct EdgeBinaryArgs {
   const FeatureMat* a = nullptr;
   const FeatureMat* b = nullptr;
   FeatureMat* out = nullptr;
-  std::function<float(float, float)> fn;
+  std::function<float(float, float)> fn;  ///< runs on pool threads: keep it pure
   double flops_per_elem = 1.0;
   ExecMode mode = ExecMode::kFull;
   const char* name = "edge_binary";

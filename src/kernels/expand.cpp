@@ -36,9 +36,10 @@ sim::KernelStats gather(sim::SimContext& ctx, const GatherArgs& args) {
   sim::Kernel k;
   k.name = args.name;
   k.phase = args.phase;
-  for (EdgeId chunk = 0; chunk < num_edges; chunk += kEdgeChunk) {
+  emit_blocks(k, blocks_of(num_edges, kEdgeChunk), [&](std::size_t b, sim::BlockWork& blk) {
+    const EdgeId chunk = static_cast<EdgeId>(b) * kEdgeChunk;
     const EdgeId end = std::min(chunk + kEdgeChunk, num_edges);
-    sim::BlockWork blk;
+    blk.accesses.reserve(1 + 2 * static_cast<std::size_t>(end - chunk));
     blk.read(index_buf, static_cast<std::uint64_t>(chunk) * 4,
              static_cast<std::uint32_t>((end - chunk) * 4));
     for (EdgeId e = chunk; e < end; ++e) {
@@ -56,8 +57,7 @@ sim::KernelStats gather(sim::SimContext& ctx, const GatherArgs& args) {
     // Pure data movement; a copy still occupies lanes for one op per elem.
     const double moved = static_cast<double>((end - chunk) * feat);
     blk.compute_copy(moved);
-    k.blocks.push_back(std::move(blk));
-  }
+  });
   return ctx.launch(std::move(k));
 }
 
@@ -85,9 +85,19 @@ sim::KernelStats scatter_reduce(sim::SimContext& ctx, const ScatterArgs& args) {
   sim::Kernel k;
   k.name = args.name;
   k.phase = args.phase;
-  for (EdgeId chunk = 0; chunk < num_edges; chunk += kEdgeChunk) {
+  // A destination row is summed by every block holding one of its edges,
+  // in edge order. In a dst-sorted edge list those blocks are adjacent and
+  // stay in one chunk; any other order builds all blocks in one chunk.
+  const bool dst_sorted = !full || std::is_sorted(coo.dst.begin(), coo.dst.end());
+  const auto same_dst = [&](std::size_t b) {
+    const std::size_t first = b * static_cast<std::size_t>(kEdgeChunk);
+    return !dst_sorted || coo.dst[first] == coo.dst[first - 1];
+  };
+  const std::size_t blocks = blocks_of(num_edges, kEdgeChunk);
+  emit_blocks(k, blocks, same_dst, [&](std::size_t b, sim::BlockWork& blk) {
+    const EdgeId chunk = static_cast<EdgeId>(b) * kEdgeChunk;
     const EdgeId end = std::min(chunk + kEdgeChunk, num_edges);
-    sim::BlockWork blk;
+    blk.accesses.reserve((args.edge_weight ? 2 : 1) + 2 * static_cast<std::size_t>(end - chunk));
     blk.read(args.edges->dst, static_cast<std::uint64_t>(chunk) * 4,
              static_cast<std::uint32_t>((end - chunk) * 4));
     if (args.edge_weight) {
@@ -118,8 +128,7 @@ sim::KernelStats scatter_reduce(sim::SimContext& ctx, const ScatterArgs& args) {
     blk.extra_cycles += kBlockSetupCycles;
     const double work = 2.0 * static_cast<double>((end - chunk) * feat);
     blk.compute(work, work);
-    k.blocks.push_back(std::move(blk));
-  }
+  });
   const sim::KernelStats& ks = ctx.launch(std::move(k));
 
   if (full && args.reduce == Reduce::kMean) {
@@ -155,9 +164,12 @@ sim::KernelStats step_gather(sim::SimContext& ctx, const StepGatherArgs& args) {
   k.name = args.name;
   k.phase = args.phase;
   constexpr NodeId kNodeChunk = 128;
-  for (NodeId chunk = 0; chunk < csr.num_nodes; chunk += kNodeChunk) {
+  emit_blocks(k, blocks_of(csr.num_nodes, kNodeChunk), [&](std::size_t b, sim::BlockWork& blk) {
+    const NodeId chunk = static_cast<NodeId>(b) * kNodeChunk;
     const NodeId end = std::min<NodeId>(chunk + kNodeChunk, csr.num_nodes);
-    sim::BlockWork blk;
+    std::size_t accesses = 1;
+    for (NodeId v = chunk; v < end; ++v) accesses += csr.degree(v) > 0 ? 3 : 2;
+    blk.accesses.reserve(accesses);
     blk.read(args.graph->row_ptr, static_cast<std::uint64_t>(chunk) * 8,
              static_cast<std::uint32_t>((end - chunk + 1) * 8));
     for (NodeId v = chunk; v < end; ++v) {
@@ -181,8 +193,7 @@ sim::KernelStats step_gather(sim::SimContext& ctx, const StepGatherArgs& args) {
     blk.extra_cycles = kBlockSetupCycles;
     const double moved = static_cast<double>((end - chunk) * feat);
     blk.compute_copy(moved);
-    k.blocks.push_back(std::move(blk));
-  }
+  });
   return ctx.launch(std::move(k));
 }
 

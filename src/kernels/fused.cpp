@@ -14,15 +14,6 @@ constexpr double kAtomicCyclesPerLine = 2.5;
 /// Cost of one data-visible-range adapter (shared-memory staging + sync)
 /// per fused stage per task.
 constexpr double kAdapterCycles = 12.0;
-
-/// Chunk bounds over `tasks` that never split a run of tasks sharing one
-/// center node, so concurrent chunks touch disjoint output rows and
-/// per-row accumulation order matches the sequential kernel exactly.
-std::vector<std::size_t> node_aligned_bounds(std::span<const Task> tasks) {
-  return par::aligned_chunk_bounds(tasks.size(), par::kDefaultGrain, [&](std::size_t i) {
-    return tasks[i].v == tasks[i - 1].v;
-  });
-}
 }  // namespace
 
 sim::KernelStats gat_edge_fused(sim::SimContext& ctx, const GatEdgeFusedArgs& args) {
@@ -37,45 +28,41 @@ sim::KernelStats gat_edge_fused(sim::SimContext& ctx, const GatEdgeFusedArgs& ar
   sim::Kernel k;
   k.name = args.name;
   k.phase = args.phase;
-  k.blocks.resize(args.tasks.size());
-  const std::vector<std::size_t> bounds = node_aligned_bounds(args.tasks);
-  par::parallel_ranges(bounds, [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
-    for (std::size_t ti = begin; ti < end; ++ti) {
-      const Task& t = args.tasks[ti];
-      sim::BlockWork blk;
-      blk.read(args.graph->row_ptr, static_cast<std::uint64_t>(t.v) * 8, 16);
-      blk.read(args.att_dst->buf, args.att_dst->row_offset(t.v), 4);
-      if (t.size() > 0) {
-        blk.read(args.graph->col_idx, static_cast<std::uint64_t>(t.begin) * 4,
-                 static_cast<std::uint32_t>(t.size() * 4));
-        blk.write(args.edge_out->buf, static_cast<std::uint64_t>(t.begin) * 4,
-                  static_cast<std::uint32_t>(t.size() * 4));
-      }
-      float acc = 0.0f;
-      for (EdgeId e = t.begin; e < t.end; ++e) {
-        const NodeId u = csr.col_idx[static_cast<std::size_t>(e)];
-        blk.read(args.att_src->buf, args.att_src->row_offset(u), 4);
-        if (full) {
-          const float raw = (*args.att_src->host)(u, 0) + (*args.att_dst->host)(t.v, 0);
-          const float score = std::exp(raw >= 0.0f ? raw : args.leaky_alpha * raw);
-          (*args.edge_out->host)(e, 0) = score;
-          acc += score;
-        }
-      }
-      if (args.vacc_out) {
-        blk.write(args.vacc_out->buf, args.vacc_out->row_offset(t.v), 4);
-        if (args.atomic_merge) blk.atomic_merge(kAtomicCyclesPerLine, 4);
-        if (full && args.vacc_out->host) (*args.vacc_out->host)(t.v, 0) += acc;
-      }
-      // add + leaky (1) + exp (4) per edge; the fused stages hand values
-      // through two adapters instead of global memory: per-edge scores into
-      // the exp stage, then the running accumulator into the reduce stage.
-      const double work = 6.0 * static_cast<double>(t.size());
-      blk.compute(work, work);
-      blk.extra_cycles += kTaskSetupCycles;
-      blk.adapter(2.0 * kAdapterCycles, static_cast<std::uint64_t>(t.size()) * 4 + 4);
-      k.blocks[ti] = std::move(blk);
+  emit_blocks(k, args.tasks.size(), same_node(args.tasks), [&](std::size_t i, sim::BlockWork& blk) {
+    const Task& t = args.tasks[i];
+    blk.accesses.reserve(2 + (t.size() > 0 ? 2 : 0) + static_cast<std::size_t>(t.size()) +
+                         (args.vacc_out ? 1 : 0));
+    blk.read(args.graph->row_ptr, static_cast<std::uint64_t>(t.v) * 8, 16);
+    blk.read(args.att_dst->buf, args.att_dst->row_offset(t.v), 4);
+    if (t.size() > 0) {
+      blk.read(args.graph->col_idx, static_cast<std::uint64_t>(t.begin) * 4,
+               static_cast<std::uint32_t>(t.size() * 4));
+      blk.write(args.edge_out->buf, static_cast<std::uint64_t>(t.begin) * 4,
+                static_cast<std::uint32_t>(t.size() * 4));
     }
+    float acc = 0.0f;
+    for (EdgeId e = t.begin; e < t.end; ++e) {
+      const NodeId u = csr.col_idx[static_cast<std::size_t>(e)];
+      blk.read(args.att_src->buf, args.att_src->row_offset(u), 4);
+      if (full) {
+        const float raw = (*args.att_src->host)(u, 0) + (*args.att_dst->host)(t.v, 0);
+        const float score = std::exp(raw >= 0.0f ? raw : args.leaky_alpha * raw);
+        (*args.edge_out->host)(e, 0) = score;
+        acc += score;
+      }
+    }
+    if (args.vacc_out) {
+      blk.write(args.vacc_out->buf, args.vacc_out->row_offset(t.v), 4);
+      if (args.atomic_merge) blk.atomic_merge(kAtomicCyclesPerLine, 4);
+      if (full && args.vacc_out->host) (*args.vacc_out->host)(t.v, 0) += acc;
+    }
+    // add + leaky (1) + exp (4) per edge; the fused stages hand values
+    // through two adapters instead of global memory: per-edge scores into
+    // the exp stage, then the running accumulator into the reduce stage.
+    const double work = 6.0 * static_cast<double>(t.size());
+    blk.compute(work, work);
+    blk.extra_cycles += kTaskSetupCycles;
+    blk.adapter(2.0 * kAdapterCycles, static_cast<std::uint64_t>(t.size()) * 4 + 4);
   });
   return ctx.launch(std::move(k));
 }
@@ -87,9 +74,10 @@ sim::KernelStats softmax_div_fused(sim::SimContext& ctx, const SoftmaxDivFusedAr
   sim::Kernel k;
   k.name = args.name;
   k.phase = args.phase;
-  k.blocks.reserve(args.tasks.size());
-  for (const Task& t : args.tasks) {
-    sim::BlockWork blk;
+  // Each task scales its own edges: no two blocks write one element.
+  emit_blocks(k, args.tasks.size(), [&](std::size_t i, sim::BlockWork& blk) {
+    const Task& t = args.tasks[i];
+    blk.accesses.reserve(t.size() > 0 ? 4 : 2);
     blk.read(args.graph->row_ptr, static_cast<std::uint64_t>(t.v) * 8, 16);
     blk.read(args.vacc->buf, args.vacc->row_offset(t.v), 4);
     if (t.size() > 0) {
@@ -108,8 +96,7 @@ sim::KernelStats softmax_div_fused(sim::SimContext& ctx, const SoftmaxDivFusedAr
     blk.extra_cycles = kTaskSetupCycles;
     // One adapter stages the normalization scalar across the division.
     blk.adapter(kAdapterCycles, 4);
-    k.blocks.push_back(std::move(blk));
-  }
+  });
   return ctx.launch(std::move(k));
 }
 
@@ -128,56 +115,52 @@ sim::KernelStats gat_aggregate_fused(sim::SimContext& ctx, const GatAggregateFus
   sim::Kernel k;
   k.name = args.name;
   k.phase = args.phase;
-  k.blocks.resize(args.tasks.size());
-  const std::vector<std::size_t> bounds = node_aligned_bounds(args.tasks);
-  par::parallel_ranges(bounds, [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
-    for (std::size_t ti = begin; ti < end; ++ti) {
-      const Task& t = args.tasks[ti];
-      sim::BlockWork blk;
-      blk.read(args.graph->row_ptr, static_cast<std::uint64_t>(t.v) * 8, 16);
-      if (t.size() > 0) {
-        blk.read(args.graph->col_idx, static_cast<std::uint64_t>(t.begin) * 4,
-                 static_cast<std::uint32_t>(t.size() * 4));
-        blk.read(args.edge_weight->buf, static_cast<std::uint64_t>(t.begin) * 4,
-                 static_cast<std::uint32_t>(t.size() * 4));
+  // The postponed softmax division: the normalization sum is complete (the
+  // previous kernel boundary synchronized it), so each task scales its
+  // contributions *per edge* by 1/vacc[v]. Per-edge scaling makes the
+  // epilogue race-free even when neighbor grouping split the row — partial
+  // sums of scaled terms equal the scaled sum (linearity).
+  const bool scale = args.vacc != nullptr && args.scale_inline;
+  emit_blocks(k, args.tasks.size(), same_node(args.tasks), [&](std::size_t i, sim::BlockWork& blk) {
+    const Task& t = args.tasks[i];
+    blk.accesses.reserve(2 + (t.size() > 0 ? 2 : 0) + (scale ? 1 : 0) +
+                         static_cast<std::size_t>(t.size()));
+    blk.read(args.graph->row_ptr, static_cast<std::uint64_t>(t.v) * 8, 16);
+    if (t.size() > 0) {
+      blk.read(args.graph->col_idx, static_cast<std::uint64_t>(t.begin) * 4,
+               static_cast<std::uint32_t>(t.size() * 4));
+      blk.read(args.edge_weight->buf, static_cast<std::uint64_t>(t.begin) * 4,
+               static_cast<std::uint32_t>(t.size() * 4));
+    }
+    float inv = 1.0f;
+    if (scale) {
+      blk.read(args.vacc->buf, args.vacc->row_offset(t.v), 4);
+      if (full && args.vacc->host) {
+        const float acc = (*args.vacc->host)(t.v, 0);
+        inv = acc != 0.0f ? 1.0f / acc : 0.0f;
       }
-      // The postponed softmax division: the normalization sum is complete
-      // (the previous kernel boundary synchronized it), so each task scales
-      // its contributions *per edge* by 1/vacc[v]. Per-edge scaling makes
-      // the epilogue race-free even when neighbor grouping split the row —
-      // partial sums of scaled terms equal the scaled sum (linearity).
-      const bool scale = args.vacc != nullptr && args.scale_inline;
-      float inv = 1.0f;
-      if (scale) {
-        blk.read(args.vacc->buf, args.vacc->row_offset(t.v), 4);
-        if (full && args.vacc->host) {
-          const float acc = (*args.vacc->host)(t.v, 0);
-          inv = acc != 0.0f ? 1.0f / acc : 0.0f;
-        }
+    }
+    for (EdgeId e = t.begin; e < t.end; ++e) {
+      const NodeId u = csr.col_idx[static_cast<std::size_t>(e)];
+      blk.read(args.feat->buf, args.feat->row_offset(u), static_cast<std::uint32_t>(row_bytes));
+      if (full) {
+        const float w = (*args.edge_weight->host)(e, 0) * (scale ? inv : 1.0f);
+        auto srow = args.feat->host->row(u);
+        auto orow = args.out->host->row(t.v);
+        for (Index f = 0; f < feat; ++f) orow[f] += w * srow[f];
       }
-      for (EdgeId e = t.begin; e < t.end; ++e) {
-        const NodeId u = csr.col_idx[static_cast<std::size_t>(e)];
-        blk.read(args.feat->buf, args.feat->row_offset(u), static_cast<std::uint32_t>(row_bytes));
-        if (full) {
-          const float w = (*args.edge_weight->host)(e, 0) * (scale ? inv : 1.0f);
-          auto srow = args.feat->host->row(u);
-          auto orow = args.out->host->row(t.v);
-          for (Index f = 0; f < feat; ++f) orow[f] += w * srow[f];
-        }
-      }
-      blk.write(args.out->buf, args.out->row_offset(t.v), static_cast<std::uint32_t>(row_bytes));
-      double useful = 2.0 * static_cast<double>(feat) * static_cast<double>(t.size());
-      if (scale) useful += static_cast<double>(t.size());
-      blk.compute(useful, useful * pad);
-      blk.extra_cycles = kTaskSetupCycles;
-      // The adapter hands the accumulated output row between the aggregate
-      // and scale stages.
-      blk.adapter(kAdapterCycles, row_bytes);
-      if (args.atomic_merge) {
-        blk.atomic_merge(kAtomicCyclesPerLine * static_cast<double>((row_bytes + line - 1) / line),
-                         row_bytes);
-      }
-      k.blocks[ti] = std::move(blk);
+    }
+    blk.write(args.out->buf, args.out->row_offset(t.v), static_cast<std::uint32_t>(row_bytes));
+    double useful = 2.0 * static_cast<double>(feat) * static_cast<double>(t.size());
+    if (scale) useful += static_cast<double>(t.size());
+    blk.compute(useful, useful * pad);
+    blk.extra_cycles = kTaskSetupCycles;
+    // The adapter hands the accumulated output row between the aggregate
+    // and scale stages.
+    blk.adapter(kAdapterCycles, row_bytes);
+    if (args.atomic_merge) {
+      blk.atomic_merge(kAtomicCyclesPerLine * static_cast<double>((row_bytes + line - 1) / line),
+                       row_bytes);
     }
   });
   return ctx.launch(std::move(k));
@@ -199,53 +182,49 @@ sim::KernelStats aggregate_bias_act_fused(sim::SimContext& ctx,
   sim::Kernel k;
   k.name = args.name;
   k.phase = args.phase;
-  k.blocks.resize(args.tasks.size());
-  const std::vector<std::size_t> bounds = node_aligned_bounds(args.tasks);
-  par::parallel_ranges(bounds, [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
-    for (std::size_t ti = begin; ti < end; ++ti) {
-      const Task& t = args.tasks[ti];
-      sim::BlockWork blk;
-      blk.read(args.graph->row_ptr, static_cast<std::uint64_t>(t.v) * 8, 16);
-      if (t.size() > 0) {
-        blk.read(args.graph->col_idx, static_cast<std::uint64_t>(t.begin) * 4,
+  const bool epilogue = args.epilogue_inline;
+  emit_blocks(k, args.tasks.size(), same_node(args.tasks), [&](std::size_t i, sim::BlockWork& blk) {
+    const Task& t = args.tasks[i];
+    blk.accesses.reserve(2 + (t.size() > 0 ? (args.edge_weight ? 2 : 1) : 0) +
+                         static_cast<std::size_t>(t.size()) + (epilogue && args.bias ? 1 : 0));
+    blk.read(args.graph->row_ptr, static_cast<std::uint64_t>(t.v) * 8, 16);
+    if (t.size() > 0) {
+      blk.read(args.graph->col_idx, static_cast<std::uint64_t>(t.begin) * 4,
+               static_cast<std::uint32_t>(t.size() * 4));
+      if (args.edge_weight) {
+        blk.read(args.edge_weight->buf, static_cast<std::uint64_t>(t.begin) * 4,
                  static_cast<std::uint32_t>(t.size() * 4));
-        if (args.edge_weight) {
-          blk.read(args.edge_weight->buf, static_cast<std::uint64_t>(t.begin) * 4,
-                   static_cast<std::uint32_t>(t.size() * 4));
-        }
       }
-      for (EdgeId e = t.begin; e < t.end; ++e) {
-        const NodeId u = csr.col_idx[static_cast<std::size_t>(e)];
-        blk.read(args.feat->buf, args.feat->row_offset(u), static_cast<std::uint32_t>(row_bytes));
-        if (full) {
-          const float w = ew ? (*ew)(e, 0) : 1.0f;
-          auto srow = args.feat->host->row(u);
-          auto orow = args.out->host->row(t.v);
-          for (Index f = 0; f < feat; ++f) orow[f] += w * srow[f];
-        }
-      }
-      blk.write(args.out->buf, args.out->row_offset(t.v), static_cast<std::uint32_t>(row_bytes));
-      const bool epilogue = args.epilogue_inline;
-      if (epilogue && args.bias) blk.read(args.bias->buf, 0, static_cast<std::uint32_t>(feat * 4));
-      if (full && epilogue) {
+    }
+    for (EdgeId e = t.begin; e < t.end; ++e) {
+      const NodeId u = csr.col_idx[static_cast<std::size_t>(e)];
+      blk.read(args.feat->buf, args.feat->row_offset(u), static_cast<std::uint32_t>(row_bytes));
+      if (full) {
+        const float w = ew ? (*ew)(e, 0) : 1.0f;
+        auto srow = args.feat->host->row(u);
         auto orow = args.out->host->row(t.v);
-        for (Index f = 0; f < feat; ++f) {
-          float x = orow[f] + (args.bias && args.bias->host ? (*args.bias->host)(f, 0) : 0.0f);
-          if (args.relu) x = x > 0.0f ? x : 0.0f;
-          orow[f] = x;
-        }
+        for (Index f = 0; f < feat; ++f) orow[f] += w * srow[f];
       }
-      double useful = 2.0 * static_cast<double>(feat) * static_cast<double>(t.size());
-      if (epilogue) useful += 2.0 * static_cast<double>(feat);
-      blk.compute(useful, useful * pad);
-      blk.extra_cycles = kTaskSetupCycles;
-      // The adapter hands the aggregated row to the bias/activation epilogue.
-      blk.adapter(kAdapterCycles, row_bytes);
-      if (args.atomic_merge) {
-        blk.atomic_merge(kAtomicCyclesPerLine * static_cast<double>((row_bytes + line - 1) / line),
-                         row_bytes);
+    }
+    blk.write(args.out->buf, args.out->row_offset(t.v), static_cast<std::uint32_t>(row_bytes));
+    if (epilogue && args.bias) blk.read(args.bias->buf, 0, static_cast<std::uint32_t>(feat * 4));
+    if (full && epilogue) {
+      auto orow = args.out->host->row(t.v);
+      for (Index f = 0; f < feat; ++f) {
+        float x = orow[f] + (args.bias && args.bias->host ? (*args.bias->host)(f, 0) : 0.0f);
+        if (args.relu) x = x > 0.0f ? x : 0.0f;
+        orow[f] = x;
       }
-      k.blocks[ti] = std::move(blk);
+    }
+    double useful = 2.0 * static_cast<double>(feat) * static_cast<double>(t.size());
+    if (epilogue) useful += 2.0 * static_cast<double>(feat);
+    blk.compute(useful, useful * pad);
+    blk.extra_cycles = kTaskSetupCycles;
+    // The adapter hands the aggregated row to the bias/activation epilogue.
+    blk.adapter(kAdapterCycles, row_bytes);
+    if (args.atomic_merge) {
+      blk.atomic_merge(kAtomicCyclesPerLine * static_cast<double>((row_bytes + line - 1) / line),
+                       row_bytes);
     }
   });
   return ctx.launch(std::move(k));
@@ -257,7 +236,7 @@ sim::KernelStats bias_act_kernel(sim::SimContext& ctx, const BiasActArgs& args) 
   const bool full = args.mode == ExecMode::kFull && args.mat->host;
 
   // Host epilogue. Every element is independent, so row chunks run on the
-  // pool before the sequential trace is built.
+  // pool before the trace is built.
   if (full) {
     const Matrix* bias = args.bias && args.bias->host ? args.bias->host : nullptr;
     Matrix& mat = *args.mat->host;
@@ -278,9 +257,10 @@ sim::KernelStats bias_act_kernel(sim::SimContext& ctx, const BiasActArgs& args) 
   k.name = args.name;
   k.phase = args.phase;
   constexpr Index kRowsPerBlock = 64;
-  for (Index r0 = 0; r0 < rows; r0 += kRowsPerBlock) {
+  emit_blocks(k, blocks_of(rows, kRowsPerBlock), [&](std::size_t b, sim::BlockWork& blk) {
+    const Index r0 = static_cast<Index>(b) * kRowsPerBlock;
     const Index r1 = std::min(r0 + kRowsPerBlock, rows);
-    sim::BlockWork blk;
+    blk.accesses.reserve(args.bias ? 3 : 2);
     if (args.bias) blk.read(args.bias->buf, 0, static_cast<std::uint32_t>(cols * 4));
     const std::uint32_t bytes = static_cast<std::uint32_t>((r1 - r0) * args.mat->row_bytes());
     blk.read(args.mat->buf, args.mat->row_offset(r0), bytes);
@@ -288,8 +268,7 @@ sim::KernelStats bias_act_kernel(sim::SimContext& ctx, const BiasActArgs& args) 
     const double work = 2.0 * static_cast<double>((r1 - r0) * cols);
     blk.compute(work, work);
     blk.extra_cycles = kTaskSetupCycles;
-    k.blocks.push_back(std::move(blk));
-  }
+  });
   return ctx.launch(std::move(k));
 }
 

@@ -27,9 +27,10 @@ sim::KernelStats lstm_pointwise(sim::SimContext& ctx, const LstmPointwiseArgs& a
   k.name = args.name;
   k.phase = args.phase;
   constexpr Index kRowsPerBlock = 64;
-  for (Index r0 = 0; r0 < n; r0 += kRowsPerBlock) {
+  emit_blocks(k, blocks_of(n, kRowsPerBlock), [&](std::size_t blk_index, sim::BlockWork& blk) {
+    const Index r0 = static_cast<Index>(blk_index) * kRowsPerBlock;
     const Index r1 = std::min(r0 + kRowsPerBlock, n);
-    sim::BlockWork blk;
+    blk.accesses.reserve(args.bias ? 5 : 4);
     if (args.bias) blk.read(args.bias->buf, 0, static_cast<std::uint32_t>(4 * hidden * 4));
     blk.read(args.gates->buf, args.gates->row_offset(r0),
              static_cast<std::uint32_t>((r1 - r0) * args.gates->row_bytes()));
@@ -59,8 +60,7 @@ sim::KernelStats lstm_pointwise(sim::SimContext& ctx, const LstmPointwiseArgs& a
     const double work = kFlopsPerHidden * static_cast<double>((r1 - r0) * hidden);
     blk.compute(work, work);
     blk.extra_cycles = kBlockSetupCycles;
-    k.blocks.push_back(std::move(blk));
-  }
+  });
   return ctx.launch(std::move(k));
 }
 

@@ -17,9 +17,9 @@ sim::KernelStats u_add_v(sim::SimContext& ctx, const UAddVArgs& args) {
   sim::Kernel k;
   k.name = args.name;
   k.phase = args.phase;
-  k.blocks.reserve(args.tasks.size());
-  for (const Task& t : args.tasks) {
-    sim::BlockWork blk;
+  emit_blocks(k, args.tasks.size(), [&](std::size_t i, sim::BlockWork& blk) {
+    const Task& t = args.tasks[i];
+    blk.accesses.reserve(2 + (t.size() > 0 ? 2 : 0) + static_cast<std::size_t>(t.size()));
     blk.read(args.graph->row_ptr, static_cast<std::uint64_t>(t.v) * 8, 16);
     blk.read(args.dst_scalar->buf, args.dst_scalar->row_offset(t.v), 4);
     if (t.size() > 0) {
@@ -39,8 +39,7 @@ sim::KernelStats u_add_v(sim::SimContext& ctx, const UAddVArgs& args) {
     const double work = static_cast<double>(t.size());
     blk.compute(work, work);
     blk.extra_cycles = kTaskSetupCycles;
-    k.blocks.push_back(std::move(blk));
-  }
+  });
   return ctx.launch(std::move(k));
 }
 

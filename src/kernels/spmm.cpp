@@ -43,57 +43,50 @@ sim::KernelStats spmm_node(sim::SimContext& ctx, const SpmmArgs& args) {
   sim::Kernel k;
   k.name = args.name;
   k.phase = args.phase;
-  k.blocks.resize(args.tasks.size());
 
-  // Chunk boundaries never split a run of tasks sharing the same center
-  // node v (split rows emit adjacent tasks), so each chunk owns a disjoint
-  // set of output rows and the per-row `orow[f] +=` accumulation order is
-  // exactly the sequential one — host outputs are byte-identical at any
-  // thread count.
-  const std::vector<std::size_t> bounds = par::aligned_chunk_bounds(
-      args.tasks.size(), par::kDefaultGrain,
-      [&](std::size_t i) { return args.tasks[i].v == args.tasks[i - 1].v; });
-  par::parallel_ranges(bounds, [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
-    for (std::size_t ti = begin; ti < end; ++ti) {
-      const Task& t = args.tasks[ti];
-      sim::BlockWork blk;
-      // CSR metadata: row_ptr[v], row_ptr[v+1].
-      blk.read(args.graph->row_ptr, static_cast<std::uint64_t>(t.v) * 8, 16);
-      if (t.size() > 0) {
-        blk.read(args.graph->col_idx, static_cast<std::uint64_t>(t.begin) * 4,
+  // Chunks never split the tasks of one center node v (split rows emit
+  // adjacent tasks), so each chunk owns a disjoint set of output rows and
+  // the per-row `orow[f] +=` accumulation order is exactly the sequential
+  // one — host outputs are byte-identical at any thread count.
+  emit_blocks(k, args.tasks.size(), same_node(args.tasks), [&](std::size_t i, sim::BlockWork& blk) {
+    const Task& t = args.tasks[i];
+    blk.accesses.reserve(2 + (t.size() > 0 ? (args.edge_weight ? 2 : 1) : 0) +
+                         static_cast<std::size_t>(t.size()));
+    // CSR metadata: row_ptr[v], row_ptr[v+1].
+    blk.read(args.graph->row_ptr, static_cast<std::uint64_t>(t.v) * 8, 16);
+    if (t.size() > 0) {
+      blk.read(args.graph->col_idx, static_cast<std::uint64_t>(t.begin) * 4,
+               static_cast<std::uint32_t>(t.size() * 4));
+      if (args.edge_weight) {
+        blk.read(args.edge_weight->buf, static_cast<std::uint64_t>(t.begin) * 4,
                  static_cast<std::uint32_t>(t.size() * 4));
-        if (args.edge_weight) {
-          blk.read(args.edge_weight->buf, static_cast<std::uint64_t>(t.begin) * 4,
-                   static_cast<std::uint32_t>(t.size() * 4));
+      }
+    }
+    for (EdgeId e = t.begin; e < t.end; ++e) {
+      const NodeId u = csr.col_idx[static_cast<std::size_t>(e)];
+      blk.read(args.src->buf, args.src->row_offset(u), static_cast<std::uint32_t>(row_bytes));
+      if (full) {
+        const float w = ew ? (*ew)(e, 0) : 1.0f;
+        auto srow = src->row(u);
+        auto orow = out->row(t.v);
+        switch (args.reduce) {
+          case Reduce::kSum:
+          case Reduce::kMean:
+            for (Index f = 0; f < feat; ++f) orow[f] += w * srow[f];
+            break;
+          case Reduce::kMax:
+            for (Index f = 0; f < feat; ++f) orow[f] = std::max(orow[f], w * srow[f]);
+            break;
         }
       }
-      for (EdgeId e = t.begin; e < t.end; ++e) {
-        const NodeId u = csr.col_idx[static_cast<std::size_t>(e)];
-        blk.read(args.src->buf, args.src->row_offset(u), static_cast<std::uint32_t>(row_bytes));
-        if (full) {
-          const float w = ew ? (*ew)(e, 0) : 1.0f;
-          auto srow = src->row(u);
-          auto orow = out->row(t.v);
-          switch (args.reduce) {
-            case Reduce::kSum:
-            case Reduce::kMean:
-              for (Index f = 0; f < feat; ++f) orow[f] += w * srow[f];
-              break;
-            case Reduce::kMax:
-              for (Index f = 0; f < feat; ++f) orow[f] = std::max(orow[f], w * srow[f]);
-              break;
-          }
-        }
-      }
-      blk.write(args.out->buf, args.out->row_offset(t.v), static_cast<std::uint32_t>(row_bytes));
-      const double useful = flops_per_nbr * static_cast<double>(t.size());
-      blk.compute(useful, useful * pad);
-      blk.extra_cycles = kTaskSetupCycles;
-      if (args.atomic_merge) {
-        const double out_lines = static_cast<double>((row_bytes + line - 1) / line);
-        blk.atomic_merge(kAtomicCyclesPerLine * out_lines, row_bytes);
-      }
-      k.blocks[ti] = std::move(blk);
+    }
+    blk.write(args.out->buf, args.out->row_offset(t.v), static_cast<std::uint32_t>(row_bytes));
+    const double useful = flops_per_nbr * static_cast<double>(t.size());
+    blk.compute(useful, useful * pad);
+    blk.extra_cycles = kTaskSetupCycles;
+    if (args.atomic_merge) {
+      const double out_lines = static_cast<double>((row_bytes + line - 1) / line);
+      blk.atomic_merge(kAtomicCyclesPerLine * out_lines, row_bytes);
     }
   });
 

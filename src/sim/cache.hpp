@@ -7,9 +7,9 @@
 // Figures 3 and 9 of the paper.
 //
 // Each set's LRU state depends only on the order of the accesses to that
-// set, so disjoint set ranges can be replayed independently: `probe` takes
-// the LRU clock value from its caller and touches one set only
-// (SimContext::launch replays one set range per host thread, DESIGN.md §5).
+// set, so disjoint set ranges can be replayed independently: `probe` reads
+// and writes one set only (SimContext::launch replays one set range per
+// host thread, DESIGN.md §5).
 #pragma once
 
 #include <cstdint>
@@ -24,11 +24,14 @@ struct CacheProbe {
   std::uint32_t misses = 0;  ///< lines fetched from DRAM
 };
 
-/// Set-associative LRU cache over 64-bit line tags.
+/// Set-associative LRU cache. Each way holds a 32-bit tag (the line number
+/// without its set bits) and a recency rank: the ranks of a set are a
+/// permutation of 0 .. ways-1, 0 the most recently touched way.
 class SetAssocCache {
  public:
-  /// `capacity_bytes` total, `ways` associativity, `line_bytes` per line.
-  /// The set count is rounded down to a power of two for cheap indexing.
+  /// `capacity_bytes` total, `ways` associativity (1 to 255), `line_bytes`
+  /// per line. The set count is rounded down to a power of two for cheap
+  /// indexing.
   SetAssocCache(std::int64_t capacity_bytes, int ways, int line_bytes);
 
   /// Line number of the line holding byte address `addr`.
@@ -36,23 +39,16 @@ class SetAssocCache {
   /// Set that line number `line` maps to.
   std::uint64_t set_of(std::uint64_t line) const { return line & set_mask_; }
 
-  /// The LRU probe: touches line number `line` at clock value `tick` and
-  /// returns whether it was resident. A miss fills the line into an empty
-  /// way, else over the least recently touched one. Writes allocate like
-  /// reads. `tick` must exceed every stamp already in the line's set; the
-  /// probe reads and writes that set only, so probes of distinct sets may
-  /// run concurrently.
-  bool probe(std::uint64_t line, std::uint64_t tick);
+  /// The LRU probe: touches line number `line` and returns whether it was
+  /// resident. A miss fills the line into an empty way, else over the least
+  /// recently touched one. Writes allocate like reads. The probe reads and
+  /// writes the line's set only, so probes of distinct sets may run
+  /// concurrently. Throws std::out_of_range when the line's tag does not
+  /// fit in 32 bits.
+  bool probe(std::uint64_t line);
 
-  /// The LRU clock: no stamp in the cache exceeds it.
-  std::uint64_t tick() const { return tick_; }
-  /// Sets the clock after a replay that stamped lines with its own ticks
-  /// (up to `t`).
-  void set_tick(std::uint64_t t) { tick_ = t; }
-
-  /// Touches `bytes` bytes at `addr`, one probe per line at the next clock
-  /// values; returns per-line hit/miss counts. A zero-byte access touches
-  /// nothing.
+  /// Touches `bytes` bytes at `addr`, one probe per line; returns per-line
+  /// hit/miss counts. A zero-byte access touches nothing.
   CacheProbe access(std::uint64_t addr, std::uint32_t bytes);
 
   /// Touches exactly one line containing `addr`.
@@ -75,16 +71,20 @@ class SetAssocCache {
   int num_sets_;
   int line_bytes_;
   int line_shift_;
+  int set_shift_;
   std::uint64_t set_mask_;
-  /// tags_[set * ways + w]; kEmpty means invalid.
-  std::vector<std::uint64_t> tags_;
-  /// LRU stamps parallel to tags_.
-  std::vector<std::uint64_t> stamps_;
-  std::uint64_t tick_ = 0;
+  /// Lanes per set: `ways_` rounded up to whole 16-lane groups. The pad
+  /// lanes hold kNoTag and kPadRank, so they never match and never age.
+  int lanes_;
+  /// tags_[set * lanes_ + w]; kNoTag in empty ways and pad lanes.
+  std::vector<std::uint32_t> tags_;
+  /// Recency ranks parallel to tags_.
+  std::vector<std::uint8_t> ranks_;
   std::uint64_t total_hits_ = 0;
   std::uint64_t total_misses_ = 0;
 
-  static constexpr std::uint64_t kEmpty = ~0ull;
+  static constexpr std::uint32_t kNoTag = ~0u;
+  static constexpr std::uint8_t kPadRank = 0xFF;
 };
 
 }  // namespace gnnbridge::sim

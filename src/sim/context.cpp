@@ -64,36 +64,45 @@ std::vector<Turn> interleave(const std::vector<BlockWork>& blocks, std::size_t w
   return turns;
 }
 
-/// One set range's share of a replay: per-block hits and misses, and the
-/// range's LRU clock after its last probe.
+/// One set range's share of a replay: per-block hits and misses.
 struct RangeReplay {
   std::vector<std::uint64_t> hits, misses;
-  std::uint64_t tick = 0;
 };
 
 /// Pass 2 for the sets [lo, hi): every turn in order, probing only the
-/// lines whose set the range owns, with a clock that starts at `tick`.
-/// Touches no set outside the range, so ranges run concurrently.
+/// lines whose set the range owns. Touches no set outside the range, so
+/// ranges run concurrently. A turn's lines are kept or dropped without a
+/// branch on the set (at P ranges a line is the range's with odds 1/P, a
+/// branch the host mispredicts) and the kept ones probed in order.
 RangeReplay replay_sets(SetAssocCache& l2, const std::vector<Turn>& turns, std::size_t blocks,
-                        std::uint64_t tick, std::uint64_t lo, std::uint64_t hi) {
+                        std::uint64_t lo, std::uint64_t hi) {
   RangeReplay r;
   r.hits.assign(blocks, 0);
   r.misses.assign(blocks, 0);
   const std::uint64_t width = hi - lo;
+  constexpr std::size_t kBatch = 64;
+  std::uint64_t owned[kBatch] = {};
   for (const Turn& t : turns) {
-    std::uint64_t h = 0, m = 0;
+    std::uint64_t lines = 0, hits = 0;
+    std::size_t n = 0;
+    const auto probe_owned = [&] {
+      for (std::size_t i = 0; i < n; ++i) hits += l2.probe(owned[i]);
+      lines += n;
+      n = 0;
+    };
     for (const Access* a = t.first; a != t.first + t.count; ++a) {
       if (a->bytes == 0) continue;
       const std::uint64_t last = l2.line_of(a->addr + a->bytes - 1);
       for (std::uint64_t line = l2.line_of(a->addr); line <= last; ++line) {
-        if (l2.set_of(line) - lo >= width) continue;  // another range's set
-        ++(l2.probe(line, ++tick) ? h : m);
+        owned[n] = line;
+        n += l2.set_of(line) - lo < width;  // kept if the range owns its set
+        if (n == kBatch) probe_owned();
       }
     }
-    r.hits[t.block] += h;
-    r.misses[t.block] += m;
+    probe_owned();
+    r.hits[t.block] += hits;
+    r.misses[t.block] += lines - hits;
   }
-  r.tick = tick;
   return r;
 }
 
@@ -119,12 +128,10 @@ const KernelStats& SimContext::launch(Kernel kernel) {
   // interleave; pass 2 replays it through the L2 with one contiguous set
   // range per host thread. A set's LRU state depends only on the order of
   // the accesses to that set, so the counts equal a sequential replay's at
-  // any range count. Every range starts from the cache's clock, and the
-  // clock then takes the largest range clock, so this launch's stamps
-  // compare as newer than all earlier ones in every later launch, whichever
-  // range owns a set then. Inside a parallel region (shard bodies, tuner
-  // probes, batch jobs) more ranges would run inline, each rescanning the
-  // whole interleave, so there is one.
+  // any range count, and a set's recency ranks carry over to the next
+  // launch whichever range owns the set then. Inside a parallel region
+  // (shard bodies, tuner probes, batch jobs) more ranges would run inline,
+  // each rescanning the whole interleave, so there is one.
   std::vector<std::uint64_t> hits(n, 0), misses(n, 0);
   {
     prof::Span replay_span("replay", "sim.stage");
@@ -134,20 +141,16 @@ const KernelStats& SimContext::launch(Kernel kernel) {
     const std::size_t ranges = par::in_parallel_region()
                                    ? 1
                                    : std::min(static_cast<std::size_t>(par::max_threads()), sets);
-    const std::uint64_t start = l2_.tick();
     std::vector<RangeReplay> replays(ranges);
     par::parallel_chunks(ranges, /*grain=*/1, [&](std::size_t r, std::size_t, std::size_t) {
-      replays[r] = replay_sets(l2_, turns, n, start, r * sets / ranges, (r + 1) * sets / ranges);
+      replays[r] = replay_sets(l2_, turns, n, r * sets / ranges, (r + 1) * sets / ranges);
     });
-    std::uint64_t tick = start;
     for (const RangeReplay& rr : replays) {
       for (std::size_t b = 0; b < n; ++b) {
         hits[b] += rr.hits[b];
         misses[b] += rr.misses[b];
       }
-      tick = std::max(tick, rr.tick);
     }
-    l2_.set_tick(tick);
   }
 
   // --- Cost model: per-block duration = max(compute, memory) + extras.

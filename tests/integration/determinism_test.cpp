@@ -1,9 +1,10 @@
 // Cross-thread-count determinism: the contract of DESIGN.md §11.
 //
 // The full optimized engine (LAS + neighbor grouping + adapter + tuner)
-// and the DGL-style backend, which share the layer library, must produce
-// byte-identical metrics documents — every counter, every kernel, every
-// gap attribution — at 1, 2, 3, 4 and 8 host threads. Only meta.threads
+// and the DGL-, PyG- and ROC-style backends, which between them launch
+// every kernel of the library, must produce byte-identical metrics
+// documents — every counter, every kernel, every gap attribution — at 1,
+// 2, 3, 4 and 8 host threads. Only meta.threads
 // (pinned here so the documents compare equal) and wall-clock time may
 // differ. The host math of kFull runs (outputs, losses, gradients and
 // updated parameters) must be byte-identical at those counts too. run_batch
@@ -16,6 +17,8 @@
 #include <vector>
 
 #include "baselines/dgl.hpp"
+#include "baselines/pyg.hpp"
+#include "baselines/roc.hpp"
 #include "engine/engine.hpp"
 #include "graph/datasets.hpp"
 #include "models/gcn_grad.hpp"
@@ -83,9 +86,9 @@ const Inputs& inputs() {
 }
 
 // Runs GCN + GAT + GraphSAGE-LSTM + multi-head GAT + GraphSAGE-Pool
-// through a fresh full-stack engine, and GAT + multi-head GAT +
-// GraphSAGE-Pool through the DGL-style backend, and serializes every
-// counter into one metrics document. meta is pinned (not collected) so
+// through a fresh full-stack engine, every model through the DGL-style
+// backend, GCN and GAT through the PyG-style one and GCN through the
+// ROC-style one, and serializes every counter into one metrics document. meta is pinned (not collected) so
 // documents from different thread counts are comparable byte for byte.
 std::string run_all_and_serialize() {
   const Inputs& in = inputs();
@@ -93,6 +96,8 @@ std::string run_all_and_serialize() {
   cfg.auto_tune = true;  // tuner probes are a parallel call site too
   OptimizedEngine e(cfg);
   baselines::DglBackend dgl;
+  baselines::PygBackend pyg;
+  baselines::RocBackend roc;
 
   prof::MetricsSink& sink = prof::MetricsSink::instance();
   sink.clear();
@@ -137,6 +142,20 @@ std::string run_all_and_serialize() {
          dgl.run_multihead_gat(in.collab, mh, ExecMode::kSimulateOnly, sim::v100()), "dgl");
   record("pool", in.collab,
          dgl.run_sage_pool(in.collab, pool, ExecMode::kSimulateOnly, sim::v100()), "dgl");
+  const baselines::GcnRun gcn{&in.gcn_cfg, &in.gcn_params, &in.x_collab};
+  const baselines::GatRun gat{&in.gat_cfg, &in.gat_params, &in.x_collab};
+  record("gcn", in.collab, dgl.run_gcn(in.collab, gcn, ExecMode::kSimulateOnly, sim::v100()),
+         "dgl");
+  record("sage_lstm", in.collab,
+         dgl.run_sage_lstm(in.collab, {&in.sage_cfg, &in.sage_params, &in.x_collab},
+                           ExecMode::kSimulateOnly, sim::v100()),
+         "dgl");
+  record("gcn", in.collab, pyg.run_gcn(in.collab, gcn, ExecMode::kSimulateOnly, sim::v100()),
+         "pyg");
+  record("gat", in.collab, pyg.run_gat(in.collab, gat, ExecMode::kSimulateOnly, sim::v100()),
+         "pyg");
+  record("gcn", in.collab, roc.run_gcn(in.collab, gcn, ExecMode::kSimulateOnly, sim::v100()),
+         "roc");
   std::string doc = sink.to_json();
   sink.clear();
   return doc;
@@ -157,8 +176,10 @@ TEST_F(ThreadCountDeterminism, MetricsDocumentByteIdenticalAt1_2_3_4_8Threads) {
   }
 }
 
-/// Every matrix and loss a kFull GCN and GAT forward and two GCN training
-/// steps compute on the host, in a fixed order.
+/// Every matrix and loss a kFull GCN and GAT forward, a PyG-style GCN
+/// forward and two GCN training steps compute on the host, in a fixed
+/// order. PyG's scatter_reduce adds into each destination row from every
+/// block holding one of its edges.
 struct FullOutputs {
   std::vector<std::pair<std::string, models::Matrix>> mats;
   std::vector<float> losses;
@@ -180,6 +201,10 @@ FullOutputs run_full() {
       in.collab, {&in.gat_cfg, &in.gat_params, &in.x_collab}, ExecMode::kFull, sim::v100());
   EXPECT_TRUE(gat.status.ok()) << gat.status.to_string();
   keep("gat output", gat.output);
+  const baselines::RunResult pyg_gcn = baselines::PygBackend().run_gcn(
+      in.collab, {&in.gcn_cfg, &in.gcn_params, &in.x_collab}, ExecMode::kFull, sim::v100());
+  EXPECT_TRUE(pyg_gcn.status.ok()) << pyg_gcn.status.to_string();
+  keep("pyg gcn output", pyg_gcn.output);
 
   models::GcnParams params = in.train_params;
   for (int step = 0; step < 2; ++step) {
@@ -208,7 +233,7 @@ FullOutputs run_full() {
 TEST_F(ThreadCountDeterminism, FullOutputsByteIdenticalAt1_2_3_4_8Threads) {
   par::set_max_threads(1);
   const FullOutputs serial = run_full();
-  ASSERT_EQ(serial.mats.size(), 2u + 2u * (1 + 4 * 2 + 1));
+  ASSERT_EQ(serial.mats.size(), 3u + 2u * (1 + 4 * 2 + 1));
   ASSERT_EQ(serial.losses.size(), 2u);
   for (int threads : {2, 3, 4, 8}) {
     par::set_max_threads(threads);

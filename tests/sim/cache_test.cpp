@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <stdexcept>
+
+#include "tensor/rng.hpp"
+#include "tests/testing/stamp_lru.hpp"
+
 namespace gnnbridge::sim {
 namespace {
 
@@ -63,7 +69,8 @@ TEST(Cache, ZeroByteAccessIsNoop) {
   // Unaligned too: addr + bytes - 1 would fall back inside the line.
   EXPECT_EQ(c.access(32, 0).lines, 0u);
   EXPECT_EQ(c.total_misses(), 0u);
-  EXPECT_EQ(c.tick(), 0u);
+  // Nothing was filled: line 0 is still cold.
+  EXPECT_FALSE(c.access_line(0));
 }
 
 TEST(Cache, ClearInvalidatesEverything) {
@@ -95,6 +102,61 @@ TEST(Cache, WorkingSetWithinCapacityReuses) {
   }
   EXPECT_EQ(c.total_misses(), 32u);
   EXPECT_EQ(c.total_hits(), 96u);
+}
+
+// Every probe of the rank-based LRU against the stamp-based reference, at
+// way counts below, at and above one 16-lane group (pad lanes at 1, 2, 3,
+// 4, 8 and 12 ways; two groups at 32). The stream mixes re-touches of
+// recent lines with fresh lines over twice the capacity, so sets fill,
+// hit and evict; half the way counts use tags near the top of the 32-bit
+// range.
+TEST(Cache, MatchesStampLruProbeByProbe) {
+  for (const int ways : {1, 2, 3, 4, 8, 12, 16, 32}) {
+    const std::int64_t capacity = 64LL * ways * 64;  // 64 sets
+    SetAssocCache cache(capacity, ways, 64);
+    testing::StampLru ref(capacity, ways, 64);
+    ASSERT_EQ(cache.num_sets(), ref.num_sets());
+    tensor::Rng rng(static_cast<std::uint64_t>(ways));
+    const std::uint64_t lines = 2 * 64 * static_cast<std::uint64_t>(ways);
+    const std::uint64_t base = ways % 2 == 0 ? std::uint64_t{0xFFFF0000} << 6 : 0;
+    std::deque<std::uint64_t> recent;
+    std::uint64_t hits = 0, misses = 0;
+    for (int i = 0; i < 20000; ++i) {
+      const std::uint64_t line = !recent.empty() && rng.below(2) == 0
+                                     ? recent[rng.below(recent.size())]
+                                     : base + rng.below(lines);
+      recent.push_back(line);
+      if (recent.size() > 4 * static_cast<std::size_t>(ways)) recent.pop_front();
+      const bool want = ref.probe(line);
+      ASSERT_EQ(cache.probe(line), want) << ways << " ways, probe " << i << ", line " << line;
+      ++(want ? hits : misses);
+    }
+    EXPECT_GT(hits, 2000u) << ways << " ways";
+    EXPECT_GT(misses, 2000u) << ways << " ways";
+  }
+}
+
+TEST(Cache, RejectsTagsWiderThan32Bits) {
+  SetAssocCache c(1024, 2, 64);  // 8 sets: the tag is line >> 3
+  ASSERT_EQ(c.num_sets(), 8);
+  const std::uint64_t widest = std::uint64_t{0xFFFFFFFE} << 3;  // the largest tag
+  EXPECT_FALSE(c.probe(widest));
+  EXPECT_TRUE(c.probe(widest));
+  // 0xFFFFFFFF marks empty ways, and 2^32 needs 33 bits.
+  EXPECT_THROW(c.probe(std::uint64_t{0xFFFFFFFF} << 3), std::out_of_range);
+  EXPECT_THROW(c.probe(std::uint64_t{1} << 35), std::out_of_range);
+  EXPECT_THROW(c.access_line(std::uint64_t{1} << 41), std::out_of_range);
+  EXPECT_TRUE(c.probe(widest));
+}
+
+TEST(Cache, RejectsWayCountsRanksCannotHold) {
+  EXPECT_THROW(SetAssocCache(1 << 20, 0, 64), std::invalid_argument);
+  EXPECT_THROW(SetAssocCache(1 << 20, 256, 64), std::invalid_argument);
+  SetAssocCache c(1 << 20, 255, 64);  // one pad lane
+  for (std::uint64_t l = 0; l < 255; ++l) EXPECT_FALSE(c.probe(l * c.num_sets()));
+  for (std::uint64_t l = 0; l < 255; ++l) EXPECT_TRUE(c.probe(l * c.num_sets()));
+  EXPECT_FALSE(c.probe(255u * c.num_sets()));  // evicts line 0, the LRU
+  EXPECT_FALSE(c.probe(0));
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // The set-partitioned L2 replay of SimContext::launch against a sequential
-// oracle: the same co-residency interleave through one cache, line by
-// line, in order. Launches on one context change the replay's range count
-// between them (1, 4, 3, 8, 2 host threads), so a set's LRU stamps come
-// from different ranges in different launches; the tiny cache forces
-// evictions, so a stamp compared in the wrong order changes the counts.
+// oracle: the same co-residency interleave through one stamp-based
+// reference LRU (tests/testing/stamp_lru.hpp), line by line, in order.
+// Launches on one context change the replay's range count between them
+// (1, 4, 3, 8, 2 host threads), so a set's recency ranks are updated by
+// different ranges in different launches; the tiny cache forces
+// evictions, so a rank carried over wrongly changes the counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,10 +12,10 @@
 #include <vector>
 
 #include "par/thread_pool.hpp"
-#include "sim/cache.hpp"
 #include "sim/context.hpp"
 #include "sim/scheduler.hpp"
 #include "tensor/rng.hpp"
+#include "tests/testing/stamp_lru.hpp"
 
 namespace gnnbridge::sim {
 namespace {
@@ -58,8 +59,9 @@ Kernel random_kernel(const Buffer& buf, std::uint64_t seed) {
   return k;
 }
 
-/// The sequential oracle: one cache, driven through the co-residency
-/// interleave access by access, and launch's cost model on its counts.
+/// The sequential oracle: one reference LRU, driven through the
+/// co-residency interleave access by access, and launch's cost model on
+/// its counts.
 class SequentialReplay {
  public:
   explicit SequentialReplay(const DeviceSpec& spec)
@@ -120,7 +122,7 @@ class SequentialReplay {
 
  private:
   DeviceSpec spec_;
-  SetAssocCache l2_;
+  testing::StampLru l2_;
 };
 
 void expect_same(const KernelStats& got, const KernelStats& want, const std::string& where) {

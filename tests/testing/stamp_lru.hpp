@@ -1,0 +1,87 @@
+// A reference LRU cache for the tests: one 64-bit tag and one 64-bit
+// last-touch stamp per way, a scan of every way per probe. It is slow and
+// obviously LRU, so the tests check sim::SetAssocCache's rank-based LRU,
+// and the set-partitioned replay built on it, against it probe by probe.
+#pragma once
+
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "sim/cache.hpp"
+
+namespace gnnbridge::testing {
+
+class StampLru {
+ public:
+  /// The geometry of sim::SetAssocCache(capacity_bytes, ways, line_bytes).
+  StampLru(std::int64_t capacity_bytes, int ways, int line_bytes) : ways_(ways) {
+    const std::int64_t raw_sets = capacity_bytes / (static_cast<std::int64_t>(ways) * line_bytes);
+    num_sets_ = 1 << (std::bit_width(static_cast<std::uint64_t>(raw_sets)) - 1);
+    line_shift_ = std::bit_width(static_cast<std::uint64_t>(line_bytes)) - 1;
+    tags_.assign(static_cast<std::size_t>(num_sets_) * ways_, kEmpty);
+    stamps_.assign(tags_.size(), 0);
+  }
+
+  int num_sets() const { return num_sets_; }
+
+  /// Touches line number `line`; returns whether it was resident. A miss
+  /// fills an empty way, else the way with the oldest stamp.
+  bool probe(std::uint64_t line) {
+    const std::uint64_t base = (line & static_cast<std::uint64_t>(num_sets_ - 1)) *
+                               static_cast<std::uint64_t>(ways_);
+    std::uint64_t* tag = &tags_[base];
+    std::uint64_t* stamp = &stamps_[base];
+    ++tick_;
+    int victim = 0;
+    std::uint64_t oldest = ~0ull;
+    for (int w = 0; w < ways_; ++w) {
+      if (tag[w] == line) {
+        stamp[w] = tick_;
+        return true;
+      }
+      if (tag[w] == kEmpty) {
+        victim = w;
+        oldest = 0;
+      } else if (stamp[w] < oldest) {
+        victim = w;
+        oldest = stamp[w];
+      }
+    }
+    tag[victim] = line;
+    stamp[victim] = tick_;
+    return false;
+  }
+
+  /// Touches `bytes` bytes at `addr`, one probe per line, like
+  /// SetAssocCache::access.
+  sim::CacheProbe access(std::uint64_t addr, std::uint32_t bytes) {
+    sim::CacheProbe p;
+    if (bytes == 0) return p;
+    const std::uint64_t last = (addr + bytes - 1) >> line_shift_;
+    for (std::uint64_t line = addr >> line_shift_; line <= last; ++line) {
+      ++p.lines;
+      ++(probe(line) ? p.hits : p.misses);
+    }
+    return p;
+  }
+
+  void clear() {
+    std::fill(tags_.begin(), tags_.end(), kEmpty);
+    std::fill(stamps_.begin(), stamps_.end(), 0);
+    tick_ = 0;
+  }
+
+ private:
+  int ways_;
+  int num_sets_;
+  int line_shift_;
+  std::vector<std::uint64_t> tags_;
+  std::vector<std::uint64_t> stamps_;
+  std::uint64_t tick_ = 0;
+
+  static constexpr std::uint64_t kEmpty = ~0ull;
+};
+
+}  // namespace gnnbridge::testing
