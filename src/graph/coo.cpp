@@ -1,44 +1,17 @@
 #include "graph/coo.hpp"
 
-#include <algorithm>
-#include <numeric>
+#include "graph/bucket.hpp"
 
 namespace gnnbridge::graph {
 
 Coo canonicalize(const Coo& in, bool keep_self_loops) {
-  const EdgeId e = in.num_edges();
-  std::vector<EdgeId> order(static_cast<std::size_t>(e));
-  std::iota(order.begin(), order.end(), EdgeId{0});
-  std::sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
-    if (in.dst[a] != in.dst[b]) return in.dst[a] < in.dst[b];
-    return in.src[a] < in.src[b];
-  });
-
-  Coo out;
-  out.num_nodes = in.num_nodes;
-  out.src.reserve(in.src.size());
-  out.dst.reserve(in.dst.size());
-  for (EdgeId idx : order) {
-    const NodeId u = in.src[idx];
-    const NodeId v = in.dst[idx];
-    if (!keep_self_loops && u == v) continue;
-    if (!out.src.empty() && out.src.back() == u && out.dst.back() == v) continue;
-    out.src.push_back(u);
-    out.dst.push_back(v);
-  }
-  return out;
+  return coo_from_csr(bucket_edges(in.num_nodes, {{in}},
+                                   keep_self_loops ? RowRule::kSet : RowRule::kSetNoSelfLoops));
 }
 
 Coo symmetrize(const Coo& in) {
-  Coo doubled;
-  doubled.num_nodes = in.num_nodes;
-  doubled.src.reserve(in.src.size() * 2);
-  doubled.dst.reserve(in.dst.size() * 2);
-  for (EdgeId i = 0; i < in.num_edges(); ++i) {
-    doubled.add_edge(in.src[i], in.dst[i]);
-    doubled.add_edge(in.dst[i], in.src[i]);
-  }
-  return canonicalize(doubled);
+  return coo_from_csr(bucket_edges(in.num_nodes, {{in}, {in, /*by_src=*/true}},
+                                   RowRule::kSetNoSelfLoops));
 }
 
 bool valid(const Coo& g) {

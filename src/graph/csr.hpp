@@ -38,14 +38,19 @@ struct Csr {
 };
 
 /// Builds center-keyed CSR from an edge list: edge u->v lands in row v.
+/// Rows are sorted; duplicates and self-loops are kept. Throws
+/// std::out_of_range naming the edge when an endpoint is outside
+/// [0, num_nodes), before the endpoint indexes anything.
 Csr csr_from_coo(const Coo& coo);
 
 /// Builds source-keyed CSR (i.e. CSC of the center-keyed form): row u lists
-/// destinations v of edges u->v. Used by push-style traversals.
+/// destinations v of edges u->v. Used by push-style traversals. Same rows
+/// rule and endpoint check as csr_from_coo.
 Csr csc_from_coo(const Coo& coo);
 
-/// Converts back to a (dst,src)-sorted edge list.
-Coo coo_from_csr(const Csr& csr);
+/// Converts back to a (dst,src)-sorted edge list. Takes `csr` by value so
+/// a caller done with it can move its col_idx in as the sources.
+Coo coo_from_csr(Csr csr);
 
 /// Structural invariant check: monotone row_ptr, in-range columns,
 /// row_ptr[0] == 0 and row_ptr[N] == E.

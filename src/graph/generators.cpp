@@ -5,6 +5,8 @@
 #include <cmath>
 #include <numeric>
 
+#include "graph/bucket.hpp"
+
 namespace gnnbridge::graph {
 
 DiscreteSampler::DiscreteSampler(std::span<const double> weights) {
@@ -126,13 +128,7 @@ Coo planted_partition(NodeId n, NodeId community_size, double avg_degree,
 
 Coo merge_edges(const Coo& a, const Coo& b) {
   assert(a.num_nodes == b.num_nodes);
-  Coo merged;
-  merged.num_nodes = a.num_nodes;
-  merged.src = a.src;
-  merged.dst = a.dst;
-  merged.src.insert(merged.src.end(), b.src.begin(), b.src.end());
-  merged.dst.insert(merged.dst.end(), b.dst.begin(), b.dst.end());
-  return canonicalize(merged);
+  return coo_from_csr(bucket_edges(a.num_nodes, {{a}, {b}}, RowRule::kSetNoSelfLoops));
 }
 
 Coo erdos_renyi(NodeId n, double avg_degree, Rng& rng) {

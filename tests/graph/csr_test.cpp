@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "tests/testing/util.hpp"
 
 namespace gnnbridge::graph {
@@ -63,6 +68,19 @@ TEST(CsrValid, CatchesBadColumn) {
   Csr g = csr_from_coo(small_coo());
   g.col_idx[0] = 99;
   EXPECT_FALSE(valid(g));
+}
+
+// An endpoint outside [0, num_nodes) once indexed row_ptr out of bounds.
+// Either endpoint is checked, whether it is the row key or the value.
+TEST(CsrFromCoo, RejectsOutOfRangeEndpoints) {
+  for (const auto& [u, v] : std::vector<std::pair<NodeId, NodeId>>{
+           {-1, 2}, {2, -1}, {5, 0}, {0, 5}, {-2147483647 - 1, 3}}) {
+    Coo g = small_coo();
+    g.add_edge(u, v);
+    SCOPED_TRACE(std::to_string(u) + " -> " + std::to_string(v));
+    EXPECT_THROW(csr_from_coo(g), std::out_of_range);
+    EXPECT_THROW(csc_from_coo(g), std::out_of_range);
+  }
 }
 
 TEST(Degrees, SumToEdgeCount) {

@@ -151,7 +151,9 @@ TEST_F(ShardDeterminism, ExchangeCountersPriced) {
 
 TEST_F(ShardDeterminism, ShardsClampToNodeCount) {
   // More shards than nodes: the plan clamps, the run still matches.
-  const graph::Dataset tiny{.name = "tiny", .csr = testing::random_graph(12, 3.0, 9)};
+  graph::Dataset tiny;
+  tiny.name = "tiny";
+  tiny.csr = testing::random_graph(12, 3.0, 9);
   models::GcnConfig cfg;
   cfg.dims = {8, 4};
   const models::GcnParams params = models::init_gcn(cfg, 3);

@@ -39,7 +39,9 @@ void check_invariants(const Csr& g, const Partition& p) {
   EdgeId total_edges = 0;
   for (std::size_t s = 0; s < p.shards.size(); ++s) {
     const shard::Shard& sh = p.shards[s];
-    if (g.num_nodes > 0) EXPECT_FALSE(sh.owned.empty()) << "empty shard " << s;
+    if (g.num_nodes > 0) {
+      EXPECT_FALSE(sh.owned.empty()) << "empty shard " << s;
+    }
     EXPECT_TRUE(graph::valid(sh.local)) << "invalid local CSR, shard " << s;
     EXPECT_EQ(sh.local.num_nodes, sh.num_owned() + static_cast<NodeId>(sh.ghosts.size()));
     EXPECT_EQ(sh.ghost_owner.size(), sh.ghosts.size());
@@ -51,7 +53,9 @@ void check_invariants(const Csr& g, const Partition& p) {
       const NodeId v = sh.owned[r];
       seen[static_cast<std::size_t>(v)]++;
       EXPECT_EQ(p.assign[static_cast<std::size_t>(v)], static_cast<int>(s));
-      if (r > 0) EXPECT_LT(sh.owned[r - 1], v) << "owned not ascending";
+      if (r > 0) {
+        EXPECT_LT(sh.owned[r - 1], v) << "owned not ascending";
+      }
       // The local row must mirror the global row: same length, same
       // within-row order, every local column resolving to the same global
       // source id.
@@ -67,7 +71,9 @@ void check_invariants(const Csr& g, const Partition& p) {
       }
     }
     for (std::size_t gi = 0; gi < sh.ghosts.size(); ++gi) {
-      if (gi > 0) EXPECT_LT(sh.ghosts[gi - 1], sh.ghosts[gi]) << "ghosts not ascending";
+      if (gi > 0) {
+        EXPECT_LT(sh.ghosts[gi - 1], sh.ghosts[gi]) << "ghosts not ascending";
+      }
       const int owner = sh.ghost_owner[gi];
       ASSERT_GE(owner, 0);
       ASSERT_LT(owner, p.k);
