@@ -21,8 +21,7 @@ double hit_rate_with(const graph::Dataset& d, sim::DeviceSpec spec,
                          .tasks = tasks,
                          .src = &src,
                          .out = &out,
-                         .atomic_merge = atomic,
-                         .mode = kernels::ExecMode::kSimulateOnly};
+                         .atomic_merge = atomic};
   const double hit = kernels::spmm_node(ctx, args).l2_hit_rate();
   bench::record_stats("sim_ablation/" + label, "aggregation", "sim-ablation", d.name,
                       ctx.stats(), spec);

@@ -59,8 +59,7 @@ int main() {
                              .edge_weight = &norm,
                              .out = &out,
                              .lanes = tuned.best.lanes,
-                             .atomic_merge = grouped.any_split,
-                             .mode = kernels::ExecMode::kSimulateOnly};
+                             .atomic_merge = grouped.any_split};
       const sim::KernelStats ks = kernels::spmm_node(ctx, args);
       bench::record_stats("tuned/" + std::to_string(feat) + "/" + d.name, "aggregation",
                           "tuned", d.name, ctx.stats(), spec);

@@ -27,8 +27,7 @@ sim::KernelStats run_agg(const graph::Dataset& d, std::span<const kernels::Task>
                          .src = &src,
                          .edge_weight = &norm,
                          .out = &out,
-                         .atomic_merge = atomic,
-                         .mode = kernels::ExecMode::kSimulateOnly};
+                         .atomic_merge = atomic};
   const sim::KernelStats ks = kernels::spmm_node(ctx, args);
   bench::record_stats("ng_balance/" + std::string(schedule) + "/" + d.name, "gcn-last-layer",
                       schedule, d.name, ctx.stats());

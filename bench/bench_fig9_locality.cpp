@@ -27,8 +27,7 @@ double node_parallel_hit_rate(const graph::Dataset& d, std::span<const kernels::
                          .tasks = tasks,
                          .src = &src,
                          .out = &out,
-                         .atomic_merge = atomic,
-                         .mode = kernels::ExecMode::kSimulateOnly};
+                         .atomic_merge = atomic};
   const double hit = kernels::spmm_node(ctx, args).l2_hit_rate();
   bench::record_stats("locality/" + std::string(schedule) + "/" + d.name, "gcn-last-layer",
                       schedule, d.name, ctx.stats());
@@ -43,8 +42,7 @@ double edge_parallel_hit_rate(const graph::Dataset& d) {
   kernels::GatherArgs args{.edges = &edev,
                            .by_src = true,
                            .feat = &src,
-                           .expanded = &expanded,
-                           .mode = kernels::ExecMode::kSimulateOnly};
+                           .expanded = &expanded};
   const double hit = kernels::gather(ctx, args).l2_hit_rate();
   bench::record_stats("locality/edge-parallel/" + d.name, "gcn-last-layer", "edge-parallel",
                       d.name, ctx.stats());

@@ -29,7 +29,6 @@ graph::Dataset dataset_from_batch(const graph::Dataset& full, const graph::Sampl
   mini.csr.row_ptr.resize(static_cast<std::size_t>(full.csr.num_nodes) + 1,
                           mini.csr.row_ptr.back());
   mini.coo = graph::coo_from_csr(mini.csr);
-  mini.csc = graph::csc_from_coo(mini.coo);
   mini.stats = graph::degree_stats(mini.csr);
   return mini;
 }

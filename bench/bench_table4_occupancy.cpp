@@ -35,15 +35,13 @@ int main() {
                            .tasks = tasks,
                            .src_scalar = &att,
                            .dst_scalar = &att,
-                           .edge_out = &e,
-                           .mode = kernels::ExecMode::kSimulateOnly};
+                           .edge_out = &e};
     combined.append(kernels::u_add_v(ctx, uav).timeline);
     kernels::SpmmArgs agg{.graph = &gdev,
                           .tasks = tasks,
                           .src = &src,
                           .edge_weight = &e,
                           .out = &out,
-                          .mode = kernels::ExecMode::kSimulateOnly,
                           .name = "u_mul_e_sum"};
     combined.append(kernels::spmm_node(ctx, agg).timeline);
     bench::record_stats("occupancy/" + d.name, "gat-graph-ops", "dgl", d.name, ctx.stats());

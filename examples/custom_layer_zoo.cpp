@@ -64,7 +64,7 @@ int main() {
   describe("  softmax_aggr", models::layer_softmax_aggr(g, h,
                                                         models::edge_gat(g, t, att_l, att_r)));
 
-  std::printf("\nAll layers share the aggregation kernels of src/kernels — the same code\n"
-              "paths the optimized engine schedules with NG/LAS and fuses with adapters.\n");
+  std::printf("\nThese layers are host references (src/models/layers.cpp): plain loops over\n"
+              "the CSR, not the simulated kernels of src/kernels that the backends launch.\n");
   return 0;
 }

@@ -20,7 +20,6 @@ int main() {
   data.name = "quickstart";
   data.coo = graph::chung_lu(degrees, rng);
   data.csr = graph::csr_from_coo(data.coo);
-  data.csc = graph::csc_from_coo(data.coo);
   data.stats = graph::degree_stats(data.csr);
   std::printf("graph: %d nodes, %lld edges, avg degree %.1f, max %lld\n", data.stats.num_nodes,
               static_cast<long long>(data.stats.num_edges), data.stats.avg_degree,

@@ -30,7 +30,7 @@ constexpr sim::Cycles kFrameworkOverheadCycles = 30000.0;
 k::FeatureMat listing1_layer(sim::SimContext& ctx, Workspace& ws, const k::GraphOnDevice& gdev,
                              std::span<const k::Task> tasks, const k::FeatureMat& in,
                              const Matrix& w, const Matrix& att_l, const Matrix& att_r,
-                             float leaky_alpha, bool relu, ExecMode mode) {
+                             float leaky_alpha, bool relu) {
   const auto edges = static_cast<models::Index>(gdev.csr->num_edges());
   pipeline::GatLayer l;
   l.w = ws.from(ctx, w, "w");
@@ -43,14 +43,13 @@ k::FeatureMat listing1_layer(sim::SimContext& ctx, Workspace& ws, const k::Graph
   l.vacc = ws.mat(ctx, in.rows, 1, "v_acc");
   l.e_acc = ws.mat(ctx, edges, 1, "e_acc");
   l.out = ws.mat(ctx, in.rows, w.cols(), "aggregated");
-  k::dense_gemm(ctx, {.a = &in, .b = &l.w, .c = &l.t, .mode = mode});
+  k::dense_gemm(ctx, {.a = &in, .b = &l.w, .c = &l.t});
   pipeline::gat_graph_ops(ctx, pipeline::GatGraphOps::kListing1,
                           {.graph = &gdev,
                            .tasks = tasks,
                            .layer = &l,
                            .leaky_alpha = leaky_alpha,
-                           .relu = relu,
-                           .mode = mode});
+                           .relu = relu});
   return l.out;
 }
 
@@ -74,7 +73,7 @@ RunResult DglBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode m
     auto w = ws.from(ctx, run.params->weight[l], "w");
     auto bias = ws.from(ctx, run.params->bias[l], "b");
     auto t = ws.mat(ctx, h.rows, w.cols, "transformed");
-    k::dense_gemm(ctx, {.a = &h, .b = &w, .c = &t, .mode = mode});
+    k::dense_gemm(ctx, {.a = &h, .b = &w, .c = &t});
 
     // DGL routes sum-reduce through the vendor library (cuSPARSE csrmm).
     auto agg = ws.mat(ctx, h.rows, w.cols, "aggregated");
@@ -83,12 +82,11 @@ RunResult DglBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode m
                      .src = &t,
                      .edge_weight = &norm,
                      .out = &agg,
-                     .mode = mode,
                      .phase = "graph_op"};
     k::spmm_vendor(ctx, spmm);
 
     // Separate bias + activation kernel (op-per-kernel execution).
-    k::bias_act_kernel(ctx, {.bias = &bias, .mat = &agg, .relu = !last, .mode = mode});
+    k::bias_act_kernel(ctx, {.bias = &bias, .mat = &agg, .relu = !last});
     h = agg;
   }
   RunResult r = pipeline::finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix());
@@ -111,7 +109,7 @@ RunResult DglBackend::run_gat(const Dataset& data, const GatRun& run, ExecMode m
   for (std::size_t l = 0; l < run.params->weight.size(); ++l) {
     h = listing1_layer(ctx, ws, gdev, tasks, h, run.params->weight[l], run.params->att_l[l],
                        run.params->att_r[l], run.cfg->leaky_alpha,
-                       l + 1 != run.params->weight.size(), mode);
+                       l + 1 != run.params->weight.size());
   }
   RunResult r = pipeline::finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix());
   r.paper_bytes = paper_bytes;
@@ -141,26 +139,22 @@ RunResult DglBackend::run_sage_lstm(const Dataset& data, const SageLstmRun& run,
 
   for (int t = 0; t < run.cfg->steps; ++t) {
     // Expansion: materialize the t-th neighbor features (Observation 4).
-    k::step_gather(ctx, {.graph = &gdev, .step = t, .feat = &x, .out = &x_t, .mode = mode});
+    k::step_gather(ctx, {.graph = &gdev, .step = t, .feat = &x, .out = &x_t});
     // Transformation on the expanded matrix — redone every step.
-    k::dense_gemm(ctx, {.a = &x_t, .b = &w, .c = &g_in, .mode = mode,
-                        .phase = "transformation"});
-    k::dense_gemm(ctx, {.a = &hstate, .b = &rmat, .c = &g_rec, .mode = mode,
-                        .phase = "recurrent"});
+    k::dense_gemm(ctx, {.a = &x_t, .b = &w, .c = &g_in, .phase = "transformation"});
+    k::dense_gemm(ctx, {.a = &hstate, .b = &rmat, .c = &g_rec, .phase = "recurrent"});
     k::dense_binary(ctx, {.a = &g_in,
                           .b = &g_rec,
                           .out = &gates,
                           .fn = [](float a, float b) { return a + b; },
                           .flops_per_elem = 1.0,
-                          .mode = mode,
                           .name = "gates_add",
                           .phase = "lstm_cell"});
-    k::lstm_pointwise(ctx, {.gates = &gates, .bias = &bias, .c = &cstate, .h = &hstate,
-                            .mode = mode});
+    k::lstm_pointwise(ctx, {.gates = &gates, .bias = &bias, .c = &cstate, .h = &hstate});
   }
   auto outw = ws.from(ctx, run.params->out_w, "out_w");
   auto out = ws.mat(ctx, n, hidden, "out");
-  k::dense_gemm(ctx, {.a = &hstate, .b = &outw, .c = &out, .mode = mode, .phase = "projection"});
+  k::dense_gemm(ctx, {.a = &hstate, .b = &outw, .c = &out, .phase = "projection"});
 
   return pipeline::finish(ctx, spec, mode == ExecMode::kFull ? *out.host : Matrix());
 }
@@ -176,9 +170,9 @@ RunResult DglBackend::run_multihead_gat(const Dataset& data, const MultiHeadGatR
   const auto tasks = k::natural_tasks(data.csr);
   const auto head = [&](const k::FeatureMat& x, std::size_t h) {
     return listing1_layer(ctx, ws, gdev, tasks, x, run.params->weight[h], run.params->att_l[h],
-                          run.params->att_r[h], run.cfg->leaky_alpha, /*relu=*/false, mode);
+                          run.params->att_r[h], run.cfg->leaky_alpha, /*relu=*/false);
   };
-  return pipeline::finish(ctx, spec, pipeline::multihead_gat(ctx, ws, run, mode, head));
+  return pipeline::finish(ctx, spec, pipeline::multihead_gat(ctx, ws, run, head));
 }
 
 RunResult DglBackend::run_sage_pool(const Dataset& data, const SagePoolRun& run, ExecMode mode,
@@ -191,7 +185,7 @@ RunResult DglBackend::run_sage_pool(const Dataset& data, const SagePoolRun& run,
   // non-sum reducers).
   const k::FeatureMat out =
       pipeline::sage_pool(ctx, ws, gdev, k::natural_tasks(data.csr), /*any_split=*/false,
-                          /*lanes=*/32, run, mode);
+                          /*lanes=*/32, run);
   return pipeline::finish(ctx, spec, mode == ExecMode::kFull ? *out.host : Matrix());
 }
 

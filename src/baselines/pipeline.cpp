@@ -12,12 +12,11 @@
 namespace gnnbridge::baselines::pipeline {
 
 namespace {
-void relu_in_place(sim::SimContext& ctx, k::FeatureMat& m, k::ExecMode mode) {
+void relu_in_place(sim::SimContext& ctx, k::FeatureMat& m) {
   k::dense_map(ctx, {.in = &m,
                      .out = &m,
                      .fn = [](float x) { return x > 0.0f ? x : 0.0f; },
                      .flops_per_elem = 1.0,
-                     .mode = mode,
                      .name = "relu"});
 }
 }  // namespace
@@ -51,10 +50,9 @@ void gcn_aggregate(sim::SimContext& ctx, const GcnAggregateArgs& a) {
                                       .relu = a.relu,
                                       .epilogue_inline = !a.any_split,
                                       .lanes = a.lanes,
-                                      .atomic_merge = a.any_split,
-                                      .mode = a.mode});
+                                      .atomic_merge = a.any_split});
     if (a.any_split) {
-      k::bias_act_kernel(ctx, {.bias = &l.b, .mat = &l.out, .relu = a.relu, .mode = a.mode});
+      k::bias_act_kernel(ctx, {.bias = &l.b, .mat = &l.out, .relu = a.relu});
     }
     return;
   }
@@ -64,11 +62,9 @@ void gcn_aggregate(sim::SimContext& ctx, const GcnAggregateArgs& a) {
                      .edge_weight = a.norm,
                      .out = &l.out,
                      .lanes = a.lanes,
-                     .atomic_merge = a.any_split,
-                     .mode = a.mode});
-  k::bias_act_kernel(ctx, {.bias = &l.b, .mat = &l.out, .relu = false, .mode = a.mode,
-                           .name = "bias_add"});
-  if (a.relu) relu_in_place(ctx, l.out, a.mode);
+                     .atomic_merge = a.any_split});
+  k::bias_act_kernel(ctx, {.bias = &l.b, .mat = &l.out, .relu = false, .name = "bias_add"});
+  if (a.relu) relu_in_place(ctx, l.out);
 }
 
 GatLayer gat_layer_buffers(sim::SimContext& ctx, Workspace& ws, models::Index rows,
@@ -91,8 +87,8 @@ GatLayer gat_layer_buffers(sim::SimContext& ctx, Workspace& ws, models::Index ro
 void gat_graph_ops(sim::SimContext& ctx, GatGraphOps ops, const GatGraphOpsArgs& a) {
   GatLayer& l = *a.layer;
   const float alpha = a.leaky_alpha;
-  k::row_dot(ctx, {.feat = &l.t, .vec = &l.att_l, .out = &l.att_src, .mode = a.mode});
-  k::row_dot(ctx, {.feat = &l.t, .vec = &l.att_r, .out = &l.att_dst, .mode = a.mode});
+  k::row_dot(ctx, {.feat = &l.t, .vec = &l.att_l, .out = &l.att_src});
+  k::row_dot(ctx, {.feat = &l.t, .vec = &l.att_r, .out = &l.att_dst});
   switch (ops) {
     case GatGraphOps::kLinear:
       k::gat_edge_fused(ctx, {.graph = a.graph,
@@ -102,18 +98,15 @@ void gat_graph_ops(sim::SimContext& ctx, GatGraphOps ops, const GatGraphOpsArgs&
                               .edge_out = &l.e,
                               .vacc_out = &l.vacc,
                               .leaky_alpha = alpha,
-                              .atomic_merge = a.any_split,
-                              .mode = a.mode});
+                              .atomic_merge = a.any_split});
       k::gat_aggregate_fused(ctx, {.graph = a.graph,
                                    .tasks = a.tasks,
                                    .feat = &l.t,
                                    .edge_weight = &l.e,
                                    .vacc = &l.vacc,
                                    .out = &l.out,
-                                   .scale_inline = true,
                                    .lanes = a.lanes,
-                                   .atomic_merge = a.any_split,
-                                   .mode = a.mode});
+                                   .atomic_merge = a.any_split});
       break;
     case GatGraphOps::kAdapter:
       k::gat_edge_fused(ctx, {.graph = a.graph,
@@ -122,16 +115,14 @@ void gat_graph_ops(sim::SimContext& ctx, GatGraphOps ops, const GatGraphOpsArgs&
                               .att_dst = &l.att_dst,
                               .edge_out = &l.e,
                               .vacc_out = nullptr,
-                              .leaky_alpha = alpha,
-                              .mode = a.mode});
+                              .leaky_alpha = alpha});
       k::segment_sum(ctx, {.graph = a.graph,
                            .tasks = a.tasks,
                            .edge_val = &l.e,
                            .node_out = &l.vacc,
-                           .atomic_merge = a.any_split,
-                           .mode = a.mode});
+                           .atomic_merge = a.any_split});
       k::softmax_div_fused(ctx, {.graph = a.graph, .tasks = a.tasks, .vacc = &l.vacc,
-                                 .edge = &l.e, .mode = a.mode});
+                                 .edge = &l.e});
       k::gat_aggregate_fused(ctx, {.graph = a.graph,
                                    .tasks = a.tasks,
                                    .feat = &l.t,
@@ -139,42 +130,36 @@ void gat_graph_ops(sim::SimContext& ctx, GatGraphOps ops, const GatGraphOpsArgs&
                                    .vacc = nullptr,
                                    .out = &l.out,
                                    .lanes = a.lanes,
-                                   .atomic_merge = a.any_split,
-                                   .mode = a.mode});
+                                   .atomic_merge = a.any_split});
       break;
     case GatGraphOps::kListing1:
       k::u_add_v(ctx, {.graph = a.graph,
                        .tasks = a.tasks,
                        .src_scalar = &l.att_src,
                        .dst_scalar = &l.att_dst,
-                       .edge_out = &l.e,
-                       .mode = a.mode});
+                       .edge_out = &l.e});
       k::edge_map(ctx, {.in = &l.e,
                         .out = &l.e,
                         .fn = [alpha](float x) { return tensor::leaky_relu_scalar(x, alpha); },
                         .flops_per_elem = 1.0,
-                        .mode = a.mode,
                         .name = "leaky_relu"});
       k::edge_map(ctx, {.in = &l.e,
                         .out = &l.e,
                         .fn = [](float x) { return std::exp(x); },
                         .flops_per_elem = 4.0,
-                        .mode = a.mode,
                         .name = "exp"});
       k::segment_sum(ctx, {.graph = a.graph,
                            .tasks = a.tasks,
                            .edge_val = &l.e,
                            .node_out = &l.vacc,
-                           .atomic_merge = a.any_split,
-                           .mode = a.mode});
+                           .atomic_merge = a.any_split});
       k::broadcast_edge(ctx, {.graph = a.graph, .tasks = a.tasks, .node_val = &l.vacc,
-                              .edge_out = &l.e_acc, .mode = a.mode});
+                              .edge_out = &l.e_acc});
       k::edge_binary(ctx, {.a = &l.e,
                            .b = &l.e_acc,
                            .out = &l.e,
                            .fn = [](float x, float acc) { return acc != 0.0f ? x / acc : 0.0f; },
                            .flops_per_elem = 1.0,
-                           .mode = a.mode,
                            .name = "softmax_div"});
       k::spmm_node(ctx, {.graph = a.graph,
                          .tasks = a.tasks,
@@ -183,24 +168,23 @@ void gat_graph_ops(sim::SimContext& ctx, GatGraphOps ops, const GatGraphOpsArgs&
                          .out = &l.out,
                          .lanes = a.lanes,
                          .atomic_merge = a.any_split,
-                         .mode = a.mode,
                          .name = "u_mul_e_sum"});
       break;
   }
-  if (a.relu) relu_in_place(ctx, l.out, a.mode);
+  if (a.relu) relu_in_place(ctx, l.out);
 }
 
 k::FeatureMat sage_pool(sim::SimContext& ctx, Workspace& ws, const k::GraphOnDevice& graph,
                         std::span<const k::Task> tasks, bool any_split, int lanes,
-                        const SagePoolRun& run, k::ExecMode mode) {
+                        const SagePoolRun& run) {
   const k::FeatureMat x = ws.from(ctx, *run.features, "x");
   auto w_pool = ws.from(ctx, run.params->w_pool, "w_pool");
   auto b_pool = ws.from(ctx, run.params->b_pool, "b_pool");
   auto w_out = ws.from(ctx, run.params->w_out, "w_out");
 
   auto t = ws.mat(ctx, x.rows, w_pool.cols, "transformed");
-  k::dense_gemm(ctx, {.a = &x, .b = &w_pool, .c = &t, .mode = mode});
-  k::bias_act_kernel(ctx, {.bias = &b_pool, .mat = &t, .relu = true, .mode = mode});
+  k::dense_gemm(ctx, {.a = &x, .b = &w_pool, .c = &t});
+  k::bias_act_kernel(ctx, {.bias = &b_pool, .mat = &t, .relu = true});
 
   auto pooled = ws.mat(ctx, x.rows, w_pool.cols, "pooled");
   k::spmm_node(ctx, {.graph = &graph,
@@ -210,11 +194,10 @@ k::FeatureMat sage_pool(sim::SimContext& ctx, Workspace& ws, const k::GraphOnDev
                      .reduce = k::Reduce::kMax,
                      .lanes = lanes,
                      .atomic_merge = any_split,
-                     .mode = mode,
                      .name = "max_aggregate"});
 
   auto out = ws.mat(ctx, x.rows, w_out.cols, "out");
-  k::dense_gemm(ctx, {.a = &pooled, .b = &w_out, .c = &out, .mode = mode});
+  k::dense_gemm(ctx, {.a = &pooled, .b = &w_out, .c = &out});
   return out;
 }
 

@@ -30,12 +30,13 @@ namespace gnnbridge::baselines::pipeline {
 
 namespace k = gnnbridge::kernels;
 
-/// Allocates a run's device mats in the run's mode. In kFull each mat is
-/// backed by a host matrix the workspace owns; a deque keeps element
-/// addresses stable across growth, so FeatureMat::host pointers taken
-/// earlier stay valid. In kSimulateOnly host matrices do not exist: a mat
-/// is its shape and device address only (no storage, no copy), which is
-/// all a trace depends on.
+/// Allocates a run's device mats in the run's mode: the one place a run's
+/// ExecMode turns into behaviour, since every kernel computes exactly when
+/// its operands have host storage. In kFull each mat is backed by a host
+/// matrix the workspace owns; a deque keeps element addresses stable
+/// across growth, so FeatureMat::host pointers taken earlier stay valid. In
+/// kSimulateOnly host matrices do not exist: a mat is its shape and device
+/// address only (no storage, no copy), which is all a trace depends on.
 class Workspace {
  public:
   explicit Workspace(k::ExecMode mode) : full_(mode == k::ExecMode::kFull) {}
@@ -96,7 +97,6 @@ struct GcnAggregateArgs {
   bool fused = true;
   bool relu = true;
   int lanes = 32;
-  k::ExecMode mode = k::ExecMode::kFull;
 };
 void gcn_aggregate(sim::SimContext& ctx, const GcnAggregateArgs& args);
 
@@ -138,20 +138,19 @@ struct GatGraphOpsArgs {
   float leaky_alpha = 0.2f;
   bool relu = true;
   int lanes = 32;
-  k::ExecMode mode = k::ExecMode::kFull;
 };
 void gat_graph_ops(sim::SimContext& ctx, GatGraphOps ops, const GatGraphOpsArgs& args);
 
 /// Multi-head GAT's one layer: `head(x, h)` runs head h over the input
 /// features x and returns its [N, head_dim] output, which lands in column
-/// slice h of the concatenated result (kFull; empty otherwise). On a GPU
-/// the heads' epilogues store straight into their slices; per-head buffers
-/// carry the identical traffic.
+/// slice h of the concatenated result (when the workspace has host storage;
+/// empty otherwise). On a GPU the heads' epilogues store straight into
+/// their slices; per-head buffers carry the identical traffic.
 template <typename Head>
 Matrix multihead_gat(sim::SimContext& ctx, Workspace& ws, const MultiHeadGatRun& run,
-                     k::ExecMode mode, Head&& head) {
+                     Head&& head) {
   const k::FeatureMat x = ws.from(ctx, *run.features, "x");
-  const bool full = mode == k::ExecMode::kFull;
+  const bool full = x.host != nullptr;
   Matrix concat = full ? Matrix(x.rows, run.cfg->out_feat()) : Matrix();
   for (int h = 0; h < run.cfg->heads; ++h) {
     const k::FeatureMat out = head(x, static_cast<std::size_t>(h));
@@ -172,6 +171,6 @@ Matrix multihead_gat(sim::SimContext& ctx, Workspace& ws, const MultiHeadGatRun&
 /// paper §4.1.2), then the output projection. Returns the output.
 k::FeatureMat sage_pool(sim::SimContext& ctx, Workspace& ws, const k::GraphOnDevice& graph,
                         std::span<const k::Task> tasks, bool any_split, int lanes,
-                        const SagePoolRun& run, k::ExecMode mode);
+                        const SagePoolRun& run);
 
 }  // namespace gnnbridge::baselines::pipeline

@@ -43,12 +43,11 @@ RunResult RocBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode m
                        .out = &staged,
                        .fn = [](float x) { return x; },
                        .flops_per_elem = 0.0,
-                       .mode = mode,
                        .name = "halo_stage_in",
                        .phase = "partition"});
 
     auto t = ws.mat(ctx, h.rows, w.cols, "transformed");
-    k::dense_gemm(ctx, {.a = &staged, .b = &w, .c = &t, .mode = mode});
+    k::dense_gemm(ctx, {.a = &staged, .b = &w, .c = &t});
 
     // Node-parallel aggregation with ROC's wide fixed mapping.
     auto agg = ws.mat(ctx, h.rows, w.cols, "aggregated");
@@ -58,17 +57,15 @@ RunResult RocBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode m
                      .edge_weight = &norm,
                      .out = &agg,
                      .lanes = 256,
-                     .mode = mode,
                      .name = "roc_aggregate"};
     k::spmm_node(ctx, spmm);
-    k::bias_act_kernel(ctx, {.bias = &bias, .mat = &agg, .relu = !last, .mode = mode});
+    k::bias_act_kernel(ctx, {.bias = &bias, .mat = &agg, .relu = !last});
 
     auto staged_out = ws.mat(ctx, agg.rows, agg.cols, "halo_out");
     k::dense_map(ctx, {.in = &agg,
                        .out = &staged_out,
                        .fn = [](float x) { return x; },
                        .flops_per_elem = 0.0,
-                       .mode = mode,
                        .name = "halo_stage_out",
                        .phase = "partition"});
     h = agg;

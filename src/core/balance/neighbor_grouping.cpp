@@ -33,16 +33,15 @@ GroupedTasks neighbor_group_tasks(const Csr& g, EdgeId group_bound,
   return out;
 }
 
-std::vector<EdgeId> candidate_group_bounds(const Csr& g, int max_candidates) {
+std::vector<EdgeId> candidate_group_bounds(const Csr& g) {
   std::vector<EdgeId> out;
   if (g.num_nodes == 0) return out;
   const double avg = static_cast<double>(g.num_edges()) / static_cast<double>(g.num_nodes);
   const EdgeId cap = std::max<EdgeId>(16, static_cast<EdgeId>(avg * 10.0) / 16 * 16);
   // Multiples of 16 spaced so the whole (16 .. 10*avg_degree] range fits in
-  // at most max_candidates rounds.
+  // at most kMaxBoundRounds rounds.
   const EdgeId steps = std::max<EdgeId>(1, cap / 16);
-  const EdgeId stride =
-      std::max<EdgeId>(1, (steps + max_candidates - 1) / std::max(max_candidates, 1));
+  const EdgeId stride = std::max<EdgeId>(1, (steps + kMaxBoundRounds - 1) / kMaxBoundRounds);
   for (EdgeId s = stride; s <= steps; s += stride) out.push_back(s * 16);
   return out;
 }

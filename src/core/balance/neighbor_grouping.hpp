@@ -39,8 +39,11 @@ struct GroupedTasks {
 GroupedTasks neighbor_group_tasks(const Csr& g, EdgeId group_bound,
                                   std::span<const NodeId> order = {});
 
+/// Cap on the tuner's grouping-bound rounds (paper §4.4: never exceeded 20).
+inline constexpr int kMaxBoundRounds = 20;
+
 /// The tuner's candidate bounds for a graph: multiples of 16 up to
-/// 10x the average degree (paper §4.4), never more than `max_candidates`.
-std::vector<EdgeId> candidate_group_bounds(const Csr& g, int max_candidates = 20);
+/// 10x the average degree (paper §4.4), never more than kMaxBoundRounds.
+std::vector<EdgeId> candidate_group_bounds(const Csr& g);
 
 }  // namespace gnnbridge::core

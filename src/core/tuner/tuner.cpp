@@ -9,8 +9,7 @@
 
 namespace gnnbridge::core {
 
-TuneResult tune_graph_op(const Csr& g, const TuneObjective& measure, TuneConfig base,
-                         const TunerOptions& options) {
+TuneResult tune_graph_op(const Csr& g, const TuneObjective& measure, TuneConfig base) {
   TuneResult result;
   result.best = base;
 
@@ -92,8 +91,8 @@ TuneResult tune_graph_op(const Csr& g, const TuneObjective& measure, TuneConfig 
 
   // Phase 1: thread mapping.
   std::vector<TuneConfig> lane_cfgs;
-  lane_cfgs.reserve(options.lane_candidates.size());
-  for (int lanes : options.lane_candidates) {
+  lane_cfgs.reserve(kLaneCandidates.size());
+  for (int lanes : kLaneCandidates) {
     TuneConfig cfg = base;
     cfg.lanes = lanes;
     cfg.group_bound = neutral_bound;
@@ -103,7 +102,7 @@ TuneResult tune_graph_op(const Csr& g, const TuneObjective& measure, TuneConfig 
   const int best_lanes = result.best.lanes;
 
   // Phase 2: grouping bound, best lanes fixed.
-  const std::vector<EdgeId> bounds = candidate_group_bounds(g, options.max_bound_rounds);
+  const std::vector<EdgeId> bounds = candidate_group_bounds(g);
   std::vector<TuneConfig> bound_cfgs;
   bound_cfgs.reserve(bounds.size() + 1);
   for (EdgeId bound : bounds) {

@@ -10,6 +10,7 @@
 // "less than half an epoch" online overhead).
 #pragma once
 
+#include <array>
 #include <functional>
 #include <vector>
 
@@ -28,12 +29,10 @@ struct TuneConfig {
   bool use_las = false;
 };
 
-/// Search options.
-struct TunerOptions {
-  std::vector<int> lane_candidates = {4, 8, 16, 32, 64};
-  /// Cap on grouping-bound rounds (paper: never exceeded 20).
-  int max_bound_rounds = 20;
-};
+/// The thread mappings the search tries (SIMD lanes per feature row). The
+/// grouping-bound phase tries candidate_group_bounds, at most
+/// kMaxBoundRounds of them.
+inline constexpr std::array<int, 5> kLaneCandidates = {4, 8, 16, 32, 64};
 
 /// A (configuration, measured cost) sample.
 struct TuneSample {
@@ -71,7 +70,6 @@ using TuneObjective = std::function<double(const TuneConfig&)>;
 /// every candidate; when it is set, a last probe tries the winner without
 /// LAS. A base without LAS is never toggled on: the caller has no LAS
 /// order to run it with.
-TuneResult tune_graph_op(const Csr& g, const TuneObjective& measure, TuneConfig base = {},
-                         const TunerOptions& options = {});
+TuneResult tune_graph_op(const Csr& g, const TuneObjective& measure, TuneConfig base = {});
 
 }  // namespace gnnbridge::core

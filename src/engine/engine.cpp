@@ -112,9 +112,9 @@ auto run_direct(const graph::Csr& csr, Fn&& body) {
 pipeline::GcnLayer gcn_layer(sim::SimContext& ctx, Workspace& ws, const k::GraphOnDevice& gdev,
                              const k::FeatureMat& norm, const detail::AttemptPlan& plan,
                              const k::FeatureMat& in, const Matrix& w, const Matrix& b,
-                             bool fused, bool relu, ExecMode mode) {
+                             bool fused, bool relu) {
   pipeline::GcnLayer layer = pipeline::gcn_layer_buffers(ctx, ws, in.rows, w, b);
-  k::dense_gemm(ctx, {.a = &in, .b = &layer.w, .c = &layer.t, .mode = mode});
+  k::dense_gemm(ctx, {.a = &in, .b = &layer.w, .c = &layer.t});
   pipeline::gcn_aggregate(ctx, {.graph = &gdev,
                                 .tasks = plan.grouped.tasks,
                                 .any_split = plan.grouped.any_split,
@@ -122,8 +122,7 @@ pipeline::GcnLayer gcn_layer(sim::SimContext& ctx, Workspace& ws, const k::Graph
                                 .layer = &layer,
                                 .fused = fused,
                                 .relu = relu,
-                                .lanes = plan.lanes,
-                                .mode = mode});
+                                .lanes = plan.lanes});
   return layer;
 }
 
@@ -132,11 +131,11 @@ pipeline::GcnLayer gcn_layer(sim::SimContext& ctx, Workspace& ws, const k::Graph
 k::FeatureMat gat_layer(sim::SimContext& ctx, Workspace& ws, const k::GraphOnDevice& gdev,
                         const detail::AttemptPlan& plan, const k::FeatureMat& in,
                         const Matrix& w, const Matrix& att_l, const Matrix& att_r,
-                        float leaky_alpha, bool relu, ExecMode mode) {
+                        float leaky_alpha, bool relu) {
   const pipeline::GatGraphOps ops = detail::gat_graph_ops_for(plan);
   pipeline::GatLayer layer = pipeline::gat_layer_buffers(
       ctx, ws, in.rows, static_cast<models::Index>(gdev.csr->num_edges()), w, att_l, att_r, ops);
-  k::dense_gemm(ctx, {.a = &in, .b = &layer.w, .c = &layer.t, .mode = mode});
+  k::dense_gemm(ctx, {.a = &in, .b = &layer.w, .c = &layer.t});
   pipeline::gat_graph_ops(ctx, ops,
                           {.graph = &gdev,
                            .tasks = plan.grouped.tasks,
@@ -144,8 +143,7 @@ k::FeatureMat gat_layer(sim::SimContext& ctx, Workspace& ws, const k::GraphOnDev
                            .layer = &layer,
                            .leaky_alpha = leaky_alpha,
                            .relu = relu,
-                           .lanes = plan.lanes,
-                           .mode = mode});
+                           .lanes = plan.lanes});
   return layer.out;
 }
 }  // namespace
@@ -294,7 +292,7 @@ detail::AttemptPlan OptimizedEngine::resolve_plan(const graph::Csr& csr, detail:
     if (!tuned) plan.knobs &= ~detail::kAutoTune;
   }
   plan.las = tuned && !tuned->use_las ? nullptr : las;
-  plan.lanes = tuned ? tuned->lanes : cfg_.lanes;
+  plan.lanes = tuned ? tuned->lanes : detail::kUntunedLanes;
   plan.bound = (off & detail::kNeighborGrouping) != 0 ? 0
                : tuned                                ? tuned->group_bound
                                                       : static_bound(cfg_, csr);
@@ -612,7 +610,7 @@ RunResult OptimizedEngine::gcn_attempt(const Dataset& data, const GcnRun& run, E
   k::FeatureMat h = ws.from(ctx, *run.features, "x");
   for (std::size_t l = 0; l < run.params->weight.size(); ++l) {
     h = gcn_layer(ctx, ws, gdev, norm, plan, h, run.params->weight[l], run.params->bias[l],
-                  plan.on(detail::kAdapter), l + 1 != run.params->weight.size(), mode)
+                  plan.on(detail::kAdapter), l + 1 != run.params->weight.size())
             .out;
   }
   return pipeline::finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix());
@@ -656,7 +654,7 @@ OptimizedEngine::TrainResult OptimizedEngine::train_gcn_attempt(
   for (std::size_t l = 0; l < layers; ++l) {
     const pipeline::GcnLayer layer = gcn_layer(ctx, ws, gdev, norm, plan, hs.back(),
                                                params.weight[l], params.bias[l], /*fused=*/true,
-                                               l + 1 != layers, mode);
+                                               l + 1 != layers);
     ws_dev.push_back(layer.w);
     bs_dev.push_back(layer.b);
     hs.push_back(layer.out);
@@ -684,13 +682,12 @@ OptimizedEngine::TrainResult OptimizedEngine::train_gcn_attempt(
                             .out = &d_h,
                             .fn = [](float g, float o) { return o > 0.0f ? g : 0.0f; },
                             .flops_per_elem = 1.0,
-                            .mode = mode,
                             .name = "relu_backward",
                             .phase = "backward"});
     }
     // Bias gradient.
     auto d_b = ws.mat(ctx, bs_dev[li].rows, 1, "d_b");
-    k::col_sum(ctx, {.in = &d_h, .out = &d_b, .mode = mode});
+    k::col_sum(ctx, {.in = &d_h, .out = &d_b});
     // d_t = A d_pre — the same aggregation kernel, same task schedule.
     auto d_t = ws.mat(ctx, d_h.rows, d_h.cols, "d_t");
     k::spmm_node(ctx, {.graph = &gdev,
@@ -700,22 +697,19 @@ OptimizedEngine::TrainResult OptimizedEngine::train_gcn_attempt(
                        .out = &d_t,
                        .lanes = plan.lanes,
                        .atomic_merge = plan.grouped.any_split,
-                       .mode = mode,
                        .name = "aggregate_backward",
                        .phase = "backward"});
     // d_W = h^T d_t.
     auto h_t = ws.mat(ctx, hs[li].cols, hs[li].rows, "hT");
-    k::dense_transpose(ctx, {.in = &hs[li], .out = &h_t, .mode = mode, .phase = "backward"});
+    k::dense_transpose(ctx, {.in = &hs[li], .out = &h_t, .phase = "backward"});
     auto d_w = ws.mat(ctx, h_t.rows, d_t.cols, "d_w");
-    k::dense_gemm(ctx, {.a = &h_t, .b = &d_t, .c = &d_w, .mode = mode, .name = "gemm_dw",
-                        .phase = "backward"});
+    k::dense_gemm(ctx, {.a = &h_t, .b = &d_t, .c = &d_w, .name = "gemm_dw", .phase = "backward"});
     // d_h_{l} = d_t W^T.
     auto w_t = ws.mat(ctx, ws_dev[li].cols, ws_dev[li].rows, "wT");
-    k::dense_transpose(ctx, {.in = &ws_dev[li], .out = &w_t, .mode = mode,
-                             .phase = "backward"});
+    k::dense_transpose(ctx, {.in = &ws_dev[li], .out = &w_t, .phase = "backward"});
     auto d_h_prev = ws.mat(ctx, d_t.rows, w_t.cols, "d_h");
-    k::dense_gemm(ctx, {.a = &d_t, .b = &w_t, .c = &d_h_prev, .mode = mode,
-                        .name = "gemm_dh", .phase = "backward"});
+    k::dense_gemm(ctx, {.a = &d_t, .b = &w_t, .c = &d_h_prev, .name = "gemm_dh",
+                        .phase = "backward"});
 
     // SGD update, fused elementwise kernels.
     k::dense_binary(ctx, {.a = &ws_dev[li],
@@ -723,7 +717,6 @@ OptimizedEngine::TrainResult OptimizedEngine::train_gcn_attempt(
                           .out = &ws_dev[li],
                           .fn = [lr](float w, float g) { return w - lr * g; },
                           .flops_per_elem = 2.0,
-                          .mode = mode,
                           .name = "sgd_w",
                           .phase = "backward"});
     k::dense_binary(ctx, {.a = &bs_dev[li],
@@ -731,7 +724,6 @@ OptimizedEngine::TrainResult OptimizedEngine::train_gcn_attempt(
                           .out = &bs_dev[li],
                           .fn = [lr](float b, float g) { return b - lr * g; },
                           .flops_per_elem = 2.0,
-                          .mode = mode,
                           .name = "sgd_b",
                           .phase = "backward"});
     if (full) {
@@ -773,8 +765,7 @@ RunResult OptimizedEngine::gat_attempt(const Dataset& data, const GatRun& run, E
   k::FeatureMat h = ws.from(ctx, *run.features, "x");
   for (std::size_t l = 0; l < run.params->weight.size(); ++l) {
     h = gat_layer(ctx, ws, gdev, plan, h, run.params->weight[l], run.params->att_l[l],
-                  run.params->att_r[l], run.cfg->leaky_alpha, l + 1 != run.params->weight.size(),
-                  mode);
+                  run.params->att_r[l], run.cfg->leaky_alpha, l + 1 != run.params->weight.size());
   }
   return pipeline::finish(ctx, spec, mode == ExecMode::kFull ? *h.host : Matrix());
 }
@@ -798,9 +789,9 @@ RunResult OptimizedEngine::multihead_gat_attempt(const Dataset& data,
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const auto head = [&](const k::FeatureMat& x, std::size_t h) {
     return gat_layer(ctx, ws, gdev, plan, x, run.params->weight[h], run.params->att_l[h],
-                     run.params->att_r[h], run.cfg->leaky_alpha, /*relu=*/false, mode);
+                     run.params->att_r[h], run.cfg->leaky_alpha, /*relu=*/false);
   };
-  return pipeline::finish(ctx, spec, pipeline::multihead_gat(ctx, ws, run, mode, head));
+  return pipeline::finish(ctx, spec, pipeline::multihead_gat(ctx, ws, run, head));
 }
 
 RunResult OptimizedEngine::run_sage_pool(const Dataset& data, const baselines::SagePoolRun& run,
@@ -819,7 +810,7 @@ RunResult OptimizedEngine::sage_pool_attempt(const Dataset& data,
   Workspace ws(mode);
   const auto gdev = k::device_graph(ctx, data.csr, "csr");
   const k::FeatureMat out = pipeline::sage_pool(ctx, ws, gdev, plan.grouped.tasks,
-                                                plan.grouped.any_split, plan.lanes, run, mode);
+                                                plan.grouped.any_split, plan.lanes, run);
   return pipeline::finish(ctx, spec, mode == ExecMode::kFull ? *out.host : Matrix());
 }
 
@@ -855,7 +846,7 @@ RunResult OptimizedEngine::sage_lstm_attempt(const Dataset& data, const SageLstm
   if (cfg_.sage_level == SageOptLevel::kSparseFetchBypass) {
     xw = ws.mat(ctx, n, 4 * hidden, "xw_pre");
     // One transformation for the whole unroll: O(N) instead of O(E).
-    k::dense_gemm(ctx, {.a = &x, .b = &w, .c = &xw, .mode = mode, .name = "pre_transform",
+    k::dense_gemm(ctx, {.a = &x, .b = &w, .c = &xw, .name = "pre_transform",
                         .phase = "transformation"});
   }
   auto x_t = ws.mat(ctx, n, run.cfg->in_feat, "x_t");
@@ -863,9 +854,8 @@ RunResult OptimizedEngine::sage_lstm_attempt(const Dataset& data, const SageLstm
   for (int t = 0; t < run.cfg->steps; ++t) {
     switch (cfg_.sage_level) {
       case SageOptLevel::kBase:
-        k::step_gather(ctx, {.graph = &gdev, .step = t, .feat = &x, .out = &x_t, .mode = mode});
-        k::dense_gemm(ctx, {.a = &x_t, .b = &w, .c = &g_in, .mode = mode,
-                            .phase = "transformation"});
+        k::step_gather(ctx, {.graph = &gdev, .step = t, .feat = &x, .out = &x_t});
+        k::dense_gemm(ctx, {.a = &x_t, .b = &w, .c = &g_in, .phase = "transformation"});
         break;
       case SageOptLevel::kSparseFetch:
         // The gather rides inside the GEMM's loads — no expansion kernel,
@@ -875,14 +865,12 @@ RunResult OptimizedEngine::sage_lstm_attempt(const Dataset& data, const SageLstm
                                    .index_buf = steps.buf[static_cast<std::size_t>(t)],
                                    .b = &w,
                                    .c = &g_in,
-                                   .mode = mode,
                                    .phase = "transformation"});
         break;
       case SageOptLevel::kSparseFetchBypass:
         break;  // handled below: fetch pre-transformed rows directly
     }
-    k::dense_gemm(ctx, {.a = &hstate, .b = &rmat, .c = &g_rec, .mode = mode,
-                        .phase = "recurrent"});
+    k::dense_gemm(ctx, {.a = &hstate, .b = &rmat, .c = &g_rec, .phase = "recurrent"});
     if (cfg_.sage_level == SageOptLevel::kSparseFetchBypass) {
       // gates = XW[neighbor_t(v)] + hR — sparse fetch of the
       // pre-transformed row fused into the gate addition.
@@ -893,7 +881,6 @@ RunResult OptimizedEngine::sage_lstm_attempt(const Dataset& data, const SageLstm
                               .out = &gates,
                               .fn = [](float a, float b) { return a + b; },
                               .flops_per_elem = 1.0,
-                              .mode = mode,
                               .name = "spfetch_gates_add",
                               .phase = "lstm_cell"});
     } else {
@@ -902,16 +889,14 @@ RunResult OptimizedEngine::sage_lstm_attempt(const Dataset& data, const SageLstm
                             .out = &gates,
                             .fn = [](float a, float b) { return a + b; },
                             .flops_per_elem = 1.0,
-                            .mode = mode,
                             .name = "gates_add",
                             .phase = "lstm_cell"});
     }
-    k::lstm_pointwise(ctx, {.gates = &gates, .bias = &bias, .c = &cstate, .h = &hstate,
-                            .mode = mode});
+    k::lstm_pointwise(ctx, {.gates = &gates, .bias = &bias, .c = &cstate, .h = &hstate});
   }
   auto outw = ws.from(ctx, run.params->out_w, "out_w");
   auto out = ws.mat(ctx, n, hidden, "out");
-  k::dense_gemm(ctx, {.a = &hstate, .b = &outw, .c = &out, .mode = mode, .phase = "projection"});
+  k::dense_gemm(ctx, {.a = &hstate, .b = &outw, .c = &out, .phase = "projection"});
 
   return pipeline::finish(ctx, spec, mode == ExecMode::kFull ? *out.host : Matrix());
 }

@@ -59,8 +59,6 @@ enum class SageOptLevel {
 
 /// Engine configuration. Defaults are the full optimization stack.
 struct EngineConfig {
-  /// SIMD lanes per feature row (the tunable thread mapping).
-  int lanes = 32;
   /// Neighbor grouping bound; 0 = heuristic (average degree rounded up to
   /// a multiple of 16).
   EdgeId group_bound = 0;
@@ -76,8 +74,8 @@ struct EngineConfig {
   const std::vector<NodeId>* las_order = nullptr;
   /// Run the online tuner per (graph, feature length) before executing:
   /// lanes and grouping bound come from sampled probes instead of the
-  /// static fields above (paper §4.4). The tuned configuration is cached
-  /// per graph.
+  /// untuned 32-lane mapping and the bound above (paper §4.4). The tuned
+  /// configuration is cached per graph.
   bool auto_tune = false;
   /// Partitioned execution (DESIGN.md §16): number of edge-cut shards the
   /// GCN/GAT pipelines split the graph across, each simulated on its own

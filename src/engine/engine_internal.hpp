@@ -68,6 +68,10 @@ struct RunContext {
   RecoveryTally recovery;
 };
 
+/// SIMD lanes per feature row when the tuner does not pick them: the
+/// warp-wide mapping the baselines fix (Observation 5).
+constexpr int kUntunedLanes = 32;
+
 /// Everything one engine attempt decides before its first launch,
 /// resolved once by OptimizedEngine::resolve_plan and read-only after. (The
 /// graph's fingerprint is the run's: RunContext::fp.)
@@ -78,7 +82,8 @@ struct AttemptPlan {
   bool on(Knob knob) const { return (knobs & knob) != 0; }
   /// GAT's linear-property pipeline (needs the adapter).
   bool linear = false;
-  int lanes = 32;
+  /// SIMD lanes per feature row: the tuned mapping, else kUntunedLanes.
+  int lanes = kUntunedLanes;
   /// Neighbor-grouping bound; 0 = one task per node.
   graph::EdgeId bound = 0;
   /// LAS order, or null for the natural order. Memoized by the engine.

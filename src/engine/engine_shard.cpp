@@ -391,7 +391,7 @@ RunResult sharded_layers(std::vector<ShardExec>& se, const shard::Partition& p,
     phase_with_recovery(se, l, "transform", accum, tally, [&](std::size_t s) {
       k::FeatureMat hview = top_rows(se[s].h, se[s].sh->num_owned());
       k::FeatureMat tview = top_rows(buf[s].t, se[s].sh->num_owned());
-      k::dense_gemm(*se[s].ctx, {.a = &hview, .b = &buf[s].w, .c = &tview, .mode = mode});
+      k::dense_gemm(*se[s].ctx, {.a = &hview, .b = &buf[s].w, .c = &tview});
     });
     end_phase(se, total);
 
@@ -488,8 +488,7 @@ RunResult OptimizedEngine::gcn_attempt_sharded(const Dataset& data, const GcnRun
                                          .layer = &layer,
                                          .fused = plan.on(detail::kAdapter),
                                          .relu = !last,
-                                         .lanes = plan.lanes,
-                                         .mode = mode});
+                                         .lanes = plan.lanes});
   };
   return sharded_layers(se, *part, run.params->weight.size(), mode, spec, rc.recovery, alloc,
                         aggregate);
@@ -525,8 +524,7 @@ RunResult OptimizedEngine::gat_attempt_sharded(const Dataset& data, const GatRun
                              .layer = &layer,
                              .leaky_alpha = run.cfg->leaky_alpha,
                              .relu = !last,
-                             .lanes = plan.lanes,
-                             .mode = mode});
+                             .lanes = plan.lanes});
   };
   return sharded_layers(se, *part, run.params->weight.size(), mode, spec, rc.recovery, alloc,
                         aggregate);

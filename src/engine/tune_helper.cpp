@@ -45,7 +45,6 @@ double measure_aggregation(const graph::Csr& csr, tensor::Index feat_len,
                    .out = &out,
                    .lanes = config.lanes,
                    .atomic_merge = grouped.any_split,
-                   .mode = k::ExecMode::kSimulateOnly,
                    .name = "tune_probe"};
   const sim::KernelStats& ks = k::spmm_node(ctx, args);
   return ks.cycles;

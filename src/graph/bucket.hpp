@@ -1,9 +1,9 @@
 // The one edge-bucketing primitive every graph build goes through.
 //
-// canonicalize, symmetrize, merge_edges, csr_from_coo and csc_from_coo all
-// reduce to: count the edges per key node, scatter them stably into their
-// rows, then sort (and, for an edge set, deduplicate) each row on the pool in
-// fixed row chunks. The result is a function of the edge multiset alone —
+// canonicalize, symmetrize, merge_edges and csr_from_coo all reduce to:
+// count the edges per key node, scatter them stably into their rows, then
+// sort (and, for an edge set, deduplicate) each row on the pool in fixed row
+// chunks. The result is a function of the edge multiset alone —
 // never of the input order, the chunking or the thread count (DESIGN.md §2).
 #pragma once
 
@@ -16,7 +16,7 @@ namespace gnnbridge::graph {
 
 /// One edge list fed to bucket_edges. Edge i goes edges.src[i] ->
 /// edges.dst[i] and lands in row dst[i] with value src[i]; with `by_src`
-/// it lands in row src[i] with value dst[i] (the CSC orientation).
+/// it lands in row src[i] with value dst[i] (symmetrize's reversed copy).
 struct EdgeRun {
   const Coo& edges;
   bool by_src = false;

@@ -31,12 +31,12 @@ struct Coo {
   }
 };
 
-// canonicalize and symmetrize, like merge_edges, csr_from_coo and
-// csc_from_coo, bucket the edges by a counting sort and sort each row on
-// the pool (graph/bucket.hpp); the result depends only on the edge set, not
-// on input order or thread count. An endpoint outside [0, num_nodes)
-// throws std::out_of_range naming the edge; src and dst of different
-// lengths throw std::invalid_argument.
+// canonicalize and symmetrize, like merge_edges and csr_from_coo, bucket
+// the edges by a counting sort and sort each row on the pool
+// (graph/bucket.hpp); the result depends only on the edge set, not on input
+// order or thread count. An endpoint outside [0, num_nodes) throws
+// std::out_of_range naming the edge; src and dst of different lengths throw
+// std::invalid_argument.
 
 /// Sorts edges by (dst, src) and removes duplicates and self-loops
 /// (self-loops optionally kept). Returns the cleaned list.

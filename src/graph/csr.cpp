@@ -13,10 +13,6 @@ Csr csr_from_coo(const Coo& coo) {
   return bucket_edges(coo.num_nodes, {{coo}}, RowRule::kMultiset);
 }
 
-Csr csc_from_coo(const Coo& coo) {
-  return bucket_edges(coo.num_nodes, {{coo, /*by_src=*/true}}, RowRule::kMultiset);
-}
-
 Coo coo_from_csr(Csr csr) {
   Coo out;
   out.num_nodes = csr.num_nodes;

@@ -43,11 +43,6 @@ struct Csr {
 /// [0, num_nodes), before the endpoint indexes anything.
 Csr csr_from_coo(const Coo& coo);
 
-/// Builds source-keyed CSR (i.e. CSC of the center-keyed form): row u lists
-/// destinations v of edges u->v. Used by push-style traversals. Same rows
-/// rule and endpoint check as csr_from_coo.
-Csr csc_from_coo(const Coo& coo);
-
 /// Converts back to a (dst,src)-sorted edge list. Takes `csr` by value so
 /// a caller done with it can move its col_idx in as the sources.
 Coo coo_from_csr(Csr csr);

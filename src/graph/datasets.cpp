@@ -148,7 +148,6 @@ rt::Result<Dataset> try_make_dataset(DatasetId id, double scale, std::uint64_t s
   d.id = id;
   d.name = std::string(r.name);
   d.csr = csr_from_coo(coo);
-  d.csc = csc_from_coo(coo);
   d.coo = std::move(coo);
   d.stats = degree_stats(d.csr);
   if (rt::Status s = rt::validate_csr(d.csr); !s.ok()) {

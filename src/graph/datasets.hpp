@@ -52,14 +52,14 @@ std::string_view dataset_name(DatasetId id);
 /// Used by bench_table3 to print paper-vs-generated comparisons.
 DegreeStats paper_stats(DatasetId id);
 
-/// A generated dataset: the edge list plus both CSR orientations, ready for
-/// every backend, and its measured statistics.
+/// A generated dataset: the edge list and the center-keyed CSR, ready for
+/// every backend, and its measured statistics. Every generated graph is
+/// symmetric, so the CSR's rows are also each node's out-neighbors.
 struct Dataset {
   DatasetId id{};
   std::string name;
   Coo coo;        ///< (dst,src)-sorted canonical edge list.
   Csr csr;        ///< center-keyed: row v = in-neighbors of v.
-  Csr csc;        ///< source-keyed: row u = out-neighbors of u.
   DegreeStats stats;
 };
 

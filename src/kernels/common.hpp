@@ -5,7 +5,8 @@
 //      and the examples produce meaningful GNN outputs), and
 //   2. it emits the global-memory trace + flop counts of the corresponding
 //      GPU kernel into the simulator.
-// `ExecMode::kSimulateOnly` skips role 1 for the large benchmark sweeps —
+// A kernel does role 1 exactly when the FeatureMats it computes with have
+// host storage. Trace-only runs hand it shape-only mats (device_mat_shape):
 // traces are value-independent, so counters and timings are unchanged.
 #pragma once
 
@@ -26,21 +27,25 @@ using graph::NodeId;
 using tensor::Index;
 using tensor::Matrix;
 
-/// Whether kernels execute real arithmetic or only emit traces.
+/// Whether a run computes real results or only emits traces. Kernels never
+/// read it: baselines::pipeline::Workspace turns it into host-backed mats
+/// (kFull) or shape-only ones (kSimulateOnly), and each kernel computes
+/// exactly when its operands have host storage.
 enum class ExecMode {
   kFull,          ///< compute results and emit traces
   kSimulateOnly,  ///< emit traces only (results untouched)
 };
 
-/// Reduction operator for aggregation kernels. All three are
-/// order-insensitive, which is what licenses neighbor grouping's
-/// atomic-merge strategy (paper §4.1.2).
-enum class Reduce { kSum, kMean, kMax };
+/// Reduction operator for aggregation kernels. Both are order-insensitive,
+/// which is what licenses neighbor grouping's atomic-merge strategy (paper
+/// §4.1.2). kMax keeps the value 2 it had beside the removed mean reducer,
+/// so the integer id that tests print for a reducer does not change.
+enum class Reduce { kSum = 0, kMax = 2 };
 
 /// A feature matrix living both on the host (for arithmetic) and in the
 /// simulated device memory (for traces).
 struct FeatureMat {
-  Matrix* host = nullptr;      ///< may be null in kSimulateOnly pipelines
+  Matrix* host = nullptr;      ///< null = shape only: kernels emit its traces, no math
   sim::Buffer buf;             ///< simulated allocation
   Index rows = 0;
   Index cols = 0;
@@ -52,8 +57,8 @@ struct FeatureMat {
 /// Allocates a simulated buffer for `m` and returns the pair.
 FeatureMat device_mat(sim::SimContext& ctx, Matrix& m, const char* name);
 
-/// Allocates a simulated [rows x cols] buffer with no host storage
-/// (kSimulateOnly pipelines).
+/// Allocates a simulated [rows x cols] buffer with no host storage: a
+/// trace-only operand.
 FeatureMat device_mat_shape(sim::SimContext& ctx, Index rows, Index cols, const char* name);
 
 /// The graph structure resident in simulated device memory.

@@ -81,16 +81,8 @@ sim::KernelStats dense_gemm(sim::SimContext& ctx, const GemmArgs& args) {
   assert(args.a && args.b && args.c);
   const Index m = args.a->rows, kdim = args.a->cols, n = args.b->cols;
   assert(args.b->rows == kdim && args.c->rows == m && args.c->cols == n);
-  const bool full =
-      args.mode == ExecMode::kFull && args.a->host && args.b->host && args.c->host;
-
-  if (full) {
-    Matrix prod = tensor::gemm(*args.a->host, *args.b->host);
-    if (args.accumulate) {
-      tensor::axpy(*args.c->host, 1.0f, prod);
-    } else {
-      *args.c->host = std::move(prod);
-    }
+  if (args.a->host && args.b->host && args.c->host) {
+    *args.c->host = tensor::gemm(*args.a->host, *args.b->host);
   }
 
   sim::Kernel k;
@@ -114,10 +106,7 @@ sim::KernelStats sparse_fetch_gemm(sim::SimContext& ctx, const SparseFetchGemmAr
   const Index m = static_cast<Index>(args.row_index.size());
   const Index kdim = args.feat->cols, n = args.b->cols;
   assert(args.b->rows == kdim && args.c->rows == m && args.c->cols == n);
-  const bool full =
-      args.mode == ExecMode::kFull && args.feat->host && args.b->host && args.c->host;
-
-  if (full) {
+  if (args.feat->host && args.b->host && args.c->host) {
     // Gather-on-the-fly GEMM: logical A row i is feat[row_index[i]].
     Matrix gathered(m, kdim);
     for (Index i = 0; i < m; ++i) {
@@ -125,12 +114,7 @@ sim::KernelStats sparse_fetch_gemm(sim::SimContext& ctx, const SparseFetchGemmAr
       auto dst = gathered.row(i);
       std::copy(src.begin(), src.end(), dst.begin());
     }
-    Matrix prod = tensor::gemm(gathered, *args.b->host);
-    if (args.accumulate) {
-      tensor::axpy(*args.c->host, 1.0f, prod);
-    } else {
-      *args.c->host = std::move(prod);
-    }
+    *args.c->host = tensor::gemm(gathered, *args.b->host);
   }
 
   sim::Kernel k;
@@ -157,7 +141,7 @@ sim::KernelStats dense_map(sim::SimContext& ctx, const DenseMapArgs& args) {
   assert(args.in && args.out);
   const Index rows = args.in->rows, cols = args.in->cols;
   assert(args.out->rows == rows && args.out->cols == cols);
-  const bool full = args.mode == ExecMode::kFull && args.in->host && args.out->host;
+  const bool full = args.in->host && args.out->host;
 
   sim::Kernel k;
   k.name = args.name;
@@ -190,8 +174,7 @@ sim::KernelStats dense_binary(sim::SimContext& ctx, const DenseBinaryArgs& args)
   const Index rows = args.a->rows, cols = args.a->cols;
   assert(args.b->rows == rows && args.b->cols == cols);
   assert(args.out->rows == rows && args.out->cols == cols);
-  const bool full =
-      args.mode == ExecMode::kFull && args.a->host && args.b->host && args.out->host;
+  const bool full = args.a->host && args.b->host && args.out->host;
 
   sim::Kernel k;
   k.name = args.name;
@@ -226,8 +209,7 @@ sim::KernelStats indexed_binary(sim::SimContext& ctx, const IndexedBinaryArgs& a
   const Index cols = args.a->cols;
   assert(args.b->rows == m && args.b->cols == cols);
   assert(args.out->rows == m && args.out->cols == cols);
-  const bool full =
-      args.mode == ExecMode::kFull && args.a->host && args.b->host && args.out->host;
+  const bool full = args.a->host && args.b->host && args.out->host;
 
   sim::Kernel k;
   k.name = args.name;
@@ -265,7 +247,7 @@ sim::KernelStats dense_transpose(sim::SimContext& ctx, const TransposeArgs& args
   assert(args.in && args.out);
   const Index m = args.in->rows, n = args.in->cols;
   assert(args.out->rows == n && args.out->cols == m);
-  const bool full = args.mode == ExecMode::kFull && args.in->host && args.out->host;
+  const bool full = args.in->host && args.out->host;
   if (full) *args.out->host = tensor::transpose(*args.in->host);
 
   sim::Kernel k;
@@ -299,7 +281,7 @@ sim::KernelStats col_sum(sim::SimContext& ctx, const ColSumArgs& args) {
   assert(args.in && args.out);
   const Index m = args.in->rows, n = args.in->cols;
   assert(args.out->rows == n && args.out->cols == 1);
-  const bool full = args.mode == ExecMode::kFull && args.in->host && args.out->host;
+  const bool full = args.in->host && args.out->host;
   if (full) {
     // Column chunks on the pool: every column is still summed from +0.0f
     // in ascending row order, so the bytes do not depend on the split.
@@ -345,8 +327,7 @@ sim::KernelStats row_dot(sim::SimContext& ctx, const RowDotArgs& args) {
   assert(args.feat && args.vec && args.out);
   const Index rows = args.feat->rows, cols = args.feat->cols;
   assert(args.vec->rows == cols && args.out->rows == rows);
-  const bool full =
-      args.mode == ExecMode::kFull && args.feat->host && args.vec->host && args.out->host;
+  const bool full = args.feat->host && args.vec->host && args.out->host;
 
   sim::Kernel k;
   k.name = args.name;

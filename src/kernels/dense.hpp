@@ -13,13 +13,11 @@
 
 namespace gnnbridge::kernels {
 
-/// C = A * B (+ C if accumulate). A: [M, K], B: [K, N], C: [M, N].
+/// C = A * B. A: [M, K], B: [K, N], C: [M, N].
 struct GemmArgs {
   const FeatureMat* a = nullptr;
   const FeatureMat* b = nullptr;
   FeatureMat* c = nullptr;
-  bool accumulate = false;
-  ExecMode mode = ExecMode::kFull;
   const char* name = "gemm";
   const char* phase = "transformation";
 };
@@ -36,8 +34,6 @@ struct SparseFetchGemmArgs {
   sim::Buffer index_buf;                   ///< device copy of row_index
   const FeatureMat* b = nullptr;           ///< [K, Nc]
   FeatureMat* c = nullptr;                 ///< [M, Nc]
-  bool accumulate = false;
-  ExecMode mode = ExecMode::kFull;
   const char* name = "gemm_spfetch";
   const char* phase = "transformation";
 };
@@ -49,7 +45,6 @@ struct DenseMapArgs {
   FeatureMat* out = nullptr;  ///< may alias in
   std::function<float(float)> fn;  ///< runs on pool threads: keep it pure
   double flops_per_elem = 1.0;
-  ExecMode mode = ExecMode::kFull;
   const char* name = "dense_map";
   const char* phase = "elementwise";
 };
@@ -62,7 +57,6 @@ struct DenseBinaryArgs {
   FeatureMat* out = nullptr;  ///< may alias a or b
   std::function<float(float, float)> fn;  ///< runs on pool threads: keep it pure
   double flops_per_elem = 1.0;
-  ExecMode mode = ExecMode::kFull;
   const char* name = "dense_binary";
   const char* phase = "elementwise";
 };
@@ -82,7 +76,6 @@ struct IndexedBinaryArgs {
   FeatureMat* out = nullptr;          ///< [M, F]; may alias b, not a
   std::function<float(float, float)> fn;  ///< runs on pool threads: keep it pure
   double flops_per_elem = 1.0;
-  ExecMode mode = ExecMode::kFull;
   const char* name = "indexed_binary";
   const char* phase = "elementwise";
 };
@@ -92,7 +85,6 @@ sim::KernelStats indexed_binary(sim::SimContext& ctx, const IndexedBinaryArgs& a
 struct TransposeArgs {
   const FeatureMat* in = nullptr;  ///< [M, N]
   FeatureMat* out = nullptr;       ///< [N, M]
-  ExecMode mode = ExecMode::kFull;
   const char* name = "transpose";
   const char* phase = "transformation";
 };
@@ -103,7 +95,6 @@ sim::KernelStats dense_transpose(sim::SimContext& ctx, const TransposeArgs& args
 struct ColSumArgs {
   const FeatureMat* in = nullptr;  ///< [M, N]
   FeatureMat* out = nullptr;       ///< [N, 1]
-  ExecMode mode = ExecMode::kFull;
   const char* name = "col_sum";
   const char* phase = "backward";
 };
@@ -114,7 +105,6 @@ struct RowDotArgs {
   const FeatureMat* feat = nullptr;  ///< [N, F]
   const FeatureMat* vec = nullptr;   ///< [F, 1]
   FeatureMat* out = nullptr;         ///< [N, 1]
-  ExecMode mode = ExecMode::kFull;
   const char* name = "row_dot";
   const char* phase = "transformation";
 };

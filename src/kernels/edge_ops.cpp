@@ -14,7 +14,7 @@ constexpr EdgeId kElemChunk = 1024;
 sim::KernelStats edge_map(sim::SimContext& ctx, const EdgeMapArgs& args) {
   assert(args.in && args.out);
   const EdgeId n = args.in->rows;
-  const bool full = args.mode == ExecMode::kFull && args.in->host && args.out->host;
+  const bool full = args.in->host && args.out->host;
 
   sim::Kernel k;
   k.name = args.name;
@@ -43,8 +43,7 @@ sim::KernelStats edge_binary(sim::SimContext& ctx, const EdgeBinaryArgs& args) {
   assert(args.a && args.b && args.out);
   const EdgeId n = args.a->rows;
   assert(args.b->rows == n && args.out->rows == n);
-  const bool full =
-      args.mode == ExecMode::kFull && args.a->host && args.b->host && args.out->host;
+  const bool full = args.a->host && args.b->host && args.out->host;
 
   sim::Kernel k;
   k.name = args.name;
@@ -73,8 +72,8 @@ sim::KernelStats edge_binary(sim::SimContext& ctx, const EdgeBinaryArgs& args) {
 
 sim::KernelStats segment_sum(sim::SimContext& ctx, const SegmentSumArgs& args) {
   assert(args.graph && args.edge_val && args.node_out);
-  const bool full = args.mode == ExecMode::kFull && args.edge_val->host && args.node_out->host;
-  if (full && args.zero_out) args.node_out->host->fill(0.0f);
+  const bool full = args.edge_val->host && args.node_out->host;
+  if (full) args.node_out->host->fill(0.0f);
 
   sim::Kernel k;
   k.name = args.name;
@@ -103,7 +102,7 @@ sim::KernelStats segment_sum(sim::SimContext& ctx, const SegmentSumArgs& args) {
 
 sim::KernelStats broadcast_edge(sim::SimContext& ctx, const BroadcastArgs& args) {
   assert(args.graph && args.node_val && args.edge_out);
-  const bool full = args.mode == ExecMode::kFull && args.node_val->host && args.edge_out->host;
+  const bool full = args.node_val->host && args.edge_out->host;
 
   sim::Kernel k;
   k.name = args.name;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
-#include <vector>
 
 namespace gnnbridge::kernels {
 
@@ -27,7 +25,7 @@ sim::KernelStats gather(sim::SimContext& ctx, const GatherArgs& args) {
   const EdgeId num_edges = coo.num_edges();
   const Index feat = args.feat->cols;
   assert(args.expanded->cols == feat);
-  const bool full = args.mode == ExecMode::kFull && args.feat->host && args.expanded->host;
+  const bool full = args.feat->host && args.expanded->host;
   const auto& index = args.by_src ? coo.src : coo.dst;
   const sim::Buffer& index_buf = args.by_src ? args.edges->src : args.edges->dst;
 
@@ -67,16 +65,10 @@ sim::KernelStats scatter_reduce(sim::SimContext& ctx, const ScatterArgs& args) {
   const EdgeId num_edges = coo.num_edges();
   const Index feat = args.expanded->cols;
   assert(args.out->cols == feat);
-  const bool full = args.mode == ExecMode::kFull && args.expanded->host && args.out->host;
+  const bool full = args.expanded->host && args.out->host;
   const Matrix* ew = args.edge_weight && args.edge_weight->host ? args.edge_weight->host : nullptr;
 
-  if (full && args.zero_out) {
-    if (args.reduce == Reduce::kMax) {
-      args.out->host->fill(-std::numeric_limits<float>::infinity());
-    } else {
-      args.out->host->fill(0.0f);
-    }
-  }
+  if (full) args.out->host->fill(0.0f);
 
   const std::uint64_t row_bytes = args.expanded->row_bytes();
   const std::uint32_t line = static_cast<std::uint32_t>(ctx.spec().line_bytes);
@@ -114,42 +106,14 @@ sim::KernelStats scatter_reduce(sim::SimContext& ctx, const ScatterArgs& args) {
         const float w = ew ? (*ew)(e, 0) : 1.0f;
         auto in = args.expanded->host->row(e);
         auto out = args.out->host->row(v);
-        switch (args.reduce) {
-          case Reduce::kSum:
-          case Reduce::kMean:
-            for (Index f = 0; f < feat; ++f) out[f] += w * in[f];
-            break;
-          case Reduce::kMax:
-            for (Index f = 0; f < feat; ++f) out[f] = std::max(out[f], w * in[f]);
-            break;
-        }
+        for (Index f = 0; f < feat; ++f) out[f] += w * in[f];
       }
     }
     blk.extra_cycles += kBlockSetupCycles;
     const double work = 2.0 * static_cast<double>((end - chunk) * feat);
     blk.compute(work, work);
   });
-  const sim::KernelStats& ks = ctx.launch(std::move(k));
-
-  if (full && args.reduce == Reduce::kMean) {
-    // Mean needs degrees; derive them from the (dst-sorted) edge list.
-    std::vector<float> inv_deg(static_cast<std::size_t>(coo.num_nodes), 0.0f);
-    for (NodeId v : coo.dst) inv_deg[static_cast<std::size_t>(v)] += 1.0f;
-    for (auto& d : inv_deg) d = d > 0.0f ? 1.0f / d : 0.0f;
-    for (NodeId v = 0; v < coo.num_nodes; ++v) {
-      for (float& x : args.out->host->row(v)) x *= inv_deg[static_cast<std::size_t>(v)];
-    }
-  }
-  if (full && args.reduce == Reduce::kMax) {
-    std::vector<bool> touched(static_cast<std::size_t>(coo.num_nodes), false);
-    for (NodeId v : coo.dst) touched[static_cast<std::size_t>(v)] = true;
-    for (NodeId v = 0; v < coo.num_nodes; ++v) {
-      if (!touched[static_cast<std::size_t>(v)]) {
-        for (float& x : args.out->host->row(v)) x = 0.0f;
-      }
-    }
-  }
-  return ks;
+  return ctx.launch(std::move(k));
 }
 
 sim::KernelStats step_gather(sim::SimContext& ctx, const StepGatherArgs& args) {
@@ -157,7 +121,7 @@ sim::KernelStats step_gather(sim::SimContext& ctx, const StepGatherArgs& args) {
   const Csr& csr = *args.graph->csr;
   const Index feat = args.feat->cols;
   assert(args.out->cols == feat && args.out->rows == csr.num_nodes);
-  const bool full = args.mode == ExecMode::kFull && args.feat->host && args.out->host;
+  const bool full = args.feat->host && args.out->host;
   const std::uint64_t row_bytes = args.feat->row_bytes();
 
   sim::Kernel k;

@@ -34,22 +34,18 @@ struct GatherArgs {
   bool by_src = true;
   const FeatureMat* feat = nullptr;   ///< [N, F]
   FeatureMat* expanded = nullptr;     ///< [E, F]
-  ExecMode mode = ExecMode::kFull;
   const char* name = "gather";
   const char* phase = "expansion";
 };
 sim::KernelStats gather(sim::SimContext& ctx, const GatherArgs& args);
 
-/// Scatter-reduce: out[dst[i]] += weight[i] * expanded[i]. Atomic merge by
-/// construction (many edges share a destination).
+/// Scatter-reduce: out[dst[i]] += weight[i] * expanded[i], a sum (PyG's
+/// reducer). Atomic merge by construction (many edges share a destination).
 struct ScatterArgs {
   const EdgeListOnDevice* edges = nullptr;
   const FeatureMat* expanded = nullptr;    ///< [E, F]
   const FeatureMat* edge_weight = nullptr; ///< optional [E, 1]
   FeatureMat* out = nullptr;               ///< [N, F]
-  Reduce reduce = Reduce::kSum;
-  bool zero_out = true;
-  ExecMode mode = ExecMode::kFull;
   const char* name = "scatter_reduce";
   const char* phase = "graph_op";
 };
@@ -64,7 +60,6 @@ struct StepGatherArgs {
   int step = 0;
   const FeatureMat* feat = nullptr;  ///< [N, F]
   FeatureMat* out = nullptr;         ///< [N, F]
-  ExecMode mode = ExecMode::kFull;
   const char* name = "step_gather";
   const char* phase = "expansion";
 };

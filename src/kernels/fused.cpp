@@ -19,11 +19,8 @@ constexpr double kAdapterCycles = 12.0;
 sim::KernelStats gat_edge_fused(sim::SimContext& ctx, const GatEdgeFusedArgs& args) {
   assert(args.graph && args.att_src && args.att_dst && args.edge_out);
   const Csr& csr = *args.graph->csr;
-  const bool full = args.mode == ExecMode::kFull && args.att_src->host && args.att_dst->host &&
-                    args.edge_out->host;
-  if (full && args.vacc_out && args.vacc_out->host && args.zero_vacc) {
-    args.vacc_out->host->fill(0.0f);
-  }
+  const bool full = args.att_src->host && args.att_dst->host && args.edge_out->host;
+  if (full && args.vacc_out && args.vacc_out->host) args.vacc_out->host->fill(0.0f);
 
   sim::Kernel k;
   k.name = args.name;
@@ -69,7 +66,7 @@ sim::KernelStats gat_edge_fused(sim::SimContext& ctx, const GatEdgeFusedArgs& ar
 
 sim::KernelStats softmax_div_fused(sim::SimContext& ctx, const SoftmaxDivFusedArgs& args) {
   assert(args.graph && args.vacc && args.edge);
-  const bool full = args.mode == ExecMode::kFull && args.vacc->host && args.edge->host;
+  const bool full = args.vacc->host && args.edge->host;
 
   sim::Kernel k;
   k.name = args.name;
@@ -104,9 +101,8 @@ sim::KernelStats gat_aggregate_fused(sim::SimContext& ctx, const GatAggregateFus
   assert(args.graph && args.feat && args.edge_weight && args.out);
   const Csr& csr = *args.graph->csr;
   const Index feat = args.feat->cols;
-  const bool full = args.mode == ExecMode::kFull && args.feat->host && args.edge_weight->host &&
-                    args.out->host;
-  if (full && args.zero_out) args.out->host->fill(0.0f);
+  const bool full = args.feat->host && args.edge_weight->host && args.out->host;
+  if (full) args.out->host->fill(0.0f);
 
   const double pad = pad_factor(feat, args.lanes);
   const std::uint64_t row_bytes = args.feat->row_bytes();
@@ -120,7 +116,7 @@ sim::KernelStats gat_aggregate_fused(sim::SimContext& ctx, const GatAggregateFus
   // contributions *per edge* by 1/vacc[v]. Per-edge scaling makes the
   // epilogue race-free even when neighbor grouping split the row — partial
   // sums of scaled terms equal the scaled sum (linearity).
-  const bool scale = args.vacc != nullptr && args.scale_inline;
+  const bool scale = args.vacc != nullptr;
   emit_blocks(k, args.tasks.size(), same_node(args.tasks), [&](std::size_t i, sim::BlockWork& blk) {
     const Task& t = args.tasks[i];
     blk.accesses.reserve(2 + (t.size() > 0 ? 2 : 0) + (scale ? 1 : 0) +
@@ -171,8 +167,8 @@ sim::KernelStats aggregate_bias_act_fused(sim::SimContext& ctx,
   assert(args.graph && args.feat && args.out);
   const Csr& csr = *args.graph->csr;
   const Index feat = args.feat->cols;
-  const bool full = args.mode == ExecMode::kFull && args.feat->host && args.out->host;
-  if (full && args.zero_out) args.out->host->fill(0.0f);
+  const bool full = args.feat->host && args.out->host;
+  if (full) args.out->host->fill(0.0f);
 
   const double pad = pad_factor(feat, args.lanes);
   const std::uint64_t row_bytes = args.feat->row_bytes();
@@ -233,11 +229,9 @@ sim::KernelStats aggregate_bias_act_fused(sim::SimContext& ctx,
 sim::KernelStats bias_act_kernel(sim::SimContext& ctx, const BiasActArgs& args) {
   assert(args.mat);
   const Index rows = args.mat->rows, cols = args.mat->cols;
-  const bool full = args.mode == ExecMode::kFull && args.mat->host;
-
   // Host epilogue. Every element is independent, so row chunks run on the
   // pool before the trace is built.
-  if (full) {
+  if (args.mat->host) {
     const Matrix* bias = args.bias && args.bias->host ? args.bias->host : nullptr;
     Matrix& mat = *args.mat->host;
     const auto epilogue = [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {

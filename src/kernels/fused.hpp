@@ -34,10 +34,8 @@ struct GatEdgeFusedArgs {
   /// When set, also accumulates v_acc[v] += sum(e over task range)
   /// atomically (linear-property pipeline).
   FeatureMat* vacc_out = nullptr;       ///< [N, 1], may be null
-  bool zero_vacc = true;
   float leaky_alpha = 0.2f;
   bool atomic_merge = false;
-  ExecMode mode = ExecMode::kFull;
   const char* name = "gat_edge_fused";
   const char* phase = "graph_op";
 };
@@ -50,7 +48,6 @@ struct SoftmaxDivFusedArgs {
   std::span<const Task> tasks;
   const FeatureMat* vacc = nullptr;  ///< [N, 1]
   FeatureMat* edge = nullptr;        ///< [E, 1], in/out
-  ExecMode mode = ExecMode::kFull;
   const char* name = "softmax_div_fused";
   const char* phase = "graph_op";
 };
@@ -60,6 +57,7 @@ sim::KernelStats softmax_div_fused(sim::SimContext& ctx, const SoftmaxDivFusedAr
 /// out[v] = sum_u (e_uv / vacc[v]) * feat[u]. The division is applied per
 /// edge (not as a row epilogue), so it is race-free even when neighbor
 /// grouping split the row across blocks — the linear property in action.
+/// Without `vacc` the weights are used as they are (already normalized).
 struct GatAggregateFusedArgs {
   const GraphOnDevice* graph = nullptr;
   std::span<const Task> tasks;
@@ -67,11 +65,8 @@ struct GatAggregateFusedArgs {
   const FeatureMat* edge_weight = nullptr;///< [E, 1]
   const FeatureMat* vacc = nullptr;       ///< [N, 1], may be null
   FeatureMat* out = nullptr;              ///< [N, F]
-  bool scale_inline = true;
   int lanes = 32;
   bool atomic_merge = false;
-  bool zero_out = true;
-  ExecMode mode = ExecMode::kFull;
   const char* name = "gat_aggregate_fused";
   const char* phase = "graph_op";
 };
@@ -90,8 +85,6 @@ struct AggregateBiasActFusedArgs {
   bool epilogue_inline = true;
   int lanes = 32;
   bool atomic_merge = false;
-  bool zero_out = true;
-  ExecMode mode = ExecMode::kFull;
   const char* name = "aggregate_bias_act";
   const char* phase = "graph_op";
 };
@@ -103,7 +96,6 @@ struct BiasActArgs {
   const FeatureMat* bias = nullptr;  ///< optional [F, 1]
   FeatureMat* mat = nullptr;         ///< [N, F]
   bool relu = true;
-  ExecMode mode = ExecMode::kFull;
   const char* name = "bias_act";
   const char* phase = "elementwise";
 };

@@ -18,8 +18,8 @@ sim::KernelStats lstm_pointwise(sim::SimContext& ctx, const LstmPointwiseArgs& a
   const Index hidden = args.c->cols;
   assert(args.gates->cols == 4 * hidden);
   assert(args.c->rows == n && args.h->rows == n && args.h->cols == hidden);
-  const bool full = args.mode == ExecMode::kFull && args.gates->host && args.c->host &&
-                    args.h->host && (!args.bias || args.bias->host);
+  const bool full =
+      args.gates->host && args.c->host && args.h->host && (!args.bias || args.bias->host);
 
   auto sigmoid = [](float x) { return 1.0f / (1.0f + std::exp(-x)); };
 

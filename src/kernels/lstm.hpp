@@ -16,7 +16,6 @@ struct LstmPointwiseArgs {
   const FeatureMat* bias = nullptr;   ///< [4H, 1], may be null
   FeatureMat* c = nullptr;            ///< [N, H] cell state, in/out
   FeatureMat* h = nullptr;            ///< [N, H] hidden state, out
-  ExecMode mode = ExecMode::kFull;
   const char* name = "lstm_pointwise";
   const char* phase = "lstm_cell";
 };

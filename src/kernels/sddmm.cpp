@@ -11,8 +11,7 @@ constexpr double kTaskSetupCycles = 30.0;
 sim::KernelStats u_add_v(sim::SimContext& ctx, const UAddVArgs& args) {
   assert(args.graph && args.src_scalar && args.dst_scalar && args.edge_out);
   const Csr& csr = *args.graph->csr;
-  const bool full = args.mode == ExecMode::kFull && args.src_scalar->host &&
-                    args.dst_scalar->host && args.edge_out->host;
+  const bool full = args.src_scalar->host && args.dst_scalar->host && args.edge_out->host;
 
   sim::Kernel k;
   k.name = args.name;

@@ -18,7 +18,6 @@ struct UAddVArgs {
   const FeatureMat* src_scalar = nullptr;  ///< [N, 1]
   const FeatureMat* dst_scalar = nullptr;  ///< [N, 1]
   FeatureMat* edge_out = nullptr;          ///< [E, 1]
-  ExecMode mode = ExecMode::kFull;
   const char* name = "u_add_v";
   const char* phase = "graph_op";
 };

@@ -21,12 +21,12 @@ sim::KernelStats spmm_node(sim::SimContext& ctx, const SpmmArgs& args) {
   const Index feat = args.src->cols;
   assert(args.out->cols == feat);
 
-  const bool full = args.mode == ExecMode::kFull && args.src->host && args.out->host;
+  const bool full = args.src->host && args.out->host;
   Matrix* out = args.out->host;
   const Matrix* src = args.src->host;
   const Matrix* ew = args.edge_weight && args.edge_weight->host ? args.edge_weight->host : nullptr;
 
-  if (full && args.zero_out) {
+  if (full) {
     if (args.reduce == Reduce::kMax) {
       out->fill(-std::numeric_limits<float>::infinity());
     } else {
@@ -71,7 +71,6 @@ sim::KernelStats spmm_node(sim::SimContext& ctx, const SpmmArgs& args) {
         auto orow = out->row(t.v);
         switch (args.reduce) {
           case Reduce::kSum:
-          case Reduce::kMean:
             for (Index f = 0; f < feat; ++f) orow[f] += w * srow[f];
             break;
           case Reduce::kMax:
@@ -92,33 +91,18 @@ sim::KernelStats spmm_node(sim::SimContext& ctx, const SpmmArgs& args) {
 
   const sim::KernelStats& ks = ctx.launch(std::move(k));
 
-  if (full) {
-    // Post-pass on the host mirrors what the kernel epilogue does:
-    // mean divides by the full-row degree (valid even for split tasks —
-    // the linear property), max replaces untouched -inf rows by zero.
-    if (args.reduce == Reduce::kMean) {
-      par::parallel_chunks(static_cast<std::size_t>(csr.num_nodes), par::kDefaultGrain,
-                           [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
-                             for (std::size_t vi = begin; vi < end; ++vi) {
-                               const NodeId v = static_cast<NodeId>(vi);
-                               const EdgeId d = csr.degree(v);
-                               if (d > 0) {
-                                 const float inv = 1.0f / static_cast<float>(d);
-                                 for (float& x : out->row(v)) x *= inv;
-                               }
+  if (full && args.reduce == Reduce::kMax) {
+    // Post-pass on the host mirrors what the kernel epilogue does: max
+    // replaces untouched -inf rows by zero.
+    par::parallel_chunks(static_cast<std::size_t>(csr.num_nodes), par::kDefaultGrain,
+                         [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
+                           for (std::size_t vi = begin; vi < end; ++vi) {
+                             const NodeId v = static_cast<NodeId>(vi);
+                             if (csr.degree(v) == 0) {
+                               for (float& x : out->row(v)) x = 0.0f;
                              }
-                           });
-    } else if (args.reduce == Reduce::kMax) {
-      par::parallel_chunks(static_cast<std::size_t>(csr.num_nodes), par::kDefaultGrain,
-                           [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
-                             for (std::size_t vi = begin; vi < end; ++vi) {
-                               const NodeId v = static_cast<NodeId>(vi);
-                               if (csr.degree(v) == 0) {
-                                 for (float& x : out->row(v)) x = 0.0f;
-                               }
-                             }
-                           });
-    }
+                           }
+                         });
   }
   return ks;
 }

@@ -33,10 +33,6 @@ struct SpmmArgs {
   /// True when tasks split rows (neighbor grouping) and partial results
   /// merge through atomics.
   bool atomic_merge = false;
-  /// Initialize the output before accumulating (callers chaining multiple
-  /// spmm calls into one logical op set this false after the first).
-  bool zero_out = true;
-  ExecMode mode = ExecMode::kFull;
   const char* name = "spmm_node";
   const char* phase = "graph_op";
 };

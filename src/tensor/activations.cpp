@@ -1,6 +1,5 @@
 #include "tensor/activations.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace gnnbridge::tensor {
@@ -30,10 +29,6 @@ void sigmoid_(Matrix& m) {
   apply_(m, [](float x) { return 1.0f / (1.0f + std::exp(-x)); });
 }
 
-void exp_(Matrix& m) {
-  apply_(m, [](float x) { return std::exp(x); });
-}
-
 Matrix relu(const Matrix& m) {
   Matrix out = m;
   relu_(out);
@@ -46,32 +41,9 @@ Matrix leaky_relu(const Matrix& m, float alpha) {
   return out;
 }
 
-Matrix tanh_of(const Matrix& m) {
-  Matrix out = m;
-  tanh_(out);
-  return out;
-}
-
 Matrix sigmoid(const Matrix& m) {
   Matrix out = m;
   sigmoid_(out);
-  return out;
-}
-
-Matrix softmax_rows(const Matrix& m) {
-  Matrix out(m.rows(), m.cols());
-  for (Index i = 0; i < m.rows(); ++i) {
-    auto in = m.row(i);
-    auto o = out.row(i);
-    const float mx = *std::max_element(in.begin(), in.end());
-    float sum = 0.0f;
-    for (Index j = 0; j < m.cols(); ++j) {
-      o[j] = std::exp(in[j] - mx);
-      sum += o[j];
-    }
-    const float inv = 1.0f / sum;
-    for (Index j = 0; j < m.cols(); ++j) o[j] *= inv;
-  }
   return out;
 }
 

@@ -1,6 +1,6 @@
 // Activation functions used by the GNN layer zoo (Tables 1 and 2 of the
 // paper): ReLU (GCN), LeakyReLU (GAT edge weights), tanh (linear /
-// gene-linear edge ops, LSTM), sigmoid (LSTM gates), and row-wise softmax.
+// gene-linear edge ops, LSTM) and sigmoid (LSTM gates).
 #pragma once
 
 #include "tensor/matrix.hpp"
@@ -20,23 +20,14 @@ void tanh_(Matrix& m);
 /// Elementwise logistic sigmoid, in place.
 void sigmoid_(Matrix& m);
 
-/// Elementwise exp, in place.
-void exp_(Matrix& m);
-
 /// Returns a copy with ReLU applied.
 Matrix relu(const Matrix& m);
 
 /// Returns a copy with LeakyReLU applied.
 Matrix leaky_relu(const Matrix& m, float alpha = 0.2f);
 
-/// Returns a copy with tanh applied.
-Matrix tanh_of(const Matrix& m);
-
 /// Returns a copy with sigmoid applied.
 Matrix sigmoid(const Matrix& m);
-
-/// Numerically-stable softmax along each row.
-Matrix softmax_rows(const Matrix& m);
 
 /// Scalar LeakyReLU (used on edge weights stored as flat vectors).
 inline float leaky_relu_scalar(float x, float alpha = 0.2f) {

@@ -177,81 +177,12 @@ Matrix transpose(const Matrix& a) {
   return t;
 }
 
-namespace {
-template <typename F>
-Matrix binary_op(const Matrix& a, const Matrix& b, F f) {
-  assert(a.rows() == b.rows() && a.cols() == b.cols());
-  Matrix out(a.rows(), a.cols());
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  const Index n = a.size();
-  for (Index i = 0; i < n; ++i) po[i] = f(pa[i], pb[i]);
-  return out;
-}
-}  // namespace
-
-Matrix add(const Matrix& a, const Matrix& b) {
-  return binary_op(a, b, [](float x, float y) { return x + y; });
-}
-
-Matrix sub(const Matrix& a, const Matrix& b) {
-  return binary_op(a, b, [](float x, float y) { return x - y; });
-}
-
-Matrix mul(const Matrix& a, const Matrix& b) {
-  return binary_op(a, b, [](float x, float y) { return x * y; });
-}
-
 void axpy(Matrix& a, float alpha, const Matrix& b) {
   assert(a.rows() == b.rows() && a.cols() == b.cols());
   float* pa = a.data();
   const float* pb = b.data();
   const Index n = a.size();
   for (Index i = 0; i < n; ++i) pa[i] += alpha * pb[i];
-}
-
-void scale(Matrix& a, float s) {
-  float* p = a.data();
-  const Index n = a.size();
-  for (Index i = 0; i < n; ++i) p[i] *= s;
-}
-
-void add_bias(Matrix& m, std::span<const float> bias) {
-  assert(static_cast<Index>(bias.size()) == m.cols());
-  for (Index i = 0; i < m.rows(); ++i) {
-    auto row = m.row(i);
-    for (Index j = 0; j < m.cols(); ++j) row[j] += bias[j];
-  }
-}
-
-void scale_rows(Matrix& m, std::span<const float> factors) {
-  assert(static_cast<Index>(factors.size()) == m.rows());
-  for (Index i = 0; i < m.rows(); ++i) {
-    auto row = m.row(i);
-    const float f = factors[i];
-    for (float& v : row) v *= f;
-  }
-}
-
-Matrix row_sum(const Matrix& m) {
-  Matrix out(m.rows(), 1);
-  for (Index i = 0; i < m.rows(); ++i) {
-    float acc = 0.0f;
-    for (float v : m.row(i)) acc += v;
-    out(i, 0) = acc;
-  }
-  return out;
-}
-
-Matrix row_max(const Matrix& m) {
-  assert(m.cols() > 0);
-  Matrix out(m.rows(), 1);
-  for (Index i = 0; i < m.rows(); ++i) {
-    auto row = m.row(i);
-    out(i, 0) = *std::max_element(row.begin(), row.end());
-  }
-  return out;
 }
 
 float dot(std::span<const float> a, std::span<const float> b) {

@@ -4,8 +4,8 @@
 // used by tests as ground truth, and a SIMD micro-kernel version used by the
 // models and the kernels' host math. `gemm`, `gemm_nt` and `transpose` run
 // row-parallel on the host thread pool (DESIGN.md §11); their bytes equal
-// the reference's at any thread count. The elementwise ops run on the
-// calling thread.
+// the reference's at any thread count. axpy, dot and frobenius_norm run on
+// the calling thread.
 #pragma once
 
 #include <span>
@@ -31,32 +31,8 @@ Matrix gemm_nt(const Matrix& a, const Matrix& b);
 /// Returns A^T, copied in 32x32 tiles over row bands of A run in parallel.
 Matrix transpose(const Matrix& a);
 
-/// out = a + b (elementwise; shapes must match).
-Matrix add(const Matrix& a, const Matrix& b);
-
-/// out = a - b (elementwise; shapes must match).
-Matrix sub(const Matrix& a, const Matrix& b);
-
-/// out = a ⊙ b (Hadamard product; shapes must match).
-Matrix mul(const Matrix& a, const Matrix& b);
-
 /// a += alpha * b, in place.
 void axpy(Matrix& a, float alpha, const Matrix& b);
-
-/// Scales every element of `a` by `s`, in place.
-void scale(Matrix& a, float s);
-
-/// Adds row-vector `bias` (length == m.cols()) to every row of `m`.
-void add_bias(Matrix& m, std::span<const float> bias);
-
-/// Scales row r of `m` by `factors[r]` (length == m.rows()).
-void scale_rows(Matrix& m, std::span<const float> factors);
-
-/// Per-row sum: returns a column vector [rows x 1].
-Matrix row_sum(const Matrix& m);
-
-/// Per-row max: returns a column vector [rows x 1].
-Matrix row_max(const Matrix& m);
 
 /// Dot product of two equal-length spans.
 float dot(std::span<const float> a, std::span<const float> b);

@@ -1,7 +1,6 @@
 #include "tensor/rng.hpp"
 
 #include <cmath>
-#include <numbers>
 
 namespace gnnbridge::tensor {
 
@@ -47,22 +46,6 @@ std::uint64_t Rng::below(std::uint64_t n) {
   // negligible for n << 2^64 and determinism is what we actually need.
   const unsigned __int128 wide = static_cast<unsigned __int128>((*this)()) * n;
   return static_cast<std::uint64_t>(wide >> 64);
-}
-
-float Rng::normal() {
-  if (have_cached_normal_) {
-    have_cached_normal_ = false;
-    return cached_normal_;
-  }
-  // Box–Muller.
-  double u1 = uniform();
-  while (u1 <= 1e-12) u1 = uniform();
-  const double u2 = uniform();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * std::numbers::pi * u2;
-  cached_normal_ = static_cast<float>(r * std::sin(theta));
-  have_cached_normal_ = true;
-  return static_cast<float>(r * std::cos(theta));
 }
 
 void fill_uniform(Matrix& m, Rng& rng, float lo, float hi) {

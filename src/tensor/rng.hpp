@@ -39,13 +39,8 @@ class Rng {
   /// Uniform integer in [0, n). Requires n > 0.
   std::uint64_t below(std::uint64_t n);
 
-  /// Standard normal via Box–Muller (uses two uniforms per pair).
-  float normal();
-
  private:
   std::uint64_t s_[4];
-  bool have_cached_normal_ = false;
-  float cached_normal_ = 0.0f;
 };
 
 /// Fills `m` with uniform values in [lo, hi).

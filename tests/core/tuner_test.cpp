@@ -24,13 +24,14 @@ TEST(Tuner, FindsMinimumOfSyntheticObjective) {
 }
 
 TEST(Tuner, RoundsBoundedByConfig) {
-  const Csr g = testing::random_graph(100, 20.0, 2);
-  TunerOptions opt;
-  opt.max_bound_rounds = 5;
-  const TuneResult r = tune_graph_op(
-      g, [](const TuneConfig&) { return 1.0; }, {}, opt);
-  // lanes candidates + <= max_bound_rounds bounds + ungrouped probe.
-  EXPECT_LE(r.rounds, static_cast<int>(opt.lane_candidates.size()) + 5 + 1);
+  // The paper's cap: the grouping bound never takes more than 20 rounds,
+  // even where 10x the average degree spans more multiples of 16.
+  EXPECT_EQ(kMaxBoundRounds, 20);
+  const Csr g = testing::random_graph(200, 100.0, 2);
+  const TuneResult r = tune_graph_op(g, [](const TuneConfig&) { return 1.0; });
+  // lanes candidates + <= kMaxBoundRounds bounds + ungrouped probe.
+  EXPECT_LE(r.rounds, static_cast<int>(kLaneCandidates.size()) + kMaxBoundRounds + 1);
+  EXPECT_GT(r.rounds, static_cast<int>(kLaneCandidates.size()) + 1);
 }
 
 TEST(Tuner, HistoryRecordsEveryProbe) {

@@ -20,12 +20,10 @@ namespace {
 
 using Pairs = std::vector<std::pair<NodeId, NodeId>>;
 
-/// (key, value) pairs of every edge, keyed by dst (or by src), sorted.
-Pairs sorted_pairs(const Coo& in, bool by_src) {
+/// (dst, src) pairs of every edge, sorted.
+Pairs sorted_pairs(const Coo& in) {
   Pairs kv;
-  for (EdgeId i = 0; i < in.num_edges(); ++i) {
-    kv.emplace_back(by_src ? in.src[i] : in.dst[i], by_src ? in.dst[i] : in.src[i]);
-  }
+  for (EdgeId i = 0; i < in.num_edges(); ++i) kv.emplace_back(in.dst[i], in.src[i]);
   std::sort(kv.begin(), kv.end());
   return kv;
 }
@@ -33,7 +31,7 @@ Pairs sorted_pairs(const Coo& in, bool by_src) {
 /// The comparison-sort canonicalize: std::sort of (dst, src) pairs, then
 /// std::unique, with self-loops dropped first unless kept.
 Coo reference_canonicalize(const Coo& in, bool keep_self_loops) {
-  Pairs ds = sorted_pairs(in, /*by_src=*/false);
+  Pairs ds = sorted_pairs(in);
   if (!keep_self_loops) {
     ds.erase(std::remove_if(ds.begin(), ds.end(), [](const auto& e) { return e.first == e.second; }),
              ds.end());
@@ -45,12 +43,12 @@ Coo reference_canonicalize(const Coo& in, bool keep_self_loops) {
   return out;
 }
 
-/// Row-sorted CSR keyed by dst (CSC: by src) with duplicates kept.
-Csr reference_keyed(const Coo& in, bool by_src) {
+/// Row-sorted CSR keyed by dst with duplicates kept.
+Csr reference_csr(const Coo& in) {
   Csr out;
   out.num_nodes = in.num_nodes;
   out.row_ptr.assign(static_cast<std::size_t>(in.num_nodes) + 1, 0);
-  for (const auto& [k, v] : sorted_pairs(in, by_src)) {
+  for (const auto& [k, v] : sorted_pairs(in)) {
     ++out.row_ptr[static_cast<std::size_t>(k) + 1];
     out.col_idx.push_back(v);
   }
@@ -172,8 +170,7 @@ TEST(Canonicalize, MatchesComparisonSortReference) {
       expect_same(canonicalize(in), reference_canonicalize(in, false));
       expect_same(canonicalize(in, /*keep_self_loops=*/true), reference_canonicalize(in, true));
       expect_same(symmetrize(in), reference_canonicalize(concatenated(in, reversed(in)), false));
-      expect_same(csr_from_coo(in), reference_keyed(in, /*by_src=*/false));
-      expect_same(csc_from_coo(in), reference_keyed(in, /*by_src=*/true));
+      expect_same(csr_from_coo(in), reference_csr(in));
     }
     SCOPED_TRACE("merge_edges at " + std::to_string(threads) + " threads");
     expect_same(merge_edges(inputs[0], other),

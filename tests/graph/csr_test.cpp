@@ -41,15 +41,6 @@ TEST(CsrFromCoo, RowsAreInNeighbors) {
   EXPECT_EQ(n3[2], 4);
 }
 
-TEST(CscFromCoo, RowsAreOutNeighbors) {
-  const Csr csc = csc_from_coo(small_coo());
-  ASSERT_TRUE(valid(csc));
-  const auto out1 = csc.neighbors(1);
-  ASSERT_EQ(out1.size(), 2u);  // 1->2, 1->3
-  EXPECT_EQ(out1[0], 2);
-  EXPECT_EQ(out1[1], 3);
-}
-
 TEST(CooFromCsr, RoundTrips) {
   const Coo original = small_coo();
   const Coo round = coo_from_csr(csr_from_coo(original));
@@ -79,7 +70,6 @@ TEST(CsrFromCoo, RejectsOutOfRangeEndpoints) {
     g.add_edge(u, v);
     SCOPED_TRACE(std::to_string(u) + " -> " + std::to_string(v));
     EXPECT_THROW(csr_from_coo(g), std::out_of_range);
-    EXPECT_THROW(csc_from_coo(g), std::out_of_range);
   }
 }
 

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <string>
 
+#include "tests/testing/util.hpp"
+
 namespace gnnbridge::graph {
 namespace {
 
@@ -18,15 +20,15 @@ TEST_P(AllDatasets, StructurallyValid) {
   const Dataset d = make_dataset(GetParam(), kScale);
   EXPECT_TRUE(valid(d.coo));
   EXPECT_TRUE(valid(d.csr));
-  EXPECT_TRUE(valid(d.csc));
   EXPECT_EQ(d.csr.num_edges(), d.coo.num_edges());
   EXPECT_GT(d.stats.num_edges, 0);
 }
 
 TEST_P(AllDatasets, SymmetricGraph) {
   const Dataset d = make_dataset(GetParam(), kScale);
-  EXPECT_EQ(d.csr.row_ptr, d.csc.row_ptr);
-  EXPECT_EQ(d.csr.col_idx, d.csc.col_idx);
+  const Csr out = testing::transposed_csr(d.coo);
+  EXPECT_EQ(d.csr.row_ptr, out.row_ptr);
+  EXPECT_EQ(d.csr.col_idx, out.col_idx);
 }
 
 TEST_P(AllDatasets, DeterministicAcrossCalls) {
@@ -129,48 +131,47 @@ TEST(Datasets, GraphBytesMatchTheParent) {
     DatasetId id;
     double scale;
     std::uint64_t seed;
-    std::uint64_t coo, csr, csc;
+    std::uint64_t coo, csr;
   };
   const Pinned pinned[] = {
-      {DatasetId::kArxiv, 0.05, kDefault, 0xd5777dcbf76db1ddull, 0x16f0e9f3f2da9db8ull, 0x16f0e9f3f2da9db8ull},
-      {DatasetId::kCollab, 0.05, kDefault, 0x370e36f82be2b5e5ull, 0x23e7d7ef2756c3c6ull, 0x23e7d7ef2756c3c6ull},
-      {DatasetId::kCitation, 0.05, kDefault, 0x18df761e956811ddull, 0x16f5973638f1c5e5ull, 0x16f5973638f1c5e5ull},
-      {DatasetId::kDdi, 0.05, kDefault, 0x734e5b4c3324f915ull, 0xe6222d59eeb018e8ull, 0xe6222d59eeb018e8ull},
-      {DatasetId::kProtein, 0.05, kDefault, 0xfa03849268c95dc5ull, 0xdeb59de92b3d3bffull, 0xdeb59de92b3d3bffull},
-      {DatasetId::kPpa, 0.05, kDefault, 0x7c31833f107ecb15ull, 0x69157d96824ee739ull, 0x69157d96824ee739ull},
-      {DatasetId::kReddit, 0.05, kDefault, 0x593d40d06a9cbed5ull, 0xb1ce1f6a80fdc84aull, 0xb1ce1f6a80fdc84aull},
-      {DatasetId::kProducts, 0.05, kDefault, 0xb430a41b0cdc9c05ull, 0x6b0103bf2695587cull, 0x6b0103bf2695587cull},
-      {DatasetId::kArxiv, 0.05, kMixed, 0xde0e6e22f6de5c41ull, 0xf5778ae1b8c610adull, 0xf5778ae1b8c610adull},
-      {DatasetId::kCollab, 0.05, kMixed, 0x9a66d81ba6fbdeddull, 0x9f431a7a2216fcb5ull, 0x9f431a7a2216fcb5ull},
-      {DatasetId::kCitation, 0.05, kMixed, 0x8d6ea8b682e86e6dull, 0x4c4f37faff11e5a4ull, 0x4c4f37faff11e5a4ull},
-      {DatasetId::kDdi, 0.05, kMixed, 0x2087a4aaed47dff5ull, 0x4e5281b545bd64aaull, 0x4e5281b545bd64aaull},
-      {DatasetId::kProtein, 0.05, kMixed, 0x44d6e4215d8c1b2dull, 0xc1f02dd5dc6c1e05ull, 0xc1f02dd5dc6c1e05ull},
-      {DatasetId::kPpa, 0.05, kMixed, 0x2f5fd1e1d01b0f71ull, 0x216741d80754342aull, 0x216741d80754342aull},
-      {DatasetId::kReddit, 0.05, kMixed, 0x582b3519bb4a0c01ull, 0xcf9e63018060f712ull, 0xcf9e63018060f712ull},
-      {DatasetId::kProducts, 0.05, kMixed, 0xb365883b1f5322bdull, 0x95567f08f39b679full, 0x95567f08f39b679full},
-      {DatasetId::kArxiv, 0.25, kDefault, 0xa127d8a1b17ded2dull, 0x82ee12160f3f68f4ull, 0x82ee12160f3f68f4ull},
-      {DatasetId::kCollab, 0.25, kDefault, 0x78114a82c590cbb9ull, 0xf7c3f2b86db9b02eull, 0xf7c3f2b86db9b02eull},
-      {DatasetId::kCitation, 0.25, kDefault, 0x8d391621d6c98639ull, 0x4881c07218d85b52ull, 0x4881c07218d85b52ull},
-      {DatasetId::kDdi, 0.25, kDefault, 0x17fe980ddc0cb3d1ull, 0x331172316a1054c0ull, 0x331172316a1054c0ull},
-      {DatasetId::kProtein, 0.25, kDefault, 0xf3886a9613564301ull, 0xa3f01ce00810aef5ull, 0xa3f01ce00810aef5ull},
-      {DatasetId::kPpa, 0.25, kDefault, 0x374b0e59e7327625ull, 0x66dedc452007957full, 0x66dedc452007957full},
-      {DatasetId::kReddit, 0.25, kDefault, 0x4728b1c85dd5ac35ull, 0x483f875c40b29004ull, 0x483f875c40b29004ull},
-      {DatasetId::kProducts, 0.25, kDefault, 0x61361f1e8817dc5dull, 0x5faa1d2537f8c012ull, 0x5faa1d2537f8c012ull},
-      {DatasetId::kArxiv, 0.25, kMixed, 0x41cc0038ae7ba875ull, 0x444b703803621e45ull, 0x444b703803621e45ull},
-      {DatasetId::kCollab, 0.25, kMixed, 0xeee1dd1331012bfdull, 0x940737ff21d73b05ull, 0x940737ff21d73b05ull},
-      {DatasetId::kCitation, 0.25, kMixed, 0x31e10580c1bf76ddull, 0xa8a505d5b774db00ull, 0xa8a505d5b774db00ull},
-      {DatasetId::kDdi, 0.25, kMixed, 0xe66594988becd3fdull, 0x259b0db2cd6215c3ull, 0x259b0db2cd6215c3ull},
-      {DatasetId::kProtein, 0.25, kMixed, 0x4a177538e5a37179ull, 0x411f9c4b09f29916ull, 0x411f9c4b09f29916ull},
-      {DatasetId::kPpa, 0.25, kMixed, 0xa458b763339a4021ull, 0x819fa1e75f436f5eull, 0x819fa1e75f436f5eull},
-      {DatasetId::kReddit, 0.25, kMixed, 0x43370a8b45acbc21ull, 0x95ee85c6dcc2c917ull, 0x95ee85c6dcc2c917ull},
-      {DatasetId::kProducts, 0.25, kMixed, 0xf6ec510f79cea6d9ull, 0x0d2e9a5b2cd225b0ull, 0x0d2e9a5b2cd225b0ull},
+      {DatasetId::kArxiv, 0.05, kDefault, 0xd5777dcbf76db1ddull, 0x16f0e9f3f2da9db8ull},
+      {DatasetId::kCollab, 0.05, kDefault, 0x370e36f82be2b5e5ull, 0x23e7d7ef2756c3c6ull},
+      {DatasetId::kCitation, 0.05, kDefault, 0x18df761e956811ddull, 0x16f5973638f1c5e5ull},
+      {DatasetId::kDdi, 0.05, kDefault, 0x734e5b4c3324f915ull, 0xe6222d59eeb018e8ull},
+      {DatasetId::kProtein, 0.05, kDefault, 0xfa03849268c95dc5ull, 0xdeb59de92b3d3bffull},
+      {DatasetId::kPpa, 0.05, kDefault, 0x7c31833f107ecb15ull, 0x69157d96824ee739ull},
+      {DatasetId::kReddit, 0.05, kDefault, 0x593d40d06a9cbed5ull, 0xb1ce1f6a80fdc84aull},
+      {DatasetId::kProducts, 0.05, kDefault, 0xb430a41b0cdc9c05ull, 0x6b0103bf2695587cull},
+      {DatasetId::kArxiv, 0.05, kMixed, 0xde0e6e22f6de5c41ull, 0xf5778ae1b8c610adull},
+      {DatasetId::kCollab, 0.05, kMixed, 0x9a66d81ba6fbdeddull, 0x9f431a7a2216fcb5ull},
+      {DatasetId::kCitation, 0.05, kMixed, 0x8d6ea8b682e86e6dull, 0x4c4f37faff11e5a4ull},
+      {DatasetId::kDdi, 0.05, kMixed, 0x2087a4aaed47dff5ull, 0x4e5281b545bd64aaull},
+      {DatasetId::kProtein, 0.05, kMixed, 0x44d6e4215d8c1b2dull, 0xc1f02dd5dc6c1e05ull},
+      {DatasetId::kPpa, 0.05, kMixed, 0x2f5fd1e1d01b0f71ull, 0x216741d80754342aull},
+      {DatasetId::kReddit, 0.05, kMixed, 0x582b3519bb4a0c01ull, 0xcf9e63018060f712ull},
+      {DatasetId::kProducts, 0.05, kMixed, 0xb365883b1f5322bdull, 0x95567f08f39b679full},
+      {DatasetId::kArxiv, 0.25, kDefault, 0xa127d8a1b17ded2dull, 0x82ee12160f3f68f4ull},
+      {DatasetId::kCollab, 0.25, kDefault, 0x78114a82c590cbb9ull, 0xf7c3f2b86db9b02eull},
+      {DatasetId::kCitation, 0.25, kDefault, 0x8d391621d6c98639ull, 0x4881c07218d85b52ull},
+      {DatasetId::kDdi, 0.25, kDefault, 0x17fe980ddc0cb3d1ull, 0x331172316a1054c0ull},
+      {DatasetId::kProtein, 0.25, kDefault, 0xf3886a9613564301ull, 0xa3f01ce00810aef5ull},
+      {DatasetId::kPpa, 0.25, kDefault, 0x374b0e59e7327625ull, 0x66dedc452007957full},
+      {DatasetId::kReddit, 0.25, kDefault, 0x4728b1c85dd5ac35ull, 0x483f875c40b29004ull},
+      {DatasetId::kProducts, 0.25, kDefault, 0x61361f1e8817dc5dull, 0x5faa1d2537f8c012ull},
+      {DatasetId::kArxiv, 0.25, kMixed, 0x41cc0038ae7ba875ull, 0x444b703803621e45ull},
+      {DatasetId::kCollab, 0.25, kMixed, 0xeee1dd1331012bfdull, 0x940737ff21d73b05ull},
+      {DatasetId::kCitation, 0.25, kMixed, 0x31e10580c1bf76ddull, 0xa8a505d5b774db00ull},
+      {DatasetId::kDdi, 0.25, kMixed, 0xe66594988becd3fdull, 0x259b0db2cd6215c3ull},
+      {DatasetId::kProtein, 0.25, kMixed, 0x4a177538e5a37179ull, 0x411f9c4b09f29916ull},
+      {DatasetId::kPpa, 0.25, kMixed, 0xa458b763339a4021ull, 0x819fa1e75f436f5eull},
+      {DatasetId::kReddit, 0.25, kMixed, 0x43370a8b45acbc21ull, 0x95ee85c6dcc2c917ull},
+      {DatasetId::kProducts, 0.25, kMixed, 0xf6ec510f79cea6d9ull, 0x0d2e9a5b2cd225b0ull},
   };
   for (const Pinned& p : pinned) {
     const Dataset d = make_dataset(p.id, p.scale, p.seed);
     SCOPED_TRACE(d.name + " scale " + std::to_string(p.scale) + " seed " + std::to_string(p.seed));
     EXPECT_EQ(fnv1a(d.coo.src, d.coo.dst), p.coo);
     EXPECT_EQ(fnv1a(d.csr.row_ptr, d.csr.col_idx), p.csr);
-    EXPECT_EQ(fnv1a(d.csc.row_ptr, d.csc.col_idx), p.csc);
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include "graph/csr.hpp"
 #include "graph/stats.hpp"
+#include "tests/testing/util.hpp"
 
 namespace gnnbridge::graph {
 namespace {
@@ -57,7 +58,7 @@ TEST(ChungLu, ProducesValidSymmetricGraph) {
   ASSERT_TRUE(valid(coo));
   // Symmetric: in-CSR equals out-CSR.
   const Csr in = csr_from_coo(coo);
-  const Csr out = csc_from_coo(coo);
+  const Csr out = testing::transposed_csr(coo);
   EXPECT_EQ(in.row_ptr, out.row_ptr);
   EXPECT_EQ(in.col_idx, out.col_idx);
 }

@@ -33,9 +33,7 @@ sim::KernelStats probe_aggregation(const graph::Dataset& d, const EngineConfig& 
                          .tasks = tasks.tasks,
                          .src = &src,
                          .out = &out,
-                         .lanes = cfg.lanes,
-                         .atomic_merge = tasks.any_split,
-                         .mode = ExecMode::kSimulateOnly};
+                         .atomic_merge = tasks.any_split};
   return kernels::spmm_node(ctx, args);
 }
 

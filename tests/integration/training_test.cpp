@@ -124,7 +124,6 @@ TEST(TrainingSampling, MinibatchPipelineRunsWithOnlineOptsOnly) {
     mini.csr.row_ptr.resize(static_cast<std::size_t>(full.csr.num_nodes) + 1,
                             mini.csr.row_ptr.back());
     mini.coo = graph::coo_from_csr(mini.csr);
-    mini.csc = graph::csc_from_coo(mini.coo);
     mini.stats = graph::degree_stats(mini.csr);
 
     const baselines::GcnRun run{&mcfg, &params, &x_full};

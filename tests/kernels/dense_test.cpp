@@ -26,21 +26,6 @@ TEST(DenseGemm, MatchesHostGemm) {
   EXPECT_TRUE(tensor::allclose(c_host, tensor::gemm_ref(a_host, b_host), 1e-3f, 1e-4f));
 }
 
-TEST(DenseGemm, AccumulateAddsToC) {
-  DenseHarness h;
-  Matrix a_host = random_matrix(10, 10, 3);
-  Matrix b_host = random_matrix(10, 10, 4);
-  Matrix c_host(10, 10);
-  c_host.fill(1.0f);
-  auto a = device_mat(h.ctx, a_host, "a");
-  auto b = device_mat(h.ctx, b_host, "b");
-  auto c = device_mat(h.ctx, c_host, "c");
-  dense_gemm(h.ctx, {.a = &a, .b = &b, .c = &c, .accumulate = true});
-  Matrix expect = tensor::gemm_ref(a_host, b_host);
-  for (Index i = 0; i < expect.size(); ++i) expect.data()[i] += 1.0f;
-  EXPECT_TRUE(tensor::allclose(c_host, expect, 1e-3f, 1e-4f));
-}
-
 TEST(DenseGemm, BlockCountIsTileGrid) {
   DenseHarness h;
   Matrix a_host(130, 64), b_host(64, 65), c_host(130, 65);

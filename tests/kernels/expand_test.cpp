@@ -83,45 +83,6 @@ TEST(ScatterReduce, WeightedSumMatchesReference) {
   EXPECT_TRUE(tensor::allclose(out_host, expect, 1e-4f, 1e-5f));
 }
 
-TEST(ScatterReduce, MeanDividesByDegree) {
-  ExpandHarness h(30, 4.0, 11);
-  Matrix feat_host = random_matrix(30, 5, 12);
-  Matrix exp_host(h.coo.num_edges(), 5);
-  Matrix out_host(30, 5);
-  auto feat = device_mat(h.ctx, feat_host, "feat");
-  auto expanded = device_mat(h.ctx, exp_host, "exp");
-  auto out = device_mat(h.ctx, out_host, "out");
-  gather(h.ctx, {.edges = &h.edev, .by_src = true, .feat = &feat, .expanded = &expanded});
-  scatter_reduce(h.ctx,
-                 {.edges = &h.edev, .expanded = &expanded, .out = &out, .reduce = Reduce::kMean});
-  const std::vector<float> ones(static_cast<std::size_t>(h.coo.num_edges()), 1.0f);
-  const Matrix expect = models::layer_mean(h.csr, feat_host, ones);
-  EXPECT_TRUE(tensor::allclose(out_host, expect));
-}
-
-TEST(ScatterReduce, MaxUntouchedRowsZero) {
-  // A single edge 1 -> 0 leaves every other row untouched.
-  graph::Coo coo;
-  coo.num_nodes = 4;
-  coo.add_edge(1, 0);
-  coo = graph::canonicalize(coo);
-  sim::SimContext ctx(sim::v100());
-  auto edev = device_edges(ctx, coo, "e");
-  Matrix feat_host = random_matrix(4, 3, 13);
-  Matrix exp_host(1, 3);
-  Matrix out_host(4, 3);
-  auto feat = device_mat(ctx, feat_host, "feat");
-  auto expanded = device_mat(ctx, exp_host, "exp");
-  auto out = device_mat(ctx, out_host, "out");
-  gather(ctx, {.edges = &edev, .by_src = true, .feat = &feat, .expanded = &expanded});
-  scatter_reduce(ctx, {.edges = &edev, .expanded = &expanded, .out = &out,
-                       .reduce = Reduce::kMax});
-  for (Index f = 0; f < 3; ++f) {
-    EXPECT_EQ(out_host(0, f), feat_host(1, f));
-    EXPECT_EQ(out_host(2, f), 0.0f);
-  }
-}
-
 TEST(StepGather, PicksTthNeighborWithWrap) {
   // Node 0 aggregates {1, 2}; step 5 -> index 5 % 2 = 1 -> neighbor 2.
   const graph::Csr csr = testing::csr_from_edges(3, {{0, 1}, {0, 2}});

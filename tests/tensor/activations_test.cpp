@@ -41,49 +41,15 @@ TEST(Sigmoid, SymmetricAroundHalf) {
   EXPECT_LT(m(0, 0), 0.5f);
 }
 
-TEST(Exp, Elementwise) {
-  Matrix m(1, 2, {0, 1});
-  exp_(m);
-  EXPECT_FLOAT_EQ(m(0, 0), 1.0f);
-  EXPECT_FLOAT_EQ(m(0, 1), std::exp(1.0f));
-}
-
 TEST(CopyingVariants, LeaveInputUntouched) {
   const Matrix m(1, 2, {-1, 1});
   const Matrix r = relu(m);
   const Matrix l = leaky_relu(m);
-  const Matrix t = tanh_of(m);
   const Matrix s = sigmoid(m);
   EXPECT_EQ(m, Matrix(1, 2, {-1, 1}));
   EXPECT_FLOAT_EQ(r(0, 0), 0.0f);
   EXPECT_FLOAT_EQ(l(0, 0), -0.2f);
-  EXPECT_FLOAT_EQ(t(0, 1), std::tanh(1.0f));
   EXPECT_GT(s(0, 1), 0.5f);
-}
-
-TEST(SoftmaxRows, RowsSumToOne) {
-  Matrix m(2, 3, {1, 2, 3, -1, 0, 1});
-  Matrix s = softmax_rows(m);
-  for (Index r = 0; r < 2; ++r) {
-    float sum = 0.0f;
-    for (Index c = 0; c < 3; ++c) sum += s(r, c);
-    EXPECT_NEAR(sum, 1.0f, 1e-6f);
-  }
-}
-
-TEST(SoftmaxRows, StableForLargeInputs) {
-  Matrix m(1, 2, {1000.0f, 1001.0f});
-  Matrix s = softmax_rows(m);
-  EXPECT_FALSE(std::isnan(s(0, 0)));
-  EXPECT_NEAR(s(0, 0) + s(0, 1), 1.0f, 1e-6f);
-  EXPECT_GT(s(0, 1), s(0, 0));
-}
-
-TEST(SoftmaxRows, OrderPreserving) {
-  Matrix m(1, 3, {0.1f, 0.3f, 0.2f});
-  Matrix s = softmax_rows(m);
-  EXPECT_GT(s(0, 1), s(0, 2));
-  EXPECT_GT(s(0, 2), s(0, 0));
 }
 
 }  // namespace

@@ -147,53 +147,11 @@ TEST(Transpose, MatchesElementwiseAroundTheTile) {
   }
 }
 
-TEST(AddSubMul, Elementwise) {
-  Matrix a(1, 3, {1, 2, 3});
-  Matrix b(1, 3, {4, 5, 6});
-  EXPECT_EQ(add(a, b), Matrix(1, 3, {5, 7, 9}));
-  EXPECT_EQ(sub(b, a), Matrix(1, 3, {3, 3, 3}));
-  EXPECT_EQ(mul(a, b), Matrix(1, 3, {4, 10, 18}));
-}
-
 TEST(Axpy, AccumulatesScaled) {
   Matrix a(1, 2, {1, 1});
   Matrix b(1, 2, {2, 4});
   axpy(a, 0.5f, b);
   EXPECT_EQ(a, Matrix(1, 2, {2, 3}));
-}
-
-TEST(Scale, MultipliesAll) {
-  Matrix a(1, 3, {1, -2, 3});
-  scale(a, -2.0f);
-  EXPECT_EQ(a, Matrix(1, 3, {-2, 4, -6}));
-}
-
-TEST(AddBias, PerColumn) {
-  Matrix m(2, 2, {0, 0, 1, 1});
-  const std::vector<float> bias{10, 20};
-  add_bias(m, bias);
-  EXPECT_EQ(m, Matrix(2, 2, {10, 20, 11, 21}));
-}
-
-TEST(ScaleRows, PerRowFactors) {
-  Matrix m(2, 2, {1, 1, 1, 1});
-  const std::vector<float> f{2, 3};
-  scale_rows(m, f);
-  EXPECT_EQ(m, Matrix(2, 2, {2, 2, 3, 3}));
-}
-
-TEST(RowSum, SumsEachRow) {
-  Matrix m(2, 3, {1, 2, 3, -1, -2, -3});
-  Matrix s = row_sum(m);
-  EXPECT_FLOAT_EQ(s(0, 0), 6.0f);
-  EXPECT_FLOAT_EQ(s(1, 0), -6.0f);
-}
-
-TEST(RowMax, FindsMaxPerRow) {
-  Matrix m(2, 3, {1, 9, 3, -5, -2, -7});
-  Matrix s = row_max(m);
-  EXPECT_FLOAT_EQ(s(0, 0), 9.0f);
-  EXPECT_FLOAT_EQ(s(1, 0), -2.0f);
 }
 
 TEST(Dot, MatchesManual) {

@@ -57,19 +57,6 @@ TEST(Rng, BelowCoversAllResidues) {
   for (int c : counts) EXPECT_GT(c, 800);
 }
 
-TEST(Rng, NormalMomentsMatchStandard) {
-  Rng rng(23);
-  double sum = 0.0, sumsq = 0.0;
-  constexpr int kN = 100000;
-  for (int i = 0; i < kN; ++i) {
-    const double x = rng.normal();
-    sum += x;
-    sumsq += x * x;
-  }
-  EXPECT_NEAR(sum / kN, 0.0, 0.02);
-  EXPECT_NEAR(sumsq / kN, 1.0, 0.03);
-}
-
 TEST(Splitmix, AdvancesState) {
   std::uint64_t s = 1;
   const auto a = splitmix64(s);

@@ -28,6 +28,16 @@ inline Csr csr_from_edges(NodeId n, std::vector<std::pair<NodeId, NodeId>> dst_s
   return graph::csr_from_coo(graph::canonicalize(coo));
 }
 
+/// The CSR of `coo` with every edge reversed: row u lists the v of each
+/// edge u -> v. A graph is symmetric when this equals csr_from_coo(coo).
+inline Csr transposed_csr(const Coo& coo) {
+  Coo rev;
+  rev.num_nodes = coo.num_nodes;
+  rev.src = coo.dst;
+  rev.dst = coo.src;
+  return graph::csr_from_coo(rev);
+}
+
 /// A directed path 0 <- 1 <- 2 <- ... (node v aggregates node v+1).
 inline Csr path_graph(NodeId n) {
   std::vector<std::pair<NodeId, NodeId>> edges;
