@@ -33,6 +33,13 @@ GroupedTasks neighbor_group_tasks(const Csr& g, EdgeId group_bound,
   return out;
 }
 
+EdgeId default_group_bound(const Csr& g) {
+  const double avg = g.num_nodes > 0
+                         ? static_cast<double>(g.num_edges()) / static_cast<double>(g.num_nodes)
+                         : 0.0;
+  return std::max<EdgeId>(16, (static_cast<EdgeId>(avg) + 15) / 16 * 16);
+}
+
 std::vector<EdgeId> candidate_group_bounds(const Csr& g) {
   std::vector<EdgeId> out;
   if (g.num_nodes == 0) return out;

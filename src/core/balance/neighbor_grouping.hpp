@@ -39,6 +39,11 @@ struct GroupedTasks {
 GroupedTasks neighbor_group_tasks(const Csr& g, EdgeId group_bound,
                                   std::span<const NodeId> order = {});
 
+/// The untuned grouping bound: the average degree rounded up to a multiple
+/// of 16, at least 16. The engine groups with it when it does not tune, and
+/// the tuner holds it fixed while it searches the lane count.
+EdgeId default_group_bound(const Csr& g);
+
 /// Cap on the tuner's grouping-bound rounds (paper §4.4: never exceeded 20).
 inline constexpr int kMaxBoundRounds = 20;
 

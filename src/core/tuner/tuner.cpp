@@ -1,6 +1,5 @@
 #include "core/tuner/tuner.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <exception>
 
@@ -13,12 +12,8 @@ TuneResult tune_graph_op(const Csr& g, const TuneObjective& measure, TuneConfig 
   TuneResult result;
   result.best = base;
 
-  // Neutral grouping bound while searching lanes: the average degree
-  // rounded up to a multiple of 16.
-  const double avg = g.num_nodes > 0
-                         ? static_cast<double>(g.num_edges()) / static_cast<double>(g.num_nodes)
-                         : 0.0;
-  const EdgeId neutral_bound = std::max<EdgeId>(16, (static_cast<EdgeId>(avg) + 15) / 16 * 16);
+  // Neutral grouping bound while searching lanes.
+  const EdgeId neutral_bound = default_group_bound(g);
 
   // Candidates within a phase are independent, so their measurements run
   // in parallel (each probe builds its own simulation context). The

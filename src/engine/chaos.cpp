@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include "graph/datasets.hpp"
-#include "obs/journal.hpp"
 #include "obs/registry.hpp"
 #include "prof/metrics_json.hpp"
 #include "rt/fault.hpp"
@@ -54,10 +53,8 @@ bool bytes_equal(const models::Matrix& a, const models::Matrix& b) {
 std::span<const ChaosCell> chaos_cells() { return kCells; }
 
 rt::Result<ChaosReport> run_chaos_sweep(std::span<const ChaosJobSet> sets, double scale,
-                                        const sim::DeviceSpec& spec) {
-  obs::EventJournal& journal = obs::EventJournal::instance();
-  journal.set_enabled(true);
-
+                                        const sim::DeviceSpec& spec, obs::EventJournal& journal) {
+  const std::size_t journal_start = journal.size();
   // The GCN and GAT job of every set (the two models the sharded pipelines
   // cover), with request IDs that name the cell.
   const auto make_jobs = [&](const char* plan, int max_attempts, const std::string& id_prefix) {
@@ -97,7 +94,7 @@ rt::Result<ChaosReport> run_chaos_sweep(std::span<const ChaosJobSet> sets, doubl
   {
     OptimizedEngine ref_eng(engine_cfg(1));
     const auto jobs = make_jobs("", 1, "ref");
-    const auto results = ref_eng.run_batch(jobs);
+    const auto results = ref_eng.run_batch(jobs, &journal);
     for (std::size_t j = 0; j < results.size(); ++j) {
       if (!results[j].status.ok()) {
         return rt::Status(results[j].status.code(),
@@ -120,7 +117,7 @@ rt::Result<ChaosReport> run_chaos_sweep(std::span<const ChaosJobSet> sets, doubl
     OptimizedEngine eng(engine_cfg(cell.shards));
     const auto jobs = make_jobs(cell.plan, cell.max_attempts, "c" + std::to_string(c));
     const std::size_t journal_before = journal.size();
-    const auto results = eng.run_batch(jobs);
+    const auto results = eng.run_batch(jobs, &journal);
     report.jobs_run += results.size();
 
     const std::size_t violations_before = violations.size();
@@ -197,14 +194,14 @@ rt::Result<ChaosReport> run_chaos_sweep(std::span<const ChaosJobSet> sets, doubl
   // Every armed seam journals its fault_injected fire, and the shard
   // faults must have reached the recovery counters.
   const std::vector<obs::JournalEvent> events = journal.snapshot();
-  report.journal_events = events.size();
-  for (const obs::JournalEvent& ev : events) {
-    if (ev.type == "fault_injected") ++report.fault_fires;
+  report.journal_events = events.size() - journal_start;
+  for (std::size_t e = journal_start; e < events.size(); ++e) {
+    if (events[e].type == "fault_injected") ++report.fault_fires;
   }
   if (report.fault_fires == 0) {
     violations.push_back("journal recorded no fault_injected events across the sweep");
   }
-  const obs::TelemetryRegistry& reg = obs::TelemetryRegistry::instance();
+  const obs::TelemetryRegistry& reg = prof::MetricsSink::instance().telemetry();
   if (reg.counter_value("recovery.shard_retries") == 0 ||
       reg.counter_value("recovery.shard_fallbacks") == 0) {
     violations.push_back("recovery counters did not register the injected shard faults");

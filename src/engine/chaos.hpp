@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "engine/engine.hpp"
+#include "obs/journal.hpp"
 #include "rt/status.hpp"
 
 namespace gnnbridge::engine {
@@ -58,8 +59,8 @@ struct ChaosReport {
   std::vector<ChaosCellVerdict> cells;  ///< one per chaos_cells() entry, in order
   std::vector<ChaosProbe> probes;
   std::size_t jobs_run = 0;
-  std::size_t journal_events = 0;  ///< journal size after the sweep
-  std::uint64_t fault_fires = 0;   ///< fault_injected events in the journal
+  std::size_t journal_events = 0;  ///< events the sweep appended to the journal
+  std::uint64_t fault_fires = 0;   ///< fault_injected events among them
   std::vector<std::string> violations;  ///< empty = the contract held
 };
 
@@ -68,12 +69,12 @@ struct ChaosReport {
 /// shard-seam and control cells reproduce the fault-free unsharded outputs
 /// bit for bit, ladder cells stay allclose, the expected shard retries and
 /// fallbacks show up in RunStats and the journal, and the recovery counters
-/// register. The journal is enabled for the sweep, since the fallback
-/// checks read it. The schedule is fixed and the engine deterministic, so
-/// the metrics sink, the registry and the journal end up byte-identical at
-/// any host thread count. `scale` sizes the dataset_load probe's graph.
-/// Errors only when the fault-free reference run fails.
+/// register. Every batch of the sweep appends to `journal`, which the
+/// fallback checks read. The schedule is fixed and the engine
+/// deterministic, so the metrics sink, its registry and the journal end up
+/// byte-identical at any host thread count. `scale` sizes the dataset_load
+/// probe's graph. Errors only when the fault-free reference run fails.
 rt::Result<ChaosReport> run_chaos_sweep(std::span<const ChaosJobSet> sets, double scale,
-                                        const sim::DeviceSpec& spec);
+                                        const sim::DeviceSpec& spec, obs::EventJournal& journal);
 
 }  // namespace gnnbridge::engine

@@ -33,19 +33,22 @@ namespace {
 using pipeline::Workspace;
 
 /// The one knob table, in bit order: each detail::Knob bit, its
-/// metric-schema name and the fallback the degradation ladder takes when it
-/// turns the knob off.
+/// metric-schema name, the fallback the degradation ladder takes when it
+/// turns the knob off, and the fault seam whose failure turns off this knob
+/// alone (degrade_for). Neighbor grouping and sharding have no such seam:
+/// only sim_launch's walk and the shard fallback turn them off.
 struct KnobInfo {
   unsigned bit;
   std::string_view name;
   std::string_view action;
+  std::string_view seam;
 };
 constexpr KnobInfo kKnobTable[] = {
-    {detail::kLas, rt::kKnobLas, "las->natural_order"},
-    {detail::kAutoTune, rt::kKnobAutoTune, "tuned_bound->heuristic_bound"},
-    {detail::kAdapter, rt::kKnobAdapter, "fused->unfused_pipeline"},
-    {detail::kNeighborGrouping, rt::kKnobNeighborGrouping, "grouped->one_task_per_node"},
-    {detail::kSharding, rt::kKnobSharding, "sharded->unsharded"},
+    {detail::kLas, "las", "las->natural_order", rt::kSeamLasCluster},
+    {detail::kAutoTune, "auto_tune", "tuned_bound->heuristic_bound", rt::kSeamTunerProbe},
+    {detail::kAdapter, "adapter", "fused->unfused_pipeline", rt::kSeamFusionPass},
+    {detail::kNeighborGrouping, "neighbor_grouping", "grouped->one_task_per_node", {}},
+    {detail::kSharding, "sharding", "sharded->unsharded", {}},
 };
 
 const KnobInfo& knob_info(unsigned bit) { return kKnobTable[std::countr_zero(bit)]; }
@@ -67,15 +70,11 @@ unsigned configured_knobs(const EngineConfig& cfg) {
          (cfg.shards > 1 ? detail::kSharding : 0u);
 }
 
-/// The untuned grouping bound: the configured one, else the average degree
-/// rounded up to a multiple of 16.
+/// The untuned grouping bound: the configured one, else
+/// core::default_group_bound.
 EdgeId static_bound(const EngineConfig& cfg, const graph::Csr& csr) {
   if (!cfg.use_neighbor_grouping) return 0;
-  if (cfg.group_bound > 0) return cfg.group_bound;
-  const double avg = csr.num_nodes > 0
-                         ? static_cast<double>(csr.num_edges()) / static_cast<double>(csr.num_nodes)
-                         : 0.0;
-  return std::max<EdgeId>(16, (static_cast<EdgeId>(avg) + 15) / 16 * 16);
+  return cfg.group_bound > 0 ? cfg.group_bound : core::default_group_bound(csr);
 }
 
 /// The width a GCN/GAT forward's first layer aggregates at — the width the
@@ -84,12 +83,12 @@ tensor::Index first_layer_width(const std::vector<models::Index>& dims) {
   return dims.size() > 1 ? dims[1] : -1;
 }
 
-/// Records one run's shard recovery (DESIGN.md §17) in the telemetry
-/// registry. A run that did not recover records nothing, so fault-free
-/// telemetry carries no recovery instruments.
+/// Records one run's shard recovery (DESIGN.md §17) in the metrics sink's
+/// telemetry registry. A run that did not recover records nothing, so
+/// fault-free telemetry carries no recovery instruments.
 void flush_recovery(const detail::RecoveryTally& r) {
   if (!r.any()) return;
-  obs::TelemetryRegistry& reg = obs::TelemetryRegistry::instance();
+  obs::TelemetryRegistry& reg = prof::MetricsSink::instance().telemetry();
   reg.counter_add("recovery.shard_retries", r.shard_retries);
   reg.counter_add("recovery.shards_reexecuted", r.shards_reexecuted);
   reg.counter_add("recovery.shard_fallbacks", r.fallback_unsharded);
@@ -197,9 +196,9 @@ bool OptimizedEngine::degrade_for(const rt::StageFailure& failure, detail::RunCo
   const auto disable = [&](unsigned knob) {
     return disable_knob(knob, seam, failure.status(), rc);
   };
-  if (seam == rt::kSeamLasCluster) return disable(detail::kLas);
-  if (seam == rt::kSeamTunerProbe) return disable(detail::kAutoTune);
-  if (seam == rt::kSeamFusionPass) return disable(detail::kAdapter);
+  for (const KnobInfo& k : kKnobTable) {
+    if (seam == k.seam) return disable(k.bit);
+  }
   if (seam == rt::kSeamSimLaunch) {
     // A failing launch has no single culprit; walk toward the most
     // conservative configuration one knob at a time.
@@ -214,11 +213,12 @@ bool OptimizedEngine::degrade_for(const rt::StageFailure& failure, detail::RunCo
     if (!disable(detail::kSharding)) return false;
     ++rc.recovery.fallback_unsharded;
     if (rc.recovery.journal) {
+      const KnobInfo& info = knob_info(detail::kSharding);
       obs::JournalEvent ev;
       ev.type = "shard_fallback";
       ev.key = seam;
-      ev.code = std::string(rt::kKnobSharding);
-      ev.detail = std::string(knob_info(detail::kSharding).action);
+      ev.code = std::string(info.name);
+      ev.detail = std::string(info.action);
       rc.recovery.journal->push_back(std::move(ev));
     }
     return true;
@@ -379,14 +379,16 @@ struct JobTally {
   std::uint64_t retries = 0;
   bool ran = false;        ///< the job was valid enough to attempt
   bool success = false;
-  std::vector<obs::JournalEvent> journal;  ///< buffered attempt and recovery events
+  /// Buffered attempt, fault and recovery events; empty without a journal.
+  std::vector<obs::JournalEvent> journal;
   /// The job's ladder, cache isolation, buffered degradations and
   /// shard-recovery counters (§17).
   detail::RunContext run;
 };
 }  // namespace
 
-std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs) {
+std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs,
+                                                  obs::EventJournal* journal) {
   std::vector<RunResult> results(jobs.size());
   if (jobs.empty()) return results;
 
@@ -421,9 +423,6 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
     const std::size_t uses = ++id_uses[req_ids[i]];
     if (uses > 1) req_ids[i] += "#" + std::to_string(uses);
   }
-  // Journal gating is sampled once per batch: events are buffered per job
-  // in the wave and appended (seq assignment) in the sequential fold.
-  const bool journal_on = obs::EventJournal::instance().enabled();
 
   // --- Parallel wave. Jobs are independent (model, dataset) configs; each
   // runs its whole pipeline inline on one thread (its nested parallel
@@ -440,8 +439,8 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
     // nested instrumentation) stamps this ID into its record.
     obs::RequestScope req_scope(req_ids[i]);
     // The job's shard bodies, tuner probes and replays run inline on this
-    // thread, which alone sees its fault plan and fire listener — also in
-    // a batch of one job, whose one-task region runs it outside any region.
+    // thread, which alone sees its fault plan and its listener — also in a
+    // batch of one job, whose one-task region runs it outside any region.
     const par::InlineScope inline_scope;
     if (!job.data) {
       out.status = rt::Status(rt::StatusCode::kInvalidArgument, "batch job has no dataset");
@@ -456,8 +455,18 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
     tally.ran = true;
     // Per-job fault plan: thread-confined shot counters, so concurrent
     // jobs see deterministic fault schedules (the process-wide plan is
-    // suppressed for the job's duration either way).
-    rt::FaultInjector::ScopedJobPlan plan(job.fault_plan);
+    // suppressed for the job's duration either way). With a journal, the
+    // plan's listener buffers every shot as a "fault_injected" event.
+    const rt::FaultFireListener on_fire = +[](void* ctx, std::string_view seam, int shot) {
+      obs::JournalEvent ev;
+      ev.type = "fault_injected";
+      ev.key = std::string(seam);
+      ev.code = rt::status_code_name(rt::StatusCode::kFaultInjected);
+      ev.attempt = static_cast<std::uint64_t>(shot) + 1;
+      static_cast<std::vector<obs::JournalEvent>*>(ctx)->push_back(std::move(ev));
+    };
+    rt::FaultInjector::ScopedJobPlan plan(job.fault_plan, journal ? on_fire : nullptr,
+                                          &tally.journal);
     if (!plan.status().ok()) {
       out.status = rt::Status(plan.status().code(), plan.status().message())
                        .with_context("batch job fault plan");
@@ -468,27 +477,14 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
     rc.job = true;
     rc.cache_isolated = !job.fault_plan.empty();
     // Shard-recovery journal events (DESIGN.md §17) are buffered alongside
-    // the attempt events so the sequential fold interleaves them in
-    // emission order. The fire listener additionally records every
-    // armed-seam shot as a "fault_injected" event — the per-job plan is
-    // thread-confined, so every fire lands on this worker.
-    rc.recovery.journal = journal_on ? &tally.journal : nullptr;
-    const rt::FaultFireListener on_fire = +[](void* ctx, std::string_view seam, int shot) {
-      auto* buffered = static_cast<std::vector<obs::JournalEvent>*>(ctx);
-      obs::JournalEvent ev;
-      ev.type = "fault_injected";
-      ev.key = std::string(seam);
-      ev.code = rt::status_code_name(rt::StatusCode::kFaultInjected);
-      ev.attempt = static_cast<std::uint64_t>(shot) + 1;
-      buffered->push_back(std::move(ev));
-    };
-    rt::ScopedFireListener fire_listener(journal_on ? on_fire : nullptr,
-                                         journal_on ? &tally.journal : nullptr);
+    // the attempt and fault events so the sequential fold interleaves them
+    // in emission order.
+    rc.recovery.journal = journal ? &tally.journal : nullptr;
     const int max_attempts = std::max(1, job.max_attempts);
     for (int attempt = 1;; ++attempt) {
       ++tally.attempts;
       out = run_request(job, rc);
-      if (journal_on) {
+      if (journal) {
         obs::JournalEvent ev;
         ev.type = "attempt";
         ev.key = keys[i];
@@ -517,25 +513,22 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
   // numbers and registry instruments — lands in job order, so every export
   // is byte-identical at any host thread count.
   prof::MetricsSink& sink = prof::MetricsSink::instance();
-  obs::EventJournal& journal = obs::EventJournal::instance();
-  obs::TelemetryRegistry& reg = obs::TelemetryRegistry::instance();
+  obs::TelemetryRegistry& reg = sink.telemetry();
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     JobTally& tally = tallies[i];
-    if (journal_on) {
-      for (obs::JournalEvent& ev : tally.journal) {
-        ev.request_id = req_ids[i];
-        journal.append(std::move(ev));
-      }
+    for (obs::JournalEvent& ev : tally.journal) {  // buffered only with a journal
+      ev.request_id = req_ids[i];
+      journal->append(std::move(ev));
     }
     for (rt::DegradationEvent& ev : tally.run.events) {
-      if (journal_on) {
+      if (journal) {
         obs::JournalEvent jev;
         jev.request_id = req_ids[i];
         jev.type = "degradation";
         jev.key = ev.seam;
         jev.code = ev.knob;
         jev.detail = ev.action;
-        journal.append(std::move(jev));
+        journal->append(std::move(jev));
       }
       sink.record_degradation(std::move(ev));
     }
@@ -545,7 +538,7 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
     reg.counter_add("serve.attempts", tally.attempts);
     reg.counter_add("serve.retries", tally.retries);
     flush_recovery(tally.run.recovery);
-    if (journal_on) {
+    if (journal) {
       obs::JournalEvent ev;
       ev.request_id = req_ids[i];
       ev.type = "outcome";
@@ -554,7 +547,7 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
       ev.detail = !tally.ran ? "rejected" : tally.success ? "ok" : "failed";
       ev.attempt = tally.attempts;
       ev.cycles = results[i].stats.total_cycles;
-      journal.append(std::move(ev));
+      journal->append(std::move(ev));
     }
     if (tally.ran) reg.observe("serve.job_attempts", static_cast<double>(tally.attempts));
     if (tally.success) reg.observe("serve.job_cycles", results[i].stats.total_cycles);

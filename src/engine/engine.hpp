@@ -29,6 +29,10 @@
 #include "models/gcn_grad.hpp"
 #include "rt/degrade.hpp"
 
+namespace gnnbridge::obs {
+class EventJournal;
+}  // namespace gnnbridge::obs
+
 namespace gnnbridge::shard {
 struct Partition;
 }  // namespace gnnbridge::shard
@@ -139,7 +143,7 @@ class OptimizedEngine final : public Backend {
   core::GroupedTasks build_tasks(const graph::Csr& csr) const;
 
   /// Knobs the degradation ladder has disabled so far, as metric-schema
-  /// knob names (rt::kKnob*). Sticky for the engine's lifetime.
+  /// knob names ("las", "auto_tune", ...). Sticky for the engine's lifetime.
   std::vector<std::string> degraded_knobs() const;
 
   /// One independent run request for run_batch: exactly one of the model
@@ -177,9 +181,12 @@ class OptimizedEngine final : public Backend {
   ///
   /// Resilience (DESIGN.md §12): each job runs with its own fault plan,
   /// job-local degradation ladder and retry budget; a failing job never
-  /// blocks healthy ones. The jobs' journal events and serving counters
-  /// are recorded in job order — byte-identical at any host thread count.
-  std::vector<RunResult> run_batch(std::span<const BatchJob> jobs);
+  /// blocks healthy ones. The jobs' events are appended to `journal` (none
+  /// are recorded when it is null) and their serving counters to the
+  /// metrics sink's registry, in job order — byte-identical at any host
+  /// thread count.
+  std::vector<RunResult> run_batch(std::span<const BatchJob> jobs,
+                                   obs::EventJournal* journal = nullptr);
 
   /// Cache observability (tests): number of memoized LAS orders / tuned
   /// configurations. A mutated-then-rerun graph must grow these — the

@@ -39,7 +39,8 @@ struct RecoveryTally {
   /// Buffered journal events ("shard_retry"/"shard_fallback"), interleaved
   /// with the owning batch job's attempt events and flushed by run_batch's
   /// sequential fold. Null for direct (non-batch) runs, which surface
-  /// recovery through the telemetry registry only.
+  /// recovery through the telemetry registry only, and for batches run
+  /// without a journal.
   std::vector<obs::JournalEvent>* journal = nullptr;
 
   bool any() const { return shard_retries != 0 || fallback_unsharded != 0; }

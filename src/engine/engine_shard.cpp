@@ -435,9 +435,7 @@ std::shared_ptr<const shard::Partition> OptimizedEngine::shard_plan_for(
   // plans and the first insert wins.
   prof::Span span("shard_partition", "engine");
   rt::raise_if_armed(rt::kSeamShardPartition, "shard_plan_for");
-  shard::PartitionConfig pcfg;
-  pcfg.shards = k;
-  rt::Result<shard::Partition> part = shard::partition_graph(csr, pcfg);
+  rt::Result<shard::Partition> part = shard::partition_graph(csr, k);
   if (!part.ok()) {
     throw rt::StageFailure(std::string(rt::kSeamShardPartition),
                            rt::Status(part.status()).with_context("shard_plan_for"));

@@ -1,6 +1,7 @@
 #include "engine/tune_helper.hpp"
 
-#include "core/locality/schedule.hpp"
+#include <cassert>
+
 #include "kernels/spmm.hpp"
 #include "prof/span.hpp"
 
@@ -11,6 +12,7 @@ namespace k = gnnbridge::kernels;
 double measure_aggregation(const graph::Csr& csr, tensor::Index feat_len,
                            const core::TuneConfig& config, const sim::DeviceSpec& spec,
                            double sample_fraction, const std::vector<graph::NodeId>* las_order) {
+  assert(!config.use_las || las_order);
   prof::Span span("tune_probe", "engine");
   span.arg("lanes", config.lanes);
   span.arg("group_bound", static_cast<double>(config.group_bound));
@@ -19,13 +21,6 @@ double measure_aggregation(const graph::Csr& csr, tensor::Index feat_len,
   auto src = k::device_mat_shape(ctx, csr.num_nodes, feat_len, "feat");
   auto out = k::device_mat_shape(ctx, csr.num_nodes, feat_len, "out");
 
-  // LAS order is an offline artifact; during tuning we reuse a precomputed
-  // one if provided (the tuner should never pay for computing it).
-  std::vector<graph::NodeId> order;
-  if (config.use_las && !las_order) {
-    order = core::locality_aware_schedule(csr).order;
-    las_order = &order;
-  }
   core::GroupedTasks grouped = core::neighbor_group_tasks(
       csr, config.group_bound,
       config.use_las ? std::span<const graph::NodeId>(*las_order)

@@ -16,7 +16,9 @@ namespace gnnbridge::engine {
 
 /// Measured cost (simulated cycles) of one aggregation over `csr` with
 /// feature length `feat_len` under `config`, evaluated on roughly
-/// `sample_fraction` of the tasks.
+/// `sample_fraction` of the tasks. Requires `las_order` when
+/// `config.use_las` is set: the LAS order is an offline artifact the tuner
+/// never pays for.
 double measure_aggregation(const graph::Csr& csr, tensor::Index feat_len,
                            const core::TuneConfig& config, const sim::DeviceSpec& spec,
                            double sample_fraction = 0.25,

@@ -7,13 +7,7 @@
 
 namespace gnnbridge::obs {
 
-EventJournal& EventJournal::instance() {
-  static EventJournal* journal = new EventJournal();  // leaked: outlives atexit
-  return *journal;
-}
-
 std::uint64_t EventJournal::append(JournalEvent event) {
-  if (!enabled()) return 0;
   std::lock_guard<std::mutex> lock(mu_);
   event.seq = next_seq_++;
   events_.push_back(std::move(event));

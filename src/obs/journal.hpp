@@ -1,25 +1,23 @@
 // Request-scoped event journal (DESIGN.md §13).
 //
-// A process-wide, append-only log of batch-job lifecycle events: one JSONL
-// line per attempt, degradation, injected fault, shard recovery step and
-// outcome, each tagged with the originating job's request id — filter on
-// the id and a single job's full story (attempts -> degradations ->
-// outcome) reads back in order.
+// An append-only log of batch-job lifecycle events: one JSONL line per
+// attempt, degradation, injected fault, shard recovery step and outcome,
+// each tagged with the originating job's request id — filter on the id
+// and a single job's full story (attempts -> degradations -> outcome)
+// reads back in order.
 //
-// Determinism: OptimizedEngine::run_batch buffers a job's events job-
-// locally during the parallel wave and appends them in the sequential
-// job-order fold, where this journal assigns the global `seq` — so the
-// serialized journal is byte-identical at any host thread count. The file
-// write is crash-safe (whole document to a sibling .tmp, atomic rename),
-// the same discipline as MetricsSink::write_file.
-//
-// Recording is off by default (enabled() gates the engine's buffering);
-// the soak CLI's --journal flag enables it and writes the file.
+// A journal is a plain object with one owner: the caller of
+// OptimizedEngine::run_batch passes it in (a null journal records
+// nothing). run_batch buffers a job's events job-locally during the
+// parallel wave and appends them in the sequential job-order fold, where
+// this journal assigns `seq` — so the serialized journal is byte-identical
+// at any host thread count. The file write is crash-safe (whole document
+// to a sibling .tmp, atomic rename), the same discipline as
+// MetricsSink::write_file. The soak CLI's --journal flag writes one.
 #pragma once
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -88,19 +86,12 @@ struct JournalSummary {
 /// a gap. kDataLoss naming the first bad line otherwise.
 rt::Result<JournalSummary> check_journal(std::string_view text);
 
-/// Singleton collector. Thread-safe; run_batch only appends from its
+/// Event collector. Thread-safe; run_batch only appends from its
 /// sequential fold, but tests and future emitters may append anywhere.
 class EventJournal {
  public:
-  static EventJournal& instance();
-
-  /// True when events should be recorded (set_enabled).
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-
   /// Appends one event, assigning the next sequence number, and returns
-  /// the assigned seq. When the journal is disabled nothing is stored
-  /// (returns 0).
+  /// the assigned seq.
   std::uint64_t append(JournalEvent event);
 
   std::size_t size() const;
@@ -114,9 +105,7 @@ class EventJournal {
   rt::Status write_file(const std::string& path) const;
 
  private:
-  EventJournal() = default;
   mutable std::mutex mu_;
-  std::atomic<bool> enabled_{false};
   std::uint64_t next_seq_ = 0;
   std::vector<JournalEvent> events_;
 };

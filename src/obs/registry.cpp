@@ -4,11 +4,6 @@
 
 namespace gnnbridge::obs {
 
-TelemetryRegistry& TelemetryRegistry::instance() {
-  static TelemetryRegistry* reg = new TelemetryRegistry();  // leaked: outlives atexit
-  return *reg;
-}
-
 void TelemetryRegistry::counter_add(std::string_view name, std::uint64_t delta) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);

@@ -1,10 +1,11 @@
-// Process-wide telemetry registry (DESIGN.md §13): the one counter store.
+// Telemetry registry (DESIGN.md §13): the one counter store.
 //
-// Named counters and log-bucketed histograms, aggregated across the
-// process: run_batch's job-order fold and the shard-recovery flush of
-// every run record here, where the metrics sink's `runs` array is the
-// per-run view. Determinism contract: names live in ordered maps
-// (snapshot order is lexicographic, never insertion or hash order),
+// Named counters and log-bucketed histograms, aggregated across runs. The
+// metrics sink owns the process's registry (prof::MetricsSink::telemetry):
+// run_batch's job-order fold and the shard-recovery flush of every run
+// record there, the sink's document snapshots it, and the sink's `runs`
+// array is the per-run view. Determinism contract: names live in ordered
+// maps (snapshot order is lexicographic, never insertion or hash order),
 // histogram buckets are fixed powers of 2^(1/4), and no engine recording
 // happens on a pool worker, only in sequential code — so the exported
 // telemetry block, the Prometheus exposition and the stats table are
@@ -29,13 +30,12 @@ struct RegistrySnapshot {
   std::vector<std::pair<std::string, HistogramSnapshot>> histograms;
 };
 
-/// Singleton name -> instrument store. Thread-safe; every mutation takes
-/// one mutex (telemetry recording is batched — per run_batch fold, not per
+/// Name -> instrument store. Thread-safe: direct runs on different
+/// threads may flush recovery counters at once. Every mutation takes one
+/// mutex (telemetry recording is batched — per run_batch fold, not per
 /// kernel — so contention is negligible).
 class TelemetryRegistry {
  public:
-  static TelemetryRegistry& instance();
-
   void counter_add(std::string_view name, std::uint64_t delta);
   void observe(std::string_view name, double value);
 
@@ -50,7 +50,6 @@ class TelemetryRegistry {
   std::size_t histogram_count() const;
 
  private:
-  TelemetryRegistry() = default;
   mutable std::mutex mu_;
   std::map<std::string, std::uint64_t, std::less<>> counters_;
   std::map<std::string, LogHistogram, std::less<>> histograms_;

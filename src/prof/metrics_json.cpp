@@ -290,10 +290,10 @@ void MetricsSink::clear() {
     doc_.runs.clear();
     doc_.degradations.clear();
   }
-  // The telemetry block snapshots the process-wide registry; clearing
-  // the sink without it would leak one run's telemetry into the next
-  // document (the in-process determinism tests byte-compare exactly that).
-  obs::TelemetryRegistry::instance().clear();
+  // Clearing the sink without its registry would leak one run's telemetry
+  // into the next document (the in-process determinism tests byte-compare
+  // exactly that).
+  telemetry_.clear();
 }
 
 std::string MetricsSink::to_json() const {
@@ -304,7 +304,7 @@ std::string MetricsSink::to_json() const {
   }
   doc_.gap_report.clear();
   for (const RunRecord& r : doc_.runs) doc_.gap_report.push_back(attribute_gaps(r));
-  doc_.telemetry = obs::TelemetryRegistry::instance().snapshot();
+  doc_.telemetry = telemetry_.snapshot();
   std::string out;
   JsonWriter w(&out);
   FieldWriter(w).write(doc_, document_fields);
@@ -323,8 +323,8 @@ rt::Status MetricsSink::write_file(const std::string& path) const {
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     if (auto fault = rt::fire_fault(rt::kSeamMetricsWrite)) {
       // Record first, write after: the retried document carries the event.
-      MetricsSink::instance().record_degradation(rt::make_degradation(
-          rt::kSeamMetricsWrite, rt::kKnobMetricsSink, "retry_write", *fault));
+      MetricsSink::instance().record_degradation(
+          rt::make_degradation(rt::kSeamMetricsWrite, "metrics_sink", "retry_write", *fault));
       last = std::move(*fault);
       continue;
     }

@@ -24,7 +24,7 @@
 // counters in `totals` are zero (shards=1) for unsharded runs (DESIGN.md
 // §16). `meta.threads` is the host thread-pool width: all simulated
 // counters are byte-identical at any value. `telemetry` is a snapshot of
-// the process-wide obs::TelemetryRegistry (DESIGN.md §13): names sort
+// the sink's own obs::TelemetryRegistry (DESIGN.md §13): names sort
 // lexicographically and histogram buckets are fixed powers of 2^(1/4), so
 // the block is byte-identical at any host thread count. It is always
 // present, with empty arrays when nothing was recorded; `clear()` also
@@ -121,7 +121,11 @@ class MetricsSink {
   std::size_t size() const;
   std::size_t degradation_count() const;
   std::vector<rt::DegradationEvent> degradations() const;
+  /// Clears the runs, the degradations and the telemetry registry.
   void clear();
+
+  /// The telemetry registry this sink's documents snapshot.
+  obs::TelemetryRegistry& telemetry() { return telemetry_; }
 
   /// Serializes everything recorded so far.
   std::string to_json() const;
@@ -147,6 +151,7 @@ class MetricsSink {
   mutable MetricsDocument doc_;
   mutable bool meta_set_ = false;
   bool armed_ = false;
+  obs::TelemetryRegistry telemetry_;
 };
 
 }  // namespace gnnbridge::prof

@@ -13,18 +13,12 @@
 
 namespace gnnbridge::rt {
 
-// Knob names as they appear in degradation events and the metrics schema.
-inline constexpr std::string_view kKnobLas = "las";
-inline constexpr std::string_view kKnobAutoTune = "auto_tune";
-inline constexpr std::string_view kKnobAdapter = "adapter";
-inline constexpr std::string_view kKnobNeighborGrouping = "neighbor_grouping";
-inline constexpr std::string_view kKnobMetricsSink = "metrics_sink";
-inline constexpr std::string_view kKnobSharding = "sharding";
-
 /// One recorded step down the degradation ladder.
 struct DegradationEvent {
   std::string seam;    ///< fault seam (or stage name) that failed
-  std::string knob;    ///< knob disabled in response (kKnob* above)
+  /// Knob disabled in response, as the metrics schema names it: a row of
+  /// the engine's knob table, or "metrics_sink" for the sink's write retry.
+  std::string knob;
   std::string action;  ///< fallback taken, e.g. "las->natural_order"
   std::string detail;  ///< underlying Status, rendered
   bool injected = false;  ///< true when the failure came from the fault plan

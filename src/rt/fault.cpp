@@ -23,9 +23,9 @@ struct ParsedArm {
 
 std::string known_seam_list() {
   std::string out;
-  for (std::string_view s : kKnownSeams) {
+  for (const SeamInfo& info : kSeamTable) {
     if (!out.empty()) out += ", ";
-    out += s;
+    out += info.name;
   }
   return out;
 }
@@ -93,25 +93,30 @@ Status parse_plan(std::string_view plan, std::vector<ParsedArm>& out) {
   return OkStatus();
 }
 
-// Active per-job plan for this thread (see ScopedJobPlan). When non-null,
-// fire()/armed() use it exclusively and never touch the global map or mutex.
-thread_local std::map<std::string, FaultInjector::Arm, std::less<>>* t_job_arms = nullptr;
+// The active job-plan scope on this thread (see ScopedJobPlan). When
+// non-null, fire()/armed() use its arms exclusively and never touch the
+// global map or mutex.
+thread_local FaultInjector::ScopedJobPlan* t_job = nullptr;
 
-// Active fire listener for this thread (see ScopedFireListener). Invoked
-// outside the injector's lock so a listener may call back into the
-// injector (e.g. to read plan_string) without deadlocking.
-thread_local FaultFireListener t_fire_fn = nullptr;
-thread_local void* t_fire_ctx = nullptr;
+/// Consumes one shot of `seam`: the shot's 0-based index, or nullopt when
+/// the seam is not armed.
+std::optional<int> consume(FaultInjector::Arms& arms, std::string_view seam) {
+  const auto it = arms.find(seam);
+  if (it == arms.end()) return std::nullopt;
+  const int shot = it->second.fired++;
+  if (!it->second.always && --it->second.remaining <= 0) arms.erase(it);
+  return shot;
+}
 
-void notify_fired(std::string_view seam, int shot) {
-  if (t_fire_fn) t_fire_fn(t_fire_ctx, seam, shot);
+Status injected_fault(std::string_view seam) {
+  return Status(StatusCode::kFaultInjected, "injected fault at seam '" + std::string(seam) + "'");
 }
 
 }  // namespace
 
 bool known_seam(std::string_view seam) {
-  for (std::string_view s : kKnownSeams) {
-    if (s == seam) return true;
+  for (const SeamInfo& info : kSeamTable) {
+    if (info.name == seam) return true;
   }
   return false;
 }
@@ -162,64 +167,43 @@ void FaultInjector::clear() {
 }
 
 std::optional<Status> FaultInjector::fire(std::string_view seam) {
-  if (t_job_arms) {
-    // Thread-confined per-job plan: no lock, no global state.
-    const auto it = t_job_arms->find(seam);
-    if (it == t_job_arms->end()) return std::nullopt;
-    const int shot = it->second.fired++;
-    if (!it->second.always) {
-      if (--it->second.remaining <= 0) t_job_arms->erase(it);
-    }
-    notify_fired(seam, shot);
-    return Status(StatusCode::kFaultInjected,
-                  "injected fault at seam '" + std::string(seam) + "'");
+  if (ScopedJobPlan* job = t_job) {
+    // Thread-confined per-job plan: no lock, no global state. The listener
+    // runs outside any lock, so it may call back into the injector.
+    const std::optional<int> shot = consume(job->arms_, seam);
+    if (!shot) return std::nullopt;
+    if (job->listener_) job->listener_(job->ctx_, seam, *shot);
+    return injected_fault(seam);
   }
-  int shot = -1;
   {
     std::lock_guard<std::mutex> lock(mu_);
     maybe_load_env_locked();
-    const auto it = arms_.find(seam);
-    if (it == arms_.end()) return std::nullopt;
-    shot = it->second.fired++;
-    if (!it->second.always) {
-      if (--it->second.remaining <= 0) arms_.erase(it);
-    }
+    if (!consume(arms_, seam)) return std::nullopt;
   }
-  notify_fired(seam, shot);
-  return Status(StatusCode::kFaultInjected,
-                "injected fault at seam '" + std::string(seam) + "'");
+  return injected_fault(seam);
 }
 
 bool FaultInjector::armed(std::string_view seam) const {
-  if (t_job_arms) return t_job_arms->find(seam) != t_job_arms->end();
+  if (t_job) return t_job->arms_.find(seam) != t_job->arms_.end();
   std::lock_guard<std::mutex> lock(mu_);
   const_cast<FaultInjector*>(this)->maybe_load_env_locked();
   return arms_.find(seam) != arms_.end();
 }
 
-FaultInjector::ScopedJobPlan::ScopedJobPlan(std::string_view plan) {
+FaultInjector::ScopedJobPlan::ScopedJobPlan(std::string_view plan, FaultFireListener listener,
+                                            void* ctx)
+    : listener_(listener), ctx_(ctx) {
   std::vector<ParsedArm> parsed;
   status_ = parse_plan(plan, parsed);
   if (!status_.ok()) return;
   for (auto& arm : parsed) arms_[arm.seam] = Arm{arm.remaining, arm.always};
-  prev_ = t_job_arms;
-  t_job_arms = &arms_;
+  prev_ = t_job;
+  t_job = this;
   active_ = true;
 }
 
 FaultInjector::ScopedJobPlan::~ScopedJobPlan() {
-  if (active_) t_job_arms = prev_;
-}
-
-ScopedFireListener::ScopedFireListener(FaultFireListener fn, void* ctx)
-    : prev_fn_(t_fire_fn), prev_ctx_(t_fire_ctx) {
-  t_fire_fn = fn;
-  t_fire_ctx = ctx;
-}
-
-ScopedFireListener::~ScopedFireListener() {
-  t_fire_fn = prev_fn_;
-  t_fire_ctx = prev_ctx_;
+  if (active_) t_job = prev_;
 }
 
 std::string FaultInjector::plan_string() const {

@@ -37,12 +37,6 @@ inline constexpr std::string_view kSeamShardPartition = "shard_partition";  ///<
 inline constexpr std::string_view kSeamShardCompute = "shard_compute";      ///< per-shard pool-job phase body
 inline constexpr std::string_view kSeamShardExchange = "shard_exchange";    ///< per-layer ghost-feature exchange
 
-inline constexpr std::array<std::string_view, 9> kKnownSeams = {
-    kSeamDatasetLoad, kSeamLasCluster,   kSeamTunerProbe,
-    kSeamFusionPass,  kSeamSimLaunch,    kSeamMetricsWrite,
-    kSeamShardPartition, kSeamShardCompute, kSeamShardExchange,
-};
-
 /// One row of the seam table: the plan-syntax name plus a one-line
 /// human description of where the seam fires and what absorbs it.
 /// `gnnbridge_cli faults` prints this table so fault plans can be
@@ -52,6 +46,7 @@ struct SeamInfo {
   std::string_view description;
 };
 
+/// Every known seam, in the order the CLI prints them.
 inline constexpr std::array<SeamInfo, 9> kSeamTable = {{
     {kSeamDatasetLoad, "graph::try_make_dataset; no ladder, surfaces as a load error"},
     {kSeamLasCluster, "locality-aware scheduling pass; ladder falls back to natural row order"},
@@ -67,29 +62,14 @@ inline constexpr std::array<SeamInfo, 9> kSeamTable = {{
 /// One-line description for a known seam; empty view when unknown.
 std::string_view seam_description(std::string_view seam);
 
-/// True when `seam` is one of kKnownSeams.
+/// True when `seam` names a row of kSeamTable.
 bool known_seam(std::string_view seam);
 
-/// Thread-local observer invoked whenever an armed seam fires on the
-/// calling thread. `shot` is the 0-based index of the consumed shot for
-/// that seam within the active plan (job-local or global). Installed via
-/// ScopedFireListener; used to surface `fault_injected` journal events
+/// Observer of one job plan's shots (see FaultInjector::ScopedJobPlan).
+/// `shot` is the 0-based index of the consumed shot for that seam within
+/// the plan. run_batch uses it to surface `fault_injected` journal events
 /// without coupling rt to the observability layer.
 using FaultFireListener = void (*)(void* ctx, std::string_view seam, int shot);
-
-/// RAII installer for the thread-local fire listener. Nests; restores
-/// the previous listener on destruction.
-class ScopedFireListener {
- public:
-  ScopedFireListener(FaultFireListener fn, void* ctx);
-  ~ScopedFireListener();
-  ScopedFireListener(const ScopedFireListener&) = delete;
-  ScopedFireListener& operator=(const ScopedFireListener&) = delete;
-
- private:
-  FaultFireListener prev_fn_;
-  void* prev_ctx_;
-};
 
 /// Process-wide fault-plan registry. Thread-safe.
 class FaultInjector {
@@ -120,6 +100,7 @@ class FaultInjector {
     bool always = false;
     int fired = 0;       // shots already consumed (the next shot's index)
   };
+  using Arms = std::map<std::string, Arm, std::less<>>;
 
   /// Per-job fault plan, confined to the installing thread.
   ///
@@ -127,12 +108,16 @@ class FaultInjector {
   /// ONLY the job's private arms — never the global plan — so concurrent
   /// batch jobs cannot race on shared shot counters (each job sees its own
   /// deterministic fault schedule regardless of how jobs are interleaved
-  /// across pool threads). Scopes nest; the previous plan is restored on
-  /// destruction. A malformed plan leaves the scope inactive (global plan
-  /// still visible) and reports the parse error via `status()`.
+  /// across pool threads). `listener`, when set, is called with `ctx` for
+  /// every shot of this plan, after the shot is consumed; shots of the
+  /// global plan reach no listener. Scopes nest; the previous scope's arms
+  /// and listener are restored on destruction. A malformed plan leaves the
+  /// scope inactive (global plan still visible, listener never called) and
+  /// reports the parse error via `status()`.
   class ScopedJobPlan {
    public:
-    explicit ScopedJobPlan(std::string_view plan);
+    explicit ScopedJobPlan(std::string_view plan, FaultFireListener listener = nullptr,
+                           void* ctx = nullptr);
     ~ScopedJobPlan();
     ScopedJobPlan(const ScopedJobPlan&) = delete;
     ScopedJobPlan& operator=(const ScopedJobPlan&) = delete;
@@ -141,8 +126,11 @@ class FaultInjector {
     const Status& status() const { return status_; }
 
    private:
-    std::map<std::string, Arm, std::less<>> arms_;
-    std::map<std::string, Arm, std::less<>>* prev_ = nullptr;
+    friend class FaultInjector;
+    Arms arms_;
+    FaultFireListener listener_;
+    void* ctx_;
+    ScopedJobPlan* prev_ = nullptr;
     bool active_ = false;
     Status status_;
   };
@@ -153,7 +141,7 @@ class FaultInjector {
 
   mutable std::mutex mu_;
   bool env_checked_ = false;
-  std::map<std::string, Arm, std::less<>> arms_;
+  Arms arms_;
 };
 
 /// Shorthand for FaultInjector::instance().fire(seam).

@@ -1,6 +1,7 @@
 #include "shard/partition.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 
 #include "rt/validate.hpp"
@@ -12,9 +13,17 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
+/// Seeds the label-propagation visit order and tie-breaks.
+constexpr std::uint64_t kSeed = 0x9e3779b97f4a7c15ull;
+/// Label-propagation refinement sweeps over all nodes.
+constexpr int kSweeps = 4;
+/// A move is allowed only while the destination stays under
+/// kBalanceSlack x (total weight / k); weight(v) = 1 + degree(v).
+constexpr double kBalanceSlack = 1.10;
+
 /// Seeded node hash for the label-propagation visit order.
-std::uint64_t mix(std::uint64_t seed, NodeId v) {
-  std::uint64_t h = kFnvOffset ^ seed;
+std::uint64_t mix(NodeId v) {
+  std::uint64_t h = kFnvOffset ^ kSeed;
   std::uint64_t x = static_cast<std::uint64_t>(static_cast<std::uint32_t>(v));
   for (int i = 0; i < 4; ++i) {
     h ^= (x >> (i * 8)) & 0xffull;
@@ -25,7 +34,7 @@ std::uint64_t mix(std::uint64_t seed, NodeId v) {
 
 }  // namespace
 
-rt::Result<Partition> partition_graph(const Csr& g, const PartitionConfig& cfg) {
+rt::Result<Partition> partition_graph(const Csr& g, int shards) {
   // The partitioner walks every row and indexes assign[] by column value,
   // so a corrupt CSR must be rejected before any of that arithmetic runs.
   if (rt::Status s = rt::validate_csr(g); !s.ok()) {
@@ -34,7 +43,7 @@ rt::Result<Partition> partition_graph(const Csr& g, const PartitionConfig& cfg) 
 
   Partition p;
   const NodeId n = g.num_nodes;
-  p.k = std::clamp(cfg.shards, 1, std::max<int>(1, n));
+  p.k = std::clamp(shards, 1, std::max<int>(1, n));
   const int k = p.k;
   p.assign.assign(static_cast<std::size_t>(n), 0);
 
@@ -70,16 +79,16 @@ rt::Result<Partition> partition_graph(const Csr& g, const PartitionConfig& cfg) 
   // holds. Affinity counting uses a sparse-reset scratch so a sweep is
   // O(V + E) regardless of k.
   if (k > 1 && n > 0) {
-    const double cap = cfg.balance_slack * total_weight / static_cast<double>(k);
+    const double cap = kBalanceSlack * total_weight / static_cast<double>(k);
     std::vector<NodeId> visit(static_cast<std::size_t>(n));
     std::iota(visit.begin(), visit.end(), 0);
     std::sort(visit.begin(), visit.end(), [&](NodeId a, NodeId b) {
-      const std::uint64_t ha = mix(cfg.seed, a), hb = mix(cfg.seed, b);
+      const std::uint64_t ha = mix(a), hb = mix(b);
       return ha != hb ? ha < hb : a < b;
     });
     std::vector<EdgeId> affinity(static_cast<std::size_t>(k), 0);
     std::vector<int> touched;
-    for (int sweep = 0; sweep < cfg.sweeps; ++sweep) {
+    for (int sweep = 0; sweep < kSweeps; ++sweep) {
       bool moved = false;
       for (const NodeId v : visit) {
         const int cur = p.assign[static_cast<std::size_t>(v)];

@@ -10,12 +10,11 @@
 // needs.
 //
 // Determinism contract: the partition is a pure function of (adjacency,
-// shard count, seed) — byte-stable across runs, platforms and host thread
-// counts. All tie-breaks are seeded hashes or lowest-id rules; nothing
-// depends on iteration order of unordered containers.
+// shard count) — byte-stable across runs, platforms and host thread
+// counts. All tie-breaks are hashes under a fixed seed or lowest-id rules;
+// nothing depends on iteration order of unordered containers.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -62,24 +61,12 @@ struct Partition {
   NodeId total_ghosts = 0;   ///< sum of per-shard ghost-table sizes
 };
 
-struct PartitionConfig {
-  /// Requested shard count; clamped to [1, max(1, num_nodes)].
-  int shards = 1;
-  /// Seeds the label-propagation visit order and tie-breaks.
-  std::uint64_t seed = 0x9e3779b97f4a7c15ull;
-  /// Label-propagation refinement sweeps over all nodes.
-  int sweeps = 4;
-  /// A move is allowed only while the destination stays under
-  /// balance_slack x (total weight / k); weight(v) = 1 + degree(v).
-  double balance_slack = 1.10;
-};
-
-/// Partitions `g` into cfg.shards edge-cut shards. Validates the CSR and
-/// accesses rows through the checked accessors (rt::checked_neighbors), so
-/// a corrupt graph surfaces as a structured error instead of an
-/// out-of-range read. K is clamped: K > num_nodes degrades to one node
-/// per shard; K <= 1 yields the identity partition (one shard whose local
-/// CSR equals `g`).
-rt::Result<Partition> partition_graph(const Csr& g, const PartitionConfig& cfg);
+/// Partitions `g` into `shards` edge-cut shards. Validates the CSR and
+/// reads rows through the checked accessor (rt::checked_neighbors), so a
+/// corrupt graph surfaces as a structured error instead of an
+/// out-of-range read. The shard count K is clamped to [1, max(1,
+/// num_nodes)]: K > num_nodes degrades to one node per shard; K <= 1
+/// yields the identity partition (one shard whose local CSR equals `g`).
+rt::Result<Partition> partition_graph(const Csr& g, int shards);
 
 }  // namespace gnnbridge::shard

@@ -85,25 +85,22 @@ void expect_degraded_but_correct(const std::string& plan, EngineConfig ecfg,
 }
 
 TEST(FaultMatrix, LasClusterFaultFallsBackToNaturalOrder) {
-  expect_degraded_but_correct("las_cluster", EngineConfig{}, rt::kSeamLasCluster,
-                              rt::kKnobLas);
+  expect_degraded_but_correct("las_cluster", EngineConfig{}, rt::kSeamLasCluster, "las");
 }
 
 TEST(FaultMatrix, TunerProbeFaultFallsBackToHeuristicBound) {
   EngineConfig ecfg;
   ecfg.auto_tune = true;
-  expect_degraded_but_correct("tuner_probe", ecfg, rt::kSeamTunerProbe,
-                              rt::kKnobAutoTune);
+  expect_degraded_but_correct("tuner_probe", ecfg, rt::kSeamTunerProbe, "auto_tune");
 }
 
 TEST(FaultMatrix, FusionPassFaultFallsBackToUnfusedPipeline) {
-  expect_degraded_but_correct("fusion_pass", EngineConfig{}, rt::kSeamFusionPass,
-                              rt::kKnobAdapter);
+  expect_degraded_but_correct("fusion_pass", EngineConfig{}, rt::kSeamFusionPass, "adapter");
 }
 
 TEST(FaultMatrix, SimLaunchFaultFallsBackToConservativeSchedule) {
   expect_degraded_but_correct("sim_launch", EngineConfig{}, rt::kSeamSimLaunch,
-                              rt::kKnobNeighborGrouping);
+                              "neighbor_grouping");
 }
 
 TEST(FaultMatrix, PersistentSimLaunchFaultExhaustsTheLadderCleanly) {

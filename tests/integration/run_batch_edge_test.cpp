@@ -12,7 +12,6 @@
 #include "obs/journal.hpp"
 #include "par/thread_pool.hpp"
 #include "prof/metrics_json.hpp"
-#include "rt/degrade.hpp"
 
 namespace gnnbridge {
 namespace {
@@ -22,14 +21,8 @@ using engine::OptimizedEngine;
 
 class RunBatchEdge : public ::testing::Test {
  protected:
-  void SetUp() override {
-    prof::MetricsSink::instance().clear();
-    obs::EventJournal::instance().clear();
-    obs::EventJournal::instance().set_enabled(true);
-  }
+  void SetUp() override { prof::MetricsSink::instance().clear(); }
   void TearDown() override {
-    obs::EventJournal::instance().set_enabled(false);
-    obs::EventJournal::instance().clear();
     prof::MetricsSink::instance().clear();
     par::set_max_threads(0);
   }
@@ -67,18 +60,17 @@ OptimizedEngine::BatchJob clean_job() {
 
 TEST_F(RunBatchEdge, EmptyJobListIsASuccessfulNoOp) {
   OptimizedEngine eng;
+  obs::EventJournal journal;
   const std::vector<OptimizedEngine::BatchJob> none;
-  const auto results = eng.run_batch(none);
+  const auto results = eng.run_batch(none, &journal);
   EXPECT_TRUE(results.empty());
-  EXPECT_EQ(obs::EventJournal::instance().size(), 0u)
-      << "an empty batch must not journal anything";
+  EXPECT_EQ(journal.size(), 0u) << "an empty batch must not journal anything";
   // The batch counter is not consumed: the next real batch is batch 0.
   std::vector<OptimizedEngine::BatchJob> one = {clean_job()};
-  const auto after = eng.run_batch(one);
+  const auto after = eng.run_batch(one, &journal);
   ASSERT_EQ(after.size(), 1u);
   EXPECT_TRUE(after[0].status.ok());
-  EXPECT_NE(obs::EventJournal::instance().to_jsonl().find("\"req\":\"req-0-0\""),
-            std::string::npos);
+  EXPECT_NE(journal.to_jsonl().find("\"req\":\"req-0-0\""), std::string::npos);
 }
 
 TEST_F(RunBatchEdge, DuplicateCallerRequestIdsAreDisambiguated) {
@@ -87,10 +79,11 @@ TEST_F(RunBatchEdge, DuplicateCallerRequestIdsAreDisambiguated) {
   jobs[0].request_id = "dup";
   jobs[1].request_id = "dup";
   jobs[2].request_id = "dup";
-  const auto results = eng.run_batch(jobs);
+  obs::EventJournal journal;
+  const auto results = eng.run_batch(jobs, &journal);
   ASSERT_EQ(results.size(), 3u);
   for (const auto& r : results) EXPECT_TRUE(r.status.ok());
-  const std::string jsonl = obs::EventJournal::instance().to_jsonl();
+  const std::string jsonl = journal.to_jsonl();
   EXPECT_NE(jsonl.find("\"req\":\"dup\""), std::string::npos) << jsonl;
   EXPECT_NE(jsonl.find("\"req\":\"dup#2\""), std::string::npos)
       << "second occurrence must be suffixed:\n" << jsonl;
@@ -117,7 +110,7 @@ TEST_F(RunBatchEdge, JobLocalLasDisableReachesTheTuner) {
         << "auto_tune=" << auto_tune << ": " << results[0].status.to_string();
     const auto degradations = prof::MetricsSink::instance().degradations();
     ASSERT_EQ(degradations.size(), 1u) << "auto_tune=" << auto_tune;
-    EXPECT_EQ(degradations[0].knob, rt::kKnobLas) << "auto_tune=" << auto_tune;
+    EXPECT_EQ(degradations[0].knob, "las") << "auto_tune=" << auto_tune;
   }
 }
 

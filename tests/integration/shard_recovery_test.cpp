@@ -19,7 +19,6 @@
 #include "obs/registry.hpp"
 #include "par/thread_pool.hpp"
 #include "prof/metrics_json.hpp"
-#include "rt/degrade.hpp"
 #include "rt/fault.hpp"
 #include "tests/testing/util.hpp"
 
@@ -35,13 +34,10 @@ class ShardRecovery : public ::testing::Test {
   void SetUp() override {
     rt::FaultInjector::instance().clear();
     prof::MetricsSink::instance().clear();
-    obs::EventJournal::instance().clear();
   }
   void TearDown() override {
     par::set_max_threads(0);
     rt::FaultInjector::instance().clear();
-    obs::EventJournal::instance().set_enabled(false);
-    obs::EventJournal::instance().clear();
     prof::MetricsSink::instance().clear();
   }
 };
@@ -179,14 +175,14 @@ TEST_F(ShardRecovery, PersistentShardComputeFallsBackUnshardedBitIdentical) {
   // fields. The abandoned sharded attempt's recovery story lives in the
   // registry's recovery counters instead, flushed by the batch fold.
   EXPECT_EQ(r.stats.shards, 1);
-  const obs::TelemetryRegistry& reg = obs::TelemetryRegistry::instance();
+  const obs::TelemetryRegistry& reg = sink.telemetry();
   EXPECT_GE(reg.counter_value("recovery.shard_retries"), 1u);
   EXPECT_EQ(reg.counter_value("recovery.shard_fallbacks"), 1u);
   EXPECT_GT(reg.histogram_snapshot("recovery.wasted_cycles").sum, 0.0);
   // The rung is a recorded degradation, flagged injected.
   bool found = false;
   for (const auto& ev : sink.degradations()) {
-    if (ev.seam == rt::kSeamShardCompute && ev.knob == rt::kKnobSharding) {
+    if (ev.seam == rt::kSeamShardCompute && ev.knob == "sharding") {
       found = true;
       EXPECT_TRUE(ev.injected);
       EXPECT_EQ(ev.action, "sharded->unsharded");
@@ -208,7 +204,7 @@ TEST_F(ShardRecovery, DirectRunFlushesRetriesAndFallbackIntoRecoveryCounters) {
   ASSERT_TRUE(r.status.ok()) << r.status.to_string();
   EXPECT_TRUE(r.output == reference);
   EXPECT_EQ(r.stats.shards, 1) << "the run must finish on the unsharded rung";
-  const obs::TelemetryRegistry& reg = obs::TelemetryRegistry::instance();
+  const obs::TelemetryRegistry& reg = prof::MetricsSink::instance().telemetry();
   EXPECT_GE(reg.counter_value("recovery.shard_retries"), 1u);
   EXPECT_EQ(reg.counter_value("recovery.shard_fallbacks"), 1u);
   EXPECT_GT(reg.histogram_snapshot("recovery.wasted_cycles").sum, 0.0);
@@ -227,7 +223,7 @@ TEST_F(ShardRecovery, RecoverySuccessDoesNotCountAsAFailedJob) {
   ASSERT_EQ(results.size(), 1u);
   ASSERT_TRUE(results[0].status.ok()) << results[0].status.to_string();
   EXPECT_GE(results[0].stats.shard_retries, 1u);
-  const obs::TelemetryRegistry& reg = obs::TelemetryRegistry::instance();
+  const obs::TelemetryRegistry& reg = prof::MetricsSink::instance().telemetry();
   EXPECT_EQ(reg.counter_value("serve.jobs_ok"), 1u);
   EXPECT_EQ(reg.counter_value("serve.jobs_failed"), 0u);
 }
@@ -240,7 +236,7 @@ TEST_F(ShardRecovery, FallbackUnshardedCountsAsASuccessfulJob) {
   ASSERT_EQ(results.size(), 1u);
   ASSERT_TRUE(results[0].status.ok()) << results[0].status.to_string();
   EXPECT_EQ(results[0].stats.shards, 1) << "the job must finish on the unsharded rung";
-  const obs::TelemetryRegistry& reg = obs::TelemetryRegistry::instance();
+  const obs::TelemetryRegistry& reg = prof::MetricsSink::instance().telemetry();
   EXPECT_EQ(reg.counter_value("serve.jobs_ok"), 1u);
   EXPECT_EQ(reg.counter_value("serve.jobs_failed"), 0u);
 }
@@ -277,11 +273,10 @@ TEST_F(ShardRecovery, FaultedPartitionIsNeverCached) {
 
 TEST_F(ShardRecovery, JournalCarriesFaultInjectedAndShardRetryEvents) {
   const Inputs& in = inputs();
-  auto& journal = obs::EventJournal::instance();
-  journal.set_enabled(true);
+  obs::EventJournal journal;
   OptimizedEngine e(sharded_cfg(4));
   const auto job = gcn_job(in, gcn_run(), "shard_compute=1");
-  const auto results = e.run_batch({&job, 1});
+  const auto results = e.run_batch({&job, 1}, &journal);
   ASSERT_EQ(results.size(), 1u);
   ASSERT_TRUE(results[0].status.ok()) << results[0].status.to_string();
   std::size_t injected = 0, retries = 0;
@@ -305,11 +300,10 @@ TEST_F(ShardRecovery, JournalCarriesFaultInjectedAndShardRetryEvents) {
 
 TEST_F(ShardRecovery, FallbackJournalsAShardFallbackEvent) {
   const Inputs& in = inputs();
-  auto& journal = obs::EventJournal::instance();
-  journal.set_enabled(true);
+  obs::EventJournal journal;
   OptimizedEngine e(sharded_cfg(4));
   const auto job = gcn_job(in, gcn_run(), "shard_exchange=*");
-  const auto results = e.run_batch({&job, 1});
+  const auto results = e.run_batch({&job, 1}, &journal);
   ASSERT_EQ(results.size(), 1u);
   ASSERT_TRUE(results[0].status.ok()) << results[0].status.to_string();
   bool fell_back = false;
@@ -317,7 +311,7 @@ TEST_F(ShardRecovery, FallbackJournalsAShardFallbackEvent) {
     if (ev.type == "shard_fallback") {
       fell_back = true;
       EXPECT_EQ(ev.key, rt::kSeamShardExchange);
-      EXPECT_EQ(ev.code, rt::kKnobSharding);
+      EXPECT_EQ(ev.code, "sharding");
       EXPECT_EQ(ev.detail, "sharded->unsharded");
     }
   }
@@ -427,16 +421,16 @@ struct ChaosArtifacts {
 ChaosArtifacts run_chaos_and_export() {
   static const ChaosInputs* in = new ChaosInputs();
   auto& sink = prof::MetricsSink::instance();
-  auto& journal = obs::EventJournal::instance();
   sink.clear();
-  journal.clear();
   sink.configure("chaos-sweep", ChaosInputs::kScale);
   sink.set_meta(prof::MetaInfo{.git_sha = "fixed",
                                .timestamp = "2026-01-01T00:00:00Z",
                                .hostname = "fixed",
                                .scale_env = "",
                                .threads = 0});
-  const auto report = engine::run_chaos_sweep(in->job_sets, ChaosInputs::kScale, sim::v100());
+  obs::EventJournal journal;
+  const auto report =
+      engine::run_chaos_sweep(in->job_sets, ChaosInputs::kScale, sim::v100(), journal);
   const int threads = par::max_threads();
   EXPECT_TRUE(report.ok()) << report.status().to_string();
   if (!report.ok()) return {};
@@ -448,7 +442,6 @@ ChaosArtifacts run_chaos_and_export() {
   }
   ChaosArtifacts out{sink.to_json(), journal.to_jsonl()};
   sink.clear();
-  journal.clear();
   return out;
 }
 

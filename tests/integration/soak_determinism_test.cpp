@@ -24,11 +24,7 @@ using engine::OptimizedEngine;
 
 class SoakDeterminism : public ::testing::Test {
  protected:
-  void TearDown() override {
-    par::set_max_threads(0);
-    obs::EventJournal::instance().set_enabled(false);
-    obs::EventJournal::instance().clear();
-  }
+  void TearDown() override { par::set_max_threads(0); }
 };
 
 struct Inputs {
@@ -134,14 +130,12 @@ SoakArtifacts run_soak_and_serialize() {
                                .hostname = "fixed",
                                .scale_env = "0.02",
                                .threads = 0});
-  obs::EventJournal& journal = obs::EventJournal::instance();
-  journal.clear();
-  journal.set_enabled(true);
 
   const KindRuns collab(&in.x_collab);
   const KindRuns arxiv(&in.x_arxiv);
   const auto jobs = make_stream(collab, arxiv);
-  const std::vector<baselines::RunResult> results = eng.run_batch(jobs);
+  obs::EventJournal journal;
+  const std::vector<baselines::RunResult> results = eng.run_batch(jobs, &journal);
   EXPECT_EQ(results.size(), jobs.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_TRUE(results[i].status.ok())
@@ -155,14 +149,12 @@ SoakArtifacts run_soak_and_serialize() {
                  .stats = results[i].stats,
                  .spec = sim::v100()});
   }
-  const obs::TelemetryRegistry& reg = obs::TelemetryRegistry::instance();
+  const obs::TelemetryRegistry& reg = sink.telemetry();
   EXPECT_EQ(reg.counter_value("serve.jobs"), jobs.size());
   EXPECT_GE(reg.counter_value("serve.attempts"), jobs.size());
   EXPECT_EQ(reg.counter_value("serve.jobs_failed"), 0u);
   SoakArtifacts out{sink.to_json(), journal.to_jsonl()};
   EXPECT_GE(journal.size(), jobs.size());
-  journal.set_enabled(false);
-  journal.clear();
   sink.clear();
   return out;
 }

@@ -1,13 +1,15 @@
 // Serving telemetry end to end (DESIGN.md §13): run_batch fills the
-// telemetry registry and the event journal in its sequential job-order
-// fold, so the metrics document (telemetry block included), the JSONL
-// event journal and the Prometheus exposition must all stay byte-identical
-// at 1, 2, 3, 4 and 8 host threads. Also pins request-id propagation: caller
-// IDs and synthesized "req-<batch>-<index>" IDs reach the journal and the
-// tracer's span records.
+// metrics sink's telemetry registry and the caller's event journal in its
+// sequential job-order fold, so the metrics document (telemetry block
+// included), the JSONL event journal and the Prometheus exposition must all
+// stay byte-identical at 1, 2, 3, 4 and 8 host threads. Each batch journals
+// into the journal its caller passes, and none without one. Also pins
+// request-id propagation: caller IDs and synthesized "req-<batch>-<index>"
+// IDs reach the journal and the tracer's span records.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -32,12 +34,8 @@ class TelemetryBatch : public ::testing::Test {
  protected:
   void SetUp() override {
     prof::MetricsSink::instance().clear();  // also clears the registry
-    obs::EventJournal::instance().clear();
-    obs::EventJournal::instance().set_enabled(true);
   }
   void TearDown() override {
-    obs::EventJournal::instance().set_enabled(false);
-    obs::EventJournal::instance().clear();
     prof::MetricsSink::instance().clear();
     prof::Tracer::instance().set_enabled(false);
     prof::Tracer::instance().clear();
@@ -97,7 +95,10 @@ struct Exports {
   std::string prometheus;
 };
 
-Exports run_and_export() {
+// One run of the stream through a fresh engine, journaled into a fresh
+// journal unless `journaled` is false. Every run is recorded in the sink,
+// so the metrics document carries the results too.
+Exports run_and_export(bool journaled = true) {
   const Inputs& in = inputs();
   EngineConfig cfg;
   cfg.auto_tune = true;
@@ -105,7 +106,6 @@ Exports run_and_export() {
 
   prof::MetricsSink& sink = prof::MetricsSink::instance();
   sink.clear();
-  obs::EventJournal::instance().clear();
   sink.configure("telemetry_batch", 0.02);
   sink.set_meta(prof::MetaInfo{.git_sha = "fixed",
                                .timestamp = "2026-01-01T00:00:00Z",
@@ -116,19 +116,26 @@ Exports run_and_export() {
   baselines::GcnRun gcn{&in.gcn_cfg, &in.gcn_params, &in.x};
   baselines::GatRun gat{&in.gat_cfg, &in.gat_params, &in.x};
   const auto jobs = make_stream(gcn, gat);
-  const auto results = eng.run_batch(jobs);
+  obs::EventJournal journal;
+  const auto results = eng.run_batch(jobs, journaled ? &journal : nullptr);
   EXPECT_EQ(results.size(), jobs.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_TRUE(results[i].status.ok())
-        << "job " << i << ": " << results[i].status.to_string();
+    EXPECT_TRUE(results[i].status.ok()) << "job " << i << ": " << results[i].status.to_string();
+    sink.record({.label = "job" + std::to_string(i),
+                 .model = i % 2 == 0 ? "gcn" : "gat",
+                 .backend = "ours",
+                 .dataset = in.collab.name,
+                 .ms = results[i].ms,
+                 .oom = results[i].oom,
+                 .stats = results[i].stats,
+                 .spec = sim::v100()});
   }
 
   Exports out;
   out.metrics = sink.to_json();
-  out.journal = obs::EventJournal::instance().to_jsonl();
-  out.prometheus = obs::render_prometheus(obs::TelemetryRegistry::instance().snapshot());
+  out.journal = journal.to_jsonl();
+  out.prometheus = obs::render_prometheus(sink.telemetry().snapshot());
   sink.clear();
-  obs::EventJournal::instance().clear();
   return out;
 }
 
@@ -167,6 +174,12 @@ TEST_F(TelemetryBatch, ExportsByteIdenticalAt1_2_3_4_8Threads) {
     EXPECT_EQ(parallel.prometheus, serial.prometheus)
         << "prometheus at " << threads << " threads";
   }
+  // Without a journal the batch records no event and changes no other
+  // export: the same runs, degradations and telemetry.
+  const Exports silent = run_and_export(/*journaled=*/false);
+  EXPECT_TRUE(silent.journal.empty());
+  EXPECT_EQ(silent.metrics, serial.metrics);
+  EXPECT_EQ(silent.prometheus, serial.prometheus);
 }
 
 TEST_F(TelemetryBatch, JournalCarriesCallerAndSynthesizedRequestIds) {
@@ -184,17 +197,21 @@ TEST_F(TelemetryBatch, JournalCarriesCallerAndSynthesizedRequestIds) {
   jobs[1].gcn = &gcn;
   jobs[1].spec = sim::v100();
 
-  const auto results = eng.run_batch(jobs);
+  obs::EventJournal first;
+  const auto results = eng.run_batch(jobs, &first);
   ASSERT_EQ(results.size(), 2u);
-  const std::string jsonl = obs::EventJournal::instance().to_jsonl();
-  EXPECT_NE(jsonl.find("\"req\":\"caller-7\""), std::string::npos) << jsonl;
-  EXPECT_NE(jsonl.find("\"req\":\"req-0-1\""), std::string::npos)
-      << "second job must get a synthesized batch-scoped id:\n" << jsonl;
-  // A second batch on the same engine advances the batch counter.
-  obs::EventJournal::instance().clear();
-  (void)eng.run_batch(jobs);
-  EXPECT_NE(obs::EventJournal::instance().to_jsonl().find("\"req\":\"req-1-1\""),
-            std::string::npos);
+  // A second batch on the same engine advances the batch counter. Each
+  // journal holds only its own batch's events, numbered from seq 0.
+  obs::EventJournal second;
+  (void)eng.run_batch(jobs, &second);
+  const auto requests = [](const obs::EventJournal& journal) {
+    const auto summary = obs::check_journal(journal.to_jsonl());
+    EXPECT_TRUE(summary.ok()) << summary.status().to_string();
+    return summary.ok() ? summary->requests : std::set<std::string>{};
+  };
+  EXPECT_EQ(requests(first), (std::set<std::string>{"caller-7", "req-0-1"}))
+      << "the second job gets a synthesized batch-scoped id";
+  EXPECT_EQ(requests(second), (std::set<std::string>{"caller-7", "req-1-1"}));
 }
 
 TEST_F(TelemetryBatch, SpansRecordTheRequestId) {

@@ -60,22 +60,8 @@ JournalEvent sample_event(const std::string& req, const std::string& type) {
   return ev;
 }
 
-class JournalTest : public ::testing::Test {
- protected:
-  // append() only stores while the journal is enabled, so the storage
-  // tests arm it here.
-  void SetUp() override {
-    EventJournal::instance().clear();
-    EventJournal::instance().set_enabled(true);
-  }
-  void TearDown() override {
-    EventJournal::instance().clear();
-    EventJournal::instance().set_enabled(false);
-  }
-};
-
-TEST_F(JournalTest, AppendAssignsContiguousSeqAndClearResets) {
-  EventJournal& journal = EventJournal::instance();
+TEST(JournalTest, AppendAssignsContiguousSeqAndClearResets) {
+  EventJournal journal;
   EXPECT_EQ(journal.append(sample_event("req-a", "attempt")), 0u);
   EXPECT_EQ(journal.append(sample_event("req-a", "degradation")), 1u);
   EXPECT_EQ(journal.append(sample_event("req-b", "outcome")), 2u);
@@ -93,8 +79,8 @@ TEST_F(JournalTest, AppendAssignsContiguousSeqAndClearResets) {
       << "clear() must reset the sequence counter";
 }
 
-TEST_F(JournalTest, JsonlLinesParseAndRoundTripEveryField) {
-  EventJournal& journal = EventJournal::instance();
+TEST(JournalTest, JsonlLinesParseAndRoundTripEveryField) {
+  EventJournal journal;
   JournalEvent ev = sample_event("req-42", "attempt");
   ev.detail = "quoted \"detail\"";
   ev.attempt = 2;
@@ -121,8 +107,8 @@ TEST_F(JournalTest, JsonlLinesParseAndRoundTripEveryField) {
   EXPECT_EQ(back.cycles, 4096.0);
 }
 
-TEST_F(JournalTest, WriteFileSurvivesAKillMidWrite) {
-  EventJournal& journal = EventJournal::instance();
+TEST(JournalTest, WriteFileSurvivesAKillMidWrite) {
+  EventJournal journal;
   journal.append(sample_event("req-a", "attempt"));
   journal.append(sample_event("req-a", "outcome"));
   const std::string path = ::testing::TempDir() + "journal_crash.jsonl";
@@ -141,8 +127,8 @@ TEST_F(JournalTest, WriteFileSurvivesAKillMidWrite) {
   EXPECT_FALSE(file_exists(path + ".tmp"));
 }
 
-TEST_F(JournalTest, WriteFailureCarriesThePath) {
-  EventJournal& journal = EventJournal::instance();
+TEST(JournalTest, WriteFailureCarriesThePath) {
+  EventJournal journal;
   journal.append(sample_event("req-a", "outcome"));
   const std::string path = ::testing::TempDir() + "no_such_dir/journal.jsonl";
   const rt::Status status = journal.write_file(path);
@@ -154,7 +140,7 @@ TEST_F(JournalTest, WriteFailureCarriesThePath) {
   EXPECT_FALSE(file_exists(path));
 }
 
-TEST_F(JournalTest, RequestScopeNestsAndRestores) {
+TEST(JournalTest, RequestScopeNestsAndRestores) {
   EXPECT_EQ(current_request_id(), "");
   {
     const std::string outer = "req-outer";

@@ -15,15 +15,11 @@ namespace {
 
 class RegistryTest : public ::testing::Test {
  protected:
-  void SetUp() override { TelemetryRegistry::instance().clear(); }
-  void TearDown() override {
-    TelemetryRegistry::instance().clear();
-    par::set_max_threads(0);
-  }
+  void TearDown() override { par::set_max_threads(0); }
 };
 
 TEST_F(RegistryTest, SnapshotOrderIsLexicographicNotInsertion) {
-  TelemetryRegistry& reg = TelemetryRegistry::instance();
+  TelemetryRegistry reg;
   reg.counter_add("serve.zeta", 1);
   reg.counter_add("serve.alpha", 2);
   reg.counter_add("serve.mid", 3);
@@ -41,7 +37,7 @@ TEST_F(RegistryTest, SnapshotOrderIsLexicographicNotInsertion) {
 }
 
 TEST_F(RegistryTest, CountersAccumulate) {
-  TelemetryRegistry& reg = TelemetryRegistry::instance();
+  TelemetryRegistry reg;
   reg.counter_add("c", 3);
   reg.counter_add("c", 4);
   EXPECT_EQ(reg.counter_value("c"), 7u);
@@ -50,7 +46,7 @@ TEST_F(RegistryTest, CountersAccumulate) {
 }
 
 TEST_F(RegistryTest, CountersAndHistogramSumsAccumulate) {
-  TelemetryRegistry& reg = TelemetryRegistry::instance();
+  TelemetryRegistry reg;
   reg.counter_add("c", 8);
   reg.observe("h", 1024.0);
   reg.counter_add("c", 4);
@@ -63,7 +59,7 @@ TEST_F(RegistryTest, CountersAndHistogramSumsAccumulate) {
 }
 
 TEST_F(RegistryTest, ConcurrentCounterAddsLoseNothing) {
-  TelemetryRegistry& reg = TelemetryRegistry::instance();
+  TelemetryRegistry reg;
   par::set_max_threads(8);
   par::parallel_chunks(10000, /*grain=*/64,
                        [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
@@ -80,7 +76,7 @@ TEST_F(RegistryTest, PrometheusNamesAreSanitizedAndPrefixed) {
 }
 
 TEST_F(RegistryTest, PrometheusExpositionHasTypedCumulativeSeries) {
-  TelemetryRegistry& reg = TelemetryRegistry::instance();
+  TelemetryRegistry reg;
   reg.counter_add("serve.jobs", 5);
   // 1.9 lands in the [2^0.75, 2) bucket and 1000 in [2^9.75, 1024) — both
   // bucket uppers are exact powers of two, so the le labels are clean.
@@ -107,7 +103,7 @@ TEST_F(RegistryTest, PrometheusExpositionHasTypedCumulativeSeries) {
 }
 
 TEST_F(RegistryTest, ClearEmptiesEveryInstrumentKind) {
-  TelemetryRegistry& reg = TelemetryRegistry::instance();
+  TelemetryRegistry reg;
   reg.counter_add("c", 1);
   reg.observe("h", 1.0);
   reg.clear();

@@ -115,7 +115,7 @@ TEST(GapReportTest, SerializedDocumentRoundTripsThroughLoader) {
   sink.record_degradation(rt::make_degradation(
       "las_cluster", "las", "las->natural_order",
       rt::Status(rt::StatusCode::kFaultInjected, "injected fault at seam 'las_cluster'")));
-  obs::TelemetryRegistry::instance().counter_add("serve.jobs", 2);
+  sink.telemetry().counter_add("serve.jobs", 2);
   const std::string path = ::testing::TempDir() + "/gap_roundtrip_metrics.json";
   ASSERT_TRUE(sink.write_file(path).ok());
   sink.clear();

@@ -159,7 +159,7 @@ TEST(MetricsJsonTest, TelemetryBlockCarriesRegistryInstruments) {
   MetricsSink& sink = MetricsSink::instance();
   sink.clear();  // also clears the telemetry registry
   sink.configure("telemetry", 1.0);
-  obs::TelemetryRegistry& reg = obs::TelemetryRegistry::instance();
+  obs::TelemetryRegistry& reg = sink.telemetry();
   reg.counter_add("serve.jobs", 3);
   reg.observe("serve.job_cycles", 1024.0);
   const std::string doc = sink.to_json();

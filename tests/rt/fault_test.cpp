@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace gnnbridge::rt {
@@ -20,7 +19,7 @@ class FaultTest : public ::testing::Test {
 };
 
 TEST_F(FaultTest, KnownSeamsAreKnown) {
-  for (std::string_view seam : kKnownSeams) EXPECT_TRUE(known_seam(seam));
+  for (const SeamInfo& info : kSeamTable) EXPECT_TRUE(known_seam(info.name));
   EXPECT_FALSE(known_seam("made_up_seam"));
   EXPECT_FALSE(known_seam(""));
 }
@@ -119,9 +118,9 @@ TEST_F(FaultTest, BadPlanDiagnosticsNameEntryPositionAndOffendingText) {
   // Unknown-seam diagnostics enumerate the valid seams.
   const Status unknown = inj.set_plan("warp_drive");
   EXPECT_NE(unknown.message().find("known: "), std::string::npos) << unknown.message();
-  for (std::string_view seam : kKnownSeams) {
-    EXPECT_NE(unknown.message().find(seam), std::string::npos)
-        << "seam " << seam << " missing from: " << unknown.message();
+  for (const SeamInfo& info : kSeamTable) {
+    EXPECT_NE(unknown.message().find(info.name), std::string::npos)
+        << "seam " << info.name << " missing from: " << unknown.message();
   }
 }
 
@@ -130,7 +129,7 @@ TEST_F(FaultTest, EmptyPlanDisarmsEverything) {
   ASSERT_TRUE(inj.set_plan("las_cluster=*,sim_launch"));
   ASSERT_TRUE(inj.set_plan(""));
   EXPECT_EQ(inj.plan_string(), "");
-  for (std::string_view seam : kKnownSeams) EXPECT_FALSE(inj.armed(seam));
+  for (const SeamInfo& info : kSeamTable) EXPECT_FALSE(inj.armed(info.name));
 }
 
 TEST_F(FaultTest, RaiseIfArmedThrowsStageFailure) {
@@ -149,34 +148,56 @@ TEST_F(FaultTest, RaiseIfArmedThrowsStageFailure) {
 }
 
 TEST_F(FaultTest, SeamTableCoversEveryKnownSeam) {
-  ASSERT_EQ(kSeamTable.size(), kKnownSeams.size());
-  for (std::string_view seam : kKnownSeams) {
-    EXPECT_FALSE(seam_description(seam).empty()) << seam;
+  for (const SeamInfo& info : kSeamTable) {
+    EXPECT_FALSE(seam_description(info.name).empty()) << info.name;
   }
   EXPECT_TRUE(seam_description("no_such_seam").empty());
-  // Table order matches the canonical seam list (the CLI prints it as-is).
-  for (std::size_t i = 0; i < kKnownSeams.size(); ++i) {
-    EXPECT_EQ(kSeamTable[i].name, kKnownSeams[i]);
-  }
+}
+
+// A job plan's listener: appends "<seam>#<shot>" to the vector at `ctx`.
+void record_shot(void* ctx, std::string_view seam, int shot) {
+  static_cast<std::vector<std::string>*>(ctx)->push_back(std::string(seam) + "#" +
+                                                        std::to_string(shot));
 }
 
 TEST_F(FaultTest, FireListenerObservesEveryConsumedShot) {
   auto& inj = FaultInjector::instance();
-  ASSERT_TRUE(inj.set_plan("shard_compute=2"));
-  struct Seen {
-    std::vector<std::pair<std::string, int>> shots;
-  } seen;
-  ScopedFireListener listen(
-      [](void* ctx, std::string_view seam, int shot) {
-        static_cast<Seen*>(ctx)->shots.emplace_back(std::string(seam), shot);
-      },
-      &seen);
+  ASSERT_TRUE(inj.set_plan("shard_compute"));
+  std::vector<std::string> shots;
+  {
+    FaultInjector::ScopedJobPlan job("shard_compute=2,sim_launch", record_shot, &shots);
+    EXPECT_TRUE(inj.fire(kSeamShardCompute).has_value());
+    EXPECT_TRUE(inj.fire(kSeamSimLaunch).has_value());
+    EXPECT_TRUE(inj.fire(kSeamShardCompute).has_value());
+    // Spent or never armed in the job's plan: no shot, no callback, and the
+    // global plan stays out of reach inside the scope.
+    EXPECT_FALSE(inj.fire(kSeamShardCompute).has_value());
+    EXPECT_FALSE(inj.fire(kSeamLasCluster).has_value());
+  }
+  // Outside any job scope the global plan's shot fires and reaches no
+  // listener.
   EXPECT_TRUE(inj.fire(kSeamShardCompute).has_value());
-  EXPECT_TRUE(inj.fire(kSeamShardCompute).has_value());
-  EXPECT_FALSE(inj.fire(kSeamShardCompute).has_value());  // spent: no callback
-  ASSERT_EQ(seen.shots.size(), 2u);
-  EXPECT_EQ(seen.shots[0], (std::pair<std::string, int>{"shard_compute", 0}));
-  EXPECT_EQ(seen.shots[1], (std::pair<std::string, int>{"shard_compute", 1}));
+  EXPECT_EQ(shots,
+            (std::vector<std::string>{"shard_compute#0", "sim_launch#0", "shard_compute#1"}));
+}
+
+TEST_F(FaultTest, NestedJobPlansRestoreOuterArmsAndListener) {
+  auto& inj = FaultInjector::instance();
+  std::vector<std::string> outer_shots, inner_shots;
+  FaultInjector::ScopedJobPlan outer("sim_launch=2", record_shot, &outer_shots);
+  EXPECT_TRUE(inj.fire(kSeamSimLaunch).has_value());
+  {
+    FaultInjector::ScopedJobPlan inner("sim_launch,fusion_pass", record_shot, &inner_shots);
+    EXPECT_TRUE(inj.fire(kSeamSimLaunch).has_value());
+    EXPECT_TRUE(inj.fire(kSeamFusionPass).has_value());
+    EXPECT_FALSE(inj.fire(kSeamSimLaunch).has_value()) << "the inner plan's one shot is spent";
+  }
+  // The outer scope's arms are back, with the one shot it had left.
+  EXPECT_FALSE(inj.armed(kSeamFusionPass));
+  EXPECT_TRUE(inj.fire(kSeamSimLaunch).has_value());
+  EXPECT_FALSE(inj.fire(kSeamSimLaunch).has_value());
+  EXPECT_EQ(outer_shots, (std::vector<std::string>{"sim_launch#0", "sim_launch#1"}));
+  EXPECT_EQ(inner_shots, (std::vector<std::string>{"sim_launch#0", "fusion_pass#0"}));
 }
 
 }  // namespace

@@ -16,13 +16,10 @@ using graph::Csr;
 using graph::EdgeId;
 using graph::NodeId;
 using shard::Partition;
-using shard::PartitionConfig;
 using shard::partition_graph;
 
 Partition must_partition(const Csr& g, int k) {
-  PartitionConfig cfg;
-  cfg.shards = k;
-  rt::Result<Partition> p = partition_graph(g, cfg);
+  rt::Result<Partition> p = partition_graph(g, k);
   EXPECT_TRUE(p.ok()) << p.status().to_string();
   return *std::move(p);
 }
@@ -185,14 +182,6 @@ TEST(ShardPartition, ByteStableAcrossRuns) {
     EXPECT_EQ(sa.local.col_idx, sb.local.col_idx);
     EXPECT_EQ(sa.edge_origin, sb.edge_origin);
   }
-  // A different seed is allowed to (and on this graph does) produce a
-  // different refinement — the seed is part of the function's identity.
-  PartitionConfig other;
-  other.shards = 4;
-  other.seed = 1234567;
-  const rt::Result<Partition> c = partition_graph(g, other);
-  ASSERT_TRUE(c.ok());
-  EXPECT_EQ(c->k, 4);
 }
 
 // Regression (checked CSR accessors): a corrupt graph — out-of-range
@@ -202,22 +191,20 @@ TEST(ShardPartition, ByteStableAcrossRuns) {
 TEST(ShardPartition, CorruptGraphReportsStructuredError) {
   Csr bad = testing::path_graph(8);
   bad.col_idx[0] = 99;  // source id beyond num_nodes
-  PartitionConfig cfg;
-  cfg.shards = 2;
-  const rt::Result<Partition> r1 = partition_graph(bad, cfg);
+  const rt::Result<Partition> r1 = partition_graph(bad, 2);
   ASSERT_FALSE(r1.ok());
   EXPECT_EQ(r1.status().code(), rt::StatusCode::kFailedPrecondition)
       << r1.status().to_string();
 
   Csr truncated = testing::path_graph(8);
   truncated.row_ptr.pop_back();  // num_nodes + 1 invariant broken
-  const rt::Result<Partition> r2 = partition_graph(truncated, cfg);
+  const rt::Result<Partition> r2 = partition_graph(truncated, 2);
   ASSERT_FALSE(r2.ok());
   EXPECT_FALSE(r2.status().to_string().empty());
 
   Csr negative = testing::path_graph(8);
   negative.row_ptr[1] = -3;  // non-monotone row bounds
-  const rt::Result<Partition> r3 = partition_graph(negative, cfg);
+  const rt::Result<Partition> r3 = partition_graph(negative, 2);
   ASSERT_FALSE(r3.ok());
 }
 

@@ -58,7 +58,7 @@ std::string valid_metrics() {
   sink.record(rec);
   sink.record_degradation(rt::make_degradation("las_cluster", "las", "las->natural_order",
                                                rt::Status(rt::StatusCode::kFaultInjected, "x")));
-  obs::TelemetryRegistry& reg = obs::TelemetryRegistry::instance();
+  obs::TelemetryRegistry& reg = sink.telemetry();
   reg.counter_add("serve.attempts", 2);
   reg.counter_add("serve.retries", 1);
   reg.observe("serve.job_cycles", 1024.0);

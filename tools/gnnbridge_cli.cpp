@@ -459,8 +459,8 @@ struct SoakDataset {
 
 /// Writes the metrics / journal / Prometheus / trace artifacts both soak
 /// modes share. Returns 0, or 1 when a write failed.
-int flush_soak_artifacts(CommonArgs& common, const std::string& journal_out,
-                         const std::string& prom_out) {
+int flush_soak_artifacts(CommonArgs& common, const obs::EventJournal& journal,
+                         const std::string& journal_out, const std::string& prom_out) {
   prof::MetricsSink& sink = prof::MetricsSink::instance();
   if (common.metrics.empty()) {
     const char* env = prof::MetricsSink::env_path();
@@ -475,7 +475,6 @@ int flush_soak_artifacts(CommonArgs& common, const std::string& journal_out,
                 common.metrics.c_str());
   }
   if (!journal_out.empty()) {
-    obs::EventJournal& journal = obs::EventJournal::instance();
     if (rt::Status js = journal.write_file(journal_out); !js.ok()) {
       std::fprintf(stderr, "gnnbridge_cli: %s\n", js.to_string().c_str());
       return 1;
@@ -484,8 +483,7 @@ int flush_soak_artifacts(CommonArgs& common, const std::string& journal_out,
                 journal.size() == 1 ? "" : "s", journal_out.c_str());
   }
   if (!prom_out.empty()) {
-    if (rt::Status ps =
-            obs::write_prometheus_file(prom_out, obs::TelemetryRegistry::instance().snapshot());
+    if (rt::Status ps = obs::write_prometheus_file(prom_out, sink.telemetry().snapshot());
         !ps.ok()) {
       std::fprintf(stderr, "gnnbridge_cli: %s\n", ps.to_string().c_str());
       return 1;
@@ -510,24 +508,15 @@ int flush_soak_artifacts(CommonArgs& common, const std::string& journal_out,
 /// sweep (engine::run_chaos_sweep) over the soak datasets' GCN/GAT runs,
 /// one line per cell and per out-of-engine probe. The schedule is fixed
 /// and the engine deterministic, so stdout and every artifact are
-/// byte-identical at any --threads value. Exits 5 on any violation.
+/// byte-identical at any --threads value. The caller has configured the
+/// metrics sink. Exits 5 on any violation.
 int run_chaos(double scale, const std::string& env_plan,
               CommonArgs& common, const std::string& journal_out, const std::string& prom_out,
-              bool pin_meta, const std::deque<SoakDataset>& sets, const sim::DeviceSpec& spec) {
+              const std::deque<SoakDataset>& sets, const sim::DeviceSpec& spec) {
   if (!env_plan.empty()) {
     std::printf("soak --chaos: ignoring GNNBRIDGE_FAULT_PLAN='%s' (the chaos schedule "
                 "arms its own per-cell plans)\n",
                 env_plan.c_str());
-  }
-
-  prof::MetricsSink& sink = prof::MetricsSink::instance();
-  sink.configure("gnnbridge_cli soak --chaos", scale);
-  if (pin_meta) {
-    sink.set_meta(prof::MetaInfo{.git_sha = "fixed",
-                                 .timestamp = "2026-01-01T00:00:00Z",
-                                 .hostname = "fixed",
-                                 .scale_env = "",
-                                 .threads = 0});
   }
 
   const std::span<const engine::ChaosCell> cells = engine::chaos_cells();
@@ -536,8 +525,9 @@ int run_chaos(double scale, const std::string& env_plan,
   std::printf("soak --chaos: %zu cell(s) x %zu job(s) @ scale %.3g, shard seams at K=4\n",
               cells.size(), job_sets.size() * 2, scale);
 
+  obs::EventJournal journal;
   const rt::Result<engine::ChaosReport> report =
-      engine::run_chaos_sweep(job_sets, scale, spec);
+      engine::run_chaos_sweep(job_sets, scale, spec, journal);
   if (!report.ok()) {
     std::fprintf(stderr, "soak --chaos: %s\n", report.status().message().c_str());
     return 1;
@@ -554,7 +544,7 @@ int run_chaos(double scale, const std::string& env_plan,
   std::printf("chaos journal: %zu event(s), %llu fault fire(s)\n", report->journal_events,
               static_cast<unsigned long long>(report->fault_fires));
 
-  const obs::TelemetryRegistry& reg = obs::TelemetryRegistry::instance();
+  const obs::TelemetryRegistry& reg = prof::MetricsSink::instance().telemetry();
   std::printf("recovery: shard_retries=%llu shards_reexecuted=%llu fallback_unsharded=%llu "
               "wasted_cycles=%.12g\n",
               static_cast<unsigned long long>(reg.counter_value("recovery.shard_retries")),
@@ -562,7 +552,7 @@ int run_chaos(double scale, const std::string& env_plan,
               static_cast<unsigned long long>(reg.counter_value("recovery.shard_fallbacks")),
               reg.histogram_snapshot("recovery.wasted_cycles").sum);
 
-  if (int rc = flush_soak_artifacts(common, journal_out, prom_out); rc != 0) return rc;
+  if (int rc = flush_soak_artifacts(common, journal, journal_out, prom_out); rc != 0) return rc;
 
   for (const std::string& v : report->violations) {
     std::fprintf(stderr, "soak --chaos: contract violation: %s\n", v.c_str());
@@ -574,7 +564,7 @@ int run_chaos(double scale, const std::string& env_plan,
   }
   std::printf("chaos contract: held (%zu cell(s), %zu job(s), %zu/%zu seams exercised, "
               "shard recovery bit-identical)\n",
-              cells.size(), report->jobs_run, rt::kKnownSeams.size(), rt::kKnownSeams.size());
+              cells.size(), report->jobs_run, rt::kSeamTable.size(), rt::kSeamTable.size());
   return 0;
 }
 
@@ -623,7 +613,6 @@ int cmd_soak(int argc, char** argv) {
       return 2;
     }
   }
-  if (!journal_out.empty()) obs::EventJournal::instance().set_enabled(true);
   if (!common.trace.empty()) prof::Tracer::instance().set_enabled(true);
   if (scale <= 0.0 || scale > 1.0) {
     std::fprintf(stderr, "--scale must be in (0, 1]\n");
@@ -672,9 +661,16 @@ int cmd_soak(int argc, char** argv) {
     s.mh = {&s.mh_cfg, &s.mh_params, &s.mh_x};
   }
 
-  if (chaos) {
-    return run_chaos(scale, plan, common, journal_out, prom_out, pin_meta, sets, spec);
+  prof::MetricsSink& sink = prof::MetricsSink::instance();
+  sink.configure(chaos ? "gnnbridge_cli soak --chaos" : "gnnbridge_cli soak", scale);
+  if (pin_meta) {
+    sink.set_meta(prof::MetaInfo{.git_sha = "fixed",
+                                 .timestamp = "2026-01-01T00:00:00Z",
+                                 .hostname = "fixed",
+                                 .scale_env = "",
+                                 .threads = 0});
   }
+  if (chaos) return run_chaos(scale, plan, common, journal_out, prom_out, sets, spec);
 
   engine::EngineConfig ecfg;
   ecfg.auto_tune = true;
@@ -706,24 +702,16 @@ int cmd_soak(int argc, char** argv) {
     labels[i] = std::string(kKinds[i % 4]) + "/" + s.data.name;
   }
 
-  prof::MetricsSink& sink = prof::MetricsSink::instance();
-  sink.configure("gnnbridge_cli soak", scale);
-  if (pin_meta) {
-    sink.set_meta(prof::MetaInfo{.git_sha = "fixed",
-                                 .timestamp = "2026-01-01T00:00:00Z",
-                                 .hostname = "fixed",
-                                 .scale_env = "",
-                                 .threads = 0});
-  }
-
   std::printf("soak: %d job(s) in waves of %zu over %zu dataset(s) @ scale %.3g, "
               "max attempts %d, plan '%s'\n",
               jobs, kWave, sets.size(), scale, max_attempts, plan.c_str());
 
+  obs::EventJournal journal;
   std::size_t ok = 0;
   for (std::size_t start = 0, w = 0; start < stream.size(); start += kWave, ++w) {
     const std::size_t n = std::min(kWave, stream.size() - start);
-    const auto results = eng.run_batch(std::span(stream).subspan(start, n));
+    const auto results = eng.run_batch(std::span(stream).subspan(start, n),
+                                       journal_out.empty() ? nullptr : &journal);
     std::size_t wave_ok = 0;
     for (std::size_t j = 0; j < results.size(); ++j) {
       const baselines::RunResult& r = results[j];
@@ -747,7 +735,7 @@ int cmd_soak(int argc, char** argv) {
     std::printf("wave %zu: %zu/%zu ok\n", w, wave_ok, n);
   }
 
-  const obs::TelemetryRegistry& reg = obs::TelemetryRegistry::instance();
+  const obs::TelemetryRegistry& reg = sink.telemetry();
   const auto count = [&](const char* name) {
     return static_cast<unsigned long long>(reg.counter_value(name));
   };
@@ -760,7 +748,7 @@ int cmd_soak(int argc, char** argv) {
   std::printf("latency: n=%llu p50=%.12g p90=%.12g p99=%.12g max=%.12g sim-cycles\n",
               static_cast<unsigned long long>(lat.count), lat.p50, lat.p90, lat.p99, lat.max);
 
-  if (int rc = flush_soak_artifacts(common, journal_out, prom_out); rc != 0) return rc;
+  if (int rc = flush_soak_artifacts(common, journal, journal_out, prom_out); rc != 0) return rc;
 
   const std::size_t total = stream.size();
   std::printf("survival: %.1f%% (%zu/%zu ok, %zu failed)\n",
