@@ -3,8 +3,8 @@
 // (DESIGN.md §7): L2 capacity/associativity sweeps and the co-residency
 // interleave granularity proxy (grouping bound).
 #include "bench_util.hpp"
-#include "core/balance/neighbor_grouping.hpp"
 #include "core/locality/schedule.hpp"
+#include "kernels/common.hpp"
 #include "kernels/spmm.hpp"
 
 using namespace gnnbridge;
@@ -34,8 +34,8 @@ int main() {
   bench::DatasetCache cache;
   const graph::Dataset& d = cache.get(graph::DatasetId::kCollab);
   const auto las = core::locality_aware_schedule(d.csr);
-  const core::GroupedTasks natural = core::neighbor_group_tasks(d.csr, 16);
-  const core::GroupedTasks ordered = core::neighbor_group_tasks(d.csr, 16, las.order);
+  const kernels::GroupedTasks natural = kernels::neighbor_group_tasks(d.csr, 16);
+  const kernels::GroupedTasks ordered = kernels::neighbor_group_tasks(d.csr, 16, las.order);
 
   std::printf("--- L2 capacity sweep (collab, F=128, NG bound 16) ---\n");
   std::printf("%-12s %10s %10s %10s\n", "L2 size", "natural", "NG+LAS", "delta");
@@ -67,8 +67,8 @@ int main() {
   std::printf("\n--- grouping bound sweep (working-set size proxy) ---\n");
   std::printf("%-12s %10s %10s\n", "bound", "natural", "NG+LAS");
   for (graph::EdgeId bound : {0, 16, 32, 64, 128}) {
-    const core::GroupedTasks a = core::neighbor_group_tasks(d.csr, bound);
-    const core::GroupedTasks b = core::neighbor_group_tasks(d.csr, bound, las.order);
+    const kernels::GroupedTasks a = kernels::neighbor_group_tasks(d.csr, bound);
+    const kernels::GroupedTasks b = kernels::neighbor_group_tasks(d.csr, bound, las.order);
     const std::string bound_tag = std::to_string(static_cast<long long>(bound));
     std::printf("%-12lld %9.1f%% %9.1f%%\n", static_cast<long long>(bound),
                 100 * hit_rate_with(d, sim::v100(), a.tasks, a.any_split,

@@ -49,7 +49,7 @@ int main() {
       auto src = kernels::device_mat_shape(ctx, d.csr.num_nodes, feat, "src");
       auto out = kernels::device_mat_shape(ctx, d.csr.num_nodes, feat, "out");
       auto norm = kernels::device_mat_shape(ctx, d.csr.num_edges(), 1, "norm");
-      const core::GroupedTasks grouped = core::neighbor_group_tasks(
+      const kernels::GroupedTasks grouped = kernels::neighbor_group_tasks(
           d.csr, tuned.best.group_bound,
           tuned.best.use_las ? std::span<const graph::NodeId>(las[id])
                              : std::span<const graph::NodeId>());

@@ -9,7 +9,7 @@
 // protein — low degree variance — is the exception where NG's overhead
 // outweighs the benefit (paper: 8% slower).
 #include "bench_util.hpp"
-#include "core/balance/neighbor_grouping.hpp"
+#include "kernels/common.hpp"
 #include "kernels/spmm.hpp"
 
 using namespace gnnbridge;
@@ -50,7 +50,7 @@ int main() {
     const graph::EdgeId bound =
         std::max<graph::EdgeId>(16, (static_cast<graph::EdgeId>(d.stats.avg_degree) + 15) /
                                         16 * 16);
-    const core::GroupedTasks grouped = core::neighbor_group_tasks(d.csr, bound);
+    const kernels::GroupedTasks grouped = kernels::neighbor_group_tasks(d.csr, bound);
     const sim::KernelStats ng = run_agg(d, grouped.tasks, grouped.any_split, kFeat, "ng");
 
     const double norm = base.makespan;

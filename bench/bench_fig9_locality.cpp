@@ -5,9 +5,9 @@
 // graphs (protein, ddi) lose slightly when LAS breaks their natural
 // layout.
 #include "bench_util.hpp"
-#include "core/balance/neighbor_grouping.hpp"
 #include "core/locality/reorder_baselines.hpp"
 #include "core/locality/schedule.hpp"
+#include "kernels/common.hpp"
 #include "kernels/expand.hpp"
 #include "kernels/spmm.hpp"
 
@@ -67,23 +67,23 @@ int main() {
     const graph::EdgeId bound =
         std::max<graph::EdgeId>(16, (static_cast<graph::EdgeId>(d.stats.avg_degree) + 15) /
                                         16 * 16);
-    const core::GroupedTasks ng = core::neighbor_group_tasks(d.csr, bound);
+    const kernels::GroupedTasks ng = kernels::neighbor_group_tasks(d.csr, bound);
     const double hit_ng = node_parallel_hit_rate(d, ng.tasks, ng.any_split, "ng");
 
     const auto las = core::locality_aware_schedule(d.csr);
-    const core::GroupedTasks las_only = core::neighbor_group_tasks(d.csr, 0, las.order);
+    const kernels::GroupedTasks las_only = kernels::neighbor_group_tasks(d.csr, 0, las.order);
     const double hit_las = node_parallel_hit_rate(d, las_only.tasks, false, "las");
 
-    const core::GroupedTasks both = core::neighbor_group_tasks(d.csr, bound, las.order);
+    const kernels::GroupedTasks both = kernels::neighbor_group_tasks(d.csr, bound, las.order);
     const double hit_both = node_parallel_hit_rate(d, both.tasks, both.any_split, "ng+las");
 
     // Extension: classic reordering baselines under the same grouping.
     const auto deg = core::degree_order(d.csr);
-    const core::GroupedTasks ng_deg = core::neighbor_group_tasks(d.csr, bound, deg);
+    const kernels::GroupedTasks ng_deg = kernels::neighbor_group_tasks(d.csr, bound, deg);
     const double hit_deg =
         node_parallel_hit_rate(d, ng_deg.tasks, ng_deg.any_split, "ng+degree");
     const auto bfs = core::bfs_order(d.csr);
-    const core::GroupedTasks ng_bfs = core::neighbor_group_tasks(d.csr, bound, bfs);
+    const kernels::GroupedTasks ng_bfs = kernels::neighbor_group_tasks(d.csr, bound, bfs);
     const double hit_bfs = node_parallel_hit_rate(d, ng_bfs.tasks, ng_bfs.any_split, "ng+bfs");
 
     std::printf("%-10s %12.1f %8.1f %8.1f %8.1f | %10.1f %8.1f\n", d.name.c_str(),

@@ -79,14 +79,13 @@ int main() {
                         r_online);
     }
 
-    // Offline LAS on a throwaway graph: charge its host analysis time.
+    // Offline LAS on a throwaway graph: charge its host analysis time. The
+    // fresh engine below computes the same order from the same graph.
     const auto t0 = std::chrono::steady_clock::now();
-    const auto las = core::locality_aware_schedule(mini.csr);
+    (void)core::locality_aware_schedule(mini.csr);
     const auto t1 = std::chrono::steady_clock::now();
     las_host_ms += std::chrono::duration<double, std::milli>(t1 - t0).count();
-    engine::EngineConfig per_sample = offline_too;
-    per_sample.las_order = &las.order;
-    engine::OptimizedEngine e_off(per_sample);
+    engine::OptimizedEngine e_off(offline_too);
     const auto r_off = e_off.run_gat(mini, run, kernels::ExecMode::kSimulateOnly, sim::v100());
     ms_offline += r_off.ms;
     if (iter == kIters - 1) {

@@ -1,37 +1,8 @@
 #include "core/balance/neighbor_grouping.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 namespace gnnbridge::core {
-
-GroupedTasks neighbor_group_tasks(const Csr& g, EdgeId group_bound,
-                                  std::span<const NodeId> order) {
-  GroupedTasks out;
-  const bool grouped = group_bound > 0;
-  out.tasks.reserve(static_cast<std::size_t>(g.num_nodes));
-
-  auto emit_row = [&](NodeId v) {
-    const EdgeId begin = g.row_ptr[static_cast<std::size_t>(v)];
-    const EdgeId end = g.row_ptr[static_cast<std::size_t>(v) + 1];
-    if (!grouped || end - begin <= group_bound) {
-      out.tasks.push_back({v, begin, end});
-      return;
-    }
-    out.any_split = true;
-    for (EdgeId b = begin; b < end; b += group_bound) {
-      out.tasks.push_back({v, b, std::min(b + group_bound, end)});
-    }
-  };
-
-  if (order.empty()) {
-    for (NodeId v = 0; v < g.num_nodes; ++v) emit_row(v);
-  } else {
-    assert(static_cast<NodeId>(order.size()) == g.num_nodes);
-    for (NodeId v : order) emit_row(v);
-  }
-  return out;
-}
 
 EdgeId default_group_bound(const Csr& g) {
   const double avg = g.num_nodes > 0

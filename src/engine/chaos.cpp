@@ -37,9 +37,9 @@ constexpr ChaosCell kCells[] = {
     {"shard_partition=1", 4, 2, true, false, false},
     {"shard_compute=1", 4, 1, true, true, false},
     {"shard_compute=2", 4, 1, true, true, false},
-    {"shard_compute=*", 4, 1, true, false, true},
+    {"shard_compute=*", 4, 1, true, true, true},
     {"shard_exchange=1", 4, 1, true, true, false},
-    {"shard_exchange=*", 4, 1, true, false, true},
+    {"shard_exchange=*", 4, 1, true, true, true},
 };
 
 bool bytes_equal(const models::Matrix& a, const models::Matrix& b) {
@@ -135,10 +135,10 @@ rt::Result<ChaosReport> run_chaos_sweep(std::span<const ChaosJobSet> sets, doubl
       } else if (!tensor::allclose(r.output, reference[j], 2e-3f, 2e-4f)) {
         violations.push_back(label + ": degraded output is numerically wrong");
       }
-      if (cell.expect_retry && r.stats.shard_retries == 0) {
+      if (cell.expect_retry && r.stats.recovery.shard_retries == 0) {
         violations.push_back(label + ": expected shard retries, stats report none");
       }
-      verdict.shard_retries += r.stats.shard_retries;
+      verdict.shard_retries += r.stats.recovery.shard_retries;
     }
     if (cell.expect_fallback) {
       const auto events = journal.snapshot();

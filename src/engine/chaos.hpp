@@ -27,7 +27,7 @@ struct ChaosCell {
   int shards;            ///< engine shard count for the cell
   int max_attempts;      ///< batch retry budget (shard_partition needs 2)
   bool bit_identical;    ///< outputs must match the reference byte for byte
-  bool expect_retry;     ///< every job must report stats.shard_retries > 0
+  bool expect_retry;     ///< every job must report stats.recovery.shard_retries > 0
   bool expect_fallback;  ///< every job must journal one shard_fallback
 };
 

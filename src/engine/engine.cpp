@@ -5,6 +5,8 @@
 #include <map>
 #include <type_traits>
 
+#include "core/balance/neighbor_grouping.hpp"
+#include "core/locality/schedule.hpp"
 #include "core/spfetch/step_index.hpp"
 #include "engine/engine_internal.hpp"
 #include "engine/tune_helper.hpp"
@@ -83,30 +85,6 @@ tensor::Index first_layer_width(const std::vector<models::Index>& dims) {
   return dims.size() > 1 ? dims[1] : -1;
 }
 
-/// Records one run's shard recovery (DESIGN.md §17) in the metrics sink's
-/// telemetry registry. A run that did not recover records nothing, so
-/// fault-free telemetry carries no recovery instruments.
-void flush_recovery(const detail::RecoveryTally& r) {
-  if (!r.any()) return;
-  obs::TelemetryRegistry& reg = prof::MetricsSink::instance().telemetry();
-  reg.counter_add("recovery.shard_retries", r.shard_retries);
-  reg.counter_add("recovery.shards_reexecuted", r.shards_reexecuted);
-  reg.counter_add("recovery.shard_fallbacks", r.fallback_unsharded);
-  if (r.wasted_cycles > 0.0) reg.observe("recovery.wasted_cycles", r.wasted_cycles);
-}
-
-/// Runs `body(rc)` as a direct (non-batch) run: the graph is hashed once,
-/// and the run's shard recovery flushes when it ends (batch jobs flush
-/// theirs in run_batch's job-order fold instead).
-template <typename Fn>
-auto run_direct(const graph::Csr& csr, Fn&& body) {
-  detail::RunContext rc;
-  rc.fp = graph::fingerprint(csr);
-  auto result = body(rc);
-  flush_recovery(rc.recovery);
-  return result;
-}
-
 /// One unsharded GCN layer over `in`: buffers, transform, aggregation.
 pipeline::GcnLayer gcn_layer(sim::SimContext& ctx, Workspace& ws, const k::GraphOnDevice& gdev,
                              const k::FeatureMat& norm, const detail::AttemptPlan& plan,
@@ -153,8 +131,8 @@ rt::Status OptimizedEngine::preflight(const Dataset& data, const models::Matrix*
                                       const graph::GraphFingerprint& fp) const {
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = preflight_cache_.find(fp);
-    if (it != preflight_cache_.end() && it->second == features) return rt::OkStatus();
+    auto it = memo_.find(fp);
+    if (it != memo_.end() && it->second.validated_features == features) return rt::OkStatus();
   }
   if (rt::Status s = rt::validate_csr(data.csr); !s.ok()) {
     return std::move(s).with_context("engine preflight");
@@ -165,30 +143,53 @@ rt::Status OptimizedEngine::preflight(const Dataset& data, const models::Matrix*
     }
   }
   std::lock_guard<std::mutex> lock(cache_mu_);
-  preflight_cache_[fp] = features;
+  memo_[fp].validated_features = features;
   return rt::OkStatus();
 }
 
 bool OptimizedEngine::disable_knob(unsigned knob, std::string_view seam, const rt::Status& cause,
                                    detail::RunContext& rc) const {
   if ((configured_knobs(cfg_) & knob) == 0) return false;
+  if (((rc.disabled | degraded_.load(std::memory_order_relaxed)) & knob) != 0) return false;
   const KnobInfo& info = knob_info(knob);
-  rt::DegradationEvent event = rt::make_degradation(seam, info.name, info.action, cause);
-  if (rc.job) {
-    // A knob the engine has already degraded globally counts as
-    // unavailable here too.
-    if (((rc.disabled | degraded_.load(std::memory_order_relaxed)) & knob) != 0) return false;
-    rc.disabled |= knob;
-    rc.events.push_back(std::move(event));
-  } else if ((degraded_.fetch_or(knob) & knob) != 0) {
-    return false;
-  } else {
-    prof::MetricsSink::instance().record_degradation(std::move(event));
-  }
-  std::fprintf(stderr, "gnnbridge: stage '%s' failed (%s); degrading: %s\n",
-               std::string(seam).c_str(), cause.to_string().c_str(),
-               std::string(info.action).c_str());
+  rc.disabled |= knob;
+  rc.degradations.push_back(rt::make_degradation(seam, info.name, info.action, cause));
   return true;
+}
+
+void OptimizedEngine::publish(detail::RunContext& rc, obs::EventJournal* journal,
+                              const std::string& request_id) {
+  if (!rc.job) degraded_.fetch_or(rc.disabled);
+  if (journal) {
+    for (obs::JournalEvent& ev : rc.events) {
+      ev.request_id = request_id;
+      journal->append(std::move(ev));
+    }
+  }
+  prof::MetricsSink& sink = prof::MetricsSink::instance();
+  for (rt::DegradationEvent& ev : rc.degradations) {
+    std::fprintf(stderr, "gnnbridge: stage '%s' failed (%s); degrading: %s\n", ev.seam.c_str(),
+                 ev.detail.c_str(), ev.action.c_str());
+    if (journal) {
+      obs::JournalEvent jev;
+      jev.request_id = request_id;
+      jev.type = "degradation";
+      jev.key = ev.seam;
+      jev.code = ev.knob;
+      jev.detail = ev.action;
+      journal->append(std::move(jev));
+    }
+    sink.record_degradation(std::move(ev));
+  }
+  // Shard recovery (DESIGN.md §17). A run that did not recover records
+  // nothing, so fault-free telemetry carries no recovery instruments.
+  const sim::RecoveryStats& r = rc.recovery;
+  if (r.shard_retries == 0 && r.shard_fallbacks == 0) return;
+  obs::TelemetryRegistry& reg = sink.telemetry();
+  reg.counter_add("recovery.shard_retries", r.shard_retries);
+  reg.counter_add("recovery.shards_reexecuted", r.shards_reexecuted);
+  reg.counter_add("recovery.shard_fallbacks", r.shard_fallbacks);
+  if (r.wasted_cycles > 0.0) reg.observe("recovery.wasted_cycles", r.wasted_cycles);
 }
 
 bool OptimizedEngine::degrade_for(const rt::StageFailure& failure, detail::RunContext& rc) const {
@@ -211,16 +212,14 @@ bool OptimizedEngine::degrade_for(const rt::StageFailure& failure, detail::RunCo
     // unsharded single-device pipeline. The run still succeeds — outputs
     // are bit-identical either way — so the job never counts as failed.
     if (!disable(detail::kSharding)) return false;
-    ++rc.recovery.fallback_unsharded;
-    if (rc.recovery.journal) {
-      const KnobInfo& info = knob_info(detail::kSharding);
-      obs::JournalEvent ev;
-      ev.type = "shard_fallback";
-      ev.key = seam;
-      ev.code = std::string(info.name);
-      ev.detail = std::string(info.action);
-      rc.recovery.journal->push_back(std::move(ev));
-    }
+    ++rc.recovery.shard_fallbacks;
+    const KnobInfo& info = knob_info(detail::kSharding);
+    obs::JournalEvent ev;
+    ev.type = "shard_fallback";
+    ev.key = seam;
+    ev.code = std::string(info.name);
+    ev.detail = std::string(info.action);
+    rc.events.push_back(std::move(ev));
     return true;
   }
   return false;
@@ -231,14 +230,17 @@ auto OptimizedEngine::run_guarded(const Dataset& data, const models::Matrix* fea
                                   std::string_view what, detail::RunContext& rc, Fn&& attempt)
     -> decltype(attempt()) {
   using R = decltype(attempt());
+  const auto run_of = [](R& r) -> RunResult& {
+    if constexpr (std::is_same_v<R, RunResult>) {
+      return r;
+    } else {
+      return r.run;
+    }
+  };
   const auto fail = [&](rt::Status s) {
     R r{};
     s.with_context("OptimizedEngine::" + std::string(what) + "('" + data.name + "')");
-    if constexpr (std::is_same_v<R, RunResult>) {
-      r.status = std::move(s);
-    } else {
-      r.run.status = std::move(s);
-    }
+    run_of(r).status = std::move(s);
     return r;
   };
   if (rt::Status s = preflight(data, features, rc.fp); !s.ok()) return fail(std::move(s));
@@ -247,12 +249,23 @@ auto OptimizedEngine::run_guarded(const Dataset& data, const models::Matrix* fea
   constexpr int kMaxRounds = 8;
   for (int round = 0; round < kMaxRounds; ++round) {
     try {
-      return attempt();
+      R r = attempt();
+      run_of(r).stats.recovery = rc.recovery;
+      return r;
     } catch (const rt::StageFailure& failure) {
       if (!degrade_for(failure, rc)) return fail(failure.status());
     }
   }
   return fail(rt::Status(rt::StatusCode::kInternal, "degradation retries exhausted"));
+}
+
+template <typename Fn>
+auto OptimizedEngine::run_direct(const graph::Csr& csr, Fn&& body) {
+  detail::RunContext rc;
+  rc.fp = graph::fingerprint(csr);
+  auto result = body(rc);
+  publish(rc);
+  return result;
 }
 
 std::vector<std::string> OptimizedEngine::degraded_knobs() const {
@@ -279,16 +292,18 @@ detail::AttemptPlan OptimizedEngine::resolve_plan(const graph::Csr& csr, detail:
   // jobs re-tune every attempt. The LAS order is resolved once, before the
   // tuner probes it, and only when something will read it.
   const bool tuning = plan.on(detail::kAutoTune) && feat >= 0;
-  const TunedKey key{rc.fp, feat, plan.on(detail::kLas)};
   std::optional<core::TuneConfig> tuned;
   if (tuning && !rc.cache_isolated) {
     std::lock_guard<std::mutex> lock(cache_mu_);
-    if (auto it = tuned_cache_.find(key); it != tuned_cache_.end()) tuned = it->second;
+    if (auto m = memo_.find(rc.fp); m != memo_.end()) {
+      auto it = m->second.tuned.find({feat, plan.on(detail::kLas)});
+      if (it != m->second.tuned.end()) tuned = it->second;
+    }
   }
   const std::vector<NodeId>* las =
       plan.on(detail::kLas) && (!tuned || tuned->use_las) ? las_order(csr, rc) : nullptr;
   if (tuning && !tuned) {
-    tuned = tune(csr, key, *spec, las, rc);
+    tuned = tune(csr, feat, *spec, las, rc);
     if (!tuned) plan.knobs &= ~detail::kAutoTune;
   }
   plan.las = tuned && !tuned->use_las ? nullptr : las;
@@ -298,7 +313,7 @@ detail::AttemptPlan OptimizedEngine::resolve_plan(const graph::Csr& csr, detail:
                                                       : static_bound(cfg_, csr);
   if (plan.shards == 1) {
     prof::Span span("neighbor_grouping", "engine");
-    plan.grouped = core::neighbor_group_tasks(
+    plan.grouped = k::neighbor_group_tasks(
         csr, plan.bound,
         plan.las ? std::span<const NodeId>(*plan.las) : std::span<const NodeId>());
     span.arg("tasks", static_cast<double>(plan.grouped.tasks.size()));
@@ -308,14 +323,13 @@ detail::AttemptPlan OptimizedEngine::resolve_plan(const graph::Csr& csr, detail:
 
 const std::vector<NodeId>* OptimizedEngine::las_order(const graph::Csr& csr,
                                                       const detail::RunContext& rc) const {
-  if (cfg_.las_order) return cfg_.las_order;
   // Cache-isolated jobs skip the warm-hit shortcut (but still insert: the
   // computed order is a pure function of the graph, so the entry is
   // value-identical however it got there).
   if (!rc.cache_isolated) {
     std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = las_cache_.find(rc.fp);
-    if (it != las_cache_.end()) return it->second.get();
+    auto it = memo_.find(rc.fp);
+    if (it != memo_.end() && it->second.las) return it->second.las.get();
   }
   // Compute outside the lock (clustering is the expensive part); two
   // concurrent jobs missing on the same graph compute identical orders and
@@ -325,15 +339,17 @@ const std::vector<NodeId>* OptimizedEngine::las_order(const graph::Csr& csr,
   auto order = std::make_shared<const std::vector<NodeId>>(core::locality_aware_schedule(csr).order);
   span.arg("nodes", static_cast<double>(csr.num_nodes));
   std::lock_guard<std::mutex> lock(cache_mu_);
-  return las_cache_.try_emplace(rc.fp, std::move(order)).first->second.get();
+  std::shared_ptr<const std::vector<NodeId>>& slot = memo_[rc.fp].las;
+  if (!slot) slot = std::move(order);
+  return slot.get();
 }
 
 std::optional<core::TuneConfig> OptimizedEngine::tune(
-    const graph::Csr& csr, const TunedKey& key, const sim::DeviceSpec& spec,
+    const graph::Csr& csr, tensor::Index feat, const sim::DeviceSpec& spec,
     const std::vector<NodeId>* las, detail::RunContext& rc) const {
   prof::Span span("auto_tune", "engine");
-  span.arg("feat_len", static_cast<double>(key.feat));
-  const core::TuneResult tuned = tune_for(csr, key.feat, spec, las);
+  span.arg("feat_len", static_cast<double>(feat));
+  const core::TuneResult tuned = tune_for(csr, feat, spec, las);
   if (!tuned.error.ok()) {
     // A poisoned probe measurement must not pick the configuration: fall
     // back to the heuristic knobs — job-locally inside a batch job (the
@@ -342,10 +358,10 @@ std::optional<core::TuneConfig> OptimizedEngine::tune(
     return std::nullopt;
   }
   std::lock_guard<std::mutex> lock(cache_mu_);
-  return tuned_cache_.try_emplace(key, tuned.best).first->second;
+  return memo_[rc.fp].tuned.try_emplace({feat, las != nullptr}, tuned.best).first->second;
 }
 
-core::GroupedTasks OptimizedEngine::build_tasks(const graph::Csr& csr) const {
+k::GroupedTasks OptimizedEngine::build_tasks(const graph::Csr& csr) const {
   detail::RunContext rc;
   rc.fp = graph::fingerprint(csr);
   return resolve_plan(csr, rc).grouped;
@@ -353,12 +369,23 @@ core::GroupedTasks OptimizedEngine::build_tasks(const graph::Csr& csr) const {
 
 std::size_t OptimizedEngine::las_cache_size() const {
   std::lock_guard<std::mutex> lock(cache_mu_);
-  return las_cache_.size();
+  std::size_t n = 0;
+  for (const auto& [fp, m] : memo_) n += m.las ? 1 : 0;
+  return n;
 }
 
 std::size_t OptimizedEngine::tuned_cache_size() const {
   std::lock_guard<std::mutex> lock(cache_mu_);
-  return tuned_cache_.size();
+  std::size_t n = 0;
+  for (const auto& [fp, m] : memo_) n += m.tuned.size();
+  return n;
+}
+
+std::size_t OptimizedEngine::shard_plan_cache_size() const {
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  std::size_t n = 0;
+  for (const auto& [fp, m] : memo_) n += m.shard_plans.size();
+  return n;
 }
 
 namespace {
@@ -371,20 +398,6 @@ const char* batch_model_name(const OptimizedEngine::BatchJob& job) {
   if (job.multihead_gat) return "multihead_gat";
   return nullptr;
 }
-
-/// Per-job resilience bookkeeping, filled inside the parallel wave and
-/// folded sequentially in job order afterwards.
-struct JobTally {
-  std::uint64_t attempts = 0;
-  std::uint64_t retries = 0;
-  bool ran = false;        ///< the job was valid enough to attempt
-  bool success = false;
-  /// Buffered attempt, fault and recovery events; empty without a journal.
-  std::vector<obs::JournalEvent> journal;
-  /// The job's ladder, cache isolation, buffered degradations and
-  /// shard-recovery counters (§17).
-  detail::RunContext run;
-};
 }  // namespace
 
 std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs,
@@ -396,12 +409,13 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
   // attempt of the job reuses the fingerprint, and its journal events are
   // keyed by (model, fingerprint).
   std::vector<std::string> keys(jobs.size());
-  std::vector<JobTally> tallies(jobs.size());
+  std::vector<detail::RunContext> runs(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
+    runs[i].job = true;
     const char* model = jobs[i].data ? batch_model_name(jobs[i]) : nullptr;
     if (!model) continue;
     const graph::GraphFingerprint fp = graph::fingerprint(jobs[i].data->csr);
-    tallies[i].run.fp = fp;
+    runs[i].fp = fp;
     char buf[17];
     std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(fp.checksum));
     keys[i] = std::string(model) + "/" + buf;
@@ -434,7 +448,7 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
   const auto run_job = [&](std::size_t i) {
     const BatchJob& job = jobs[i];
     RunResult& out = results[i];
-    JobTally& tally = tallies[i];
+    detail::RunContext& rc = runs[i];
     // Thread-local request ID: every prof::Span opened below (and any
     // nested instrumentation) stamps this ID into its record.
     obs::RequestScope req_scope(req_ids[i]);
@@ -452,11 +466,10 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
       out.attempts = 0;
       return;
     }
-    tally.ran = true;
     // Per-job fault plan: thread-confined shot counters, so concurrent
     // jobs see deterministic fault schedules (the process-wide plan is
-    // suppressed for the job's duration either way). With a journal, the
-    // plan's listener buffers every shot as a "fault_injected" event.
+    // suppressed for the job's duration either way). The plan's listener
+    // records every shot as a "fault_injected" event of the run.
     const rt::FaultFireListener on_fire = +[](void* ctx, std::string_view seam, int shot) {
       obs::JournalEvent ev;
       ev.type = "fault_injected";
@@ -465,92 +478,67 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
       ev.attempt = static_cast<std::uint64_t>(shot) + 1;
       static_cast<std::vector<obs::JournalEvent>*>(ctx)->push_back(std::move(ev));
     };
-    rt::FaultInjector::ScopedJobPlan plan(job.fault_plan, journal ? on_fire : nullptr,
-                                          &tally.journal);
+    rt::FaultInjector::ScopedJobPlan plan(job.fault_plan, on_fire, &rc.events);
     if (!plan.status().ok()) {
       out.status = rt::Status(plan.status().code(), plan.status().message())
                        .with_context("batch job fault plan");
       out.attempts = 0;
       return;
     }
-    detail::RunContext& rc = tally.run;
-    rc.job = true;
     rc.cache_isolated = !job.fault_plan.empty();
-    // Shard-recovery journal events (DESIGN.md §17) are buffered alongside
-    // the attempt and fault events so the sequential fold interleaves them
-    // in emission order.
-    rc.recovery.journal = journal ? &tally.journal : nullptr;
     const int max_attempts = std::max(1, job.max_attempts);
     for (int attempt = 1;; ++attempt) {
-      ++tally.attempts;
       out = run_request(job, rc);
-      if (journal) {
-        obs::JournalEvent ev;
-        ev.type = "attempt";
-        ev.key = keys[i];
-        ev.code = rt::status_code_name(out.status.code());
-        if (!out.status.ok()) ev.detail = out.status.message();
-        ev.attempt = tally.attempts;
-        ev.cycles = out.stats.total_cycles;
-        tally.journal.push_back(std::move(ev));
-      }
-      if (out.status.ok()) {
-        tally.success = true;
-        break;
-      }
-      if (!rt::retryable(out.status) || attempt >= max_attempts) break;
-      ++tally.retries;
+      out.attempts = attempt;
+      obs::JournalEvent ev;
+      ev.type = "attempt";
+      ev.key = keys[i];
+      ev.code = rt::status_code_name(out.status.code());
+      if (!out.status.ok()) ev.detail = out.status.message();
+      ev.attempt = static_cast<std::uint64_t>(attempt);
+      ev.cycles = out.stats.total_cycles;
+      rc.events.push_back(std::move(ev));
+      if (out.status.ok() || !rt::retryable(out.status) || attempt >= max_attempts) break;
     }
-    out.attempts = static_cast<int>(tally.attempts);
   };
   par::parallel_chunks(jobs.size(), /*grain=*/1,
                        [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
                          for (std::size_t i = begin; i < end; ++i) run_job(i);
                        });
 
-  // --- Sequential fold in job order: degradation events flush to the sink
-  // in a deterministic sequence, and the telemetry story — journal seq
-  // numbers and registry instruments — lands in job order, so every export
-  // is byte-identical at any host thread count.
-  prof::MetricsSink& sink = prof::MetricsSink::instance();
-  obs::TelemetryRegistry& reg = sink.telemetry();
+  // --- Sequential fold in job order: each job's record is published —
+  // stderr lines, degradations, journal seq numbers and registry
+  // instruments in a deterministic sequence — then its serving counters
+  // and outcome land, so every export is byte-identical at any host thread
+  // count.
+  obs::TelemetryRegistry& reg = prof::MetricsSink::instance().telemetry();
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    JobTally& tally = tallies[i];
-    for (obs::JournalEvent& ev : tally.journal) {  // buffered only with a journal
-      ev.request_id = req_ids[i];
-      journal->append(std::move(ev));
-    }
-    for (rt::DegradationEvent& ev : tally.run.events) {
-      if (journal) {
-        obs::JournalEvent jev;
-        jev.request_id = req_ids[i];
-        jev.type = "degradation";
-        jev.key = ev.seam;
-        jev.code = ev.knob;
-        jev.detail = ev.action;
-        journal->append(std::move(jev));
-      }
-      sink.record_degradation(std::move(ev));
-    }
+    publish(runs[i], journal, req_ids[i]);
+    const RunResult& r = results[i];
+    // The pre-pass keyed exactly the jobs that name a dataset and a model:
+    // the ones that ran (a malformed fault plan still counts, with 0
+    // attempts).
+    const bool ran = !keys[i].empty();
+    const bool ok = r.status.ok();
+    const auto attempts = static_cast<std::uint64_t>(r.attempts);
     reg.counter_add("serve.jobs", 1);
-    reg.counter_add("serve.jobs_ok", tally.success ? 1 : 0);
-    reg.counter_add("serve.jobs_failed", tally.success ? 0 : 1);
-    reg.counter_add("serve.attempts", tally.attempts);
-    reg.counter_add("serve.retries", tally.retries);
-    flush_recovery(tally.run.recovery);
+    reg.counter_add("serve.jobs_ok", ok ? 1 : 0);
+    reg.counter_add("serve.jobs_failed", ok ? 0 : 1);
+    reg.counter_add("serve.attempts", attempts);
+    reg.counter_add("serve.retries", attempts > 0 ? attempts - 1 : 0);
     if (journal) {
       obs::JournalEvent ev;
       ev.request_id = req_ids[i];
       ev.type = "outcome";
       ev.key = keys[i];
-      ev.code = rt::status_code_name(results[i].status.code());
-      ev.detail = !tally.ran ? "rejected" : tally.success ? "ok" : "failed";
-      ev.attempt = tally.attempts;
-      ev.cycles = results[i].stats.total_cycles;
+      ev.code = rt::status_code_name(r.status.code());
+      ev.detail = !ran ? "rejected" : ok ? "ok" : "failed";
+      ev.attempt = attempts;
+      ev.cycles = r.stats.total_cycles;
       journal->append(std::move(ev));
     }
-    if (tally.ran) reg.observe("serve.job_attempts", static_cast<double>(tally.attempts));
-    if (tally.success) reg.observe("serve.job_cycles", results[i].stats.total_cycles);
+    if (ran) reg.observe("serve.job_attempts", static_cast<double>(attempts));
+    if (ok) reg.observe("serve.job_cycles", r.stats.total_cycles);
   }
   reg.observe("serve.batch_jobs", static_cast<double>(jobs.size()));
   return results;

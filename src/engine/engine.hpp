@@ -14,18 +14,19 @@
 #pragma once
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "baselines/backend.hpp"
-#include "core/balance/neighbor_grouping.hpp"
-#include "core/locality/schedule.hpp"
 #include "core/tuner/tuner.hpp"
 #include "graph/fingerprint.hpp"
+#include "kernels/common.hpp"
 #include "models/gcn_grad.hpp"
 #include "rt/degrade.hpp"
 
@@ -73,9 +74,6 @@ struct EngineConfig {
   /// Linear-property postponement of the softmax division.
   bool use_linear = true;
   SageOptLevel sage_level = SageOptLevel::kSparseFetchBypass;
-  /// Precomputed LAS order (offline result reused across runs); when null
-  /// and use_las is set, the engine computes it on the fly.
-  const std::vector<NodeId>* las_order = nullptr;
   /// Run the online tuner per (graph, feature length) before executing:
   /// lanes and grouping bound come from sampled probes instead of the
   /// untuned 32-lane mapping and the bound above (paper §4.4). The tuned
@@ -95,9 +93,10 @@ struct EngineConfig {
 /// public run_* entry point validates its inputs (preflight), executes the
 /// optimized pipeline, and — when an optimization stage fails (injected
 /// via GNNBRIDGE_FAULT_PLAN or real) — disables the failed knob, records a
-/// structured degradation event through prof::MetricsSink, and retries.
-/// Only unrecoverable failures (invalid inputs, ladder exhausted) surface
-/// as a non-ok RunResult::status; nothing throws across this API.
+/// structured degradation event in the run's record, and retries. The
+/// record reaches the engine-wide mask and prof::MetricsSink when the run
+/// ends. Only unrecoverable failures (invalid inputs, ladder exhausted)
+/// surface as a non-ok RunResult::status; nothing throws across this API.
 class OptimizedEngine final : public Backend {
  public:
   explicit OptimizedEngine(EngineConfig cfg = {}) : cfg_(cfg) {}
@@ -140,7 +139,7 @@ class OptimizedEngine final : public Backend {
   /// composition of neighbor grouping and the LAS order, resolved like an
   /// attempt's plan but never tuned (tuned knobs are per feature width).
   /// Exposed for the kernel-level tests.
-  core::GroupedTasks build_tasks(const graph::Csr& csr) const;
+  kernels::GroupedTasks build_tasks(const graph::Csr& csr) const;
 
   /// Knobs the degradation ladder has disabled so far, as metric-schema
   /// knob names ("las", "auto_tune", ...). Sticky for the engine's lifetime.
@@ -174,23 +173,25 @@ class OptimizedEngine final : public Backend {
   };
 
   /// Runs independent (model, dataset) jobs concurrently on the host
-  /// thread pool, sharing this engine's memoized LAS orders and tuned
-  /// configurations (the caches are fingerprint-keyed and mutex-guarded).
+  /// thread pool, sharing this engine's graph memo (fingerprint-keyed and
+  /// mutex-guarded).
   /// Results are returned in job order and are identical to running each
   /// job sequentially.
   ///
   /// Resilience (DESIGN.md §12): each job runs with its own fault plan,
   /// job-local degradation ladder and retry budget; a failing job never
-  /// blocks healthy ones. The jobs' events are appended to `journal` (none
-  /// are recorded when it is null) and their serving counters to the
-  /// metrics sink's registry, in job order — byte-identical at any host
-  /// thread count.
+  /// blocks healthy ones. Each job's record is published in job order —
+  /// its events to `journal` (none are recorded when it is null), its
+  /// degradations to the metrics sink and stderr, its recovery and serving
+  /// counters to the sink's registry — byte-identical at any host thread
+  /// count.
   std::vector<RunResult> run_batch(std::span<const BatchJob> jobs,
                                    obs::EventJournal* journal = nullptr);
 
-  /// Cache observability (tests): number of memoized LAS orders / tuned
-  /// configurations. A mutated-then-rerun graph must grow these — the
-  /// stale-pointer regression this engine used to have.
+  /// Memo observability (tests): number of memoized LAS orders / tuned
+  /// configurations / shard plans, over every graph. A mutated-then-rerun
+  /// graph must grow these — the stale-pointer regression this engine
+  /// used to have.
   std::size_t las_cache_size() const;
   std::size_t tuned_cache_size() const;
   std::size_t shard_plan_cache_size() const;
@@ -203,69 +204,37 @@ class OptimizedEngine final : public Backend {
   /// regardless of host thread count.
   std::atomic<std::uint64_t> batch_seq_{0};
 
-  /// Key of a cached auto-tune outcome: graph fingerprint, feature length
-  /// and whether LAS was allowed — a tune probed without LAS must never
-  /// serve an attempt that has it, or the knobs a job gets would depend on
-  /// which job tuned first.
-  struct TunedKey {
-    graph::GraphFingerprint fp;
-    tensor::Index feat = -1;
-    bool las = true;
-    friend bool operator==(const TunedKey& a, const TunedKey& b) {
-      return a.fp == b.fp && a.feat == b.feat && a.las == b.las;
-    }
+  /// Everything the engine memoizes for one graph: the offline LAS order
+  /// and the online tuner's choices the paper reuses across runs (§4.4),
+  /// the shard plans and the feature matrix preflight validated. Entries
+  /// are keyed by content fingerprint, so an in-place mutated (or
+  /// reallocated-at-the-same-address) graph can never alias a stale one,
+  /// and are never erased; LAS orders and partitions sit behind
+  /// shared_ptr, so a running attempt keeps using them across concurrent
+  /// inserts.
+  struct GraphMemo {
+    std::shared_ptr<const std::vector<NodeId>> las;
+    /// By (feature width, LAS allowed): a tune probed without LAS must
+    /// never serve an attempt that has it, or the knobs a job gets would
+    /// depend on which job tuned first.
+    std::map<std::pair<tensor::Index, bool>, core::TuneConfig> tuned;
+    /// By shard count; pure functions of (graph, k).
+    std::map<int, std::shared_ptr<const shard::Partition>> shard_plans;
+    /// The features preflight validated with this graph (O(N x F) to
+    /// check; benches rerun identical inputs thousands of times).
+    std::optional<const models::Matrix*> validated_features;
   };
-  struct TunedKeyHash {
-    std::size_t operator()(const TunedKey& k) const {
-      return (graph::GraphFingerprintHash{}(k.fp) * 1099511628211ull ^
-              static_cast<std::size_t>(k.feat)) * 2 + (k.las ? 1 : 0);
-    }
-  };
-
-  /// Key for the memoized shard plans: content fingerprint + shard count.
-  struct ShardPlanKey {
-    graph::GraphFingerprint fp;
-    int k = 1;
-    friend bool operator==(const ShardPlanKey& a, const ShardPlanKey& b) {
-      return a.fp == b.fp && a.k == b.k;
-    }
-  };
-  struct ShardPlanKeyHash {
-    std::size_t operator()(const ShardPlanKey& k) const {
-      return graph::GraphFingerprintHash{}(k.fp) * 1099511628211ull ^
-             static_cast<std::size_t>(k.k);
-    }
-  };
-
-  // Memoized per-graph artifacts, keyed by content fingerprint so an
-  // in-place mutated (or reallocated-at-the-same-address) graph can never
-  // alias a stale entry. Guarded by cache_mu_; run_batch jobs share them.
-  // LAS orders are held behind shared_ptr and never erased, so the raw
-  // pointers handed to a running attempt stay valid across concurrent
-  // inserts/rehashes.
+  /// Guarded by cache_mu_; run_batch jobs share it.
   mutable std::mutex cache_mu_;
-  mutable std::unordered_map<graph::GraphFingerprint,
-                             std::shared_ptr<const std::vector<NodeId>>,
-                             graph::GraphFingerprintHash>
-      las_cache_;
-  mutable std::unordered_map<TunedKey, core::TuneConfig, TunedKeyHash> tuned_cache_;
-  // Shard plans are deterministic pure functions of (graph, k); entries are
-  // held behind shared_ptr and never erased, so concurrent jobs can keep
-  // using a plan across rehashes (same lifetime rule as las_cache_).
-  mutable std::unordered_map<ShardPlanKey, std::shared_ptr<const shard::Partition>,
-                             ShardPlanKeyHash>
-      shard_cache_;
-  // Preflight cache: validation is O(N x F); benches rerun identical
-  // inputs thousands of times. Keyed by fingerprint + feature pointer.
-  mutable std::unordered_map<graph::GraphFingerprint, const void*,
-                             graph::GraphFingerprintHash>
-      preflight_cache_;
+  mutable std::unordered_map<graph::GraphFingerprint, GraphMemo, graph::GraphFingerprintHash>
+      memo_;
 
   /// Knobs (detail::Knob bits) the degradation ladder turned off for the
-  /// whole engine after a direct run's stage failed. Sticky: a stage that
-  /// failed once is not trusted again for this engine's lifetime. Atomic
-  /// so concurrent runs can degrade without racing.
-  mutable std::atomic<unsigned> degraded_{0};
+  /// whole engine, published when a direct run whose stage failed ends.
+  /// Sticky: a stage that failed once is not trusted again for this
+  /// engine's lifetime. Atomic so concurrent runs can publish without
+  /// racing.
+  std::atomic<unsigned> degraded_{0};
 
   /// Resolves the attempt's plan (engine_internal.hpp): the knob set, the
   /// fusion gate, then the LAS order, the tuner, and — for an unsharded
@@ -276,25 +245,34 @@ class OptimizedEngine final : public Backend {
                                    tensor::Index feat = -1,
                                    const sim::DeviceSpec* spec = nullptr,
                                    const char* fusion_gate = nullptr) const;
-  /// Memoized LAS order for the run's graph (cfg.las_order when set).
+  /// Memoized LAS order for the run's graph.
   const std::vector<NodeId>* las_order(const graph::Csr& csr, const detail::RunContext& rc) const;
-  /// Runs the tuner for `key` with `las` as its LAS order (null = tune
-  /// without LAS) and memoizes the outcome. A poisoned probe measurement
-  /// degrades auto-tuning and yields nullopt: use the heuristic knobs.
-  std::optional<core::TuneConfig> tune(const graph::Csr& csr, const TunedKey& key,
+  /// Runs the tuner at width `feat` with `las` as its LAS order (null =
+  /// tune without LAS) and memoizes the outcome under (feat, las != null).
+  /// A poisoned probe measurement degrades auto-tuning and yields nullopt:
+  /// use the heuristic knobs.
+  std::optional<core::TuneConfig> tune(const graph::Csr& csr, tensor::Index feat,
                                        const sim::DeviceSpec& spec,
                                        const std::vector<NodeId>* las,
                                        detail::RunContext& rc) const;
 
-  /// Input validation run before every attempt (cached by identity).
+  /// Input validation run before every attempt (memoized per graph).
   rt::Status preflight(const Dataset& data, const models::Matrix* features,
                        const graph::GraphFingerprint& fp) const;
 
-  /// One ladder rung: turns `knob` (a detail::Knob bit) off — job-locally
-  /// for a batch job, engine-wide otherwise — and records the event. False
-  /// when the knob is not configured or already off.
+  /// One ladder rung: turns `knob` (a detail::Knob bit) off for the rest
+  /// of the run and records the event in its record. False when the knob
+  /// is not configured or already off for the run.
   bool disable_knob(unsigned knob, std::string_view seam, const rt::Status& cause,
                     detail::RunContext& rc) const;
+
+  /// Hands on a finished run's record: a direct run's knobs go into the
+  /// engine-wide mask, each degradation prints one stderr line and goes to
+  /// the metrics sink, the recovery counts go to the sink's registry, and
+  /// — given a journal — the run's events are appended under
+  /// `request_id`.
+  void publish(detail::RunContext& rc, obs::EventJournal* journal = nullptr,
+               const std::string& request_id = {});
 
   /// Walks one step down the degradation ladder for the failed seam:
   /// disables the responsible knob, records the event, returns false when
@@ -306,6 +284,11 @@ class OptimizedEngine final : public Backend {
   template <typename Fn>
   auto run_guarded(const Dataset& data, const models::Matrix* features, std::string_view what,
                    detail::RunContext& rc, Fn&& attempt) -> decltype(attempt());
+
+  /// Runs `body(rc)` as a direct (non-batch) run: hashes the graph once
+  /// and publishes the run's record when the body returns.
+  template <typename Fn>
+  auto run_direct(const graph::Csr& csr, Fn&& body);
 
   /// Runs one request (exactly one model pointer set) under `rc`: the body
   /// of every public run_* call and of every run_batch attempt.
@@ -323,7 +306,7 @@ class OptimizedEngine final : public Backend {
   RunResult gat_attempt_sharded(const Dataset& data, const GatRun& run, ExecMode mode,
                                 const sim::DeviceSpec& spec, const detail::AttemptPlan& plan,
                                 detail::RunContext& rc);
-  /// Memoized partition for (graph, k); computed on miss, never evicted.
+  /// Memoized partition for (graph, k); computed on miss, never erased.
   /// Raises rt::StageFailure(kSeamShardPartition) when partitioning fails
   /// (e.g. a corrupt CSR) so run_guarded can surface it.
   std::shared_ptr<const shard::Partition> shard_plan_for(const graph::Csr& csr, int k,

@@ -4,14 +4,14 @@
 // attempts run live in baselines/pipeline.hpp, shared with the baselines.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "baselines/pipeline.hpp"
-#include "core/balance/neighbor_grouping.hpp"
 #include "graph/fingerprint.hpp"
+#include "kernels/common.hpp"
 #include "obs/journal.hpp"
 #include "rt/degrade.hpp"
+#include "sim/counters.hpp"
 #include "sim/device.hpp"
 
 namespace gnnbridge::engine::detail {
@@ -26,47 +26,29 @@ enum Knob : unsigned {
   kSharding = 1u << 4,
 };
 
-/// Shard-recovery accounting for one run (DESIGN.md §17). It survives
-/// across ladder rounds within one run: an abandoned sharded attempt's
-/// retries stay counted after the fallback-to-unsharded rung succeeds, so
-/// the counts can exceed what the successful attempt's RunStats report.
-/// Flushed into the telemetry registry once per run.
-struct RecoveryTally {
-  std::uint64_t shard_retries = 0;       ///< per-shard retry decisions taken
-  std::uint64_t shards_reexecuted = 0;   ///< shard phase bodies re-executed
-  std::uint64_t fallback_unsharded = 0;  ///< sharded->unsharded ladder steps
-  double wasted_cycles = 0.0;            ///< sim-cycles of failed attempts/redos
-  /// Buffered journal events ("shard_retry"/"shard_fallback"), interleaved
-  /// with the owning batch job's attempt events and flushed by run_batch's
-  /// sequential fold. Null for direct (non-batch) runs, which surface
-  /// recovery through the telemetry registry only, and for batches run
-  /// without a journal.
-  std::vector<obs::JournalEvent>* journal = nullptr;
-
-  bool any() const { return shard_retries != 0 || fallback_unsharded != 0; }
-};
-
-/// State of one run_* call or one run_batch job, passed explicitly to
-/// every attempt of it.
+/// The record of one run — a direct run_* call, or one run_batch job with
+/// all its attempts — passed explicitly to every attempt of it and handed
+/// on whole by OptimizedEngine::publish when the run ends.
 struct RunContext {
   /// The graph's fingerprint, hashed once per run and shared by preflight,
-  /// the memo caches and a batch job's journal key.
+  /// the graph memo and a batch job's journal key.
   graph::GraphFingerprint fp;
-  /// Batch jobs walk a job-local ladder: knobs go off in `disabled` (never
-  /// in the engine-wide mask, so one job's failures never change how a
-  /// concurrent healthy job runs) and degradation events are buffered in
-  /// `events` for run_batch's job-order flush. Direct runs degrade the
-  /// engine for good and record straight into the metrics sink.
+  /// A batch job's ladder stays job-local: publish never ORs its knobs into
+  /// the engine-wide mask, so one job's failures never change how another
+  /// job runs. A direct run degrades the engine for good when it ends.
   bool job = false;
-  unsigned disabled = 0;  ///< Knob bits this job runs without
-  std::vector<rt::DegradationEvent> events;
   /// The job carries a private fault plan, so it must not take warm-cache
   /// shortcuts: a cache hit skips the work (and its fault seams) entirely,
   /// and warmth depends on which job got there first — thread timing. An
   /// isolated job recomputes LAS orders, tuned configurations and shard
   /// plans itself, making its fault schedule a function of the job alone.
   bool cache_isolated = false;
-  RecoveryTally recovery;
+  unsigned disabled = 0;  ///< Knob bits the run's ladder turned off
+  std::vector<rt::DegradationEvent> degradations;
+  /// The run's story in emission order: fault shots, attempts, shard
+  /// retries and shard fallbacks. Journaled when publish is given a journal.
+  std::vector<obs::JournalEvent> events;
+  sim::RecoveryStats recovery;
 };
 
 /// SIMD lanes per feature row when the tuner does not pick them: the
@@ -92,7 +74,7 @@ struct AttemptPlan {
   /// GCN/GAT only: > 1 runs the sharded pipelines.
   int shards = 1;
   /// Unsharded attempts only: the grouped task list.
-  core::GroupedTasks grouped;
+  kernels::GroupedTasks grouped;
 };
 
 /// The GAT variant an attempt's adapter/linear flags select.

@@ -47,7 +47,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/balance/neighbor_grouping.hpp"
 #include "engine/engine.hpp"
 #include "engine/engine_internal.hpp"
 #include "kernels/dense.hpp"
@@ -80,7 +79,7 @@ struct ShardExec {
   std::unique_ptr<sim::SimContext> ctx;
   pipeline::Workspace ws;  ///< in the run's mode: host rows exist in kFull only
   k::GraphOnDevice gdev;
-  core::GroupedTasks grouped;
+  k::GroupedTasks grouped;
   k::FeatureMat norm;  ///< GCN only: local gather of the global edge norm
   k::FeatureMat h;     ///< activations, [num_local, F]
   sim::Cycles last_total = 0.0;
@@ -105,35 +104,22 @@ void parallel_shards(std::size_t shard_count, Body&& body) {
 /// two retries.
 constexpr int kShardAttemptBudget = 3;
 
-/// Prices one failed shard attempt: its cycles are already in the shard's
-/// own SimContext (and thus the phase makespan), so they only need to be
-/// tagged as recovery waste in the run's stats and the run's tally.
-void note_wasted(sim::RunStats& accum, detail::RecoveryTally& tally, sim::Cycles wasted) {
-  accum.recovery_wasted_cycles += wasted;
-  tally.wasted_cycles += static_cast<double>(wasted);
-}
-
 /// Records one granted retry decision (a shard re-execution or an exchange
-/// redo) in the run's stats and the run's tally, buffering a "shard_retry"
-/// journal event for batch jobs. `attempt` is the 1-based index of the
-/// attempt that just failed; `wasted` its priced cycles.
-void note_retry(sim::RunStats& accum, detail::RecoveryTally& tally, std::string_view seam,
-                std::string what, int attempt, sim::Cycles wasted, bool reexecution) {
-  ++accum.shard_retries;
-  ++tally.shard_retries;
-  if (reexecution) {
-    ++accum.shards_reexecuted;
-    ++tally.shards_reexecuted;
-  }
-  if (tally.journal) {
-    obs::JournalEvent ev;
-    ev.type = "shard_retry";
-    ev.key = std::string(seam);
-    ev.detail = std::move(what);
-    ev.attempt = static_cast<std::uint64_t>(attempt);
-    ev.cycles = static_cast<double>(wasted);
-    tally.journal->push_back(std::move(ev));
-  }
+/// redo) in the run's record: its counts and a "shard_retry" event.
+/// `attempt` is the 1-based index of the attempt that just failed;
+/// `wasted` its priced cycles, already in the shard's own SimContext (and
+/// thus the phase makespan) or the exchange's clock.
+void note_retry(detail::RunContext& rc, std::string_view seam, std::string what, int attempt,
+                sim::Cycles wasted, bool reexecution) {
+  ++rc.recovery.shard_retries;
+  if (reexecution) ++rc.recovery.shards_reexecuted;
+  obs::JournalEvent ev;
+  ev.type = "shard_retry";
+  ev.key = std::string(seam);
+  ev.detail = std::move(what);
+  ev.attempt = static_cast<std::uint64_t>(attempt);
+  ev.cycles = static_cast<double>(wasted);
+  rc.events.push_back(std::move(ev));
 }
 
 /// One parallel phase with shard-level recovery. shard_compute decisions
@@ -147,7 +133,7 @@ void note_retry(sim::RunStats& accum, detail::RecoveryTally& tally, std::string_
 /// the ladder can fall back to unsharded execution.
 template <typename Body>
 void phase_with_recovery(std::vector<ShardExec>& se, std::size_t layer, const char* phase_name,
-                         sim::RunStats& accum, detail::RecoveryTally& tally, Body&& body) {
+                         detail::RunContext& rc, Body&& body) {
   const std::size_t nshards = se.size();
   std::vector<std::optional<rt::Status>> fail(nshards);
   std::vector<sim::Cycles> start(nshards);
@@ -159,7 +145,7 @@ void phase_with_recovery(std::vector<ShardExec>& se, std::size_t layer, const ch
   for (std::size_t s = 0; s < nshards; ++s) {
     for (int attempt = 1; fail[s]; ++attempt) {
       const sim::Cycles wasted = se[s].ctx->stats().total_cycles - start[s];
-      note_wasted(accum, tally, wasted);
+      rc.recovery.wasted_cycles += wasted;
       const std::string what = "layer=" + std::to_string(layer) + " phase=" + phase_name +
                                " shard=" + std::to_string(s);
       if (!rt::retryable(*fail[s]) || attempt >= kShardAttemptBudget) {
@@ -167,7 +153,7 @@ void phase_with_recovery(std::vector<ShardExec>& se, std::size_t layer, const ch
             std::string(rt::kSeamShardCompute),
             std::move(*fail[s]).with_context(what + ": shard attempt budget spent"));
       }
-      note_retry(accum, tally, rt::kSeamShardCompute, what, attempt, wasted, /*reexecution=*/true);
+      note_retry(rc, rt::kSeamShardCompute, what, attempt, wasted, /*reexecution=*/true);
       start[s] = se[s].ctx->stats().total_cycles;
       fail[s] = rt::fire_fault(rt::kSeamShardCompute);
       body(s);
@@ -197,7 +183,7 @@ std::vector<graph::NodeId> local_order(const shard::Partition& p, int s,
 /// ghosts are read, never aggregated, so their epilogue writes would be
 /// pure overhead the unsharded run does not pay. Owned zero-degree rows
 /// keep their (zero-size) tasks — the unsharded task list has them too.
-void drop_ghost_tasks(core::GroupedTasks& grouped, graph::NodeId num_owned) {
+void drop_ghost_tasks(k::GroupedTasks& grouped, graph::NodeId num_owned) {
   grouped.tasks.erase(std::remove_if(grouped.tasks.begin(), grouped.tasks.end(),
                                      [num_owned](const k::Task& t) { return t.v >= num_owned; }),
                       grouped.tasks.end());
@@ -250,7 +236,7 @@ void exchange_ghosts(const shard::Partition& p, std::vector<k::FeatureMat>& mats
 /// Budget exhaustion raises StageFailure(shard_exchange) for the ladder.
 void exchange_with_recovery(const shard::Partition& p, std::vector<k::FeatureMat>& mats,
                             bool full, const sim::DeviceSpec& spec, std::uint64_t row_bytes,
-                            std::size_t layer, sim::RunStats& accum, detail::RecoveryTally& tally,
+                            std::size_t layer, sim::RunStats& accum, detail::RunContext& rc,
                             sim::Cycles& total) {
   const auto ghost_rows = static_cast<std::uint64_t>(p.total_ghosts);
   const sim::Cycles xcyc = exchange_cost(spec, ghost_rows, row_bytes);
@@ -261,13 +247,13 @@ void exchange_with_recovery(const shard::Partition& p, std::vector<k::FeatureMat
     accum.exchange_syncs += 1;
     accum.ghost_bytes += ghost_rows * row_bytes;
     if (!fault) break;
-    note_wasted(accum, tally, xcyc);
+    rc.recovery.wasted_cycles += xcyc;
     const std::string what = "layer=" + std::to_string(layer) + " exchange";
     if (!rt::retryable(*fault) || attempt >= kShardAttemptBudget) {
       throw rt::StageFailure(std::string(rt::kSeamShardExchange),
                              std::move(*fault).with_context(what + ": exchange retry budget spent"));
     }
-    note_retry(accum, tally, rt::kSeamShardExchange, what, attempt, xcyc, /*reexecution=*/false);
+    note_retry(rc, rt::kSeamShardExchange, what, attempt, xcyc, /*reexecution=*/false);
   }
   if (full) exchange_ghosts(p, mats);
 }
@@ -297,9 +283,9 @@ std::vector<ShardExec> init_shards(const shard::Partition& p, const detail::Atte
     if (plan.las) {
       const std::vector<graph::NodeId> order =
           local_order(p, static_cast<int>(s), owned_local, *plan.las);
-      se.grouped = core::neighbor_group_tasks(sh.local, plan.bound, order);
+      se.grouped = k::neighbor_group_tasks(sh.local, plan.bound, order);
     } else {
-      se.grouped = core::neighbor_group_tasks(sh.local, plan.bound);
+      se.grouped = k::neighbor_group_tasks(sh.local, plan.bound);
     }
     drop_ghost_tasks(se.grouped, sh.num_owned());
     se.h = se.ws.mat(*se.ctx, sh.local.num_nodes, x.cols(), "x");
@@ -377,7 +363,7 @@ void end_phase(std::vector<ShardExec>& shards, sim::Cycles& total) {
 template <typename Alloc, typename Aggregate>
 RunResult sharded_layers(std::vector<ShardExec>& se, const shard::Partition& p,
                          std::size_t layers, ExecMode mode, const sim::DeviceSpec& spec,
-                         detail::RecoveryTally& tally, Alloc&& alloc, Aggregate&& aggregate) {
+                         detail::RunContext& rc, Alloc&& alloc, Aggregate&& aggregate) {
   const bool full = mode == ExecMode::kFull;
   sim::RunStats accum;
   sim::Cycles total = 0.0;
@@ -388,7 +374,7 @@ RunResult sharded_layers(std::vector<ShardExec>& se, const shard::Partition& p,
     // ---- Phase A: transform the owned rows. The gemm's A and C are
     // owned-row views: each device transforms only the nodes it owns;
     // ghost rows of the transformed features arrive via the exchange.
-    phase_with_recovery(se, l, "transform", accum, tally, [&](std::size_t s) {
+    phase_with_recovery(se, l, "transform", rc, [&](std::size_t s) {
       k::FeatureMat hview = top_rows(se[s].h, se[s].sh->num_owned());
       k::FeatureMat tview = top_rows(buf[s].t, se[s].sh->num_owned());
       k::dense_gemm(*se[s].ctx, {.a = &hview, .b = &buf[s].w, .c = &tview});
@@ -400,11 +386,11 @@ RunResult sharded_layers(std::vector<ShardExec>& se, const shard::Partition& p,
     std::vector<k::FeatureMat> tloc;
     for (const auto& b : buf) tloc.push_back(b.t);
     const auto row_bytes = static_cast<std::uint64_t>(buf[0].t.cols) * 4;
-    exchange_with_recovery(p, tloc, full, spec, row_bytes, l, accum, tally, total);
+    exchange_with_recovery(p, tloc, full, spec, row_bytes, l, accum, rc, total);
 
     // ---- Phase B: the model's layer body over the shard-local graph.
     const bool last = l + 1 == layers;
-    phase_with_recovery(se, l, "aggregate", accum, tally,
+    phase_with_recovery(se, l, "aggregate", rc,
                         [&](std::size_t s) { aggregate(s, buf[s], last); });
     end_phase(se, total);
 
@@ -419,7 +405,6 @@ RunResult sharded_layers(std::vector<ShardExec>& se, const shard::Partition& p,
 
 std::shared_ptr<const shard::Partition> OptimizedEngine::shard_plan_for(
     const graph::Csr& csr, int k, const detail::RunContext& rc) const {
-  const ShardPlanKey key{rc.fp, k};
   // Cache-isolated jobs (any job with a fault plan) skip the warm-hit
   // shortcut: an armed shard_partition seam must fire on *this* attempt's
   // partition instead of being absorbed by a neighbor's memoized plan. A
@@ -427,8 +412,10 @@ std::shared_ptr<const shard::Partition> OptimizedEngine::shard_plan_for(
   // before the insert — so the cache only ever holds clean plans.
   if (!rc.cache_isolated) {
     std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = shard_cache_.find(key);
-    if (it != shard_cache_.end()) return it->second;
+    if (auto m = memo_.find(rc.fp); m != memo_.end()) {
+      auto it = m->second.shard_plans.find(k);
+      if (it != m->second.shard_plans.end()) return it->second;
+    }
   }
   // Compute outside the lock (mirrors las_order): the partition is a
   // pure function of (graph, k), so concurrent misses compute identical
@@ -445,13 +432,7 @@ std::shared_ptr<const shard::Partition> OptimizedEngine::shard_plan_for(
   span.arg("ghosts", static_cast<double>(part->total_ghosts));
   auto plan = std::make_shared<const shard::Partition>(*std::move(part));
   std::lock_guard<std::mutex> lock(cache_mu_);
-  auto [it, inserted] = shard_cache_.try_emplace(key, std::move(plan));
-  return it->second;
-}
-
-std::size_t OptimizedEngine::shard_plan_cache_size() const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  return shard_cache_.size();
+  return memo_[rc.fp].shard_plans.try_emplace(k, std::move(plan)).first->second;
 }
 
 RunResult OptimizedEngine::gcn_attempt_sharded(const Dataset& data, const GcnRun& run,
@@ -488,8 +469,7 @@ RunResult OptimizedEngine::gcn_attempt_sharded(const Dataset& data, const GcnRun
                                          .relu = !last,
                                          .lanes = plan.lanes});
   };
-  return sharded_layers(se, *part, run.params->weight.size(), mode, spec, rc.recovery, alloc,
-                        aggregate);
+  return sharded_layers(se, *part, run.params->weight.size(), mode, spec, rc, alloc, aggregate);
 }
 
 RunResult OptimizedEngine::gat_attempt_sharded(const Dataset& data, const GatRun& run,
@@ -524,8 +504,7 @@ RunResult OptimizedEngine::gat_attempt_sharded(const Dataset& data, const GatRun
                              .relu = !last,
                              .lanes = plan.lanes});
   };
-  return sharded_layers(se, *part, run.params->weight.size(), mode, spec, rc.recovery, alloc,
-                        aggregate);
+  return sharded_layers(se, *part, run.params->weight.size(), mode, spec, rc, alloc, aggregate);
 }
 
 }  // namespace gnnbridge::engine

@@ -21,7 +21,7 @@ double measure_aggregation(const graph::Csr& csr, tensor::Index feat_len,
   auto src = k::device_mat_shape(ctx, csr.num_nodes, feat_len, "feat");
   auto out = k::device_mat_shape(ctx, csr.num_nodes, feat_len, "out");
 
-  core::GroupedTasks grouped = core::neighbor_group_tasks(
+  k::GroupedTasks grouped = k::neighbor_group_tasks(
       csr, config.group_bound,
       config.use_las ? std::span<const graph::NodeId>(*las_order)
                      : std::span<const graph::NodeId>());

@@ -1,6 +1,7 @@
 #include "kernels/common.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 namespace gnnbridge::kernels {
@@ -33,14 +34,35 @@ GraphOnDevice device_graph(sim::SimContext& ctx, const Csr& csr, const char* nam
   return g;
 }
 
-std::vector<Task> natural_tasks(const Csr& csr) {
-  std::vector<Task> tasks;
-  tasks.reserve(static_cast<std::size_t>(csr.num_nodes));
-  for (NodeId v = 0; v < csr.num_nodes; ++v) {
-    tasks.push_back({v, csr.row_ptr[v], csr.row_ptr[static_cast<std::size_t>(v) + 1]});
+GroupedTasks neighbor_group_tasks(const Csr& g, EdgeId group_bound,
+                                  std::span<const NodeId> order) {
+  GroupedTasks out;
+  const bool grouped = group_bound > 0;
+  out.tasks.reserve(static_cast<std::size_t>(g.num_nodes));
+
+  auto emit_row = [&](NodeId v) {
+    const EdgeId begin = g.row_ptr[static_cast<std::size_t>(v)];
+    const EdgeId end = g.row_ptr[static_cast<std::size_t>(v) + 1];
+    if (!grouped || end - begin <= group_bound) {
+      out.tasks.push_back({v, begin, end});
+      return;
+    }
+    out.any_split = true;
+    for (EdgeId b = begin; b < end; b += group_bound) {
+      out.tasks.push_back({v, b, std::min(b + group_bound, end)});
+    }
+  };
+
+  if (order.empty()) {
+    for (NodeId v = 0; v < g.num_nodes; ++v) emit_row(v);
+  } else {
+    assert(static_cast<NodeId>(order.size()) == g.num_nodes);
+    for (NodeId v : order) emit_row(v);
   }
-  return tasks;
+  return out;
 }
+
+std::vector<Task> natural_tasks(const Csr& csr) { return neighbor_group_tasks(csr, 0).tasks; }
 
 std::size_t block_grain(std::size_t blocks) {
   constexpr std::size_t kMaxChunks = 64, kMinGrain = 8;

@@ -83,6 +83,22 @@ struct Task {
   EdgeId size() const { return end - begin; }
 };
 
+/// A task list plus whether any row was split (callers must enable
+/// atomic merging in the kernels when it was).
+struct GroupedTasks {
+  std::vector<Task> tasks;
+  bool any_split = false;
+};
+
+/// The one task-list builder (neighbor grouping, paper §4.1.2): splits
+/// each row into tasks of at most `group_bound` edges, emitted
+/// contiguously. Rows are visited in `order` (a LAS permutation) or
+/// natural order when `order` is empty. `group_bound` <= 0 means whole
+/// rows. An O(N) pass over row_ptr, cheap enough to redo whenever the
+/// graph or the bound changes; core/balance picks the engine's bound.
+GroupedTasks neighbor_group_tasks(const Csr& g, EdgeId group_bound,
+                                  std::span<const NodeId> order = {});
+
 /// One whole-row task per node, in natural node order (the DGL baseline's
 /// task distribution).
 std::vector<Task> natural_tasks(const Csr& csr);

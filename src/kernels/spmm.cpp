@@ -112,26 +112,11 @@ sim::KernelStats spmm_vendor(sim::SimContext& ctx, SpmmArgs args) {
   // splitting): heavy rows spread over many blocks, so the library shows
   // no long-tail effect — but its schedule is fixed and opaque: natural
   // row order (no locality hints), 32 lanes, its own split bound.
-  const Csr& csr = *args.graph->csr;
   constexpr EdgeId kVendorBound = 256;
-  std::vector<Task> tasks;
-  tasks.reserve(static_cast<std::size_t>(csr.num_nodes));
-  bool any_split = false;
-  for (NodeId v = 0; v < csr.num_nodes; ++v) {
-    const EdgeId begin = csr.row_ptr[static_cast<std::size_t>(v)];
-    const EdgeId end = csr.row_ptr[static_cast<std::size_t>(v) + 1];
-    if (end - begin <= kVendorBound) {
-      tasks.push_back({v, begin, end});
-    } else {
-      any_split = true;
-      for (EdgeId b = begin; b < end; b += kVendorBound) {
-        tasks.push_back({v, b, std::min(b + kVendorBound, end)});
-      }
-    }
-  }
-  args.tasks = tasks;
+  const GroupedTasks grouped = neighbor_group_tasks(*args.graph->csr, kVendorBound);
+  args.tasks = grouped.tasks;
   args.lanes = 32;
-  args.atomic_merge = any_split;
+  args.atomic_merge = grouped.any_split;
   args.reduce = Reduce::kSum;
   args.name = "spmm_vendor";
   return spmm_node(ctx, args);

@@ -8,12 +8,13 @@
 //
 // A journal is a plain object with one owner: the caller of
 // OptimizedEngine::run_batch passes it in (a null journal records
-// nothing). run_batch buffers a job's events job-locally during the
-// parallel wave and appends them in the sequential job-order fold, where
-// this journal assigns `seq` — so the serialized journal is byte-identical
-// at any host thread count. The file write is crash-safe (whole document
-// to a sibling .tmp, atomic rename), the same discipline as
-// MetricsSink::write_file. The soak CLI's --journal flag writes one.
+// nothing). Each job collects its events in its own run record during the
+// parallel wave, and run_batch's sequential job-order fold publishes the
+// records into the journal, which assigns `seq` — so the serialized
+// journal is byte-identical at any host thread count. The file write is
+// crash-safe (whole document to a sibling .tmp, atomic rename), the same
+// discipline as MetricsSink::write_file. The soak CLI's --journal flag
+// writes one.
 #pragma once
 
 #include <algorithm>

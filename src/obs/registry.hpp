@@ -2,8 +2,9 @@
 //
 // Named counters and log-bucketed histograms, aggregated across runs. The
 // metrics sink owns the process's registry (prof::MetricsSink::telemetry):
-// run_batch's job-order fold and the shard-recovery flush of every run
-// record there, the sink's document snapshots it, and the sink's `runs`
+// the engine's publish step records there (each run's recovery, and
+// run_batch's serving counters in its job-order fold), the sink's
+// document snapshots it, and the sink's `runs`
 // array is the per-run view. Determinism contract: names live in ordered
 // maps (snapshot order is lexicographic, never insertion or hash order),
 // histogram buckets are fixed powers of 2^(1/4), and no engine recording
@@ -31,7 +32,7 @@ struct RegistrySnapshot {
 };
 
 /// Name -> instrument store. Thread-safe: direct runs on different
-/// threads may flush recovery counters at once. Every mutation takes one
+/// threads may publish recovery counters at once. Every mutation takes one
 /// mutex (telemetry recording is batched — per run_batch fold, not per
 /// kernel — so contention is negligible).
 class TelemetryRegistry {

@@ -55,37 +55,6 @@ Status validate_csr(const graph::Csr& g) {
   return OkStatus();
 }
 
-Result<std::span<const graph::NodeId>> checked_neighbors(const graph::Csr& g, graph::NodeId v) {
-  // Row `v` is addressable when v is in range, row_ptr is big enough and
-  // 0 <= row_ptr[v] <= row_ptr[v+1] <= col_idx.size().
-  const auto fail = [](StatusCode code, std::string message) {
-    return Status(code, std::move(message)).with_context("checked_neighbors");
-  };
-  if (v < 0 || v >= g.num_nodes) {
-    return fail(StatusCode::kOutOfRange, format("node %d out of [0, %d)", v, g.num_nodes));
-  }
-  const std::size_t vi = static_cast<std::size_t>(v);
-  if (g.row_ptr.size() < vi + 2) {
-    return fail(StatusCode::kFailedPrecondition,
-                format("row_ptr has %zu entries, node %d needs %zu", g.row_ptr.size(), v,
-                       vi + 2));
-  }
-  const graph::EdgeId begin = g.row_ptr[vi];
-  const graph::EdgeId end = g.row_ptr[vi + 1];
-  if (begin < 0 || end < begin) {
-    return fail(StatusCode::kFailedPrecondition,
-                format("row_ptr not monotone at node %d: [%lld, %lld)", v,
-                       static_cast<long long>(begin), static_cast<long long>(end)));
-  }
-  if (static_cast<std::size_t>(end) > g.col_idx.size()) {
-    return fail(StatusCode::kFailedPrecondition,
-                format("row %d ends at %lld but col_idx holds %zu edges", v,
-                       static_cast<long long>(end), g.col_idx.size()));
-  }
-  return std::span<const graph::NodeId>{g.col_idx.data() + begin,
-                                        static_cast<std::size_t>(end - begin)};
-}
-
 Status validate_matrix(const tensor::Matrix& m, std::string_view what) {
   const std::string name(what);
   if (m.rows() < 0 || m.cols() < 0) {

@@ -6,8 +6,6 @@
 // garbage into kernels.
 #pragma once
 
-#include <span>
-
 #include "graph/csr.hpp"
 #include "rt/status.hpp"
 #include "tensor/matrix.hpp"
@@ -24,20 +22,5 @@ Status validate_csr(const graph::Csr& g);
 /// rows*cols, and every value finite. `what` names the matrix in error
 /// messages ("features", "weight[0]", ...).
 Status validate_matrix(const tensor::Matrix& m, std::string_view what = "matrix");
-
-// ---- Checked CSR accessor ---------------------------------------------
-//
-// `Csr::neighbors` guards its bounds with `assert` only, which compiles
-// out in release builds — a corrupt input graph or an off-by-one shard
-// boundary reads out of range silently. This is the Status-returning twin
-// for construction-time seams (the shard partitioner): it verifies the
-// row is addressable before touching col_idx and reports the first
-// violation instead of reading out of range. Hot paths (kernels,
-// schedulers) keep the unchecked accessor.
-
-/// The neighbor (source) ids aggregated by center node `v`, bounds-checked
-/// against both row_ptr and col_idx storage: a kOutOfRange error when `v`
-/// is out of range, kFailedPrecondition when its row bounds are unusable.
-Result<std::span<const graph::NodeId>> checked_neighbors(const graph::Csr& g, graph::NodeId v);
 
 }  // namespace gnnbridge::rt

@@ -93,12 +93,8 @@ rt::Result<Partition> partition_graph(const Csr& g, int shards) {
       for (const NodeId v : visit) {
         const int cur = p.assign[static_cast<std::size_t>(v)];
         if (counts[static_cast<std::size_t>(cur)] <= 1) continue;
-        auto nbrs = rt::checked_neighbors(g, v);
-        if (!nbrs.ok()) {
-          return rt::Status(nbrs.status()).with_context("partition_graph refinement");
-        }
         touched.clear();
-        for (const NodeId u : *nbrs) {
+        for (const NodeId u : g.neighbors(v)) {
           const int su = p.assign[static_cast<std::size_t>(u)];
           if (affinity[static_cast<std::size_t>(su)] == 0) touched.push_back(su);
           affinity[static_cast<std::size_t>(su)] += 1;
@@ -154,9 +150,7 @@ rt::Result<Partition> partition_graph(const Csr& g, int shards) {
     // Pass 1: collect remote sources (ascending by construction of the
     // second loop below — collect then sort to keep it obvious).
     for (const NodeId v : sh.owned) {
-      auto nbrs = rt::checked_neighbors(g, v);
-      if (!nbrs.ok()) return rt::Status(nbrs.status()).with_context("partition_graph shard build");
-      for (const NodeId u : *nbrs) {
+      for (const NodeId u : g.neighbors(v)) {
         if (p.assign[static_cast<std::size_t>(u)] != s &&
             ghost_slot[static_cast<std::size_t>(u)] < 0) {
           ghost_slot[static_cast<std::size_t>(u)] = 0;  // mark; index assigned after sort

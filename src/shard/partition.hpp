@@ -61,10 +61,10 @@ struct Partition {
   NodeId total_ghosts = 0;   ///< sum of per-shard ghost-table sizes
 };
 
-/// Partitions `g` into `shards` edge-cut shards. Validates the CSR and
-/// reads rows through the checked accessor (rt::checked_neighbors), so a
-/// corrupt graph surfaces as a structured error instead of an
-/// out-of-range read. The shard count K is clamped to [1, max(1,
+/// Partitions `g` into `shards` edge-cut shards. Validates the CSR once,
+/// at entry (rt::validate_csr), so a corrupt graph surfaces as a
+/// structured error instead of an out-of-range read; the rows are then
+/// read unchecked. The shard count K is clamped to [1, max(1,
 /// num_nodes)]: K > num_nodes degrades to one node per shard; K <= 1
 /// yields the identity partition (one shard whose local CSR equals `g`).
 rt::Result<Partition> partition_graph(const Csr& g, int shards);

@@ -65,6 +65,22 @@ struct KernelStats {
   }
 };
 
+/// Shard-level recovery of one run (DESIGN.md §17): every attempt of it,
+/// abandoned sharded attempts and batch retries included. Zero for a run
+/// no shard-scoped seam fired in.
+struct RecoveryStats {
+  /// Per-shard retry decisions taken (one per re-execution or exchange redo).
+  std::uint64_t shard_retries = 0;
+  /// Shard phase bodies re-executed after a shard_compute fault.
+  std::uint64_t shards_reexecuted = 0;
+  /// Sharded->unsharded ladder steps.
+  std::uint64_t shard_fallbacks = 0;
+  /// Cycles spent on failed shard attempts and redone exchanges. A sharded
+  /// attempt's own waste is already inside its total_cycles (wasted work is
+  /// priced into the sim clock).
+  Cycles wasted_cycles = 0.0;
+};
+
 /// Accumulated metrics for a sequence of kernels (one model pass, one
 /// experiment, ...).
 struct RunStats {
@@ -89,16 +105,8 @@ struct RunStats {
   /// Shard count the run executed with (1 = unsharded).
   int shards = 1;
 
-  // ---- Shard-level recovery (DESIGN.md §17). Zero for fault-free runs;
-  // the sharded pipelines fill them when a shard-scoped seam fires and the
-  // run recovers by re-executing only the failed shard(s).
-  /// Per-shard retry decisions taken (one per re-execution or exchange redo).
-  std::uint64_t shard_retries = 0;
-  /// Distinct shard phase bodies re-executed after a shard_compute fault.
-  std::uint64_t shards_reexecuted = 0;
-  /// Cycles spent on failed shard attempts and redone exchanges; already
-  /// included in total_cycles (wasted work is priced into the sim clock).
-  Cycles recovery_wasted_cycles = 0.0;
+  /// The engine's shard recovery over the whole run this attempt ended.
+  RecoveryStats recovery;
 
   int num_launches() const { return static_cast<int>(kernels.size()); }
 

@@ -4,10 +4,16 @@
 
 #include <numeric>
 
+#include "kernels/common.hpp"
 #include "tests/testing/util.hpp"
 
 namespace gnnbridge::core {
 namespace {
+
+using graph::NodeId;
+using kernels::GroupedTasks;
+using kernels::neighbor_group_tasks;
+using kernels::Task;
 
 /// Tasks must tile each row's [row_ptr[v], row_ptr[v+1]) exactly.
 void expect_exact_cover(const Csr& g, const std::vector<Task>& tasks) {

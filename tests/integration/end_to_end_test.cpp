@@ -172,9 +172,9 @@ void expect_same_counters(const baselines::RunResult& a, const baselines::RunRes
   EXPECT_EQ(a.stats.exchange_syncs, b.stats.exchange_syncs);
   EXPECT_EQ(a.stats.exchange_cycles, b.stats.exchange_cycles);
   EXPECT_EQ(a.stats.shards, b.stats.shards);
-  EXPECT_EQ(a.stats.shard_retries, b.stats.shard_retries);
-  EXPECT_EQ(a.stats.shards_reexecuted, b.stats.shards_reexecuted);
-  EXPECT_EQ(a.stats.recovery_wasted_cycles, b.stats.recovery_wasted_cycles);
+  EXPECT_EQ(a.stats.recovery.shard_retries, b.stats.recovery.shard_retries);
+  EXPECT_EQ(a.stats.recovery.shards_reexecuted, b.stats.recovery.shards_reexecuted);
+  EXPECT_EQ(a.stats.recovery.wasted_cycles, b.stats.recovery.wasted_cycles);
   EXPECT_EQ(a.ms, b.ms);
 }
 

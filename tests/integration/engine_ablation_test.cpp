@@ -28,7 +28,7 @@ sim::KernelStats probe_aggregation(const graph::Dataset& d, const EngineConfig& 
   auto gdev = kernels::device_graph(ctx, d.csr, "g");
   auto src = kernels::device_mat_shape(ctx, d.csr.num_nodes, feat, "src");
   auto out = kernels::device_mat_shape(ctx, d.csr.num_nodes, feat, "out");
-  const core::GroupedTasks tasks = e.build_tasks(d.csr);
+  const kernels::GroupedTasks tasks = e.build_tasks(d.csr);
   kernels::SpmmArgs args{.graph = &gdev,
                          .tasks = tasks.tasks,
                          .src = &src,

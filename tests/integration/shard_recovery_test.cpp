@@ -9,6 +9,7 @@
 // any host thread count.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -129,9 +130,9 @@ TEST_F(ShardRecovery, GcnShardComputeRecoversBitIdentical) {
   EXPECT_EQ(r.attempts, 1) << "shard recovery must not consume a batch retry";
   EXPECT_TRUE(r.output == gcn_reference()) << "recovered output drifted from fault-free run";
   EXPECT_EQ(r.stats.shards, 4);
-  EXPECT_GE(r.stats.shard_retries, 1u);
-  EXPECT_GE(r.stats.shards_reexecuted, 1u);
-  EXPECT_GT(r.stats.recovery_wasted_cycles, 0.0) << "failed attempt must be priced";
+  EXPECT_GE(r.stats.recovery.shard_retries, 1u);
+  EXPECT_GE(r.stats.recovery.shards_reexecuted, 1u);
+  EXPECT_GT(r.stats.recovery.wasted_cycles, 0.0) << "failed attempt must be priced";
 }
 
 TEST_F(ShardRecovery, GatShardExchangeRecoversBitIdentical) {
@@ -151,9 +152,9 @@ TEST_F(ShardRecovery, GatShardExchangeRecoversBitIdentical) {
   EXPECT_TRUE(r.output == gat_reference());
   EXPECT_EQ(r.stats.shards, 4);
   // An exchange redo is a retry decision but re-executes no shard body.
-  EXPECT_GE(r.stats.shard_retries, 1u);
-  EXPECT_EQ(r.stats.shards_reexecuted, 0u);
-  EXPECT_GT(r.stats.recovery_wasted_cycles, 0.0);
+  EXPECT_GE(r.stats.recovery.shard_retries, 1u);
+  EXPECT_EQ(r.stats.recovery.shards_reexecuted, 0u);
+  EXPECT_GT(r.stats.recovery.wasted_cycles, 0.0);
 }
 
 // ---- Ladder exhaustion: a persistent shard fault spends the per-shard
@@ -171,10 +172,12 @@ TEST_F(ShardRecovery, PersistentShardComputeFallsBackUnshardedBitIdentical) {
   ASSERT_TRUE(r.status.ok()) << r.status.to_string();
   EXPECT_EQ(r.attempts, 1) << "fallback is a ladder rung, not a batch retry";
   EXPECT_TRUE(r.output == gcn_reference());
-  // The successful attempt ran unsharded; its RunStats carry no shard
-  // fields. The abandoned sharded attempt's recovery story lives in the
-  // registry's recovery counters instead, flushed by the batch fold.
+  // The successful attempt ran unsharded, but its RunStats count the
+  // whole run's recovery: the abandoned sharded attempt's retries and the
+  // fallback. The batch fold publishes the same counts to the registry.
   EXPECT_EQ(r.stats.shards, 1);
+  EXPECT_GE(r.stats.recovery.shard_retries, 1u);
+  EXPECT_EQ(r.stats.recovery.shard_fallbacks, 1u);
   const obs::TelemetryRegistry& reg = sink.telemetry();
   EXPECT_GE(reg.counter_value("recovery.shard_retries"), 1u);
   EXPECT_EQ(reg.counter_value("recovery.shard_fallbacks"), 1u);
@@ -191,8 +194,9 @@ TEST_F(ShardRecovery, PersistentShardComputeFallsBackUnshardedBitIdentical) {
   EXPECT_TRUE(found) << "no sharding degradation event recorded";
 }
 
-// ---- A direct run (no run_batch) flushes its recovery at the end of the
-// run, into the same counters a batch job's fold uses.
+// ---- A direct run (no run_batch) publishes its recovery at the end of
+// the run, into the same counters a batch job's fold uses, and returns the
+// same counts in its RunStats.
 
 TEST_F(ShardRecovery, DirectRunFlushesRetriesAndFallbackIntoRecoveryCounters) {
   const Inputs& in = inputs();
@@ -204,8 +208,10 @@ TEST_F(ShardRecovery, DirectRunFlushesRetriesAndFallbackIntoRecoveryCounters) {
   ASSERT_TRUE(r.status.ok()) << r.status.to_string();
   EXPECT_TRUE(r.output == reference);
   EXPECT_EQ(r.stats.shards, 1) << "the run must finish on the unsharded rung";
+  EXPECT_EQ(r.stats.recovery.shard_fallbacks, 1u);
+  EXPECT_GE(r.stats.recovery.shard_retries, 1u);
   const obs::TelemetryRegistry& reg = prof::MetricsSink::instance().telemetry();
-  EXPECT_GE(reg.counter_value("recovery.shard_retries"), 1u);
+  EXPECT_EQ(reg.counter_value("recovery.shard_retries"), r.stats.recovery.shard_retries);
   EXPECT_EQ(reg.counter_value("recovery.shard_fallbacks"), 1u);
   EXPECT_GT(reg.histogram_snapshot("recovery.wasted_cycles").sum, 0.0);
   EXPECT_EQ(reg.counter_value("serve.jobs"), 0u) << "a direct run is not a serving job";
@@ -222,7 +228,7 @@ TEST_F(ShardRecovery, RecoverySuccessDoesNotCountAsAFailedJob) {
   const auto results = e.run_batch({&job, 1});
   ASSERT_EQ(results.size(), 1u);
   ASSERT_TRUE(results[0].status.ok()) << results[0].status.to_string();
-  EXPECT_GE(results[0].stats.shard_retries, 1u);
+  EXPECT_GE(results[0].stats.recovery.shard_retries, 1u);
   const obs::TelemetryRegistry& reg = prof::MetricsSink::instance().telemetry();
   EXPECT_EQ(reg.counter_value("serve.jobs_ok"), 1u);
   EXPECT_EQ(reg.counter_value("serve.jobs_failed"), 0u);
@@ -295,7 +301,7 @@ TEST_F(ShardRecovery, JournalCarriesFaultInjectedAndShardRetryEvents) {
     }
   }
   EXPECT_EQ(injected, 1u);
-  EXPECT_EQ(retries, results[0].stats.shard_retries);
+  EXPECT_EQ(retries, results[0].stats.recovery.shard_retries);
 }
 
 TEST_F(ShardRecovery, FallbackJournalsAShardFallbackEvent) {
@@ -374,9 +380,10 @@ TEST_F(ShardRecovery, RecoveringBatchMetricsByteIdenticalAt1_2_3_4_8Threads) {
 
 // ---- The chaos sweep in process: the graphs `soak --chaos` sweeps
 // (collab and citation at scale 0.04) with 32-wide inputs. Every cell and
-// both out-of-engine probes must hold the recovery contract, and the
-// metrics document and the journal the sweep leaves must be byte-identical
-// at 1, 2, 3, 4 and 8 host threads.
+// both out-of-engine probes must hold the recovery contract, the cells'
+// shard retries must add up to the registry's (each run counts its
+// recovery once), and the metrics document and the journal the sweep
+// leaves must be byte-identical at 1, 2, 3, 4 and 8 host threads.
 
 struct ChaosInputs {
   struct Set {
@@ -440,6 +447,10 @@ ChaosArtifacts run_chaos_and_export() {
   for (const std::string& v : report->violations) {
     ADD_FAILURE() << "chaos contract at " << threads << " threads: " << v;
   }
+  std::uint64_t cell_retries = 0;
+  for (const engine::ChaosCellVerdict& cell : report->cells) cell_retries += cell.shard_retries;
+  EXPECT_EQ(cell_retries, sink.telemetry().counter_value("recovery.shard_retries"))
+      << "at " << threads << " threads";
   ChaosArtifacts out{sink.to_json(), journal.to_jsonl()};
   sink.clear();
   return out;

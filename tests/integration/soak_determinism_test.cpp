@@ -1,8 +1,8 @@
 // Resilient run_batch determinism (DESIGN.md §11 + §12): with per-job
 // fault plans, job-local ladders and retries all active, the metrics
-// document — kernel counters, degradations AND the serving telemetry — and
-// the event journal must stay byte-identical at 1, 2, 3, 4 and 8 host
-// threads.
+// document — kernel counters, degradations AND the serving telemetry —,
+// the event journal and the stderr "degrading" lines must stay
+// byte-identical at 1, 2, 3, 4 and 8 host threads.
 #include <gtest/gtest.h>
 
 #include <iterator>
@@ -110,10 +110,11 @@ std::vector<OptimizedEngine::BatchJob> make_stream(const KindRuns& collab,
 }
 
 // One full soak pass through a fresh engine: the metrics document with
-// pinned meta, and the event journal.
+// pinned meta, the event journal and what the batch printed to stderr.
 struct SoakArtifacts {
   std::string metrics;
   std::string journal;
+  std::string stderr_text;
 };
 
 SoakArtifacts run_soak_and_serialize() {
@@ -135,7 +136,9 @@ SoakArtifacts run_soak_and_serialize() {
   const KindRuns arxiv(&in.x_arxiv);
   const auto jobs = make_stream(collab, arxiv);
   obs::EventJournal journal;
+  ::testing::internal::CaptureStderr();
   const std::vector<baselines::RunResult> results = eng.run_batch(jobs, &journal);
+  const std::string stderr_text = ::testing::internal::GetCapturedStderr();
   EXPECT_EQ(results.size(), jobs.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_TRUE(results[i].status.ok())
@@ -153,7 +156,7 @@ SoakArtifacts run_soak_and_serialize() {
   EXPECT_EQ(reg.counter_value("serve.jobs"), jobs.size());
   EXPECT_GE(reg.counter_value("serve.attempts"), jobs.size());
   EXPECT_EQ(reg.counter_value("serve.jobs_failed"), 0u);
-  SoakArtifacts out{sink.to_json(), journal.to_jsonl()};
+  SoakArtifacts out{sink.to_json(), journal.to_jsonl(), stderr_text};
   EXPECT_GE(journal.size(), jobs.size());
   sink.clear();
   return out;
@@ -164,11 +167,13 @@ TEST_F(SoakDeterminism, FaultedSoakMetricsByteIdenticalAt1_2_3_4_8Threads) {
   const SoakArtifacts serial = run_soak_and_serialize();
   ASSERT_FALSE(serial.metrics.empty());
   ASSERT_FALSE(serial.journal.empty());
+  EXPECT_NE(serial.stderr_text.find("degrading:"), std::string::npos);
   for (int threads : {2, 3, 4, 8}) {
     par::set_max_threads(threads);
     const SoakArtifacts parallel = run_soak_and_serialize();
     EXPECT_EQ(parallel.metrics, serial.metrics) << "metrics at " << threads << " threads";
     EXPECT_EQ(parallel.journal, serial.journal) << "journal at " << threads << " threads";
+    EXPECT_EQ(parallel.stderr_text, serial.stderr_text) << "stderr at " << threads << " threads";
   }
 }
 

@@ -4,7 +4,6 @@
 
 #include <cmath>
 
-#include "core/balance/neighbor_grouping.hpp"
 #include "tests/testing/util.hpp"
 
 namespace gnnbridge::kernels {
@@ -87,7 +86,7 @@ TEST(SegmentSum, SplitTasksAccumulate) {
   Matrix acc_host(h.csr.num_nodes, 1);
   auto e = device_mat(h.ctx, e_host, "e");
   auto acc = device_mat(h.ctx, acc_host, "acc");
-  const core::GroupedTasks grouped = core::neighbor_group_tasks(h.csr, 8);
+  const GroupedTasks grouped = neighbor_group_tasks(h.csr, 8);
   EXPECT_TRUE(grouped.any_split);
   segment_sum(h.ctx, {.graph = &h.gdev,
                       .tasks = grouped.tasks,

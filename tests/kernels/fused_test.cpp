@@ -4,7 +4,6 @@
 
 #include <cmath>
 
-#include "core/balance/neighbor_grouping.hpp"
 #include "kernels/edge_ops.hpp"
 #include "kernels/sddmm.hpp"
 #include "kernels/spmm.hpp"
@@ -114,7 +113,7 @@ TEST(GatTwoKernelPipeline, SplitTasksMatchReference) {
   // The whole point of the linear property: NG-split tasks still give the
   // correct softmax-normalized aggregation.
   GatHarness h(random_graph(40, 12.0, 7), 6, 8);
-  const core::GroupedTasks grouped = core::neighbor_group_tasks(h.csr, 4);
+  const GroupedTasks grouped = neighbor_group_tasks(h.csr, 4);
   ASSERT_TRUE(grouped.any_split);
   gat_edge_fused(h.ctx, {.graph = &h.gdev, .tasks = grouped.tasks, .att_src = &h.att_src,
                          .att_dst = &h.att_dst, .edge_out = &h.e, .vacc_out = &h.vacc,
@@ -193,7 +192,7 @@ TEST(AggregateBiasActFused, DeferredEpilogueUnderSplit) {
   aggregate_bias_act_fused(ctx, {.graph = &gdev, .tasks = whole, .feat = &feat, .bias = &bias,
                                  .out = &ref, .relu = true});
 
-  const core::GroupedTasks grouped = core::neighbor_group_tasks(csr, 8);
+  const GroupedTasks grouped = neighbor_group_tasks(csr, 8);
   ASSERT_TRUE(grouped.any_split);
   aggregate_bias_act_fused(ctx, {.graph = &gdev, .tasks = grouped.tasks, .feat = &feat,
                                  .bias = &bias, .out = &out, .relu = true,

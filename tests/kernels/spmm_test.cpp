@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/balance/neighbor_grouping.hpp"
 #include "models/layers.hpp"
 #include "tests/testing/util.hpp"
 
@@ -100,7 +99,7 @@ TEST_P(SpmmGrouping, SplitTasksMatchWholeRows) {
   spmm_node(h.ctx, h.args(whole, reduce, true));
   const Matrix expect = h.out_host;
 
-  const core::GroupedTasks grouped = core::neighbor_group_tasks(h.csr, bound);
+  const GroupedTasks grouped = neighbor_group_tasks(h.csr, bound);
   SpmmArgs a = h.args(grouped.tasks, reduce, true);
   a.atomic_merge = grouped.any_split;
   spmm_node(h.ctx, a);

@@ -184,10 +184,11 @@ TEST(ShardPartition, ByteStableAcrossRuns) {
   }
 }
 
-// Regression (checked CSR accessors): a corrupt graph — out-of-range
-// column / truncated row_ptr — must surface as a structured Status from
+// Regression: a corrupt graph — out-of-range column / truncated row_ptr /
+// non-monotone row bounds — must surface as a structured Status from
 // partition_graph, not an assert or out-of-range read. The partitioner
-// reads rows exclusively through rt::checked_neighbors.
+// checks its input once, at entry (rt::validate_csr), before it reads a
+// row.
 TEST(ShardPartition, CorruptGraphReportsStructuredError) {
   Csr bad = testing::path_graph(8);
   bad.col_idx[0] = 99;  // source id beyond num_nodes
