@@ -129,21 +129,24 @@ k::FeatureMat gat_layer(sim::SimContext& ctx, Workspace& ws, const k::GraphOnDev
 
 rt::Status OptimizedEngine::preflight(const Dataset& data, const models::Matrix* features,
                                       const graph::GraphFingerprint& fp) const {
+  bool csr_validated = false;
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
     auto it = memo_.find(fp);
-    if (it != memo_.end() && it->second.validated_features == features) return rt::OkStatus();
+    csr_validated = it != memo_.end() && it->second.csr_validated;
   }
-  if (rt::Status s = rt::validate_csr(data.csr); !s.ok()) {
-    return std::move(s).with_context("engine preflight");
+  if (!csr_validated) {
+    if (rt::Status s = rt::validate_csr(data.csr); !s.ok()) {
+      return std::move(s).with_context("engine preflight");
+    }
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    memo_[fp].csr_validated = true;
   }
   if (features) {
     if (rt::Status s = rt::validate_matrix(*features, "features"); !s.ok()) {
       return std::move(s).with_context("engine preflight");
     }
   }
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  memo_[fp].validated_features = features;
   return rt::OkStatus();
 }
 
@@ -547,7 +550,7 @@ std::vector<RunResult> OptimizedEngine::run_batch(std::span<const BatchJob> jobs
 RunResult OptimizedEngine::run_request(const BatchJob& job, detail::RunContext& rc) {
   const Dataset& data = *job.data;
   const auto guarded = [&](const models::Matrix* features, std::string_view what, auto&& attempt) {
-    return run_guarded(data, features, what, rc, attempt);
+    return run_guarded(data, job.mode == ExecMode::kFull ? features : nullptr, what, rc, attempt);
   };
   if (job.gcn) {
     return guarded(job.gcn->features, "run_gcn",
@@ -603,7 +606,7 @@ OptimizedEngine::TrainResult OptimizedEngine::train_gcn_step(
     const sim::DeviceSpec& spec, models::GcnGrads* grads_out) {
   (void)cfg;
   return run_direct(data.csr, [&](detail::RunContext& rc) {
-    return run_guarded(data, &x, "train_gcn_step", rc, [&] {
+    return run_guarded(data, mode == ExecMode::kFull ? &x : nullptr, "train_gcn_step", rc, [&] {
       return train_gcn_attempt(data, params, x, target, lr, mode, spec, grads_out, rc);
     });
   });

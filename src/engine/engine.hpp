@@ -206,7 +206,7 @@ class OptimizedEngine final : public Backend {
 
   /// Everything the engine memoizes for one graph: the offline LAS order
   /// and the online tuner's choices the paper reuses across runs (§4.4),
-  /// the shard plans and the feature matrix preflight validated. Entries
+  /// the shard plans and whether preflight validated the CSR. Entries
   /// are keyed by content fingerprint, so an in-place mutated (or
   /// reallocated-at-the-same-address) graph can never alias a stale one,
   /// and are never erased; LAS orders and partitions sit behind
@@ -220,9 +220,9 @@ class OptimizedEngine final : public Backend {
     std::map<std::pair<tensor::Index, bool>, core::TuneConfig> tuned;
     /// By shard count; pure functions of (graph, k).
     std::map<int, std::shared_ptr<const shard::Partition>> shard_plans;
-    /// The features preflight validated with this graph (O(N x F) to
-    /// check; benches rerun identical inputs thousands of times).
-    std::optional<const models::Matrix*> validated_features;
+    /// Whether preflight validated this graph's CSR. The key is the
+    /// graph's content, so the check holds for every run on it.
+    bool csr_validated = false;
   };
   /// Guarded by cache_mu_; run_batch jobs share it.
   mutable std::mutex cache_mu_;
@@ -256,7 +256,10 @@ class OptimizedEngine final : public Backend {
                                        const std::vector<NodeId>* las,
                                        detail::RunContext& rc) const;
 
-  /// Input validation run before every attempt (memoized per graph).
+  /// Input validation run before every attempt: the CSR once per graph
+  /// (memoized by fingerprint), and `features` on every run, since a
+  /// matrix may be written in place between runs. Null `features` (a
+  /// trace-only run, which reads no feature value) scans none.
   rt::Status preflight(const Dataset& data, const models::Matrix* features,
                        const graph::GraphFingerprint& fp) const;
 
@@ -280,7 +283,8 @@ class OptimizedEngine final : public Backend {
   bool degrade_for(const rt::StageFailure& failure, detail::RunContext& rc) const;
 
   /// Preflight + attempt + catch-degrade-retry loop shared by every entry
-  /// point. `attempt` returns RunResult or TrainResult.
+  /// point. `features` are the values the run reads (null for a trace-only
+  /// run); `attempt` returns RunResult or TrainResult.
   template <typename Fn>
   auto run_guarded(const Dataset& data, const models::Matrix* features, std::string_view what,
                    detail::RunContext& rc, Fn&& attempt) -> decltype(attempt());

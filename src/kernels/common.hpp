@@ -113,27 +113,27 @@ inline std::size_t blocks_of(std::int64_t n, std::int64_t per_block) {
 /// only, so the chunks are the same at any thread count.
 std::size_t block_grain(std::size_t blocks);
 
-/// Builds the `count` blocks of `k` as pool tasks: emit(i, k.blocks[i])
-/// for every block, each chunk's blocks in order on one thread. `emit`
-/// reserves the block's accesses before it emits them. No chunk boundary
-/// falls before a block i for which joined(i) holds: a kernel whose host
-/// math adds into an output row that another block also writes joins
-/// those blocks, so the row is summed in block order at any thread count.
-/// Each block's trace is built alone, so every trace is byte-identical.
-template <typename Joined, typename Emit>
-void emit_blocks(sim::Kernel& k, std::size_t count, Joined&& joined, Emit&& emit) {
-  k.blocks.resize(count);
-  const std::vector<std::size_t> bounds =
-      par::aligned_chunk_bounds(count, block_grain(count), joined);
-  par::parallel_ranges(bounds, [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) emit(i, k.blocks[i]);
-  });
+/// Builds kernel `args.name` (phase `args.phase`) of `count` blocks for
+/// ctx's device through sim::build_kernel: size(i) is block i's exact
+/// access count and emit(i, blk) emits its accesses and costs, the blocks
+/// of each chunk in order on one pool task. No chunk boundary falls before
+/// a block i for which joined(i) holds: a kernel whose host math adds into
+/// an output row that another block also writes joins those blocks, so
+/// the row is summed in block order at any thread count. Each block writes
+/// only its own slots of the trace, so every trace is byte-identical.
+template <typename Args, typename Joined, typename Size, typename Emit>
+sim::Kernel emit_blocks(const sim::SimContext& ctx, const Args& args, std::size_t count,
+                        Joined&& joined, Size&& size, Emit&& emit) {
+  return sim::build_kernel(args.name, args.phase, ctx.spec().total_block_slots(),
+                           par::aligned_chunk_bounds(count, block_grain(count), joined), size,
+                           emit);
 }
 
 /// emit_blocks for blocks whose host math writes rows no other block does.
-template <typename Emit>
-void emit_blocks(sim::Kernel& k, std::size_t count, Emit&& emit) {
-  emit_blocks(k, count, [](std::size_t) { return false; }, emit);
+template <typename Args, typename Size, typename Emit>
+sim::Kernel emit_blocks(const sim::SimContext& ctx, const Args& args, std::size_t count,
+                        Size&& size, Emit&& emit) {
+  return emit_blocks(ctx, args, count, [](std::size_t) { return false; }, size, emit);
 }
 
 /// emit_blocks' `joined` for one block per task: the adjacent tasks of

@@ -31,23 +31,23 @@ void gemm_tile_trace(sim::BlockWork& blk, const sim::Buffer& b_buf, std::uint64_
                      Index j1, Index kdim, RowAddrFn a_row_addr) {
   for (Index k0 = 0; k0 < kdim; k0 += kTile) {
     const Index k1 = std::min(k0 + kTile, kdim);
-    const std::uint32_t a_bytes = static_cast<std::uint32_t>((k1 - k0) * 4);
+    const std::uint64_t a_bytes = static_cast<std::uint64_t>((k1 - k0) * 4);
     for (Index i = i0; i < i1; ++i) {
       const auto [buf, off] = a_row_addr(i);
-      blk.accesses.push_back({buf->addr(off + static_cast<std::uint64_t>(k0) * 4), a_bytes});
+      blk.read(*buf, off + static_cast<std::uint64_t>(k0) * 4, a_bytes);
     }
-    const std::uint32_t b_bytes = static_cast<std::uint32_t>((j1 - j0) * 4);
+    const std::uint64_t b_bytes = static_cast<std::uint64_t>((j1 - j0) * 4);
     for (Index kk = k0; kk < k1; ++kk) {
-      blk.accesses.push_back({b_buf.addr(static_cast<std::uint64_t>(kk) * b_row_bytes +
-                                         static_cast<std::uint64_t>(j0) * 4),
-                              b_bytes});
+      blk.read(b_buf,
+               static_cast<std::uint64_t>(kk) * b_row_bytes + static_cast<std::uint64_t>(j0) * 4,
+               b_bytes);
     }
   }
-  const std::uint32_t c_bytes = static_cast<std::uint32_t>((j1 - j0) * 4);
+  const std::uint64_t c_bytes = static_cast<std::uint64_t>((j1 - j0) * 4);
   for (Index i = i0; i < i1; ++i) {
-    blk.accesses.push_back({c_buf.addr(static_cast<std::uint64_t>(i) * c_row_bytes +
-                                       static_cast<std::uint64_t>(j0) * 4),
-                            c_bytes});
+    blk.write(c_buf,
+              static_cast<std::uint64_t>(i) * c_row_bytes + static_cast<std::uint64_t>(j0) * 4,
+              c_bytes);
   }
   const double useful = 2.0 * static_cast<double>(i1 - i0) * static_cast<double>(j1 - j0) *
                         static_cast<double>(kdim);
@@ -85,20 +85,20 @@ sim::KernelStats dense_gemm(sim::SimContext& ctx, const GemmArgs& args) {
     *args.c->host = tensor::gemm(*args.a->host, *args.b->host);
   }
 
-  sim::Kernel k;
-  k.name = args.name;
-  k.phase = args.phase;
   const sim::Buffer a_buf = args.a->buf;
   const std::uint64_t a_row_bytes = args.a->row_bytes();
-  emit_blocks(k, num_tiles(m, n), [&](std::size_t b, sim::BlockWork& blk) {
+  const auto accesses = [&](std::size_t b) {
+    const Tile t = tile_of(b, m, n);
+    return gemm_tile_accesses(t.i1 - t.i0, kdim);
+  };
+  const auto emit = [&](std::size_t b, sim::BlockWork& blk) {
     const auto [i0, i1, j0, j1] = tile_of(b, m, n);
-    blk.accesses.reserve(gemm_tile_accesses(i1 - i0, kdim));
     gemm_tile_trace(blk, args.b->buf, args.b->row_bytes(), args.c->buf, args.c->row_bytes(), i0,
                     i1, j0, j1, kdim, [&](Index i) {
                       return std::pair{&a_buf, static_cast<std::uint64_t>(i) * a_row_bytes};
                     });
-  });
-  return ctx.launch(std::move(k));
+  };
+  return ctx.launch(emit_blocks(ctx, args, num_tiles(m, n), accesses, emit));
 }
 
 sim::KernelStats sparse_fetch_gemm(sim::SimContext& ctx, const SparseFetchGemmArgs& args) {
@@ -117,24 +117,24 @@ sim::KernelStats sparse_fetch_gemm(sim::SimContext& ctx, const SparseFetchGemmAr
     *args.c->host = tensor::gemm(gathered, *args.b->host);
   }
 
-  sim::Kernel k;
-  k.name = args.name;
-  k.phase = args.phase;
   const sim::Buffer feat_buf = args.feat->buf;
   const std::uint64_t feat_row_bytes = args.feat->row_bytes();
-  emit_blocks(k, num_tiles(m, n), [&](std::size_t b, sim::BlockWork& blk) {
+  const auto accesses = [&](std::size_t b) {
+    const Tile t = tile_of(b, m, n);
+    return gemm_tile_accesses(t.i1 - t.i0, kdim) + 1;
+  };
+  const auto emit = [&](std::size_t b, sim::BlockWork& blk) {
     const auto [i0, i1, j0, j1] = tile_of(b, m, n);
-    blk.accesses.reserve(gemm_tile_accesses(i1 - i0, kdim) + 1);
     gemm_tile_trace(blk, args.b->buf, args.b->row_bytes(), args.c->buf, args.c->row_bytes(), i0,
                     i1, j0, j1, kdim, [&](Index i) {
                       const NodeId u = args.row_index[static_cast<std::size_t>(i)];
                       return std::pair{&feat_buf, static_cast<std::uint64_t>(u) * feat_row_bytes};
                     });
     // The index array itself is read once per tile row-range.
-    blk.accesses.push_back({args.index_buf.addr(static_cast<std::uint64_t>(i0) * 4),
-                            static_cast<std::uint32_t>((i1 - i0) * 4)});
-  });
-  return ctx.launch(std::move(k));
+    blk.read(args.index_buf, static_cast<std::uint64_t>(i0) * 4,
+             static_cast<std::uint64_t>((i1 - i0) * 4));
+  };
+  return ctx.launch(emit_blocks(ctx, args, num_tiles(m, n), accesses, emit));
 }
 
 sim::KernelStats dense_map(sim::SimContext& ctx, const DenseMapArgs& args) {
@@ -143,18 +143,15 @@ sim::KernelStats dense_map(sim::SimContext& ctx, const DenseMapArgs& args) {
   assert(args.out->rows == rows && args.out->cols == cols);
   const bool full = args.in->host && args.out->host;
 
-  sim::Kernel k;
-  k.name = args.name;
-  k.phase = args.phase;
   const Index rows_per_block = std::max<Index>(1, kTile * kTile / std::max<Index>(cols, 1));
-  emit_blocks(k, blocks_of(rows, rows_per_block), [&](std::size_t b, sim::BlockWork& blk) {
+  const auto accesses = [](std::size_t) { return 2; };
+  const auto emit = [&](std::size_t b, sim::BlockWork& blk) {
     const Index r0 = static_cast<Index>(b) * rows_per_block;
     const Index r1 = std::min(r0 + rows_per_block, rows);
-    blk.accesses.reserve(2);
     blk.read(args.in->buf, args.in->row_offset(r0),
-             static_cast<std::uint32_t>((r1 - r0) * args.in->row_bytes()));
+             (r1 - r0) * args.in->row_bytes());
     blk.write(args.out->buf, args.out->row_offset(r0),
-              static_cast<std::uint32_t>((r1 - r0) * args.out->row_bytes()));
+              (r1 - r0) * args.out->row_bytes());
     if (full) {
       for (Index r = r0; r < r1; ++r) {
         auto in = args.in->host->row(r);
@@ -165,8 +162,8 @@ sim::KernelStats dense_map(sim::SimContext& ctx, const DenseMapArgs& args) {
     const double work = args.flops_per_elem * static_cast<double>((r1 - r0) * cols);
     blk.compute(work, work);
     blk.extra_cycles = kBlockSetupCycles;
-  });
-  return ctx.launch(std::move(k));
+  };
+  return ctx.launch(emit_blocks(ctx, args, blocks_of(rows, rows_per_block), accesses, emit));
 }
 
 sim::KernelStats dense_binary(sim::SimContext& ctx, const DenseBinaryArgs& args) {
@@ -176,15 +173,12 @@ sim::KernelStats dense_binary(sim::SimContext& ctx, const DenseBinaryArgs& args)
   assert(args.out->rows == rows && args.out->cols == cols);
   const bool full = args.a->host && args.b->host && args.out->host;
 
-  sim::Kernel k;
-  k.name = args.name;
-  k.phase = args.phase;
   const Index rows_per_block = std::max<Index>(1, kTile * kTile / std::max<Index>(cols, 1));
-  emit_blocks(k, blocks_of(rows, rows_per_block), [&](std::size_t blk_index, sim::BlockWork& blk) {
+  const auto accesses = [](std::size_t) { return 3; };
+  const auto emit = [&](std::size_t blk_index, sim::BlockWork& blk) {
     const Index r0 = static_cast<Index>(blk_index) * rows_per_block;
     const Index r1 = std::min(r0 + rows_per_block, rows);
-    blk.accesses.reserve(3);
-    const std::uint32_t bytes = static_cast<std::uint32_t>((r1 - r0) * args.a->row_bytes());
+    const std::uint64_t bytes = (r1 - r0) * args.a->row_bytes();
     blk.read(args.a->buf, args.a->row_offset(r0), bytes);
     blk.read(args.b->buf, args.b->row_offset(r0), bytes);
     blk.write(args.out->buf, args.out->row_offset(r0), bytes);
@@ -199,8 +193,8 @@ sim::KernelStats dense_binary(sim::SimContext& ctx, const DenseBinaryArgs& args)
     const double work = args.flops_per_elem * static_cast<double>((r1 - r0) * cols);
     blk.compute(work, work);
     blk.extra_cycles = kBlockSetupCycles;
-  });
-  return ctx.launch(std::move(k));
+  };
+  return ctx.launch(emit_blocks(ctx, args, blocks_of(rows, rows_per_block), accesses, emit));
 }
 
 sim::KernelStats indexed_binary(sim::SimContext& ctx, const IndexedBinaryArgs& args) {
@@ -211,21 +205,21 @@ sim::KernelStats indexed_binary(sim::SimContext& ctx, const IndexedBinaryArgs& a
   assert(args.out->rows == m && args.out->cols == cols);
   const bool full = args.a->host && args.b->host && args.out->host;
 
-  sim::Kernel k;
-  k.name = args.name;
-  k.phase = args.phase;
   const Index rows_per_block = std::max<Index>(1, kTile * kTile / std::max<Index>(cols, 1));
-  emit_blocks(k, blocks_of(m, rows_per_block), [&](std::size_t blk_index, sim::BlockWork& blk) {
+  const auto accesses = [&](std::size_t blk_index) {
+    const Index r0 = static_cast<Index>(blk_index) * rows_per_block;
+    return static_cast<std::size_t>(std::min(r0 + rows_per_block, m) - r0) + 3;
+  };
+  const auto emit = [&](std::size_t blk_index, sim::BlockWork& blk) {
     const Index r0 = static_cast<Index>(blk_index) * rows_per_block;
     const Index r1 = std::min(r0 + rows_per_block, m);
-    blk.accesses.reserve(static_cast<std::size_t>(r1 - r0) + 3);
-    blk.accesses.push_back({args.index_buf.addr(static_cast<std::uint64_t>(r0) * 4),
-                            static_cast<std::uint32_t>((r1 - r0) * 4)});
+    blk.read(args.index_buf, static_cast<std::uint64_t>(r0) * 4,
+             static_cast<std::uint64_t>((r1 - r0) * 4));
     for (Index r = r0; r < r1; ++r) {
       const NodeId u = args.row_index[static_cast<std::size_t>(r)];
-      blk.read(args.a->buf, args.a->row_offset(u), static_cast<std::uint32_t>(args.a->row_bytes()));
+      blk.read(args.a->buf, args.a->row_offset(u), args.a->row_bytes());
     }
-    const std::uint32_t bytes = static_cast<std::uint32_t>((r1 - r0) * args.b->row_bytes());
+    const std::uint64_t bytes = (r1 - r0) * args.b->row_bytes();
     blk.read(args.b->buf, args.b->row_offset(r0), bytes);
     blk.write(args.out->buf, args.out->row_offset(r0), bytes);
     if (full) {
@@ -239,8 +233,8 @@ sim::KernelStats indexed_binary(sim::SimContext& ctx, const IndexedBinaryArgs& a
     const double work = args.flops_per_elem * static_cast<double>((r1 - r0) * cols);
     blk.compute(work, work);
     blk.extra_cycles = kBlockSetupCycles;
-  });
-  return ctx.launch(std::move(k));
+  };
+  return ctx.launch(emit_blocks(ctx, args, blocks_of(m, rows_per_block), accesses, emit));
 }
 
 sim::KernelStats dense_transpose(sim::SimContext& ctx, const TransposeArgs& args) {
@@ -250,20 +244,20 @@ sim::KernelStats dense_transpose(sim::SimContext& ctx, const TransposeArgs& args
   const bool full = args.in->host && args.out->host;
   if (full) *args.out->host = tensor::transpose(*args.in->host);
 
-  sim::Kernel k;
-  k.name = args.name;
-  k.phase = args.phase;
-  emit_blocks(k, num_tiles(m, n), [&](std::size_t b, sim::BlockWork& blk) {
+  const auto accesses = [&](std::size_t b) {
+    const Tile t = tile_of(b, m, n);
+    return static_cast<std::size_t>((t.i1 - t.i0) + (t.j1 - t.j0));
+  };
+  const auto emit = [&](std::size_t b, sim::BlockWork& blk) {
     const auto [i0, i1, j0, j1] = tile_of(b, m, n);
-    blk.accesses.reserve(static_cast<std::size_t>((i1 - i0) + (j1 - j0)));
-    const std::uint32_t in_bytes = static_cast<std::uint32_t>((j1 - j0) * 4);
+    const std::uint64_t in_bytes = static_cast<std::uint64_t>((j1 - j0) * 4);
     for (Index i = i0; i < i1; ++i) {
       blk.read(args.in->buf,
                static_cast<std::uint64_t>(i) * args.in->row_bytes() +
                    static_cast<std::uint64_t>(j0) * 4,
                in_bytes);
     }
-    const std::uint32_t out_bytes = static_cast<std::uint32_t>((i1 - i0) * 4);
+    const std::uint64_t out_bytes = static_cast<std::uint64_t>((i1 - i0) * 4);
     for (Index j = j0; j < j1; ++j) {
       blk.write(args.out->buf,
                 static_cast<std::uint64_t>(j) * args.out->row_bytes() +
@@ -273,8 +267,8 @@ sim::KernelStats dense_transpose(sim::SimContext& ctx, const TransposeArgs& args
     const double moved = static_cast<double>((i1 - i0) * (j1 - j0));
     blk.compute_copy(moved);
     blk.extra_cycles = kBlockSetupCycles;
-  });
-  return ctx.launch(std::move(k));
+  };
+  return ctx.launch(emit_blocks(ctx, args, num_tiles(m, n), accesses, emit));
 }
 
 sim::KernelStats col_sum(sim::SimContext& ctx, const ColSumArgs& args) {
@@ -301,26 +295,23 @@ sim::KernelStats col_sum(sim::SimContext& ctx, const ColSumArgs& args) {
                          });
   }
 
-  sim::Kernel k;
-  k.name = args.name;
-  k.phase = args.phase;
   constexpr Index kRowsPerBlock = 256;
   const std::uint32_t line = static_cast<std::uint32_t>(ctx.spec().line_bytes);
   const double out_lines = static_cast<double>((n * 4 + line - 1) / line);
-  emit_blocks(k, blocks_of(m, kRowsPerBlock), [&](std::size_t b, sim::BlockWork& blk) {
+  const auto accesses = [](std::size_t) { return 2; };
+  const auto emit = [&](std::size_t b, sim::BlockWork& blk) {
     const Index r0 = static_cast<Index>(b) * kRowsPerBlock;
     const Index r1 = std::min(r0 + kRowsPerBlock, m);
-    blk.accesses.reserve(2);
     blk.read(args.in->buf, args.in->row_offset(r0),
-             static_cast<std::uint32_t>((r1 - r0) * args.in->row_bytes()));
-    blk.write(args.out->buf, 0, static_cast<std::uint32_t>(n * 4));
+             (r1 - r0) * args.in->row_bytes());
+    blk.write(args.out->buf, 0, static_cast<std::uint64_t>(n * 4));
     const double work = static_cast<double>((r1 - r0) * n);
     blk.compute(work, work);
     blk.extra_cycles = kBlockSetupCycles;
     // Blocks merge partial column sums into the shared output atomically.
     blk.atomic_merge(2.5 * out_lines, static_cast<std::uint64_t>(n) * 4);
-  });
-  return ctx.launch(std::move(k));
+  };
+  return ctx.launch(emit_blocks(ctx, args, blocks_of(m, kRowsPerBlock), accesses, emit));
 }
 
 sim::KernelStats row_dot(sim::SimContext& ctx, const RowDotArgs& args) {
@@ -329,18 +320,15 @@ sim::KernelStats row_dot(sim::SimContext& ctx, const RowDotArgs& args) {
   assert(args.vec->rows == cols && args.out->rows == rows);
   const bool full = args.feat->host && args.vec->host && args.out->host;
 
-  sim::Kernel k;
-  k.name = args.name;
-  k.phase = args.phase;
   constexpr Index kRowsPerBlock = 128;
-  emit_blocks(k, blocks_of(rows, kRowsPerBlock), [&](std::size_t b, sim::BlockWork& blk) {
+  const auto accesses = [](std::size_t) { return 3; };
+  const auto emit = [&](std::size_t b, sim::BlockWork& blk) {
     const Index r0 = static_cast<Index>(b) * kRowsPerBlock;
     const Index r1 = std::min(r0 + kRowsPerBlock, rows);
-    blk.accesses.reserve(3);
-    blk.read(args.vec->buf, 0, static_cast<std::uint32_t>(cols * 4));
+    blk.read(args.vec->buf, 0, static_cast<std::uint64_t>(cols * 4));
     blk.read(args.feat->buf, args.feat->row_offset(r0),
-             static_cast<std::uint32_t>((r1 - r0) * args.feat->row_bytes()));
-    blk.write(args.out->buf, args.out->row_offset(r0), static_cast<std::uint32_t>((r1 - r0) * 4));
+             (r1 - r0) * args.feat->row_bytes());
+    blk.write(args.out->buf, args.out->row_offset(r0), static_cast<std::uint64_t>((r1 - r0) * 4));
     if (full) {
       for (Index r = r0; r < r1; ++r) {
         float acc = 0.0f;
@@ -352,8 +340,8 @@ sim::KernelStats row_dot(sim::SimContext& ctx, const RowDotArgs& args) {
     const double work = 2.0 * static_cast<double>((r1 - r0) * cols);
     blk.compute(work, work);
     blk.extra_cycles = kBlockSetupCycles;
-  });
-  return ctx.launch(std::move(k));
+  };
+  return ctx.launch(emit_blocks(ctx, args, blocks_of(rows, kRowsPerBlock), accesses, emit));
 }
 
 }  // namespace gnnbridge::kernels

@@ -16,17 +16,14 @@ sim::KernelStats edge_map(sim::SimContext& ctx, const EdgeMapArgs& args) {
   const EdgeId n = args.in->rows;
   const bool full = args.in->host && args.out->host;
 
-  sim::Kernel k;
-  k.name = args.name;
-  k.phase = args.phase;
-  emit_blocks(k, blocks_of(n, kElemChunk), [&](std::size_t b, sim::BlockWork& blk) {
+  const auto accesses = [](std::size_t) { return 2; };
+  const auto emit = [&](std::size_t b, sim::BlockWork& blk) {
     const EdgeId chunk = static_cast<EdgeId>(b) * kElemChunk;
     const EdgeId end = std::min(chunk + kElemChunk, n);
-    blk.accesses.reserve(2);
     blk.read(args.in->buf, static_cast<std::uint64_t>(chunk) * 4,
-             static_cast<std::uint32_t>((end - chunk) * 4));
+             static_cast<std::uint64_t>((end - chunk) * 4));
     blk.write(args.out->buf, static_cast<std::uint64_t>(chunk) * 4,
-              static_cast<std::uint32_t>((end - chunk) * 4));
+              static_cast<std::uint64_t>((end - chunk) * 4));
     if (full) {
       for (EdgeId i = chunk; i < end; ++i) {
         (*args.out->host)(i, 0) = args.fn((*args.in->host)(i, 0));
@@ -35,8 +32,8 @@ sim::KernelStats edge_map(sim::SimContext& ctx, const EdgeMapArgs& args) {
     const double work = args.flops_per_elem * static_cast<double>(end - chunk);
     blk.compute(work, work);
     blk.extra_cycles = kTaskSetupCycles;
-  });
-  return ctx.launch(std::move(k));
+  };
+  return ctx.launch(emit_blocks(ctx, args, blocks_of(n, kElemChunk), accesses, emit));
 }
 
 sim::KernelStats edge_binary(sim::SimContext& ctx, const EdgeBinaryArgs& args) {
@@ -45,19 +42,16 @@ sim::KernelStats edge_binary(sim::SimContext& ctx, const EdgeBinaryArgs& args) {
   assert(args.b->rows == n && args.out->rows == n);
   const bool full = args.a->host && args.b->host && args.out->host;
 
-  sim::Kernel k;
-  k.name = args.name;
-  k.phase = args.phase;
-  emit_blocks(k, blocks_of(n, kElemChunk), [&](std::size_t b, sim::BlockWork& blk) {
+  const auto accesses = [](std::size_t) { return 3; };
+  const auto emit = [&](std::size_t b, sim::BlockWork& blk) {
     const EdgeId chunk = static_cast<EdgeId>(b) * kElemChunk;
     const EdgeId end = std::min(chunk + kElemChunk, n);
-    blk.accesses.reserve(3);
     blk.read(args.a->buf, static_cast<std::uint64_t>(chunk) * 4,
-             static_cast<std::uint32_t>((end - chunk) * 4));
+             static_cast<std::uint64_t>((end - chunk) * 4));
     blk.read(args.b->buf, static_cast<std::uint64_t>(chunk) * 4,
-             static_cast<std::uint32_t>((end - chunk) * 4));
+             static_cast<std::uint64_t>((end - chunk) * 4));
     blk.write(args.out->buf, static_cast<std::uint64_t>(chunk) * 4,
-              static_cast<std::uint32_t>((end - chunk) * 4));
+              static_cast<std::uint64_t>((end - chunk) * 4));
     if (full) {
       for (EdgeId i = chunk; i < end; ++i) {
         (*args.out->host)(i, 0) = args.fn((*args.a->host)(i, 0), (*args.b->host)(i, 0));
@@ -66,8 +60,8 @@ sim::KernelStats edge_binary(sim::SimContext& ctx, const EdgeBinaryArgs& args) {
     const double work = args.flops_per_elem * static_cast<double>(end - chunk);
     blk.compute(work, work);
     blk.extra_cycles = kTaskSetupCycles;
-  });
-  return ctx.launch(std::move(k));
+  };
+  return ctx.launch(emit_blocks(ctx, args, blocks_of(n, kElemChunk), accesses, emit));
 }
 
 sim::KernelStats segment_sum(sim::SimContext& ctx, const SegmentSumArgs& args) {
@@ -75,16 +69,13 @@ sim::KernelStats segment_sum(sim::SimContext& ctx, const SegmentSumArgs& args) {
   const bool full = args.edge_val->host && args.node_out->host;
   if (full) args.node_out->host->fill(0.0f);
 
-  sim::Kernel k;
-  k.name = args.name;
-  k.phase = args.phase;
-  emit_blocks(k, args.tasks.size(), same_node(args.tasks), [&](std::size_t i, sim::BlockWork& blk) {
+  const auto accesses = [&](std::size_t i) { return args.tasks[i].size() > 0 ? 3 : 2; };
+  const auto emit = [&](std::size_t i, sim::BlockWork& blk) {
     const Task& t = args.tasks[i];
-    blk.accesses.reserve(t.size() > 0 ? 3 : 2);
     blk.read(args.graph->row_ptr, static_cast<std::uint64_t>(t.v) * 8, 16);
     if (t.size() > 0) {
       blk.read(args.edge_val->buf, static_cast<std::uint64_t>(t.begin) * 4,
-               static_cast<std::uint32_t>(t.size() * 4));
+               static_cast<std::uint64_t>(t.size() * 4));
     }
     blk.write(args.node_out->buf, args.node_out->row_offset(t.v), 4);
     if (full) {
@@ -96,25 +87,23 @@ sim::KernelStats segment_sum(sim::SimContext& ctx, const SegmentSumArgs& args) {
     blk.compute(work, work);
     blk.extra_cycles = kTaskSetupCycles;
     if (args.atomic_merge) blk.atomic_merge(kAtomicCyclesPerElem, 4);
-  });
-  return ctx.launch(std::move(k));
+  };
+  return ctx.launch(
+      emit_blocks(ctx, args, args.tasks.size(), same_node(args.tasks), accesses, emit));
 }
 
 sim::KernelStats broadcast_edge(sim::SimContext& ctx, const BroadcastArgs& args) {
   assert(args.graph && args.node_val && args.edge_out);
   const bool full = args.node_val->host && args.edge_out->host;
 
-  sim::Kernel k;
-  k.name = args.name;
-  k.phase = args.phase;
-  emit_blocks(k, args.tasks.size(), [&](std::size_t i, sim::BlockWork& blk) {
+  const auto accesses = [&](std::size_t i) { return args.tasks[i].size() > 0 ? 3 : 2; };
+  const auto emit = [&](std::size_t i, sim::BlockWork& blk) {
     const Task& t = args.tasks[i];
-    blk.accesses.reserve(t.size() > 0 ? 3 : 2);
     blk.read(args.graph->row_ptr, static_cast<std::uint64_t>(t.v) * 8, 16);
     blk.read(args.node_val->buf, args.node_val->row_offset(t.v), 4);
     if (t.size() > 0) {
       blk.write(args.edge_out->buf, static_cast<std::uint64_t>(t.begin) * 4,
-                static_cast<std::uint32_t>(t.size() * 4));
+                static_cast<std::uint64_t>(t.size() * 4));
     }
     if (full) {
       const float v = (*args.node_val->host)(t.v, 0);
@@ -123,8 +112,8 @@ sim::KernelStats broadcast_edge(sim::SimContext& ctx, const BroadcastArgs& args)
     const double work = static_cast<double>(t.size());
     blk.compute_copy(work);
     blk.extra_cycles = kTaskSetupCycles;
-  });
-  return ctx.launch(std::move(k));
+  };
+  return ctx.launch(emit_blocks(ctx, args, args.tasks.size(), accesses, emit));
 }
 
 }  // namespace gnnbridge::kernels

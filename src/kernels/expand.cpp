@@ -31,20 +31,20 @@ sim::KernelStats gather(sim::SimContext& ctx, const GatherArgs& args) {
 
   const std::uint64_t row_bytes = args.feat->row_bytes();
 
-  sim::Kernel k;
-  k.name = args.name;
-  k.phase = args.phase;
-  emit_blocks(k, blocks_of(num_edges, kEdgeChunk), [&](std::size_t b, sim::BlockWork& blk) {
+  const auto accesses = [&](std::size_t b) {
+    const EdgeId chunk = static_cast<EdgeId>(b) * kEdgeChunk;
+    return 1 + 2 * static_cast<std::size_t>(std::min(chunk + kEdgeChunk, num_edges) - chunk);
+  };
+  const auto emit = [&](std::size_t b, sim::BlockWork& blk) {
     const EdgeId chunk = static_cast<EdgeId>(b) * kEdgeChunk;
     const EdgeId end = std::min(chunk + kEdgeChunk, num_edges);
-    blk.accesses.reserve(1 + 2 * static_cast<std::size_t>(end - chunk));
     blk.read(index_buf, static_cast<std::uint64_t>(chunk) * 4,
-             static_cast<std::uint32_t>((end - chunk) * 4));
+             static_cast<std::uint64_t>((end - chunk) * 4));
     for (EdgeId e = chunk; e < end; ++e) {
       const NodeId u = index[static_cast<std::size_t>(e)];
-      blk.read(args.feat->buf, args.feat->row_offset(u), static_cast<std::uint32_t>(row_bytes));
+      blk.read(args.feat->buf, args.feat->row_offset(u), row_bytes);
       blk.write(args.expanded->buf, args.expanded->row_offset(e),
-                static_cast<std::uint32_t>(row_bytes));
+                row_bytes);
       if (full) {
         auto in = args.feat->host->row(u);
         auto out = args.expanded->host->row(e);
@@ -55,8 +55,8 @@ sim::KernelStats gather(sim::SimContext& ctx, const GatherArgs& args) {
     // Pure data movement; a copy still occupies lanes for one op per elem.
     const double moved = static_cast<double>((end - chunk) * feat);
     blk.compute_copy(moved);
-  });
-  return ctx.launch(std::move(k));
+  };
+  return ctx.launch(emit_blocks(ctx, args, blocks_of(num_edges, kEdgeChunk), accesses, emit));
 }
 
 sim::KernelStats scatter_reduce(sim::SimContext& ctx, const ScatterArgs& args) {
@@ -74,9 +74,6 @@ sim::KernelStats scatter_reduce(sim::SimContext& ctx, const ScatterArgs& args) {
   const std::uint32_t line = static_cast<std::uint32_t>(ctx.spec().line_bytes);
   const double out_lines = static_cast<double>((row_bytes + line - 1) / line);
 
-  sim::Kernel k;
-  k.name = args.name;
-  k.phase = args.phase;
   // A destination row is summed by every block holding one of its edges,
   // in edge order. In a dst-sorted edge list those blocks are adjacent and
   // stay in one chunk; any other order builds all blocks in one chunk.
@@ -85,22 +82,25 @@ sim::KernelStats scatter_reduce(sim::SimContext& ctx, const ScatterArgs& args) {
     const std::size_t first = b * static_cast<std::size_t>(kEdgeChunk);
     return !dst_sorted || coo.dst[first] == coo.dst[first - 1];
   };
-  const std::size_t blocks = blocks_of(num_edges, kEdgeChunk);
-  emit_blocks(k, blocks, same_dst, [&](std::size_t b, sim::BlockWork& blk) {
+  const auto accesses = [&](std::size_t b) {
     const EdgeId chunk = static_cast<EdgeId>(b) * kEdgeChunk;
     const EdgeId end = std::min(chunk + kEdgeChunk, num_edges);
-    blk.accesses.reserve((args.edge_weight ? 2 : 1) + 2 * static_cast<std::size_t>(end - chunk));
+    return (args.edge_weight ? 2 : 1) + 2 * static_cast<std::size_t>(end - chunk);
+  };
+  const auto emit = [&](std::size_t b, sim::BlockWork& blk) {
+    const EdgeId chunk = static_cast<EdgeId>(b) * kEdgeChunk;
+    const EdgeId end = std::min(chunk + kEdgeChunk, num_edges);
     blk.read(args.edges->dst, static_cast<std::uint64_t>(chunk) * 4,
-             static_cast<std::uint32_t>((end - chunk) * 4));
+             static_cast<std::uint64_t>((end - chunk) * 4));
     if (args.edge_weight) {
       blk.read(args.edge_weight->buf, static_cast<std::uint64_t>(chunk) * 4,
-               static_cast<std::uint32_t>((end - chunk) * 4));
+               static_cast<std::uint64_t>((end - chunk) * 4));
     }
     for (EdgeId e = chunk; e < end; ++e) {
       const NodeId v = coo.dst[static_cast<std::size_t>(e)];
       blk.read(args.expanded->buf, args.expanded->row_offset(e),
-               static_cast<std::uint32_t>(row_bytes));
-      blk.write(args.out->buf, args.out->row_offset(v), static_cast<std::uint32_t>(row_bytes));
+               row_bytes);
+      blk.write(args.out->buf, args.out->row_offset(v), row_bytes);
       blk.atomic_merge(kAtomicCyclesPerLine * out_lines, row_bytes);
       if (full) {
         const float w = ew ? (*ew)(e, 0) : 1.0f;
@@ -112,8 +112,9 @@ sim::KernelStats scatter_reduce(sim::SimContext& ctx, const ScatterArgs& args) {
     blk.extra_cycles += kBlockSetupCycles;
     const double work = 2.0 * static_cast<double>((end - chunk) * feat);
     blk.compute(work, work);
-  });
-  return ctx.launch(std::move(k));
+  };
+  return ctx.launch(
+      emit_blocks(ctx, args, blocks_of(num_edges, kEdgeChunk), same_dst, accesses, emit));
 }
 
 sim::KernelStats step_gather(sim::SimContext& ctx, const StepGatherArgs& args) {
@@ -124,18 +125,19 @@ sim::KernelStats step_gather(sim::SimContext& ctx, const StepGatherArgs& args) {
   const bool full = args.feat->host && args.out->host;
   const std::uint64_t row_bytes = args.feat->row_bytes();
 
-  sim::Kernel k;
-  k.name = args.name;
-  k.phase = args.phase;
   constexpr NodeId kNodeChunk = 128;
-  emit_blocks(k, blocks_of(csr.num_nodes, kNodeChunk), [&](std::size_t b, sim::BlockWork& blk) {
+  const auto accesses = [&](std::size_t b) {
     const NodeId chunk = static_cast<NodeId>(b) * kNodeChunk;
     const NodeId end = std::min<NodeId>(chunk + kNodeChunk, csr.num_nodes);
-    std::size_t accesses = 1;
-    for (NodeId v = chunk; v < end; ++v) accesses += csr.degree(v) > 0 ? 3 : 2;
-    blk.accesses.reserve(accesses);
+    std::size_t count = 1;
+    for (NodeId v = chunk; v < end; ++v) count += csr.degree(v) > 0 ? 3 : 2;
+    return count;
+  };
+  const auto emit = [&](std::size_t b, sim::BlockWork& blk) {
+    const NodeId chunk = static_cast<NodeId>(b) * kNodeChunk;
+    const NodeId end = std::min<NodeId>(chunk + kNodeChunk, csr.num_nodes);
     blk.read(args.graph->row_ptr, static_cast<std::uint64_t>(chunk) * 8,
-             static_cast<std::uint32_t>((end - chunk + 1) * 8));
+             static_cast<std::uint64_t>((end - chunk + 1) * 8));
     for (NodeId v = chunk; v < end; ++v) {
       const EdgeId d = csr.degree(v);
       // Isolated nodes fall back to their own feature row (same
@@ -146,8 +148,8 @@ sim::KernelStats step_gather(sim::SimContext& ctx, const StepGatherArgs& args) {
         blk.read(args.graph->col_idx, static_cast<std::uint64_t>(idx) * 4, 4);
         u = csr.col_idx[static_cast<std::size_t>(idx)];
       }
-      blk.read(args.feat->buf, args.feat->row_offset(u), static_cast<std::uint32_t>(row_bytes));
-      blk.write(args.out->buf, args.out->row_offset(v), static_cast<std::uint32_t>(row_bytes));
+      blk.read(args.feat->buf, args.feat->row_offset(u), row_bytes);
+      blk.write(args.out->buf, args.out->row_offset(v), row_bytes);
       if (full) {
         auto in = args.feat->host->row(u);
         auto outr = args.out->host->row(v);
@@ -157,8 +159,8 @@ sim::KernelStats step_gather(sim::SimContext& ctx, const StepGatherArgs& args) {
     blk.extra_cycles = kBlockSetupCycles;
     const double moved = static_cast<double>((end - chunk) * feat);
     blk.compute_copy(moved);
-  });
-  return ctx.launch(std::move(k));
+  };
+  return ctx.launch(emit_blocks(ctx, args, blocks_of(csr.num_nodes, kNodeChunk), accesses, emit));
 }
 
 }  // namespace gnnbridge::kernels

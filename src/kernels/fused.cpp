@@ -22,20 +22,20 @@ sim::KernelStats gat_edge_fused(sim::SimContext& ctx, const GatEdgeFusedArgs& ar
   const bool full = args.att_src->host && args.att_dst->host && args.edge_out->host;
   if (full && args.vacc_out && args.vacc_out->host) args.vacc_out->host->fill(0.0f);
 
-  sim::Kernel k;
-  k.name = args.name;
-  k.phase = args.phase;
-  emit_blocks(k, args.tasks.size(), same_node(args.tasks), [&](std::size_t i, sim::BlockWork& blk) {
+  const auto accesses = [&](std::size_t i) {
     const Task& t = args.tasks[i];
-    blk.accesses.reserve(2 + (t.size() > 0 ? 2 : 0) + static_cast<std::size_t>(t.size()) +
-                         (args.vacc_out ? 1 : 0));
+    return 2 + (t.size() > 0 ? 2 : 0) + static_cast<std::size_t>(t.size()) +
+           (args.vacc_out ? 1 : 0);
+  };
+  const auto emit = [&](std::size_t i, sim::BlockWork& blk) {
+    const Task& t = args.tasks[i];
     blk.read(args.graph->row_ptr, static_cast<std::uint64_t>(t.v) * 8, 16);
     blk.read(args.att_dst->buf, args.att_dst->row_offset(t.v), 4);
     if (t.size() > 0) {
       blk.read(args.graph->col_idx, static_cast<std::uint64_t>(t.begin) * 4,
-               static_cast<std::uint32_t>(t.size() * 4));
+               static_cast<std::uint64_t>(t.size() * 4));
       blk.write(args.edge_out->buf, static_cast<std::uint64_t>(t.begin) * 4,
-                static_cast<std::uint32_t>(t.size() * 4));
+                static_cast<std::uint64_t>(t.size() * 4));
     }
     float acc = 0.0f;
     for (EdgeId e = t.begin; e < t.end; ++e) {
@@ -60,28 +60,26 @@ sim::KernelStats gat_edge_fused(sim::SimContext& ctx, const GatEdgeFusedArgs& ar
     blk.compute(work, work);
     blk.extra_cycles += kTaskSetupCycles;
     blk.adapter(2.0 * kAdapterCycles, static_cast<std::uint64_t>(t.size()) * 4 + 4);
-  });
-  return ctx.launch(std::move(k));
+  };
+  return ctx.launch(
+      emit_blocks(ctx, args, args.tasks.size(), same_node(args.tasks), accesses, emit));
 }
 
 sim::KernelStats softmax_div_fused(sim::SimContext& ctx, const SoftmaxDivFusedArgs& args) {
   assert(args.graph && args.vacc && args.edge);
   const bool full = args.vacc->host && args.edge->host;
 
-  sim::Kernel k;
-  k.name = args.name;
-  k.phase = args.phase;
   // Each task scales its own edges: no two blocks write one element.
-  emit_blocks(k, args.tasks.size(), [&](std::size_t i, sim::BlockWork& blk) {
+  const auto accesses = [&](std::size_t i) { return args.tasks[i].size() > 0 ? 4 : 2; };
+  const auto emit = [&](std::size_t i, sim::BlockWork& blk) {
     const Task& t = args.tasks[i];
-    blk.accesses.reserve(t.size() > 0 ? 4 : 2);
     blk.read(args.graph->row_ptr, static_cast<std::uint64_t>(t.v) * 8, 16);
     blk.read(args.vacc->buf, args.vacc->row_offset(t.v), 4);
     if (t.size() > 0) {
       blk.read(args.edge->buf, static_cast<std::uint64_t>(t.begin) * 4,
-               static_cast<std::uint32_t>(t.size() * 4));
+               static_cast<std::uint64_t>(t.size() * 4));
       blk.write(args.edge->buf, static_cast<std::uint64_t>(t.begin) * 4,
-                static_cast<std::uint32_t>(t.size() * 4));
+                static_cast<std::uint64_t>(t.size() * 4));
     }
     if (full) {
       const float acc = (*args.vacc->host)(t.v, 0);
@@ -93,8 +91,8 @@ sim::KernelStats softmax_div_fused(sim::SimContext& ctx, const SoftmaxDivFusedAr
     blk.extra_cycles = kTaskSetupCycles;
     // One adapter stages the normalization scalar across the division.
     blk.adapter(kAdapterCycles, 4);
-  });
-  return ctx.launch(std::move(k));
+  };
+  return ctx.launch(emit_blocks(ctx, args, args.tasks.size(), accesses, emit));
 }
 
 sim::KernelStats gat_aggregate_fused(sim::SimContext& ctx, const GatAggregateFusedArgs& args) {
@@ -108,25 +106,24 @@ sim::KernelStats gat_aggregate_fused(sim::SimContext& ctx, const GatAggregateFus
   const std::uint64_t row_bytes = args.feat->row_bytes();
   const std::uint32_t line = static_cast<std::uint32_t>(ctx.spec().line_bytes);
 
-  sim::Kernel k;
-  k.name = args.name;
-  k.phase = args.phase;
   // The postponed softmax division: the normalization sum is complete (the
   // previous kernel boundary synchronized it), so each task scales its
   // contributions *per edge* by 1/vacc[v]. Per-edge scaling makes the
   // epilogue race-free even when neighbor grouping split the row — partial
   // sums of scaled terms equal the scaled sum (linearity).
   const bool scale = args.vacc != nullptr;
-  emit_blocks(k, args.tasks.size(), same_node(args.tasks), [&](std::size_t i, sim::BlockWork& blk) {
+  const auto accesses = [&](std::size_t i) {
     const Task& t = args.tasks[i];
-    blk.accesses.reserve(2 + (t.size() > 0 ? 2 : 0) + (scale ? 1 : 0) +
-                         static_cast<std::size_t>(t.size()));
+    return 2 + (t.size() > 0 ? 2 : 0) + (scale ? 1 : 0) + static_cast<std::size_t>(t.size());
+  };
+  const auto emit = [&](std::size_t i, sim::BlockWork& blk) {
+    const Task& t = args.tasks[i];
     blk.read(args.graph->row_ptr, static_cast<std::uint64_t>(t.v) * 8, 16);
     if (t.size() > 0) {
       blk.read(args.graph->col_idx, static_cast<std::uint64_t>(t.begin) * 4,
-               static_cast<std::uint32_t>(t.size() * 4));
+               static_cast<std::uint64_t>(t.size() * 4));
       blk.read(args.edge_weight->buf, static_cast<std::uint64_t>(t.begin) * 4,
-               static_cast<std::uint32_t>(t.size() * 4));
+               static_cast<std::uint64_t>(t.size() * 4));
     }
     float inv = 1.0f;
     if (scale) {
@@ -138,7 +135,7 @@ sim::KernelStats gat_aggregate_fused(sim::SimContext& ctx, const GatAggregateFus
     }
     for (EdgeId e = t.begin; e < t.end; ++e) {
       const NodeId u = csr.col_idx[static_cast<std::size_t>(e)];
-      blk.read(args.feat->buf, args.feat->row_offset(u), static_cast<std::uint32_t>(row_bytes));
+      blk.read(args.feat->buf, args.feat->row_offset(u), row_bytes);
       if (full) {
         const float w = (*args.edge_weight->host)(e, 0) * (scale ? inv : 1.0f);
         auto srow = args.feat->host->row(u);
@@ -146,7 +143,7 @@ sim::KernelStats gat_aggregate_fused(sim::SimContext& ctx, const GatAggregateFus
         for (Index f = 0; f < feat; ++f) orow[f] += w * srow[f];
       }
     }
-    blk.write(args.out->buf, args.out->row_offset(t.v), static_cast<std::uint32_t>(row_bytes));
+    blk.write(args.out->buf, args.out->row_offset(t.v), row_bytes);
     double useful = 2.0 * static_cast<double>(feat) * static_cast<double>(t.size());
     if (scale) useful += static_cast<double>(t.size());
     blk.compute(useful, useful * pad);
@@ -158,8 +155,9 @@ sim::KernelStats gat_aggregate_fused(sim::SimContext& ctx, const GatAggregateFus
       blk.atomic_merge(kAtomicCyclesPerLine * static_cast<double>((row_bytes + line - 1) / line),
                        row_bytes);
     }
-  });
-  return ctx.launch(std::move(k));
+  };
+  return ctx.launch(
+      emit_blocks(ctx, args, args.tasks.size(), same_node(args.tasks), accesses, emit));
 }
 
 sim::KernelStats aggregate_bias_act_fused(sim::SimContext& ctx,
@@ -175,26 +173,26 @@ sim::KernelStats aggregate_bias_act_fused(sim::SimContext& ctx,
   const std::uint32_t line = static_cast<std::uint32_t>(ctx.spec().line_bytes);
   const Matrix* ew = args.edge_weight && args.edge_weight->host ? args.edge_weight->host : nullptr;
 
-  sim::Kernel k;
-  k.name = args.name;
-  k.phase = args.phase;
   const bool epilogue = args.epilogue_inline;
-  emit_blocks(k, args.tasks.size(), same_node(args.tasks), [&](std::size_t i, sim::BlockWork& blk) {
+  const auto accesses = [&](std::size_t i) {
     const Task& t = args.tasks[i];
-    blk.accesses.reserve(2 + (t.size() > 0 ? (args.edge_weight ? 2 : 1) : 0) +
-                         static_cast<std::size_t>(t.size()) + (epilogue && args.bias ? 1 : 0));
+    return 2 + (t.size() > 0 ? (args.edge_weight ? 2 : 1) : 0) +
+           static_cast<std::size_t>(t.size()) + (epilogue && args.bias ? 1 : 0);
+  };
+  const auto emit = [&](std::size_t i, sim::BlockWork& blk) {
+    const Task& t = args.tasks[i];
     blk.read(args.graph->row_ptr, static_cast<std::uint64_t>(t.v) * 8, 16);
     if (t.size() > 0) {
       blk.read(args.graph->col_idx, static_cast<std::uint64_t>(t.begin) * 4,
-               static_cast<std::uint32_t>(t.size() * 4));
+               static_cast<std::uint64_t>(t.size() * 4));
       if (args.edge_weight) {
         blk.read(args.edge_weight->buf, static_cast<std::uint64_t>(t.begin) * 4,
-                 static_cast<std::uint32_t>(t.size() * 4));
+                 static_cast<std::uint64_t>(t.size() * 4));
       }
     }
     for (EdgeId e = t.begin; e < t.end; ++e) {
       const NodeId u = csr.col_idx[static_cast<std::size_t>(e)];
-      blk.read(args.feat->buf, args.feat->row_offset(u), static_cast<std::uint32_t>(row_bytes));
+      blk.read(args.feat->buf, args.feat->row_offset(u), row_bytes);
       if (full) {
         const float w = ew ? (*ew)(e, 0) : 1.0f;
         auto srow = args.feat->host->row(u);
@@ -202,8 +200,8 @@ sim::KernelStats aggregate_bias_act_fused(sim::SimContext& ctx,
         for (Index f = 0; f < feat; ++f) orow[f] += w * srow[f];
       }
     }
-    blk.write(args.out->buf, args.out->row_offset(t.v), static_cast<std::uint32_t>(row_bytes));
-    if (epilogue && args.bias) blk.read(args.bias->buf, 0, static_cast<std::uint32_t>(feat * 4));
+    blk.write(args.out->buf, args.out->row_offset(t.v), row_bytes);
+    if (epilogue && args.bias) blk.read(args.bias->buf, 0, static_cast<std::uint64_t>(feat * 4));
     if (full && epilogue) {
       auto orow = args.out->host->row(t.v);
       for (Index f = 0; f < feat; ++f) {
@@ -222,8 +220,9 @@ sim::KernelStats aggregate_bias_act_fused(sim::SimContext& ctx,
       blk.atomic_merge(kAtomicCyclesPerLine * static_cast<double>((row_bytes + line - 1) / line),
                        row_bytes);
     }
-  });
-  return ctx.launch(std::move(k));
+  };
+  return ctx.launch(
+      emit_blocks(ctx, args, args.tasks.size(), same_node(args.tasks), accesses, emit));
 }
 
 sim::KernelStats bias_act_kernel(sim::SimContext& ctx, const BiasActArgs& args) {
@@ -247,23 +246,20 @@ sim::KernelStats bias_act_kernel(sim::SimContext& ctx, const BiasActArgs& args) 
     par::parallel_chunks(static_cast<std::size_t>(rows), par::kDefaultGrain, epilogue);
   }
 
-  sim::Kernel k;
-  k.name = args.name;
-  k.phase = args.phase;
   constexpr Index kRowsPerBlock = 64;
-  emit_blocks(k, blocks_of(rows, kRowsPerBlock), [&](std::size_t b, sim::BlockWork& blk) {
+  const auto accesses = [&](std::size_t) { return args.bias ? 3 : 2; };
+  const auto emit = [&](std::size_t b, sim::BlockWork& blk) {
     const Index r0 = static_cast<Index>(b) * kRowsPerBlock;
     const Index r1 = std::min(r0 + kRowsPerBlock, rows);
-    blk.accesses.reserve(args.bias ? 3 : 2);
-    if (args.bias) blk.read(args.bias->buf, 0, static_cast<std::uint32_t>(cols * 4));
-    const std::uint32_t bytes = static_cast<std::uint32_t>((r1 - r0) * args.mat->row_bytes());
+    if (args.bias) blk.read(args.bias->buf, 0, static_cast<std::uint64_t>(cols * 4));
+    const std::uint64_t bytes = (r1 - r0) * args.mat->row_bytes();
     blk.read(args.mat->buf, args.mat->row_offset(r0), bytes);
     blk.write(args.mat->buf, args.mat->row_offset(r0), bytes);
     const double work = 2.0 * static_cast<double>((r1 - r0) * cols);
     blk.compute(work, work);
     blk.extra_cycles = kTaskSetupCycles;
-  });
-  return ctx.launch(std::move(k));
+  };
+  return ctx.launch(emit_blocks(ctx, args, blocks_of(rows, kRowsPerBlock), accesses, emit));
 }
 
 }  // namespace gnnbridge::kernels

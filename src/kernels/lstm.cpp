@@ -23,18 +23,15 @@ sim::KernelStats lstm_pointwise(sim::SimContext& ctx, const LstmPointwiseArgs& a
 
   auto sigmoid = [](float x) { return 1.0f / (1.0f + std::exp(-x)); };
 
-  sim::Kernel k;
-  k.name = args.name;
-  k.phase = args.phase;
   constexpr Index kRowsPerBlock = 64;
-  emit_blocks(k, blocks_of(n, kRowsPerBlock), [&](std::size_t blk_index, sim::BlockWork& blk) {
+  const auto accesses = [&](std::size_t) { return args.bias ? 5 : 4; };
+  const auto emit = [&](std::size_t blk_index, sim::BlockWork& blk) {
     const Index r0 = static_cast<Index>(blk_index) * kRowsPerBlock;
     const Index r1 = std::min(r0 + kRowsPerBlock, n);
-    blk.accesses.reserve(args.bias ? 5 : 4);
-    if (args.bias) blk.read(args.bias->buf, 0, static_cast<std::uint32_t>(4 * hidden * 4));
+    if (args.bias) blk.read(args.bias->buf, 0, static_cast<std::uint64_t>(4 * hidden * 4));
     blk.read(args.gates->buf, args.gates->row_offset(r0),
-             static_cast<std::uint32_t>((r1 - r0) * args.gates->row_bytes()));
-    const std::uint32_t state_bytes = static_cast<std::uint32_t>((r1 - r0) * args.c->row_bytes());
+             (r1 - r0) * args.gates->row_bytes());
+    const std::uint64_t state_bytes = (r1 - r0) * args.c->row_bytes();
     blk.read(args.c->buf, args.c->row_offset(r0), state_bytes);
     blk.write(args.c->buf, args.c->row_offset(r0), state_bytes);
     blk.write(args.h->buf, args.h->row_offset(r0), state_bytes);
@@ -60,8 +57,8 @@ sim::KernelStats lstm_pointwise(sim::SimContext& ctx, const LstmPointwiseArgs& a
     const double work = kFlopsPerHidden * static_cast<double>((r1 - r0) * hidden);
     blk.compute(work, work);
     blk.extra_cycles = kBlockSetupCycles;
-  });
-  return ctx.launch(std::move(k));
+  };
+  return ctx.launch(emit_blocks(ctx, args, blocks_of(n, kRowsPerBlock), accesses, emit));
 }
 
 }  // namespace gnnbridge::kernels

@@ -13,19 +13,19 @@ sim::KernelStats u_add_v(sim::SimContext& ctx, const UAddVArgs& args) {
   const Csr& csr = *args.graph->csr;
   const bool full = args.src_scalar->host && args.dst_scalar->host && args.edge_out->host;
 
-  sim::Kernel k;
-  k.name = args.name;
-  k.phase = args.phase;
-  emit_blocks(k, args.tasks.size(), [&](std::size_t i, sim::BlockWork& blk) {
+  const auto accesses = [&](std::size_t i) {
     const Task& t = args.tasks[i];
-    blk.accesses.reserve(2 + (t.size() > 0 ? 2 : 0) + static_cast<std::size_t>(t.size()));
+    return 2 + (t.size() > 0 ? 2 : 0) + static_cast<std::size_t>(t.size());
+  };
+  const auto emit = [&](std::size_t i, sim::BlockWork& blk) {
+    const Task& t = args.tasks[i];
     blk.read(args.graph->row_ptr, static_cast<std::uint64_t>(t.v) * 8, 16);
     blk.read(args.dst_scalar->buf, args.dst_scalar->row_offset(t.v), 4);
     if (t.size() > 0) {
       blk.read(args.graph->col_idx, static_cast<std::uint64_t>(t.begin) * 4,
-               static_cast<std::uint32_t>(t.size() * 4));
+               static_cast<std::uint64_t>(t.size() * 4));
       blk.write(args.edge_out->buf, static_cast<std::uint64_t>(t.begin) * 4,
-                static_cast<std::uint32_t>(t.size() * 4));
+                static_cast<std::uint64_t>(t.size() * 4));
     }
     for (EdgeId e = t.begin; e < t.end; ++e) {
       const NodeId u = csr.col_idx[static_cast<std::size_t>(e)];
@@ -38,8 +38,8 @@ sim::KernelStats u_add_v(sim::SimContext& ctx, const UAddVArgs& args) {
     const double work = static_cast<double>(t.size());
     blk.compute(work, work);
     blk.extra_cycles = kTaskSetupCycles;
-  });
-  return ctx.launch(std::move(k));
+  };
+  return ctx.launch(emit_blocks(ctx, args, args.tasks.size(), accesses, emit));
 }
 
 }  // namespace gnnbridge::kernels

@@ -40,31 +40,29 @@ sim::KernelStats spmm_node(sim::SimContext& ctx, const SpmmArgs& args) {
   const double flops_per_nbr = args.edge_weight ? 2.0 * static_cast<double>(feat)
                                                 : 1.0 * static_cast<double>(feat);
 
-  sim::Kernel k;
-  k.name = args.name;
-  k.phase = args.phase;
-
+  const auto accesses = [&](std::size_t i) {
+    const Task& t = args.tasks[i];
+    return 2 + (t.size() > 0 ? (args.edge_weight ? 2 : 1) : 0) + static_cast<std::size_t>(t.size());
+  };
   // Chunks never split the tasks of one center node v (split rows emit
   // adjacent tasks), so each chunk owns a disjoint set of output rows and
   // the per-row `orow[f] +=` accumulation order is exactly the sequential
   // one — host outputs are byte-identical at any thread count.
-  emit_blocks(k, args.tasks.size(), same_node(args.tasks), [&](std::size_t i, sim::BlockWork& blk) {
+  const auto emit = [&](std::size_t i, sim::BlockWork& blk) {
     const Task& t = args.tasks[i];
-    blk.accesses.reserve(2 + (t.size() > 0 ? (args.edge_weight ? 2 : 1) : 0) +
-                         static_cast<std::size_t>(t.size()));
     // CSR metadata: row_ptr[v], row_ptr[v+1].
     blk.read(args.graph->row_ptr, static_cast<std::uint64_t>(t.v) * 8, 16);
     if (t.size() > 0) {
       blk.read(args.graph->col_idx, static_cast<std::uint64_t>(t.begin) * 4,
-               static_cast<std::uint32_t>(t.size() * 4));
+               static_cast<std::uint64_t>(t.size() * 4));
       if (args.edge_weight) {
         blk.read(args.edge_weight->buf, static_cast<std::uint64_t>(t.begin) * 4,
-                 static_cast<std::uint32_t>(t.size() * 4));
+                 static_cast<std::uint64_t>(t.size() * 4));
       }
     }
     for (EdgeId e = t.begin; e < t.end; ++e) {
       const NodeId u = csr.col_idx[static_cast<std::size_t>(e)];
-      blk.read(args.src->buf, args.src->row_offset(u), static_cast<std::uint32_t>(row_bytes));
+      blk.read(args.src->buf, args.src->row_offset(u), row_bytes);
       if (full) {
         const float w = ew ? (*ew)(e, 0) : 1.0f;
         auto srow = src->row(u);
@@ -79,7 +77,7 @@ sim::KernelStats spmm_node(sim::SimContext& ctx, const SpmmArgs& args) {
         }
       }
     }
-    blk.write(args.out->buf, args.out->row_offset(t.v), static_cast<std::uint32_t>(row_bytes));
+    blk.write(args.out->buf, args.out->row_offset(t.v), row_bytes);
     const double useful = flops_per_nbr * static_cast<double>(t.size());
     blk.compute(useful, useful * pad);
     blk.extra_cycles = kTaskSetupCycles;
@@ -87,9 +85,9 @@ sim::KernelStats spmm_node(sim::SimContext& ctx, const SpmmArgs& args) {
       const double out_lines = static_cast<double>((row_bytes + line - 1) / line);
       blk.atomic_merge(kAtomicCyclesPerLine * out_lines, row_bytes);
     }
-  });
-
-  const sim::KernelStats& ks = ctx.launch(std::move(k));
+  };
+  const sim::KernelStats& ks = ctx.launch(
+      emit_blocks(ctx, args, args.tasks.size(), same_node(args.tasks), accesses, emit));
 
   if (full && args.reduce == Reduce::kMax) {
     // Post-pass on the host mirrors what the kernel epilogue does: max

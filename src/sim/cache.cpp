@@ -48,7 +48,7 @@ SetAssocCache::SetAssocCache(std::int64_t capacity_bytes, int ways, int line_byt
 // permutation ordered by last touch, the order a stamp per way records. An
 // empty way never hits, so it only ever ages and stays ranked above every
 // filled way: the miss victim is an empty way whenever one exists.
-bool SetAssocCache::probe(std::uint64_t line) {
+[[gnu::always_inline]] inline bool SetAssocCache::probe_line(std::uint64_t line) {
   const std::uint64_t wide_tag = line >> set_shift_;
   if (wide_tag >= kNoTag) [[unlikely]] reject_tag(line);
   const auto tag = static_cast<std::uint32_t>(wide_tag);
@@ -89,6 +89,14 @@ bool SetAssocCache::probe(std::uint64_t line) {
   }
   if (!hit) tags[way] = tag;
   return hit;
+}
+
+bool SetAssocCache::probe(std::uint64_t line) { return probe_line(line); }
+
+std::uint64_t SetAssocCache::probe_run(std::uint64_t first, std::uint64_t count) {
+  std::uint64_t hits = 0;
+  for (std::uint64_t i = 0; i < count; ++i) hits += probe_line(first + i);
+  return hits;
 }
 
 bool SetAssocCache::access_line(std::uint64_t addr) {

@@ -47,6 +47,10 @@ class SetAssocCache {
   /// fit in 32 bits.
   bool probe(std::uint64_t line);
 
+  /// Probes the `count` consecutive lines from line number `first`, in
+  /// order; returns how many were resident.
+  std::uint64_t probe_run(std::uint64_t first, std::uint64_t count);
+
   /// Touches `bytes` bytes at `addr`, one probe per line; returns per-line
   /// hit/miss counts. A zero-byte access touches nothing.
   CacheProbe access(std::uint64_t addr, std::uint32_t bytes);
@@ -67,6 +71,9 @@ class SetAssocCache {
   std::uint64_t total_misses() const { return total_misses_; }
 
  private:
+  /// probe's body, inlined into probe and probe_run.
+  bool probe_line(std::uint64_t line);
+
   int ways_;
   int num_sets_;
   int line_bytes_;

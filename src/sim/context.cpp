@@ -1,6 +1,8 @@
 #include "sim/context.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "par/thread_pool.hpp"
@@ -12,94 +14,46 @@ namespace gnnbridge::sim {
 
 namespace {
 
-/// One turn of the co-residency interleave: `count` consecutive accesses
-/// of block `block`, starting at `first`.
-struct Turn {
-  const Access* first = nullptr;
-  std::uint32_t block = 0;
-  std::uint32_t count = 0;
-};
-
-/// Pass 1: the interleave of the access streams of co-resident blocks.
-/// Slot s holds the block currently occupying it; when a block's stream is
-/// exhausted the next block in launch order takes the slot. Each turn a
-/// block advances kChunk accesses — roughly one scheduling quantum of
-/// memory instructions — whatever they hit, so the turn order does not
-/// depend on the cache.
-std::vector<Turn> interleave(const std::vector<BlockWork>& blocks, std::size_t wave) {
-  constexpr std::size_t kChunk = 8;
-  const std::size_t n = blocks.size();
-  std::size_t total_turns = 0;
-  for (const BlockWork& b : blocks) total_turns += (b.accesses.size() + kChunk - 1) / kChunk;
-  std::vector<Turn> turns;
-  turns.reserve(total_turns);
-  std::vector<std::size_t> cursor(n, 0);
-
-  std::vector<std::size_t> slots;
-  slots.reserve(std::min(n, wave));
-  std::size_t next_block = 0;
-  while (next_block < n && slots.size() < wave) slots.push_back(next_block++);
-  while (!slots.empty()) {
-    for (std::size_t s = 0; s < slots.size();) {
-      const std::size_t b = slots[s];
-      const std::vector<Access>& accesses = blocks[b].accesses;
-      const std::size_t take = std::min(kChunk, accesses.size() - cursor[b]);
-      if (take > 0) {
-        turns.push_back({accesses.data() + cursor[b], static_cast<std::uint32_t>(b),
-                         static_cast<std::uint32_t>(take)});
-        cursor[b] += take;
-      }
-      if (cursor[b] >= accesses.size()) {
-        if (next_block < n) {
-          slots[s] = next_block++;
-          ++s;
-        } else {
-          slots.erase(slots.begin() + static_cast<std::ptrdiff_t>(s));
-        }
-      } else {
-        ++s;
-      }
-    }
-  }
-  return turns;
-}
-
 /// One set range's share of a replay: per-block hits and misses.
 struct RangeReplay {
   std::vector<std::uint64_t> hits, misses;
 };
 
-/// Pass 2 for the sets [lo, hi): every turn in order, probing only the
-/// lines whose set the range owns. Touches no set outside the range, so
-/// ranges run concurrently. A turn's lines are kept or dropped without a
-/// branch on the set (at P ranges a line is the range's with odds 1/P, a
-/// branch the host mispredicts) and the kept ones probed in order.
-RangeReplay replay_sets(SetAssocCache& l2, const std::vector<Turn>& turns, std::size_t blocks,
-                        std::uint64_t lo, std::uint64_t hi) {
+/// The replay of the sets [lo, hi): the kernel's trace streamed in turn
+/// order, probing only the lines whose set the range owns. Touches no set
+/// outside the range, so ranges run concurrently. Consecutive lines map to
+/// consecutive sets, so the owned lines of an access are whole runs: one
+/// from the first owned line up to set hi - 1, and after it one per
+/// `sets` lines, each starting at set lo. Finding a run is arithmetic on
+/// the access's first set; no line outside it is looked at.
+RangeReplay replay_sets(SetAssocCache& l2, const Kernel& kernel, std::uint64_t lo,
+                        std::uint64_t hi) {
   RangeReplay r;
-  r.hits.assign(blocks, 0);
-  r.misses.assign(blocks, 0);
+  r.hits.assign(kernel.blocks().size(), 0);
+  r.misses.assign(kernel.blocks().size(), 0);
+  const auto sets = static_cast<std::uint64_t>(l2.num_sets());
   const std::uint64_t width = hi - lo;
-  constexpr std::size_t kBatch = 64;
-  std::uint64_t owned[kBatch] = {};
-  for (const Turn& t : turns) {
+  const Access* a = kernel.trace().data();
+  for (const Turn& t : kernel.turns()) {
     std::uint64_t lines = 0, hits = 0;
-    std::size_t n = 0;
-    const auto probe_owned = [&] {
-      for (std::size_t i = 0; i < n; ++i) hits += l2.probe(owned[i]);
-      lines += n;
-      n = 0;
-    };
-    for (const Access* a = t.first; a != t.first + t.count; ++a) {
-      if (a->bytes == 0) continue;
-      const std::uint64_t last = l2.line_of(a->addr + a->bytes - 1);
-      for (std::uint64_t line = l2.line_of(a->addr); line <= last; ++line) {
-        owned[n] = line;
-        n += l2.set_of(line) - lo < width;  // kept if the range owns its set
-        if (n == kBatch) probe_owned();
+    for (const Access* end = a + t.count; a != end; ++a) {
+      if (a->bytes() == 0) continue;
+      std::uint64_t line = l2.line_of(a->addr());
+      const std::uint64_t last = l2.line_of(a->addr() + a->bytes() - 1);
+      // How far the line's set lies past lo, modulo the set count.
+      std::uint64_t into = (l2.set_of(line) - lo) & (sets - 1);
+      if (into >= width) {  // skip to the next line of set lo
+        line += sets - into;
+        into = 0;
+      }
+      while (line <= last) {
+        const std::uint64_t run = std::min(width - into, last - line + 1);
+        hits += l2.probe_run(line, run);
+        lines += run;
+        line += sets - into;
+        into = 0;
       }
     }
-    probe_owned();
     r.hits[t.block] += hits;
     r.misses[t.block] += lines - hits;
   }
@@ -115,35 +69,41 @@ const KernelStats& SimContext::launch(Kernel kernel) {
   // Fault seam: this is the chokepoint every simulated kernel passes
   // through, several stack frames below APIs that return void or stats
   // references — hence the exception vehicle (see rt::StageFailure).
-  rt::raise_if_armed(rt::kSeamSimLaunch, "SimContext::launch('" + kernel.name + "')");
-  prof::Span span(kernel.name, "sim");
+  rt::raise_if_armed(rt::kSeamSimLaunch, "SimContext::launch('" + kernel.name() + "')");
+  if (kernel.slots() != spec_.total_block_slots()) {
+    throw std::invalid_argument("SimContext::launch('" + kernel.name() +
+                                "'): the trace is laid out for " + std::to_string(kernel.slots()) +
+                                " block slots; the device has " +
+                                std::to_string(spec_.total_block_slots()));
+  }
+  prof::Span span(kernel.name(), "sim");
   KernelStats ks;
-  ks.name = std::move(kernel.name);
-  ks.phase = std::move(kernel.phase);
-  ks.num_blocks = static_cast<int>(kernel.blocks.size());
+  ks.name = kernel.name();
+  ks.phase = kernel.phase();
+  ks.num_blocks = static_cast<int>(kernel.blocks().size());
 
-  const std::size_t n = kernel.blocks.size();
+  const std::vector<BlockWork>& blocks = kernel.blocks();
+  const std::size_t n = blocks.size();
 
-  // --- Cache replay (DESIGN.md §5). Pass 1 records the co-residency
-  // interleave; pass 2 replays it through the L2 with one contiguous set
-  // range per host thread. A set's LRU state depends only on the order of
-  // the accesses to that set, so the counts equal a sequential replay's at
-  // any range count, and a set's recency ranks carry over to the next
-  // launch whichever range owns the set then. Inside a parallel region
-  // (shard bodies, tuner probes, batch jobs) more ranges would run inline,
-  // each rescanning the whole interleave, so there is one.
+  // --- Cache replay (DESIGN.md §5): the trace, laid out in co-residency
+  // order when the kernel was built, streamed through the L2 with one
+  // contiguous set range per host thread. A set's LRU state depends only
+  // on the order of the accesses to that set, so the counts equal a
+  // sequential replay's at any range count, and a set's recency ranks
+  // carry over to the next launch whichever range owns the set then.
+  // Inside a parallel region (shard bodies, tuner probes, batch jobs) more
+  // ranges would run inline, each streaming the whole trace, so there is
+  // one.
   std::vector<std::uint64_t> hits(n, 0), misses(n, 0);
   {
     prof::Span replay_span("replay", "sim.stage");
-    const std::vector<Turn> turns =
-        interleave(kernel.blocks, static_cast<std::size_t>(spec_.total_block_slots()));
     const auto sets = static_cast<std::size_t>(l2_.num_sets());
     const std::size_t ranges = par::in_parallel_region()
                                    ? 1
                                    : std::min(static_cast<std::size_t>(par::max_threads()), sets);
     std::vector<RangeReplay> replays(ranges);
     par::parallel_chunks(ranges, /*grain=*/1, [&](std::size_t r, std::size_t, std::size_t) {
-      replays[r] = replay_sets(l2_, turns, n, r * sets / ranges, (r + 1) * sets / ranges);
+      replays[r] = replay_sets(l2_, kernel, r * sets / ranges, (r + 1) * sets / ranges);
     });
     for (const RangeReplay& rr : replays) {
       for (std::size_t b = 0; b < n; ++b) {
@@ -179,7 +139,7 @@ const KernelStats& SimContext::launch(Kernel kernel) {
       n, par::kDefaultGrain,
       [&](CounterShard& shard, std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
         for (std::size_t b = begin; b < end; ++b) {
-          const auto& blk = kernel.blocks[b];
+          const BlockWork& blk = blocks[b];
           const Cycles compute = blk.issued_flops / spec_.flops_per_cycle_per_block;
           const Cycles memory = (static_cast<double>(hits[b]) * spec_.l2_hit_cycles_per_line +
                                  static_cast<double>(misses[b]) * spec_.dram_cycles_per_line) *

@@ -1,9 +1,10 @@
 // Simulation context: device + shared L2 + counters.
 //
 // One `SimContext` models one GPU running a sequence of kernels. Launching
-// a kernel replays its blocks' access streams through the shared L2 in
-// co-residency order (wave-interleaved, matching which blocks actually run
-// together; the replay splits the L2's sets over the host threads),
+// a kernel replays its trace through the shared L2 in co-residency order
+// (wave-interleaved, matching which blocks actually run together; the
+// builder lays the trace out in that order, and the replay splits the L2's
+// sets over the host threads),
 // derives per-block durations from the hit/miss mix and the compute cost,
 // schedules the blocks, and accumulates counters. The L2 stays warm across
 // kernels, as on real hardware.
@@ -27,7 +28,8 @@ class SimContext {
   AddressSpace& mem() { return mem_; }
 
   /// Replays, schedules and accounts one kernel. Returns its stats (also
-  /// appended to `stats()`).
+  /// appended to `stats()`). Throws std::invalid_argument when the kernel
+  /// was laid out for another block slot count than this device's.
   const KernelStats& launch(Kernel kernel);
 
   /// Counters accumulated since construction or the last `reset_stats`.

@@ -303,5 +303,17 @@ TEST(FaultMatrix, EnginePreflightRejectsNaNFeatures) {
   EXPECT_NE(r.status.to_string().find("features"), std::string::npos);
 }
 
+TEST(FaultMatrix, EnginePreflightRevalidatesFeaturesWrittenInPlace) {
+  GcnFixture f;
+  OptimizedEngine e{EngineConfig{}};
+  const auto ok = e.run_gcn(f.data, {&f.cfg, &f.params, &f.x}, ExecMode::kFull, sim::v100());
+  ASSERT_TRUE(ok.status.ok()) << ok.status.to_string();
+  // The same matrix, at the same address, now holds a NaN.
+  f.x(0, 0) = std::numeric_limits<float>::quiet_NaN();
+  const auto r = e.run_gcn(f.data, {&f.cfg, &f.params, &f.x}, ExecMode::kFull, sim::v100());
+  EXPECT_EQ(r.status.code(), rt::StatusCode::kFailedPrecondition);
+  EXPECT_NE(r.status.to_string().find("features"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace gnnbridge

@@ -36,27 +36,44 @@ struct ThreadCountReset {
   ~ThreadCountReset() { par::set_max_threads(0); }
 };
 
-/// A kernel of random blocks over `buf`: multi-line, unaligned and
-/// zero-byte accesses, blocks without accesses, and a compute and extra
-/// cost that differ per block so durations differ too.
-Kernel random_kernel(const Buffer& buf, std::uint64_t seed) {
+/// One block of a test kernel: its accesses as (offset in the buffer,
+/// bytes) in program order, and its costs.
+struct TestBlock {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> accesses;
+  double flops = 0.0;
+  double extra_cycles = 0.0;
+};
+
+/// Random blocks over `buf`: multi-line, unaligned and zero-byte accesses,
+/// blocks without accesses, and a compute and extra cost that differ per
+/// block so durations differ too.
+std::vector<TestBlock> random_blocks(const Buffer& buf, std::uint64_t seed) {
   tensor::Rng rng(seed);
-  Kernel k;
-  k.name = "random";
-  const std::size_t blocks = 1 + rng.below(24);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    BlockWork blk;
+  std::vector<TestBlock> blocks(1 + rng.below(24));
+  for (TestBlock& blk : blocks) {
     const std::size_t accesses = rng.below(5) == 0 ? 0 : rng.below(60);
     for (std::size_t a = 0; a < accesses; ++a) {
-      const auto bytes = static_cast<std::uint32_t>(rng.below(4) == 0 ? 0 : rng.below(300));
-      blk.read(buf, rng.below(buf.bytes - 300), bytes);
+      const std::uint64_t bytes = rng.below(4) == 0 ? 0 : rng.below(300);
+      blk.accesses.emplace_back(rng.below(buf.bytes - 300), bytes);
     }
-    const double f = static_cast<double>(rng.below(4000));
-    blk.compute(f, f);
+    blk.flops = static_cast<double>(rng.below(4000));
     blk.extra_cycles = static_cast<double>(rng.below(50));
-    k.blocks.push_back(std::move(blk));
   }
-  return k;
+  return blocks;
+}
+
+/// The kernel under test: `blocks` over `buf`, built through the kernel
+/// builder in chunks of 4 blocks, so several pool tasks emit at once.
+Kernel build(const SimContext& ctx, const Buffer& buf, const std::vector<TestBlock>& blocks) {
+  return build_kernel(
+      "random", "", ctx.spec().total_block_slots(),
+      par::aligned_chunk_bounds(blocks.size(), 4, [](std::size_t) { return false; }),
+      [&](std::size_t b) { return blocks[b].accesses.size(); },
+      [&](std::size_t b, BlockWork& blk) {
+        for (const auto& [offset, bytes] : blocks[b].accesses) blk.read(buf, offset, bytes);
+        blk.compute(blocks[b].flops, blocks[b].flops);
+        blk.extra_cycles = blocks[b].extra_cycles;
+      });
 }
 
 /// The sequential oracle: one reference LRU, driven through the
@@ -67,8 +84,8 @@ class SequentialReplay {
   explicit SequentialReplay(const DeviceSpec& spec)
       : spec_(spec), l2_(spec.l2_bytes, spec.l2_ways, spec.line_bytes) {}
 
-  KernelStats launch(const Kernel& kernel) {
-    const std::size_t n = kernel.blocks.size();
+  KernelStats launch(const Buffer& buf, const std::vector<TestBlock>& blocks) {
+    const std::size_t n = blocks.size();
     const auto wave = static_cast<std::size_t>(spec_.total_block_slots());
     std::vector<std::uint64_t> hits(n, 0), misses(n, 0);
     std::vector<std::size_t> cursor(n, 0);
@@ -78,10 +95,10 @@ class SequentialReplay {
     while (!slots.empty()) {
       for (std::size_t s = 0; s < slots.size();) {
         const std::size_t b = slots[s];
-        const auto& accesses = kernel.blocks[b].accesses;
+        const auto& accesses = blocks[b].accesses;
         for (std::size_t done = 0; cursor[b] < accesses.size() && done < 8; ++done) {
-          const Access& a = accesses[cursor[b]++];
-          const CacheProbe p = l2_.access(a.addr, a.bytes);
+          const auto [offset, bytes] = accesses[cursor[b]++];
+          const CacheProbe p = l2_.access(buf.base + offset, static_cast<std::uint32_t>(bytes));
           hits[b] += p.hits;
           misses[b] += p.misses;
         }
@@ -100,12 +117,12 @@ class SequentialReplay {
         std::clamp(static_cast<double>(n) / spec_.total_block_slots(), 1.0 / 8.0, 1.0);
     std::vector<Cycles> durations(n);
     for (std::size_t b = 0; b < n; ++b) {
-      const BlockWork& blk = kernel.blocks[b];
+      const TestBlock& blk = blocks[b];
       const Cycles memory = (static_cast<double>(hits[b]) * spec_.l2_hit_cycles_per_line +
                              static_cast<double>(misses[b]) * spec_.dram_cycles_per_line) *
                             bw_share;
       durations[b] =
-          std::max(blk.issued_flops / spec_.flops_per_cycle_per_block, memory) + blk.extra_cycles;
+          std::max(blk.flops / spec_.flops_per_cycle_per_block, memory) + blk.extra_cycles;
       ks.l2_hits += hits[b];
       ks.l2_misses += misses[b];
     }
@@ -149,9 +166,9 @@ TEST(ReplayOracle, MatchesSequentialReplayWhateverTheRangeCount) {
   std::uint64_t seed = 1;
   std::uint64_t hits = 0;
   const auto launch_both = [&](const std::string& where) {
-    Kernel k = random_kernel(buf, seed++);
-    const KernelStats want = oracle.launch(k);
-    expect_same(ctx.launch(std::move(k)), want, where);
+    const std::vector<TestBlock> blocks = random_blocks(buf, seed++);
+    const KernelStats want = oracle.launch(buf, blocks);
+    expect_same(ctx.launch(build(ctx, buf, blocks)), want, where);
     hits += want.l2_hits;
   };
 
@@ -185,10 +202,58 @@ TEST(ReplayOracle, CacheWithFewerSetsThanThreads) {
   const Buffer buf = ctx.mem().alloc("data", 8 * 1024);
   par::set_max_threads(8);
   for (std::uint64_t seed = 100; seed < 104; ++seed) {
-    Kernel k = random_kernel(buf, seed);
-    const KernelStats want = oracle.launch(k);
-    expect_same(ctx.launch(std::move(k)), want, "seed " + std::to_string(seed));
+    const std::vector<TestBlock> blocks = random_blocks(buf, seed);
+    const KernelStats want = oracle.launch(buf, blocks);
+    expect_same(ctx.launch(build(ctx, buf, blocks)), want, "seed " + std::to_string(seed));
   }
+}
+
+TEST(ReplayOracle, LongAndWrappingAccessesAtUnevenRanges) {
+  ThreadCountReset reset;
+  // 64 sets over 3 ranges: 21, 21 and 22 sets wide.
+  const DeviceSpec spec = tiny_device();
+  SimContext ctx(spec);
+  SequentialReplay oracle(spec);
+  const std::uint64_t line = static_cast<std::uint64_t>(spec.line_bytes);
+  const std::uint64_t sets = 64;
+  const Buffer buf = ctx.mem().alloc("data", 4 * 16 * 1024);
+  // The buffer's first line of set 0.
+  const std::uint64_t first_period = (buf.base / line + sets - 1) / sets * sets;
+  par::set_max_threads(3);
+  std::size_t long_accesses = 0, wrapping = 0;
+  std::uint64_t hits = 0;
+  for (std::uint64_t seed = 200; seed < 208; ++seed) {
+    tensor::Rng rng(seed);
+    std::vector<TestBlock> blocks = random_blocks(buf, seed);
+    for (TestBlock& blk : blocks) {
+      for (auto& [offset, bytes] : blk.accesses) {
+        switch (rng.below(3)) {
+          case 0:  // 8 KiB and up: 128 or more lines, twice round the sets
+            bytes = 8 * 1024 + rng.below(2) * rng.below(line);
+            offset = rng.below(buf.bytes - bytes);
+            ++long_accesses;
+            break;
+          case 1: {  // from one of the last 4 sets into one of the first 6
+            const std::uint64_t period = first_period + rng.below(14) * sets;
+            const std::uint64_t start = (period + sets - 4 + rng.below(4)) * line + rng.below(line);
+            const std::uint64_t end = (period + sets + rng.below(6)) * line + rng.below(line);
+            offset = start - buf.base;
+            bytes = end - start + 1;
+            ++wrapping;
+            break;
+          }
+          default:
+            break;
+        }
+      }
+    }
+    const KernelStats want = oracle.launch(buf, blocks);
+    expect_same(ctx.launch(build(ctx, buf, blocks)), want, "seed " + std::to_string(seed));
+    hits += want.l2_hits;
+  }
+  EXPECT_GT(long_accesses, 100u);
+  EXPECT_GT(wrapping, 100u);
+  EXPECT_GT(hits, 100u);
 }
 
 }  // namespace
