@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -23,15 +22,25 @@ constexpr int kGroup = 16;  // ways per SSE2 group: 16 rank bytes, 4x4 tags
 
 SetAssocCache::SetAssocCache(std::int64_t capacity_bytes, int ways, int line_bytes)
     : ways_(ways), line_bytes_(line_bytes) {
-  assert(capacity_bytes > 0 && line_bytes > 0);
-  assert((line_bytes & (line_bytes - 1)) == 0 && "line size must be a power of two");
+  if (capacity_bytes <= 0) {
+    throw std::invalid_argument("SetAssocCache: capacity of " + std::to_string(capacity_bytes) +
+                                " bytes; it must be positive");
+  }
+  if (line_bytes <= 0 || !std::has_single_bit(static_cast<unsigned>(line_bytes))) {
+    throw std::invalid_argument("SetAssocCache: " + std::to_string(line_bytes) +
+                                "-byte lines; the line size must be a positive power of two");
+  }
   // Ranks are bytes, and kPadRank must stay above every real rank.
   if (ways < 1 || ways > kPadRank) {
     throw std::invalid_argument("SetAssocCache: " + std::to_string(ways) +
                                 " ways; the model supports 1 to 255");
   }
   const std::int64_t raw_sets = capacity_bytes / (static_cast<std::int64_t>(ways) * line_bytes);
-  assert(raw_sets > 0);
+  if (raw_sets == 0) {
+    throw std::invalid_argument("SetAssocCache: " + std::to_string(capacity_bytes) +
+                                " bytes hold no set of " + std::to_string(ways) + " ways of " +
+                                std::to_string(line_bytes) + "-byte lines");
+  }
   num_sets_ = 1 << (std::bit_width(static_cast<std::uint64_t>(raw_sets)) - 1);
   line_shift_ = std::bit_width(static_cast<std::uint64_t>(line_bytes)) - 1;
   set_shift_ = std::bit_width(static_cast<std::uint64_t>(num_sets_)) - 1;
@@ -39,6 +48,7 @@ SetAssocCache::SetAssocCache(std::int64_t capacity_bytes, int ways, int line_byt
   lanes_ = (ways_ + kGroup - 1) / kGroup * kGroup;
   tags_.resize(static_cast<std::size_t>(num_sets_) * lanes_);
   ranks_.resize(tags_.size());
+  mru_.resize(static_cast<std::size_t>(num_sets_));
   clear();
 }
 
@@ -48,11 +58,19 @@ SetAssocCache::SetAssocCache(std::int64_t capacity_bytes, int ways, int line_byt
 // permutation ordered by last touch, the order a stamp per way records. An
 // empty way never hits, so it only ever ages and stays ranked above every
 // filled way: the miss victim is an empty way whenever one exists.
+//
+// A hit on the rank-0 way (r = 0) ages nothing and keeps the way at rank 0,
+// so it changes no state: mru_ answers it alone. Every other probe leaves
+// the way it touched, which then holds its tag, at rank 0, and stores that
+// tag in mru_, so mru_ always holds the set's rank-0 tag.
 [[gnu::always_inline]] inline bool SetAssocCache::probe_line(std::uint64_t line) {
   const std::uint64_t wide_tag = line >> set_shift_;
   if (wide_tag >= kNoTag) [[unlikely]] reject_tag(line);
   const auto tag = static_cast<std::uint32_t>(wide_tag);
-  const std::size_t base = set_of(line) * static_cast<std::size_t>(lanes_);
+  const std::uint64_t set = set_of(line);
+  if (mru_[set] == tag) return true;
+  mru_[set] = tag;
+  const std::size_t base = set * static_cast<std::size_t>(lanes_);
   std::uint32_t* tags = &tags_[base];
   std::uint8_t* ranks = &ranks_[base];
   const int groups = lanes_ / kGroup;
@@ -118,6 +136,7 @@ CacheProbe SetAssocCache::access(std::uint64_t addr, std::uint32_t bytes) {
 
 void SetAssocCache::clear() {
   std::fill(tags_.begin(), tags_.end(), kNoTag);
+  std::fill(mru_.begin(), mru_.end(), kNoTag);
   for (std::size_t i = 0; i < ranks_.size(); ++i) {
     const auto w = static_cast<int>(i % static_cast<std::size_t>(lanes_));
     ranks_[i] = w < ways_ ? static_cast<std::uint8_t>(w) : kPadRank;

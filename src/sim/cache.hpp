@@ -26,12 +26,18 @@ struct CacheProbe {
 
 /// Set-associative LRU cache. Each way holds a 32-bit tag (the line number
 /// without its set bits) and a recency rank: the ranks of a set are a
-/// permutation of 0 .. ways-1, 0 the most recently touched way.
+/// permutation of 0 .. ways-1, 0 the most recently touched way. A dense
+/// array holds each set's rank-0 tag, 4 bytes a set, and answers a re-touch
+/// of the set's most recent line without reading its tags or ranks: such a
+/// hit changes no rank, so the answer is the full probe's.
 class SetAssocCache {
  public:
   /// `capacity_bytes` total, `ways` associativity (1 to 255), `line_bytes`
-  /// per line. The set count is rounded down to a power of two for cheap
-  /// indexing.
+  /// per line, a power of two. The set count is rounded down to a power of
+  /// two for cheap indexing. Throws std::invalid_argument, in every build,
+  /// for a non-positive capacity, a line size that is not a positive power
+  /// of two, a way count outside 1 to 255, and a capacity below one set
+  /// (`ways` lines).
   SetAssocCache(std::int64_t capacity_bytes, int ways, int line_bytes);
 
   /// Line number of the line holding byte address `addr`.
@@ -87,6 +93,8 @@ class SetAssocCache {
   std::vector<std::uint32_t> tags_;
   /// Recency ranks parallel to tags_.
   std::vector<std::uint8_t> ranks_;
+  /// mru_[set]: the tag of the set's rank-0 way (kNoTag while it is empty).
+  std::vector<std::uint32_t> mru_;
   std::uint64_t total_hits_ = 0;
   std::uint64_t total_misses_ = 0;
 

@@ -4,12 +4,24 @@
 
 #include <deque>
 #include <stdexcept>
+#include <string>
 
 #include "tensor/rng.hpp"
 #include "tests/testing/stamp_lru.hpp"
 
 namespace gnnbridge::sim {
 namespace {
+
+// The message SetAssocCache(capacity, ways, line_bytes) throws as
+// std::invalid_argument, or "" when it builds.
+std::string geometry_error(std::int64_t capacity, int ways, int line_bytes) {
+  try {
+    SetAssocCache c(capacity, ways, line_bytes);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
 
 TEST(Cache, FirstTouchMisses) {
   SetAssocCache c(1024, 2, 64);
@@ -74,10 +86,43 @@ TEST(Cache, ZeroByteAccessIsNoop) {
 }
 
 TEST(Cache, ClearInvalidatesEverything) {
-  SetAssocCache c(1024, 2, 64);
-  c.access_line(0);
+  SetAssocCache c(1024, 2, 64);  // 8 sets, 2 ways
+  const std::uint64_t a = 0, b = 8 * 64;  // same set
+  c.access_line(a);
+  c.access_line(b);
+  EXPECT_TRUE(c.access_line(b));  // b is the set's most recent line
   c.clear();
-  EXPECT_FALSE(c.access_line(0));
+  EXPECT_FALSE(c.access_line(b));
+  EXPECT_FALSE(c.access_line(a));
+}
+
+// Re-touching a set's most recent line changes no recency, so it must not
+// move the next victim. With the set full of lines A, B, C, ... (oldest
+// first), three re-touches of the newest line leave A the victim of a new
+// line E; a touch of B then leaves C the victim of a new line F (at 2 ways
+// C is E itself).
+TEST(Cache, MostRecentRetouchesKeepTheEvictionOrder) {
+  for (const int ways : {1, 4, 16, 32}) {
+    SetAssocCache c(8LL * ways * 64, ways, 64);  // 8 sets
+    const auto sets = static_cast<std::uint64_t>(c.num_sets());
+    const auto w = static_cast<std::uint64_t>(ways);
+    const auto line = [&](std::uint64_t i) { return i * sets; };  // all in set 0
+    // Probes a copy, so checking leaves c as it was.
+    const auto resident = [](SetAssocCache copy, std::uint64_t l) { return copy.probe(l); };
+    for (std::uint64_t i = 0; i < w; ++i) ASSERT_FALSE(c.probe(line(i)));
+    for (int k = 0; k < 3; ++k) ASSERT_TRUE(c.probe(line(w - 1)));
+    ASSERT_FALSE(c.probe(line(w)));  // E
+    EXPECT_FALSE(resident(c, line(0))) << ways << " ways";
+    for (std::uint64_t i = 1; i <= w; ++i) EXPECT_TRUE(resident(c, line(i))) << ways << " ways";
+    if (ways == 1) continue;
+    ASSERT_TRUE(c.probe(line(1)));       // B
+    ASSERT_FALSE(c.probe(line(w + 1)));  // F
+    EXPECT_FALSE(resident(c, line(2))) << ways << " ways";
+    EXPECT_TRUE(resident(c, line(1))) << ways << " ways";
+    for (std::uint64_t i = 3; i <= w + 1; ++i) {
+      EXPECT_TRUE(resident(c, line(i))) << ways << " ways";
+    }
+  }
 }
 
 TEST(Cache, SetCountRoundsDownToPowerOfTwo) {
@@ -109,7 +154,8 @@ TEST(Cache, WorkingSetWithinCapacityReuses) {
 // 4, 8 and 12 ways; two groups at 32). The stream mixes re-touches of
 // recent lines with fresh lines over twice the capacity, so sets fill,
 // hit and evict; half the way counts use tags near the top of the 32-bit
-// range.
+// range. Each way count re-touches its set's most recent line at least
+// 1,000 times, the probes the cache answers from its MRU tag array.
 TEST(Cache, MatchesStampLruProbeByProbe) {
   for (const int ways : {1, 2, 3, 4, 8, 12, 16, 32}) {
     const std::int64_t capacity = 64LL * ways * 64;  // 64 sets
@@ -120,19 +166,21 @@ TEST(Cache, MatchesStampLruProbeByProbe) {
     const std::uint64_t lines = 2 * 64 * static_cast<std::uint64_t>(ways);
     const std::uint64_t base = ways % 2 == 0 ? std::uint64_t{0xFFFF0000} << 6 : 0;
     std::deque<std::uint64_t> recent;
-    std::uint64_t hits = 0, misses = 0;
+    std::uint64_t hits = 0, misses = 0, most_recent = 0;
     for (int i = 0; i < 20000; ++i) {
       const std::uint64_t line = !recent.empty() && rng.below(2) == 0
                                      ? recent[rng.below(recent.size())]
                                      : base + rng.below(lines);
       recent.push_back(line);
       if (recent.size() > 4 * static_cast<std::size_t>(ways)) recent.pop_front();
+      most_recent += ref.is_most_recent(line);
       const bool want = ref.probe(line);
       ASSERT_EQ(cache.probe(line), want) << ways << " ways, probe " << i << ", line " << line;
       ++(want ? hits : misses);
     }
     EXPECT_GT(hits, 2000u) << ways << " ways";
     EXPECT_GT(misses, 2000u) << ways << " ways";
+    EXPECT_GE(most_recent, 1000u) << ways << " ways";
   }
 }
 
@@ -147,6 +195,9 @@ TEST(Cache, RejectsTagsWiderThan32Bits) {
   EXPECT_THROW(c.probe(std::uint64_t{1} << 35), std::out_of_range);
   EXPECT_THROW(c.access_line(std::uint64_t{1} << 41), std::out_of_range);
   EXPECT_TRUE(c.probe(widest));
+  // Tag 2^32 throws even where its low 32 bits are its set's most recent tag.
+  EXPECT_FALSE(c.probe(0));
+  EXPECT_THROW(c.probe(std::uint64_t{1} << 35), std::out_of_range);
 }
 
 TEST(Cache, RejectsWayCountsRanksCannotHold) {
@@ -157,6 +208,31 @@ TEST(Cache, RejectsWayCountsRanksCannotHold) {
   for (std::uint64_t l = 0; l < 255; ++l) EXPECT_TRUE(c.probe(l * c.num_sets()));
   EXPECT_FALSE(c.probe(255u * c.num_sets()));  // evicts line 0, the LRU
   EXPECT_FALSE(c.probe(0));
+}
+
+TEST(Cache, RejectsNonPositiveCapacity) {
+  for (const std::int64_t capacity : {std::int64_t{0}, std::int64_t{-4096}}) {
+    const std::string what = geometry_error(capacity, 4, 64);
+    EXPECT_NE(what.find("capacity of " + std::to_string(capacity) + " bytes"), std::string::npos)
+        << "'" << what << "'";
+  }
+}
+
+TEST(Cache, RejectsLineSizesNotPowersOfTwo) {
+  for (const int line_bytes : {0, -64, 48, 96}) {
+    const std::string what = geometry_error(1 << 20, 4, line_bytes);
+    EXPECT_NE(what.find(std::to_string(line_bytes) + "-byte lines"), std::string::npos)
+        << "'" << what << "'";
+  }
+  EXPECT_EQ(geometry_error(1 << 20, 4, 32), "");
+}
+
+TEST(Cache, RejectsCapacityBelowOneSet) {
+  // One set of 32 ways of 64-byte lines needs 2048 bytes.
+  const std::string what = geometry_error(1024, 32, 64);
+  EXPECT_NE(what.find("1024 bytes hold no set of 32 ways of 64-byte lines"), std::string::npos)
+      << "'" << what << "'";
+  EXPECT_EQ(SetAssocCache(2048, 32, 64).num_sets(), 1);
 }
 
 }  // namespace

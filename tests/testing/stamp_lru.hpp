@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -29,8 +30,7 @@ class StampLru {
   /// Touches line number `line`; returns whether it was resident. A miss
   /// fills an empty way, else the way with the oldest stamp.
   bool probe(std::uint64_t line) {
-    const std::uint64_t base = (line & static_cast<std::uint64_t>(num_sets_ - 1)) *
-                               static_cast<std::uint64_t>(ways_);
+    const std::uint64_t base = base_of(line);
     std::uint64_t* tag = &tags_[base];
     std::uint64_t* stamp = &stamps_[base];
     ++tick_;
@@ -54,6 +54,15 @@ class StampLru {
     return false;
   }
 
+  /// Whether line number `line` is the most recently touched line of its
+  /// set. Touches nothing.
+  bool is_most_recent(std::uint64_t line) const {
+    const std::uint64_t base = base_of(line);
+    const auto newest = std::max_element(stamps_.begin() + static_cast<std::ptrdiff_t>(base),
+                                         stamps_.begin() + static_cast<std::ptrdiff_t>(base) + ways_);
+    return tags_[static_cast<std::size_t>(newest - stamps_.begin())] == line;
+  }
+
   /// Touches `bytes` bytes at `addr`, one probe per line, like
   /// SetAssocCache::access.
   sim::CacheProbe access(std::uint64_t addr, std::uint32_t bytes) {
@@ -74,6 +83,10 @@ class StampLru {
   }
 
  private:
+  std::uint64_t base_of(std::uint64_t line) const {
+    return (line & static_cast<std::uint64_t>(num_sets_ - 1)) * static_cast<std::uint64_t>(ways_);
+  }
+
   int ways_;
   int num_sets_;
   int line_shift_;

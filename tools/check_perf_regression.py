@@ -16,8 +16,10 @@ is a perf regression (or an improvement that must be locked in by
 regenerating the baseline with bench_runner.py and committing it).
 
 When both files carry bench_runner.py's `host` block, each bench's wall
-seconds and peak RSS are printed side by side. They measure the host, not
-the model, so they never decide pass or fail.
+seconds and peak RSS are printed side by side, and a bench whose wall
+seconds rose more than 25% or whose peak RSS rose more than 10% is flagged
+WARN (the bounds BENCHMARK.json gives those metrics). They measure the
+host, not the model, so they never decide pass or fail.
 
 Exits 0 when every metric is within tolerance, 1 otherwise.
 """
@@ -43,6 +45,9 @@ EXACT_METRICS = {
 # with this relative tolerance (plus a tiny absolute floor for zeros).
 DEFAULT_REL_TOL = 1e-6
 DEFAULT_ABS_TOL = 1e-9
+# Host-cost rises that flag a bench WARN: the regression bounds
+# BENCHMARK.json gives wall_s and peak_rss_mb.
+HOST_WARN_RISE = {"wall_s": 0.25, "peak_rss_mb": 0.10}
 
 
 def load_trajectory(path):
@@ -126,9 +131,15 @@ def host_lines(baseline, fresh):
         if f is None:
             continue
         ratio = f" ({f['wall_s'] / b['wall_s']:.2f}x)" if b["wall_s"] > 0 else ""
+        rises = [
+            f"{name} +{f[name] / b[name] - 1:.0%} > {bound:.0%}"
+            for name, bound in HOST_WARN_RISE.items()
+            if b[name] > 0 and f[name] > b[name] * (1 + bound)
+        ]
+        warn = f"  WARN: {', '.join(rises)}" if rises else ""
         lines.append(
             f"  {bench}: wall_s {b['wall_s']:.2f} -> {f['wall_s']:.2f}{ratio}, "
-            f"peak_rss_mb {b['peak_rss_mb']:.0f} -> {f['peak_rss_mb']:.0f}"
+            f"peak_rss_mb {b['peak_rss_mb']:.0f} -> {f['peak_rss_mb']:.0f}{warn}"
         )
     return lines
 
@@ -195,7 +206,10 @@ def main():
     failures = compare(baseline, fresh, args.rel_tol, args.abs_tol)
     host = host_lines(baseline, fresh)
     if host:
-        print("check_perf_regression: host cost per bench, baseline -> fresh (not gated):")
+        print(
+            "check_perf_regression: host cost per bench, baseline -> fresh "
+            "(not gated; WARN above +25% wall_s or +10% peak_rss_mb):"
+        )
         print("\n".join(host))
     n_entries = len(baseline["entries"])
     if failures:
