@@ -9,6 +9,7 @@
 // protein — low degree variance — is the exception where NG's overhead
 // outweighs the benefit (paper: 8% slower).
 #include "bench_util.hpp"
+#include "core/balance/neighbor_grouping.hpp"
 #include "kernels/common.hpp"
 #include "kernels/spmm.hpp"
 
@@ -47,9 +48,7 @@ int main() {
     const auto whole = kernels::natural_tasks(d.csr);
     const sim::KernelStats base = run_agg(d, whole, false, kFeat, "baseline");
 
-    const graph::EdgeId bound =
-        std::max<graph::EdgeId>(16, (static_cast<graph::EdgeId>(d.stats.avg_degree) + 15) /
-                                        16 * 16);
+    const graph::EdgeId bound = core::default_group_bound(d.csr);
     const kernels::GroupedTasks grouped = kernels::neighbor_group_tasks(d.csr, bound);
     const sim::KernelStats ng = run_agg(d, grouped.tasks, grouped.any_split, kFeat, "ng");
 

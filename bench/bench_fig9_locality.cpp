@@ -5,6 +5,7 @@
 // graphs (protein, ddi) lose slightly when LAS breaks their natural
 // layout.
 #include "bench_util.hpp"
+#include "core/balance/neighbor_grouping.hpp"
 #include "core/locality/reorder_baselines.hpp"
 #include "core/locality/schedule.hpp"
 #include "kernels/common.hpp"
@@ -64,9 +65,7 @@ int main() {
     const double prior_edge = edge_parallel_hit_rate(d);
     const double best_prior = std::max(prior_node, prior_edge);
 
-    const graph::EdgeId bound =
-        std::max<graph::EdgeId>(16, (static_cast<graph::EdgeId>(d.stats.avg_degree) + 15) /
-                                        16 * 16);
+    const graph::EdgeId bound = core::default_group_bound(d.csr);
     const kernels::GroupedTasks ng = kernels::neighbor_group_tasks(d.csr, bound);
     const double hit_ng = node_parallel_hit_rate(d, ng.tasks, ng.any_split, "ng");
 

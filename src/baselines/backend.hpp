@@ -10,6 +10,7 @@
 #pragma once
 
 #include <optional>
+#include <string>
 #include <string_view>
 
 #include "graph/datasets.hpp"
@@ -91,7 +92,9 @@ struct MultiHeadGatRun {
   const Matrix* features = nullptr;
 };
 
-/// Abstract framework backend.
+/// Abstract framework backend. Each run_* defaults to a
+/// kFailedPrecondition result naming the backend and the model; a backend
+/// overrides the ones its supports() admits.
 class Backend {
  public:
   virtual ~Backend() = default;
@@ -99,28 +102,37 @@ class Backend {
   virtual std::string_view name() const = 0;
 
   /// Whether the framework implements the model at all ("x" in Figure 7).
-  /// Covers the extension models too: a backend that does not support
-  /// GraphSAGE-Pool or multi-head GAT inherits their empty stubs below.
   virtual bool supports(ModelKind kind) const = 0;
 
-  virtual RunResult run_gcn(const Dataset& data, const GcnRun& run, ExecMode mode,
-                            const sim::DeviceSpec& spec) = 0;
-  virtual RunResult run_gat(const Dataset& data, const GatRun& run, ExecMode mode,
-                            const sim::DeviceSpec& spec) = 0;
-  virtual RunResult run_sage_lstm(const Dataset& data, const SageLstmRun& run, ExecMode mode,
-                                  const sim::DeviceSpec& spec) = 0;
-
-  /// GraphSAGE-Pool (max aggregator) — an extension model.
-  virtual RunResult run_sage_pool(const Dataset& /*data*/, const SagePoolRun& /*run*/,
-                                  ExecMode /*mode*/, const sim::DeviceSpec& /*spec*/) {
-    return {};
+  virtual RunResult run_gcn(const Dataset&, const GcnRun&, ExecMode, const sim::DeviceSpec&) {
+    return unsupported(ModelKind::kGcn);
   }
-
+  virtual RunResult run_gat(const Dataset&, const GatRun&, ExecMode, const sim::DeviceSpec&) {
+    return unsupported(ModelKind::kGat);
+  }
+  virtual RunResult run_sage_lstm(const Dataset&, const SageLstmRun&, ExecMode,
+                                  const sim::DeviceSpec&) {
+    return unsupported(ModelKind::kSageLstm);
+  }
+  /// GraphSAGE-Pool (max aggregator) — an extension model.
+  virtual RunResult run_sage_pool(const Dataset&, const SagePoolRun&, ExecMode,
+                                  const sim::DeviceSpec&) {
+    return unsupported(ModelKind::kSagePool);
+  }
   /// Multi-head GAT — an extension model (one layer, K heads,
   /// concatenated outputs).
-  virtual RunResult run_multihead_gat(const Dataset& /*data*/, const MultiHeadGatRun& /*run*/,
-                                      ExecMode /*mode*/, const sim::DeviceSpec& /*spec*/) {
-    return {};
+  virtual RunResult run_multihead_gat(const Dataset&, const MultiHeadGatRun&, ExecMode,
+                                      const sim::DeviceSpec&) {
+    return unsupported(ModelKind::kMultiHeadGat);
+  }
+
+ private:
+  RunResult unsupported(ModelKind kind) const {
+    RunResult r;
+    r.status = rt::Status(rt::StatusCode::kFailedPrecondition,
+                          std::string(name()) + " does not implement " +
+                              std::string(models::model_name(kind)));
+    return r;
   }
 };
 

@@ -23,7 +23,7 @@ void relu_in_place(sim::SimContext& ctx, k::FeatureMat& m) {
 
 RunResult finish(sim::SimContext& ctx, const sim::DeviceSpec& spec, Matrix output) {
   RunResult r;
-  r.stats = ctx.stats();
+  r.stats = ctx.take_stats();
   r.ms = spec.millis(r.stats.total_cycles);
   r.output = std::move(output);
   return r;

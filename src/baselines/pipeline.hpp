@@ -71,7 +71,8 @@ inline sim::DeviceSpec with_overhead(sim::DeviceSpec spec, sim::Cycles cycles) {
   return spec;
 }
 
-/// The run's counters and simulated time, with `output` as its result.
+/// The run's counters, taken from `ctx`, and simulated time, with `output`
+/// as its result.
 RunResult finish(sim::SimContext& ctx, const sim::DeviceSpec& spec, Matrix output);
 
 // ---- GCN ---------------------------------------------------------------

@@ -135,13 +135,4 @@ RunResult PygBackend::run_gat(const Dataset& data, const GatRun& run, ExecMode m
   return r;
 }
 
-RunResult PygBackend::run_sage_lstm(const Dataset&, const SageLstmRun&, ExecMode,
-                                    const sim::DeviceSpec&) {
-  prof::Span span("PygBackend::run_sage_lstm", "baseline");
-  // PyG (1.5) has no LSTM aggregator — "x" in Figure 7c.
-  RunResult r;
-  r.oom = false;
-  return r;
-}
-
 }  // namespace gnnbridge::baselines

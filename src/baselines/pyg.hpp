@@ -25,8 +25,6 @@ class PygBackend final : public Backend {
                     const sim::DeviceSpec& spec) override;
   RunResult run_gat(const Dataset& data, const GatRun& run, ExecMode mode,
                     const sim::DeviceSpec& spec) override;
-  RunResult run_sage_lstm(const Dataset& data, const SageLstmRun& run, ExecMode mode,
-                          const sim::DeviceSpec& spec) override;
 };
 
 }  // namespace gnnbridge::baselines

@@ -75,15 +75,4 @@ RunResult RocBackend::run_gcn(const Dataset& data, const GcnRun& run, ExecMode m
   return r;
 }
 
-RunResult RocBackend::run_gat(const Dataset&, const GatRun&, ExecMode, const sim::DeviceSpec&) {
-  prof::Span span("RocBackend::run_gat", "baseline");
-  return {};  // not implemented in ROC — "x" in Figure 7b
-}
-
-RunResult RocBackend::run_sage_lstm(const Dataset&, const SageLstmRun&, ExecMode,
-                                    const sim::DeviceSpec&) {
-  prof::Span span("RocBackend::run_sage_lstm", "baseline");
-  return {};  // not implemented in ROC — "x" in Figure 7c
-}
-
 }  // namespace gnnbridge::baselines

@@ -21,10 +21,6 @@ class RocBackend final : public Backend {
 
   RunResult run_gcn(const Dataset& data, const GcnRun& run, ExecMode mode,
                     const sim::DeviceSpec& spec) override;
-  RunResult run_gat(const Dataset& data, const GatRun& run, ExecMode mode,
-                    const sim::DeviceSpec& spec) override;
-  RunResult run_sage_lstm(const Dataset& data, const SageLstmRun& run, ExecMode mode,
-                          const sim::DeviceSpec& spec) override;
 };
 
 }  // namespace gnnbridge::baselines

@@ -72,11 +72,10 @@ unsigned configured_knobs(const EngineConfig& cfg) {
          (cfg.shards > 1 ? detail::kSharding : 0u);
 }
 
-/// The untuned grouping bound: the configured one, else
-/// core::default_group_bound.
+/// The untuned grouping bound: core::default_group_bound, 0 without
+/// neighbor grouping.
 EdgeId static_bound(const EngineConfig& cfg, const graph::Csr& csr) {
-  if (!cfg.use_neighbor_grouping) return 0;
-  return cfg.group_bound > 0 ? cfg.group_bound : core::default_group_bound(csr);
+  return cfg.use_neighbor_grouping ? core::default_group_bound(csr) : 0;
 }
 
 /// The width a GCN/GAT forward's first layer aggregates at — the width the

@@ -64,9 +64,8 @@ enum class SageOptLevel {
 
 /// Engine configuration. Defaults are the full optimization stack.
 struct EngineConfig {
-  /// Neighbor grouping bound; 0 = heuristic (average degree rounded up to
-  /// a multiple of 16).
-  EdgeId group_bound = 0;
+  /// Neighbor grouping, at core::default_group_bound (the average degree
+  /// rounded up to a multiple of 16) unless the tuner picks the bound.
   bool use_neighbor_grouping = true;
   bool use_las = true;
   /// Data-visible-range adapter (kernel fusion).

@@ -40,6 +40,7 @@
 // Scope: GCN and GAT inference. Training, GraphSAGE and multi-head GAT
 // run unsharded regardless of the shard count.
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -319,15 +320,17 @@ Matrix gather_output(const std::vector<ShardExec>& shards, graph::NodeId num_nod
   return out;
 }
 
-/// Merges per-shard counters into the final run stats: kernel records
-/// append in shard order (deterministic at any thread count), sync counts
-/// add, exchange rendezvous count as global syncs, and the clock is the
-/// phase-makespan sum accumulated by the caller.
+/// Merges per-shard counters, taken from the shards' contexts, into the
+/// final run stats: kernel records move over in shard order
+/// (deterministic at any thread count), sync counts add, exchange
+/// rendezvous count as global syncs, and the clock is the phase-makespan
+/// sum accumulated by the caller.
 RunResult merge_shards(std::vector<ShardExec>& shards, const sim::DeviceSpec& spec,
                        sim::RunStats accum, sim::Cycles total, Matrix output) {
-  for (const ShardExec& se : shards) {
-    const sim::RunStats& st = se.ctx->stats();
-    accum.kernels.insert(accum.kernels.end(), st.kernels.begin(), st.kernels.end());
+  for (ShardExec& se : shards) {
+    sim::RunStats st = se.ctx->take_stats();
+    accum.kernels.insert(accum.kernels.end(), std::make_move_iterator(st.kernels.begin()),
+                         std::make_move_iterator(st.kernels.end()));
     accum.global_syncs += st.global_syncs;
   }
   accum.global_syncs += accum.exchange_syncs;

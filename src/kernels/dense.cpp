@@ -77,7 +77,7 @@ std::size_t num_tiles(Index m, Index n) { return blocks_of(m, kTile) * blocks_of
 
 }  // namespace
 
-sim::KernelStats dense_gemm(sim::SimContext& ctx, const GemmArgs& args) {
+const sim::KernelStats& dense_gemm(sim::SimContext& ctx, const GemmArgs& args) {
   assert(args.a && args.b && args.c);
   const Index m = args.a->rows, kdim = args.a->cols, n = args.b->cols;
   assert(args.b->rows == kdim && args.c->rows == m && args.c->cols == n);
@@ -101,7 +101,7 @@ sim::KernelStats dense_gemm(sim::SimContext& ctx, const GemmArgs& args) {
   return ctx.launch(emit_blocks(ctx, args, num_tiles(m, n), accesses, emit));
 }
 
-sim::KernelStats sparse_fetch_gemm(sim::SimContext& ctx, const SparseFetchGemmArgs& args) {
+const sim::KernelStats& sparse_fetch_gemm(sim::SimContext& ctx, const SparseFetchGemmArgs& args) {
   assert(args.feat && args.b && args.c);
   const Index m = static_cast<Index>(args.row_index.size());
   const Index kdim = args.feat->cols, n = args.b->cols;
@@ -137,7 +137,7 @@ sim::KernelStats sparse_fetch_gemm(sim::SimContext& ctx, const SparseFetchGemmAr
   return ctx.launch(emit_blocks(ctx, args, num_tiles(m, n), accesses, emit));
 }
 
-sim::KernelStats dense_map(sim::SimContext& ctx, const DenseMapArgs& args) {
+const sim::KernelStats& dense_map(sim::SimContext& ctx, const DenseMapArgs& args) {
   assert(args.in && args.out);
   const Index rows = args.in->rows, cols = args.in->cols;
   assert(args.out->rows == rows && args.out->cols == cols);
@@ -166,7 +166,7 @@ sim::KernelStats dense_map(sim::SimContext& ctx, const DenseMapArgs& args) {
   return ctx.launch(emit_blocks(ctx, args, blocks_of(rows, rows_per_block), accesses, emit));
 }
 
-sim::KernelStats dense_binary(sim::SimContext& ctx, const DenseBinaryArgs& args) {
+const sim::KernelStats& dense_binary(sim::SimContext& ctx, const DenseBinaryArgs& args) {
   assert(args.a && args.b && args.out);
   const Index rows = args.a->rows, cols = args.a->cols;
   assert(args.b->rows == rows && args.b->cols == cols);
@@ -197,7 +197,7 @@ sim::KernelStats dense_binary(sim::SimContext& ctx, const DenseBinaryArgs& args)
   return ctx.launch(emit_blocks(ctx, args, blocks_of(rows, rows_per_block), accesses, emit));
 }
 
-sim::KernelStats indexed_binary(sim::SimContext& ctx, const IndexedBinaryArgs& args) {
+const sim::KernelStats& indexed_binary(sim::SimContext& ctx, const IndexedBinaryArgs& args) {
   assert(args.a && args.b && args.out);
   const Index m = static_cast<Index>(args.row_index.size());
   const Index cols = args.a->cols;
@@ -237,7 +237,7 @@ sim::KernelStats indexed_binary(sim::SimContext& ctx, const IndexedBinaryArgs& a
   return ctx.launch(emit_blocks(ctx, args, blocks_of(m, rows_per_block), accesses, emit));
 }
 
-sim::KernelStats dense_transpose(sim::SimContext& ctx, const TransposeArgs& args) {
+const sim::KernelStats& dense_transpose(sim::SimContext& ctx, const TransposeArgs& args) {
   assert(args.in && args.out);
   const Index m = args.in->rows, n = args.in->cols;
   assert(args.out->rows == n && args.out->cols == m);
@@ -271,7 +271,7 @@ sim::KernelStats dense_transpose(sim::SimContext& ctx, const TransposeArgs& args
   return ctx.launch(emit_blocks(ctx, args, num_tiles(m, n), accesses, emit));
 }
 
-sim::KernelStats col_sum(sim::SimContext& ctx, const ColSumArgs& args) {
+const sim::KernelStats& col_sum(sim::SimContext& ctx, const ColSumArgs& args) {
   assert(args.in && args.out);
   const Index m = args.in->rows, n = args.in->cols;
   assert(args.out->rows == n && args.out->cols == 1);
@@ -314,7 +314,7 @@ sim::KernelStats col_sum(sim::SimContext& ctx, const ColSumArgs& args) {
   return ctx.launch(emit_blocks(ctx, args, blocks_of(m, kRowsPerBlock), accesses, emit));
 }
 
-sim::KernelStats row_dot(sim::SimContext& ctx, const RowDotArgs& args) {
+const sim::KernelStats& row_dot(sim::SimContext& ctx, const RowDotArgs& args) {
   assert(args.feat && args.vec && args.out);
   const Index rows = args.feat->rows, cols = args.feat->cols;
   assert(args.vec->rows == cols && args.out->rows == rows);

@@ -21,7 +21,7 @@ struct GemmArgs {
   const char* name = "gemm";
   const char* phase = "transformation";
 };
-sim::KernelStats dense_gemm(sim::SimContext& ctx, const GemmArgs& args);
+const sim::KernelStats& dense_gemm(sim::SimContext& ctx, const GemmArgs& args);
 
 /// Variant of `dense_gemm` where the rows of A are fetched indirectly:
 /// row i of the logical A is `feat[row_index[i]]`. This is *sparse
@@ -37,7 +37,7 @@ struct SparseFetchGemmArgs {
   const char* name = "gemm_spfetch";
   const char* phase = "transformation";
 };
-sim::KernelStats sparse_fetch_gemm(sim::SimContext& ctx, const SparseFetchGemmArgs& args);
+const sim::KernelStats& sparse_fetch_gemm(sim::SimContext& ctx, const SparseFetchGemmArgs& args);
 
 /// Elementwise map over a dense [M, N] matrix (activations, gate math).
 struct DenseMapArgs {
@@ -48,7 +48,7 @@ struct DenseMapArgs {
   const char* name = "dense_map";
   const char* phase = "elementwise";
 };
-sim::KernelStats dense_map(sim::SimContext& ctx, const DenseMapArgs& args);
+const sim::KernelStats& dense_map(sim::SimContext& ctx, const DenseMapArgs& args);
 
 /// Elementwise combine of two dense matrices: out = fn(a, b).
 struct DenseBinaryArgs {
@@ -60,7 +60,7 @@ struct DenseBinaryArgs {
   const char* name = "dense_binary";
   const char* phase = "elementwise";
 };
-sim::KernelStats dense_binary(sim::SimContext& ctx, const DenseBinaryArgs& args);
+const sim::KernelStats& dense_binary(sim::SimContext& ctx, const DenseBinaryArgs& args);
 
 /// out[i] = fn(a[row_index[i]], b[i]) — elementwise combine where the first
 /// operand's rows are fetched by index. This is the redundancy-bypassing
@@ -79,7 +79,7 @@ struct IndexedBinaryArgs {
   const char* name = "indexed_binary";
   const char* phase = "elementwise";
 };
-sim::KernelStats indexed_binary(sim::SimContext& ctx, const IndexedBinaryArgs& args);
+const sim::KernelStats& indexed_binary(sim::SimContext& ctx, const IndexedBinaryArgs& args);
 
 /// out = in^T. Tiled transpose (the backward pass needs h^T and W^T).
 struct TransposeArgs {
@@ -88,7 +88,7 @@ struct TransposeArgs {
   const char* name = "transpose";
   const char* phase = "transformation";
 };
-sim::KernelStats dense_transpose(sim::SimContext& ctx, const TransposeArgs& args);
+const sim::KernelStats& dense_transpose(sim::SimContext& ctx, const TransposeArgs& args);
 
 /// out[c] = sum over rows of in[r][c] — the bias gradient reduction.
 /// Row-chunked blocks merge partial sums through atomics.
@@ -98,7 +98,7 @@ struct ColSumArgs {
   const char* name = "col_sum";
   const char* phase = "backward";
 };
-sim::KernelStats col_sum(sim::SimContext& ctx, const ColSumArgs& args);
+const sim::KernelStats& col_sum(sim::SimContext& ctx, const ColSumArgs& args);
 
 /// out[i] = dot(feat[i], vec) — computes GAT's per-node attention scalars.
 struct RowDotArgs {
@@ -108,6 +108,6 @@ struct RowDotArgs {
   const char* name = "row_dot";
   const char* phase = "transformation";
 };
-sim::KernelStats row_dot(sim::SimContext& ctx, const RowDotArgs& args);
+const sim::KernelStats& row_dot(sim::SimContext& ctx, const RowDotArgs& args);
 
 }  // namespace gnnbridge::kernels

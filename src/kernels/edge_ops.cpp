@@ -11,7 +11,7 @@ constexpr double kAtomicCyclesPerElem = 2.5;
 constexpr EdgeId kElemChunk = 1024;
 }  // namespace
 
-sim::KernelStats edge_map(sim::SimContext& ctx, const EdgeMapArgs& args) {
+const sim::KernelStats& edge_map(sim::SimContext& ctx, const EdgeMapArgs& args) {
   assert(args.in && args.out);
   const EdgeId n = args.in->rows;
   const bool full = args.in->host && args.out->host;
@@ -36,7 +36,7 @@ sim::KernelStats edge_map(sim::SimContext& ctx, const EdgeMapArgs& args) {
   return ctx.launch(emit_blocks(ctx, args, blocks_of(n, kElemChunk), accesses, emit));
 }
 
-sim::KernelStats edge_binary(sim::SimContext& ctx, const EdgeBinaryArgs& args) {
+const sim::KernelStats& edge_binary(sim::SimContext& ctx, const EdgeBinaryArgs& args) {
   assert(args.a && args.b && args.out);
   const EdgeId n = args.a->rows;
   assert(args.b->rows == n && args.out->rows == n);
@@ -64,7 +64,7 @@ sim::KernelStats edge_binary(sim::SimContext& ctx, const EdgeBinaryArgs& args) {
   return ctx.launch(emit_blocks(ctx, args, blocks_of(n, kElemChunk), accesses, emit));
 }
 
-sim::KernelStats segment_sum(sim::SimContext& ctx, const SegmentSumArgs& args) {
+const sim::KernelStats& segment_sum(sim::SimContext& ctx, const SegmentSumArgs& args) {
   assert(args.graph && args.edge_val && args.node_out);
   const bool full = args.edge_val->host && args.node_out->host;
   if (full) args.node_out->host->fill(0.0f);
@@ -92,7 +92,7 @@ sim::KernelStats segment_sum(sim::SimContext& ctx, const SegmentSumArgs& args) {
       emit_blocks(ctx, args, args.tasks.size(), same_node(args.tasks), accesses, emit));
 }
 
-sim::KernelStats broadcast_edge(sim::SimContext& ctx, const BroadcastArgs& args) {
+const sim::KernelStats& broadcast_edge(sim::SimContext& ctx, const BroadcastArgs& args) {
   assert(args.graph && args.node_val && args.edge_out);
   const bool full = args.node_val->host && args.edge_out->host;
 

@@ -23,7 +23,7 @@ struct EdgeMapArgs {
   const char* name = "edge_map";
   const char* phase = "graph_op";
 };
-sim::KernelStats edge_map(sim::SimContext& ctx, const EdgeMapArgs& args);
+const sim::KernelStats& edge_map(sim::SimContext& ctx, const EdgeMapArgs& args);
 
 /// Binary elementwise op over two [E, 1] arrays (the softmax div).
 struct EdgeBinaryArgs {
@@ -35,7 +35,7 @@ struct EdgeBinaryArgs {
   const char* name = "edge_binary";
   const char* phase = "graph_op";
 };
-sim::KernelStats edge_binary(sim::SimContext& ctx, const EdgeBinaryArgs& args);
+const sim::KernelStats& edge_binary(sim::SimContext& ctx, const EdgeBinaryArgs& args);
 
 /// Segment sum over incoming edges: v_acc[v] = sum of e[i] over v's CSR row
 /// (DGL's `reduce_edge("sum", e)`).
@@ -49,7 +49,7 @@ struct SegmentSumArgs {
   const char* name = "segment_sum";
   const char* phase = "graph_op";
 };
-sim::KernelStats segment_sum(sim::SimContext& ctx, const SegmentSumArgs& args);
+const sim::KernelStats& segment_sum(sim::SimContext& ctx, const SegmentSumArgs& args);
 
 /// Broadcast per-node values back to edges: e_acc[i] = node_val[v_i]
 /// (DGL's `broadcast_edge`).
@@ -61,6 +61,6 @@ struct BroadcastArgs {
   const char* name = "broadcast_edge";
   const char* phase = "graph_op";
 };
-sim::KernelStats broadcast_edge(sim::SimContext& ctx, const BroadcastArgs& args);
+const sim::KernelStats& broadcast_edge(sim::SimContext& ctx, const BroadcastArgs& args);
 
 }  // namespace gnnbridge::kernels

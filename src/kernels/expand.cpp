@@ -19,7 +19,7 @@ EdgeListOnDevice device_edges(sim::SimContext& ctx, const graph::Coo& coo, const
   return e;
 }
 
-sim::KernelStats gather(sim::SimContext& ctx, const GatherArgs& args) {
+const sim::KernelStats& gather(sim::SimContext& ctx, const GatherArgs& args) {
   assert(args.edges && args.feat && args.expanded);
   const graph::Coo& coo = *args.edges->coo;
   const EdgeId num_edges = coo.num_edges();
@@ -59,7 +59,7 @@ sim::KernelStats gather(sim::SimContext& ctx, const GatherArgs& args) {
   return ctx.launch(emit_blocks(ctx, args, blocks_of(num_edges, kEdgeChunk), accesses, emit));
 }
 
-sim::KernelStats scatter_reduce(sim::SimContext& ctx, const ScatterArgs& args) {
+const sim::KernelStats& scatter_reduce(sim::SimContext& ctx, const ScatterArgs& args) {
   assert(args.edges && args.expanded && args.out);
   const graph::Coo& coo = *args.edges->coo;
   const EdgeId num_edges = coo.num_edges();
@@ -117,7 +117,7 @@ sim::KernelStats scatter_reduce(sim::SimContext& ctx, const ScatterArgs& args) {
       emit_blocks(ctx, args, blocks_of(num_edges, kEdgeChunk), same_dst, accesses, emit));
 }
 
-sim::KernelStats step_gather(sim::SimContext& ctx, const StepGatherArgs& args) {
+const sim::KernelStats& step_gather(sim::SimContext& ctx, const StepGatherArgs& args) {
   assert(args.graph && args.feat && args.out);
   const Csr& csr = *args.graph->csr;
   const Index feat = args.feat->cols;

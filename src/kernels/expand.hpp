@@ -37,7 +37,7 @@ struct GatherArgs {
   const char* name = "gather";
   const char* phase = "expansion";
 };
-sim::KernelStats gather(sim::SimContext& ctx, const GatherArgs& args);
+const sim::KernelStats& gather(sim::SimContext& ctx, const GatherArgs& args);
 
 /// Scatter-reduce: out[dst[i]] += weight[i] * expanded[i], a sum (PyG's
 /// reducer). Atomic merge by construction (many edges share a destination).
@@ -49,7 +49,7 @@ struct ScatterArgs {
   const char* name = "scatter_reduce";
   const char* phase = "graph_op";
 };
-sim::KernelStats scatter_reduce(sim::SimContext& ctx, const ScatterArgs& args);
+const sim::KernelStats& scatter_reduce(sim::SimContext& ctx, const ScatterArgs& args);
 
 /// Gathers the `step`-th sampled neighbor feature of every center node into
 /// a dense [N, F] matrix (the per-LSTM-cell expansion of DGL's
@@ -63,6 +63,6 @@ struct StepGatherArgs {
   const char* name = "step_gather";
   const char* phase = "expansion";
 };
-sim::KernelStats step_gather(sim::SimContext& ctx, const StepGatherArgs& args);
+const sim::KernelStats& step_gather(sim::SimContext& ctx, const StepGatherArgs& args);
 
 }  // namespace gnnbridge::kernels

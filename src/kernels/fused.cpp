@@ -16,7 +16,7 @@ constexpr double kAtomicCyclesPerLine = 2.5;
 constexpr double kAdapterCycles = 12.0;
 }  // namespace
 
-sim::KernelStats gat_edge_fused(sim::SimContext& ctx, const GatEdgeFusedArgs& args) {
+const sim::KernelStats& gat_edge_fused(sim::SimContext& ctx, const GatEdgeFusedArgs& args) {
   assert(args.graph && args.att_src && args.att_dst && args.edge_out);
   const Csr& csr = *args.graph->csr;
   const bool full = args.att_src->host && args.att_dst->host && args.edge_out->host;
@@ -65,7 +65,7 @@ sim::KernelStats gat_edge_fused(sim::SimContext& ctx, const GatEdgeFusedArgs& ar
       emit_blocks(ctx, args, args.tasks.size(), same_node(args.tasks), accesses, emit));
 }
 
-sim::KernelStats softmax_div_fused(sim::SimContext& ctx, const SoftmaxDivFusedArgs& args) {
+const sim::KernelStats& softmax_div_fused(sim::SimContext& ctx, const SoftmaxDivFusedArgs& args) {
   assert(args.graph && args.vacc && args.edge);
   const bool full = args.vacc->host && args.edge->host;
 
@@ -95,7 +95,8 @@ sim::KernelStats softmax_div_fused(sim::SimContext& ctx, const SoftmaxDivFusedAr
   return ctx.launch(emit_blocks(ctx, args, args.tasks.size(), accesses, emit));
 }
 
-sim::KernelStats gat_aggregate_fused(sim::SimContext& ctx, const GatAggregateFusedArgs& args) {
+const sim::KernelStats& gat_aggregate_fused(sim::SimContext& ctx,
+                                            const GatAggregateFusedArgs& args) {
   assert(args.graph && args.feat && args.edge_weight && args.out);
   const Csr& csr = *args.graph->csr;
   const Index feat = args.feat->cols;
@@ -160,8 +161,8 @@ sim::KernelStats gat_aggregate_fused(sim::SimContext& ctx, const GatAggregateFus
       emit_blocks(ctx, args, args.tasks.size(), same_node(args.tasks), accesses, emit));
 }
 
-sim::KernelStats aggregate_bias_act_fused(sim::SimContext& ctx,
-                                          const AggregateBiasActFusedArgs& args) {
+const sim::KernelStats& aggregate_bias_act_fused(sim::SimContext& ctx,
+                                                 const AggregateBiasActFusedArgs& args) {
   assert(args.graph && args.feat && args.out);
   const Csr& csr = *args.graph->csr;
   const Index feat = args.feat->cols;
@@ -225,7 +226,7 @@ sim::KernelStats aggregate_bias_act_fused(sim::SimContext& ctx,
       emit_blocks(ctx, args, args.tasks.size(), same_node(args.tasks), accesses, emit));
 }
 
-sim::KernelStats bias_act_kernel(sim::SimContext& ctx, const BiasActArgs& args) {
+const sim::KernelStats& bias_act_kernel(sim::SimContext& ctx, const BiasActArgs& args) {
   assert(args.mat);
   const Index rows = args.mat->rows, cols = args.mat->cols;
   // Host epilogue. Every element is independent, so row chunks run on the

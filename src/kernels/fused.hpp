@@ -39,7 +39,7 @@ struct GatEdgeFusedArgs {
   const char* name = "gat_edge_fused";
   const char* phase = "graph_op";
 };
-sim::KernelStats gat_edge_fused(sim::SimContext& ctx, const GatEdgeFusedArgs& args);
+const sim::KernelStats& gat_edge_fused(sim::SimContext& ctx, const GatEdgeFusedArgs& args);
 
 /// Fused softmax normalization: e[i] /= v_acc[center(i)] for the tasks'
 /// edge ranges (broadcast + div in one kernel).
@@ -51,7 +51,7 @@ struct SoftmaxDivFusedArgs {
   const char* name = "softmax_div_fused";
   const char* phase = "graph_op";
 };
-sim::KernelStats softmax_div_fused(sim::SimContext& ctx, const SoftmaxDivFusedArgs& args);
+const sim::KernelStats& softmax_div_fused(sim::SimContext& ctx, const SoftmaxDivFusedArgs& args);
 
 /// Weighted aggregation with the postponed softmax division folded in:
 /// out[v] = sum_u (e_uv / vacc[v]) * feat[u]. The division is applied per
@@ -70,7 +70,8 @@ struct GatAggregateFusedArgs {
   const char* name = "gat_aggregate_fused";
   const char* phase = "graph_op";
 };
-sim::KernelStats gat_aggregate_fused(sim::SimContext& ctx, const GatAggregateFusedArgs& args);
+const sim::KernelStats& gat_aggregate_fused(sim::SimContext& ctx,
+                                            const GatAggregateFusedArgs& args);
 
 /// GCN-style fused epilogue: out[v] = act(sum_u w_uv * feat[u] + bias).
 struct AggregateBiasActFusedArgs {
@@ -88,8 +89,8 @@ struct AggregateBiasActFusedArgs {
   const char* name = "aggregate_bias_act";
   const char* phase = "graph_op";
 };
-sim::KernelStats aggregate_bias_act_fused(sim::SimContext& ctx,
-                                          const AggregateBiasActFusedArgs& args);
+const sim::KernelStats& aggregate_bias_act_fused(sim::SimContext& ctx,
+                                                 const AggregateBiasActFusedArgs& args);
 
 /// Deferred bias+activation epilogue (runs after an NG-split aggregation).
 struct BiasActArgs {
@@ -99,6 +100,6 @@ struct BiasActArgs {
   const char* name = "bias_act";
   const char* phase = "elementwise";
 };
-sim::KernelStats bias_act_kernel(sim::SimContext& ctx, const BiasActArgs& args);
+const sim::KernelStats& bias_act_kernel(sim::SimContext& ctx, const BiasActArgs& args);
 
 }  // namespace gnnbridge::kernels

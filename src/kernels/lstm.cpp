@@ -12,7 +12,7 @@ constexpr double kBlockSetupCycles = 40.0;
 constexpr double kFlopsPerHidden = 30.0;
 }  // namespace
 
-sim::KernelStats lstm_pointwise(sim::SimContext& ctx, const LstmPointwiseArgs& args) {
+const sim::KernelStats& lstm_pointwise(sim::SimContext& ctx, const LstmPointwiseArgs& args) {
   assert(args.gates && args.c && args.h);
   const Index n = args.gates->rows;
   const Index hidden = args.c->cols;

@@ -20,6 +20,6 @@ struct LstmPointwiseArgs {
   const char* phase = "lstm_cell";
 };
 
-sim::KernelStats lstm_pointwise(sim::SimContext& ctx, const LstmPointwiseArgs& args);
+const sim::KernelStats& lstm_pointwise(sim::SimContext& ctx, const LstmPointwiseArgs& args);
 
 }  // namespace gnnbridge::kernels

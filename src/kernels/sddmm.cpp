@@ -8,7 +8,7 @@ namespace {
 constexpr double kTaskSetupCycles = 30.0;
 }
 
-sim::KernelStats u_add_v(sim::SimContext& ctx, const UAddVArgs& args) {
+const sim::KernelStats& u_add_v(sim::SimContext& ctx, const UAddVArgs& args) {
   assert(args.graph && args.src_scalar && args.dst_scalar && args.edge_out);
   const Csr& csr = *args.graph->csr;
   const bool full = args.src_scalar->host && args.dst_scalar->host && args.edge_out->host;

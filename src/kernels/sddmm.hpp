@@ -21,6 +21,6 @@ struct UAddVArgs {
   const char* name = "u_add_v";
   const char* phase = "graph_op";
 };
-sim::KernelStats u_add_v(sim::SimContext& ctx, const UAddVArgs& args);
+const sim::KernelStats& u_add_v(sim::SimContext& ctx, const UAddVArgs& args);
 
 }  // namespace gnnbridge::kernels

@@ -15,7 +15,7 @@ constexpr double kTaskSetupCycles = 30.0;
 constexpr double kAtomicCyclesPerLine = 2.5;
 }  // namespace
 
-sim::KernelStats spmm_node(sim::SimContext& ctx, const SpmmArgs& args) {
+const sim::KernelStats& spmm_node(sim::SimContext& ctx, const SpmmArgs& args) {
   assert(args.graph && args.src && args.out);
   const Csr& csr = *args.graph->csr;
   const Index feat = args.src->cols;
@@ -105,7 +105,7 @@ sim::KernelStats spmm_node(sim::SimContext& ctx, const SpmmArgs& args) {
   return ks;
 }
 
-sim::KernelStats spmm_vendor(sim::SimContext& ctx, SpmmArgs args) {
+const sim::KernelStats& spmm_vendor(sim::SimContext& ctx, SpmmArgs args) {
   // cuSPARSE csrmm is internally load-balanced (merge-based row
   // splitting): heavy rows spread over many blocks, so the library shows
   // no long-tail effect — but its schedule is fixed and opaque: natural

@@ -38,11 +38,11 @@ struct SpmmArgs {
 };
 
 /// Launches the aggregation kernel; returns the simulator's stats for it.
-sim::KernelStats spmm_node(sim::SimContext& ctx, const SpmmArgs& args);
+const sim::KernelStats& spmm_node(sim::SimContext& ctx, const SpmmArgs& args);
 
 /// cuSPARSE-style vendor SpMM: sum-reduce with the library's fixed
 /// schedule (natural row order, 32 lanes). `args.tasks`, `lanes`,
 /// `atomic_merge` and `reduce` are ignored.
-sim::KernelStats spmm_vendor(sim::SimContext& ctx, SpmmArgs args);
+const sim::KernelStats& spmm_vendor(sim::SimContext& ctx, SpmmArgs args);
 
 }  // namespace gnnbridge::kernels

@@ -49,16 +49,6 @@ void TelemetryRegistry::clear() {
   histograms_.clear();
 }
 
-std::size_t TelemetryRegistry::counter_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counters_.size();
-}
-
-std::size_t TelemetryRegistry::histogram_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return histograms_.size();
-}
-
 std::uint64_t counter_value(const RegistrySnapshot& snap, std::string_view name) {
   for (const auto& [n, value] : snap.counters) {
     if (n == name) return value;

@@ -46,10 +46,6 @@ class TelemetryRegistry {
   RegistrySnapshot snapshot() const;
   void clear();
 
-  /// Number of distinct instrument names of each kind.
-  std::size_t counter_count() const;
-  std::size_t histogram_count() const;
-
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::uint64_t, std::less<>> counters_;

@@ -42,22 +42,16 @@ GapBreakdown attribute_gaps(const sim::RunStats& stats, const sim::DeviceSpec& s
     // The cost model charges cycles = launch + framework overhead +
     // makespan, so the difference is exactly the per-launch overhead.
     g.launch_cycles += std::max(0.0, k.cycles - k.makespan);
-    g.atomic_cycles += k.atomic_cycles;
-    g.atomic_bytes += k.atomic_bytes;
-    g.adapter_cycles += k.adapter_cycles;
-    g.adapter_bytes += k.adapter_bytes;
-    g.pad_flops += k.pad_flops;
-    g.copy_flops += k.copy_flops;
-    g.tile_flops += k.tile_flops;
     g.redundant_flops += k.waste_flops();
   }
+  g.costs = stats.costs();
   g.l2_hit_rate = stats.l2_hit_rate();
   g.imbalance_ratio = stats.imbalance();
   g.launches = stats.num_launches();
   g.global_syncs = stats.global_syncs;
-  g.sync_cycles = g.atomic_cycles + g.adapter_cycles;
-  g.redundancy_cycles =
-      (g.pad_flops + g.copy_flops + g.tile_flops) / spec.flops_per_cycle_per_block;
+  g.sync_cycles = g.costs.atomic_cycles + g.costs.adapter_cycles;
+  g.redundancy_cycles = (g.costs.pad_flops + g.costs.copy_flops + g.costs.tile_flops) /
+                        spec.flops_per_cycle_per_block;
   // The exchange cost is charged directly in cycles by the engine's
   // sharded pipelines (sync latency + line transfers), so it needs no
   // re-pricing here.
@@ -111,11 +105,11 @@ std::string render_gap_table(const GapBreakdown& g) {
   appendf(out, "  %-18s%16.1f%7.1f%%  global_syncs=%llu atomic_bytes=%llu adapter_bytes=%llu\n",
           "synchronization", g.sync_cycles, pct_of(g.sync_cycles, g.total_cycles),
           static_cast<unsigned long long>(g.global_syncs),
-          static_cast<unsigned long long>(g.atomic_bytes),
-          static_cast<unsigned long long>(g.adapter_bytes));
+          static_cast<unsigned long long>(g.costs.atomic_bytes),
+          static_cast<unsigned long long>(g.costs.adapter_bytes));
   appendf(out, "  %-18s%16.1f%7.1f%%  pad=%.3g copy=%.3g tile=%.3g flops\n", "redundancy",
-          g.redundancy_cycles, pct_of(g.redundancy_cycles, g.total_cycles), g.pad_flops,
-          g.copy_flops, g.tile_flops);
+          g.redundancy_cycles, pct_of(g.redundancy_cycles, g.total_cycles), g.costs.pad_flops,
+          g.costs.copy_flops, g.costs.tile_flops);
   appendf(out, "  %-18s%16.1f%7.1f%%  shards=%d ghost_bytes=%llu exchanges=%llu\n",
           "inter-shard", g.inter_shard_cycles, pct_of(g.inter_shard_cycles, g.total_cycles),
           g.shards, static_cast<unsigned long long>(g.ghost_bytes),
@@ -146,11 +140,11 @@ std::string render_compare_table(const GapComparison& c) {
           static_cast<unsigned long long>(c.baseline.dram_bytes),
           static_cast<unsigned long long>(c.optimized.dram_bytes));
   appendf(out, "  atomic_bytes:  %llu -> %llu\n",
-          static_cast<unsigned long long>(c.baseline.atomic_bytes),
-          static_cast<unsigned long long>(c.optimized.atomic_bytes));
+          static_cast<unsigned long long>(c.baseline.costs.atomic_bytes),
+          static_cast<unsigned long long>(c.optimized.costs.atomic_bytes));
   appendf(out, "  adapter_bytes: %llu -> %llu\n",
-          static_cast<unsigned long long>(c.baseline.adapter_bytes),
-          static_cast<unsigned long long>(c.optimized.adapter_bytes));
+          static_cast<unsigned long long>(c.baseline.costs.adapter_bytes),
+          static_cast<unsigned long long>(c.optimized.costs.adapter_bytes));
   appendf(out, "  launches:      %lld -> %lld\n", static_cast<long long>(c.baseline.launches),
           static_cast<long long>(c.optimized.launches));
   return out;

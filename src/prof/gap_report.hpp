@@ -63,16 +63,13 @@ struct GapBreakdown {
 
   double sync_cycles = 0.0;
   std::uint64_t global_syncs = 0;
-  double atomic_cycles = 0.0;
-  std::uint64_t atomic_bytes = 0;
-  double adapter_cycles = 0.0;
-  std::uint64_t adapter_bytes = 0;
 
   double redundancy_cycles = 0.0;
   double redundant_flops = 0.0;
-  double pad_flops = 0.0;
-  double copy_flops = 0.0;
-  double tile_flops = 0.0;
+
+  /// The run's cost counters: synchronization prices the atomic and
+  /// adapter cycles, redundancy the pad, copy and tile flops.
+  sim::Costs costs;
 
   double inter_shard_cycles = 0.0;
   std::uint64_t ghost_bytes = 0;

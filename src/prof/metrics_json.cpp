@@ -46,24 +46,24 @@ constexpr auto device_fields = [](auto& v, auto& d) {
 // Visits a RunRecord: the gflops rate needs the run's device clock.
 constexpr auto totals_fields = [](auto& v, auto& r) {
   auto& s = r.stats;
-  using K = sim::KernelStats;
+  const sim::Costs c = s.costs();
   v.field("cycles", s.total_cycles);
   v.derived("launches", s.num_launches());
-  v.derived("flops", s.total_flops());
+  v.derived("flops", c.flops);
   v.derived("l2_hits", s.total_hits());
   v.derived("l2_misses", s.total_misses());
   v.derived("l2_hit_rate", s.l2_hit_rate(), kRate);
-  v.derived("dram_bytes", s.sum(&K::dram_bytes));
+  v.derived("dram_bytes", s.sum(&sim::KernelStats::dram_bytes));
   v.derived("gflops", s.gflops(r.spec));
-  v.derived("issued_flops", s.sum(&K::issued_flops));
+  v.derived("issued_flops", c.issued_flops);
   v.field("global_syncs", s.global_syncs);
-  v.derived("atomic_cycles", s.total_atomic_cycles());
-  v.derived("atomic_bytes", s.total_atomic_bytes());
-  v.derived("adapter_cycles", s.total_adapter_cycles());
-  v.derived("adapter_bytes", s.total_adapter_bytes());
-  v.derived("pad_flops", s.sum(&K::pad_flops));
-  v.derived("copy_flops", s.sum(&K::copy_flops));
-  v.derived("tile_flops", s.sum(&K::tile_flops));
+  v.derived("atomic_cycles", c.atomic_cycles);
+  v.derived("atomic_bytes", c.atomic_bytes);
+  v.derived("adapter_cycles", c.adapter_cycles);
+  v.derived("adapter_bytes", c.adapter_bytes);
+  v.derived("pad_flops", c.pad_flops);
+  v.derived("copy_flops", c.copy_flops);
+  v.derived("tile_flops", c.tile_flops);
   v.derived("imbalance", s.imbalance());
   v.field("ghost_bytes", s.ghost_bytes);
   v.field("exchange_syncs", s.exchange_syncs);
@@ -133,17 +133,17 @@ constexpr auto gap_fields = [](auto& v, auto& g) {
   v.object("synchronization", g, [](auto& s, auto& x) {
     s.field("cycles", x.sync_cycles);
     s.field("global_syncs", x.global_syncs);
-    s.field("atomic_cycles", x.atomic_cycles);
-    s.field("atomic_bytes", x.atomic_bytes);
-    s.field("adapter_cycles", x.adapter_cycles);
-    s.field("adapter_bytes", x.adapter_bytes);
+    s.field("atomic_cycles", x.costs.atomic_cycles);
+    s.field("atomic_bytes", x.costs.atomic_bytes);
+    s.field("adapter_cycles", x.costs.adapter_cycles);
+    s.field("adapter_bytes", x.costs.adapter_bytes);
   });
   v.object("redundancy", g, [](auto& s, auto& x) {
     s.field("cycles", x.redundancy_cycles);
     s.field("redundant_flops", x.redundant_flops);
-    s.field("pad_flops", x.pad_flops);
-    s.field("copy_flops", x.copy_flops);
-    s.field("tile_flops", x.tile_flops);
+    s.field("pad_flops", x.costs.pad_flops);
+    s.field("copy_flops", x.costs.copy_flops);
+    s.field("tile_flops", x.costs.tile_flops);
   });
   v.object("inter_shard_traffic", g, [](auto& s, auto& x) {
     s.field("cycles", x.inter_shard_cycles);
@@ -272,11 +272,6 @@ void MetricsSink::arm_env_write_locked() {
 std::size_t MetricsSink::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return doc_.runs.size();
-}
-
-std::size_t MetricsSink::degradation_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return doc_.degradations.size();
 }
 
 std::vector<rt::DegradationEvent> MetricsSink::degradations() const {

@@ -119,7 +119,6 @@ class MetricsSink {
   void record_degradation(rt::DegradationEvent event);
 
   std::size_t size() const;
-  std::size_t degradation_count() const;
   std::vector<rt::DegradationEvent> degradations() const;
   /// Clears the runs, the degradations and the telemetry registry.
   void clear();

@@ -121,13 +121,6 @@ bool known_seam(std::string_view seam) {
   return false;
 }
 
-std::string_view seam_description(std::string_view seam) {
-  for (const SeamInfo& info : kSeamTable) {
-    if (info.name == seam) return info.description;
-  }
-  return {};
-}
-
 FaultInjector& FaultInjector::instance() {
   static FaultInjector* injector = new FaultInjector();  // leaked: outlives atexit users
   return *injector;

@@ -59,9 +59,6 @@ inline constexpr std::array<SeamInfo, 9> kSeamTable = {{
     {kSeamShardExchange, "per-layer ghost-feature exchange; exchange is retried, then unsharded"},
 }};
 
-/// One-line description for a known seam; empty view when unknown.
-std::string_view seam_description(std::string_view seam);
-
 /// True when `seam` names a row of kSeamTable.
 bool known_seam(std::string_view seam);
 

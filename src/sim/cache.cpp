@@ -117,23 +117,6 @@ std::uint64_t SetAssocCache::probe_run(std::uint64_t first, std::uint64_t count)
   return hits;
 }
 
-bool SetAssocCache::access_line(std::uint64_t addr) {
-  const bool hit = probe(line_of(addr));
-  ++(hit ? total_hits_ : total_misses_);
-  return hit;
-}
-
-CacheProbe SetAssocCache::access(std::uint64_t addr, std::uint32_t bytes) {
-  CacheProbe p;
-  if (bytes == 0) return p;
-  const std::uint64_t last = line_of(addr + bytes - 1);
-  for (std::uint64_t line = line_of(addr); line <= last; ++line) {
-    ++p.lines;
-    ++(access_line(line << line_shift_) ? p.hits : p.misses);
-  }
-  return p;
-}
-
 void SetAssocCache::clear() {
   std::fill(tags_.begin(), tags_.end(), kNoTag);
   std::fill(mru_.begin(), mru_.end(), kNoTag);

@@ -17,13 +17,6 @@
 
 namespace gnnbridge::sim {
 
-/// Result of probing the cache with one access.
-struct CacheProbe {
-  std::uint32_t lines = 0;   ///< lines the access spanned
-  std::uint32_t hits = 0;    ///< lines found resident
-  std::uint32_t misses = 0;  ///< lines fetched from DRAM
-};
-
 /// Set-associative LRU cache. Each way holds a 32-bit tag (the line number
 /// without its set bits) and a recency rank: the ranks of a set are a
 /// permutation of 0 .. ways-1, 0 the most recently touched way. A dense
@@ -57,24 +50,12 @@ class SetAssocCache {
   /// order; returns how many were resident.
   std::uint64_t probe_run(std::uint64_t first, std::uint64_t count);
 
-  /// Touches `bytes` bytes at `addr`, one probe per line; returns per-line
-  /// hit/miss counts. A zero-byte access touches nothing.
-  CacheProbe access(std::uint64_t addr, std::uint32_t bytes);
-
-  /// Touches exactly one line containing `addr`.
-  bool access_line(std::uint64_t addr);
-
   /// Invalidates everything.
   void clear();
 
   int ways() const { return ways_; }
   int num_sets() const { return num_sets_; }
   int line_bytes() const { return line_bytes_; }
-
-  /// Hits and misses of `access`/`access_line` calls (probes the caller
-  /// counts itself are not included).
-  std::uint64_t total_hits() const { return total_hits_; }
-  std::uint64_t total_misses() const { return total_misses_; }
 
  private:
   /// probe's body, inlined into probe and probe_run.
@@ -95,8 +76,6 @@ class SetAssocCache {
   std::vector<std::uint8_t> ranks_;
   /// mru_[set]: the tag of the set's rank-0 way (kNoTag while it is empty).
   std::vector<std::uint32_t> mru_;
-  std::uint64_t total_hits_ = 0;
-  std::uint64_t total_misses_ = 0;
 
   static constexpr std::uint32_t kNoTag = ~0u;
   static constexpr std::uint8_t kPadRank = 0xFF;

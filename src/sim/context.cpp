@@ -127,13 +127,8 @@ const KernelStats& SimContext::launch(Kernel kernel) {
   // doubles here are sums of exactly-representable per-block quantities,
   // so the shard grouping is also exact vs. a sequential fold.)
   struct CounterShard {
-    std::uint64_t l2_hits = 0, l2_misses = 0;
-    double flops = 0.0, issued_flops = 0.0;
-    double atomic_cycles = 0.0;
-    std::uint64_t atomic_bytes = 0;
-    double adapter_cycles = 0.0;
-    std::uint64_t adapter_bytes = 0;
-    double pad_flops = 0.0, copy_flops = 0.0, tile_flops = 0.0;
+    std::uint64_t hits = 0, misses = 0;
+    Costs costs;
   };
   const std::vector<CounterShard> shards = par::sharded_chunks<CounterShard>(
       n, par::kDefaultGrain,
@@ -145,31 +140,15 @@ const KernelStats& SimContext::launch(Kernel kernel) {
                                  static_cast<double>(misses[b]) * spec_.dram_cycles_per_line) *
                                 bw_share;
           durations[b] = std::max(compute, memory) + blk.extra_cycles;
-          shard.l2_hits += hits[b];
-          shard.l2_misses += misses[b];
-          shard.flops += blk.flops;
-          shard.issued_flops += blk.issued_flops;
-          shard.atomic_cycles += blk.atomic_cycles;
-          shard.atomic_bytes += blk.atomic_bytes;
-          shard.adapter_cycles += blk.adapter_cycles;
-          shard.adapter_bytes += blk.adapter_bytes;
-          shard.pad_flops += blk.pad_flops;
-          shard.copy_flops += blk.copy_flops;
-          shard.tile_flops += blk.tile_flops;
+          shard.hits += hits[b];
+          shard.misses += misses[b];
+          shard.costs += blk;
         }
       });
   for (const CounterShard& shard : shards) {
-    ks.l2_hits += shard.l2_hits;
-    ks.l2_misses += shard.l2_misses;
-    ks.flops += shard.flops;
-    ks.issued_flops += shard.issued_flops;
-    ks.atomic_cycles += shard.atomic_cycles;
-    ks.atomic_bytes += shard.atomic_bytes;
-    ks.adapter_cycles += shard.adapter_cycles;
-    ks.adapter_bytes += shard.adapter_bytes;
-    ks.pad_flops += shard.pad_flops;
-    ks.copy_flops += shard.copy_flops;
-    ks.tile_flops += shard.tile_flops;
+    ks.l2_hits += shard.hits;
+    ks.l2_misses += shard.misses;
+    ks += shard.costs;
   }
   ks.dram_bytes = ks.l2_misses * static_cast<std::uint64_t>(spec_.line_bytes);
 

@@ -10,6 +10,8 @@
 // kernels, as on real hardware.
 #pragma once
 
+#include <utility>
+
 #include "sim/cache.hpp"
 #include "sim/counters.hpp"
 #include "sim/device.hpp"
@@ -27,19 +29,18 @@ class SimContext {
   /// Simulated device memory allocator.
   AddressSpace& mem() { return mem_; }
 
-  /// Replays, schedules and accounts one kernel. Returns its stats (also
-  /// appended to `stats()`). Throws std::invalid_argument when the kernel
-  /// was laid out for another block slot count than this device's.
+  /// Replays, schedules and accounts one kernel. Returns its record as
+  /// appended to `stats()`, valid until the next launch or `take_stats`.
+  /// Throws std::invalid_argument when the kernel was laid out for another
+  /// block slot count than this device's.
   const KernelStats& launch(Kernel kernel);
 
-  /// Counters accumulated since construction or the last `reset_stats`.
+  /// Counters accumulated since construction or the last `take_stats`.
   const RunStats& stats() const { return stats_; }
 
-  /// Clears counters (not the cache, not allocations).
-  void reset_stats() { stats_ = {}; }
-
-  /// Cold-starts the L2 (used by experiments that need per-kernel isolation).
-  void clear_cache() { l2_.clear(); }
+  /// Hands the counters over, moved, and starts new ones (the cache and
+  /// the allocations stay).
+  RunStats take_stats() { return std::exchange(stats_, {}); }
 
  private:
   DeviceSpec spec_;

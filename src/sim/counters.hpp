@@ -15,8 +15,54 @@
 
 namespace gnnbridge::sim {
 
-/// Metrics for a single launched kernel.
-struct KernelStats {
+/// The nine modeled cost counters, declared once: what a thread block
+/// issues, and what a kernel and a run add up. The gap report prices them
+/// (DESIGN.md §9).
+struct Costs {
+  /// Useful floating-point work.
+  double flops = 0.0;
+  /// Issued (padded) floating-point work: >= flops when the thread mapping
+  /// wastes lanes (e.g. a 32-wide warp covering a 48-long feature row).
+  /// Observation 5 — inefficiency on varying feature lengths — lives here.
+  double issued_flops = 0.0;
+  /// Atomic-merge serialization cycles and the contended bytes they
+  /// round-trip (what neighbor grouping removes), on top of the regular
+  /// access stream.
+  double atomic_cycles = 0.0;
+  std::uint64_t atomic_bytes = 0;
+  /// Shared-memory/shuffle adapter cycles and staged bytes (what kernel
+  /// fusion pays to avoid global round-trips).
+  double adapter_cycles = 0.0;
+  std::uint64_t adapter_bytes = 0;
+  /// `issued_flops - flops` broken out by cause (all three sum to the
+  /// redundant work the paper's transformation analysis counts): lanes
+  /// idling on padded feature rows, lanes spent purely moving data
+  /// (gather/scatter expansion, transpose), and boundary tiles of a
+  /// fixed-tile GEMM.
+  double pad_flops = 0.0;
+  double copy_flops = 0.0;
+  double tile_flops = 0.0;
+
+  /// Adds `o` field by field. Every total is a fold of this in a fixed
+  /// order (blocks, chunks, kernels), so totals are the same at any thread
+  /// count.
+  Costs& operator+=(const Costs& o) {
+    flops += o.flops;
+    issued_flops += o.issued_flops;
+    atomic_cycles += o.atomic_cycles;
+    atomic_bytes += o.atomic_bytes;
+    adapter_cycles += o.adapter_cycles;
+    adapter_bytes += o.adapter_bytes;
+    pad_flops += o.pad_flops;
+    copy_flops += o.copy_flops;
+    tile_flops += o.tile_flops;
+    return *this;
+  }
+};
+
+/// Metrics for a single launched kernel: its blocks' costs summed, and
+/// what the replay and the schedule made of them.
+struct KernelStats : Costs {
   std::string name;
   std::string phase;
   int num_blocks = 0;
@@ -24,22 +70,6 @@ struct KernelStats {
   std::uint64_t l2_hits = 0;
   std::uint64_t l2_misses = 0;
   std::uint64_t dram_bytes = 0;
-
-  double flops = 0.0;
-  double issued_flops = 0.0;
-
-  /// Atomic-merge serialization cycles and the contended bytes they
-  /// round-trip (what neighbor grouping removes).
-  double atomic_cycles = 0.0;
-  std::uint64_t atomic_bytes = 0;
-  /// Shared-memory/shuffle adapter cycles and staged bytes (what kernel
-  /// fusion pays to avoid global round-trips).
-  double adapter_cycles = 0.0;
-  std::uint64_t adapter_bytes = 0;
-  /// `issued_flops - flops` broken out by cause (see BlockWork).
-  double pad_flops = 0.0;
-  double copy_flops = 0.0;
-  double tile_flops = 0.0;
 
   /// Kernel wall time: launch overhead + block makespan.
   Cycles cycles = 0.0;
@@ -118,7 +148,7 @@ struct RunStats {
     return total;
   }
 
-  double total_flops() const { return sum(&KernelStats::flops); }
+  double total_flops() const { return costs().flops; }
   std::uint64_t total_hits() const { return sum(&KernelStats::l2_hits); }
   std::uint64_t total_misses() const { return sum(&KernelStats::l2_misses); }
 
@@ -127,10 +157,12 @@ struct RunStats {
     return total == 0 ? 0.0 : static_cast<double>(total_hits()) / static_cast<double>(total);
   }
 
-  double total_atomic_cycles() const { return sum(&KernelStats::atomic_cycles); }
-  std::uint64_t total_atomic_bytes() const { return sum(&KernelStats::atomic_bytes); }
-  double total_adapter_cycles() const { return sum(&KernelStats::adapter_cycles); }
-  std::uint64_t total_adapter_bytes() const { return sum(&KernelStats::adapter_bytes); }
+  /// The cost counters summed over the run, in kernel order.
+  Costs costs() const {
+    Costs total;
+    for (const auto& k : kernels) total += k;
+    return total;
+  }
 
   /// Run-level imbalance ratio: total makespan over total balanced bound.
   double imbalance() const {

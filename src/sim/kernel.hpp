@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "par/thread_pool.hpp"
+#include "sim/counters.hpp"
 #include "sim/memory.hpp"
 
 namespace gnnbridge::sim {
@@ -66,35 +67,10 @@ class KernelLayout;
 
 /// The work of one thread block: its costs, and while its kernel is built,
 /// the cursor its accesses are written through.
-class BlockWork {
+class BlockWork : public Costs {
  public:
-  /// Useful floating-point work performed by the block.
-  double flops = 0.0;
-  /// Issued (padded) floating-point work: >= flops when the thread mapping
-  /// wastes lanes (e.g. a 32-wide warp covering a 48-long feature row).
-  /// Observation 5 — inefficiency on varying feature lengths — lives here.
-  double issued_flops = 0.0;
   /// Extra fixed cycles (atomics, shared-memory adapters, reduction trees).
   double extra_cycles = 0.0;
-
-  /// Cycles and bytes folded into `extra_cycles` by atomic result merging
-  /// (the traffic neighbor-grouping removes). Bytes count the memory the
-  /// atomic round-trips touch, on top of the regular access stream.
-  double atomic_cycles = 0.0;
-  std::uint64_t atomic_bytes = 0;
-  /// Cycles and bytes staged through shared-memory/shuffle adapters between
-  /// fused kernel stages (the Adp optimization's currency).
-  double adapter_cycles = 0.0;
-  std::uint64_t adapter_bytes = 0;
-
-  /// `issued_flops - flops` broken out by cause (all three sum to the
-  /// redundant work the paper's transformation analysis counts):
-  /// lanes idling on padded feature rows,
-  double pad_flops = 0.0;
-  /// lanes spent purely moving data (gather/scatter expansion, transpose),
-  double copy_flops = 0.0;
-  /// and boundary tiles of a fixed-tile GEMM.
-  double tile_flops = 0.0;
 
   /// Emit a load and a store, in program order, inside build_kernel's
   /// `emit` callback. A block emits exactly as many as its `size` declared.

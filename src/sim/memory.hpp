@@ -42,9 +42,10 @@ class AddressSpace {
     return b;
   }
 
-  /// Total bytes allocated so far — the simulated memory footprint.
-  /// Used to reproduce the paper's OOM entries (Figure 7): a run whose
-  /// footprint exceeds the device's 32 GB is reported as out-of-memory.
+  /// Total bytes allocated so far — the simulated memory footprint at the
+  /// run's scale. The paper's OOM entries (Figure 7) come from
+  /// baselines/footprint.cpp instead, which estimates each framework's
+  /// footprint at paper scale.
   std::uint64_t total_allocated() const { return total_; }
 
  private:

@@ -30,7 +30,8 @@ using models::ModelKind;
 
 /// A small but non-trivial dataset for numerics (power-law-ish, ~600
 /// nodes): big enough to exercise splits and clusters, small enough for
-/// full-mode math.
+/// full-mode math. Its hubs sit above core::default_group_bound, so
+/// neighbor grouping splits rows.
 graph::Dataset tiny_dataset() {
   return graph::make_dataset(graph::DatasetId::kCollab, 0.01);
 }
@@ -154,7 +155,6 @@ std::vector<EngineVariant> engine_variants() {
           if (linear && !adapter) continue;  // linear requires the adapter
           EngineConfig cfg;
           cfg.use_neighbor_grouping = ng;
-          cfg.group_bound = ng ? 8 : 0;  // force splits on the tiny graph
           cfg.use_las = las;
           cfg.use_adapter = adapter;
           cfg.use_linear = linear;
@@ -168,13 +168,21 @@ std::vector<EngineVariant> engine_variants() {
 
 class EngineEquivalence : public ::testing::TestWithParam<int> {};
 
+/// With neighbor grouping on, the engine's tasks split rows, so the
+/// atomic-merge paths run.
+void expect_splits_with_grouping(const OptimizedEngine& e) {
+  EXPECT_EQ(e.build_tasks(inputs().data.csr).any_split, e.config().use_neighbor_grouping);
+}
+
 TEST_P(EngineEquivalence, GcnMatchesReference) {
   OptimizedEngine e(engine_variants()[static_cast<std::size_t>(GetParam())].cfg);
+  expect_splits_with_grouping(e);
   expect_gcn_matches(e);
 }
 
 TEST_P(EngineEquivalence, GatMatchesReference) {
   OptimizedEngine e(engine_variants()[static_cast<std::size_t>(GetParam())].cfg);
+  expect_splits_with_grouping(e);
   expect_gat_matches(e);
 }
 
@@ -220,9 +228,8 @@ TEST(BackendEquivalence, SagePoolEngineMatchesReferenceUnderSplits) {
   const Matrix x = models::init_features(in.data.csr.num_nodes, 12, 12);
   const Matrix expect = models::sage_pool_forward_ref(in.data.csr, x, cfg, params);
 
-  EngineConfig ecfg;
-  ecfg.group_bound = 4;  // force split rows: atomic max path
-  OptimizedEngine e(ecfg);
+  OptimizedEngine e;
+  ASSERT_TRUE(e.build_tasks(in.data.csr).any_split);  // split rows: the atomic max path
   const auto r = e.run_sage_pool(in.data, {&cfg, &params, &x}, ExecMode::kFull, sim::v100());
   EXPECT_TRUE(tensor::allclose(r.output, expect, 1e-3f, 1e-4f));
 }
@@ -232,6 +239,56 @@ TEST(BackendEquivalence, SagePoolUnsupportedBackendsSaySo) {
   RocBackend roc;
   EXPECT_FALSE(pyg.supports(ModelKind::kSagePool));
   EXPECT_FALSE(roc.supports(ModelKind::kSagePool));
+}
+
+// A model outside a backend's supports() is a failed precondition naming
+// both, never an OK, empty run.
+TEST(BackendEquivalence, UnsupportedModelsFailNamingBackendAndModel) {
+  const Inputs& in = inputs();
+  models::SagePoolConfig pool_cfg;
+  pool_cfg.in_feat = 12;
+  const models::SagePoolParams pool_params = models::init_sage_pool(pool_cfg, 13);
+  models::MultiHeadGatConfig mh_cfg;
+  mh_cfg.in_feat = 12;
+  const models::MultiHeadGatParams mh_params = models::init_multihead_gat(mh_cfg, 14);
+  const auto run = [&](Backend& b, ModelKind m) {
+    switch (m) {
+      case ModelKind::kGcn:
+        return b.run_gcn(in.data, {&in.gcn_cfg, &in.gcn_params, &in.x_gcn},
+                         ExecMode::kSimulateOnly, sim::v100());
+      case ModelKind::kGat:
+        return b.run_gat(in.data, {&in.gat_cfg, &in.gat_params, &in.x_gat},
+                         ExecMode::kSimulateOnly, sim::v100());
+      case ModelKind::kSageLstm:
+        return b.run_sage_lstm(in.data, {&in.sage_cfg, &in.sage_params, &in.x_sage},
+                               ExecMode::kSimulateOnly, sim::v100());
+      case ModelKind::kSagePool:
+        return b.run_sage_pool(in.data, {&pool_cfg, &pool_params, &in.x_sage},
+                               ExecMode::kSimulateOnly, sim::v100());
+      case ModelKind::kMultiHeadGat:
+        return b.run_multihead_gat(in.data, {&mh_cfg, &mh_params, &in.x_sage},
+                                   ExecMode::kSimulateOnly, sim::v100());
+    }
+    return baselines::RunResult{};
+  };
+  DglBackend dgl;
+  PygBackend pyg;
+  RocBackend roc;
+  OptimizedEngine ours;
+  int unsupported = 0;
+  for (Backend* b : std::initializer_list<Backend*>{&dgl, &pyg, &roc, &ours}) {
+    for (ModelKind m : {ModelKind::kGcn, ModelKind::kGat, ModelKind::kSageLstm,
+                        ModelKind::kSagePool, ModelKind::kMultiHeadGat}) {
+      if (b->supports(m)) continue;
+      ++unsupported;
+      const std::string what =
+          std::string(b->name()) + " does not implement " + std::string(models::model_name(m));
+      const baselines::RunResult r = run(*b, m);
+      EXPECT_EQ(r.status.code(), rt::StatusCode::kFailedPrecondition) << what;
+      EXPECT_EQ(r.status.message(), what);
+    }
+  }
+  EXPECT_EQ(unsupported, 7);  // PyG: 3 models, ROC: 4
 }
 
 TEST(BackendEquivalence, OomBackendsReportOomNotGarbage) {

@@ -182,8 +182,9 @@ TEST(EndToEnd, SimulateOnlyAgreesWithFullModeCounters) {
   // The trace is value-independent: a trace-only run (shape-only mats) and
   // a kFull run (host-backed mats) of every model on every backend that
   // supports it must count alike. Between them these runs launch every
-  // kernel entry point of src/kernels. The engine's grouping bound of 4
-  // splits rows, so the atomic-merge and deferred-epilogue paths run too.
+  // kernel entry point of src/kernels. The graph's hubs sit above the
+  // engine's default grouping bound, so its tasks split rows and the
+  // atomic-merge and deferred-epilogue paths run too.
   const graph::Dataset data = graph::make_dataset(graph::DatasetId::kDdi, 0.1);
   const graph::NodeId n = data.csr.num_nodes;
   models::GcnConfig gcn_cfg;
@@ -243,9 +244,9 @@ TEST(EndToEnd, SimulateOnlyAgreesWithFullModeCounters) {
     check(*b, kAll, std::string(b->name()));
   }
 
+  ASSERT_TRUE(engine::OptimizedEngine().build_tasks(data.csr).any_split);
   for (int shards : {1, 4}) {
     engine::EngineConfig base;
-    base.group_bound = 4;
     base.shards = shards;
     const std::string tag = "Ours shards=" + std::to_string(shards);
     {

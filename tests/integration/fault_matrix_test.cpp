@@ -70,7 +70,7 @@ void expect_degraded_but_correct(const std::string& plan, EngineConfig ecfg,
   EXPECT_NE(std::find(knobs.begin(), knobs.end(), std::string(knob)), knobs.end())
       << "expected knob '" << knob << "' in the degraded set";
 
-  ASSERT_GE(sink.degradation_count(), 1u);
+  ASSERT_GE(sink.degradations().size(), 1u);
   bool found = false;
   for (const auto& ev : sink.degradations()) {
     if (ev.seam == seam && ev.knob == knob) {
@@ -113,7 +113,7 @@ TEST(FaultMatrix, PersistentSimLaunchFaultExhaustsTheLadderCleanly) {
   rt::FaultInjector::instance().clear();
   // Every rung tried, then a structured failure — never a crash or throw.
   EXPECT_FALSE(r.status.ok());
-  EXPECT_GE(sink.degradation_count(), 2u);
+  EXPECT_GE(sink.degradations().size(), 2u);
   sink.clear();
 }
 
@@ -259,7 +259,7 @@ TEST(FaultMatrix, MetricsWriteFaultRetriesAndRecordsTheEvent) {
   const rt::Status s = sink.write_file(path);
   rt::FaultInjector::instance().clear();
   ASSERT_TRUE(s.ok()) << s.to_string();
-  EXPECT_EQ(sink.degradation_count(), 1u);
+  EXPECT_EQ(sink.degradations().size(), 1u);
   // The retried write serializes after recording, so the file itself
   // carries the degradation event.
   std::ifstream in(path);

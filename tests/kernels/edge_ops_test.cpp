@@ -118,7 +118,7 @@ TEST(EdgeOps, SevenKernelPipelineCountsSevenLaunches) {
   Matrix acc_host(h.csr.num_nodes, 1);
   auto e = device_mat(h.ctx, e_host, "e");
   auto acc = device_mat(h.ctx, acc_host, "acc");
-  h.ctx.reset_stats();
+  h.ctx.take_stats();  // count from here
   edge_map(h.ctx, {.in = &e, .out = &e, .fn = [](float x) { return x; }});
   edge_map(h.ctx, {.in = &e, .out = &e, .fn = [](float x) { return x; }});
   segment_sum(h.ctx, {.graph = &h.gdev, .tasks = h.tasks, .edge_val = &e, .node_out = &acc});

@@ -141,7 +141,7 @@ TEST(GatAdapterOnlyPipeline, MatchesReference) {
 TEST(FusedPipeline, FewerLaunchesThanListing1) {
   GatHarness h(random_graph(30, 4.0, 11), 4, 12);
   const auto tasks = natural_tasks(h.csr);
-  h.ctx.reset_stats();
+  h.ctx.take_stats();  // count from here
   gat_edge_fused(h.ctx, {.graph = &h.gdev, .tasks = tasks, .att_src = &h.att_src,
                          .att_dst = &h.att_dst, .edge_out = &h.e, .vacc_out = &h.vacc});
   gat_aggregate_fused(h.ctx, {.graph = &h.gdev, .tasks = tasks, .feat = &h.feat,

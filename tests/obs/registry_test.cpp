@@ -42,7 +42,7 @@ TEST_F(RegistryTest, CountersAccumulate) {
   reg.counter_add("c", 4);
   EXPECT_EQ(reg.counter_value("c"), 7u);
   EXPECT_EQ(reg.counter_value("absent"), 0u);
-  EXPECT_EQ(reg.counter_count(), 1u);
+  EXPECT_EQ(reg.snapshot().counters.size(), 1u);
 }
 
 TEST_F(RegistryTest, CountersAndHistogramSumsAccumulate) {
@@ -54,8 +54,8 @@ TEST_F(RegistryTest, CountersAndHistogramSumsAccumulate) {
   EXPECT_EQ(reg.counter_value("c"), 12u);
   EXPECT_EQ(reg.histogram_snapshot("h").count, 2u);
   EXPECT_EQ(reg.histogram_snapshot("h").sum, 1536.0);
-  EXPECT_EQ(reg.counter_count(), 1u);
-  EXPECT_EQ(reg.histogram_count(), 1u);
+  EXPECT_EQ(reg.snapshot().counters.size(), 1u);
+  EXPECT_EQ(reg.snapshot().histograms.size(), 1u);
 }
 
 TEST_F(RegistryTest, ConcurrentCounterAddsLoseNothing) {
@@ -107,8 +107,8 @@ TEST_F(RegistryTest, ClearEmptiesEveryInstrumentKind) {
   reg.counter_add("c", 1);
   reg.observe("h", 1.0);
   reg.clear();
-  EXPECT_EQ(reg.counter_count(), 0u);
-  EXPECT_EQ(reg.histogram_count(), 0u);
+  EXPECT_EQ(reg.snapshot().counters.size(), 0u);
+  EXPECT_EQ(reg.snapshot().histograms.size(), 0u);
   EXPECT_TRUE(render_prometheus(reg.snapshot()).empty());
 }
 

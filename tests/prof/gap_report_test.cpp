@@ -42,8 +42,8 @@ TEST(GapReportTest, GoldenAttributionNumbers) {
   // synchronization: atomic + adapter cycles.
   EXPECT_DOUBLE_EQ(g.sync_cycles, 384.0);
   EXPECT_EQ(g.global_syncs, 1u);
-  EXPECT_EQ(g.atomic_bytes, 64u);
-  EXPECT_EQ(g.adapter_bytes, 32u);
+  EXPECT_EQ(g.costs.atomic_bytes, 64u);
+  EXPECT_EQ(g.costs.adapter_bytes, 32u);
   // redundancy: (1024 + 512 + 256) / 16 flops-per-cycle = 112.
   EXPECT_DOUBLE_EQ(g.redundancy_cycles, 112.0);
   EXPECT_DOUBLE_EQ(g.redundant_flops, 1792.0);
@@ -137,8 +137,8 @@ TEST(GapReportTest, SerializedDocumentRoundTripsThroughLoader) {
   EXPECT_DOUBLE_EQ(reloaded.launch_cycles, direct.launch_cycles);
   EXPECT_DOUBLE_EQ(reloaded.sync_cycles, direct.sync_cycles);
   EXPECT_DOUBLE_EQ(reloaded.redundancy_cycles, direct.redundancy_cycles);
-  EXPECT_EQ(reloaded.atomic_bytes, direct.atomic_bytes);
-  EXPECT_EQ(reloaded.adapter_bytes, direct.adapter_bytes);
+  EXPECT_EQ(reloaded.costs.atomic_bytes, direct.costs.atomic_bytes);
+  EXPECT_EQ(reloaded.costs.adapter_bytes, direct.costs.adapter_bytes);
   EXPECT_EQ(reloaded.global_syncs, direct.global_syncs);
 
   // The rest of the document reads back through the same field lists.

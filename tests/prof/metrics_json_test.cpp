@@ -103,7 +103,7 @@ TEST(MetricsJsonTest, DegradationEventsSerializeIntoTheirArray) {
   ev.detail = "FAULT_INJECTED: injected fault at seam 'las_cluster'";
   ev.injected = true;
   sink.record_degradation(ev);
-  EXPECT_EQ(sink.degradation_count(), 1u);
+  EXPECT_EQ(sink.degradations().size(), 1u);
   const std::string doc = sink.to_json();
   EXPECT_TRUE(parse_json(doc).ok());
   EXPECT_NE(doc.find("\"degradations\":[{\"seam\":\"las_cluster\",\"knob\":\"las\","
@@ -111,7 +111,7 @@ TEST(MetricsJsonTest, DegradationEventsSerializeIntoTheirArray) {
                      "injected fault at seam 'las_cluster'\",\"injected\":true}]"),
             std::string::npos);
   sink.clear();
-  EXPECT_EQ(sink.degradation_count(), 0u);
+  EXPECT_EQ(sink.degradations().size(), 0u);
 }
 
 TEST(MetricsJsonTest, MakeDegradationFlagsInjectedFaults) {
@@ -172,7 +172,7 @@ TEST(MetricsJsonTest, TelemetryBlockCarriesRegistryInstruments) {
                      "\"p99\":1024,\"buckets\":[{\"le\":"),
             std::string::npos);
   sink.clear();
-  EXPECT_EQ(reg.histogram_count(), 0u);
+  EXPECT_EQ(reg.snapshot().histograms.size(), 0u);
 }
 
 TEST(MetricsJsonTest, OomRunSerializesWithEmptyKernels) {

@@ -149,9 +149,10 @@ TEST_F(FaultTest, RaiseIfArmedThrowsStageFailure) {
 
 TEST_F(FaultTest, SeamTableCoversEveryKnownSeam) {
   for (const SeamInfo& info : kSeamTable) {
-    EXPECT_FALSE(seam_description(info.name).empty()) << info.name;
+    EXPECT_FALSE(info.description.empty()) << info.name;
+    EXPECT_TRUE(known_seam(info.name)) << info.name;
   }
-  EXPECT_TRUE(seam_description("no_such_seam").empty());
+  EXPECT_FALSE(known_seam("no_such_seam"));
 }
 
 // A job plan's listener: appends "<seam>#<shot>" to the vector at `ctx`.

@@ -5,7 +5,9 @@
 #include <deque>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
+#include "sim/context.hpp"
 #include "tensor/rng.hpp"
 #include "tests/testing/stamp_lru.hpp"
 
@@ -23,77 +25,86 @@ std::string geometry_error(std::int64_t capacity, int ways, int line_bytes) {
   return "";
 }
 
+using HitsMisses = std::pair<std::uint64_t, std::uint64_t>;
+
+/// Launches one block reading `bytes` bytes at `offset` of `buf` on `ctx`
+/// and returns its L2 hits and misses: the replay is the one path that
+/// turns an access into line probes.
+HitsMisses read(SimContext& ctx, const Buffer& buf, std::uint64_t offset, std::uint64_t bytes) {
+  const KernelStats& ks = ctx.launch(
+      build_kernel("read", "", ctx.spec().total_block_slots(), {0, 1},
+                   [](std::size_t) { return 1; },
+                   [&](std::size_t, BlockWork& blk) { blk.read(buf, offset, bytes); }));
+  return {ks.l2_hits, ks.l2_misses};
+}
+
 TEST(Cache, FirstTouchMisses) {
   SetAssocCache c(1024, 2, 64);
-  EXPECT_FALSE(c.access_line(0));
-  EXPECT_EQ(c.total_misses(), 1u);
-  EXPECT_EQ(c.total_hits(), 0u);
+  EXPECT_FALSE(c.probe(0));
+  EXPECT_FALSE(c.probe(1));
 }
 
 TEST(Cache, SecondTouchHits) {
   SetAssocCache c(1024, 2, 64);
-  c.access_line(128);
-  EXPECT_TRUE(c.access_line(128));
-  EXPECT_EQ(c.total_hits(), 1u);
+  c.probe(2);
+  EXPECT_TRUE(c.probe(2));
 }
 
 TEST(Cache, DistinctLinesInSameSetCoexistUpToWays) {
-  // 1024 B, 2-way, 64 B lines -> 8 sets. Lines 0 and 8*64 share set 0.
+  // 1024 B, 2-way, 64 B lines -> 8 sets. Lines 0 and 8 share set 0.
   SetAssocCache c(1024, 2, 64);
   ASSERT_EQ(c.num_sets(), 8);
-  c.access_line(0);
-  c.access_line(8 * 64);
-  EXPECT_TRUE(c.access_line(0));
-  EXPECT_TRUE(c.access_line(8 * 64));
+  c.probe(0);
+  c.probe(8);
+  EXPECT_TRUE(c.probe(0));
+  EXPECT_TRUE(c.probe(8));
 }
 
 TEST(Cache, LruEvictionOrder) {
   SetAssocCache c(1024, 2, 64);  // 8 sets, 2 ways
-  const std::uint64_t a = 0, b = 8 * 64, d = 16 * 64;  // same set
-  c.access_line(a);
-  c.access_line(b);
-  c.access_line(a);      // a most recent
-  c.access_line(d);      // evicts b (LRU)
-  EXPECT_TRUE(c.access_line(a));
-  EXPECT_FALSE(c.access_line(b));  // was evicted
+  const std::uint64_t a = 0, b = 8, d = 16;  // same set
+  c.probe(a);
+  c.probe(b);
+  c.probe(a);  // a most recent
+  c.probe(d);  // evicts b (LRU)
+  EXPECT_TRUE(c.probe(a));
+  EXPECT_FALSE(c.probe(b));  // was evicted
 }
 
 TEST(Cache, AccessSpansMultipleLines) {
-  SetAssocCache c(4096, 4, 64);
-  const CacheProbe p = c.access(0, 256);  // exactly 4 lines
-  EXPECT_EQ(p.lines, 4u);
-  EXPECT_EQ(p.misses, 4u);
-  const CacheProbe p2 = c.access(0, 256);
-  EXPECT_EQ(p2.hits, 4u);
+  SimContext ctx;
+  const Buffer buf = ctx.mem().alloc("data", 4096);  // 256-byte aligned
+  EXPECT_EQ(read(ctx, buf, 0, 256), (HitsMisses{0, 4}));  // exactly 4 lines
+  EXPECT_EQ(read(ctx, buf, 0, 256), (HitsMisses{4, 0}));
+  EXPECT_EQ(ctx.stats().total_misses(), 4u);
 }
 
 TEST(Cache, UnalignedAccessCountsStraddledLines) {
-  SetAssocCache c(4096, 4, 64);
+  SimContext ctx;
+  const Buffer buf = ctx.mem().alloc("data", 4096);
   // 64 bytes starting at offset 32 straddles two lines.
-  const CacheProbe p = c.access(32, 64);
-  EXPECT_EQ(p.lines, 2u);
+  EXPECT_EQ(read(ctx, buf, 32, 64), (HitsMisses{0, 2}));
 }
 
 TEST(Cache, ZeroByteAccessIsNoop) {
-  SetAssocCache c(4096, 4, 64);
-  const CacheProbe p = c.access(0, 0);
-  EXPECT_EQ(p.lines, 0u);
+  SimContext ctx;
+  const Buffer buf = ctx.mem().alloc("data", 4096);
+  EXPECT_EQ(read(ctx, buf, 0, 0), (HitsMisses{0, 0}));
   // Unaligned too: addr + bytes - 1 would fall back inside the line.
-  EXPECT_EQ(c.access(32, 0).lines, 0u);
-  EXPECT_EQ(c.total_misses(), 0u);
+  EXPECT_EQ(read(ctx, buf, 32, 0), (HitsMisses{0, 0}));
   // Nothing was filled: line 0 is still cold.
-  EXPECT_FALSE(c.access_line(0));
+  EXPECT_EQ(read(ctx, buf, 0, 1), (HitsMisses{0, 1}));
 }
 
 TEST(Cache, ClearInvalidatesEverything) {
   SetAssocCache c(1024, 2, 64);  // 8 sets, 2 ways
-  const std::uint64_t a = 0, b = 8 * 64;  // same set
-  c.access_line(a);
-  c.access_line(b);
-  EXPECT_TRUE(c.access_line(b));  // b is the set's most recent line
+  const std::uint64_t a = 0, b = 8;  // same set
+  c.probe(a);
+  c.probe(b);
+  EXPECT_TRUE(c.probe(b));  // b is the set's most recent line
   c.clear();
-  EXPECT_FALSE(c.access_line(b));
-  EXPECT_FALSE(c.access_line(a));
+  EXPECT_FALSE(c.probe(b));
+  EXPECT_FALSE(c.probe(a));
 }
 
 // Re-touching a set's most recent line changes no recency, so it must not
@@ -134,19 +145,15 @@ TEST(Cache, SetCountRoundsDownToPowerOfTwo) {
 TEST(Cache, WorkingSetLargerThanCapacityThrashes) {
   SetAssocCache c(1024, 2, 64);  // 16 lines capacity
   // Stream 64 distinct lines twice: second pass still mostly misses.
-  for (int pass = 0; pass < 2; ++pass) {
-    for (std::uint64_t l = 0; l < 64; ++l) c.access_line(l * 64);
-  }
-  EXPECT_GT(c.total_misses(), 100u);
+  std::uint64_t hits = 0;
+  for (int pass = 0; pass < 2; ++pass) hits += c.probe_run(0, 64);
+  EXPECT_LT(hits, 28u);
 }
 
 TEST(Cache, WorkingSetWithinCapacityReuses) {
   SetAssocCache c(8192, 4, 64);  // 128 lines
-  for (int pass = 0; pass < 4; ++pass) {
-    for (std::uint64_t l = 0; l < 32; ++l) c.access_line(l * 64);
-  }
-  EXPECT_EQ(c.total_misses(), 32u);
-  EXPECT_EQ(c.total_hits(), 96u);
+  EXPECT_EQ(c.probe_run(0, 32), 0u);
+  for (int pass = 1; pass < 4; ++pass) EXPECT_EQ(c.probe_run(0, 32), 32u);
 }
 
 // Every probe of the rank-based LRU against the stamp-based reference, at
@@ -193,7 +200,7 @@ TEST(Cache, RejectsTagsWiderThan32Bits) {
   // 0xFFFFFFFF marks empty ways, and 2^32 needs 33 bits.
   EXPECT_THROW(c.probe(std::uint64_t{0xFFFFFFFF} << 3), std::out_of_range);
   EXPECT_THROW(c.probe(std::uint64_t{1} << 35), std::out_of_range);
-  EXPECT_THROW(c.access_line(std::uint64_t{1} << 41), std::out_of_range);
+  EXPECT_THROW(c.probe_run(std::uint64_t{1} << 35, 1), std::out_of_range);
   EXPECT_TRUE(c.probe(widest));
   // Tag 2^32 throws even where its low 32 bits are its set's most recent tag.
   EXPECT_FALSE(c.probe(0));

@@ -76,19 +76,6 @@ TEST(Context, CountersAccumulateAcrossKernels) {
   EXPECT_DOUBLE_EQ(ctx.stats().total_flops(), 30.0);
 }
 
-TEST(Context, ClearCacheColdStarts) {
-  SimContext ctx(tiny_device());
-  const Buffer buf = ctx.mem().alloc("data", 4096);
-  auto touch = [&] {
-    ctx.launch(build(ctx, "touch", 1, [](std::size_t) { return 1; },
-                     [&](std::size_t, BlockWork& blk) { blk.read(buf, 0, 256); }));
-  };
-  touch();
-  ctx.clear_cache();
-  touch();
-  EXPECT_EQ(ctx.stats().total_misses(), 8u);
-}
-
 TEST(Context, ComputeBoundBlockCostFollowsFlops) {
   SimContext ctx(tiny_device());
   const KernelStats& ks =
@@ -209,13 +196,26 @@ TEST(Context, EveryLaunchIsOneGlobalSync) {
   EXPECT_EQ(ctx.stats().global_syncs, 3u);
 }
 
+// take_stats hands the counters over and starts new ones; the
+// allocations and the warm L2 stay.
 TEST(Context, StatsResetKeepsAllocations) {
   SimContext ctx(tiny_device());
-  ctx.mem().alloc("x", 128);
-  ctx.launch(empty(ctx, "k"));
-  ctx.reset_stats();
+  const Buffer buf = ctx.mem().alloc("x", 256);
+  const auto touch = [&] {
+    ctx.launch(build(ctx, "touch", 1, [](std::size_t) { return 1; },
+                     [&](std::size_t, BlockWork& blk) { blk.read(buf, 0, 256); }));
+  };
+  touch();
+  const RunStats taken = ctx.take_stats();
+  EXPECT_EQ(taken.num_launches(), 1);
+  EXPECT_EQ(taken.total_misses(), 4u);
+  EXPECT_EQ(taken.global_syncs, 1u);
   EXPECT_EQ(ctx.stats().num_launches(), 0);
-  EXPECT_EQ(ctx.mem().total_allocated(), 128u);
+  EXPECT_EQ(ctx.stats().total_cycles, 0.0);
+  EXPECT_EQ(ctx.stats().global_syncs, 0u);
+  EXPECT_EQ(ctx.mem().total_allocated(), 256u);
+  touch();
+  EXPECT_EQ(ctx.stats().total_hits(), 4u);
 }
 
 TEST(RunStats, PhaseAccounting) {

@@ -83,10 +83,41 @@ TEST(RunStatsTest, SyncTrafficTotalsAccumulateAcrossKernels) {
   b.adapter_cycles = 15.0;
   b.adapter_bytes = 150;
   r.kernels = {a, b};
-  EXPECT_DOUBLE_EQ(r.total_atomic_cycles(), 40.0);
-  EXPECT_EQ(r.total_atomic_bytes(), 400u);
-  EXPECT_DOUBLE_EQ(r.total_adapter_cycles(), 20.0);
-  EXPECT_EQ(r.total_adapter_bytes(), 200u);
+  const Costs c = r.costs();
+  EXPECT_DOUBLE_EQ(c.atomic_cycles, 40.0);
+  EXPECT_EQ(c.atomic_bytes, 400u);
+  EXPECT_DOUBLE_EQ(c.adapter_cycles, 20.0);
+  EXPECT_EQ(c.adapter_bytes, 200u);
+}
+
+// operator+= is the one sum of the cost counters: every field adds, and
+// only into itself.
+TEST(CostsTest, AddsEveryCounterFieldByField) {
+  const auto costs = [](double x) {
+    Costs c;
+    c.flops = x;
+    c.issued_flops = 2 * x;
+    c.atomic_cycles = 3 * x;
+    c.atomic_bytes = static_cast<std::uint64_t>(4 * x);
+    c.adapter_cycles = 5 * x;
+    c.adapter_bytes = static_cast<std::uint64_t>(6 * x);
+    c.pad_flops = 7 * x;
+    c.copy_flops = 8 * x;
+    c.tile_flops = 9 * x;
+    return c;
+  };
+  Costs sum = costs(1);
+  sum += costs(10);
+  const Costs want = costs(11);
+  EXPECT_EQ(sum.flops, want.flops);
+  EXPECT_EQ(sum.issued_flops, want.issued_flops);
+  EXPECT_EQ(sum.atomic_cycles, want.atomic_cycles);
+  EXPECT_EQ(sum.atomic_bytes, want.atomic_bytes);
+  EXPECT_EQ(sum.adapter_cycles, want.adapter_cycles);
+  EXPECT_EQ(sum.adapter_bytes, want.adapter_bytes);
+  EXPECT_EQ(sum.pad_flops, want.pad_flops);
+  EXPECT_EQ(sum.copy_flops, want.copy_flops);
+  EXPECT_EQ(sum.tile_flops, want.tile_flops);
 }
 
 TEST(RunStatsTest, RunImbalanceIsMakespanSumOverBalancedSum) {

@@ -10,8 +10,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/cache.hpp"
-
 namespace gnnbridge::testing {
 
 class StampLru {
@@ -20,7 +18,6 @@ class StampLru {
   StampLru(std::int64_t capacity_bytes, int ways, int line_bytes) : ways_(ways) {
     const std::int64_t raw_sets = capacity_bytes / (static_cast<std::int64_t>(ways) * line_bytes);
     num_sets_ = 1 << (std::bit_width(static_cast<std::uint64_t>(raw_sets)) - 1);
-    line_shift_ = std::bit_width(static_cast<std::uint64_t>(line_bytes)) - 1;
     tags_.assign(static_cast<std::size_t>(num_sets_) * ways_, kEmpty);
     stamps_.assign(tags_.size(), 0);
   }
@@ -63,25 +60,6 @@ class StampLru {
     return tags_[static_cast<std::size_t>(newest - stamps_.begin())] == line;
   }
 
-  /// Touches `bytes` bytes at `addr`, one probe per line, like
-  /// SetAssocCache::access.
-  sim::CacheProbe access(std::uint64_t addr, std::uint32_t bytes) {
-    sim::CacheProbe p;
-    if (bytes == 0) return p;
-    const std::uint64_t last = (addr + bytes - 1) >> line_shift_;
-    for (std::uint64_t line = addr >> line_shift_; line <= last; ++line) {
-      ++p.lines;
-      ++(probe(line) ? p.hits : p.misses);
-    }
-    return p;
-  }
-
-  void clear() {
-    std::fill(tags_.begin(), tags_.end(), kEmpty);
-    std::fill(stamps_.begin(), stamps_.end(), 0);
-    tick_ = 0;
-  }
-
  private:
   std::uint64_t base_of(std::uint64_t line) const {
     return (line & static_cast<std::uint64_t>(num_sets_ - 1)) * static_cast<std::uint64_t>(ways_);
@@ -89,7 +67,6 @@ class StampLru {
 
   int ways_;
   int num_sets_;
-  int line_shift_;
   std::vector<std::uint64_t> tags_;
   std::vector<std::uint64_t> stamps_;
   std::uint64_t tick_ = 0;

@@ -19,9 +19,12 @@
 #include <cstring>
 #include <deque>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "baselines/dgl.hpp"
@@ -865,6 +868,20 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  constexpr std::pair<std::string_view, models::ModelKind> kModels[] = {
+      {"gcn", models::ModelKind::kGcn},
+      {"gat", models::ModelKind::kGat},
+      {"sage", models::ModelKind::kSageLstm},
+      {"mhgat", models::ModelKind::kMultiHeadGat},
+      {"pool", models::ModelKind::kSagePool},
+  };
+  const auto* known = std::find_if(std::begin(kModels), std::end(kModels),
+                                   [&](const auto& m) { return m.first == model; });
+  if (known == std::end(kModels)) {
+    std::fprintf(stderr, "unknown model '%s'\n", model.c_str());
+    return 2;
+  }
+
   rt::Result<graph::Dataset> loaded = graph::try_make_dataset(parse_dataset(dataset), scale);
   if (!loaded.ok()) {
     std::fprintf(stderr, "gnnbridge_cli: dataset load failed: %s\n",
@@ -877,51 +894,51 @@ int main(int argc, char** argv) {
               static_cast<long long>(data.stats.num_edges), data.stats.avg_degree,
               static_cast<long long>(data.stats.max_degree));
 
+  if (!backend->supports(known->second)) {
+    std::printf("%s does not implement %s\n", backend_name.c_str(),
+                std::string(models::model_name(known->second)).c_str());
+    return 0;
+  }
   const kernels::ExecMode mode = full ? kernels::ExecMode::kFull
                                       : kernels::ExecMode::kSimulateOnly;
   baselines::RunResult r;
-  if (model == "gcn") {
-    const models::GcnConfig cfg;
-    const auto params = models::init_gcn(cfg, 1);
-    const auto x = models::init_features(data.csr.num_nodes, cfg.dims[0], 1);
-    r = backend->run_gcn(data, {&cfg, &params, &x}, mode, sim::v100());
-  } else if (model == "gat") {
-    const models::GatConfig cfg;
-    const auto params = models::init_gat(cfg, 2);
-    const auto x = models::init_features(data.csr.num_nodes, cfg.dims[0], 2);
-    r = backend->run_gat(data, {&cfg, &params, &x}, mode, sim::v100());
-  } else if (model == "sage") {
-    const models::SageLstmConfig cfg;
-    const auto params = models::init_sage_lstm(cfg, 3);
-    const auto x = models::init_features(data.csr.num_nodes, cfg.in_feat, 3);
-    if (!backend->supports(models::ModelKind::kSageLstm)) {
-      std::printf("%s does not implement GraphSAGE-LSTM ('x' in Figure 7c)\n",
-                  backend_name.c_str());
-      return 0;
+  switch (known->second) {
+    case models::ModelKind::kGcn: {
+      const models::GcnConfig cfg;
+      const auto params = models::init_gcn(cfg, 1);
+      const auto x = models::init_features(data.csr.num_nodes, cfg.dims[0], 1);
+      r = backend->run_gcn(data, {&cfg, &params, &x}, mode, sim::v100());
+      break;
     }
-    r = backend->run_sage_lstm(data, {&cfg, &params, &x}, mode, sim::v100());
-  } else if (model == "mhgat") {
-    models::MultiHeadGatConfig cfg;
-    cfg.heads = heads;
-    const auto params = models::init_multihead_gat(cfg, 5);
-    const auto x = models::init_features(data.csr.num_nodes, cfg.in_feat, 5);
-    if (!backend->supports(models::ModelKind::kMultiHeadGat)) {
-      std::printf("%s does not implement multi-head GAT\n", backend_name.c_str());
-      return 0;
+    case models::ModelKind::kGat: {
+      const models::GatConfig cfg;
+      const auto params = models::init_gat(cfg, 2);
+      const auto x = models::init_features(data.csr.num_nodes, cfg.dims[0], 2);
+      r = backend->run_gat(data, {&cfg, &params, &x}, mode, sim::v100());
+      break;
     }
-    r = backend->run_multihead_gat(data, {&cfg, &params, &x}, mode, sim::v100());
-  } else if (model == "pool") {
-    const models::SagePoolConfig cfg;
-    const auto params = models::init_sage_pool(cfg, 4);
-    const auto x = models::init_features(data.csr.num_nodes, cfg.in_feat, 4);
-    if (!backend->supports(models::ModelKind::kSagePool)) {
-      std::printf("%s does not implement GraphSAGE-Pool\n", backend_name.c_str());
-      return 0;
+    case models::ModelKind::kSageLstm: {
+      const models::SageLstmConfig cfg;
+      const auto params = models::init_sage_lstm(cfg, 3);
+      const auto x = models::init_features(data.csr.num_nodes, cfg.in_feat, 3);
+      r = backend->run_sage_lstm(data, {&cfg, &params, &x}, mode, sim::v100());
+      break;
     }
-    r = backend->run_sage_pool(data, {&cfg, &params, &x}, mode, sim::v100());
-  } else {
-    std::fprintf(stderr, "unknown model '%s'\n", model.c_str());
-    return 2;
+    case models::ModelKind::kMultiHeadGat: {
+      models::MultiHeadGatConfig cfg;
+      cfg.heads = heads;
+      const auto params = models::init_multihead_gat(cfg, 5);
+      const auto x = models::init_features(data.csr.num_nodes, cfg.in_feat, 5);
+      r = backend->run_multihead_gat(data, {&cfg, &params, &x}, mode, sim::v100());
+      break;
+    }
+    case models::ModelKind::kSagePool: {
+      const models::SagePoolConfig cfg;
+      const auto params = models::init_sage_pool(cfg, 4);
+      const auto x = models::init_features(data.csr.num_nodes, cfg.in_feat, 4);
+      r = backend->run_sage_pool(data, {&cfg, &params, &x}, mode, sim::v100());
+      break;
+    }
   }
 
   if (!r.status.ok()) {
